@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-budget lintdiff race check check-deep bench-smoke bench bench-heavy benchdiff bench-parallel bench-dist bench-scale bench-locality bench-fabric profdiff baseline clean
+.PHONY: build test vet lint lint-budget lintdiff race check check-deep bench-check bench-smoke bench bench-heavy benchdiff bench-parallel bench-dist bench-scale bench-locality bench-fabric profdiff baseline clean
 
 build:
 	$(GO) build ./...
@@ -46,15 +46,25 @@ check-deep:
 
 # race exercises the concurrency-heavy packages — the engine's worker
 # pool and quiescence protocol, the harness's concurrent simulations,
-# and the goroutine-per-node processors — under the race detector.
+# and the processors' program goroutines — under the race detector.
 race:
 	$(GO) test -race -count=1 -timeout 3600s ./internal/sim/... ./internal/harness/... ./internal/node/... ./internal/core/... ./internal/dist/...
 
+# bench-check runs the benchmark module's own tests (bench/ is a module of
+# its own, so `go test ./...` at the root does not see it): the smoke over
+# every BENCHMARK.json workload, the -compare verdicts, and the equivalence
+# of bench's hand-mirrored NIC/Proc wiring with harness.Build's.
+bench-check:
+	$(GO) test -C bench ./...
+
 # bench-smoke runs one iteration of the engine microbenchmarks and the
 # cheap end-to-end cycle benchmark: enough to catch gross regressions
-# without the multi-minute figure benchmarks.
+# without the multi-minute figure benchmarks. The processor benchmarks run
+# longer, with -benchmem: ns per stalled-send cycle and per completed Send
+# (one goroutine handoff), both at 0 allocs/op.
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkEngineStep|BenchmarkStep|BenchmarkSimCycleMesh' -benchtime 1x ./internal/sim/... .
+	$(GO) test -run xxx -bench 'BenchmarkProcStalledCycle|BenchmarkProcSend' -benchmem -benchtime 200000x ./internal/node/
 
 # bench runs the full-figure wall-clock benchmarks (several minutes).
 bench:

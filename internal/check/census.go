@@ -130,13 +130,14 @@ func (c *Checker) sweep(now sim.Cycle) {
 		return cc
 	}
 
-	// NIC queues, protocol state, and processor inboxes.
+	// NIC queues, protocol state, and the packets processors hold (inbox,
+	// arrival being handled, unsent packet).
 	for _, nc := range c.nics {
 		c.auditNIC(now, nc, addWhole)
 	}
 	for _, p := range c.procs {
 		nd := p.ID()
-		p.AuditInbox(func(pkt *packet.Packet) { addWhole(nd, "inbox", pkt) })
+		p.AuditHeld(func(where string, pkt *packet.Packet) { addWhole(nd, where, pkt) })
 	}
 
 	// Interfaces: serialization slots, ejection buffers, injection credits,

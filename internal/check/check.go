@@ -173,7 +173,8 @@ func (c *Checker) tracking() bool { return c.opts.Sequence || c.opts.InOrder }
 // in the sense that nc.Node() is authoritative; registration order is free.
 func (c *Checker) AddNIC(nc nic.NIC) { c.nics = append(c.nics, nc) }
 
-// AddProc registers a processor so its inbox joins the whole-packet census.
+// AddProc registers a processor so the packets it holds (node.Proc.AuditHeld)
+// join the whole-packet census.
 func (c *Checker) AddProc(p *node.Proc) { c.procs = append(c.procs, p) }
 
 // Install registers the monitor sweep as a clocked engine step hook. Call
@@ -203,8 +204,8 @@ func (c *Checker) step(now sim.Cycle) {
 }
 
 // sweepLocal is the distributed-worker sweep: per-NIC protocol monitors and
-// the recycle-safety census over locally owned NIC queues and processor
-// inboxes only (see Options.Local).
+// the recycle-safety census over locally owned NIC queues and processor-held
+// packets only (see Options.Local).
 func (c *Checker) sweepLocal(now sim.Cycle) {
 	whole := map[*packet.Packet]whereRef{}
 	addWhole := func(nd int, where string, p *packet.Packet) {
@@ -224,7 +225,7 @@ func (c *Checker) sweepLocal(now sim.Cycle) {
 	}
 	for _, p := range c.procs {
 		nd := p.ID()
-		p.AuditInbox(func(pkt *packet.Packet) { addWhole(nd, "inbox", pkt) })
+		p.AuditHeld(func(where string, pkt *packet.Packet) { addWhole(nd, where, pkt) })
 	}
 }
 

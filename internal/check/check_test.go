@@ -211,6 +211,23 @@ func TestMutationsTripMonitors(t *testing.T) {
 				map[int]node.Program{0: burst(2, 1, false)}),
 		},
 		{
+			// The program retires a packet it is still trying to send. Node
+			// 1 has no processor to drain it, so with a pool of 2 three sends
+			// complete and the fourth stalls forever: the free-listed packet
+			// is held nowhere but in the processor's engine-side Send state.
+			name: "FreeUnsentPacket/recycle-safety",
+			want: check.MonRecycleSafety,
+			opts: nifdyOpts(
+				core.Config{O: 8, B: 2, D: 1, W: 2},
+				map[int]node.Program{0: func(p *node.Proc) {
+					burst(3, 1, false)(p)
+					pk := p.Alloc()
+					pk.Src, pk.Dst, pk.Words = p.ID(), 1, 8
+					p.Free(pk)
+					p.Send(pk)
+				}}),
+		},
+		{
 			// The destination interface drops one arriving flit without
 			// accounting: the lifetime counters and the census disagree
 			// forever after.

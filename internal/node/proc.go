@@ -1,14 +1,26 @@
 // Package node models the processors attached to the network: software
 // send/receive overheads measured on the CM-5 (Table 2, §2.4.3) and a
-// blocking, goroutine-per-node programming interface in which workloads read
-// like the Split-C/CMAM programs that drove the paper's simulator.
+// blocking programming interface in which workloads read like the
+// Split-C/CMAM programs that drove the paper's simulator.
 //
-// Each processor's program runs in its own goroutine and interacts with the
-// simulation through blocking primitives (Send, Recv, Consume, Barrier). The
-// goroutine and the engine alternate via a synchronous rendezvous: at most
-// one program runs at any instant, so workload code may freely touch shared
-// workload state without locks. Reception is by polling only, as in the
-// paper (§3: "only polling message reception is allowed").
+// Programs are goroutines; primitives are engine-side state. Each
+// processor's program runs in its own goroutine, and the goroutine and the
+// engine alternate via a synchronous rendezvous: at most one program runs at
+// any instant, so workload code may freely touch shared workload state
+// without locks. But the loops inside the blocking primitives — Send's
+// arrival service and backpressure retry, Recv's poll misses, Barrier's
+// park-and-service wait, every charged overhead — do not run there. A
+// primitive records what it is waiting for as an operation state on the Proc
+// (opKind plus the packet or barrier it concerns) and hands the baton back;
+// Proc.Tick advances that state in the engine's own goroutine, cycle by
+// cycle, making the NIC calls the CM-5 message layer would make, and resumes
+// the program exactly once, when the primitive returns. A processor stalled
+// for a thousand cycles behind NIC backpressure therefore costs a thousand
+// TrySend calls and one goroutine handoff. The callbacks a program passes in
+// (Barrier's handler, RecvOr's predicate) run engine-side too, while their
+// program is blocked: they may touch workload state but must not call a
+// blocking primitive. Reception is by polling only, as in the paper (§3:
+// "only polling message reception is allowed").
 package node
 
 import (
@@ -55,8 +67,8 @@ func CM5Costs() Costs {
 // tick/flush boundary (Engine.AtBarrier), where no shard is ticking: every
 // participant — including the last arriver — resumes at the next cycle,
 // making the release instant independent of tick order and so identical for
-// any shard count. gen is read without the lock in the wait loops; that is
-// race-free because it is only written at the barrier drain, which the
+// any shard count. gen is read without the lock by waiting processors; that
+// is race-free because it is only written at the barrier drain, which the
 // engine's phase barriers order against every tick.
 type Barrier struct {
 	n       int
@@ -64,8 +76,12 @@ type Barrier struct {
 	arrived int
 	gen     uint64
 	// waiters are the activities of processors parked at the barrier; the
-	// release wakes them all.
+	// release wakes them all. A processor enlists once per generation however
+	// often it re-parks, so n slots always suffice.
 	waiters []*sim.Activity
+	// onRelease is release as a func value, bound once: staging it with
+	// Engine.AtBarrier must not allocate per generation.
+	onRelease func(sim.Cycle)
 
 	// Distributed mode (SetDistributed): arrivals are only counted, never
 	// complete the barrier locally — participants are spread across worker
@@ -91,7 +107,8 @@ func SetBarrierObserver(f func(*Barrier)) { barrierObs = f }
 
 // NewBarrier returns a barrier for n participants.
 func NewBarrier(n int) *Barrier {
-	b := &Barrier{n: n}
+	b := &Barrier{n: n, waiters: make([]*sim.Activity, 0, n)}
+	b.onRelease = b.release
 	if barrierObs != nil {
 		barrierObs(b)
 	}
@@ -142,10 +159,45 @@ func (b *Barrier) release(now sim.Cycle) {
 	b.mu.Unlock()
 }
 
+// enlist adds a parking processor's activity to the release's wake list.
+func (b *Barrier) enlist(a *sim.Activity) {
+	b.mu.Lock()
+	n := len(b.waiters)
+	if n == cap(b.waiters) {
+		panic(fmt.Sprintf("node: more than %d processors parked at one barrier generation", b.n))
+	}
+	b.waiters = b.waiters[:n+1]
+	b.waiters[n] = a
+	b.mu.Unlock()
+}
+
 type abortSentinel struct{}
 
 // Program is a node's application code.
 type Program func(p *Proc)
+
+// opKind is the blocking primitive a processor is inside of: what Tick
+// advances, in the engine's goroutine, while the program goroutine waits for
+// the primitive to return.
+type opKind uint8
+
+const (
+	// opRun: no primitive is in progress. The program runs as soon as the
+	// clock reaches busyUntil (Consume, and the tail of every primitive, is
+	// just this wait).
+	opRun opKind = iota
+	// opSendDrain: Send is servicing the arrivals pending at the NIC, one
+	// charged handler at a time, before it pays the send overhead.
+	opSendDrain
+	// opSendRetry: Send has paid T_send and offers out to the NIC every
+	// cycle, servicing arrivals while the NIC refuses it (§4.5).
+	opSendRetry
+	// opRecv: Recv/RecvOr is polling, paying the empty-poll cost per miss.
+	opRecv
+	// opBarrier: Barrier has arrived at bar and services arrivals until the
+	// generation it joined is released.
+	opBarrier
+)
 
 // Proc is one simulated processor.
 type Proc struct {
@@ -153,30 +205,47 @@ type Proc struct {
 	nic   nic.NIC
 	costs Costs
 
+	// busyUntil is the cycle the software overhead charged so far runs to;
+	// neither the program nor its current operation proceeds before it.
 	busyUntil sim.Cycle
 	now       sim.Cycle
-	cond      func(sim.Cycle) bool
 	done      bool
-	aborted   bool
 	started   bool
+	// running is true while the program goroutine holds the baton.
+	running bool
 
-	// act is the quiescence latch; timed/sleepUntil describe the current
-	// pause. Pure-time pauses (Consume) sleep the processor: they are
-	// satisfied by the clock alone, so waking exactly at sleepUntil is
-	// indistinguishable from polling every cycle. Barrier waits park (parked)
-	// with two wake edges covering their condition — the last barrier arrival
-	// wakes every waiter, and the NIC wakes its processor when a packet
-	// becomes pollable — so they too sleep. Other condition pauses (WaitUntil,
-	// and the backpressure retry in Send — the §4.5 swamping mechanism, which
-	// must keep servicing arrivals every cycle) depend on state with no wake
-	// edge and are re-evaluated every cycle.
-	act        sim.Activity
-	timed      bool
-	parked     bool
-	sleepUntil sim.Cycle
+	// op is the primitive in progress; the fields below are its operands.
+	op opKind
+	// out is Send's packet, held from the call until the NIC takes it.
+	out *packet.Packet
+	// arrival is the packet whose receive overhead is being charged; when
+	// the charge completes it goes to the inbox (Send), the handler
+	// (Barrier) or the program (Recv, Poll).
+	arrival *packet.Packet
+	// stop is RecvOr's predicate (nil for Recv).
+	stop func() bool
+	// bar, barGen and handler are Barrier's operands. parked marks a wait
+	// with nothing to service: its two wake edges — the release wakes every
+	// waiter, and the NIC wakes its processor when a packet becomes pollable
+	// — cover everything that can end it, so the processor sleeps. enlisted
+	// records that the release's wake list already holds this processor.
+	bar      *Barrier
+	barGen   uint64
+	handler  func(*packet.Packet)
+	parked   bool
+	enlisted bool
+
+	// act is the quiescence latch. Charged overheads sleep the processor to
+	// busyUntil: they are satisfied by the clock alone, so waking exactly
+	// then is indistinguishable from polling every cycle. A stalled send has
+	// no wake edge and retries every cycle, one cycle of overhead at a time.
+	act sim.Activity
 
 	resume chan sim.Cycle
 	yield  chan struct{}
+	// resumes counts handoffs to the program goroutine; the tests hold it
+	// to one per primitive.
+	resumes uint64
 
 	// inbox holds packets whose receive handlers already ran (and were
 	// charged) while a send was stalled; Poll serves them first, free.
@@ -228,27 +297,24 @@ func (p *Proc) Start() {
 			p.done = true
 			p.yield <- struct{}{}
 		}()
-		p.now = <-p.resume
-		if p.now < 0 {
-			panic(abortSentinel{})
-		}
+		p.await()
 		p.program(p)
 	}()
 }
 
-// Stop aborts the program goroutine if it is still blocked. Safe to call
-// after completion.
+// Stop aborts the program goroutine if it is still blocked — before its
+// first cycle or inside any primitive. Safe to call after completion.
 func (p *Proc) Stop() {
 	if !p.started || p.done {
 		return
 	}
-	p.aborted = true
 	p.resume <- -1
 	<-p.yield
 }
 
-// Activity implements sim.IdleTicker: the processor sleeps through a pure
-// compute pause and permanently once its program completes.
+// Activity implements sim.IdleTicker: the processor sleeps through charged
+// overheads and parked barrier waits, and permanently once its program
+// completes.
 func (p *Proc) Activity() *sim.Activity { return &p.act }
 
 // BindEngine implements sim.Binder: the engine records where the processor
@@ -258,59 +324,176 @@ func (p *Proc) BindEngine(e *sim.Engine, sh int) {
 	p.shard = sh
 }
 
-// ready reports whether the program's blocking condition is satisfied. Timed
-// pauses compare the clock directly (no closure); other pauses evaluate their
-// condition, and no condition at all means runnable.
-func (p *Proc) ready(now sim.Cycle) bool {
-	if p.timed {
-		return now >= p.sleepUntil
-	}
-	return p.cond == nil || p.cond(now)
-}
-
-// Tick implements sim.Ticker: run the program while its blocking condition
-// is satisfied.
+// Tick implements sim.Ticker: advance the operation in progress and, each
+// time one completes, run the program up to its next blocking primitive.
 func (p *Proc) Tick(now sim.Cycle) {
 	if !p.started {
 		return
 	}
-	for !p.done && p.ready(now) {
-		p.cond = nil
-		p.timed = false
-		p.parked = false
+	p.now = now
+	for !p.done && p.advance(now) {
+		p.resumes++
+		p.running = true
 		p.resume <- now
 		<-p.yield
+		p.running = false
 	}
-	switch {
-	case p.done:
-		p.act.Sleep(sim.Never)
-	case p.timed:
-		p.act.Sleep(p.sleepUntil)
-	case p.parked:
-		// Barrier wait: the release and delivery wake edges re-arm us.
+	if p.done {
 		p.act.Sleep(sim.Never)
 	}
 }
 
-// pause blocks the program until cond holds. cond is evaluated by the
-// engine at the start of each cycle.
-func (p *Proc) pause(cond func(sim.Cycle) bool) {
-	p.cond = cond
+// advance runs the operation in progress as far as cycle now allows. It
+// reports true when the program is due to run, and false when the processor
+// has nothing more to do this cycle, with act set to when it next has.
+func (p *Proc) advance(now sim.Cycle) bool {
+	for {
+		if now < p.busyUntil {
+			p.act.Sleep(p.busyUntil)
+			return false
+		}
+		switch p.op {
+		case opRun:
+			return true
+		case opSendDrain:
+			// CMAM-style: every send first services pending arrivals. This
+			// is what lets a faster upstream sender starve a pipeline stage —
+			// each time the stage tries to send, another arrival's handler
+			// runs first — and what the "with delay" variant of Figure 9
+			// works around in software.
+			p.shelve()
+			if q, ok := p.nic.Recv(now); ok {
+				p.charge(now, q)
+			} else {
+				p.spend(now, p.costs.Send)
+				p.op = opSendRetry
+			}
+		case opSendRetry:
+			p.shelve()
+			if p.nic.TrySend(now, p.out) {
+				p.out = nil
+				p.op = opRun
+			} else if q, ok := p.nic.Recv(now); ok {
+				p.charge(now, q)
+			} else {
+				p.spend(now, 1) // stall a cycle and retry: NIC backpressure
+			}
+		case opRecv:
+			if p.arrival != nil || (p.stop != nil && p.stop()) {
+				p.op = opRun // received and paid for, or told to stop
+			} else if q, ok := p.inbox.PopFront(); ok {
+				p.arrival, p.op = q, opRun
+			} else if q, ok := p.nic.Recv(now); ok {
+				p.charge(now, q)
+			} else {
+				p.spend(now, p.costs.Poll)
+			}
+		case opBarrier:
+			if !p.serviceBarrier(now) {
+				return false
+			}
+		}
+	}
+}
+
+// serviceBarrier is opBarrier's step: hand arrivals to the handler until the
+// generation joined is released. It reports false once the processor is
+// parked with nothing to service.
+func (p *Proc) serviceBarrier(now sim.Cycle) bool {
+	if p.arrival != nil {
+		p.handle(p.arrival)
+		p.arrival = nil
+	}
+	for p.bar.gen == p.barGen {
+		if p.parked {
+			if p.nic.Pending() == 0 {
+				p.act.Sleep(sim.Never)
+				return false
+			}
+			p.parked = false
+		}
+		if q, ok := p.inbox.PopFront(); ok {
+			p.handle(q)
+			continue
+		}
+		if q, ok := p.nic.Recv(now); ok {
+			p.charge(now, q)
+			return true
+		}
+		// Park rather than poll: both ways the wait can end have wake edges
+		// — the deferred release wakes every waiter, and the NIC's delivery
+		// observer fires when a packet becomes pollable. The NIC ticks before
+		// its processor, so a same-cycle delivery is still serviced this
+		// cycle, exactly as polling would.
+		if !p.enlisted {
+			p.bar.enlist(&p.act)
+			p.enlisted = true
+		}
+		p.parked = true
+	}
+	p.parked = false
+	p.op = opRun
+	return true
+}
+
+// spend charges n cycles of software overhead from cycle now.
+func (p *Proc) spend(now, n sim.Cycle) {
+	if p.busyUntil < now {
+		p.busyUntil = now
+	}
+	p.busyUntil += n
+}
+
+// charge runs q's receive handler: the processor holds q as its arrival for
+// the receive overhead, plus the reorder penalty where the software layer
+// must reconstruct transmission order itself.
+func (p *Proc) charge(now sim.Cycle, q *packet.Packet) {
+	c := p.costs.Recv
+	if q.Meta.Tag == TagNeedsReorder {
+		c += p.costs.ReorderPenalty
+	}
+	p.arrival = q
+	p.spend(now, c)
+}
+
+// shelve moves an arrival whose handler has now been paid for into the
+// inbox, where Poll finds it free of charge.
+func (p *Proc) shelve() {
+	if p.arrival != nil {
+		p.inbox.PushBack(p.arrival)
+		p.arrival = nil
+	}
+}
+
+func (p *Proc) handle(q *packet.Packet) {
+	if p.handler != nil {
+		p.handler(q)
+	}
+}
+
+// block hands the baton to the engine until the operation the caller set up
+// (or, with none, the charged overhead) completes.
+func (p *Proc) block() {
+	if !p.running {
+		panic(fmt.Sprintf("proc %d: blocking primitive called from a Barrier handler or RecvOr predicate", p.id))
+	}
 	p.yield <- struct{}{}
-	p.now = <-p.resume
-	if p.now < 0 {
+	p.await()
+}
+
+// await parks the program goroutine until the engine resumes it, unwinding
+// the program if the processor was stopped instead.
+func (p *Proc) await() {
+	if <-p.resume < 0 {
 		panic(abortSentinel{})
 	}
 }
 
-// pauseUntil blocks the program until cycle t, marking the pause as purely
-// time-driven so the scheduler may skip the intervening cycles. The deadline
-// lives in sleepUntil and is checked by ready — a closure here would allocate
-// on every Consume, i.e. on every modeled software overhead.
-func (p *Proc) pauseUntil(t sim.Cycle) {
-	p.timed = true
-	p.sleepUntil = t
-	p.pause(nil)
+// take returns the packet a completed receive left for the program.
+func (p *Proc) take() *packet.Packet {
+	q := p.arrival
+	p.arrival = nil
+	return q
 }
 
 // Now reports the current simulated cycle.
@@ -329,17 +512,8 @@ func (p *Proc) Free(pkt *packet.Packet) { p.nic.Pool().Put(pkt) }
 
 // Consume models n cycles of local computation.
 func (p *Proc) Consume(n sim.Cycle) {
-	if p.busyUntil < p.now {
-		p.busyUntil = p.now
-	}
-	p.busyUntil += n
-	p.pauseUntil(p.busyUntil)
-}
-
-// WaitUntil blocks without consuming cycles until pred holds (used for
-// idealized synchronization, not for modeled software).
-func (p *Proc) WaitUntil(pred func(sim.Cycle) bool) {
-	p.pause(pred)
+	p.spend(p.now, n)
+	p.block()
 }
 
 // Send hands pkt to the NIC, charging the software send overhead and
@@ -350,35 +524,9 @@ func (p *Proc) WaitUntil(pred func(sim.Cycle) bool) {
 // arrivals can keep a processor "continually receiving with no chance to
 // send".
 func (p *Proc) Send(pkt *packet.Packet) {
-	// CMAM-style: every send first services pending arrivals. This is what
-	// lets a faster upstream sender starve a pipeline stage — each time the
-	// stage tries to send, another arrival's handler runs first — and what
-	// the "with delay" variant of Figure 9 works around in software.
-	for {
-		q, ok := p.nic.Recv(p.now)
-		if !ok {
-			break
-		}
-		p.chargeRecv(q)
-		p.inbox.PushBack(q)
-	}
-	p.Consume(p.costs.Send)
-	for !p.nic.TrySend(p.now, pkt) {
-		if q, ok := p.nic.Recv(p.now); ok {
-			p.chargeRecv(q)
-			p.inbox.PushBack(q)
-			continue
-		}
-		p.Consume(1) // stall a cycle and retry: NIC backpressure
-	}
-}
-
-func (p *Proc) chargeRecv(pkt *packet.Packet) {
-	c := p.costs.Recv
-	if pkt.Meta.Tag == TagNeedsReorder {
-		c += p.costs.ReorderPenalty
-	}
-	p.Consume(c)
+	p.out = pkt
+	p.op = opSendDrain
+	p.block()
 }
 
 // Poll makes one reception attempt: on a hit it charges the receive
@@ -390,8 +538,9 @@ func (p *Proc) Poll() (*packet.Packet, bool) {
 		return pkt, true
 	}
 	if pkt, ok := p.nic.Recv(p.now); ok {
-		p.chargeRecv(pkt)
-		return pkt, true
+		p.charge(p.now, pkt)
+		p.block()
+		return p.take(), true
 	}
 	p.Consume(p.costs.Poll)
 	return nil, false
@@ -401,11 +550,19 @@ func (p *Proc) Poll() (*packet.Packet, bool) {
 // reordering/bookkeeping (set by the message layer on out-of-order fabrics).
 const TagNeedsReorder = 1
 
-// AuditInbox visits every packet parked in the processor's inbox (handled
-// during a stalled send, not yet returned by Poll). Used by the invariant
-// monitors' whole-packet census; call only at quiescent points.
-func (p *Proc) AuditInbox(f func(*packet.Packet)) {
-	p.inbox.ForEach(f)
+// AuditHeld visits every packet the processor itself holds: those parked in
+// its inbox (handled during a stalled send, not yet returned by Poll), the
+// arrival whose receive overhead is being charged, and the outbound packet
+// of a Send the NIC has not yet taken. Used by the invariant monitors'
+// whole-packet census; call only at quiescent points.
+func (p *Proc) AuditHeld(f func(where string, pkt *packet.Packet)) {
+	p.inbox.ForEach(func(pkt *packet.Packet) { f("inbox", pkt) })
+	if p.arrival != nil {
+		f("receive handler", p.arrival)
+	}
+	if p.out != nil {
+		f("unsent", p.out)
+	}
 }
 
 // HasPending reports whether a packet is ready for the processor, either
@@ -416,24 +573,23 @@ func (p *Proc) HasPending() bool {
 
 // Recv polls until a packet arrives.
 func (p *Proc) Recv() *packet.Packet {
-	for {
-		if pkt, ok := p.Poll(); ok {
-			return pkt
-		}
+	if pkt, ok := p.inbox.PopFront(); ok {
+		return pkt
 	}
+	p.op = opRecv
+	p.block()
+	return p.take()
 }
 
-// RecvOr polls until a packet arrives or stop returns true; it returns
-// (nil, false) in the latter case.
+// RecvOr polls until a packet arrives or stop, consulted before each poll,
+// returns true; it returns (nil, false) in the latter case.
 func (p *Proc) RecvOr(stop func() bool) (*packet.Packet, bool) {
-	for {
-		if stop() {
-			return nil, false
-		}
-		if pkt, ok := p.Poll(); ok {
-			return pkt, true
-		}
-	}
+	p.stop = stop
+	p.op = opRecv
+	p.block()
+	p.stop = nil
+	pkt := p.take()
+	return pkt, pkt != nil
 }
 
 // Barrier joins b, servicing arrivals with handler (which may be nil to
@@ -448,7 +604,7 @@ func (p *Proc) Barrier(b *Barrier, handler func(*packet.Packet)) {
 		b.arrived = 0
 		if p.eng == nil {
 			// Unbound (manually ticked, single-goroutine) fallback: release
-			// immediately; this arriver's loop condition is already false.
+			// immediately; this arriver's wait is already over.
 			b.gen++
 			for _, a := range b.waiters {
 				a.Wake()
@@ -462,31 +618,10 @@ func (p *Proc) Barrier(b *Barrier, handler func(*packet.Packet)) {
 		// shard is ticking, so waking parked participants in other shards is
 		// race-free, and everyone (this arriver included) resumes at the
 		// next cycle regardless of tick order within this cycle.
-		p.eng.AtBarrier(p.shard, p.now, b.release)
+		p.eng.AtBarrier(p.shard, p.now, b.onRelease)
 	}
-	for b.gen == gen {
-		if pkt, ok := p.inbox.PopFront(); ok {
-			if handler != nil {
-				handler(pkt)
-			}
-			continue
-		}
-		if pkt, ok := p.nic.Recv(p.now); ok {
-			p.chargeRecv(pkt)
-			if handler != nil {
-				handler(pkt)
-			}
-			continue
-		}
-		// Park rather than poll: both ways the condition can turn true have
-		// wake edges — the deferred release wakes every waiter, and the NIC's
-		// delivery observer fires when a packet becomes pollable. The NIC
-		// ticks before its processor, so a same-cycle delivery still resumes
-		// us this cycle, exactly as polling would.
-		b.mu.Lock()
-		b.waiters = append(b.waiters, &p.act)
-		b.mu.Unlock()
-		p.parked = true
-		p.pause(func(now sim.Cycle) bool { return b.gen != gen || p.nic.Pending() > 0 })
-	}
+	p.bar, p.barGen, p.handler, p.enlisted = b, gen, handler, false
+	p.op = opBarrier
+	p.block()
+	p.bar, p.handler = nil, nil
 }

@@ -323,7 +323,11 @@ func TestReorderPenaltyApplied(t *testing.T) {
 				}
 			case 1:
 				pr = func(p *Proc) {
-					p.WaitUntil(func(sim.Cycle) bool { return p.NIC().Pending() > 0 })
+					// Poll until the packet is at the NIC, so the timed
+					// Recv below is a hit: pure receive overhead.
+					for !p.HasPending() {
+						p.Consume(1)
+					}
 					start := p.Now()
 					p.Recv()
 					dur = p.Now() - start
