@@ -59,12 +59,14 @@ bench-check:
 
 # bench-smoke runs one iteration of the engine microbenchmarks and the
 # cheap end-to-end cycle benchmark: enough to catch gross regressions
-# without the multi-minute figure benchmarks. The processor benchmarks run
-# longer, with -benchmem: ns per stalled-send cycle and per completed Send
-# (one goroutine handoff), both at 0 allocs/op.
+# without the multi-minute figure benchmarks. The timer-wheel and processor
+# benchmarks run longer, with -benchmem: ns per Tick among 1k and 64k timed
+# sleepers (the two must agree), ns per Send stalled K cycles (the same for
+# every K) and per completed Send (one goroutine handoff), all at 0 allocs/op.
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkEngineStep|BenchmarkStep|BenchmarkSimCycleMesh' -benchtime 1x ./internal/sim/... .
-	$(GO) test -run xxx -bench 'BenchmarkProcStalledCycle|BenchmarkProcSend' -benchmem -benchtime 200000x ./internal/node/
+	$(GO) test -run xxx -bench 'BenchmarkTimedSleepers' -benchmem -benchtime 50000x ./internal/sim/
+	$(GO) test -run xxx -bench 'BenchmarkProcStalledSend|BenchmarkProcSend' -benchmem -benchtime 200000x ./internal/node/
 
 # bench runs the full-figure wall-clock benchmarks (several minutes).
 bench:
@@ -105,7 +107,9 @@ bench-scale:
 
 # bench-locality gates the SoA arena + active-set scheduling work
 # (DESIGN.md §10): BenchmarkIdleFraction's step cost must be sub-linear in
-# total component count, and BenchmarkFigure2Heavy must beat the committed
+# total component count, BenchmarkTimedSleepers' cost per Tick must not
+# depend on how many components sleep on a timer (nor be far from what it is
+# when they are parked), and BenchmarkFigure2Heavy must beat the committed
 # pre-SoA baseline (BENCH_2026-08-06_zeroalloc.json) by at least 20%,
 # via benchdiff.sh with an inverted (negative) regression threshold.
 bench-locality:

@@ -787,3 +787,37 @@ func TestIdleBranches(t *testing.T) {
 		t.Fatal("unit with pooled packet reports idle")
 	}
 }
+
+// TestRoomEdgeWakesProc is the second half of nic.NIC's ObserveProc contract
+// for the NIFDY unit: fill the pool until TrySend is refused, step until an
+// entry leaves it, and the observing activity must have been woken by the
+// Tick of that very cycle — and be untouched until then. All packets go to one
+// destination, so after the first round every entry waits out a full scalar
+// round trip (the receiver accepts as fast as it can) before the pool opens.
+func TestRoomEdgeWakesProc(t *testing.T) {
+	w := nifdyWorld(t, smallMesh(t), Config{B: 2})
+	u := w.nics[0].(*NIFDY)
+	var proc sim.Activity
+	u.ObserveProc(&proc)
+	for round := 0; round < 4; round++ {
+		for u.TrySend(w.eng.Now(), w.msg(0, 15, 1, 8, false)[0]) {
+		}
+		if len(u.pool) < 2 {
+			t.Fatal("TrySend refused with room in the pool")
+		}
+		proc.Sleep(sim.Never)
+		for len(u.pool) >= 2 {
+			if !proc.Asleep(w.eng.Now()) {
+				t.Fatalf("round %d: processor woken at cycle %d with the pool still full", round, w.eng.Now()-1)
+			}
+			if w.eng.Now() > 100000 {
+				t.Fatalf("round %d: the pool never drained", round)
+			}
+			w.eng.Step()
+			w.nics[15].Recv(w.eng.Now())
+		}
+		if proc.Asleep(w.eng.Now() - 1) {
+			t.Fatalf("round %d: room freed in cycle %d and the processor was not woken in it", round, w.eng.Now()-1)
+		}
+	}
+}

@@ -63,14 +63,14 @@ type DCQCNMutations struct {
 // limiter (injection pacing), the CNP echo path (receiver side), and the
 // DCQCN rate state machine (sender side).
 type DCQCN struct {
-	cfg     DCQCNConfig
-	iface   router.Port
-	out     ring.Deque[*packet.Packet]
-	arr     ring.Deque[*packet.Packet]
-	cnpQ    ring.Deque[*packet.Packet]
-	pool    packet.Pool
-	deliver *sim.Activity
-	stats   Stats
+	cfg   DCQCNConfig
+	iface router.Port
+	out   ring.Deque[*packet.Packet]
+	arr   ring.Deque[*packet.Packet]
+	cnpQ  ring.Deque[*packet.Packet]
+	pool  packet.Pool
+	proc  *sim.Activity // as Basic's
+	stats Stats
 
 	// Rate state (sender side), all fixed-point.
 	rate, target int64
@@ -135,8 +135,8 @@ func (d *DCQCN) Pool() *packet.Pool { return &d.pool }
 // Activity implements sim.IdleTicker.
 func (d *DCQCN) Activity() *sim.Activity { return d.iface.Activity() }
 
-// ObserveDelivery implements NIC.
-func (d *DCQCN) ObserveDelivery(a *sim.Activity) { d.deliver = a }
+// ObserveProc implements NIC.
+func (d *DCQCN) ObserveProc(a *sim.Activity) { d.proc = a }
 
 // RateBounds exposes the limiter state to the dcqcn-rate invariant monitor:
 // the current rate and the clamp it must never leave.
@@ -283,6 +283,7 @@ func (d *DCQCN) Tick(now sim.Cycle) {
 		if now < d.nextSendAt {
 			pacingBlocked = true
 		} else if d.iface.CanAccept(head.Class) {
+			wakeOnRoom(d.proc, d.out.Len(), d.cfg.OutBuf)
 			p, _ := d.out.PopFront()
 			d.iface.StartSend(now, p)
 			d.stats.Injected++
@@ -316,9 +317,7 @@ func (d *DCQCN) Tick(now sim.Cycle) {
 			d.echoCNP(now, p.Src)
 		}
 		d.arr.PushBack(p)
-		if d.deliver != nil {
-			d.deliver.Wake()
-		}
+		wakeProc(d.proc)
 	}
 	if d.out.Len() == 0 && d.cnpQ.Len() == 0 && d.iface.Quiet() {
 		d.iface.Activity().Sleep(d.iface.NextArrivalAt())

@@ -120,10 +120,16 @@ type NIC interface {
 	// Idle reports whether the NIC holds no unsent or unacknowledged work
 	// (used for drain/termination checks).
 	Idle() bool
-	// ObserveDelivery registers an activity woken whenever a data packet
-	// becomes available to Recv — the wake edge that lets a processor parked
-	// on "something to poll" sleep instead of polling every cycle.
-	ObserveDelivery(a *sim.Activity)
+	// ObserveProc registers the processor's activity, which the NIC wakes,
+	// from its own Tick, on two edges: a data packet became available to
+	// Recv, and a TrySend that was refused may now succeed (buffer space was
+	// freed). Between them they cover everything at the NIC a waiting
+	// processor can be waiting for, so one refused by TrySend with nothing to
+	// poll sleeps instead of retrying every cycle. The wake is for the current
+	// cycle: a processor that ticks after its NIC acts on the edge in the
+	// cycle it is raised. Wakes may be spurious (a NIC need not know whether
+	// anything was refused); the processor re-checks and sleeps again.
+	ObserveProc(a *sim.Activity)
 	// Pool is the node's packet free-list: the NIC recycles protocol
 	// packets it consumes internally, and the node's processor allocates
 	// outgoing packets from — and retires accepted deliveries to — the same
@@ -150,13 +156,29 @@ type BasicConfig struct {
 // baseline; sized to NIFDY's total buffering (at least half on the arrivals
 // side, per §3) it models the "buffers only" baseline.
 type Basic struct {
-	cfg     BasicConfig
-	iface   router.Port
-	out     ring.Deque[*packet.Packet]
-	arr     ring.Deque[*packet.Packet]
-	pool    packet.Pool
-	deliver *sim.Activity // woken when a packet lands in arr
-	stats   Stats
+	cfg   BasicConfig
+	iface router.Port
+	out   ring.Deque[*packet.Packet]
+	arr   ring.Deque[*packet.Packet]
+	pool  packet.Pool
+	proc  *sim.Activity // woken when a packet lands in arr or out stops being full
+	stats Stats
+}
+
+// wakeProc raises a wake edge on the observing processor, if there is one.
+func wakeProc(proc *sim.Activity) {
+	if proc != nil {
+		proc.Wake()
+	}
+}
+
+// wakeOnRoom raises the "TrySend may now succeed" edge when a FIFO of
+// capacity limit is about to pop one of its n packets: only a full FIFO can
+// have refused anything.
+func wakeOnRoom(proc *sim.Activity, n, limit int) {
+	if n >= limit {
+		wakeProc(proc)
+	}
 }
 
 // NewBasic returns a Basic NIC attached to iface.
@@ -184,8 +206,8 @@ func (b *Basic) Pool() *packet.Pool { return &b.pool }
 // inject, nothing mid-flight in its iface, and nothing buffered to deliver.
 func (b *Basic) Activity() *sim.Activity { return b.iface.Activity() }
 
-// ObserveDelivery implements NIC.
-func (b *Basic) ObserveDelivery(a *sim.Activity) { b.deliver = a }
+// ObserveProc implements NIC.
+func (b *Basic) ObserveProc(a *sim.Activity) { b.proc = a }
 
 // TrySend implements NIC.
 func (b *Basic) TrySend(now sim.Cycle, p *packet.Packet) bool {
@@ -244,6 +266,7 @@ func (b *Basic) Audit(a Auditor) {
 func (b *Basic) Tick(now sim.Cycle) {
 	progress := b.iface.Pump(now)
 	if head, ok := b.out.Front(); ok && b.iface.CanAccept(head.Class) {
+		wakeOnRoom(b.proc, b.out.Len(), b.cfg.OutBuf)
 		p, _ := b.out.PopFront()
 		b.iface.StartSend(now, p)
 		b.stats.Injected++
@@ -256,9 +279,7 @@ func (b *Basic) Tick(now sim.Cycle) {
 		}
 		b.arr.PushBack(p)
 		progress = true
-		if b.deliver != nil {
-			b.deliver.Wake()
-		}
+		wakeProc(b.proc)
 	}
 	if b.out.Len() == 0 && b.iface.Quiet() {
 		// Quiescent: nothing to inject, serialize, or deliver. Arrivals the

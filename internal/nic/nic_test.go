@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"nifdy/internal/packet"
+	"nifdy/internal/router"
 	"nifdy/internal/sim"
 	"nifdy/internal/topo/mesh"
 )
@@ -185,5 +186,58 @@ func TestMinimumBuffers(t *testing.T) {
 	b := NewBasic(BasicConfig{Node: 0}, m.Iface(0))
 	if !b.TrySend(0, pkt(1, 0, 1)) {
 		t.Fatal("OutBuf clamped below 1")
+	}
+}
+
+// TestRoomEdgeWakesProc is the second half of the ObserveProc contract for
+// the two FIFO NICs: fill out until TrySend is refused, step until a packet
+// leaves it, and the observing activity must have been woken by the Tick of
+// that very cycle — and be untouched until then. Three rounds, so the edge is
+// seen with the fabric idle, busy, and (DCQCN) pacing.
+func TestRoomEdgeWakesProc(t *testing.T) {
+	kinds := []struct {
+		name string
+		mk   func(ifc router.Port) (n NIC, room func() bool)
+	}{
+		{"Basic", func(ifc router.Port) (NIC, func() bool) {
+			b := NewBasic(BasicConfig{OutBuf: 2, ArrBuf: 2}, ifc)
+			return b, func() bool { return b.out.Len() < 2 }
+		}},
+		{"DCQCN", func(ifc router.Port) (NIC, func() bool) {
+			d := NewDCQCN(DCQCNConfig{OutBuf: 2, ArrBuf: 2, CPF: 2}, ifc)
+			return d, func() bool { return d.out.Len() < 2 }
+		}},
+	}
+	for _, k := range kinds {
+		t.Run(k.name, func(t *testing.T) {
+			m := mesh.New(mesh.Config{Dims: []int{4, 4}})
+			eng := sim.New()
+			m.RegisterRouters(eng)
+			n, room := k.mk(m.Iface(0))
+			eng.Register(n)
+			var proc sim.Activity
+			n.ObserveProc(&proc)
+			id := uint64(0)
+			for round := 0; round < 3; round++ {
+				for id++; n.TrySend(eng.Now(), pkt(id, 0, 15)); id++ {
+				}
+				if room() {
+					t.Fatal("TrySend refused with room in the FIFO")
+				}
+				proc.Sleep(sim.Never)
+				for !room() {
+					if !proc.Asleep(eng.Now()) {
+						t.Fatalf("round %d: processor woken at cycle %d with the FIFO still full", round, eng.Now()-1)
+					}
+					if eng.Now() > 10000 {
+						t.Fatalf("round %d: the FIFO never drained", round)
+					}
+					eng.Step()
+				}
+				if proc.Asleep(eng.Now() - 1) {
+					t.Fatalf("round %d: room freed in cycle %d and the processor was not woken in it", round, eng.Now()-1)
+				}
+			}
+		})
 	}
 }

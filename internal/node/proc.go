@@ -14,9 +14,14 @@
 // (opKind plus the packet or barrier it concerns) and hands the baton back;
 // Proc.Tick advances that state in the engine's own goroutine, cycle by
 // cycle, making the NIC calls the CM-5 message layer would make, and resumes
-// the program exactly once, when the primitive returns. A processor stalled
-// for a thousand cycles behind NIC backpressure therefore costs a thousand
-// TrySend calls and one goroutine handoff. The callbacks a program passes in
+// the program exactly once, when the primitive returns. Where nothing the
+// processor could do would change anything it sleeps: through a charged
+// overhead until the clock runs it out, and — refused by its NIC with nothing
+// to service, or waiting at a barrier — until the NIC raises one of its two
+// wake edges (nic.NIC.ObserveProc) or the barrier releases. A processor
+// stalled for a thousand cycles behind NIC backpressure therefore costs two
+// TrySend calls, plus one per arrival it services meanwhile, and one
+// goroutine handoff. The callbacks a program passes in
 // (Barrier's handler, RecvOr's predicate) run engine-side too, while their
 // program is blocked: they may touch workload state but must not call a
 // blocking primitive. Reception is by polling only, as in the paper (§3:
@@ -189,8 +194,9 @@ const (
 	// opSendDrain: Send is servicing the arrivals pending at the NIC, one
 	// charged handler at a time, before it pays the send overhead.
 	opSendDrain
-	// opSendRetry: Send has paid T_send and offers out to the NIC every
-	// cycle, servicing arrivals while the NIC refuses it (§4.5).
+	// opSendRetry: Send has paid T_send and offers out to the NIC, servicing
+	// arrivals while the NIC refuses it (§4.5) and sleeping, when there are
+	// none, until the NIC has room or a packet to poll.
 	opSendRetry
 	// opRecv: Recv/RecvOr is polling, paying the empty-poll cost per miss.
 	opRecv
@@ -225,7 +231,7 @@ type Proc struct {
 	// stop is RecvOr's predicate (nil for Recv).
 	stop func() bool
 	// bar, barGen and handler are Barrier's operands. parked marks a wait
-	// with nothing to service: its two wake edges — the release wakes every
+	// with nothing to service: its wake edges — the release wakes every
 	// waiter, and the NIC wakes its processor when a packet becomes pollable
 	// — cover everything that can end it, so the processor sleeps. enlisted
 	// records that the release's wake list already holds this processor.
@@ -235,10 +241,11 @@ type Proc struct {
 	parked   bool
 	enlisted bool
 
-	// act is the quiescence latch. Charged overheads sleep the processor to
-	// busyUntil: they are satisfied by the clock alone, so waking exactly
-	// then is indistinguishable from polling every cycle. A stalled send has
-	// no wake edge and retries every cycle, one cycle of overhead at a time.
+	// act is the quiescence latch, and the activity the NIC wakes. Charged
+	// overheads sleep the processor to busyUntil: they are satisfied by the
+	// clock alone, so waking exactly then is indistinguishable from polling
+	// every cycle. A stalled send and a parked barrier wait sleep to Never:
+	// what ends them raises a wake edge in the cycle polling would see it.
 	act sim.Activity
 
 	resume chan sim.Cycle
@@ -267,8 +274,9 @@ func NewProc(id int, n nic.NIC, costs Costs, program Program) *Proc {
 		resume: make(chan sim.Cycle),
 		yield:  make(chan struct{}),
 	}
-	// A freshly pollable packet re-runs a processor parked at a barrier.
-	n.ObserveDelivery(&p.act)
+	// A freshly pollable packet re-runs a processor parked at a barrier or
+	// behind a refused send; so does room for the packet refused.
+	n.ObserveProc(&p.act)
 	return p
 }
 
@@ -313,8 +321,8 @@ func (p *Proc) Stop() {
 }
 
 // Activity implements sim.IdleTicker: the processor sleeps through charged
-// overheads and parked barrier waits, and permanently once its program
-// completes.
+// overheads, stalled sends and parked barrier waits, and permanently once its
+// program completes.
 func (p *Proc) Activity() *sim.Activity { return &p.act }
 
 // BindEngine implements sim.Binder: the engine records where the processor
@@ -376,7 +384,14 @@ func (p *Proc) advance(now sim.Cycle) bool {
 			} else if q, ok := p.nic.Recv(now); ok {
 				p.charge(now, q)
 			} else {
-				p.spend(now, 1) // stall a cycle and retry: NIC backpressure
+				// NIC backpressure, and nothing to service. Retrying every
+				// cycle would find the same until the NIC frees room or
+				// queues an arrival, and it wakes the processor on both. The
+				// NIC ticks before its processor, so an edge raised at cycle t
+				// is acted on at t, exactly as the retry at t would have; a
+				// wake for anything else re-checks and sleeps again.
+				p.act.Sleep(sim.Never)
+				return false
 			}
 		case opRecv:
 			if p.arrival != nil || (p.stop != nil && p.stop()) {

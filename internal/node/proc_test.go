@@ -15,13 +15,20 @@ import (
 // buildProcs wires a 4x4 mesh with NIFDY NICs and one Proc per node.
 func buildProcs(t *testing.T, costs Costs, programs []Program) (*sim.Engine, []*Proc, topo.Network) {
 	t.Helper()
+	return buildProcsCfg(t, costs, core.Config{}, programs)
+}
+
+// buildProcsCfg is buildProcs with the NIFDY units sized by cfg.
+func buildProcsCfg(t *testing.T, costs Costs, cfg core.Config, programs []Program) (*sim.Engine, []*Proc, topo.Network) {
+	t.Helper()
 	net := mesh.New(mesh.Config{Dims: []int{4, 4}})
 	eng := sim.New()
 	net.RegisterRouters(eng)
 	var ids packet.IDSource
 	procs := make([]*Proc, net.Nodes())
 	for i := 0; i < net.Nodes(); i++ {
-		u := core.New(core.Config{Node: i, IDs: &ids}, net.Iface(i))
+		cfg.Node, cfg.IDs = i, &ids
+		u := core.New(cfg, net.Iface(i))
 		eng.Register(u)
 		prog := programs[i%len(programs)]
 		procs[i] = NewProc(i, u, costs, prog)
@@ -234,18 +241,48 @@ func TestBarrierServicesArrivals(t *testing.T) {
 	}
 }
 
+// TestStopUnblocksParkedProc stops a processor asleep inside a primitive that
+// nothing will ever complete: a Recv polling an empty network, and a Send
+// parked behind a NIC whose pool of 2 a silent receiver keeps full.
 func TestStopUnblocksParkedProc(t *testing.T) {
-	progs := []Program{func(p *Proc) {
-		p.Recv() // never satisfied
-		t.Error("Recv returned on an empty network")
-	}, idle}
-	eng, procs, _ := buildProcs(t, CM5Costs(), progs)
-	eng.Run(500)
-	procs[0].Stop()
-	if !procs[0].Done() {
-		t.Fatal("Stop did not finish the proc")
+	cases := []struct {
+		name string
+		cfg  core.Config
+		prog Program
+		// parked: the processor must be asleep with no wake time (not merely
+		// between polls) when it is stopped.
+		parked bool
+	}{
+		{"Recv", core.Config{}, func(p *Proc) { p.Recv() }, false},
+		{"stalled Send", core.Config{B: 2}, func(p *Proc) {
+			for k := uint64(0); ; k++ {
+				p.Send(&packet.Packet{ID: k + 1, Src: 0, Dst: 5, Words: 8,
+					Dialog: packet.NoDialog, Class: packet.Request})
+			}
+		}, true},
 	}
-	eng.Run(10) // must not panic or hang
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			progs := make([]Program, 16)
+			for i := range progs {
+				progs[i] = idle
+			}
+			progs[0] = func(p *Proc) {
+				tc.prog(p)
+				t.Error("the primitive returned")
+			}
+			eng, procs, _ := buildProcsCfg(t, CM5Costs(), tc.cfg, progs)
+			eng.Run(20000)
+			if tc.parked && !procs[0].act.Asleep(sim.Never-1) {
+				t.Fatal("the stalled sender is not parked")
+			}
+			procs[0].Stop()
+			if !procs[0].Done() {
+				t.Fatal("Stop did not finish the proc")
+			}
+			eng.Run(10) // must not panic or hang
+		})
+	}
 }
 
 func TestSendBackpressureStalls(t *testing.T) {

@@ -24,10 +24,11 @@ func (l *callLog) add(now sim.Cycle, node int, call, result string) {
 }
 
 // scriptNIC is a nic.NIC whose behaviour is a function of the cycle alone:
-// arrivals[c] packets become pollable at cycle c (firing the delivery wake
-// edge like the real NICs), and TrySend is refused before cycle sendFrom.
-// It ticks every cycle, before its processor, and logs every processor call
-// (a nil log keeps it allocation-free for the benchmarks).
+// arrivals[c] packets become pollable at cycle c, and TrySend is refused
+// before cycle sendFrom. It raises both wake edges like the real NICs — on
+// every arrival, and at sendFrom — ticks every cycle, before its processor,
+// and logs every processor call (a nil log keeps it allocation-free for the
+// benchmarks).
 type scriptNIC struct {
 	node     int
 	log      *callLog
@@ -40,13 +41,16 @@ type scriptNIC struct {
 	reorder map[uint64]bool
 	seq     uint64
 	arr     []*packet.Packet
-	deliver *sim.Activity
+	proc    *sim.Activity
 	pool    packet.Pool
 	stats   nic.Stats
 }
 
 func (s *scriptNIC) Tick(now sim.Cycle) {
 	s.now = now
+	if now == s.sendFrom && s.proc != nil {
+		s.proc.Wake()
+	}
 	n := s.arrivals[now]
 	if s.every > 0 && now%s.every == 0 {
 		n++
@@ -59,8 +63,8 @@ func (s *scriptNIC) Tick(now sim.Cycle) {
 			pk.Meta.Tag = TagNeedsReorder
 		}
 		s.arr = append(s.arr, pk)
-		if s.deliver != nil {
-			s.deliver.Wake()
+		if s.proc != nil {
+			s.proc.Wake()
 		}
 	}
 }
@@ -98,10 +102,10 @@ func (s *scriptNIC) Pending() int {
 	return len(s.arr)
 }
 
-func (s *scriptNIC) Idle() bool                      { return len(s.arr) == 0 }
-func (s *scriptNIC) ObserveDelivery(a *sim.Activity) { s.deliver = a }
-func (s *scriptNIC) Pool() *packet.Pool              { return &s.pool }
-func (s *scriptNIC) Stats() *nic.Stats               { return &s.stats }
+func (s *scriptNIC) Idle() bool                  { return len(s.arr) == 0 }
+func (s *scriptNIC) ObserveProc(a *sim.Activity) { s.proc = a }
+func (s *scriptNIC) Pool() *packet.Pool          { return &s.pool }
+func (s *scriptNIC) Stats() *nic.Stats           { return &s.stats }
 
 // scenario is a set of scripted NICs, one program per NIC at CM-5 costs, and
 // a cycle budget.
@@ -248,9 +252,11 @@ func callLogScenarios() []scenario {
 }
 
 // TestCallLogGolden pins the (cycle, call, result) sequence of every NIC call
-// the blocking primitives make. testdata/calllog.golden was generated from
-// the per-cycle-resume implementation these primitives replaced: the
-// engine-side states must poll, retry and park at exactly the same cycles.
+// the blocking primitives make. testdata/calllog_percycle.golden was
+// generated from the per-cycle-resume implementation these primitives
+// replaced, which retried a refused send every cycle; testdata/calllog.golden
+// is the same log without the retries a sleeping sender no longer makes
+// (TestCallLogOnlyDropsFailedRetries holds the two together).
 func TestCallLogGolden(t *testing.T) {
 	var sb strings.Builder
 	for _, sc := range callLogScenarios() {
@@ -279,6 +285,46 @@ func TestCallLogGolden(t *testing.T) {
 			}
 		}
 		t.Fatalf("call log length %d lines, %s has %d", len(gl), path, len(wl))
+	}
+}
+
+// TestCallLogOnlyDropsFailedRetries is the rule calllog.golden was regenerated
+// under: it is calllog_percycle.golden with lines removed, every removed line
+// is a refused TrySend or an empty Recv, and every one lies inside a stall —
+// after a refused TrySend of the same packet, before the one that succeeds.
+// Every call that did something keeps its cycle.
+func TestCallLogOnlyDropsFailedRetries(t *testing.T) {
+	read := func(name string) []string {
+		b, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.Split(strings.TrimSuffix(string(b), "\n"), "\n")
+	}
+	old, cur := read("calllog_percycle.golden"), read("calllog.golden")
+	stalled, removed, j := false, 0, 0
+	for i, ln := range old {
+		switch {
+		case strings.Contains(ln, "TrySend") && strings.HasSuffix(ln, "false"):
+			stalled = true
+		case strings.Contains(ln, "TrySend") || strings.HasPrefix(ln, "#"):
+			stalled = false
+		}
+		if j < len(cur) && cur[j] == ln {
+			j++
+			continue
+		}
+		removed++
+		failed := strings.HasSuffix(ln, "false") || strings.HasSuffix(ln, "miss")
+		if !failed || !stalled {
+			t.Fatalf("calllog_percycle.golden line %d is missing from calllog.golden and is not a failed retry inside a stall:\n%s", i+1, ln)
+		}
+	}
+	if j != len(cur) {
+		t.Fatalf("calllog.golden line %d is not in calllog_percycle.golden:\n%s", j+1, cur[j])
+	}
+	if removed == 0 {
+		t.Fatal("calllog.golden still has every per-cycle retry")
 	}
 }
 
@@ -312,11 +358,13 @@ func TestOneResumePerPrimitive(t *testing.T) {
 		stalls, misses, serviced int
 	}{
 		{
-			name: "Send/23 stall cycles, 3 arrivals",
+			name: "Send/stalled 200 cycles, 3 arrivals",
 			nics: []*scriptNIC{{sendFrom: 200, arrivals: map[sim.Cycle]int{60: 1, 100: 1, 101: 1}}},
 			prim: func(p *Proc, _ *Barrier) { p.Send(outPkt(100)) },
-			// Refused every cycle 40..60, then once after each handler.
-			stalls: 23, misses: 21, serviced: 3,
+			// Refused once after T_send, then asleep; refused again when each
+			// arrival wakes it or its handler completes. One empty poll
+			// before T_send, one before the sleep.
+			stalls: 4, misses: 2, serviced: 3,
 		},
 		{
 			name:   "Recv/5 poll misses",
@@ -371,6 +419,69 @@ func TestOneResumePerPrimitive(t *testing.T) {
 				t.Errorf("%d empty polls, want %d", got, tc.misses)
 			}
 			if got := log.count(" n0 Recv", "pkt="); got != tc.serviced {
+				t.Errorf("%d arrivals serviced, want %d", got, tc.serviced)
+			}
+		})
+	}
+}
+
+// TestStalledSendSleeps is the cost contract of a send behind NIC
+// backpressure: the processor offers the packet once when T_send is paid,
+// once more whenever an arrival wakes it or the arrival's handler completes
+// with the send still pending, and once when the NIC raises its room edge —
+// 2 + M TrySend calls for M arrivals serviced back to back, however long the
+// stall, plus one for each burst of arrivals that ends with the NIC still
+// full (the processor must look before it sleeps again). And one resumption.
+func TestStalledSendSleeps(t *testing.T) {
+	const tSend = 40 // the first TrySend: Send is called at cycle 0
+	cases := []struct {
+		name     string
+		stall    sim.Cycle // TrySend is refused for this many cycles after tSend
+		arrivals map[sim.Cycle]int
+		// serviced is M; resleeps counts the bursts that end inside the stall.
+		serviced, resleeps int
+		// returns is the cycle Send returns in: the room edge's, or the end of
+		// the handler that was running when it was raised.
+		returns sim.Cycle
+	}{
+		{name: "K=1", stall: 1, returns: tSend + 1},
+		{name: "K=50", stall: 50, returns: tSend + 50},
+		{name: "K=50, M=1 running past the stall", stall: 50,
+			arrivals: map[sim.Cycle]int{tSend + 10: 1}, serviced: 1, returns: tSend + 10 + 60},
+		{name: "K=5000", stall: 5000, returns: tSend + 5000},
+		{name: "K=5000, M=3 in one burst", stall: 5000,
+			arrivals: map[sim.Cycle]int{1000: 2, 1001: 1}, serviced: 3, resleeps: 1, returns: tSend + 5000},
+		{name: "K=5000, M=4 in three bursts, the last running past the stall", stall: 5000,
+			arrivals: map[sim.Cycle]int{100: 1, 2000: 2, tSend + 4990: 1}, serviced: 4, resleeps: 2,
+			returns: tSend + 4990 + 60},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var resumes uint64
+			var returned sim.Cycle
+			sc := scenario{name: tc.name, max: 10000,
+				nics: []*scriptNIC{{sendFrom: tSend + tc.stall, arrivals: tc.arrivals}},
+				progs: func(*callLog) []Program {
+					return []Program{func(p *Proc) {
+						before := p.resumes
+						p.Send(outPkt(100))
+						resumes, returned = p.resumes-before, p.Now()
+					}}
+				}}
+			log, _ := sc.run(t)
+			if resumes != 1 {
+				t.Errorf("program resumed %d times inside Send, want 1", resumes)
+			}
+			if returned != tc.returns {
+				t.Errorf("Send returned at cycle %d, want %d", returned, tc.returns)
+			}
+			if got, want := log.count("TrySend"), 2+tc.serviced+tc.resleeps; got != want {
+				t.Errorf("%d TrySend calls, want %d", got, want)
+			}
+			if got := log.count("TrySend", "true"); got != 1 {
+				t.Errorf("%d accepted TrySends, want 1", got)
+			}
+			if got := log.count("Recv", "pkt="); got != tc.serviced {
 				t.Errorf("%d arrivals serviced, want %d", got, tc.serviced)
 			}
 		})
@@ -461,19 +572,44 @@ func TestHandlerMustNotBlock(t *testing.T) {
 	}
 }
 
-// stalledProc returns a hand-ticked processor inside a Send its NIC refuses
-// forever, past the send overhead: every further Tick is one stalled cycle
-// (a refused TrySend, an empty Recv, one cycle charged).
-func stalledProc(tb testing.TB) (*Proc, sim.Cycle) {
-	n := &scriptNIC{sendFrom: sim.Never}
-	p := NewProc(0, n, CM5Costs(), func(p *Proc) { p.Send(outPkt(100)) })
+// gateNIC accepts a packet only in cycles that are multiples of period, and
+// sleeps from one to the next, raising the room edge as it opens: a send
+// offered to it stalls for what is left of the period. Nothing arrives.
+type gateNIC struct {
+	scriptNIC
+	period sim.Cycle
+	act    sim.Activity
+}
+
+func (g *gateNIC) Activity() *sim.Activity { return &g.act }
+
+func (g *gateNIC) Tick(now sim.Cycle) {
+	if g.proc != nil {
+		g.proc.Wake()
+	}
+	g.act.Sleep(now + g.period)
+}
+
+func (g *gateNIC) TrySend(now sim.Cycle, p *packet.Packet) bool { return now%g.period == 0 }
+
+// stalledSender returns an engine running one processor that sends forever
+// into a gateNIC: every period cycles one Send completes, having stalled for
+// all of them but T_send.
+func stalledSender(tb testing.TB, period sim.Cycle) *sim.Engine {
+	eng := sim.New()
+	n := &gateNIC{period: period}
+	eng.Register(n)
+	pk := outPkt(100)
+	p := NewProc(0, n, CM5Costs(), func(p *Proc) {
+		for {
+			p.Send(pk)
+		}
+	})
+	eng.Register(p)
 	p.Start()
 	tb.Cleanup(p.Stop)
-	now := sim.Cycle(0)
-	for ; now < 100; now++ {
-		p.Tick(now)
-	}
-	return p, now
+	eng.Run(10 * period)
+	return eng
 }
 
 // sendingProc returns a hand-ticked processor sending forever into a NIC
@@ -520,13 +656,13 @@ func barrierPair(tb testing.TB) *sim.Engine {
 }
 
 // TestEngineSideAllocFree is the zero-allocation contract of the engine-side
-// operations: a stalled cycle, a completed Send (handoff included) and a
+// operations: a stalled Send, a completed Send (handoff included) and a
 // barrier generation with serviced arrivals allocate nothing in steady state.
 func TestEngineSideAllocFree(t *testing.T) {
-	t.Run("stalled cycle", func(t *testing.T) {
-		p, now := stalledProc(t)
-		if a := testing.AllocsPerRun(1000, func() { p.Tick(now); now++ }); a != 0 {
-			t.Errorf("%v allocs per stalled cycle", a)
+	t.Run("stalled send", func(t *testing.T) {
+		eng := stalledSender(t, 500)
+		if a := testing.AllocsPerRun(1000, func() { eng.Run(500) }); a != 0 {
+			t.Errorf("%v allocs per stalled Send", a)
 		}
 	})
 	t.Run("send", func(t *testing.T) {
@@ -543,15 +679,20 @@ func TestEngineSideAllocFree(t *testing.T) {
 	})
 }
 
-// BenchmarkProcStalledCycle is the cost of one cycle of a send stalled
-// behind NIC backpressure — most of what a saturated processor does.
-func BenchmarkProcStalledCycle(b *testing.B) {
-	p, now := stalledProc(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Tick(now)
-		now++
+// BenchmarkProcStalledSend is the cost of one Send stalled behind NIC
+// backpressure for K cycles, engine included: two TrySend calls, three Ticks
+// (the NIC's and two of the processor's), three timers or wake edges and one
+// goroutine handoff — whatever K is.
+func BenchmarkProcStalledSend(b *testing.B) {
+	for _, k := range []sim.Cycle{100, 10000} {
+		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
+			eng := stalledSender(b, k)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				eng.Run(k)
+			}
+		})
 	}
 }
 

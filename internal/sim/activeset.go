@@ -1,22 +1,60 @@
 package sim
 
 import (
+	"math/bits"
 	"slices"
 	"sync/atomic"
 )
 
-// activeSet is one shard's tick worklist: the set of component indices the
-// scheduler must visit this cycle, replacing the full per-component sweep.
-// A component leaves the set when its Tick parks it with Sleep(Never) and
-// re-enters only when a wake edge lands on it (Activity.WakeAt enqueues the
-// index), so a fully quiescent region costs zero instructions per cycle —
-// not even the skipped-compare per component the old sweep paid.
+// The timer wheel has wheelSize buckets; a timer for cycle k lives in bucket
+// k&wheelMask, so a sleep of up to wheelSize cycles is filed and expires
+// without ever being looked at in between, and a longer one is passed over
+// once per lap.
+const (
+	wheelSize = 1 << 10
+	wheelMask = wheelSize - 1
+)
+
+// timer is one component's node in its shard's timer wheel: the cycle it is
+// filed under (0 = not filed; a filed key is always a future cycle, so never
+// 0) and its neighbours in that bucket's doubly-linked list (-1 = none).
+// Nodes live in a slice indexed by component, so filing writes by index and
+// a component never holds more than one timer.
+type timer struct {
+	key        Cycle
+	next, prev int32
+}
+
+// activeSet is one shard's scheduler state: the worklist of components to
+// visit this cycle, and the timers of components asleep until a later one.
+// The sweep touches components that Tick (plus the odd one that turns out not
+// to be due and is filed) and nothing else: a component waiting for a wake
+// edge or for a finite cycle costs zero instructions per cycle.
+//
+// A component is in exactly one of two states, told apart by its Activity's
+// queued flag:
+//
+//   - queued: its index is in the worklist — exactly one of active, pend,
+//     late or hold — and it will be visited by the next sweep (this one, if
+//     it is in late).
+//   - unqueued: it is parked at Never, or it holds a timer filed under a
+//     cycle k with now < k <= wakeAt. There is one way out of the worklist
+//     (leave, from a visit that finds the component not due or a Tick that
+//     ends asleep) and two ways back in: Activity.WakeAt's enqueue when a
+//     producer lowers the wake time, and expire when a timer comes due.
+//
+// Timers are validated when they expire, not when they go stale: a sleeper
+// woken early keeps its wheel entry, and the entry is dropped (component
+// queued or parked by then), re-filed (asleep until later) or turned into a
+// visit (due) when its bucket drains. A component that sleeps again while
+// its old entry is still ahead of the clock and no later than the new wake
+// time reuses it, so a unit woken every few cycles under a far deadline does
+// not touch the wheel at all.
 //
 // Layout and ownership:
 //
-//   - active is the sorted list of candidate indices swept every cycle. It is
-//     owned by the shard's ticking goroutine and contains every component
-//     whose queued flag is set except those parked in pend/late/hold.
+//   - active is the sorted list of components that ticked last cycle and are
+//     still awake. It is owned by the shard's ticking goroutine.
 //   - pend is the wake mailbox: producers (Activity.WakeAt after a successful
 //     queued CAS) claim a slot with an atomic counter and write the index.
 //     Producers run either on the shard's own goroutine during the tick
@@ -33,10 +71,9 @@ import (
 //   - hold carries mid-sweep wakes that must wait for the next cycle (index
 //     behind the cursor, or wake time in the future); they stay queued and
 //     merge into the next sweep.
-//
-// The queued flag (on Activity) is the dedup invariant: an index is in
-// exactly one of active/pend/late/hold while queued, and a component with
-// queued=false always has wakeAt == Never, so no wake can be lost.
+//   - wheel and timers are the timer wheel, touched only by the shard's
+//     ticking goroutine (file from leave, expire at the top of the sweep)
+//     and read by the stepping goroutine between phases (earliest).
 type activeSet struct {
 	pend []int32
 	cnt  atomic.Int32
@@ -44,9 +81,20 @@ type activeSet struct {
 
 	active []int32
 	next   []int32 // double buffer: the sweep emits survivors here
-	newly  []int32 // scratch: wakes drained at cycle start, then sorted
+	newly  []int32 // scratch: wakes and expiries collected at cycle start, then sorted
 	late   []int32 // min-heap of same-cycle wakes ahead of the sweep cursor
 	hold   []int32 // mid-sweep wakes deferred to the next cycle
+
+	wheel  [wheelSize]int32       // bucket heads into timers; -1 = empty
+	filled [wheelSize / 64]uint64 // bit b set iff bucket b is not empty
+	timers []timer                // one node per component, sized at the first sweep
+}
+
+// init empties the wheel.
+func (as *activeSet) init() {
+	for i := range as.wheel {
+		as.wheel[i] = -1
+	}
 }
 
 // register adds component idx to the set (initially awake, matching the
@@ -56,7 +104,9 @@ func (as *activeSet) register(idx int32, a *Activity) {
 	as.active = append(as.active, idx)
 	// Two mailbox slots per component bound the enqueue count between two
 	// drains: every enqueue needs a false→true edge of the queued flag, and
-	// a component's flag can fall at most once per cycle (in its own Tick).
+	// a component's flag can fall at most once per sweep — in leave, which
+	// runs only from a visit, and the in-order merge visits each component at
+	// most once per cycle (a timer coming due raises the flag without a slot).
 	as.pend = append(as.pend, 0, 0)
 	if a != nil {
 		a.set = as
@@ -75,22 +125,171 @@ func (as *activeSet) enqueue(idx int32) {
 	as.pend[i] = idx
 }
 
-// sweep runs one cycle of active-set scheduling: drain the mailbox, merge
-// the wakes with the standing active list in index order, Tick every due
-// component, and emit the survivors as the next cycle's active list. It
-// reports whether any Tick ran and the earliest wake among skipped
-// components (the fastForward inputs, exactly as the full sweep computed
-// them).
+// sizeTimers allocates the timer nodes, once, at the exact component count:
+// the wheel never grows while the simulation runs. (A component registered
+// after the first Step re-sizes, preserving the filed nodes.)
+func (as *activeSet) sizeTimers(n int) {
+	t := make([]timer, n)
+	copy(t, as.timers)
+	as.timers = t
+}
+
+// leave takes the component being visited out of the worklist, asleep until
+// a later cycle w: parked when w is Never, on a timer otherwise. The store
+// cannot race a producer — none runs during the tick phase except this
+// goroutine, which is here.
+func (as *activeSet) leave(a *Activity, w Cycle) {
+	a.queued.Store(false)
+	if w != Never {
+		as.file(a.idx, w)
+	}
+}
+
+// file makes sure component idx holds a timer that fires no later than the
+// future cycle w. An entry it already holds under an earlier cycle will do
+// (every filed key is ahead of the clock — see earliest — and expiry
+// re-validates); a later one is moved.
+func (as *activeSet) file(idx int32, w Cycle) {
+	t := &as.timers[idx]
+	if t.key != 0 {
+		if t.key <= w {
+			return
+		}
+		as.unlink(idx)
+	}
+	b := w & wheelMask
+	head := as.wheel[b]
+	t.key, t.prev, t.next = w, -1, head
+	if head >= 0 {
+		as.timers[head].prev = idx
+	} else {
+		as.filled[b>>6] |= 1 << (b & 63)
+	}
+	as.wheel[b] = idx
+}
+
+// unlink removes component idx's timer from its bucket.
+func (as *activeSet) unlink(idx int32) {
+	t := &as.timers[idx]
+	if t.prev >= 0 {
+		as.timers[t.prev].next = t.next
+	} else {
+		b := t.key & wheelMask
+		as.wheel[b] = t.next
+		if t.next < 0 {
+			as.filled[b>>6] &^= 1 << (b & 63)
+		}
+	}
+	if t.next >= 0 {
+		as.timers[t.next].prev = t.prev
+	}
+	t.key = 0
+}
+
+// expire drains the bucket of cycle now, appending to due the components
+// whose sleep has run out (now queued). Entries filed for a later lap stay;
+// every other entry is settled against the component's present state — it
+// carries no more authority than that: dropped if the component was woken
+// early and is in the worklist or has since parked, re-filed if it sleeps
+// until later.
+func (as *activeSet) expire(acts []*Activity, now Cycle, due []int32) []int32 {
+	for i := as.wheel[now&wheelMask]; i >= 0; {
+		t := &as.timers[i]
+		idx := i
+		i = t.next
+		if t.key > now {
+			continue
+		}
+		as.unlink(idx)
+		a := acts[idx]
+		if a.queued.Load() {
+			continue
+		}
+		if w := a.wakeAt.Load(); w <= now {
+			a.queued.Store(true)
+			due = append(due, idx)
+		} else if w != Never {
+			as.file(idx, w)
+		}
+	}
+	return due
+}
+
+// earliest reports the smallest filed key, Never with no timer pending: a
+// lower bound on the wake time of every component on a timer, given that from
+// is the next cycle to be swept. The engine never jumps past it, so a bucket
+// is always drained in the cycle of its smallest key and every filed key
+// stays ahead of the clock. (A key may undershoot its component's wake time,
+// or outlive its sleep; the engine then steps a cycle in which the entry is
+// re-filed or dropped and nothing ticks, and asks again.)
+func (as *activeSet) earliest(from Cycle) Cycle {
+	min := Never
+	// Walk the non-empty buckets in the order the clock will reach them, d
+	// cycles from now, until none left could hold a key below min.
+	for d := Cycle(0); d < wheelSize && from+d < min; d++ {
+		b := (from + d) & wheelMask
+		rest := as.filled[b>>6] >> (b & 63)
+		if rest == 0 {
+			d += 63 - b&63 // nothing up to the end of this word
+			continue
+		}
+		if skip := Cycle(bits.TrailingZeros64(rest)); skip > 0 {
+			d += skip - 1
+			continue
+		}
+		for i := as.wheel[b]; i >= 0; i = as.timers[i].next {
+			k := as.timers[i].key
+			if k == from+d {
+				// This lap's: nothing in this bucket or a later one is
+				// smaller, and every earlier bucket held later laps only.
+				return k
+			}
+			if k < min {
+				min = k
+			}
+		}
+	}
+	return min
+}
+
+// pending reports the earliest wake time among the components in the
+// worklist, Never if it is empty, and ok=false if one of them has no
+// Activity (it ticks every cycle).
+func (as *activeSet) pending(acts []*Activity) (min Cycle, ok bool) {
+	min = Never
+	for _, list := range [...][]int32{as.active, as.hold, as.pend[as.head:as.cnt.Load()]} {
+		for _, idx := range list {
+			a := acts[idx]
+			if a == nil {
+				return 0, false
+			}
+			if w := a.wakeAt.Load(); w < min {
+				min = w
+			}
+		}
+	}
+	return min, true
+}
+
+// sweep runs one cycle of active-set scheduling: collect the mailbox and the
+// timers due now, merge them with the standing active list in index order,
+// Tick every component visited, and emit the ones still awake as the next
+// cycle's active list. It reports whether any Tick ran; when none did, the
+// worklist is empty and earliest bounds the next cycle anything can happen.
 //
 // Worklist growth (newly/late/hold/next) is bounded by the shard's component
 // count, and all four buffers are reused across cycles, so the sweep is
 // allocation-free in steady state.
-func (as *activeSet) sweep(tickers []Ticker, acts []*Activity, now Cycle) (ticked bool, idle Cycle) {
+func (as *activeSet) sweep(tickers []Ticker, acts []*Activity, now Cycle) (ticked bool) {
+	if len(as.timers) != len(tickers) {
+		as.sizeTimers(len(tickers))
+	}
 	// Collect wakes parked since the last sweep: holdovers classified
 	// next-cycle mid-sweep, then everything enqueued from flush phases,
-	// boundary drains, and pre-tick step hooks. No producer runs while this
-	// drain resets the mailbox (the engine has not released the tick phase's
-	// own components yet, and cross-shard producers only run between phases).
+	// boundary drains, and pre-tick step hooks, then expiring timers. No
+	// producer runs while this drain resets the mailbox (the engine has not
+	// released the tick phase's own components yet, and cross-shard producers
+	// only run between phases).
 	newly := append(as.newly[:0], as.hold...)
 	as.hold = as.hold[:0]
 	n := as.cnt.Load()
@@ -99,12 +298,12 @@ func (as *activeSet) sweep(tickers []Ticker, acts []*Activity, now Cycle) (ticke
 	}
 	as.head = 0
 	as.cnt.Store(0)
+	newly = as.expire(acts, now, newly)
 	slices.Sort(newly)
 	as.newly = newly
 
 	active := as.active
 	out := as.next[:0]
-	idle = Never
 	ai, ni := 0, 0
 	for {
 		// Visit the smallest index among the three in-order streams, which
@@ -123,7 +322,7 @@ func (as *activeSet) sweep(tickers []Ticker, acts []*Activity, now Cycle) (ticke
 		switch src {
 		case -1:
 			as.active, as.next = out, active
-			return ticked, idle
+			return ticked
 		case 0:
 			ai++
 		case 1:
@@ -134,21 +333,24 @@ func (as *activeSet) sweep(tickers []Ticker, acts []*Activity, now Cycle) (ticke
 		a := acts[idx]
 		if a != nil {
 			if w := a.wakeAt.Load(); w > now {
-				if w < idle {
-					idle = w
-				}
-				out = append(out, idx)
+				// Woken for a cycle still to come (or put to sleep between
+				// Steps): not due, so it waits on a timer, not in the list.
+				as.leave(a, w)
 				continue
 			}
 		}
 		tickers[idx].Tick(now)
 		ticked = true
-		if a != nil && a.wakeAt.Load() == Never {
-			// Parked until an explicit wake: leave the set entirely. The
-			// store cannot race a producer — none runs during the tick
-			// phase except this goroutine, which is here.
-			a.queued.Store(false)
+		var w Cycle // a component without an Activity is always awake
+		if a != nil {
+			w = a.wakeAt.Load()
+		}
+		if w > now+1 {
+			as.leave(a, w)
 		} else {
+			// Awake, or due at the very next sweep: over half of a loaded
+			// mesh's sleeps are these, and a round trip through the wheel and
+			// the sort costs more than keeping the list slot.
 			out = append(out, idx)
 		}
 		// Classify wakes the Tick just posted: an index ahead of the cursor

@@ -26,17 +26,19 @@
 //     spawning goroutines every cycle. Engine.Close parks them permanently.
 //
 //   - Quiescence skipping. A Ticker that also implements IdleTicker exposes
-//     an Activity — a wake-time latch. The scheduler skips any component
-//     whose Activity says it is asleep, and a component parked with
-//     Sleep(Never) leaves its shard's active-set worklist entirely
-//     (activeset.go): it costs zero instructions per cycle until a wake
-//     edge (Activity.WakeAt) re-enqueues it. The protocol invariant is that
-//     a component may only sleep while its Tick is a provable no-op, and
-//     must be woken no later than the cycle any of its inputs can change;
-//     link.Wire drives those wake edges automatically for observed wires.
-//     Under that invariant skipping is bit-identical to ticking every
-//     cycle, which the golden determinism tests in internal/harness enforce
-//     on full experiment workloads.
+//     an Activity — a wake-time latch. A component whose Tick ends asleep
+//     leaves its shard's worklist (activeset.go): parked, if it sleeps until
+//     a wake edge (Sleep(Never)), or filed on the shard's timer wheel under
+//     the cycle it sleeps to. Either way it costs zero instructions per
+//     cycle until Activity.WakeAt re-enqueues it or its timer comes due; the
+//     sweep visits components that Tick and nothing else, and when nothing
+//     ticks the engine jumps to the earliest timer. The protocol invariant
+//     is that a component may only sleep while its Tick is a provable no-op,
+//     and must be woken no later than the cycle any of its inputs can
+//     change; link.Wire drives those wake edges automatically for observed
+//     wires. Under that invariant skipping is bit-identical to ticking
+//     every cycle, which the golden determinism tests in internal/harness
+//     enforce on full experiment workloads.
 //
 //   - Dirty latch flushing. Latches registered with RegisterLatch are walked
 //     every cycle (sharded across the workers); latches bound to a shard's
@@ -92,7 +94,7 @@ func (f TickFunc) Tick(now Cycle) { f(now) }
 
 // Activity is the quiescence latch between one Ticker and the scheduler: it
 // holds the next cycle at which the component must run. The component is
-// skipped while that cycle is in the future.
+// not visited while that cycle is in the future.
 //
 // Lowering the wake time (Wake/WakeAt) is always safe and is how input
 // sources re-arm a sleeping consumer. Raising it (Sleep) is the owning
@@ -104,10 +106,11 @@ type Activity struct {
 	// Active-set linkage, installed by RegisterSharded: set/idx identify the
 	// owning shard's worklist slot and queued is the membership dedup flag.
 	// The invariant is queued == "idx is in the worklist (active, mailbox,
-	// late, or hold)", and queued=false implies wakeAt == Never — a parked
-	// component re-enters the worklist through the first WakeAt that lowers
-	// its wake time. Unregistered activities (hook clocks, standalone tests)
-	// have a nil set and skip the enqueue entirely.
+	// late, or hold)", and queued=false implies the component is parked at
+	// Never or holds a timer filed no later than wakeAt — it re-enters the
+	// worklist when that timer comes due, or sooner through the first WakeAt
+	// that lowers its wake time. Unregistered activities (hook clocks,
+	// standalone tests) have a nil set and skip the enqueue entirely.
 	set    *activeSet
 	idx    int32
 	queued atomic.Bool
@@ -128,9 +131,9 @@ func (a *Activity) WakeAt(at Cycle) {
 	// The wake time was lowered; make sure the component is in its shard's
 	// worklist. The plain Load keeps the common already-queued case to one
 	// atomic read; the CAS arbitrates racing producers so exactly one
-	// enqueues. (A parked component always sits at Never, so any producer
-	// that finds cur <= at and returns early raced one that lowered the time
-	// and reached this enqueue.)
+	// enqueues. (A producer that finds cur <= at and returns early loses
+	// nothing: the component is queued, or holds a timer no later than cur,
+	// or another producer lowered the time to cur and is on its way here.)
 	if a.set != nil && !a.queued.Load() && a.queued.CompareAndSwap(false, true) {
 		a.set.enqueue(a.idx)
 	}
@@ -216,12 +219,13 @@ type deferredCall struct {
 	f   func(now Cycle)
 }
 
-// shard is one scheduling unit: a tick list with its skip state, a static
-// flush list, and a dirty-latch flusher, plus the parked worker's channels.
+// shard is one scheduling unit: a tick list with its scheduler state, a
+// static flush list, and a dirty-latch flusher, plus the parked worker's
+// channels.
 type shard struct {
 	tickers  []Ticker
 	acts     []*Activity // parallel to tickers; nil entries always run
-	as       activeSet   // tick worklist (quiescence-skipping schedules)
+	as       activeSet   // worklist and timer wheel (quiescence-skipping schedules)
 	latches  []Latch
 	flusher  Flusher
 	deferred []deferredCall // staged by this shard's Ticks, drained at window boundaries
@@ -234,9 +238,8 @@ type shard struct {
 
 	// Fast-forward bookkeeping, written by the shard's own tick phase and
 	// read by the stepping goroutine after the flush barrier: whether any
-	// Tick ran this cycle, and the earliest wake among the skipped tickers.
-	ticked   bool
-	idleWake Cycle
+	// Tick ran this cycle.
+	ticked bool
 
 	start chan Cycle    // releases the worker into a tick phase
 	gate  chan struct{} // releases the worker into the flush phase
@@ -254,8 +257,9 @@ type Binder interface {
 // once per window boundary, after draining the deferred list and the
 // cross-shard wire flushers, with the boundary cycle `next` (the first cycle
 // of the following window), whether this process's done predicate holds,
-// whether any owned shard ticked during the window, and the earliest local
-// wake time (valid only when nothing ticked; Never if fully quiescent).
+// whether any owned shard ticked during the window, and a lower bound on the
+// earliest local wake time (idleScan's; valid only when nothing ticked, Never
+// if fully quiescent).
 //
 // AtBoundary exchanges frames with every peer and returns whether the done
 // predicate holds in all processes (evaluated at the same boundary
@@ -342,7 +346,11 @@ func NewParallelOwned(total, lo, hi int) *Engine {
 }
 
 func newEngine(n int) *Engine {
-	return &Engine{shards: make([]shard, n), hi: n, skip: true, window: 1}
+	e := &Engine{shards: make([]shard, n), hi: n, skip: true, window: 1}
+	for i := range e.shards {
+		e.shards[i].as.init()
+	}
+	return e
 }
 
 // Shards reports the number of shards.
@@ -570,7 +578,7 @@ func (e *Engine) tickWindowShard(s *shard, now, end Cycle) {
 
 func (e *Engine) tickShard(s *shard, now Cycle) {
 	if e.skip {
-		s.ticked, s.idleWake = s.as.sweep(s.tickers, s.acts, now)
+		s.ticked = s.as.sweep(s.tickers, s.acts, now)
 		return
 	}
 	s.ticked = len(s.tickers) > 0
@@ -624,21 +632,23 @@ func (e *Engine) Step() {
 }
 
 // fastForward jumps Now past provably no-op cycles: if no Tick ran this
-// cycle, every remaining component is asleep (wires wake their observer at
-// the event's arrival cycle, so in-flight traffic keeps its receiver's wake
-// time honest), flushes are empty, and the only thing the skipped cycles
-// could do is run step hooks — which the hook clocks bound. Jumping to the
-// earliest wake therefore produces the bit-identical state the skipped
-// steps would have. Bounded by ffEnd so Run(n) still stops on its cycle.
+// cycle, every worklist is empty and every component is parked or on a timer
+// (wires wake their observer at the event's arrival cycle, so in-flight
+// traffic keeps its receiver's wake time honest), flushes are empty, and the
+// only thing the skipped cycles could do is run step hooks — which the hook
+// clocks bound. Jumping to the earliest pending timer therefore produces the
+// bit-identical state the skipped steps would have. Bounded by ffEnd so
+// Run(n) still stops on its cycle.
 func (e *Engine) fastForward() {
-	min := e.ffEnd
 	for i := e.lo; i < e.hi; i++ {
-		s := &e.shards[i]
-		if s.ticked {
+		if e.shards[i].ticked {
 			return
 		}
-		if s.idleWake < min {
-			min = s.idleWake
+	}
+	min := e.ffEnd
+	for i := e.lo; i < e.hi; i++ {
+		if w := e.shards[i].as.earliest(e.now); w < min {
+			min = w
 		}
 	}
 	for _, a := range e.hookClocks {
@@ -724,9 +734,9 @@ func (e *Engine) RunUntil(done func() bool, max Cycle) bool {
 // boundary, so free-running cannot miss an input: the schedule each
 // component observes is bit-identical to per-tick execution.
 //
-// When no owned shard ticked for a whole window, a full rescan of every
-// activity and hook clock yields the earliest future wake; the engine then
-// jumps to that wake's lattice point (floor — the window containing the wake
+// When no owned shard ticked for a whole window, idleScan bounds the earliest
+// future wake from the worklists, the timers and the hook clocks; the engine
+// then jumps to that wake's lattice point (floor — the window containing the wake
 // must be ticked). Under a WindowSync the jump uses the global minimum, and
 // the per-frame ticked bit makes "nothing ticked anywhere" detectable by all
 // processes at the same boundary: a shard that ticked nowhere staged no
@@ -818,22 +828,26 @@ func (e *Engine) tickWindow(T, E Cycle) {
 	e.tickWindowShard(&e.shards[e.lo], T, E)
 }
 
-// idleScan computes the earliest future wake across every owned component
-// and hook clock — the windowed analog of fastForward's bound, recomputed
-// from scratch because boundary merges may have lowered wake times after the
-// shards' own tick-phase minimums were taken. Only meaningful when no owned
-// shard ticked this window.
+// idleScan computes a lower bound on the earliest future wake across every
+// owned component and hook clock — the windowed analog of fastForward's
+// bound. A component is in its shard's worklist or mailbox (boundary merges
+// may have just put it there, for any cycle), on a timer, or parked, so the
+// bound is the minimum over the first two and the earliest timer: nothing
+// that is merely waiting is looked at. Only meaningful when no owned shard
+// ticked this window.
 func (e *Engine) idleScan() Cycle {
 	min := Never
 	for i := e.lo; i < e.hi; i++ {
 		s := &e.shards[i]
-		for _, a := range s.acts {
-			if a == nil {
-				return e.now // unclocked ticker: never jump
-			}
-			if w := a.wakeAt.Load(); w < min {
-				min = w
-			}
+		w, ok := s.as.pending(s.acts)
+		if !ok {
+			return e.now // unclocked ticker: never jump
+		}
+		if w < min {
+			min = w
+		}
+		if w := s.as.earliest(e.now); w < min {
+			min = w
 		}
 		if len(s.deferred) > 0 && s.deferred[0].due < min {
 			min = s.deferred[0].due
