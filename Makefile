@@ -45,10 +45,11 @@ check-deep:
 	./scripts/checkdeep.sh $(MINUTES)
 
 # race exercises the concurrency-heavy packages — the engine's worker
-# pool and quiescence protocol, the harness's concurrent simulations,
-# and the processors' program goroutines — under the race detector.
+# pool and quiescence protocol, the flow fabric's per-shard staging
+# hand-off, the harness's concurrent simulations, and the processors'
+# program goroutines — under the race detector.
 race:
-	$(GO) test -race -count=1 -timeout 3600s ./internal/sim/... ./internal/harness/... ./internal/node/... ./internal/core/... ./internal/dist/...
+	$(GO) test -race -count=1 -timeout 3600s ./internal/sim/... ./internal/flow/... ./internal/harness/... ./internal/node/... ./internal/core/... ./internal/dist/...
 
 # bench-check runs the benchmark module's own tests (bench/ is a module of
 # its own, so `go test ./...` at the root does not see it): the smoke over
@@ -59,14 +60,18 @@ bench-check:
 
 # bench-smoke runs one iteration of the engine microbenchmarks and the
 # cheap end-to-end cycle benchmark: enough to catch gross regressions
-# without the multi-minute figure benchmarks. The timer-wheel and processor
-# benchmarks run longer, with -benchmem: ns per Tick among 1k and 64k timed
-# sleepers (the two must agree), ns per Send stalled K cycles (the same for
-# every K) and per completed Send (one goroutine handoff), all at 0 allocs/op.
+# without the multi-minute figure benchmarks. The timer-wheel, processor and
+# flow-solver benchmarks run longer, with -benchmem: ns per Tick among 1k and
+# 64k timed sleepers (the two must agree), ns per Send stalled K cycles (the
+# same for every K) and per completed Send (one goroutine handoff), and
+# solver-ns per flow-solver step among ~300 and ~90k flows in flight at the same
+# event rate (what separates them is cache misses, not flows visited), all at
+# 0 allocs/op.
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkEngineStep|BenchmarkStep|BenchmarkSimCycleMesh' -benchtime 1x ./internal/sim/... .
 	$(GO) test -run xxx -bench 'BenchmarkTimedSleepers' -benchmem -benchtime 50000x ./internal/sim/
 	$(GO) test -run xxx -bench 'BenchmarkProcStalledSend|BenchmarkProcSend' -benchmem -benchtime 200000x ./internal/node/
+	$(GO) test -run xxx -bench 'BenchmarkSolverStep' -benchmem -benchtime 20000x ./internal/flow/
 
 # bench runs the full-figure wall-clock benchmarks (several minutes).
 bench:

@@ -10,14 +10,13 @@
 // # Model
 //
 // Every in-flight packet is one flow. A flow's rate is its max-min-style
-// fair share of the three resources it occupies: the source access link
-// (capacity 1/CPF flits per cycle, shared by all flows leaving the node),
-// the destination access link (shared by all flows arriving there), and the
-// fabric bisection (shared by flows whose endpoints lie in different
-// halves). Rates are recomputed only when the flow set changes; between
-// events every flow drains linearly, so the fabric's cost is per *event*,
-// not per cycle — the property that buys orders of magnitude in simulated
-// scale (PAPERS.md: Narses).
+// fair share of the resources it occupies: the source access link (capacity
+// 1/CPF flits per cycle, shared by all flows leaving the node), the
+// destination access link (shared by all flows arriving there), the fabric
+// bisection (shared by flows whose endpoints lie in different halves) and
+// the aggregate fabric capacity (shared by every flow). Rates are piecewise
+// constant between events — a flow arriving, a flow departing, a destination
+// stalling or resuming — and every flow drains linearly in between.
 //
 // A flow occupies its source injection slot until its tail leaves the
 // source (drain time = size/rate), which reproduces wormhole source
@@ -30,6 +29,39 @@
 // whose parked queue is full stalls: flows towards it drop to rate zero
 // until the NIC drains arrivals, exactly the end-point congestion feedback
 // the paper studies.
+//
+// # Solver
+//
+// The solver's cost is per *event*, not per cycle and not per active flow —
+// the Narses property (PAPERS.md), which touches a flow only when a flow
+// sharing one of its resources starts or ends. Three mechanisms keep it:
+//
+//   - Lazy drain. A flow's remaining work is stored as of the cycle its rate
+//     last changed (fRem at fAt) and brought current only when the flow is
+//     re-rated or probed. The drain is integer-linear in elapsed cycles, so
+//     rem − rate·(t₂−t₀) is the number a step at every intermediate t₁ would
+//     have left: the lazy remainder is exact, not approximate.
+//   - Keyed drain deadlines. A flow whose rate is set by its own access
+//     links is filed in a sim.Wheel under its drain cycle, now +
+//     ceil(rem/rate). "Which flows drained" is a bucket expiry and "when is
+//     the next drain" is the wheel's earliest key; an unchanged rate leaves
+//     the entry alone, because ceil((a − r·d)/r) = ceil(a/r) − d: d cycles
+//     on, the same deadline comes out.
+//   - One service clock per global share. Flows whose binding constraint is
+//     a global share (the fabric's, or the smaller of fabric and bisection
+//     for crossing flows) all drain at that one rate, so they are not rated
+//     one by one when the divisor moves: the class accumulates the service
+//     S += share·dt it has given each member, a member carries the finish
+//     tag rem + S(at join), and it drains at the first step with tag ≤ S.
+//     Its deadline, at + ceil((tag − S(at))/share), is by the same identity
+//     the one a per-flow re-rate at every share change would have computed.
+//     A flow moves between its own deadline and a class only when its
+//     access-link census k = max(nSrc, nDst) or the share crosses the
+//     boundary share < linkCap/k. The flows a moving share pushes across
+//     are found through lists of nodes by census, and a node's census
+//     moving between two values below every boundary re-rates nobody.
+//
+// Drained flows retire in admission order whichever structure held them.
 //
 // # State layout and engine integration
 //
@@ -105,11 +137,11 @@ type Config struct {
 	// selects the iface default (8).
 	ArrCapFlits int
 	// SolveStride quantizes solver activity in time: drain and landing
-	// events are processed on the next multiple of the stride, so the
-	// O(active-flows) advance/solve passes run at most once per stride (plus
-	// once per cycle with newly staged sends) instead of once per event
-	// cycle. Zero or one selects exact event timing — the setting every
-	// seed-size twin is calibrated at. Scaling configs use a coarse stride:
+	// events are processed on the next multiple of the stride, so the solver
+	// (and every NIC its retires and landings wake) runs at most once per
+	// stride (plus once per cycle with newly staged sends) instead of once
+	// per event cycle. Zero or one selects exact event timing — the setting
+	// every seed-size twin is calibrated at. Scaling configs use a coarse stride:
 	// the timing error is bounded by stride/drain-time, which the analytic
 	// 100k+ constructors keep around a percent, and results remain
 	// bit-deterministic for any shard count since the quantization is purely
@@ -171,33 +203,56 @@ type Fabric struct {
 
 	ports []Port
 
-	// Flow state (structure of arrays, indexed by flow id).
-	fPkt     []*packet.Packet
-	fSrc     []int32
-	fDst     []int32
-	fRem     []int64 // remaining work, flits·rateQ
-	fRate    []int64 // rateQ units (flits/cycle)
-	fDrainAt []sim.Cycle
-	fSeq     []int64
-	fIdx     []int32 // position in active (-1 when retired): O(1) removal
-	active   []int32 // dense list of live flow ids
-	freeIDs  []int32
+	// Flow state (structure of arrays, indexed by flow id; fPkt is nil for a
+	// free id). A flow is in one of three solver states:
+	//
+	//   - local: its rate fRate > 0 is set by its own access links, fRem is
+	//     the work left at cycle fAt, and it is filed in drains under its
+	//     drain cycle;
+	//   - member (fHeap >= 0): its rate is its share class's, fRem is its
+	//     finish tag, and it sits in the class heap (fRate and fAt are idle);
+	//   - stalled (fRate == 0, unfiled): its destination is over the
+	//     fabric-side cap, or it has not been rated yet.
+	fPkt    []*packet.Packet
+	fSrc    []int32
+	fDst    []int32
+	fSeq    []int64
+	fRem    []int64     // work, flits·rateQ: remainder at fAt, or finish tag
+	fRate   []int64     // rateQ units (flits/cycle)
+	fAt     []sim.Cycle // cycle fRem was last brought current
+	fHeap   []int32     // position in the class heap, -1 outside it
+	nActive int
+	freeIDs []int32
+	drains  sim.Wheel // local flows, keyed by drain cycle
 	// Per-destination intrusive list of inbound flows (-1 ends), for
 	// marking on destination-census and stall changes.
 	dstHead        []int32
 	fNextD, fPrevD []int32
-	// Incremental rate maintenance: rateDirty lists flows whose constraint
-	// inputs changed since the last solve (fMark dedups); a change in either
-	// global share instead forces a full pass, since it re-rates every
-	// (crossing) flow anyway. The share divisors hold inside a dead band
-	// (stride > 1 only) so census jitter around a grid point cannot force a
-	// full pass every solve. All marking happens on the stepping goroutine
-	// in event order, so the dirty set is deterministic.
-	rateDirty          []int32
-	fMark              []bool
-	crossDiv, fabDiv   int64
-	lastCross, lastFab int64
-	needFull           bool
+	// classes are the two global-share classes: [0] non-crossing flows
+	// (fabric share), [1] crossing flows (the smaller of fabric and
+	// bisection share).
+	classes [2]shareClass
+	// srcCensus and dstCensus list the nodes with live flows by their
+	// access-link census as the rate formula sees it (nSrc; nDst coarsened).
+	// A flow's own census is k = max of its two nodes', so the flows a moving
+	// class boundary can flip all hang off nodes listed between the old and
+	// the new boundary.
+	srcCensus, dstCensus censusList
+	// kSkip is the smaller of the two class boundaries. A node's census
+	// moving between two values at or under it changes nobody's rate: a flow
+	// there whose other node is at or under its class boundary too is and
+	// stays a member, and one whose other node is above it takes its k from
+	// that node before and after. Such a change marks no flow.
+	kSkip int32
+	// Incremental rate maintenance: rateDirty lists flows whose access-link
+	// census or stall state changed since the last solve (fMark dedups).
+	// The global divisors hold inside a dead band (stride > 1 only) so
+	// census jitter around a grid point does not move the shares every
+	// solve. All marking happens on the stepping goroutine in event order,
+	// so the dirty set is deterministic.
+	rateDirty        []int32
+	fMark            []bool
+	crossDiv, fabDiv int64
 	// shareTab[k] is linkCap/k — the per-flow access-link share among k
 	// concurrent flows, precomputed so the solver's hot loop divides only
 	// for fan-in beyond the table.
@@ -235,6 +290,8 @@ type Fabric struct {
 	fabInjected, fabDelivered, fabDropped int64
 
 	loss []*rng.Source // per-destination loss streams, nil when reliable
+
+	stats SolverStats
 
 	// Solver scratch (reused across runs).
 	drained  []int32
@@ -277,7 +334,9 @@ func New(cfg Config) *Fabric {
 	f.staged = make([][]stagedSend, 1)
 	f.dirty = make([][]int32, 1)
 	f.nextWork = sim.Never
-	f.needFull = true
+	f.drains.Init()
+	f.srcCensus.init(n)
+	f.dstCensus.init(n)
 	f.dstHead = make([]int32, n)
 	for i := range f.dstHead {
 		f.dstHead[i] = -1
@@ -307,7 +366,7 @@ func (f *Fabric) FlowPort(n int) *Port { return &f.ports[n] }
 // RegisterRouters implements topo.Network: the flow fabric has no routers;
 // registration installs the solver as a pre-tick step hook.
 func (f *Fabric) RegisterRouters(e *sim.Engine) {
-	f.bind(e, f.shardOf) // all-zeros shard map
+	f.bind(e, f.shardOf, f.step) // all-zeros shard map
 }
 
 // Partition implements topo.Network: contiguous node blocks (the solver
@@ -319,10 +378,12 @@ func (f *Fabric) Partition(shards int) []int {
 
 // RegisterRoutersSharded implements topo.Network.
 func (f *Fabric) RegisterRoutersSharded(e *sim.Engine, shardOf []int) {
-	f.bind(e, shardOf)
+	f.bind(e, shardOf, f.step)
 }
 
-func (f *Fabric) bind(e *sim.Engine, shardOf []int) {
+// bind wires the fabric to the engine with step as its solver (f.step; the
+// tests' reference solver binds its own).
+func (f *Fabric) bind(e *sim.Engine, shardOf []int, step func(sim.Cycle)) {
 	if f.bound {
 		panic("flow: fabric registered twice")
 	}
@@ -337,7 +398,7 @@ func (f *Fabric) bind(e *sim.Engine, shardOf []int) {
 	// Clocked: the solver's clock holds nextWork (its next drain/landing
 	// event, stride-quantized), and ports wake it when they stage work, so
 	// an otherwise-quiet engine fast-forwards straight between flow events.
-	e.RegisterStepHookClocked(f.step, &f.clock)
+	e.RegisterStepHookClocked(step, &f.clock)
 }
 
 // Chars implements topo.Network.
@@ -371,8 +432,10 @@ func (f *Fabric) AuditRouters(func(*router.Router)) {}
 // balance the packet counters), "staged" (pre-activation), "port-arr"
 // (arrival buffers, delivered side).
 func (f *Fabric) AuditPackets(fn func(node int, where string, p *packet.Packet)) {
-	for _, id := range f.active {
-		fn(int(f.fSrc[id]), "flow", f.fPkt[id])
+	for id, p := range f.fPkt {
+		if p != nil {
+			fn(int(f.fSrc[id]), "flow", p)
+		}
 	}
 	for i := range f.parked {
 		nd := i / packet.NumClasses
@@ -415,36 +478,49 @@ func (f *Fabric) anyStaged() bool {
 
 // step is the solver: it runs as a pre-tick engine step hook, on the
 // stepping goroutine, while every shard is quiescent. The fast path — no
-// event due, nothing staged — is a few compares.
+// event due, nothing staged — is a few compares; a step that does run costs
+// in proportion to the events it handles, not to the flows in flight.
 func (f *Fabric) step(now sim.Cycle) {
 	if now < f.nextWork && !f.anyStaged() {
 		return
 	}
+	f.stats.Steps++
 	changed := false
 
-	// 1. Advance every active flow to the present (piecewise-linear drain),
-	// collecting the ones whose remainder hits zero. A flow is due exactly
-	// when this pass's advance zeroes it — rem ≤ rate·dt ⟺ drainAt ≤ now,
-	// since the bound is lastRun + ceil(rem/rate) — so no separate scan of
-	// the flow set is needed.
+	// 1. Collect the flows whose drain deadline has come: the wheel entries
+	// keyed at or before now (every key is ahead of the previous step, so
+	// they sit in the buckets since), and each class's members whose finish
+	// tag the class's service has reached. A flow is due exactly when an
+	// advance to now would zero its remainder — rem ≤ rate·dt ⟺ deadline ≤
+	// now, the deadline being t₀ + ceil(rem/rate).
 	f.drained = f.drained[:0]
-	if dt := now - f.lastRun; dt > 0 {
-		for _, id := range f.active {
-			if r := f.fRate[id]; r > 0 {
-				f.fRem[id] -= r * int64(dt)
-				if f.fRem[id] <= 0 {
-					f.fRem[id] = 0
-					f.drained = append(f.drained, id)
-				}
+	for c := f.drains.Earliest(f.lastRun + 1); c <= now; c = f.drains.Earliest(c + 1) {
+		for i := f.drains.First(c); i >= 0; {
+			id := i
+			i = f.drains.Next(id)
+			if f.drains.Key(id) == c {
+				f.drains.Unlink(id)
+				f.stats.WheelExpiries++
+				f.drained = append(f.drained, id)
 			}
+		}
+	}
+	for c := range f.classes {
+		cl := &f.classes[c]
+		cl.sync(now)
+		for len(cl.heap) > 0 && f.fRem[cl.heap[0]] <= cl.s {
+			id := cl.heap[0]
+			f.heapRemove(cl, 0)
+			f.stats.ClassLeaves++
+			f.drained = append(f.drained, id)
 		}
 	}
 	f.lastRun = now
 
-	// 2. Retire drained flows (in admission order, restored by sorting the
-	// batch — f.active's iteration order is retirement-scrambled): the
-	// packet's tail has left its source — free the injection slot, credit
-	// the books, and put the packet on the fixed-latency pipe.
+	// 2. Retire drained flows in admission order (restored by sorting the
+	// batch: it comes out of three structures): the packet's tail has left
+	// its source — free the injection slot, credit the books, and put the
+	// packet on the fixed-latency pipe.
 	slices.SortFunc(f.drained, func(a, b int32) int {
 		sa, sb := f.fSeq[a], f.fSeq[b]
 		switch {
@@ -501,10 +577,11 @@ func (f *Fabric) step(now sim.Cycle) {
 	if changed {
 		f.solveRates(now)
 	}
-	f.recomputeNext()
+	f.recomputeNext(now)
 }
 
-// retire removes a drained flow: source slot frees, packet enters the pipe.
+// retire removes a drained flow (already out of the wheel or its class
+// heap): source slot frees, packet enters the pipe.
 func (f *Fabric) retire(now sim.Cycle, id int32) {
 	src, dst := f.fSrc[id], f.fDst[id]
 	p := f.fPkt[id]
@@ -516,8 +593,6 @@ func (f *Fabric) retire(now sim.Cycle, id int32) {
 		pt.injected++
 		pt.act.WakeAt(now) // the slot is free: the NIC may inject this cycle
 	}
-	f.nSrc[src]--
-	f.nDst[dst]--
 	if f.crosses(src, dst) {
 		f.nCross--
 	}
@@ -526,27 +601,18 @@ func (f *Fabric) retire(now sim.Cycle, id int32) {
 		lat += sim.Cycle((f.pipeFlitQ*int64(p.Flits()) + rateQ/2) / rateQ)
 	}
 	f.pipes[p.Class].PushBack(pipeEntry{p: p, at: now + lat})
-	// Remove from the dense active list (swap with last; determinism is
-	// preserved because every solver pass orders its work explicitly).
-	f.removeActive(id)
+	f.stats.Departures++
+	f.nActive--
+	f.unlinkDst(id)
 	f.fPkt[id] = nil
 	f.freeIDs = append(f.freeIDs, id)
 	// The departure frees share on both access links.
-	f.markSrc(src)
-	f.markDst(dst)
+	f.srcCensusStep(src, -1)
+	f.dstCensusStep(dst, -1)
 }
 
-func (f *Fabric) removeActive(id int32) {
-	i := f.fIdx[id]
-	if i < 0 || f.active[i] != id {
-		panic("flow: retire of inactive flow")
-	}
-	last := int32(len(f.active) - 1)
-	moved := f.active[last]
-	f.active[i] = moved
-	f.fIdx[moved] = i
-	f.active = f.active[:last]
-	f.fIdx[id] = -1
+// unlinkDst takes a flow off its destination's inbound list.
+func (f *Fabric) unlinkDst(id int32) {
 	dp, dn := f.fPrevD[id], f.fNextD[id]
 	if dp >= 0 {
 		f.fNextD[dp] = dn
@@ -574,6 +640,37 @@ func (f *Fabric) markSrc(src int32) {
 			f.markFlow(id)
 		}
 	}
+}
+
+// srcCensusStep moves node src's outbound census by d (±1) and queues the
+// flows leaving it, unless the move cannot matter to them (see kSkip).
+func (f *Fabric) srcCensusStep(src, d int32) {
+	old := f.nSrc[src]
+	f.nSrc[src] += d
+	f.srcCensus.move(src, old, old+d)
+	if max(old, old+d) > f.kSkip {
+		f.markSrc(src)
+	}
+}
+
+// dstCensusStep is srcCensusStep for node dst's inbound census, which the
+// rate formula reads coarsened: a step inside one coarse value is no change.
+func (f *Fabric) dstCensusStep(dst, d int32) {
+	old := f.dstCensusOf(dst)
+	f.nDst[dst] += d
+	k := f.dstCensusOf(dst)
+	if k == old {
+		return
+	}
+	f.dstCensus.move(dst, old, k)
+	if max(old, k) > f.kSkip {
+		f.markDst(dst)
+	}
+}
+
+// dstCensusOf is node dst's inbound census as the rate formula reads it.
+func (f *Fabric) dstCensusOf(dst int32) int32 {
+	return int32(coarsen(int64(f.nDst[dst]), f.cfg.SolveStride))
 }
 
 // markDst queues every flow inbound to dst (its census or stall state
@@ -610,6 +707,7 @@ func (f *Fabric) land(now sim.Cycle, p *packet.Packet) bool {
 	f.parked[qi].PushBack(p)
 	f.parkedFlits[qi] += size
 	if !stalled && f.parkedFlits[qi] >= int32(f.cfg.DstCapFlits) {
+		f.stats.StallEdges++
 		f.markDst(dst) // crossed the stall threshold: inbound flows drop to zero
 	}
 	return true
@@ -646,6 +744,7 @@ func (f *Fabric) promote(now sim.Cycle, nd int32) bool {
 			moved = true
 		}
 		if stalled && f.parkedFlits[qi] < int32(f.cfg.DstCapFlits) {
+			f.stats.StallEdges++
 			f.markDst(nd) // stall lifted: inbound flows resume
 		}
 	}
@@ -661,20 +760,18 @@ func (f *Fabric) activate(now sim.Cycle, st stagedSend) {
 	f.fSrc[id] = src
 	f.fDst[id] = dst
 	f.fRem[id] = int64(p.Flits()) * rateQ
-	f.fRate[id] = 0
-	f.fDrainAt[id] = sim.Never
+	f.fRate[id] = 0 // unrated: the solve below files it or joins it to a class
+	f.fAt[id] = now
 	f.fSeq[id] = f.seq
 	f.seq++
-	f.fIdx[id] = int32(len(f.active))
-	f.active = append(f.active, id)
+	f.nActive++
+	f.stats.Arrivals++
 	f.fPrevD[id] = -1
 	f.fNextD[id] = f.dstHead[dst]
 	if h := f.dstHead[dst]; h >= 0 {
 		f.fPrevD[h] = id
 	}
 	f.dstHead[dst] = id
-	f.nSrc[src]++
-	f.nDst[dst]++
 	if f.crosses(src, dst) {
 		f.nCross++
 	}
@@ -683,8 +780,9 @@ func (f *Fabric) activate(now sim.Cycle, st stagedSend) {
 	f.fabFlits += int64(p.Flits())
 	// The new flow needs a rate, and the census change touches every flow
 	// sharing its source or destination link.
-	f.markSrc(src)
-	f.markDst(dst)
+	f.markFlow(id)
+	f.srcCensusStep(src, 1)
+	f.dstCensusStep(dst, 1)
 }
 
 func (f *Fabric) allocFlow() int32 {
@@ -699,12 +797,13 @@ func (f *Fabric) allocFlow() int32 {
 	f.fDst = append(f.fDst, 0)
 	f.fRem = append(f.fRem, 0)
 	f.fRate = append(f.fRate, 0)
-	f.fDrainAt = append(f.fDrainAt, 0)
+	f.fAt = append(f.fAt, 0)
 	f.fSeq = append(f.fSeq, 0)
-	f.fIdx = append(f.fIdx, -1)
+	f.fHeap = append(f.fHeap, -1)
 	f.fNextD = append(f.fNextD, -1)
 	f.fPrevD = append(f.fPrevD, -1)
 	f.fMark = append(f.fMark, false)
+	f.drains.Grow(len(f.fPkt))
 	return id
 }
 
@@ -714,96 +813,110 @@ func (f *Fabric) crosses(src, dst int32) bool {
 	return (src < half) != (dst < half)
 }
 
-// solveRates recomputes every active flow's rate — its fair share of the
-// source link, destination link, and bisection — and its drain time. A
-// destination whose parked queue exceeds the fabric-side cap is stalled:
-// flows towards it get rate zero until arrivals drain, which is the
-// end-point backpressure that grows congestion trees under plain NICs.
+// solveRates brings every rate in line with the flow set as it now stands: a
+// flow's rate is its fair share of the source link, destination link,
+// bisection and fabric, and a destination whose parked queue exceeds the
+// fabric-side cap is stalled — flows towards it get rate zero until arrivals
+// drain, which is the end-point backpressure that grows congestion trees
+// under plain NICs. Rate is a pure function of per-flow inputs and the two
+// global shares, so it is enough to move the shares (which re-rates their
+// class members wholesale and flips the flows on the boundary) and re-rate
+// the flows marked since the last solve, in any order.
 func (f *Fabric) solveRates(now sim.Cycle) {
 	stride := f.cfg.SolveStride
 	var crossShare int64
 	if f.bisCap > 0 && f.nCross > 0 {
 		f.crossDiv = stableDiv(f.crossDiv, int64(f.nCross), stride)
-		crossShare = f.bisCap / f.crossDiv
-		if crossShare < 1 {
-			crossShare = 1
-		}
+		crossShare = max(f.bisCap/f.crossDiv, 1)
 	}
 	var fabShare int64
-	if f.fabCap > 0 && len(f.active) > 0 {
-		f.fabDiv = stableDiv(f.fabDiv, int64(len(f.active)), stride)
-		fabShare = f.fabCap / f.fabDiv
-		if fabShare < 1 {
-			fabShare = 1
-		}
+	if f.fabCap > 0 && f.nActive > 0 {
+		f.fabDiv = stableDiv(f.fabDiv, int64(f.nActive), stride)
+		fabShare = max(f.fabCap/f.fabDiv, 1)
 	}
-	// A change in either global share re-rates (nearly) every flow, so the
-	// dirty set buys nothing — take the full pass. Otherwise only the
-	// marked flows (source/destination census or stall changes) can have
-	// moved: rate is a pure function of per-flow inputs, so visiting a
-	// superset of the changed flows in any order is exact.
-	if f.needFull || crossShare != f.lastCross || fabShare != f.lastFab {
-		f.needFull = false
-		f.lastCross, f.lastFab = crossShare, fabShare
-		for _, id := range f.rateDirty {
-			f.fMark[id] = false
-		}
-		f.rateDirty = f.rateDirty[:0]
-		for _, id := range f.active {
-			f.rateOne(now, id, crossShare, fabShare, stride)
-		}
-		return
+	crossing := fabShare
+	if crossShare > 0 && (fabShare == 0 || crossShare < fabShare) {
+		crossing = crossShare
 	}
+	lo0, hi0 := f.setShare(&f.classes[0], fabShare)
+	lo1, hi1 := f.setShare(&f.classes[1], crossing)
+	f.flip(now, lo0, hi0)
+	f.flip(now, lo1, hi1)
+	f.kSkip = min(f.classes[0].kMax, f.classes[1].kMax)
 	for _, id := range f.rateDirty {
 		f.fMark[id] = false
-		if f.fIdx[id] >= 0 { // skip ids retired after marking
-			f.rateOne(now, id, crossShare, fabShare, stride)
+		if f.fPkt[id] != nil { // skip ids retired after marking
+			f.rerate(now, id)
 		}
 	}
 	f.rateDirty = f.rateDirty[:0]
 }
 
-// rateOne recomputes one flow's rate and drain bound.
-func (f *Fabric) rateOne(now sim.Cycle, id int32, crossShare, fabShare int64, stride int) {
+// rerate recomputes one flow's rate from its access-link census and stall
+// state, and moves it between the wheel and its share class accordingly. A
+// rate that comes out unchanged costs nothing further: the flow's deadline
+// (or tag) stands, by the ceil identity in the package doc.
+func (f *Fabric) rerate(now sim.Cycle, id int32) {
+	f.stats.Rerated++
 	src, dst := f.fSrc[id], f.fDst[id]
 	qi := int(dst)*packet.NumClasses + int(f.fPkt[id].Class)
-	var rate int64
-	if f.parkedFlits[qi] >= int32(f.cfg.DstCapFlits) {
-		// Stalled destination: the flow holds its source slot at rate
-		// zero — the secondary-blocking analog.
-		rate = 0
-	} else {
-		rate = f.shareOf(int64(f.nSrc[src]))
-		if r := f.shareOf(coarsen(int64(f.nDst[dst]), stride)); r < rate {
-			rate = r
-		}
-		if crossShare > 0 && f.crosses(src, dst) && crossShare < rate {
-			rate = crossShare
-		}
-		if fabShare > 0 && fabShare < rate {
-			rate = fabShare
-		}
-		if rate < 1 {
-			rate = 1
-		}
+	// k = 0: stalled destination — the flow holds its source slot at rate
+	// zero, the secondary-blocking analog.
+	var k int32
+	if f.parkedFlits[qi] < int32(f.cfg.DstCapFlits) {
+		k = max(f.nSrc[src], f.dstCensusOf(dst))
 	}
-	if rate == f.fRate[id] {
-		// Unchanged rate ⇒ unchanged drain bound: the advance step consumed
-		// exactly rate·dt of the remainder since the previous solve, so
-		// now+ceil(rem/rate) equals the bound already stored (and a stalled
-		// flow keeps its Never).
+	cl := f.classOf(id)
+	if k != 0 && k <= cl.kMax {
+		// The class share binds. A member's tag stands whatever the share
+		// has done since it joined.
+		if f.fHeap[id] < 0 {
+			f.join(now, cl, id)
+		}
 		return
+	}
+	var rate int64
+	if k != 0 {
+		rate = max(f.shareOf(int64(k)), 1)
+	}
+	if f.fHeap[id] >= 0 {
+		f.leave(now, cl, id)
+	} else if rate == f.fRate[id] {
+		return
+	} else {
+		f.advance(now, id)
 	}
 	f.fRate[id] = rate
-	if rate == 0 {
-		f.fDrainAt[id] = sim.Never
-		return
+	if rate > 0 {
+		// Every live flow has work left (a flow with none was due, and
+		// retired, before any re-rate), so the deadline is ahead of now.
+		f.drains.File(id, now+sim.Cycle((f.fRem[id]+rate-1)/rate))
+		f.stats.WheelFiles++
 	}
-	at := now + sim.Cycle((f.fRem[id]+rate-1)/rate)
-	if at <= now {
-		at = now + 1 // a zero-remainder flow retires on the next event
+}
+
+// advance brings a local flow's remainder current and takes it off the
+// wheel, ahead of a rate change.
+func (f *Fabric) advance(now sim.Cycle, id int32) {
+	f.stats.Advanced++
+	f.fRem[id] -= f.fRate[id] * int64(now-f.fAt[id])
+	f.fAt[id] = now
+	if f.drains.Key(id) != 0 {
+		f.drains.Unlink(id)
+		f.stats.WheelUnlinks++
 	}
-	f.fDrainAt[id] = at
+}
+
+// drainAt reports the cycle flow id's tail leaves its source at its present
+// rate, Never for a stalled flow.
+func (f *Fabric) drainAt(id int32) sim.Cycle {
+	if f.fHeap[id] >= 0 {
+		return f.classOf(id).drainAt(f.fRem[id])
+	}
+	if k := f.drains.Key(id); k != 0 {
+		return k
+	}
+	return sim.Never
 }
 
 // shareOf is the per-flow share of one access link among n concurrent flows.
@@ -849,20 +962,22 @@ func stableDiv(last, n int64, stride int) int64 {
 	return n
 }
 
-// recomputeNext finds the earliest pending event: a flow draining or a pipe
-// entry landing. With a coarse SolveStride the wake-up rounds up to the next
-// stride boundary — events in between wait for it, which is what caps the
-// solver at one full pass per stride.
-func (f *Fabric) recomputeNext() {
-	next := sim.Never
+// recomputeNext finds the earliest pending event: a pipe entry landing, the
+// wheel's earliest drain, or a class's smallest tag coming due. With a coarse
+// SolveStride the wake-up rounds up to the next stride boundary — events in
+// between wait for it, which is what caps the solver at one step per stride.
+func (f *Fabric) recomputeNext(now sim.Cycle) {
+	next := f.drains.Earliest(now + 1)
 	for c := range f.pipes {
 		if head, ok := f.pipes[c].Front(); ok && head.at < next {
 			next = head.at
 		}
 	}
-	for _, id := range f.active {
-		if at := f.fDrainAt[id]; at < next {
-			next = at
+	for c := range f.classes {
+		if cl := &f.classes[c]; len(cl.heap) > 0 {
+			if at := cl.drainAt(f.fRem[cl.heap[0]]); at < next {
+				next = at
+			}
 		}
 	}
 	if s := sim.Cycle(f.cfg.SolveStride); s > 1 && next != sim.Never {
@@ -914,11 +1029,17 @@ func (f *Fabric) resetStaged() {
 	}
 }
 
-// forEachMerged walks per-shard int lists merged in ascending value order.
+// forEachMerged walks per-shard lists of node ids, each ascending, merged in
+// ascending order, each node once: a port lists its node once per packet it
+// pops, and a node belongs to one shard, so its repeats are adjacent.
 func (f *Fabric) forEachMerged(lists [][]int32, fn func(int32)) {
+	last := int32(-1)
 	if len(lists) == 1 {
 		for _, v := range lists[0] {
-			fn(v)
+			if v != last {
+				fn(v)
+				last = v
+			}
 		}
 		return
 	}
@@ -937,7 +1058,10 @@ func (f *Fabric) forEachMerged(lists [][]int32, fn func(int32)) {
 		if best < 0 {
 			return
 		}
-		fn(bestV)
+		if bestV != last {
+			fn(bestV)
+			last = bestV
+		}
 		idx[best]++
 	}
 }

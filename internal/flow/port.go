@@ -23,7 +23,7 @@ type Port struct {
 
 	// slots holds the packet occupying each class's injection slot; the
 	// solver clears a slot when its flow drains. slotFlow is the live flow
-	// id (-1 while staged or empty) — BlockedBound reads its drain bound.
+	// id (-1 while staged or empty) — BlockedBound asks for its drain bound.
 	slots    [packet.NumClasses]*packet.Packet
 	slotFlow [packet.NumClasses]int32
 
@@ -145,11 +145,14 @@ func (pt *Port) NextArrivalAt() sim.Cycle {
 }
 
 // BlockedBound implements router.Port: the earliest cycle fabric-side state
-// a stuck NIC waits on could change. A busy slot frees at its flow's drain
-// bound, rounded up to the solver's stride boundary (the solver only
-// retires flows when it runs); a staged slot resolves at the next solver
-// step; rate changes that move a drain earlier re-wake the Activity
-// directly, so the bound is always sound.
+// a stuck NIC waits on could change, as things stand. A busy slot frees at
+// its flow's drain bound, rounded up to the solver's stride boundary (the
+// solver only retires flows when it runs); a staged slot resolves at the
+// next solver step. The bound is a snapshot, not a promise — a later rate
+// change can move the drain either way and wakes nobody — and sleeping on it
+// is sound all the same, because retire wakes the port's Activity on the
+// cycle the slot actually frees: a NIC asleep past that cycle is woken for
+// it, and one woken early finds the slot busy and asks again.
 func (pt *Port) BlockedBound(now sim.Cycle) sim.Cycle {
 	bound := sim.Never
 	for c := range pt.slots {
@@ -160,7 +163,7 @@ func (pt *Port) BlockedBound(now sim.Cycle) sim.Cycle {
 		if id < 0 {
 			return now + 1 // staged: the solver activates it next cycle
 		}
-		if at := pt.f.fDrainAt[id]; at < bound {
+		if at := pt.f.drainAt(id); at < bound {
 			bound = at
 		}
 	}

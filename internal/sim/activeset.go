@@ -1,29 +1,9 @@
 package sim
 
 import (
-	"math/bits"
 	"slices"
 	"sync/atomic"
 )
-
-// The timer wheel has wheelSize buckets; a timer for cycle k lives in bucket
-// k&wheelMask, so a sleep of up to wheelSize cycles is filed and expires
-// without ever being looked at in between, and a longer one is passed over
-// once per lap.
-const (
-	wheelSize = 1 << 10
-	wheelMask = wheelSize - 1
-)
-
-// timer is one component's node in its shard's timer wheel: the cycle it is
-// filed under (0 = not filed; a filed key is always a future cycle, so never
-// 0) and its neighbours in that bucket's doubly-linked list (-1 = none).
-// Nodes live in a slice indexed by component, so filing writes by index and
-// a component never holds more than one timer.
-type timer struct {
-	key        Cycle
-	next, prev int32
-}
 
 // activeSet is one shard's scheduler state: the worklist of components to
 // visit this cycle, and the timers of components asleep until a later one.
@@ -71,9 +51,10 @@ type timer struct {
 //   - hold carries mid-sweep wakes that must wait for the next cycle (index
 //     behind the cursor, or wake time in the future); they stay queued and
 //     merge into the next sweep.
-//   - wheel and timers are the timer wheel, touched only by the shard's
-//     ticking goroutine (file from leave, expire at the top of the sweep)
-//     and read by the stepping goroutine between phases (earliest).
+//   - wheel is the timer wheel (one node per component, sized at the first
+//     sweep), touched only by the shard's ticking goroutine (file from
+//     leave, expire at the top of the sweep) and read by the stepping
+//     goroutine between phases (earliest).
 type activeSet struct {
 	pend []int32
 	cnt  atomic.Int32
@@ -85,17 +66,11 @@ type activeSet struct {
 	late   []int32 // min-heap of same-cycle wakes ahead of the sweep cursor
 	hold   []int32 // mid-sweep wakes deferred to the next cycle
 
-	wheel  [wheelSize]int32       // bucket heads into timers; -1 = empty
-	filled [wheelSize / 64]uint64 // bit b set iff bucket b is not empty
-	timers []timer                // one node per component, sized at the first sweep
+	wheel Wheel
 }
 
 // init empties the wheel.
-func (as *activeSet) init() {
-	for i := range as.wheel {
-		as.wheel[i] = -1
-	}
-}
+func (as *activeSet) init() { as.wheel.Init() }
 
 // register adds component idx to the set (initially awake, matching the
 // Activity zero value) and links a, when non-nil, for wake enqueueing.
@@ -125,15 +100,6 @@ func (as *activeSet) enqueue(idx int32) {
 	as.pend[i] = idx
 }
 
-// sizeTimers allocates the timer nodes, once, at the exact component count:
-// the wheel never grows while the simulation runs. (A component registered
-// after the first Step re-sizes, preserving the filed nodes.)
-func (as *activeSet) sizeTimers(n int) {
-	t := make([]timer, n)
-	copy(t, as.timers)
-	as.timers = t
-}
-
 // leave takes the component being visited out of the worklist, asleep until
 // a later cycle w: parked when w is Never, on a timer otherwise. The store
 // cannot race a producer — none runs during the tick phase except this
@@ -150,40 +116,13 @@ func (as *activeSet) leave(a *Activity, w Cycle) {
 // (every filed key is ahead of the clock — see earliest — and expiry
 // re-validates); a later one is moved.
 func (as *activeSet) file(idx int32, w Cycle) {
-	t := &as.timers[idx]
-	if t.key != 0 {
-		if t.key <= w {
+	if k := as.wheel.Key(idx); k != 0 {
+		if k <= w {
 			return
 		}
-		as.unlink(idx)
+		as.wheel.Unlink(idx)
 	}
-	b := w & wheelMask
-	head := as.wheel[b]
-	t.key, t.prev, t.next = w, -1, head
-	if head >= 0 {
-		as.timers[head].prev = idx
-	} else {
-		as.filled[b>>6] |= 1 << (b & 63)
-	}
-	as.wheel[b] = idx
-}
-
-// unlink removes component idx's timer from its bucket.
-func (as *activeSet) unlink(idx int32) {
-	t := &as.timers[idx]
-	if t.prev >= 0 {
-		as.timers[t.prev].next = t.next
-	} else {
-		b := t.key & wheelMask
-		as.wheel[b] = t.next
-		if t.next < 0 {
-			as.filled[b>>6] &^= 1 << (b & 63)
-		}
-	}
-	if t.next >= 0 {
-		as.timers[t.next].prev = t.prev
-	}
-	t.key = 0
+	as.wheel.File(idx, w)
 }
 
 // expire drains the bucket of cycle now, appending to due the components
@@ -193,14 +132,13 @@ func (as *activeSet) unlink(idx int32) {
 // early and is in the worklist or has since parked, re-filed if it sleeps
 // until later.
 func (as *activeSet) expire(acts []*Activity, now Cycle, due []int32) []int32 {
-	for i := as.wheel[now&wheelMask]; i >= 0; {
-		t := &as.timers[i]
+	for i := as.wheel.First(now); i >= 0; {
 		idx := i
-		i = t.next
-		if t.key > now {
+		i = as.wheel.Next(idx)
+		if as.wheel.Key(idx) > now {
 			continue
 		}
-		as.unlink(idx)
+		as.wheel.Unlink(idx)
 		a := acts[idx]
 		if a.queued.Load() {
 			continue
@@ -222,35 +160,7 @@ func (as *activeSet) expire(acts []*Activity, now Cycle, due []int32) []int32 {
 // stays ahead of the clock. (A key may undershoot its component's wake time,
 // or outlive its sleep; the engine then steps a cycle in which the entry is
 // re-filed or dropped and nothing ticks, and asks again.)
-func (as *activeSet) earliest(from Cycle) Cycle {
-	min := Never
-	// Walk the non-empty buckets in the order the clock will reach them, d
-	// cycles from now, until none left could hold a key below min.
-	for d := Cycle(0); d < wheelSize && from+d < min; d++ {
-		b := (from + d) & wheelMask
-		rest := as.filled[b>>6] >> (b & 63)
-		if rest == 0 {
-			d += 63 - b&63 // nothing up to the end of this word
-			continue
-		}
-		if skip := Cycle(bits.TrailingZeros64(rest)); skip > 0 {
-			d += skip - 1
-			continue
-		}
-		for i := as.wheel[b]; i >= 0; i = as.timers[i].next {
-			k := as.timers[i].key
-			if k == from+d {
-				// This lap's: nothing in this bucket or a later one is
-				// smaller, and every earlier bucket held later laps only.
-				return k
-			}
-			if k < min {
-				min = k
-			}
-		}
-	}
-	return min
-}
+func (as *activeSet) earliest(from Cycle) Cycle { return as.wheel.Earliest(from) }
 
 // pending reports the earliest wake time among the components in the
 // worklist, Never if it is empty, and ok=false if one of them has no
@@ -281,9 +191,10 @@ func (as *activeSet) pending(acts []*Activity) (min Cycle, ok bool) {
 // count, and all four buffers are reused across cycles, so the sweep is
 // allocation-free in steady state.
 func (as *activeSet) sweep(tickers []Ticker, acts []*Activity, now Cycle) (ticked bool) {
-	if len(as.timers) != len(tickers) {
-		as.sizeTimers(len(tickers))
-	}
+	// Allocates once, at the component count (again only for a component
+	// registered after the first Step): the wheel never grows while the
+	// simulation runs.
+	as.wheel.Grow(len(tickers))
 	// Collect wakes parked since the last sweep: holdovers classified
 	// next-cycle mid-sweep, then everything enqueued from flush phases,
 	// boundary drains, and pre-tick step hooks, then expiring timers. No
