@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-budget lintdiff race check check-deep bench-check bench-smoke bench bench-heavy benchdiff bench-parallel bench-dist bench-scale bench-locality bench-fabric profdiff baseline clean
+.PHONY: build test vet lint lint-budget lintdiff race check check-deep bench-check bench-smoke bench bench-heavy benchdiff bench-dist bench-scale bench-locality bench-fabric profdiff baseline clean
 
 build:
 	$(GO) build ./...
@@ -88,18 +88,10 @@ bench-heavy:
 benchdiff:
 	./scripts/benchdiff.sh $(OLD) $(NEW)
 
-# bench-parallel measures the intra-simulation parallel speedup: Figure 2
-# heavy traffic at shards=1 vs shards=N (default min(GOMAXPROCS, nodes)),
-# both at sync window W (default 4, the once-per-window barrier regime),
-# failing if the multi-shard run is slower. Skips on single-core hosts.
-# Override with: make bench-parallel SHARDS=4 WINDOW=8
-bench-parallel:
-	./scripts/benchparallel.sh $(or $(SHARDS),0) $(or $(WINDOW),4)
-
 # bench-dist gates the multi-process engine: 1/2(/4)-worker runs of the
-# same workload must produce byte-identical state traces (asserted on any
-# host), and the 2-process run must not be slower than 1-process when the
-# host has at least 2 CPUs (skipped below that).
+# same workload must produce byte-identical state traces, on any host. The
+# wall-clock ratio to the 1-process run is printed, not asserted. (The
+# intra-process ratio, 1 shard vs 2, is bench/'s sim.sharded_speedup.)
 bench-dist:
 	./scripts/benchdist.sh
 

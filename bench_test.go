@@ -223,7 +223,7 @@ func BenchmarkEngineParallel(b *testing.B) {
 		regs := make([]*sim.Reg[int], k)
 		for i := range regs {
 			regs[i] = &sim.Reg[int]{}
-			eng.RegisterLatch(regs[i])
+			regs[i].Bind(eng.CrossFlusher(i % shards))
 		}
 		for i := 0; i < k; i++ {
 			i := i

@@ -84,7 +84,7 @@ func main() {
 		exp     = flag.String("exp", "all", "experiment id (t2,t3,t3sweep,f2,f3,f4,f5,f6,f7,f8,f9,coalesce,lossy,acks,piggyback,scale,dist,fabric,all)")
 		full    = flag.Bool("full", false, "paper-scale budgets instead of reduced")
 		seed    = flag.Uint64("seed", 1995, "experiment seed")
-		shards  = flag.Int("shards", 0, "engine shards per simulation for f2/f3/f4 (0 = min(GOMAXPROCS, nodes), 1 = serial; bit-identical results)")
+		shards  = flag.Int("shards", 0, "engine shards per simulation for f2/f3/f4, fabric and scale (0 or 1 = serial, N = N shards; bit-identical results)")
 		net     = flag.String("net", "mesh", "network for -exp t3sweep (mesh,torus,fattree,sf,cm5,butterfly,multibutterfly,mesh3d)")
 		mode    = flag.String("mode", "flit", "fabric fidelity for f2/f3 (flit,flow,hybrid)")
 		procs   = flag.String("procs", "", "worker process counts for -exp dist, comma-separated (default 1,2 and 4 when the host has >=4 CPUs)")
@@ -379,8 +379,8 @@ func main() {
 		case "dist":
 			// Multi-process engine: the same mesh workload run over 1, 2,
 			// and (on >=4-CPU hosts) 4 worker processes connected by the
-			// staged socket/shared-memory transport, one engine shard per
-			// worker so the proc count is the parallelism. Every run's full
+			// staged socket transport, one engine shard per worker so
+			// the proc count is the parallelism. Every run's full
 			// golden trace must be byte-identical to the single-process run
 			// — the state trace is split-invariant, so the rows may differ
 			// only in wall clock. One record per proc count so speedup is
@@ -399,7 +399,6 @@ func main() {
 				Window: w, Seed: *seed, PendingInterval: 1000,
 				Pattern: "heavy", Phases: 1 << 20,
 			}
-			shm := runtime.GOOS == "linux"
 			tbl := stats.NewTable("Distributed engine: wall clock by worker processes",
 				"procs", "shards", "window", "cycles", "wall", "speedup")
 			ref := ""
@@ -407,7 +406,7 @@ func main() {
 			for _, p := range counts {
 				spec.Shards = p
 				start := time.Now()
-				trace, err := nifdy.DistTrace(spec, p, cycles, 1000, shm)
+				trace, err := nifdy.DistTrace(spec, p, cycles, 1000)
 				wall := time.Since(start)
 				if err != nil {
 					fmt.Fprintf(os.Stderr, "dist procs=%d: %v\n", p, err)

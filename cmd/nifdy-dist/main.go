@@ -4,17 +4,15 @@
 // worker sentinel in its argv and joins the cluster protocol instead of
 // parsing flags), hands each a contiguous partition of the engine shards,
 // and drives all of them through the same chunk schedule over a staged
-// socket — or, with -shm, shared-memory — transport with conservative
-// time-window synchronization. The printed state trace is byte-identical
-// for any {shards x procs} split of the same spec, including 1x1; see
-// DESIGN.md section 9.
+// socket transport with conservative time-window synchronization. The
+// printed state trace is byte-identical for any {shards x procs} split of
+// the same spec, including 1x1; see DESIGN.md section 9.
 //
 // Usage:
 //
 //	nifdy-dist -net mesh2d -procs 4                  # 4 workers, 4 shards
 //	nifdy-dist -net torus2d -shards 8 -procs 2       # 4 shards per worker
 //	nifdy-dist -net fattree -kind plain -window 8    # wider sync window
-//	nifdy-dist -procs 2 -shm=false                   # force the socket path
 //
 // Networks: mesh2d, torus2d, mesh3d, fattree, sffattree, cm5, butterfly,
 // multibutterfly. Kinds: plain, buffers, nifdy.
@@ -24,7 +22,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"nifdy"
@@ -46,7 +43,6 @@ func main() {
 		seed    = flag.Uint64("seed", 1995, "workload seed")
 		pattern = flag.String("pattern", "heavy", "traffic pattern (heavy,light)")
 		pending = flag.Int64("pending", 0, "pending-packet sample interval in cycles (0 = off)")
-		shm     = flag.Bool("shm", runtime.GOOS == "linux", "use the same-host shared-memory fast path")
 		quiet   = flag.Bool("quiet", false, "suppress the trace; print only the summary line")
 	)
 	flag.Parse()
@@ -77,7 +73,7 @@ func main() {
 		PendingInterval: *pending, Pattern: *pattern, Phases: 1 << 20,
 	}
 	start := time.Now()
-	trace, err := nifdy.DistTrace(spec, *procs, *cycles, *chunk, *shm)
+	trace, err := nifdy.DistTrace(spec, *procs, *cycles, *chunk)
 	wall := time.Since(start)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "nifdy-dist: %v\n", err)

@@ -1,7 +1,7 @@
 // Package dist implements the multi-process distributed runner: worker
 // processes each own a contiguous slice of a sharded simulation and exchange
 // the staged cross-boundary events once per conservative-sync window, over
-// Unix-domain socket pairs (or an optional same-host shared-memory ring).
+// Unix-domain socket pairs.
 //
 // The wire protocol is a frame per (boundary, peer): a header carrying the
 // boundary cycle, a sequence number, the sender's done/ticked/idle state,

@@ -11,13 +11,8 @@ import (
 // corruption rather than a legitimate exchange.
 const maxFrame = 1 << 28
 
-// shmFlag in a frame header marks the payload as resident in the shared-
-// memory segment rather than inline on the socket.
-const shmFlag = 1 << 31
-
 // Conn is one duplex peer (or launcher control) connection: length-prefixed
-// frames over a Unix socketpair end, with an optional shared-memory fast
-// path for the payload bytes.
+// frames over a Unix socketpair end.
 //
 // Sends are asynchronous — sendAsync hands the buffer to a dedicated writer
 // goroutine and waitSent joins it — so a full-mesh exchange can put every
@@ -25,24 +20,8 @@ const shmFlag = 1 << 31
 // makes the all-send-then-all-receive boundary protocol deadlock-free
 // regardless of kernel socket buffer sizes. The caller owns the buffer again
 // only after waitSent.
-//
-// The shared-memory path (segments mapped by newShmPair) writes the payload
-// into the egress segment and sends only the header on the socket, with
-// shmFlag set. The segment is split into two halves used alternately: the
-// receiver lags the sender by at most one frame (the window exchange is a
-// strict per-boundary alternation — a sender cannot start boundary k+2
-// before the receiver has consumed boundary k's frame), so half k%2 is
-// always stable while the receiver copies it. The socket write/read pair
-// orders the segment access across the processes. Frames larger than a half
-// fall back to inline transfer, flagged per frame.
 type Conn struct {
 	f *os.File
-
-	// shmW is this side's egress segment, shmR the ingress one (both nil
-	// without shared memory); shmSent/shmRecvd count shm frames for the
-	// half-alternation.
-	shmW, shmR        []byte
-	shmSent, shmRecvd uint64
 
 	sendCh   chan []byte
 	errCh    chan error
@@ -59,27 +38,16 @@ func newConn(f *os.File) *Conn {
 	return c
 }
 
-// setShm installs the mapped segments (egress, ingress halves of a pair
-// mapping). Call before the first frame.
-func (c *Conn) setShm(w, r []byte) { c.shmW, c.shmR = w, r }
-
 // writer is the per-connection send goroutine: one frame per sendAsync,
 // one completion per frame on errCh. The channel arrives as a parameter
 // rather than through the field, which Close nils concurrently.
 func (c *Conn) writer(in <-chan []byte) {
 	var hdr [4]byte
 	for b := range in {
-		var err error
-		if half := len(c.shmW) / 2; half > 0 && len(b) <= half {
-			copy(c.shmW[int(c.shmSent%2)*half:], b)
-			c.shmSent++
-			binary.BigEndian.PutUint32(hdr[:], uint32(len(b))|shmFlag)
-			_, err = c.f.Write(hdr[:])
-		} else {
-			binary.BigEndian.PutUint32(hdr[:], uint32(len(b)))
-			if _, err = c.f.Write(hdr[:]); err == nil && len(b) > 0 {
-				_, err = c.f.Write(b)
-			}
+		binary.BigEndian.PutUint32(hdr[:], uint32(len(b)))
+		_, err := c.f.Write(hdr[:])
+		if err == nil && len(b) > 0 {
+			_, err = c.f.Write(b)
 		}
 		c.errCh <- err
 	}
@@ -119,8 +87,7 @@ func (c *Conn) readFrame() ([]byte, error) {
 	if _, err := io.ReadFull(c.f, hdr[:]); err != nil {
 		return nil, err
 	}
-	v := binary.BigEndian.Uint32(hdr[:])
-	n := int(v &^ uint32(shmFlag))
+	n := int(binary.BigEndian.Uint32(hdr[:]))
 	if n > maxFrame {
 		return nil, fmt.Errorf("dist: frame header claims %d bytes", n)
 	}
@@ -128,15 +95,6 @@ func (c *Conn) readFrame() ([]byte, error) {
 		c.rbuf = make([]byte, n)
 	}
 	b := c.rbuf[:n]
-	if v&shmFlag != 0 {
-		half := len(c.shmR) / 2
-		if n > half {
-			return nil, fmt.Errorf("dist: shm frame of %d bytes exceeds segment half %d", n, half)
-		}
-		copy(b, c.shmR[int(c.shmRecvd%2)*half:])
-		c.shmRecvd++
-		return b, nil
-	}
 	if _, err := io.ReadFull(c.f, b); err != nil {
 		return nil, err
 	}

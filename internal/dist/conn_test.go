@@ -38,62 +38,6 @@ func TestConnRoundTrip(t *testing.T) {
 	}
 }
 
-func TestConnSharedMem(t *testing.T) {
-	if !shmSupported {
-		t.Skip("no shared memory on this platform")
-	}
-	const seg = 4096
-	f, err := newShmFile(2 * seg)
-	if err != nil {
-		t.Fatalf("newShmFile: %v", err)
-	}
-	defer f.Close()
-	aw, ar, err := mapShm(f, seg, true)
-	if err != nil {
-		t.Fatalf("mapShm: %v", err)
-	}
-	bw, br, err := mapShm(f, seg, false)
-	if err != nil {
-		t.Fatalf("mapShm: %v", err)
-	}
-	a, b := pipePair(t)
-	a.setShm(aw, ar)
-	b.setShm(bw, br)
-
-	// Alternating small frames exercise both halves; the oversized frame
-	// falls back to the inline socket path mid-stream.
-	frames := [][]byte{
-		[]byte("one"), []byte("two"), []byte("three"),
-		bytes.Repeat([]byte{0xcd}, seg), // > seg/2: inline fallback
-		[]byte("four"),
-	}
-	for i, payload := range frames {
-		a.sendAsync(payload)
-		got, err := b.readFrame()
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if !bytes.Equal(got, payload) {
-			t.Fatalf("frame %d corrupted", i)
-		}
-		if err := a.waitSent(); err != nil {
-			t.Fatalf("frame %d waitSent: %v", i, err)
-		}
-		// Reply so both directions (and both shm regions) get traffic.
-		b.sendAsync(payload)
-		got, err = a.readFrame()
-		if err != nil || !bytes.Equal(got, payload) {
-			t.Fatalf("reply %d: %v", i, err)
-		}
-		if err := b.waitSent(); err != nil {
-			t.Fatalf("reply %d waitSent: %v", i, err)
-		}
-	}
-	if a.shmSent == 0 || b.shmSent == 0 {
-		t.Fatalf("shared-memory path never used (sent %d/%d)", a.shmSent, b.shmSent)
-	}
-}
-
 func TestConnPeerDeath(t *testing.T) {
 	a, b := pipePair(t)
 	b.Close()

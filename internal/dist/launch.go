@@ -12,21 +12,6 @@ import (
 // JoinWorker before any other argument parsing.
 const WorkerSentinel = "nifdy-dist-worker-v1"
 
-// DefaultShmBytes is the per-direction shared-memory segment size when
-// LaunchOptions.ShmBytes is zero.
-const DefaultShmBytes = 1 << 20
-
-// LaunchOptions configures Launch.
-type LaunchOptions struct {
-	// SharedMem enables the same-host shared-memory fast path for peer
-	// frames (linux only; Launch errors elsewhere).
-	SharedMem bool
-	// ShmBytes is the per-direction segment size (default DefaultShmBytes).
-	// Each segment is halved for frame alternation, so frames larger than
-	// ShmBytes/2 fall back to the socket inline path.
-	ShmBytes int
-}
-
 // Cluster is the launcher's handle on a set of worker processes: one control
 // connection per worker plus the process handles. Workers communicate with
 // each other directly over the peer mesh; the launcher only drives the
@@ -37,28 +22,16 @@ type Cluster struct {
 }
 
 // Launch re-executes this binary procs times as workers (argv:
-// [WorkerSentinel, rank, procs, shmBytes]) with a full peer socket mesh and
-// per-worker control sockets passed as inherited descriptors: fd 3 is the
-// control connection, fds 4.. the peer sockets in ascending peer rank, then
-// (with SharedMem) one segment file per peer in the same order.
-func Launch(procs int, opts LaunchOptions) (*Cluster, error) {
+// [WorkerSentinel, rank, procs]) with a full peer socket mesh and per-worker
+// control sockets passed as inherited descriptors: fd 3 is the control
+// connection, fds 4.. the peer sockets in ascending peer rank.
+func Launch(procs int) (*Cluster, error) {
 	if procs < 1 {
 		return nil, fmt.Errorf("dist: launch of %d workers", procs)
 	}
-	shmBytes := 0
-	if opts.SharedMem {
-		if !shmSupported {
-			return nil, fmt.Errorf("dist: shared memory transport requires linux")
-		}
-		shmBytes = opts.ShmBytes
-		if shmBytes <= 0 {
-			shmBytes = DefaultShmBytes
-		}
-	}
-	// Child descriptor lists, per worker: peer sockets first, then shm files
-	// (both in ascending peer order); the control socket is prepended last.
+	// Child descriptor lists, per worker: peer sockets in ascending peer
+	// order; the control socket is prepended last.
 	peerFiles := make([][]*os.File, procs)
-	shmFiles := make([][]*os.File, procs)
 	c := &Cluster{ctrl: make([]*Conn, procs)}
 	fail := func(err error) (*Cluster, error) {
 		for _, cmd := range c.cmds {
@@ -74,9 +47,6 @@ func Launch(procs int, opts LaunchOptions) (*Cluster, error) {
 			for _, f := range peerFiles[r] {
 				f.Close()
 			}
-			for _, f := range shmFiles[r] {
-				f.Close()
-			}
 		}
 		return nil, err
 	}
@@ -88,21 +58,6 @@ func Launch(procs int, opts LaunchOptions) (*Cluster, error) {
 			}
 			peerFiles[i] = append(peerFiles[i], a)
 			peerFiles[j] = append(peerFiles[j], b)
-			if shmBytes > 0 {
-				f, err := newShmFile(2 * shmBytes)
-				if err != nil {
-					return fail(err)
-				}
-				// Both workers inherit the same segment file; dup the handle
-				// so per-worker close bookkeeping stays uniform.
-				f2, err := dupFile(f)
-				if err != nil {
-					f.Close()
-					return fail(fmt.Errorf("dist: dup shm file: %w", err))
-				}
-				shmFiles[i] = append(shmFiles[i], f)
-				shmFiles[j] = append(shmFiles[j], f2)
-			}
 		}
 	}
 	for r := 0; r < procs; r++ {
@@ -111,11 +66,8 @@ func Launch(procs int, opts LaunchOptions) (*Cluster, error) {
 			return fail(fmt.Errorf("dist: control socketpair: %w", err))
 		}
 		c.ctrl[r] = newConn(pc)
-		extra := append([]*os.File{wc}, peerFiles[r]...)
-		extra = append(extra, shmFiles[r]...)
-		cmd := exec.Command(os.Args[0], WorkerSentinel,
-			strconv.Itoa(r), strconv.Itoa(procs), strconv.Itoa(shmBytes))
-		cmd.ExtraFiles = extra
+		cmd := exec.Command(os.Args[0], WorkerSentinel, strconv.Itoa(r), strconv.Itoa(procs))
+		cmd.ExtraFiles = append([]*os.File{wc}, peerFiles[r]...)
 		cmd.Stdout = os.Stdout
 		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {
@@ -128,9 +80,6 @@ func Launch(procs int, opts LaunchOptions) (*Cluster, error) {
 	// The workers hold their own copies now; release the launcher's.
 	for r := range peerFiles {
 		for _, f := range peerFiles[r] {
-			f.Close()
-		}
-		for _, f := range shmFiles[r] {
 			f.Close()
 		}
 	}
@@ -188,12 +137,11 @@ type Worker struct {
 // (nil, false) in ordinary (launcher or standalone) processes. Call first
 // thing in main, before flag parsing.
 func JoinWorker() (*Worker, bool) {
-	if len(os.Args) != 5 || os.Args[1] != WorkerSentinel {
+	if len(os.Args) != 4 || os.Args[1] != WorkerSentinel {
 		return nil, false
 	}
 	rank := mustAtoi(os.Args[2])
 	procs := mustAtoi(os.Args[3])
-	shmBytes := mustAtoi(os.Args[4])
 	if rank < 0 || procs < 1 || rank >= procs {
 		panic(fmt.Sprintf("dist: bad worker identity %d/%d", rank, procs))
 	}
@@ -211,23 +159,9 @@ func JoinWorker() (*Worker, bool) {
 		w.peers[p] = newConn(os.NewFile(fd, fmt.Sprintf("dist-peer-%d", p)))
 		fd++
 	}
-	if shmBytes > 0 {
-		for p := 0; p < procs; p++ {
-			if p == rank {
-				continue
-			}
-			f := os.NewFile(fd, fmt.Sprintf("dist-shm-%d", p))
-			fd++
-			egress, ingress, err := mapShm(f, shmBytes, rank < p)
-			if err != nil {
-				panic(err.Error())
-			}
-			w.peers[p].setShm(egress, ingress)
-			f.Close() // the mapping outlives the descriptor
-		}
-	}
 	return w, true
 }
+
 func mustAtoi(s string) int {
 	v, err := strconv.Atoi(s)
 	if err != nil {

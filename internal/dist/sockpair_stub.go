@@ -10,7 +10,3 @@ import (
 func socketpair() (*os.File, *os.File, error) {
 	return nil, nil, errors.New("dist: multi-process launch requires a unix platform")
 }
-
-func dupFile(f *os.File) (*os.File, error) {
-	return nil, errors.New("dist: multi-process launch requires a unix platform")
-}

@@ -18,14 +18,3 @@ func socketpair() (*os.File, *os.File, error) {
 	syscall.CloseOnExec(fds[1])
 	return os.NewFile(uintptr(fds[0]), "dist-sock"), os.NewFile(uintptr(fds[1]), "dist-sock"), nil
 }
-
-// dupFile duplicates f's descriptor (close-on-exec), so two workers can each
-// own a handle on the same shared-memory segment file.
-func dupFile(f *os.File) (*os.File, error) {
-	fd, err := syscall.Dup(int(f.Fd()))
-	if err != nil {
-		return nil, err
-	}
-	syscall.CloseOnExec(fd)
-	return os.NewFile(uintptr(fd), f.Name()), nil
-}

@@ -107,13 +107,13 @@ type BuildOpts struct {
 	// fabric with the network's topology-aware Partition hook — each node's
 	// router, NIC, and processor share a shard, and the only cross-shard
 	// edges are link wires, whose sends are staged per shard and merged at
-	// the flush barrier. Results are bit-identical to the serial engine for
+	// window boundaries. Results are bit-identical to the serial engine for
 	// any shard count (enforced by the sharded determinism tests). Values
 	// above the node count are clamped (except under Dist, where the shard
 	// count is part of the cross-process contract and mismatches panic).
 	EngineShards int
 	// Window is the conservative synchronization window W in cycles
-	// (default 1, today's per-tick model). W is a model parameter: the
+	// (default 1: a boundary after every cycle). W is a model parameter: the
 	// fabric's channels are padded so no cross-shard event can arrive
 	// within W cycles of its send, which lets shards free-run W cycles
 	// between barriers. A fixed W is bit-identical across every

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -20,9 +19,6 @@ func TestMain(m *testing.M) {
 	}
 	os.Exit(m.Run())
 }
-
-// distShm exercises the shared-memory fast path where available.
-func distShm() bool { return runtime.GOOS == "linux" }
 
 // TestDistributedDeterminism is the multi-process column of the determinism
 // matrix: the same workloads as TestShardedDeterminism, run as {shards x
@@ -101,7 +97,7 @@ func TestDistributedDeterminism(t *testing.T) {
 				}
 				for _, sp := range splits {
 					spec.Shards = sp.shards
-					got, err := DistTrace(spec, sp.procs, tc.cycles, chunk, distShm())
+					got, err := DistTrace(spec, sp.procs, tc.cycles, chunk)
 					if err != nil {
 						t.Fatalf("%dx%d: %v", sp.shards, sp.procs, err)
 					}

@@ -239,11 +239,11 @@ func mustSendJSON(w *dist.Worker, v any) {
 
 // distLaunch starts procs workers, ships them the spec, and waits for every
 // readiness acknowledgment.
-func distLaunch(spec DistSpec, procs int, shm bool) (*dist.Cluster, error) {
+func distLaunch(spec DistSpec, procs int) (*dist.Cluster, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	c, err := dist.Launch(procs, dist.LaunchOptions{SharedMem: shm})
+	c, err := dist.Launch(procs)
 	if err != nil {
 		return nil, err
 	}
@@ -333,8 +333,8 @@ func addStats(a, b nic.Stats) nic.Stats {
 // identical state-trace string from the merged records — the multi-process
 // column of the determinism matrix. Every worker must agree on Now, Pend,
 // and the heatmap at every step.
-func DistTrace(spec DistSpec, procs int, cycles, chunk sim.Cycle, shm bool) (string, error) {
-	c, err := distLaunch(spec, procs, shm)
+func DistTrace(spec DistSpec, procs int, cycles, chunk sim.Cycle) (string, error) {
+	c, err := distLaunch(spec, procs)
 	if err != nil {
 		return "", err
 	}
@@ -402,8 +402,8 @@ func DistTrace(spec DistSpec, procs int, cycles, chunk sim.Cycle, shm bool) (str
 // mode): RunUntilDone with the given budget, a settle window, and the
 // invariant monitors' finish pass, returning the summed stats, the global
 // done flag, and any monitor violations.
-func DistRunToDone(spec DistSpec, procs int, maxCycles sim.Cycle, shm bool) (nic.Stats, bool, []string, error) {
-	c, err := distLaunch(spec, procs, shm)
+func DistRunToDone(spec DistSpec, procs int, maxCycles sim.Cycle) (nic.Stats, bool, []string, error) {
+	c, err := distLaunch(spec, procs)
 	if err != nil {
 		return nic.Stats{}, false, nil, err
 	}

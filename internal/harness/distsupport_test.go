@@ -67,7 +67,7 @@ func TestDistSpecValidate(t *testing.T) {
 // TestDistLaunchRejectsBeforeSpawn: an unsupported spec must fail in the
 // launcher, typed, before any worker process is spawned.
 func TestDistLaunchRejectsBeforeSpawn(t *testing.T) {
-	_, err := distLaunch(DistSpec{Net: "mesh2d", Kind: int(DCQCN), Shards: 1, Window: 1}, 2, false)
+	_, err := distLaunch(DistSpec{Net: "mesh2d", Kind: int(DCQCN), Shards: 1, Window: 1}, 2)
 	if !errors.Is(err, dist.ErrUnsupportedFeature) {
 		t.Fatalf("distLaunch: got %v, want ErrUnsupportedFeature", err)
 	}

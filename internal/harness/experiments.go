@@ -60,30 +60,18 @@ type SynthOpts struct {
 	Networks []NetSpec
 	// Kinds defaults to {Plain, BuffersOnly, NIFDY}.
 	Kinds []NICKind
-	// Shards is the per-simulation engine shard count: 0 selects
-	// DefaultShards (min(GOMAXPROCS, nodes)), 1 forces the serial engine.
-	// Results are bit-identical for any value.
+	// Shards is the per-simulation engine shard count: 0 and 1 both build
+	// the serial engine (measured faster than two shards on a 2-CPU host),
+	// larger values shard explicitly. Results are bit-identical for any
+	// value.
 	Shards int
 	// Window is the conservative synchronization window W in cycles
-	// (default 1, the paper's per-tick model). W is a model parameter:
-	// channels gain up to W-1 cycles of latency, so delivered counts
-	// depend on it — but for a fixed W they are bit-identical at every
-	// shard count, and W >= 4 amortizes the sharded engine's barrier.
+	// (default 1, the paper's model: a boundary after every cycle). W is a
+	// model parameter: channels gain up to W-1 cycles of latency, so
+	// delivered counts depend on it — but for a fixed W they are
+	// bit-identical at every shard count, and W >= 4 amortizes the sharded
+	// engine's barrier.
 	Window int
-}
-
-// DefaultShards is the default intra-simulation parallelism for the figure
-// entry points: one shard per available CPU, at most one per node (a single
-// core thus gets the serial engine).
-func DefaultShards(nodes int) int {
-	s := runtime.GOMAXPROCS(0)
-	if s > nodes {
-		s = nodes
-	}
-	if s < 1 {
-		s = 1
-	}
-	return s
 }
 
 func (o *SynthOpts) defaults() {
@@ -177,11 +165,7 @@ func fillSynth(t *stats.Table, o SynthOpts, mk func(nodes int) traffic.Config) {
 		i, spec := i, spec
 		tasks = append(tasks, func() {
 			nodes := spec.Build(o.Seed, topoIfaceDefaults()).Nodes()
-			shards := o.Shards
-			if shards == 0 {
-				shards = DefaultShards(nodes)
-			}
-			vals := synthRow(spec, o.Kinds, func() traffic.Config { return mk(nodes) }, o.Cycles, o.Seed, shards, o.Window)
+			vals := synthRow(spec, o.Kinds, func() traffic.Config { return mk(nodes) }, o.Cycles, o.Seed, o.Shards, o.Window)
 			rows[i] = row{spec.Name, vals}
 		})
 	}
@@ -204,8 +188,8 @@ type Figure4Opts struct {
 	Seed   uint64
 	Levels []int // tree sizes as 4^level; default {2,3}
 	Sweep  []int // parameter values; default {2,4,8,16}
-	// Shards is the per-simulation engine shard count: 0 selects
-	// DefaultShards, 1 forces serial. Bit-identical for any value.
+	// Shards is the per-simulation engine shard count: 0 and 1 are the
+	// serial engine. Bit-identical for any value.
 	Shards int
 }
 
@@ -250,15 +234,11 @@ func Figure4(o Figure4Opts) (varyB, varyO *stats.Table) {
 	for _, lvl := range o.Levels {
 		spec := FatTreeSized(lvl)
 		nodes := 1 << (2 * uint(lvl)) // 4^lvl
-		shards := o.Shards
-		if shards == 0 {
-			shards = DefaultShards(nodes)
-		}
 		var base int64
 		{
 			tcfg := mkTraffic(nodes)
 			s := Build(BuildOpts{Net: spec, Kind: Plain, Seed: o.Seed, Costs: fastCosts,
-				EngineShards: shards,
+				EngineShards: o.Shards,
 				Program:      programFromTraffic(tcfg)})
 			s.Eng.Run(o.Cycles)
 			base = s.Accepted()
@@ -275,7 +255,7 @@ func Figure4(o Figure4Opts) (varyB, varyO *stats.Table) {
 				tb := mkTraffic(nodes)
 				sb := Build(BuildOpts{Net: spec, Kind: NIFDY, Seed: o.Seed, Costs: fastCosts,
 					Params:       core.Config{O: 8, B: v, D: -1, W: 2},
-					EngineShards: shards,
+					EngineShards: o.Shards,
 					Program:      programFromTraffic(tb)})
 				sb.Eng.Run(o.Cycles)
 				results[vi].b = sb.Accepted()
@@ -283,7 +263,7 @@ func Figure4(o Figure4Opts) (varyB, varyO *stats.Table) {
 				to := mkTraffic(nodes)
 				so := Build(BuildOpts{Net: spec, Kind: NIFDY, Seed: o.Seed, Costs: fastCosts,
 					Params:       core.Config{O: v, B: 8, D: -1, W: 2},
-					EngineShards: shards,
+					EngineShards: o.Shards,
 					Program:      programFromTraffic(to)})
 				so.Eng.Run(o.Cycles)
 				results[vi].o = so.Accepted()

@@ -54,8 +54,8 @@ type FabricOpts struct {
 	Cycles sim.Cycle
 	// Seed drives sender placement and the lossy-wire streams; default 1995.
 	Seed uint64
-	// Shards is the engine shard count: 0 selects DefaultShards, 1 forces
-	// serial. Every metric is bit-identical for any value.
+	// Shards is the engine shard count: 0 and 1 are the serial engine. Every
+	// metric is bit-identical for any value.
 	Shards int
 	// Kinds defaults to {Plain, PFC, DCQCN, NIFDY}.
 	Kinds []NICKind
@@ -234,10 +234,6 @@ func (c *fabricCollector) point() (delivered int64, p99 sim.Cycle, fairness floa
 func FabricCell(o FabricOpts, sc traffic.FabricScenario, kind NICKind, lossy bool) FabricPoint {
 	o.defaults()
 	spec := FabricMesh(o.Width, o.Height)
-	shards := o.Shards
-	if shards == 0 {
-		shards = DefaultShards(sc.Nodes)
-	}
 	var fc router.FabricConfig
 	params := spec.Params
 	if lossy {
@@ -258,7 +254,7 @@ func FabricCell(o FabricOpts, sc traffic.FabricScenario, kind NICKind, lossy boo
 	fastCosts := node.Costs{Send: 10, Recv: 14, Poll: 6, ReorderPenalty: 4}
 	s := Build(BuildOpts{
 		Net: spec, Kind: kind, Seed: o.Seed, Params: params, Fabric: fc,
-		Costs: fastCosts, EngineShards: shards, Check: o.Check,
+		Costs: fastCosts, EngineShards: o.Shards, Check: o.Check,
 		Program: col.Program,
 	})
 	defer s.Close()

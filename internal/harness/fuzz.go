@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"runtime"
 
 	"nifdy/internal/check"
 	"nifdy/internal/core"
@@ -91,7 +90,6 @@ type fuzzTrial struct {
 	seed   uint64
 	window int // conservative-sync window (a model parameter, fixed per trial)
 	dmul   int // multi-process shard count = procs * dmul
-	shm    bool
 	// fabric selects a modern-fabric column: "" (classic matrix), "lossy"
 	// (NIFDY with retransmission over dropping wires), "pfc", or "dcqcn".
 	fabric string
@@ -169,8 +167,10 @@ func FuzzSweep(o FuzzOpts) FuzzResult {
 			seed:   r.Uint64()%(1<<30) + 1,
 			window: 1 + 3*r.Intn(2), // 1 or 4
 			dmul:   1 + r.Intn(2),
-			shm:    r.Bool(0.5) && runtime.GOOS == "linux",
 		}
+		// A draw nothing reads: dropping it would shift every later draw, and
+		// so replace every trial of every seed's sweep with a different one.
+		r.Bool(0.5)
 		if fab := fuzzFabricFor(i); fab != "" {
 			// The modern-fabric columns run on the wormhole meshes, where
 			// PFC pause frames ride the credit wires and the DESIGN.md §11
@@ -304,7 +304,7 @@ func fuzzDistRun(tr fuzzTrial, procs int, o FuzzOpts) (nic.Stats, bool, []FuzzFa
 	if spec.Net == "" {
 		panic(fmt.Sprintf("harness: fuzz fabric %q has no distributed-runner name", tr.spec.Name))
 	}
-	st, done, workerFails, err := DistRunToDone(spec, procs, o.MaxCycles, tr.shm)
+	st, done, workerFails, err := DistRunToDone(spec, procs, o.MaxCycles)
 	var fails []FuzzFailure
 	if err != nil {
 		fails = append(fails, FuzzFailure{

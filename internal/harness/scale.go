@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"runtime"
 	"time"
 
 	"nifdy/internal/packet"
@@ -17,7 +16,7 @@ type ScaleOpts struct {
 	Cycles sim.Cycle
 	// Seed drives destination choice and the fabric build.
 	Seed uint64
-	// Shards is the engine shard count; zero selects min(GOMAXPROCS, nodes).
+	// Shards is the engine shard count; 0 and 1 are the serial engine.
 	Shards int
 	// PoolPerNode is each injector's pre-allocated packet pool; zero
 	// selects 4. The pool bounds a node's in-flight packets — injectors
@@ -117,13 +116,7 @@ func ScaleBench(spec NetSpec, o ScaleOpts) ScaleResult {
 	}
 	net := spec.Build(o.Seed, topo.IfaceOptions{Seed: o.Seed})
 	nodes := net.Nodes()
-	shards := o.Shards
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	if shards > nodes {
-		shards = nodes
-	}
+	shards := min(max(o.Shards, 1), nodes)
 	eng := sim.New()
 	if shards > 1 {
 		eng = sim.NewParallel(shards)

@@ -21,9 +21,10 @@ import "nifdy/internal/sim"
 // A wire whose single writer and consumer live in different engine shards
 // must be marked with CrossShard: sends then accumulate in a writer-owned
 // staging buffer and are merged into the consumer-visible event list (and
-// the observer woken) at the flush barrier, when no shard is ticking. Every
-// send arrives at least one cycle after it is issued, so a same-cycle merge
-// is never late and multi-shard execution stays bit-identical to serial.
+// the observer woken) at the engine's next window boundary, when no shard is
+// ticking. Every send arrives at or after that boundary (one cycle later at
+// W = 1, by channel padding above it), so the merge is never late and every
+// shard count stays bit-identical to one.
 type Wire[T any] struct {
 	latency sim.Cycle
 	events  []timed[T]
@@ -35,9 +36,9 @@ type Wire[T any] struct {
 	obs  *sim.Activity
 
 	// Cross-shard staging (nil/unused for same-shard wires). staged is
-	// written only by the wire's single writer during its shard's tick
-	// phase; Flush (run by crossFl, the writer's shard flusher) merges it
-	// into events during the flush phase, when the consumer is quiescent.
+	// written only by the wire's single writer while its shard ticks; Flush
+	// (run by crossFl, the writer shard's cross flusher) merges it into
+	// events at the window boundary, when the consumer is quiescent.
 	// crossID is the wire's dense ID in crossFl's latch table, so the hot
 	// marking path appends an int32 instead of an interface value.
 	staged      []timed[T]
@@ -82,12 +83,11 @@ func (w *Wire[T]) Latency() int { return int(w.latency) }
 // shard as the wire's writer unless the wire is marked CrossShard.
 func (w *Wire[T]) Observe(a *sim.Activity) { w.obs = a }
 
-// CrossShard marks the wire as a cross-shard edge. f must be the writer's
-// shard Flusher: sends stage locally and the staged batch is merged into the
-// consumer-visible event list during the writer's flush phase, after the
-// tick barrier. The consumer's Activity (if observed) is woken at merge
-// time — Activity wake-lowering is atomic, so waking from another shard's
-// flush is safe.
+// CrossShard marks the wire as a cross-shard edge. f must be the writer
+// shard's sim.Engine.CrossFlusher: sends stage locally and the staged batch
+// is merged into the consumer-visible event list at the next window boundary,
+// after every shard has finished the window. The consumer's Activity (if
+// observed) is woken at merge time.
 func (w *Wire[T]) CrossShard(f *sim.Flusher) {
 	w.crossFl = f
 	w.crossID = f.BindID(w)
@@ -166,10 +166,10 @@ func (w *Wire[T]) SendAt(at sim.Cycle, v T) {
 }
 
 // Flush implements sim.Latch for cross-shard wires: it merges the staged
-// sends into the event list and wakes the observer. It runs in the writer's
-// flush phase, after the tick barrier, so the consumer (which touches events
-// only while ticking) is guaranteed quiescent; the next tick phase sees the
-// merged list via the engine's phase barrier.
+// sends into the event list and wakes the observer. It runs at the window
+// boundary, on the stepping goroutine, so the consumer (which touches events
+// only while ticking) is guaranteed quiescent; the next window sees the
+// merged list via the channel release of its worker.
 //lint:allow(hotalloc) cross-shard staged merge; both slices reuse capacity after warm-up
 func (w *Wire[T]) Flush() {
 	w.stagedDirty = false
@@ -348,7 +348,7 @@ func (l *Link[T]) SetFault(f func(now sim.Cycle, v T) bool) { l.fault = f }
 func (l *Link[T]) Observe(a *sim.Activity) { l.wire.Observe(a) }
 
 // CrossShard marks the underlying wire as a cross-shard edge (see
-// Wire.CrossShard). f must be the sending side's shard Flusher.
+// Wire.CrossShard). f must be the sending side's shard CrossFlusher.
 func (l *Link[T]) CrossShard(f *sim.Flusher) { l.wire.CrossShard(f) }
 
 // BindEvents rehomes the underlying wire's event storage onto arena slots

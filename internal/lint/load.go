@@ -127,8 +127,8 @@ func (l *Loader) Load(path string) (*Package, error) {
 // simulation code, and tests/benchmarks are explicitly exempt. Files ruled
 // out by build constraints (`//go:build` lines or _GOOS/_GOARCH filename
 // suffixes) are skipped for the host platform, exactly as the compiler
-// would — a platform pair like shm_linux.go/shm_stub.go otherwise loads as
-// one package full of redeclarations.
+// would — a platform pair like sockpair_unix.go/sockpair_stub.go otherwise
+// loads as one package full of redeclarations.
 func (l *Loader) LoadDir(dir, path string) (*Package, error) {
 	if p, ok := l.pkgs[path]; ok {
 		return p, nil

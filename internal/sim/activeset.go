@@ -37,12 +37,13 @@ import (
 //     still awake. It is owned by the shard's ticking goroutine.
 //   - pend is the wake mailbox: producers (Activity.WakeAt after a successful
 //     queued CAS) claim a slot with an atomic counter and write the index.
-//     Producers run either on the shard's own goroutine during the tick
-//     phase, or on any goroutine during flush phases and window-boundary
-//     drains — never concurrently with the sweep's drain, because the
-//     engine's phase barriers separate tick phases from flush phases
-//     globally. The barrier channels also give the sweep's reads of pend a
-//     happens-before edge over all flush-phase writes.
+//     Producers run either on the shard's own goroutine during its free run
+//     (its Ticks and its own flushes), or on the stepping goroutine at
+//     window boundaries (step hooks, the deferred drain, the cross flushers,
+//     the exchange) — never concurrently with the sweep's drain, because no
+//     shard runs at a boundary. The worker release/join channels also give
+//     the sweep's reads of pend a happens-before edge over all boundary
+//     writes.
 //   - late is a min-heap of indices woken *during* the sweep for the current
 //     cycle that lie ahead of the sweep cursor: visit-time semantics say a
 //     same-cycle wake posted by component i reaches component j this cycle
@@ -54,7 +55,7 @@ import (
 //   - wheel is the timer wheel (one node per component, sized at the first
 //     sweep), touched only by the shard's ticking goroutine (file from
 //     leave, expire at the top of the sweep) and read by the stepping
-//     goroutine between phases (earliest).
+//     goroutine at boundaries (earliest).
 type activeSet struct {
 	pend []int32
 	cnt  atomic.Int32
@@ -74,7 +75,7 @@ func (as *activeSet) init() { as.wheel.Init() }
 
 // register adds component idx to the set (initially awake, matching the
 // Activity zero value) and links a, when non-nil, for wake enqueueing.
-// Registration happens between Steps, on the stepping goroutine.
+// Registration happens between runs, on the stepping goroutine.
 func (as *activeSet) register(idx int32, a *Activity) {
 	as.active = append(as.active, idx)
 	// Two mailbox slots per component bound the enqueue count between two
@@ -102,7 +103,7 @@ func (as *activeSet) enqueue(idx int32) {
 
 // leave takes the component being visited out of the worklist, asleep until
 // a later cycle w: parked when w is Never, on a timer otherwise. The store
-// cannot race a producer — none runs during the tick phase except this
+// cannot race a producer — none runs while the shard ticks except this
 // goroutine, which is here.
 func (as *activeSet) leave(a *Activity, w Cycle) {
 	a.queued.Store(false)
@@ -192,15 +193,15 @@ func (as *activeSet) pending(acts []*Activity) (min Cycle, ok bool) {
 // allocation-free in steady state.
 func (as *activeSet) sweep(tickers []Ticker, acts []*Activity, now Cycle) (ticked bool) {
 	// Allocates once, at the component count (again only for a component
-	// registered after the first Step): the wheel never grows while the
+	// registered after the first run): the wheel never grows while the
 	// simulation runs.
 	as.wheel.Grow(len(tickers))
 	// Collect wakes parked since the last sweep: holdovers classified
-	// next-cycle mid-sweep, then everything enqueued from flush phases,
-	// boundary drains, and pre-tick step hooks, then expiring timers. No
-	// producer runs while this drain resets the mailbox (the engine has not
-	// released the tick phase's own components yet, and cross-shard producers
-	// only run between phases).
+	// next-cycle mid-sweep, then everything enqueued from the shard's own
+	// flushes, boundary drains, and step hooks, then expiring timers. No
+	// producer runs while this drain resets the mailbox (the shard's own
+	// components have not ticked yet this cycle, and cross-shard producers
+	// only run at boundaries).
 	newly := append(as.newly[:0], as.hold...)
 	as.hold = as.hold[:0]
 	n := as.cnt.Load()
@@ -245,7 +246,7 @@ func (as *activeSet) sweep(tickers []Ticker, acts []*Activity, now Cycle) (ticke
 		if a != nil {
 			if w := a.wakeAt.Load(); w > now {
 				// Woken for a cycle still to come (or put to sleep between
-				// Steps): not due, so it waits on a timer, not in the list.
+				// runs): not due, so it waits on a timer, not in the list.
 				as.leave(a, w)
 				continue
 			}

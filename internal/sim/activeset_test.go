@@ -28,6 +28,9 @@ type wakeLatch struct {
 
 func (l *wakeLatch) Flush() { l.act.WakeAt(l.at) }
 
+// markOnce binds l to f and marks it for f's next run.
+func markOnce(f *Flusher, l Latch) { f.MarkID(f.BindID(l)) }
+
 // TestActiveSetEdgeCases drives the active-set scheduler through the wake
 // paths that do not occur on every cycle: flush-phase wakes, duplicate wakes
 // within one cycle, cross-shard staged wakes landing on a fully sleeping
@@ -60,11 +63,9 @@ func testWakeDuringFlushPhase(t *testing.T) {
 	e.Register(p)
 	// The latch is marked by a driver ticker on cycle 3, so its Flush — and
 	// the wake — runs in cycle 3's flush phase, after p parked.
-	l := &wakeLatch{act: &p.act}
 	e.Register(TickFunc(func(now Cycle) {
 		if now == 3 {
-			l.at = now + 1
-			e.Flusher(0).Mark(l)
+			markOnce(e.Flusher(0), &wakeLatch{act: &p.act, at: now + 1})
 		}
 	}))
 	e.Run(8)
@@ -102,21 +103,19 @@ func testDoubleEnqueueOneCycle(t *testing.T) {
 
 // A staged cross-shard wake must re-activate a shard whose every component
 // has left the active set: the consumer shard spends cycles with an empty
-// worklist (zero instructions), then the cross-flusher's flush-phase wake
+// worklist (zero instructions), then the cross-flusher's boundary wake
 // re-enqueues the parked component.
 func testCrossShardWakeSleepingShard(t *testing.T) {
 	e := NewParallel(2)
 	defer e.Close()
 	p := &parker{}
 	e.RegisterSharded(1, p)
-	l := &wakeLatch{act: &p.act}
 	e.RegisterSharded(0, TickFunc(func(now Cycle) {
 		if now == 6 {
-			// Stage the wake through shard 1's cross-flusher, exactly as a
-			// cross-shard wire arrival would: it runs in the flush phase,
-			// when shard 1 is quiescent.
-			l.at = now + 1
-			e.CrossFlusher(1).Mark(l)
+			// Stage the wake through the writer's cross-flusher, exactly as a
+			// cross-shard wire send would: it runs at the boundary, when
+			// shard 1 is quiescent.
+			markOnce(e.CrossFlusher(0), &wakeLatch{act: &p.act, at: now + 1})
 		}
 	}))
 	e.Run(10)
@@ -126,9 +125,10 @@ func testCrossShardWakeSleepingShard(t *testing.T) {
 	}
 }
 
-// With every ticker parked, fastForward jumps over provably idle cycles —
-// but never past a clocked step hook's pending wake: the hook must run at
-// exactly its scheduled cycle even though no ticker forced stepping there.
+// With every ticker parked, the engine jumps over provably idle cycles — but
+// never past a step hook's pending wake: the hook runs at exactly its
+// scheduled cycle even though no ticker forced a window there, and at no
+// other (the windows at cycles 0 and 1 find its clock not due).
 func testFastForwardPendingHookClock(t *testing.T) {
 	e := New()
 	p := &parker{}
@@ -137,15 +137,12 @@ func testFastForwardPendingHookClock(t *testing.T) {
 	var clock Activity
 	clock.Sleep(25)
 	e.RegisterStepHookClocked(func(now Cycle) {
-		if now < 25 {
-			return // armed for 25; earlier runs are incidental stepped cycles
-		}
 		hookRuns = append(hookRuns, now)
 		clock.Sleep(Never)
 	}, &clock)
 	e.Run(40)
-	if len(hookRuns) == 0 || hookRuns[0] != 25 {
-		t.Fatalf("clocked hook ran at %v, want first run at 25", hookRuns)
+	if want := []Cycle{25}; !slices.Equal(hookRuns, want) {
+		t.Fatalf("clocked hook ran at %v, want %v", hookRuns, want)
 	}
 	if got := e.Now(); got != 40 {
 		t.Fatalf("engine stopped at %d, want 40", got)
@@ -296,7 +293,7 @@ func TestTimedSleepers(t *testing.T) {
 							continue
 						}
 						if w.flush {
-							e.Flusher(0).Mark(&wakeLatch{act: &nappers[w.target].act, at: w.to})
+							markOnce(e.Flusher(0), &wakeLatch{act: &nappers[w.target].act, at: w.to})
 						} else {
 							nappers[w.target].act.WakeAt(w.to)
 						}
@@ -324,49 +321,66 @@ func TestTimedSleepers(t *testing.T) {
 }
 
 // TestTimedSleeperCrossShardWake wakes a component asleep on a timer in shard
-// 1 from shard 0, through the cross-shard flusher as a wire arrival would: in
-// per-tick mode the wake lands in the writer's flush phase, in windowed mode
-// at the window boundary. Either way the sleeper runs at the wake's cycle and
-// its old timer, reused by the sleep that follows, fires once.
+// 1 from shard 0, through the cross-shard flusher as a wire arrival would: the
+// wake lands at the next window boundary. At every (shards, W) the sleeper
+// runs at the wake's cycle and its old timer, reused by the sleep that
+// follows, fires once — whether the engine is driven by one Run or cycle by
+// cycle with Step, which must do the same boundary work.
 func TestTimedSleeperCrossShardWake(t *testing.T) {
+	drivers := []struct {
+		name string
+		run  func(e *Engine, n Cycle)
+	}{
+		{"run", (*Engine).Run},
+		{"step", func(e *Engine, n Cycle) {
+			for i := Cycle(0); i < n; i++ {
+				e.Step()
+			}
+		}},
+	}
 	for _, window := range []Cycle{1, 4} {
 		t.Run(fmt.Sprintf("window=%d", window), func(t *testing.T) {
-			e := NewParallel(2)
-			defer e.Close()
-			e.SetWindow(window)
-			n := &napper{plan: until(0, 500, 100, 500)}
-			e.RegisterSharded(1, n)
-			l := &wakeLatch{act: &n.act, at: 100}
-			e.RegisterSharded(0, TickFunc(func(now Cycle) {
-				if now == 95 {
-					e.CrossFlusher(0).Mark(l)
+			for _, shards := range []int{1, 2} {
+				for _, d := range drivers {
+					t.Run(fmt.Sprintf("shards=%d/%s", shards, d.name), func(t *testing.T) {
+						e := NewParallel(shards)
+						defer e.Close()
+						e.SetWindow(window)
+						n := &napper{plan: until(0, 500, 100, 500)}
+						e.RegisterSharded(1, n)
+						e.RegisterSharded(0, TickFunc(func(now Cycle) {
+							if now == 95 {
+								markOnce(e.CrossFlusher(0), &wakeLatch{act: &n.act, at: 100})
+							}
+						}))
+						d.run(e, 1000)
+						if want := []Cycle{0, 100, 500}; !slices.Equal(n.ticks, want) {
+							t.Fatalf("napper ticked at %v, want %v", n.ticks, want)
+						}
+						if e.Now() != 1000 {
+							t.Fatalf("engine stopped at %d, want 1000", e.Now())
+						}
+					})
 				}
-			}))
-			e.Run(1000)
-			if want := []Cycle{0, 100, 500}; !slices.Equal(n.ticks, want) {
-				t.Fatalf("napper ticked at %v, want %v", n.ticks, want)
 			}
 		})
 	}
 }
 
-// Fast-forward's bound is the earliest pending timer: with nothing else to
-// do, the engine steps each cycle a timer is due in, the one after it (which
-// finds nothing ticked), and no other — however many laps of the wheel away
-// the timer is.
+// The idle jump's bound is the earliest pending timer: with nothing else to
+// do, the engine executes each cycle a timer is due in, the one after it
+// (which finds nothing ticked), and no other — however many laps of the wheel
+// away the timer is. Cycles 0, 1, 300, 301, 700, 701, 5000 and 5001 are
+// windows; everything between them is four jumps.
 func testFastForwardLandsOnEarliestTimer(t *testing.T) {
 	e := New()
 	a := &napper{plan: until(0, 300, 300, 5000)}
 	b := &napper{plan: until(0, 700)}
 	e.Register(a)
 	e.Register(b)
-	var stepped []Cycle
-	var clock Activity
-	clock.Sleep(Never)
-	e.RegisterStepHookClocked(func(now Cycle) { stepped = append(stepped, now) }, &clock)
 	e.Run(6000)
-	if want := []Cycle{0, 1, 300, 301, 700, 701, 5000, 5001}; !slices.Equal(stepped, want) {
-		t.Fatalf("engine stepped cycles %v, want %v", stepped, want)
+	if got, want := e.Stats(), (Stats{Windows: 8, IdleJumps: 4, CyclesJumped: 6000 - 8}); got != want {
+		t.Fatalf("engine stats %+v, want %+v", got, want)
 	}
 	if !slices.Equal(a.ticks, []Cycle{0, 300, 5000}) || !slices.Equal(b.ticks, []Cycle{0, 700}) {
 		t.Fatalf("nappers ticked at %v and %v", a.ticks, b.ticks)

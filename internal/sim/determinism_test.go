@@ -89,9 +89,10 @@ func (c *pushPop) consume(now Cycle) {
 }
 
 // buildWorkload wires pairs pulser→watcher pairs and one queue chain per
-// shard into e, alternating the two latch registration paths (static
-// round-robin list vs dirty Flusher), and returns a function rendering the
-// full deterministic state trace.
+// shard into e and returns a function rendering the full deterministic state
+// trace. Every latch is written and read inside one shard (bound to that
+// shard's Flusher): the workload has no cross-shard edge, so it is legal
+// under any window.
 func buildWorkload(e *Engine, seed uint64, pairs int) func() string {
 	const nChains = 4 // fixed count so every mode builds the same workload
 	watchers := make([]*watcher, pairs)
@@ -99,11 +100,7 @@ func buildWorkload(e *Engine, seed uint64, pairs int) func() string {
 	for i := 0; i < pairs; i++ {
 		sh := i % e.Shards()
 		reg := &Reg[int]{}
-		if i%2 == 0 {
-			e.RegisterLatch(reg)
-		} else {
-			reg.Bind(e.Flusher(sh))
-		}
+		reg.Bind(e.Flusher(sh))
 		w := &watcher{reg: reg}
 		p := &pulser{g: lcg(seed + uint64(i)*977), reg: reg, consumer: &w.act}
 		// The consumer ticks before the producer so the producer's WakeAt
@@ -140,42 +137,46 @@ func buildWorkload(e *Engine, seed uint64, pairs int) func() string {
 
 // TestEngineModesBitIdentical is the package-level determinism table: for
 // several seeds, a randomized Ticker/Latch workload must produce identical
-// component state traces under the serial engine, parallel engines of
-// several widths, and with quiescence skipping on and off. Parallel modes
-// use 1 pair-per-shard distributions, so the cross-mode comparison pins the
-// wake/sleep protocol, the worker barrier, and both flush paths at once.
+// component state traces at one shard and at several, at window 1 and 4, and
+// with quiescence skipping on and off. Multi-shard modes use 1
+// pair-per-shard distributions, so the cross-mode comparison pins the
+// wake/sleep protocol, the worker barrier and the per-cycle flush at once.
 func TestEngineModesBitIdentical(t *testing.T) {
 	type mode struct {
-		name string
-		mk   func() *Engine
+		shards int
+		window Cycle
+		skip   bool
 	}
 	modes := []mode{
-		{"serial-noskip", func() *Engine { e := New(); e.SetIdleSkip(false); return e }},
-		{"serial-skip", New},
-		{"parallel2-skip", func() *Engine { return NewParallel(2) }},
-		{"parallel8-skip", func() *Engine { return NewParallel(8) }},
-		{"parallel8-noskip", func() *Engine { e := NewParallel(8); e.SetIdleSkip(false); return e }},
+		{1, 1, false}, // the reference schedule
+		{1, 1, true}, {1, 4, true},
+		{2, 1, true}, {2, 4, true},
+		{8, 1, true}, {8, 4, true},
+		{8, 1, false}, {8, 4, false},
 	}
 	for _, seed := range []uint64{1, 1995, 0xdecafbad} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			var ref string
 			for i, m := range modes {
-				e := m.mk()
+				name := fmt.Sprintf("shards=%d/window=%d/skip=%v", m.shards, m.window, m.skip)
+				e := NewParallel(m.shards)
+				e.SetWindow(m.window)
+				e.SetIdleSkip(m.skip)
 				render := buildWorkload(e, seed, 16)
 				e.Run(2000)
 				e.Close()
 				got := render()
 				if !strings.Contains(got, "=") {
-					t.Fatalf("%s: workload produced no events", m.name)
+					t.Fatalf("%s: workload produced no events", name)
 				}
 				if i == 0 {
 					ref = got
 					continue
 				}
 				if got != ref {
-					t.Errorf("%s diverges from %s:\nreference:\n%s\ngot:\n%s",
-						m.name, modes[0].name, ref, got)
+					t.Errorf("%s diverges from the one-shard reference schedule:\nreference:\n%s\ngot:\n%s",
+						name, ref, got)
 				}
 			}
 		})
@@ -240,9 +241,10 @@ func (c *countLatch) Flush() { c.flushes++ }
 func TestFlusherFlushesDirtyOnly(t *testing.T) {
 	e := New()
 	l := &countLatch{}
+	id := e.Flusher(0).BindID(l)
 	e.Register(TickFunc(func(now Cycle) {
 		if now%3 == 0 {
-			e.Flusher(0).Mark(l)
+			e.Flusher(0).MarkID(id)
 		}
 	}))
 	e.Run(9)

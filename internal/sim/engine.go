@@ -3,27 +3,39 @@
 //
 // The paper's simulator executes every cycle "explicitly and synchronously by
 // all objects; at any time in the simulation, all objects have executed up to
-// the same point" (§3). We reproduce that contract with a two-phase engine:
+// the same point" (§3). A cycle here has two phases:
 //
-//  1. Tick phase: every registered Ticker observes the current (latched)
-//     state of its inputs and writes only to state it owns, plus to the
-//     "next" side of Latches it is the unique writer of.
-//  2. Flush phase: every Latch moves its "next" side to its "current" side.
+//  1. Tick: every registered Ticker observes the current (latched) state of
+//     its inputs and writes only to state it owns, plus to the "next" side of
+//     Latches it is the unique writer of.
+//  2. Flush: every Latch written this cycle moves its "next" side to its
+//     "current" side.
 //
 // Because Tickers never observe another component's same-cycle writes, the
-// result is independent of tick order, which in turn makes the optional
-// sharded parallel execution (experiment X3 in DESIGN.md) bit-identical to
-// serial execution.
+// result is independent of tick order.
 //
-// # Hot path
+// # One loop, two parameters
 //
-// Three mechanisms keep the per-cycle cost proportional to activity rather
-// than to the number of registered components:
+// Every engine runs the same loop (runWindowed) and differs only in its shard
+// count and its synchronization window W. From a boundary T the loop runs the
+// step hooks that are due, picks the window end E (the next point of the
+// absolute W-aligned lattice, clamped by the run's budget and by hook
+// clocks), lets every owned shard free-run cycles [T,E) — Tick then local
+// Flush, cycle by cycle, with no interaction between shards — and then, with
+// no shard ticking, does the boundary work on the stepping goroutine: AtBarrier
+// calls that are due, the cross-shard flushers in shard order, the exchange
+// with peer processes when a WindowSync is installed, and the jump over idle
+// cycles when no shard ticked. New() is one shard, NewParallel(n) is n shards
+// with one persistent worker goroutine per shard beyond the first (released
+// and joined once per window over channels; Close parks them), W defaults to
+// 1 — a boundary after every cycle, the paper's model — and internal/dist is
+// the same loop with a WindowSync. W > 1 is legal when no cross-shard event
+// can arrive inside the window it was sent in; the fabric is then built for
+// that W (router.NewChannelSync pads the channels), so W is a parameter of
+// the model: a fixed W is bit-identical across every {shards x processes}
+// split.
 //
-//   - Persistent workers. A parallel engine starts one long-lived goroutine
-//     per extra shard in NewParallel; Step releases them through a channel
-//     barrier (tick phase, barrier, flush phase, barrier) instead of
-//     spawning goroutines every cycle. Engine.Close parks them permanently.
+// # Cost proportional to activity
 //
 //   - Quiescence skipping. A Ticker that also implements IdleTicker exposes
 //     an Activity — a wake-time latch. A component whose Tick ends asleep
@@ -32,34 +44,30 @@
 //     the cycle it sleeps to. Either way it costs zero instructions per
 //     cycle until Activity.WakeAt re-enqueues it or its timer comes due; the
 //     sweep visits components that Tick and nothing else, and when nothing
-//     ticks the engine jumps to the earliest timer. The protocol invariant
-//     is that a component may only sleep while its Tick is a provable no-op,
-//     and must be woken no later than the cycle any of its inputs can
-//     change; link.Wire drives those wake edges automatically for observed
-//     wires. Under that invariant skipping is bit-identical to ticking
-//     every cycle, which the golden determinism tests in internal/harness
-//     enforce on full experiment workloads.
+//     ticked in a window the loop jumps to the earliest wake (idleScan). The
+//     protocol invariant is that a component may only sleep while its Tick
+//     is a provable no-op, and must be woken no later than the cycle any of
+//     its inputs can change; link.Wire drives those wake edges automatically
+//     for observed wires. Under that invariant skipping is bit-identical to
+//     ticking every cycle, which the golden determinism tests in
+//     internal/harness enforce on full experiment workloads.
 //
-//   - Dirty latch flushing. Latches registered with RegisterLatch are walked
-//     every cycle (sharded across the workers); latches bound to a shard's
-//     Flusher are walked only on cycles in which they were actually written,
-//     and the production wires/queues mark themselves by dense int32 ID
-//     (BindID/MarkID) so the hot marking path appends an integer, not an
-//     interface value.
+//   - Dirty latch flushing. A latch binds to a Flusher (BindID) and marks
+//     itself by dense int32 ID on the cycles it is written (MarkID); the
+//     flush walks the marked IDs and nothing else.
 //
 // Shard discipline: components in different shards must not share mutable
 // non-latched state. A component and every writer into its input wires must
 // live in the same shard, with one exception: a link.Wire marked CrossShard
-// is a legal cross-shard edge — its sends are staged on the writer's side
-// and merged into the consumer-visible event list at the flush barrier, and
-// the consumer's Activity is woken only at merge time (wake times are
-// atomic CAS-min, so cross-shard wakes commute). Cross-shard effects that
-// are not wire sends (e.g. barrier releases waking processors in other
-// shards) must be deferred to the tick/flush boundary with AtBarrier, where
-// no shard is ticking. The harness partitions fabrics with topo.Network's
-// partition hook so that each node's router, NIC, and processor share a
-// shard and wires are the only cross-shard edges; under that discipline
-// multi-shard execution is bit-identical to serial.
+// is a legal cross-shard edge — its sends are staged on the writer's side,
+// merged into the consumer-visible event list at the window boundary
+// (CrossFlusher), and the consumer's Activity is woken only at merge time
+// (wake times are atomic CAS-min, so cross-shard wakes commute). Cross-shard
+// effects that are not wire sends (e.g. barrier releases waking processors in
+// other shards) must be deferred to the boundary with AtBarrier. The harness
+// partitions fabrics with topo.Network's partition hook so that each node's
+// router, NIC, and processor share a shard and wires are the only cross-shard
+// edges; under that discipline every shard count is bit-identical to one.
 package sim
 
 import (
@@ -159,107 +167,80 @@ type IdleTicker interface {
 	Activity() *Activity
 }
 
-// Flusher is a per-shard dirty list: latches that mark themselves during the
-// Tick phase (Queue/Reg bound via their Bind methods, cross-shard wires via
-// link.Wire.CrossShard) are flushed exactly once in the following Flush
-// phase, and untouched latches are never walked. A latch bound to a Flusher
-// must not also be passed to RegisterLatch.
-//
-// Latches that register with BindID are marked by dense ID (MarkID): the
-// dirty list is then a flat int32 array and the flush phase a linear walk of
-// arena-resident IDs, with no interface append (and no GC write barrier) on
-// the hot marking path. The object-based Mark remains for latches without a
-// registration site.
+// Flusher is a dirty list of latches: a latch registers once (BindID) and
+// marks itself by dense ID (MarkID) on the cycles it is written; run flushes
+// the marked latches and nothing else. The dirty list is a flat int32 array,
+// so the hot marking path appends an integer, not an interface value. Each
+// shard has two: Flusher, run after every cycle of the shard's own Ticks, and
+// CrossFlusher, run at window boundaries.
 type Flusher struct {
-	dirty []Latch
 	table []Latch // BindID-registered latches, indexed by dense ID
-	ids   []int32 // IDs marked dirty this cycle
+	ids   []int32 // IDs marked dirty since the last run
 }
 
-// BindID registers l for ID-based marking and returns its dense ID. The ID
-// is only meaningful to this Flusher; callers store it and pass it back to
-// MarkID. Registration happens at build time, before the first Step.
+// BindID registers l and returns its dense ID. The ID is only meaningful to
+// this Flusher; callers store it and pass it back to MarkID. Registration
+// happens at build time, before the first cycle.
 func (f *Flusher) BindID(l Latch) int32 {
 	f.table = append(f.table, l)
 	return int32(len(f.table) - 1)
 }
 
-// MarkID schedules the latch registered under id for the next flush phase.
-// Callers must mark at most once per cycle per latch.
+// MarkID schedules the latch registered under id for the next flush. Callers
+// must mark at most once per flush per latch.
+//
 //lint:allow(hotalloc) dirty-ID growth is bounded by the number of bound latches; run() truncates in place so capacity is reused
 func (f *Flusher) MarkID(id int32) { f.ids = append(f.ids, id) }
 
-// Mark schedules l for the next flush phase. Callers must mark at most once
-// per cycle per latch (Queue and Reg guarantee this with a dirty bit). The
-// production wires and queues all mark by dense ID (BindID/MarkID); Mark
-// remains for ad-hoc latches that skip Bind.
-func (f *Flusher) Mark(l Latch) { f.dirty = append(f.dirty, l) }
-
-// run flushes and clears the dirty lists: ID-marked latches first (in mark
-// order), then object-marked ones. Latches are independent (double-buffered),
-// so the relative order of the two lists is unobservable.
+// run flushes the marked latches in mark order and clears the list.
 func (f *Flusher) run() {
 	for _, id := range f.ids {
 		f.table[id].Flush()
 	}
 	f.ids = f.ids[:0]
-	for i, l := range f.dirty {
-		l.Flush()
-		f.dirty[i] = nil
-	}
-	f.dirty = f.dirty[:0]
 }
 
 // deferredCall is one AtBarrier entry: f runs at the window boundary `due`
-// (with now = due-1, the last cycle before the boundary). In per-tick mode
-// due is always the staging cycle plus one, reproducing the classic
-// run-at-this-cycle's-barrier behavior.
+// (with now = due-1, the last cycle before the boundary).
 type deferredCall struct {
 	due Cycle
 	f   func(now Cycle)
 }
 
-// shard is one scheduling unit: a tick list with its scheduler state, a
-// static flush list, and a dirty-latch flusher, plus the parked worker's
-// channels.
+// span is the half-open cycle range [from,to) a worker is released into.
+type span struct{ from, to Cycle }
+
+// shard is one scheduling unit: a tick list with its scheduler state and its
+// two flushers, plus the channel its worker parks on.
 type shard struct {
 	tickers  []Ticker
-	acts     []*Activity // parallel to tickers; nil entries always run
-	as       activeSet   // worklist and timer wheel (quiescence-skipping schedules)
-	latches  []Latch
-	flusher  Flusher
+	acts     []*Activity    // parallel to tickers; nil entries always run
+	as       activeSet      // worklist and timer wheel (quiescence-skipping schedules)
+	flusher  Flusher        // run by the shard after each of its cycles
+	crossFl  Flusher        // run by the stepping goroutine at window boundaries, in shard order
 	deferred []deferredCall // staged by this shard's Ticks, drained at window boundaries
 
-	// crossFl is the shard's cross-shard wire flusher in windowed mode: the
-	// stepping goroutine drains it at window boundaries (sequentially, in
-	// shard order), instead of the per-cycle flush phase. Per-tick engines
-	// alias cross wires onto the ordinary flusher.
-	crossFl Flusher
-
-	// Fast-forward bookkeeping, written by the shard's own tick phase and
-	// read by the stepping goroutine after the flush barrier: whether any
-	// Tick ran this cycle.
+	// ticked is whether any Tick ran in the last window: written by the
+	// shard's free run, read by the stepping goroutine after the join.
 	ticked bool
 
-	start chan Cycle    // releases the worker into a tick phase
-	gate  chan struct{} // releases the worker into the flush phase
+	start chan span // releases the worker into a window
 }
 
 // Binder is implemented by components that need to know which engine and
 // shard they were registered into (e.g. to stage cross-shard work with
-// AtBarrier). RegisterSharded calls BindEngine before the first Step.
+// AtBarrier). RegisterSharded calls BindEngine before the first cycle.
 type Binder interface {
 	BindEngine(e *Engine, sh int)
 }
 
 // WindowSync is the engine's hook into a cross-process synchronizer
-// (internal/dist): in windowed mode the stepping goroutine calls AtBoundary
-// once per window boundary, after draining the deferred list and the
-// cross-shard wire flushers, with the boundary cycle `next` (the first cycle
-// of the following window), whether this process's done predicate holds,
-// whether any owned shard ticked during the window, and a lower bound on the
-// earliest local wake time (idleScan's; valid only when nothing ticked, Never
-// if fully quiescent).
+// (internal/dist): the stepping goroutine calls AtBoundary once per window
+// boundary, after draining the deferred list and the cross-shard flushers,
+// with the boundary cycle `next` (the first cycle of the following window),
+// whether this process's done predicate holds, whether any owned shard ticked
+// during the window, and a lower bound on the earliest local wake time
+// (idleScan's; valid only when nothing ticked, Never if fully quiescent).
 //
 // AtBoundary exchanges frames with every peer and returns whether the done
 // predicate holds in all processes (evaluated at the same boundary
@@ -270,43 +251,48 @@ type WindowSync interface {
 	AtBoundary(next Cycle, localDone, ticked bool, idle Cycle) (done bool, globalIdle Cycle)
 }
 
+// stepHook is one RegisterStepHookClocked entry.
+type stepHook struct {
+	f     func(now Cycle)
+	clock *Activity
+}
+
+// Stats counts what the run loop did with simulated time.
+type Stats struct {
+	Windows      int64 // windows executed: every owned shard free-ran [T,E)
+	IdleJumps    int64 // jumps over cycles in which provably nothing happens
+	CyclesJumped int64 // cycles those jumps skipped
+}
+
 // Engine drives a set of Tickers and Latches through simulated cycles.
 type Engine struct {
 	now    Cycle
 	shards []shard
 	lo, hi int // owned shard range [lo,hi); unowned shards never tick
 
-	parallel   bool
-	skip       bool
-	latchRR    int
-	phase      chan struct{} // workers report phase completion here
-	closed     bool
-	stepHooks  []func(now Cycle)
-	hookClocks []*Activity // parallel to stepHooks; a nil entry disables fast-forward
-	ffEnd      Cycle       // exclusive fast-forward bound, set by Run/RunUntil
+	skip   bool
+	phase  chan struct{} // workers report the end of their window here
+	closed bool
+	hooks  []stepHook
+	stats  Stats
 
-	// Conservative time-window synchronization (windowed mode): window W > 1
-	// lets shards free-run W cycles between barriers, legal when every
-	// cross-shard wire's arrival offset is at least W (router.NewChannelSync
-	// pads channels to guarantee it). winEnd is the current window's
-	// exclusive end, published to workers before their release. sync, when
-	// set, is the cross-process synchronizer; crossHook (a topo.CrossHook,
-	// held as any to avoid an import cycle) lets a transport claim boundary-
-	// crossing channels during topology registration.
+	// window is the conservative synchronization window W (SetWindow). sync,
+	// when set, is the cross-process synchronizer; crossHook (a
+	// topo.CrossHook, held as any to avoid an import cycle) lets a transport
+	// claim boundary-crossing channels during topology registration.
 	window    Cycle
-	winEnd    Cycle
 	sync      WindowSync
 	crossHook any
 }
 
-// New returns an Engine with a single shard, executing serially, with
-// quiescence skipping enabled.
+// New returns an Engine with a single shard, with quiescence skipping
+// enabled.
 func New() *Engine {
 	return newEngine(1)
 }
 
-// NewParallel returns an Engine with n shards whose Tick and Flush phases
-// run concurrently on persistent workers (one long-lived goroutine per shard
+// NewParallel returns an Engine with n shards that free-run each window
+// concurrently on persistent workers (one long-lived goroutine per shard
 // beyond the first; shard 0 runs on the stepping goroutine). Components
 // registered in different shards must not share mutable non-latched state.
 // Call Close when done with the engine to park the workers.
@@ -332,15 +318,11 @@ func NewParallelOwned(total, lo, hi int) *Engine {
 	}
 	e := newEngine(total)
 	e.lo, e.hi = lo, hi
-	if hi-lo > 1 {
-		e.parallel = true
-		e.phase = make(chan struct{}, hi-lo-1)
-		for i := lo + 1; i < hi; i++ {
-			s := &e.shards[i]
-			s.start = make(chan Cycle, 1)
-			s.gate = make(chan struct{}, 1)
-			go e.worker(s)
-		}
+	e.phase = make(chan struct{}, hi-lo-1)
+	for i := lo + 1; i < hi; i++ {
+		s := &e.shards[i]
+		s.start = make(chan span, 1)
+		go e.worker(s)
 	}
 	return e
 }
@@ -365,16 +347,16 @@ func (e *Engine) Owns(sh int) bool {
 // Owned reports the engine's owned shard range [lo,hi).
 func (e *Engine) Owned() (lo, hi int) { return e.lo, e.hi }
 
-// SetWindow sets the conservative synchronization window W (default 1).
-// With W > 1, Run and RunUntil execute in windows: shards free-run from one
-// boundary of the absolute W-aligned lattice to the next with no barrier in
-// between, cross-shard wires drain once per window, AtBarrier work releases
-// at lattice points, and step hooks (all of which must be clocked) run at
-// window starts when due. This is only legal when every cross-shard wire
-// arrival lands at or after the next boundary — the fabric must be built
-// with the same window (router.NewChannelSync), making W a model parameter:
-// a fixed W is bit-identical across all {shards x processes} splits, and
-// W = 1 is today's per-tick model. Call before registering components.
+// SetWindow sets the conservative synchronization window W (default 1: a
+// boundary after every cycle). With W > 1 shards free-run from one boundary
+// of the absolute W-aligned lattice to the next with no barrier in between,
+// cross-shard wires drain once per window, AtBarrier work releases at lattice
+// points, and RunUntil's predicate is evaluated at boundaries. This is only
+// legal when every cross-shard wire arrival lands at or after the next
+// boundary — the fabric must be built with the same window
+// (router.NewChannelSync), making W a model parameter: a fixed W is
+// bit-identical across all {shards x processes} splits. Call before the
+// first AtBarrier.
 func (e *Engine) SetWindow(w Cycle) {
 	if w < 1 {
 		w = 1
@@ -385,9 +367,8 @@ func (e *Engine) SetWindow(w Cycle) {
 // Window reports the synchronization window.
 func (e *Engine) Window() Cycle { return e.window }
 
-// SetWindowSync installs the cross-process synchronizer, switching Run and
-// RunUntil into windowed mode (even at W = 1, where every cycle is a
-// boundary). Call before registering components.
+// SetWindowSync installs the cross-process synchronizer, called at every
+// window boundary.
 func (e *Engine) SetWindowSync(s WindowSync) { e.sync = s }
 
 // SetCrossHook installs a transport hook consulted by topo.MarkCross for
@@ -398,20 +379,20 @@ func (e *Engine) SetCrossHook(h any) { e.crossHook = h }
 // CrossHook returns the hook installed by SetCrossHook, or nil.
 func (e *Engine) CrossHook() any { return e.crossHook }
 
-// windowed reports whether Run/RunUntil use the window loop.
-func (e *Engine) windowed() bool { return e.window > 1 || e.sync != nil }
-
 // SetIdleSkip enables or disables quiescence skipping (enabled by default).
 // Disabling it ticks every component every cycle — the reference schedule
 // the golden determinism tests compare against.
 func (e *Engine) SetIdleSkip(on bool) { e.skip = on }
+
+// Stats reports the run loop's counters so far.
+func (e *Engine) Stats() Stats { return e.stats }
 
 // Register adds t to shard 0 (always valid).
 func (e *Engine) Register(t Ticker) { e.RegisterSharded(0, t) }
 
 // RegisterSharded adds t to the given shard. Within a shard, Tickers run in
 // registration order. If t implements IdleTicker its Activity governs
-// skipping. Registration is only legal between Steps.
+// skipping. Registration is only legal between runs.
 func (e *Engine) RegisterSharded(sh int, t Ticker) {
 	sh %= len(e.shards)
 	if sh < e.lo || sh >= e.hi {
@@ -434,44 +415,36 @@ func (e *Engine) RegisterSharded(sh int, t Ticker) {
 	}
 }
 
-// RegisterStepHook adds f to the list of functions run at the top of every
-// Step, on the stepping goroutine, before any shard ticks. Hooks observe the
-// fully-flushed state of the previous cycle and must not mutate component
-// state; they exist for whole-simulation sampling (e.g. stats.Pending).
-func (e *Engine) RegisterStepHook(f func(now Cycle)) {
-	e.stepHooks = append(e.stepHooks, f)
-	e.hookClocks = append(e.hookClocks, nil)
-}
-
-// RegisterStepHookClocked is RegisterStepHook for hooks that participate in
-// cycle fast-forwarding: a is the hook's clock, holding the next cycle at
-// which the hook needs to run (the hook maintains it like a Ticker's
-// Activity — Sleep forward from inside the hook, WakeAt from producers).
-// When every ticker in every shard is asleep and every registered hook has a
-// clock, the engine jumps Now directly to the earliest wake instead of
-// stepping provably no-op cycles one by one; a hook registered through plain
-// RegisterStepHook pins the engine to cycle-by-cycle stepping.
+// RegisterStepHookClocked adds f to the step hooks: functions run at a window
+// boundary, on the stepping goroutine, before any shard ticks that cycle.
+// Hooks observe the fully-flushed state of the previous cycle and must not
+// mutate component state; they exist for whole-simulation work (sampling, the
+// invariant monitors, the flow solver). a is the hook's clock, holding the
+// next cycle at which the hook needs to run (the hook maintains it like a
+// Ticker's Activity — Sleep forward from inside the hook, WakeAt from
+// producers; an Activity never put to sleep runs the hook every cycle). f
+// runs at exactly the cycles its clock is due in: a window ends early at a
+// clock waking inside it, and idle jumps stop at the earliest clock.
 func (e *Engine) RegisterStepHookClocked(f func(now Cycle), a *Activity) {
-	e.stepHooks = append(e.stepHooks, f)
-	e.hookClocks = append(e.hookClocks, a)
+	e.hooks = append(e.hooks, stepHook{f, a})
 }
 
 // AtBarrier stages f to run at the next window boundary, on the stepping
-// goroutine, after every shard's tick phase has completed and before the
-// following window begins. At that point no component is running, so f may
+// goroutine, after every shard has finished the window and before the
+// following one begins. At that point no component is running, so f may
 // safely touch state across shards (the canonical use is releasing a
 // processor barrier whose waiters live in multiple shards). sh must be the
 // shard of the Ticker staging the call and now the staging cycle — each
-// shard's deferred list is single-writer during the tick phase. Deferred
-// functions run in shard order, then in staging order within a shard, making
-// the drain deterministic.
+// shard's deferred list is single-writer while it ticks. Deferred functions
+// run in shard order, then in staging order within a shard, making the drain
+// deterministic.
 //
 // f's release cycle is quantized to the absolute window lattice: it runs
 // with now = due-1 where due = now - now%W + W, regardless of incidental
-// boundaries (Run chunk ends, hook-clock clamps). In per-tick mode (W = 1)
-// due is now+1, i.e. f runs at this cycle's tick/flush boundary, as before.
-// The quantization is what keeps barrier releases bit-identical across
-// every {shards x processes} split and any Run chunking.
+// boundaries (Run chunk ends, hook-clock clamps); at W = 1 that is the
+// boundary after the staging cycle. The quantization is what keeps barrier
+// releases bit-identical across every {shards x processes} split and any Run
+// chunking.
 func (e *Engine) AtBarrier(sh int, now Cycle, f func(now Cycle)) {
 	s := &e.shards[sh%len(e.shards)]
 	s.deferred = append(s.deferred, deferredCall{due: now - now%e.window + e.window, f: f})
@@ -501,278 +474,133 @@ func (e *Engine) runDeferred(boundary Cycle) {
 	}
 }
 
-// RegisterLatch adds l to the every-cycle flush list. Flush work is sharded
-// round-robin across the workers; latch flush order is unspecified (latches
-// must be independent, which double-buffering guarantees).
-func (e *Engine) RegisterLatch(l Latch) {
-	e.RegisterLatchSharded(e.latchRR, l)
-	e.latchRR++
-}
-
-// RegisterLatchSharded adds l to the given shard's flush list. The latch
-// must only be written by Tickers of the same shard.
-func (e *Engine) RegisterLatchSharded(sh int, l Latch) {
-	s := &e.shards[sh%len(e.shards)]
-	s.latches = append(s.latches, l)
-}
-
-// Flusher returns the given shard's dirty-latch flusher, for binding latches
-// that should be flushed only on cycles they are written (Queue.Bind,
-// Reg.Bind).
+// Flusher returns the given shard's per-cycle flusher, for latches written
+// and read inside the shard (Queue.Bind, Reg.Bind): they are flushed by the
+// shard itself after each cycle they are written in.
 func (e *Engine) Flusher(sh int) *Flusher {
 	return &e.shards[sh%len(e.shards)].flusher
 }
 
-// CrossFlusher returns the flusher cross-shard wires must bind to
-// (link.Wire.CrossShard) for the given writer shard. In per-tick mode it is
-// the ordinary shard flusher — staged sends merge in the writer's flush
-// phase, as always. In windowed mode it is a separate per-shard list the
-// stepping goroutine drains once per window boundary, sequentially in shard
-// order: cross-window merges then happen with no shard ticking and in a
-// deterministic order, which is also where a WindowSync transport serializes
-// remote-bound events. Call after SetWindow/SetWindowSync.
+// CrossFlusher returns the flusher cross-shard wires bind to
+// (link.Wire.CrossShard) for the given writer shard. The stepping goroutine
+// runs it at every window boundary, sequentially in shard order: cross-shard
+// merges then happen with no shard ticking and in a deterministic order,
+// which is also where a WindowSync transport serializes remote-bound events.
 func (e *Engine) CrossFlusher(sh int) *Flusher {
-	s := &e.shards[sh%len(e.shards)]
-	if e.windowed() {
-		return &s.crossFl
-	}
-	return &s.flusher
+	return &e.shards[sh%len(e.shards)].crossFl
 }
 
 // Now returns the current cycle (the cycle about to be, or being, executed).
 func (e *Engine) Now() Cycle { return e.now }
 
-// worker is the persistent loop of one extra shard. Per-tick mode: tick,
-// report, wait for the global tick barrier, flush, report. Windowed mode
-// (winEnd published past now before the release): free-run the whole window
-// with per-cycle local flushes, then a single report — the window's only
-// barrier.
+// worker is the persistent loop of one extra shard: free-run the window it
+// is released into, report, park. The report is the window's only barrier.
 func (e *Engine) worker(s *shard) {
-	for now := range s.start {
-		if end := e.winEnd; end > now {
-			e.tickWindowShard(s, now, end)
-			e.phase <- struct{}{}
-			continue
-		}
-		e.tickShard(s, now)
-		e.phase <- struct{}{}
-		<-s.gate
-		e.flushShard(s)
+	for w := range s.start {
+		e.freeRun(s, w.from, w.to)
 		e.phase <- struct{}{}
 	}
 }
 
-// tickWindowShard runs one shard through cycles [now,end) with its local
-// flushes in between — no cross-shard interaction: cross wires stage until
-// the boundary drain, and channel padding guarantees nothing staged by a
-// peer shard can arrive before end. s.ticked aggregates over the window.
-func (e *Engine) tickWindowShard(s *shard, now, end Cycle) {
+// freeRun takes one shard through cycles [from,to), flushing its own latches
+// after each — no cross-shard interaction: cross wires stage until the
+// boundary drain, and channel padding guarantees nothing staged by a peer
+// shard can arrive before to. s.ticked aggregates over the window.
+func (e *Engine) freeRun(s *shard, from, to Cycle) {
 	ticked := false
-	for t := now; t < end; t++ {
-		e.tickShard(s, t)
-		ticked = ticked || s.ticked
-		e.flushShard(s)
+	for now := from; now < to; now++ {
+		if e.skip {
+			ticked = s.as.sweep(s.tickers, s.acts, now) || ticked
+		} else {
+			for _, t := range s.tickers {
+				t.Tick(now)
+			}
+			ticked = ticked || len(s.tickers) > 0
+		}
+		s.flusher.run()
 	}
 	s.ticked = ticked
 }
 
-func (e *Engine) tickShard(s *shard, now Cycle) {
-	if e.skip {
-		s.ticked = s.as.sweep(s.tickers, s.acts, now)
-		return
-	}
-	s.ticked = len(s.tickers) > 0
-	for _, t := range s.tickers {
-		t.Tick(now)
-	}
-}
-
-func (e *Engine) flushShard(s *shard) {
-	s.flusher.run()
-	for _, l := range s.latches {
-		l.Flush()
-	}
-}
-
-// Step executes one full cycle: step hooks, then all Ticks, then any
-// barrier-deferred work, then all Flushes. The deferred drain and the flush
-// phase start only after every shard's tick phase has completed.
-func (e *Engine) Step() {
-	now := e.now
-	for _, f := range e.stepHooks {
-		f(now)
-	}
-	if e.parallel {
-		rest := e.shards[e.lo+1 : e.hi]
-		for i := range rest {
-			rest[i].start <- now
-		}
-		e.tickShard(&e.shards[e.lo], now)
-		for range rest {
-			<-e.phase
-		}
-		e.runDeferred(now + 1)
-		for i := range rest {
-			rest[i].gate <- struct{}{}
-		}
-		e.flushShard(&e.shards[e.lo])
-		for range rest {
-			<-e.phase
-		}
-	} else {
-		s := &e.shards[e.lo]
-		e.tickShard(s, now)
-		e.runDeferred(now + 1)
-		e.flushShard(s)
-	}
-	e.now++
-	if e.skip && e.ffEnd > e.now {
-		e.fastForward()
-	}
-}
-
-// fastForward jumps Now past provably no-op cycles: if no Tick ran this
-// cycle, every worklist is empty and every component is parked or on a timer
-// (wires wake their observer at the event's arrival cycle, so in-flight
-// traffic keeps its receiver's wake time honest), flushes are empty, and the
-// only thing the skipped cycles could do is run step hooks — which the hook
-// clocks bound. Jumping to the earliest pending timer therefore produces the
-// bit-identical state the skipped steps would have. Bounded by ffEnd so
-// Run(n) still stops on its cycle.
-func (e *Engine) fastForward() {
-	for i := e.lo; i < e.hi; i++ {
-		if e.shards[i].ticked {
-			return
-		}
-	}
-	min := e.ffEnd
-	for i := e.lo; i < e.hi; i++ {
-		if w := e.shards[i].as.earliest(e.now); w < min {
-			min = w
-		}
-	}
-	for _, a := range e.hookClocks {
-		if a == nil {
-			return
-		}
-		if w := Cycle(a.wakeAt.Load()); w < min {
-			min = w
-		}
-	}
-	if min > e.now {
-		e.now = min
-	}
-}
-
-// Close parks the engine's persistent workers. The engine must not be
-// stepped afterwards. Safe to call repeatedly, and a no-op for serial
-// engines.
+// Close parks the engine's persistent workers. The engine must not be run
+// afterwards. Safe to call repeatedly, and a no-op for one-shard engines.
 func (e *Engine) Close() {
 	if e.closed {
 		return
 	}
 	e.closed = true
-	if !e.parallel {
-		return
-	}
 	for i := e.lo + 1; i < e.hi; i++ {
 		close(e.shards[i].start)
 	}
 }
 
-// Run executes n cycles. Quiescent spans inside the budget may be
-// fast-forwarded (see fastForward); the engine still stops exactly at the
-// budget's end. Windowed engines (SetWindow > 1 or SetWindowSync) execute
-// the budget in window units instead of single Steps.
-func (e *Engine) Run(n Cycle) {
-	end := e.now + n
-	if e.windowed() {
-		e.runWindowed(end, nil)
-		return
-	}
-	e.ffEnd = end
-	for e.now < end {
-		e.Step()
-	}
-	e.ffEnd = 0
-}
+// Step executes one cycle: the run loop with a budget of one.
+func (e *Engine) Step() { e.runWindowed(e.now+1, nil) }
 
-// RunUntil steps until done() reports true or max cycles have elapsed since
-// the call. It returns true if done() became true. done is evaluated between
-// cycles, so all components agree on the state it observed; fast-forwarded
-// cycles are state-preserving no-ops, so skipping their done() evaluations
-// cannot change the answer. On windowed engines done is evaluated at window
-// boundaries — the same boundary lattice for every {shards x processes}
-// split, so the stopping cycle is split-invariant; under a WindowSync it is
-// evaluated in every process and the run stops when all agree.
+// Run executes n cycles. Quiescent spans inside the budget are jumped over;
+// the engine still stops exactly at the budget's end.
+func (e *Engine) Run(n Cycle) { e.runWindowed(e.now+n, nil) }
+
+// RunUntil runs until done() reports true or max cycles have elapsed since
+// the call. It returns true if done() became true. done is evaluated at
+// window boundaries — between cycles, so all components agree on the state
+// it observed, and on the same boundary lattice for every {shards x
+// processes} split, so the stopping cycle is split-invariant; jumped cycles
+// are state-preserving no-ops, so skipping their evaluations cannot change
+// the answer. Under a WindowSync it is evaluated in every process and the
+// run stops when all agree.
 func (e *Engine) RunUntil(done func() bool, max Cycle) bool {
-	end := e.now + max
-	if e.windowed() {
-		return e.runWindowed(end, done)
-	}
-	e.ffEnd = end
-	for e.now < end {
-		if done() {
-			e.ffEnd = 0
-			return true
-		}
-		e.Step()
-	}
-	e.ffEnd = 0
-	return done()
+	return e.runWindowed(e.now+max, done)
 }
 
-// runWindowed is the window-mode main loop behind Run and RunUntil: from
-// each boundary T it runs due step hooks, picks the window end E — the next
-// point of the absolute W-aligned lattice, clamped by the budget and by any
-// hook clock waking inside the window — free-runs every owned shard through
-// [T,E) with only per-cycle local flushes, then performs the boundary work
-// with no shard ticking: drain due AtBarrier entries, drain the cross-shard
-// wire flushers (merging staged sends; a WindowSync transport serializes
-// remote-bound ones here), and exchange frames with peer processes. Channel
-// padding makes every cross-shard arrival land at or after the next
-// boundary, so free-running cannot miss an input: the schedule each
-// component observes is bit-identical to per-tick execution.
+// runWindowed is the one loop that advances the engine. From each boundary T
+// it checks done, runs the step hooks that are due, picks the window end E —
+// the next point of the absolute W-aligned lattice, clamped by the budget and
+// by any hook clock waking inside the window — free-runs every owned shard
+// through [T,E), in parallel when the engine has workers, then performs the
+// boundary work with no shard ticking: drain due AtBarrier entries, run the
+// cross-shard flushers (merging staged sends; a WindowSync transport
+// serializes remote-bound ones here), and exchange frames with peer
+// processes. Channel padding makes every cross-shard arrival land at or after
+// the next boundary, so free-running cannot miss an input: the schedule each
+// component observes is the one a boundary after every cycle would give it.
 //
 // When no owned shard ticked for a whole window, idleScan bounds the earliest
-// future wake from the worklists, the timers and the hook clocks; the engine
-// then jumps to that wake's lattice point (floor — the window containing the wake
-// must be ticked). Under a WindowSync the jump uses the global minimum, and
-// the per-frame ticked bit makes "nothing ticked anywhere" detectable by all
-// processes at the same boundary: a shard that ticked nowhere staged no
-// events anywhere, so jumping is as safe as single-process fast-forward.
+// future wake and the engine jumps to that wake's lattice point (floor — the
+// window containing the wake must be ticked). Under a WindowSync the jump
+// uses the global minimum, and the per-frame ticked bit makes "nothing ticked
+// anywhere" detectable by all processes at the same boundary: a shard that
+// ticked nowhere staged no events anywhere, so the jump is as safe as in one
+// process.
 func (e *Engine) runWindowed(end Cycle, done func() bool) bool {
-	for _, a := range e.hookClocks {
-		if a == nil {
-			panic("sim: unclocked step hook on a windowed engine (use RegisterStepHookClocked)")
-		}
-	}
 	W := e.window
 	for e.now < end {
 		T := e.now
-		// An idle jump can land exactly on a retained deferred entry's due
-		// boundary (idleScan bounds jumps by deferred dues); release it before
-		// anything observes cycle T, matching the per-tick order where the
-		// barrier drain of cycle due-1 precedes done checks and hooks at due.
-		e.runDeferred(T)
 		if done != nil && e.sync == nil && done() {
 			return true
 		}
-		for i, f := range e.stepHooks {
-			if e.hookClocks[i].wakeAt.Load() <= T {
-				f(T)
+		for _, h := range e.hooks {
+			if h.clock.wakeAt.Load() <= T {
+				h.f(T)
 			}
 		}
-		E := T - T%W + W
-		if E > end {
-			E = end
-		}
-		for _, a := range e.hookClocks {
-			if w := a.wakeAt.Load(); w > T && w < E {
-				E = w
+		E := T + 1
+		if W > 1 {
+			E = min(T-T%W+W, end)
+			for _, h := range e.hooks {
+				if w := h.clock.wakeAt.Load(); w > T && w < E {
+					E = w
+				}
 			}
 		}
-		e.tickWindow(T, E)
+		rest := e.shards[e.lo+1 : e.hi]
+		for i := range rest {
+			rest[i].start <- span{T, E}
+		}
+		e.freeRun(&e.shards[e.lo], T, E)
+		for range rest {
+			<-e.phase
+		}
 		e.runDeferred(E)
 		anyTicked := false
 		for i := e.lo; i < e.hi; i++ {
@@ -781,6 +609,7 @@ func (e *Engine) runWindowed(end Cycle, done func() bool) bool {
 			s.crossFl.run()
 		}
 		e.now = E
+		e.stats.Windows++
 		idle := E
 		if !anyTicked {
 			idle = e.idleScan()
@@ -793,48 +622,33 @@ func (e *Engine) runWindowed(end Cycle, done func() bool) bool {
 			}
 			idle = gidle
 		}
-		if idle > e.now {
+		if idle > E {
 			j := idle
-			if j != Never {
+			if W > 1 && j != Never {
 				j -= j % W
 			}
-			if j > end {
-				j = end
-			}
-			if j > e.now {
+			if j = min(j, end); j > E {
+				e.stats.IdleJumps++
+				e.stats.CyclesJumped += j - E
 				e.now = j
+				// A retained deferred entry bounds the jump (idleScan), so the
+				// jump can land exactly on its boundary: release it before
+				// anything observes cycle j, as the drain of cycle j-1 would.
+				e.runDeferred(j)
 			}
 		}
 	}
 	return done != nil && done()
 }
 
-// tickWindow runs every owned shard through [T,E), in parallel when the
-// engine has workers. The single phase join afterwards is the only barrier
-// of the window.
-func (e *Engine) tickWindow(T, E Cycle) {
-	if e.parallel {
-		e.winEnd = E
-		rest := e.shards[e.lo+1 : e.hi]
-		for i := range rest {
-			rest[i].start <- T
-		}
-		e.tickWindowShard(&e.shards[e.lo], T, E)
-		for range rest {
-			<-e.phase
-		}
-		return
-	}
-	e.tickWindowShard(&e.shards[e.lo], T, E)
-}
-
 // idleScan computes a lower bound on the earliest future wake across every
-// owned component and hook clock — the windowed analog of fastForward's
-// bound. A component is in its shard's worklist or mailbox (boundary merges
-// may have just put it there, for any cycle), on a timer, or parked, so the
-// bound is the minimum over the first two and the earliest timer: nothing
-// that is merely waiting is looked at. Only meaningful when no owned shard
-// ticked this window.
+// owned component and hook clock. A component is in its shard's worklist or
+// mailbox (boundary merges may have just put it there, for any cycle), on a
+// timer, or parked, so the bound is the minimum over the first two and the
+// earliest timer: nothing that is merely waiting is looked at. Only
+// meaningful when no owned shard ticked this window: every worklist is then
+// empty of due components and every latch flushed, so the cycles before the
+// bound are provably no-ops.
 func (e *Engine) idleScan() Cycle {
 	min := Never
 	for i := e.lo; i < e.hi; i++ {
@@ -853,8 +667,8 @@ func (e *Engine) idleScan() Cycle {
 			min = s.deferred[0].due
 		}
 	}
-	for _, a := range e.hookClocks {
-		if w := a.wakeAt.Load(); w < min {
+	for _, h := range e.hooks {
+		if w := h.clock.wakeAt.Load(); w < min {
 			min = w
 		}
 	}

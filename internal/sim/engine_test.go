@@ -54,7 +54,7 @@ func TestTickOrderWithinShard(t *testing.T) {
 func TestFlushRunsAfterTicks(t *testing.T) {
 	e := New()
 	var r Reg[int]
-	e.RegisterLatch(&r)
+	r.Bind(e.Flusher(0))
 	e.Register(TickFunc(func(now Cycle) {
 		// During the tick of cycle n, the register must still show the value
 		// set in cycle n-1.
@@ -107,13 +107,15 @@ func TestParallelTicksAll(t *testing.T) {
 func TestParallelMatchesSerial(t *testing.T) {
 	// A ring of registers: shard i reads reg[i-1] and writes reg[i]. After N
 	// cycles the values are a deterministic function of N regardless of
-	// execution interleaving, because all cross-shard traffic is latched.
+	// execution interleaving, because all cross-shard traffic is latched: a
+	// register read from another shard is a cross-shard edge, flushed by its
+	// writer's cross flusher at the boundary.
 	build := func(e *Engine) []*Reg[int] {
 		const k = 8
 		regs := make([]*Reg[int], k)
 		for i := range regs {
 			regs[i] = &Reg[int]{}
-			e.RegisterLatch(regs[i])
+			regs[i].Bind(e.CrossFlusher(i))
 		}
 		for i := 0; i < k; i++ {
 			i := i

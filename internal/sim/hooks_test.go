@@ -9,23 +9,34 @@ type latchFunc func()
 
 func (f latchFunc) Flush() { f() }
 
-// TestStepHookAndAtBarrierOrdering pins the intra-cycle schedule of the new
-// hooks on a parallel engine: the step hook runs before any shard ticks,
-// AtBarrier closures run after every shard's tick phase and before any
-// flush, and both observe the cycle they were staged in.
+// TestStepHookAndAtBarrierOrdering pins the schedule around a window boundary
+// on a two-shard engine: the step hook (on an always-awake clock, so it runs
+// every cycle) runs before any shard ticks, AtBarrier closures run after
+// every shard has finished the window and before the cross-shard flushers,
+// and both observe the cycle they were staged in.
 func TestStepHookAndAtBarrierOrdering(t *testing.T) {
 	e := NewParallel(2)
 	defer e.Close()
 	var ticks, deferredRuns atomic.Int32
 	var cycle atomic.Int64
 	hookCalls := 0
-	e.RegisterStepHook(func(now Cycle) {
+	var clock Activity
+	e.RegisterStepHookClocked(func(now Cycle) {
 		hookCalls++
 		cycle.Store(now)
 		if got := ticks.Load(); got != int32(2*now) {
 			t.Errorf("step hook at cycle %d saw %d ticks; want %d (hooks must run pre-tick)", now, got, 2*now)
 		}
-	})
+	}, &clock)
+	// A latch on the worker shard's cross flusher, marked every cycle: by the
+	// time the boundary drain flushes it, this cycle's deferred closures must
+	// all have run.
+	crossID := e.CrossFlusher(1).BindID(latchFunc(func() {
+		now := cycle.Load()
+		if got := deferredRuns.Load(); got != int32(2*(now+1)) {
+			t.Errorf("cross flush at cycle %d saw %d deferred runs; want %d (the flush must follow the drain)", now, got, 2*(now+1))
+		}
+	}))
 	for sh := 0; sh < 2; sh++ {
 		sh := sh
 		e.RegisterSharded(sh, TickFunc(func(now Cycle) {
@@ -33,6 +44,9 @@ func TestStepHookAndAtBarrierOrdering(t *testing.T) {
 				t.Errorf("tick at cycle %d saw %d deferred runs; want %d", now, got, 2*now)
 			}
 			ticks.Add(1)
+			if sh == 1 {
+				e.CrossFlusher(1).MarkID(crossID)
+			}
 			e.AtBarrier(sh, now, func(at Cycle) {
 				if at != now {
 					t.Errorf("deferred staged at cycle %d ran with now=%d", now, at)
@@ -44,14 +58,6 @@ func TestStepHookAndAtBarrierOrdering(t *testing.T) {
 			})
 		}))
 	}
-	// A latch in the worker shard: by flush time, this cycle's deferred
-	// closures must all have run.
-	e.RegisterLatchSharded(1, latchFunc(func() {
-		now := cycle.Load()
-		if got := deferredRuns.Load(); got != int32(2*(now+1)) {
-			t.Errorf("flush at cycle %d saw %d deferred runs; want %d (flush must follow the drain)", now, got, 2*(now+1))
-		}
-	}))
 	e.Run(5)
 	if hookCalls != 5 {
 		t.Errorf("step hook ran %d times; want 5", hookCalls)

@@ -42,8 +42,8 @@ func (q *Queue[T]) CanPush() bool {
 }
 
 // Bind routes this queue's flushes through f's dirty list: the queue is
-// flushed only on cycles it was pushed to. A bound queue must not also be
-// passed to RegisterLatch, and must only be pushed by Tickers of f's shard.
+// flushed only on cycles it was pushed to. A bound queue must only be pushed
+// by Tickers of f's shard.
 func (q *Queue[T]) Bind(f *Flusher) {
 	q.fl = f
 	q.flID = f.BindID(q)
@@ -147,8 +147,8 @@ type Reg[T any] struct {
 }
 
 // Bind routes this register's flushes through f's dirty list: the register
-// is flushed only on cycles it was set. A bound register must not also be
-// passed to RegisterLatch, and must only be set by Tickers of f's shard.
+// is flushed only on cycles it was set. A bound register must only be set by
+// Tickers of f's shard.
 func (r *Reg[T]) Bind(f *Flusher) {
 	r.fl = f
 	r.flID = f.BindID(r)

@@ -145,7 +145,7 @@ type CrossHook func(edge int, ch *router.Channel, writerShard, consumerShard int
 // WindowSized is the capability a Network must implement to be built with a
 // conservative-sync window above 1: its router-router channels are padded
 // with router.NewChannelSync so no cross-shard event can arrive inside a
-// window. The harness refuses windowed builds of fabrics without it.
+// window. The harness refuses W > 1 builds of fabrics without it.
 type WindowSized interface {
 	SyncWindow() int
 }
@@ -155,8 +155,7 @@ type WindowSized interface {
 // flusher and the credit wire with the consumer's (credits travel To→From,
 // so the flit consumer is the credit writer). Cross edges are numbered in
 // enumeration order and offered to the engine's CrossHook first (see
-// CrossHook); in windowed mode the cross-flushers drain once per window
-// boundary instead of every flush phase.
+// CrossHook); the cross-flushers drain once per window boundary.
 func MarkCross(e *sim.Engine, edges []Edge, shardAt func(key int) int) {
 	hook, _ := e.CrossHook().(CrossHook)
 	id := 0
@@ -193,7 +192,7 @@ type IfaceOptions struct {
 	// Window is the conservative-sync window W the fabric is built for:
 	// router-router channels are padded (router.NewChannelSync) so every
 	// cross-router event lands at least W cycles after its send. 0 or 1 is
-	// the unpadded per-tick model.
+	// the unpadded model, a boundary after every cycle.
 	Window int
 	// Fabric configures the modern-fabric baselines (PFC, ECN, lossy wires);
 	// topologies pass it to every router and interface. Its Seed field is

@@ -284,7 +284,7 @@ type (
 var FuzzSweep = harness.FuzzSweep
 
 // Distributed execution (internal/dist + harness): multi-process simulation
-// over a staged socket/shared-memory transport with conservative time-window
+// over a staged socket transport with conservative time-window
 // synchronization. A launcher re-executes its own binary as workers; any main
 // embedding these entry points must call DistWorkerMain first (before flag
 // parsing) and exit when it reports true. See DESIGN.md §9.
