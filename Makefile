@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-budget lintdiff race check check-deep bench-check bench-smoke bench bench-heavy benchdiff bench-dist bench-scale bench-locality bench-fabric profdiff baseline clean
+.PHONY: build test vet lint lint-budget lintdiff loc race check check-deep bench-check bench-smoke bench bench-heavy benchdiff bench-dist bench-scale bench-locality bench-fabric profdiff baseline clean
 
 build:
 	$(GO) build ./...
@@ -13,9 +13,9 @@ vet:
 
 # lint runs nifdy-lint, the domain-specific analyzer suite (DESIGN.md §7):
 # determinism (mapiter, wallclock), zero-allocation (hotalloc), two-phase
-# discipline (latchphase), pool ownership (poolsafe), arena discipline
-# (arena, arenamirror), codec completeness (codecsync), enum exhaustiveness
-# (kindswitch), and shard safety (shardsafe) over the whole module,
+# discipline (latchphase), pool ownership (poolsafe), codec completeness
+# (codecsync), enum exhaustiveness (kindswitch), and shard safety
+# (shardsafe) over the whole module,
 # including the stale-suppression audit.
 lint:
 	$(GO) run ./cmd/nifdy-lint
@@ -31,6 +31,11 @@ lint-budget:
 # to HEAD~1) introduces //lint:allow suppressions without a reason.
 lintdiff:
 	./scripts/lintdiff.sh $(BASE)
+
+# loc prints the non-test Go line count outside bench/ — the number the
+# "net-negative" acceptance criteria are checked against.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' ! -path '*/testdata/*' | xargs cat | wc -l
 
 # check is the tier-1 gate (see ROADMAP.md): everything must pass before
 # a PR lands.
@@ -102,13 +107,13 @@ bench-dist:
 bench-scale:
 	./scripts/benchscale.sh $(FLOOR)
 
-# bench-locality gates the SoA arena + active-set scheduling work
-# (DESIGN.md §10): BenchmarkIdleFraction's step cost must be sub-linear in
-# total component count, BenchmarkTimedSleepers' cost per Tick must not
-# depend on how many components sleep on a timer (nor be far from what it is
-# when they are parked), and BenchmarkFigure2Heavy must beat the committed
-# pre-SoA baseline (BENCH_2026-08-06_zeroalloc.json) by at least 20%,
-# via benchdiff.sh with an inverted (negative) regression threshold.
+# bench-locality gates active-set scheduling (DESIGN.md §10):
+# BenchmarkIdleFraction's step cost must be sub-linear in total component
+# count, BenchmarkTimedSleepers' cost per Tick must not depend on how many
+# components sleep on a timer (nor be far from what it is when they are
+# parked), and BenchmarkFigure2Heavy must beat the committed pre-active-set
+# baseline (BENCH_2026-08-06_zeroalloc.json) by at least 20%, via
+# benchdiff.sh with an inverted (negative) regression threshold.
 bench-locality:
 	./scripts/benchlocality.sh
 

@@ -235,10 +235,9 @@ func TestMutationsTripMonitors(t *testing.T) {
 			want: check.MonFlitConservation,
 			opts: harness.BuildOpts{
 				Net: harness.Mesh2D(), Kind: harness.NIFDY,
-				Params:          core.Config{O: 8, B: 8, D: 1, W: 2},
-				Program:         only(map[int]node.Program{0: burst(2, 1, false)}),
-				IfaceMutate:     router.IfaceMutations{DropArrival: true},
-				IfaceMutateNode: 1,
+				Params:  core.Config{O: 8, B: 8, D: 1, W: 2},
+				Program: only(map[int]node.Program{0: burst(2, 1, false)}),
+				Faults:  harness.Faults{Node: 1, Iface: router.IfaceMutations{DropArrival: true}},
 			},
 		},
 		{
@@ -248,10 +247,9 @@ func TestMutationsTripMonitors(t *testing.T) {
 			want: check.MonCreditConservation,
 			opts: harness.BuildOpts{
 				Net: harness.Mesh2D(), Kind: harness.NIFDY,
-				Params:          core.Config{O: 8, B: 8, D: 1, W: 2},
-				Program:         only(map[int]node.Program{0: burst(2, 1, false)}),
-				IfaceMutate:     router.IfaceMutations{LeakCredit: true},
-				IfaceMutateNode: 1,
+				Params:  core.Config{O: 8, B: 8, D: 1, W: 2},
+				Program: only(map[int]node.Program{0: burst(2, 1, false)}),
+				Faults:  harness.Faults{Node: 1, Iface: router.IfaceMutations{LeakCredit: true}},
 			},
 		},
 		{
@@ -271,8 +269,7 @@ func TestMutationsTripMonitors(t *testing.T) {
 					0: burst(30, 1, true),
 					2: burst(30, 1, true),
 				}),
-				IfaceMutate:     router.IfaceMutations{IgnoreCredit: true},
-				IfaceMutateNode: 0,
+				Faults: harness.Faults{Node: 0, Iface: router.IfaceMutations{IgnoreCredit: true}},
 			},
 		},
 		{
@@ -290,8 +287,7 @@ func TestMutationsTripMonitors(t *testing.T) {
 					0: burst(30, 1, true),
 					2: burst(30, 1, true),
 				}),
-				IfaceMutate:     router.IfaceMutations{PFCIgnorePause: true},
-				IfaceMutateNode: 0,
+				Faults: harness.Faults{Node: 0, Iface: router.IfaceMutations{PFCIgnorePause: true}},
 			},
 			interval: 1,
 		},
@@ -310,8 +306,7 @@ func TestMutationsTripMonitors(t *testing.T) {
 					0: burst(20, 1, true),
 					1: drainUntil(15000, 200),
 				}),
-				IfaceMutate:     router.IfaceMutations{PFCDropResume: true},
-				IfaceMutateNode: 1,
+				Faults: harness.Faults{Node: 1, Iface: router.IfaceMutations{PFCDropResume: true}},
 			},
 		},
 		{
@@ -327,8 +322,7 @@ func TestMutationsTripMonitors(t *testing.T) {
 					0: burst(30, 1, false),
 					1: drainUntil(15000, 100),
 				}),
-				DCQCNMutate:     nic.DCQCNMutations{RateOverflow: true},
-				DCQCNMutateNode: 0,
+				Faults: harness.Faults{Node: 0, DCQCN: nic.DCQCNMutations{RateOverflow: true}},
 			},
 			interval: 1,
 		},

@@ -58,6 +58,15 @@ func (k NICKind) String() string {
 	}
 }
 
+// Faults are the test-only mutations of one node: substrate faults in its
+// interface and rate-limiter faults in its NIC (Kind DCQCN only). The zero
+// value injects nothing.
+type Faults struct {
+	Node  int
+	Iface router.IfaceMutations
+	DCQCN nic.DCQCNMutations
+}
+
 // BuildOpts describes one simulation.
 type BuildOpts struct {
 	// Net builds the fabric.
@@ -93,15 +102,9 @@ type BuildOpts struct {
 	// with no ordering guarantee (plain NICs on adaptive fabrics). Nil
 	// builds no checker and costs nothing.
 	Check *check.Options
-	// IfaceMutate injects test-only substrate faults into node
-	// IfaceMutateNode's interface, for invariant-monitor validation.
-	IfaceMutate     router.IfaceMutations
-	IfaceMutateNode int
-	// DCQCNMutate injects test-only rate-limiter faults into node
-	// DCQCNMutateNode's NIC (Kind DCQCN only), for invariant-monitor
+	// Faults injects test-only faults into one node, for invariant-monitor
 	// validation.
-	DCQCNMutate     nic.DCQCNMutations
-	DCQCNMutateNode int
+	Faults Faults
 	// EngineShards selects intra-simulation parallelism: 0 or 1 builds the
 	// serial engine; larger values build sim.NewParallel and partition the
 	// fabric with the network's topology-aware Partition hook — each node's
@@ -168,7 +171,7 @@ func Build(opts BuildOpts) *Sim {
 	}
 	ifOpts := topo.IfaceOptions{
 		DropProb: opts.Drop, Seed: opts.Seed,
-		Mutate: opts.IfaceMutate, MutateNode: opts.IfaceMutateNode,
+		Mutate: opts.Faults.Iface, MutateNode: opts.Faults.Node,
 		Window: window,
 		Fabric: opts.Fabric,
 	}
@@ -312,8 +315,8 @@ func Build(opts BuildOpts) *Sim {
 			nc = core.New(cfg, net.Iface(n))
 		case DCQCN:
 			mut := nic.DCQCNMutations{}
-			if n == opts.DCQCNMutateNode {
-				mut = opts.DCQCNMutate
+			if n == opts.Faults.Node {
+				mut = opts.Faults.DCQCN
 			}
 			nc = nic.NewDCQCN(nic.DCQCNConfig{
 				Node: n, OutBuf: 1, ArrBuf: 2,

@@ -63,7 +63,7 @@ func TestWireCrossShardMatchesSerial(t *testing.T) {
 		prod := 0
 		if shards > 1 {
 			prod = 1
-			w.CrossShard(e.Flusher(prod))
+			w.CrossShard(e.CrossFlusher(prod))
 		}
 		e.RegisterSharded(prod, sim.TickFunc(func(now sim.Cycle) {
 			if now < 10 {

@@ -98,15 +98,6 @@ func (w *Wire[T]) CrossShard(f *sim.Flusher) {
 // (see Sink). The wire must already be marked CrossShard.
 func (w *Wire[T]) SetRemote(sink Sink[T]) { w.remote = sink }
 
-// rehome moves the wire's pending events onto buf (an arena carve with spare
-// capacity) and resets the ring origin. The cached next-arrival time is
-// unchanged: event contents and order are preserved. Only EventArena.Bind
-// calls this, while the wire is quiescent.
-func (w *Wire[T]) rehome(buf []timed[T]) {
-	w.events = append(buf, w.events[w.head:]...)
-	w.head = 0
-}
-
 // InjectAt appends a remote event to the consumer-visible list and wakes the
 // observer — the receiving side of a process-ingress wire. Only the
 // transport calls it, at the window boundary, when the consumer is
@@ -264,43 +255,6 @@ func (w *Wire[T]) ForEach(f func(at sim.Cycle, v T)) {
 	}
 }
 
-// EventArena is a flat per-shard backing store for Wire event lists: binding
-// a shard's wires into one arena puts every latched event region the shard's
-// components drain each cycle in a single contiguous allocation, so the hot
-// Recv/SendAt paths walk dense memory instead of pointer-chased per-wire
-// slices. Capacity is carved per wire at bind time; a wire that outgrows its
-// carve (impossible under the credit protocol, which bounds in-flight events
-// by the granted buffer depth) falls back to an ordinary heap append and
-// simply abandons its arena slot.
-type EventArena[T any] struct {
-	buf  []timed[T]
-	used int
-}
-
-// Grow reserves n more event slots; call once per wire before Bind, then
-// Bind in the same order. (Sizing and binding are split so one allocation
-// can back every wire of a shard.)
-func (a *EventArena[T]) Grow(n int) { a.used += n }
-
-// Alloc materializes the reserved capacity. Call after every Grow and before
-// the first Bind.
-func (a *EventArena[T]) Alloc() {
-	a.buf = make([]timed[T], a.used)
-	a.used = 0
-}
-
-// Bind rehomes w's event storage onto capacity slots carved from the arena,
-// preserving any pending events. The wire must be quiescent (bind at build
-// time, or between cycles from the stepping goroutine).
-func (a *EventArena[T]) Bind(w *Wire[T], capacity int) {
-	if a.used+capacity > len(a.buf) {
-		panic("link: event arena overflow (Grow/Bind mismatch)")
-	}
-	buf := a.buf[a.used : a.used : a.used+capacity]
-	a.used += capacity
-	w.rehome(buf)
-}
-
 // Link is a byte-serial channel carrying one-word flits. A flit transmission
 // occupies the link for CyclesPerFlit cycles; the flit becomes receivable
 // when its last byte has crossed, CyclesPerFlit+latency-1 cycles after the
@@ -350,10 +304,6 @@ func (l *Link[T]) Observe(a *sim.Activity) { l.wire.Observe(a) }
 // CrossShard marks the underlying wire as a cross-shard edge (see
 // Wire.CrossShard). f must be the sending side's shard CrossFlusher.
 func (l *Link[T]) CrossShard(f *sim.Flusher) { l.wire.CrossShard(f) }
-
-// BindEvents rehomes the underlying wire's event storage onto arena slots
-// (see EventArena.Bind).
-func (l *Link[T]) BindEvents(a *EventArena[T], capacity int) { a.Bind(l.wire, capacity) }
 
 // SetRemote marks the underlying wire process-egress (see Wire.SetRemote).
 func (l *Link[T]) SetRemote(sink Sink[T]) { l.wire.SetRemote(sink) }

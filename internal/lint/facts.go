@@ -1,9 +1,8 @@
 package lint
 
-// The phase-2 rules (codecsync, arenamirror, kindswitch, shardsafe) reason
-// about relationships between packages: a codec in internal/dist must mirror
-// a struct in internal/packet, a BindArena body in one package carves an
-// Arena declared in another, a switch in internal/harness must cover an enum
+// The phase-2 rules (codecsync, kindswitch, shardsafe) reason about
+// relationships between packages: a codec in internal/dist must mirror a
+// struct in internal/packet, a switch in internal/harness must cover an enum
 // from internal/router. Re-deriving those summaries in every rule, for every
 // analyzed package, would make a whole-module run quadratic in practice —
 // the loader already memoizes type-checking per package, so the analyses

@@ -61,10 +61,13 @@ func isTickRoot(p *Pass, fd *ast.FuncDecl) bool {
 		return false
 	}
 	obj, ok := p.Pkg.Info.Defs[fd.Name].(*types.Func)
-	if !ok {
-		return false
-	}
-	sig := obj.Type().(*types.Signature)
+	return ok && tickSignature(obj)
+}
+
+// tickSignature reports whether f takes one sim.Cycle (int64) and returns
+// nothing.
+func tickSignature(f *types.Func) bool {
+	sig := f.Type().(*types.Signature)
 	if sig.Params().Len() != 1 || sig.Results().Len() != 0 {
 		return false
 	}

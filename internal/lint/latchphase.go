@@ -183,3 +183,18 @@ func origin(n *types.Named) *types.Named {
 	}
 	return n.Origin()
 }
+
+// namedOf unwraps pointers to the named type underneath, or nil.
+func namedOf(t types.Type) *types.Named {
+	if t == nil {
+		return nil
+	}
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok {
+		return nil
+	}
+	return origin(named)
+}

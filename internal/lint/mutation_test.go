@@ -90,13 +90,6 @@ func TestMutationCodecsync(t *testing.T) {
 	assertDiag(t, diags, "field goodMsg.B is never read in encodeGoodMsg")
 }
 
-// Deleting one carve line from the mirrored component must name the
-// orphaned sizer field (the acceptance drill for arenamirror).
-func TestMutationArenamirror(t *testing.T) {
-	diags := mutateGolden(t, "arenamirror", `m\.creds = a\.credSlots`)
-	assertDiag(t, diags, "ArenaSize sizes Creds but BindArena never carves it")
-}
-
 // Deleting one case clause from the exhaustive switch must name the
 // missing member. (The dangling return folds into the previous case: the
 // mutated file still compiles, the switch just stops covering grant.)

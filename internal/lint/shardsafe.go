@@ -11,8 +11,8 @@ import (
 // one because every cross-shard effect rides the staged link.Wire path: a
 // Tick may SendAt into a wire's next-cycle buffer, the barrier flushes, and
 // the consumer sees it a cycle later. Everything else that touches another
-// shard's state — event injection, fault toggles, remote binding, arena
-// carving, registration sweeps — is a boundary or build-time API, sound
+// shard's state — event injection, fault toggles, remote binding,
+// registration sweeps — is a boundary or build-time API, sound
 // only while the shards are quiescent. Reached from inside a Tick tree,
 // those calls race shard goroutines (or desynchronize the dist workers,
 // whose boundary APIs act on a different process entirely).
@@ -22,10 +22,10 @@ import (
 // the runtime shard monitors cover) and flags, in any reached function:
 //
 //   - calls to the boundary-only entry points (InjectAt, CrossShard,
-//     SetRemote, SetFault, Observe, BindArena, BindEvents, ForEach);
+//     SetRemote, SetFault, Observe, ForEach);
 //
-//   - writes to fields of another component (a named struct with a Tick or
-//     BindArena method) from outside that component's own methods — the
+//   - writes to fields of another component (a named struct with a Tick
+//     method) from outside that component's own methods — the
 //     direct poke that works single-shard and silently diverges sharded.
 //     A component's own methods are the sanctioned same-shard coupling.
 func init() {
@@ -38,16 +38,14 @@ func init() {
 }
 
 // shardBoundary names the methods that are only sound between cycles, from
-// the coordinating goroutine: injection, fault control, remote/arena
-// binding, and registration/observation sweeps.
+// the coordinating goroutine: injection, fault control, remote binding,
+// and registration/observation sweeps.
 var shardBoundary = map[string]bool{
 	"InjectAt":   true,
 	"CrossShard": true,
 	"SetRemote":  true,
 	"SetFault":   true,
 	"Observe":    true,
-	"BindArena":  true,
-	"BindEvents": true,
 	"ForEach":    true,
 }
 
@@ -111,8 +109,7 @@ func (p *Pass) checkShardFunc(fn *types.Func, decl *ast.FuncDecl) {
 }
 
 // checkComponentWrite flags lhs when it writes a field of a component type
-// (one with a Tick or BindArena method) and fn is not that component's own
-// method.
+// (one with a Tick method) and fn is not that component's own method.
 func (p *Pass) checkComponentWrite(info *types.Info, lhs ast.Expr, recv *types.Named, fn *types.Func) {
 	sel, ok := stripElem(lhs).(*ast.SelectorExpr)
 	if !ok {
@@ -135,23 +132,9 @@ func (p *Pass) checkComponentWrite(info *types.Info, lhs ast.Expr, recv *types.N
 }
 
 // isComponent reports types that participate in the shard protocol: they
-// tick, or they bind arena views.
+// have a Tick(sim.Cycle) method.
 func isComponent(named *types.Named) bool {
-	for _, name := range [...]string{"Tick", "BindArena"} {
-		obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(named), true, named.Obj().Pkg(), name)
-		if f, ok := obj.(*types.Func); ok {
-			sig := f.Type().(*types.Signature)
-			if name == "Tick" {
-				if sig.Params().Len() != 1 || sig.Results().Len() != 0 {
-					continue
-				}
-				b, ok := sig.Params().At(0).Type().Underlying().(*types.Basic)
-				if !ok || b.Kind() != types.Int64 {
-					continue
-				}
-			}
-			return true
-		}
-	}
-	return false
+	obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(named), true, named.Obj().Pkg(), "Tick")
+	f, ok := obj.(*types.Func)
+	return ok && tickSignature(f)
 }

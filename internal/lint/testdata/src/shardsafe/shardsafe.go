@@ -28,11 +28,16 @@ func (pr *peer) Tick(now int64) {
 	}
 }
 
+// counters has no Tick method: it is plain data, not a component, and a Tick
+// tree may write it directly.
+type counters struct{ drained int }
+
 // node's Tick tree carries the violations, one level below the root so the
 // walk (not just the root scan) is exercised.
 type node struct {
 	other *peer
 	w     *wire
+	stats *counters
 }
 
 func (n *node) Tick(now int64) {
@@ -45,6 +50,7 @@ func (n *node) helper(now int64) {
 	n.other.credits[0] = 0 // want `write to peer\.credits outside peer's methods`
 	n.w.InjectAt(3)        // want `boundary-only method InjectAt`
 	n.w.SetFault(true)     // want `boundary-only method SetFault`
+	n.stats.drained++      // no Tick method on counters: clean
 }
 
 // drain carries a reasoned allow: the mutation test deletes the allow line

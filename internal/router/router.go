@@ -50,12 +50,12 @@ type Config struct {
 }
 
 // vcState is one input virtual channel. Its flit queue is a fixed-capacity
-// ring over a view into the router's flat buffer arena (indexed by
+// ring over a BufFlits-slot window of the router's one flit slab (indexed by
 // (port, vc)): the credit protocol bounds occupancy at BufFlits, so the
 // storage never grows and forwarding never slides or reallocates a slice —
 // the append/`q = q[1:]` queue it replaces reallocated once per packet.
 type vcState struct {
-	buf     []packet.Flit // BufFlits ring slots in the shared arena
+	buf     []packet.Flit // BufFlits ring slots of the router's flit slab
 	head    int           // ring index of the oldest flit
 	n       int           // buffered flit count
 	outPort int           // -1 when the head packet has no route yet
@@ -154,14 +154,14 @@ func New(cfg Config) *Router {
 	r := &Router{cfg: cfg}
 	nvc := packet.NumClasses * cfg.VCs
 	r.in = make([]inPort, cfg.InPorts)
-	// One flat arena holds every input VC's flit buffer, carved into
-	// per-(port, vc) rings of BufFlits slots.
-	arena := make([]packet.Flit, cfg.InPorts*nvc*cfg.BufFlits)
+	// One slab holds every input VC's flit buffer, cut into per-(port, vc)
+	// rings of BufFlits slots.
+	slab := make([]packet.Flit, cfg.InPorts*nvc*cfg.BufFlits)
 	for i := range r.in {
 		r.in[i].vcs = make([]vcState, nvc)
 		for v := range r.in[i].vcs {
 			off := (i*nvc + v) * cfg.BufFlits
-			r.in[i].vcs[v].buf = arena[off : off+cfg.BufFlits]
+			r.in[i].vcs[v].buf = slab[off : off+cfg.BufFlits]
 			r.in[i].vcs[v].outPort = -1
 		}
 		r.in[i].pfcActive = make([]bool, nvc)

@@ -220,18 +220,11 @@ func (f *Fly) routerShard(r int, shardOf []int) int {
 
 // RegisterRoutersSharded implements topo.Network.
 func (f *Fly) RegisterRoutersSharded(e *sim.Engine, shardOf []int) {
-	ab := topo.NewArenaBuilder(e)
 	for _, st := range f.routers {
 		for r, rt := range st {
-			sh := f.routerShard(r, shardOf)
-			e.RegisterSharded(sh, rt)
-			ab.AddRouter(sh, rt)
+			e.RegisterSharded(f.routerShard(r, shardOf), rt)
 		}
 	}
-	for n, fc := range f.ifaces {
-		ab.AddIface(shardOf[n], fc)
-	}
-	defer ab.Build()
 	topo.MarkCross(e, f.edges, func(key int) int {
 		if key < 0 {
 			return shardOf[-key-1]

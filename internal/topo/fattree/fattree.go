@@ -343,18 +343,11 @@ func (t *Tree) routerShard(l, w int, shardOf []int) int {
 
 // RegisterRoutersSharded implements topo.Network.
 func (t *Tree) RegisterRoutersSharded(e *sim.Engine, shardOf []int) {
-	ab := topo.NewArenaBuilder(e)
 	for l, lvl := range t.routers {
 		for w, r := range lvl {
-			sh := t.routerShard(l, w, shardOf)
-			e.RegisterSharded(sh, r)
-			ab.AddRouter(sh, r)
+			e.RegisterSharded(t.routerShard(l, w, shardOf), r)
 		}
 	}
-	for n, f := range t.ifaces {
-		ab.AddIface(shardOf[n], f)
-	}
-	defer ab.Build()
 	topo.MarkCross(e, t.edges, func(key int) int {
 		if key < 0 {
 			return shardOf[-key-1]

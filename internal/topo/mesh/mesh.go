@@ -263,16 +263,10 @@ func (m *Mesh) Partition(shards int) []int {
 // shard, and neighbor channels crossing a block boundary become staged
 // cross-shard edges.
 func (m *Mesh) RegisterRoutersSharded(e *sim.Engine, shardOf []int) {
-	ab := topo.NewArenaBuilder(e)
 	for n, r := range m.routers {
 		e.RegisterSharded(shardOf[n], r)
-		ab.AddRouter(shardOf[n], r)
-	}
-	for n, f := range m.ifaces {
-		ab.AddIface(shardOf[n], f)
 	}
 	topo.MarkCross(e, m.edges, func(key int) int { return shardOf[key] })
-	ab.Build()
 }
 
 // AuditRouters implements topo.Network.

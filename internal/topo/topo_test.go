@@ -1,12 +1,16 @@
 package topo_test
 
 import (
+	"runtime"
 	"testing"
 
 	"nifdy/internal/packet"
 	"nifdy/internal/router"
 	"nifdy/internal/sim"
 	"nifdy/internal/topo"
+	"nifdy/internal/topo/butterfly"
+	"nifdy/internal/topo/fattree"
+	"nifdy/internal/topo/mesh"
 )
 
 func TestAlignedPartitionDegenerate(t *testing.T) {
@@ -171,5 +175,43 @@ func TestMarkCrossSameShardUnmarked(t *testing.T) {
 	ch.Flits.Send(e.Now(), packet.Flit{})
 	if got := ch.Flits.Pending(); got != 1 {
 		t.Fatalf("same-shard edge was marked cross-shard: pending = %d, want 1", got)
+	}
+}
+
+// TestRegistrationAllocatesNoFabricState pins the one state layout: the
+// constructors allocate every flit ring, credit table, owner table and wire
+// event list, and registering the fabric with an engine is bookkeeping only
+// (component lists, activities, cross-edge marks). A registration pass that
+// re-allocated the hot state — a second layout copied from the first — would
+// put the two deltas within a small factor of each other.
+func TestRegistrationAllocatesNoFabricState(t *testing.T) {
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	cases := []struct {
+		name string
+		new  func() topo.Network
+	}{
+		{"mesh", func() topo.Network { return mesh.New(mesh.Config{Dims: []int{9, 9}, BufFlits: 64}) }},
+		{"fattree", func() topo.Network { return fattree.New(fattree.Config{}) }},
+		{"butterfly", func() topo.Network { return butterfly.New(butterfly.Config{}) }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var net topo.Network
+			build := allocated(func() { net = c.new() })
+			e := sim.New()
+			register := allocated(func() { net.RegisterRoutersSharded(e, net.Partition(1)) })
+			t.Logf("construction %d B, registration %d B", build, register)
+			if register*8 >= build {
+				t.Errorf("registration allocated %d bytes against %d at construction: want under one eighth",
+					register, build)
+			}
+		})
 	}
 }

@@ -1,5 +1,5 @@
 #!/bin/sh
-# benchlocality.sh — gate the structure-of-arrays flit core (DESIGN.md §10).
+# benchlocality.sh — gate active-set scheduling (DESIGN.md §10).
 #
 # Three assertions:
 #
@@ -21,8 +21,8 @@
 #      that visits sleepers pays ~87 visits per Tick here and reads ~60x.
 #
 #   3. The hot path got faster, not just different: BenchmarkFigure2Heavy
-#      wall clock must beat the committed pre-SoA baseline
-#      (BENCH_2026-08-06_zeroalloc.json, f2 = 47.95s) by at least 20%,
+#      wall clock must beat the committed baseline from before the active
+#      set (BENCH_2026-08-06_zeroalloc.json, f2 = 47.95s) by at least 20%,
 #      enforced through benchdiff.sh with a negative regression threshold
 #      (REGRESS_PCT=-20 turns the regression check into a speedup floor).
 #
@@ -82,7 +82,7 @@ awk -v r="$cost" -v m="$tick_cost_max" 'BEGIN{exit !(r <= m)}' || {
     exit 1
 }
 
-echo "benchlocality: Figure 2 heavy traffic vs pre-SoA baseline ($baseline)..."
+echo "benchlocality: Figure 2 heavy traffic vs pre-active-set baseline ($baseline)..."
 go test -run xxx -bench BenchmarkFigure2Heavy -benchtime 1x -timeout 1800s . > "$tmp/f2.txt"
 f2ns=$(awk '/^BenchmarkFigure2Heavy/ {print $3}' "$tmp/f2.txt")
 if [ -z "$f2ns" ]; then
@@ -93,7 +93,7 @@ fi
 jq -n --argjson ns "$f2ns" \
     --arg date "$(date -u +%F)" --arg gover "$(go env GOVERSION)" --arg arch "$(go env GOARCH)" '
   {date: $date, go_version: $gover, goarch: $arch, full: false,
-   note: "benchlocality.sh: SoA arena + active-set scheduling gate run",
+   note: "benchlocality.sh: active-set scheduling gate run",
    experiments: [{name: "f2", ns_per_op: $ns}]}
 ' > "$tmp/f2.json"
 if [ -n "${BENCH_OUT:-}" ]; then
@@ -103,7 +103,7 @@ fi
 # A negative threshold flips benchdiff's regression check into a speedup
 # floor: the new f2 must be at least 20% below the old baseline's ns/op.
 REGRESS_PCT=${REGRESS_PCT:--20} ./scripts/benchdiff.sh "$baseline" "$tmp/f2.json" || {
-    echo "FAIL: Figure2Heavy did not beat the pre-SoA baseline by the required margin" >&2
+    echo "FAIL: Figure2Heavy did not beat the pre-active-set baseline by the required margin" >&2
     exit 1
 }
 echo "benchlocality: OK"
