@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-budget lintdiff loc race check check-deep bench-check bench-smoke bench bench-heavy benchdiff bench-dist bench-scale bench-locality bench-fabric profdiff baseline clean
+.PHONY: build test vet lint lint-budget lintdiff loc race check check-deep bench-check bench-smoke bench bench-locality profdiff clean
 
 build:
 	$(GO) build ./...
@@ -64,76 +64,44 @@ bench-check:
 	$(GO) test -C bench ./...
 
 # bench-smoke runs one iteration of the engine microbenchmarks and the
-# cheap end-to-end cycle benchmark: enough to catch gross regressions
-# without the multi-minute figure benchmarks. The timer-wheel, processor and
-# flow-solver benchmarks run longer, with -benchmem: ns per Tick among 1k and
-# 64k timed sleepers (the two must agree), ns per Send stalled K cycles (the
-# same for every K) and per completed Send (one goroutine handoff), and
-# solver-ns per flow-solver step among ~300 and ~90k flows in flight at the same
-# event rate (what separates them is cache misses, not flows visited), all at
-# 0 allocs/op.
+# cheap end-to-end cycle benchmark: enough to catch gross regressions in
+# seconds. The saturated-cycle, timer-wheel, processor and flow-solver
+# benchmarks run longer, with -benchmem: bytes and allocations per 1,000
+# saturated cycles for each NIC kind (the zero-allocation contract hotalloc
+# polices statically; the residue is pool cold-misses, some 8 to 24 allocs),
+# then, at 0 allocs/op, ns per Tick among 1k and 64k timed sleepers (the two
+# must agree), ns per Send stalled K cycles (the same for every K) and per
+# completed Send (one goroutine handoff), and solver-ns per flow-solver step
+# among ~300 and ~90k flows in flight at the same event rate (what separates
+# them is cache misses, not flows visited).
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkEngineStep|BenchmarkStep|BenchmarkSimCycleMesh' -benchtime 1x ./internal/sim/... .
+	$(GO) test -run xxx -bench 'BenchmarkSaturatedCycle' -benchmem -benchtime 100x .
 	$(GO) test -run xxx -bench 'BenchmarkTimedSleepers' -benchmem -benchtime 50000x ./internal/sim/
 	$(GO) test -run xxx -bench 'BenchmarkProcStalledSend|BenchmarkProcSend' -benchmem -benchtime 200000x ./internal/node/
 	$(GO) test -run xxx -bench 'BenchmarkSolverStep' -benchmem -benchtime 20000x ./internal/flow/
 
-# bench runs the full-figure wall-clock benchmarks (several minutes).
+# bench is the one measuring entry point: every BENCHMARK.json workload
+# through bench/run.sh, untraced (speed, setup, memory, simulated throughput,
+# each workload's own floor checks) and traced (the per-layer metrics and
+# rigs), into one result set. Two sets — e.g. a parent checkout's and this
+# one's — are judged by `bash bench/run.sh -compare a.json b.json`;
+# bench/README.md has the rest.
 bench:
-	$(GO) test -run xxx -bench 'BenchmarkFigure2Heavy|BenchmarkFigure3Light' -benchtime 1x -timeout 1800s .
-
-# bench-heavy exercises the saturated data path: the Figure 2 heavy-traffic
-# experiment plus the per-cycle saturation benchmarks with allocation
-# reporting — the B/op columns are the zero-allocation contract.
-bench-heavy:
-	$(GO) test -run xxx -bench 'BenchmarkFigure2Heavy|BenchmarkSaturatedCycle' -benchmem -benchtime 1x -timeout 1800s .
-
-# benchdiff compares two committed BENCH_<date>.json baselines, failing on
-# a >10% ns/op regression: make benchdiff OLD=BENCH_a.json NEW=BENCH_b.json
-benchdiff:
-	./scripts/benchdiff.sh $(OLD) $(NEW)
-
-# bench-dist gates the multi-process engine: 1/2(/4)-worker runs of the
-# same workload must produce byte-identical state traces, on any host. The
-# wall-clock ratio to the 1-process run is printed, not asserted. (The
-# intra-process ratio, 1 shard vs 2, is bench/'s sim.sharded_speedup.)
-bench-dist:
-	./scripts/benchdist.sh
-
-# bench-scale smoke-tests the flow engine at 100k+ nodes: two identical
-# scale runs must deliver bit-identical packet counts, and the flow fabric
-# must clear a simulated node-cycles-per-second floor (default 10M).
-# Override the floor with: make bench-scale FLOOR=50000000
-bench-scale:
-	./scripts/benchscale.sh $(FLOOR)
+	bash bench/run.sh -all -out bench/out/all.json
 
 # bench-locality gates active-set scheduling (DESIGN.md §10):
 # BenchmarkIdleFraction's step cost must be sub-linear in total component
-# count, BenchmarkTimedSleepers' cost per Tick must not depend on how many
-# components sleep on a timer (nor be far from what it is when they are
-# parked), and BenchmarkFigure2Heavy must beat the committed pre-active-set
-# baseline (BENCH_2026-08-06_zeroalloc.json) by at least 20%, via
-# benchdiff.sh with an inverted (negative) regression threshold.
+# count, and BenchmarkTimedSleepers' cost per Tick must not depend on how
+# many components sleep on a timer, nor be far from what it is when they are
+# parked. Per-size medians over five rounds; the thresholds are in the script.
 bench-locality:
 	./scripts/benchlocality.sh
-
-# bench-fabric gates the modern-fabric scenario pack (DESIGN.md §11): the
-# NIFDY vs PFC/DCQCN incast matrix must be bit-identical at 1 vs 2 engine
-# shards, and NIFDY must beat PFC's delivered throughput under lossless
-# incast by at least RATIO_MIN (default 1.05), with a MIN_PKTS noise floor.
-# Override with: make bench-fabric RATIO_MIN=1.10
-bench-fabric:
-	RATIO_MIN=$(or $(RATIO_MIN),1.05) MIN_PKTS=$(or $(MIN_PKTS),1000) ./scripts/benchfabric.sh
 
 # profdiff prints the top-N flat-cost changes between two CPU profiles of
 # the same workload: make profdiff OLD=before.prof NEW=after.prof
 profdiff:
 	./scripts/profdiff.sh $(OLD) $(NEW) $(or $(N),15)
-
-# baseline regenerates the committed BENCH_<date>.json perf/metrics
-# baseline from the reduced-scale experiment suite.
-baseline:
-	$(GO) run ./cmd/nifdy-bench -json BENCH_$$(date -u +%F).json > /dev/null
 
 clean:
 	rm -f *.test *.prof *.out

@@ -418,17 +418,7 @@ func (s *Sim) Accepted() int64 { return s.AggregateStats().Accepted }
 func (s *Sim) AggregateStats() nic.Stats {
 	var a nic.Stats
 	for _, nc := range s.NICs {
-		st := nc.Stats()
-		a.Sent += st.Sent
-		a.Accepted += st.Accepted
-		a.Injected += st.Injected
-		a.AcksSent += st.AcksSent
-		a.AcksReceived += st.AcksReceived
-		a.BulkGrants += st.BulkGrants
-		a.BulkRejects += st.BulkRejects
-		a.BulkPackets += st.BulkPackets
-		a.Retransmits += st.Retransmits
-		a.Duplicates += st.Duplicates
+		a.Add(nc.Stats())
 	}
 	return a
 }

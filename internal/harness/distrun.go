@@ -306,26 +306,12 @@ func mergeRecords(recs []distRecord) (distRecord, error) {
 			return g, fmt.Errorf("harness: workers disagree: worker %d at (now %d, pend %d), worker 0 at (now %d, pend %d)",
 				r, rec.Now, rec.Pend, g.Now, g.Pend)
 		}
-		g.Stats = addStats(g.Stats, rec.Stats)
+		g.Stats.Add(&rec.Stats)
 		g.Net += rec.Net
 		g.Done = g.Done && rec.Done
 		g.Fails = append(g.Fails, rec.Fails...)
 	}
 	return g, nil
-}
-
-func addStats(a, b nic.Stats) nic.Stats {
-	a.Sent += b.Sent
-	a.Accepted += b.Accepted
-	a.Injected += b.Injected
-	a.AcksSent += b.AcksSent
-	a.AcksReceived += b.AcksReceived
-	a.BulkGrants += b.BulkGrants
-	a.BulkRejects += b.BulkRejects
-	a.BulkPackets += b.BulkPackets
-	a.Retransmits += b.Retransmits
-	a.Duplicates += b.Duplicates
-	return a
 }
 
 // DistTrace runs the spec across procs worker processes, driving them

@@ -33,6 +33,21 @@ type Stats struct {
 	Retransmits, Duplicates int64
 }
 
+// Add accumulates o's counters into s: the one place a new counter has to
+// be summed, for in-process and multi-process aggregation alike.
+func (s *Stats) Add(o *Stats) {
+	s.Sent += o.Sent
+	s.Accepted += o.Accepted
+	s.Injected += o.Injected
+	s.AcksSent += o.AcksSent
+	s.AcksReceived += o.AcksReceived
+	s.BulkGrants += o.BulkGrants
+	s.BulkRejects += o.BulkRejects
+	s.BulkPackets += o.BulkPackets
+	s.Retransmits += o.Retransmits
+	s.Duplicates += o.Duplicates
+}
+
 // Hooks let the harness observe packet lifecycle events (e.g. the Figure 5
 // pending-per-receiver heatmap tracks Send/Accept).
 type Hooks struct {

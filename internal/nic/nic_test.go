@@ -1,6 +1,7 @@
 package nic
 
 import (
+	"reflect"
 	"testing"
 
 	"nifdy/internal/packet"
@@ -239,5 +240,22 @@ func TestRoomEdgeWakesProc(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestStatsAddSumsEveryField sets each counter to a distinct value by
+// reflection, so a counter added to Stats and not to Add fails here.
+func TestStatsAddSumsEveryField(t *testing.T) {
+	var a, b Stats
+	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < av.NumField(); i++ {
+		av.Field(i).SetInt(int64(i + 1))
+		bv.Field(i).SetInt(int64(100 * (i + 1)))
+	}
+	a.Add(&b)
+	for i := 0; i < av.NumField(); i++ {
+		if got, want := av.Field(i).Int(), int64(101*(i+1)); got != want {
+			t.Errorf("%s = %d after Add, want %d", av.Type().Field(i).Name, got, want)
+		}
 	}
 }

@@ -5,7 +5,6 @@
 package stats
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -344,14 +343,4 @@ func (t *Table) String() string {
 		line(r)
 	}
 	return b.String()
-}
-
-// JSON renders the table as a JSON object with title, headers, and rows —
-// for piping harness output into other tools.
-func (t *Table) JSON() ([]byte, error) {
-	return json.Marshal(struct {
-		Title   string     `json:"title"`
-		Headers []string   `json:"headers"`
-		Rows    [][]string `json:"rows"`
-	}{t.Title, t.Headers, t.rows})
 }

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -171,25 +170,5 @@ func TestParseFloat(t *testing.T) {
 		if got := parseFloat(s); got != want {
 			t.Errorf("parseFloat(%q) = %v, want %v", s, got, want)
 		}
-	}
-}
-
-func TestTableJSON(t *testing.T) {
-	tb := NewTable("fig", "a", "b")
-	tb.Row(1, 2.5)
-	out, err := tb.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var decoded struct {
-		Title   string     `json:"title"`
-		Headers []string   `json:"headers"`
-		Rows    [][]string `json:"rows"`
-	}
-	if err := json.Unmarshal(out, &decoded); err != nil {
-		t.Fatal(err)
-	}
-	if decoded.Title != "fig" || len(decoded.Rows) != 1 || decoded.Rows[0][1] != "2.50" {
-		t.Fatalf("decoded %+v", decoded)
 	}
 }

@@ -158,9 +158,6 @@ var (
 	FlowMeshSized = harness.FlowMeshSized
 	// FlowFatTreeSized is an analytically sized 4^levels flow-level fat tree.
 	FlowFatTreeSized = harness.FlowFatTreeSized
-	// ScaleBench measures a fabric's simulated node-cycles per wall second
-	// under saturation traffic.
-	ScaleBench = harness.ScaleBench
 )
 
 // Experiment entry points — one per paper table/figure (see DESIGN.md and
@@ -237,10 +234,6 @@ type (
 	AckOpts = harness.AckOpts
 	// SweepOpts parameterizes Table3Sweep.
 	SweepOpts = harness.SweepOpts
-	// ScaleOpts parameterizes ScaleBench.
-	ScaleOpts = harness.ScaleOpts
-	// ScaleResult is one ScaleBench measurement.
-	ScaleResult = harness.ScaleResult
 	// ModelCheckOpts parameterizes ModelCheck.
 	ModelCheckOpts = harness.ModelCheckOpts
 	// FabricOpts parameterizes FabricExperiment.

@@ -4,8 +4,8 @@
 #
 # Prints a table of the top N (default 15) functions by absolute flat-cost
 # change between two pprof profiles of the same workload (e.g.
-# `go test -bench BenchmarkFigure2Heavy -cpuprofile f2.prof` before and
-# after an optimization). Positive deltas are functions that got more
+# `go run ./cmd/nifdy-bench -exp f2 -cpuprofile f2.prof` before and after
+# an optimization). Positive deltas are functions that got more
 # expensive, negative ones cheaper; functions present in only one profile
 # show the full cost as the delta. Flat percentages are of each profile's
 # own total, so the table is meaningful even when total wall clock changed —
