@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -180,6 +181,35 @@ func TestEngineModesBitIdentical(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestShardsExceedProcs runs four shards on one P: every receive of the
+// window barrier then polls while the goroutine it waits for is not running,
+// and the Gosched in pollRecv is what hands it the P. (Without it the receive
+// runs out of budget, blocks, and the budget shrinks, so this test would still
+// pass; BenchmarkStepParallel is where the cost shows, about twice the time
+// per step.) The traces must be the one-shard trace.
+func TestShardsExceedProcs(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	const seed, pairs, cycles = 1995, 16, 2000
+	run := func(shards int, w Cycle) string {
+		e := NewParallel(shards)
+		defer e.Close()
+		e.SetWindow(w)
+		render := buildWorkload(e, seed, pairs)
+		e.Run(cycles)
+		return render()
+	}
+	for _, w := range []Cycle{1, 4} {
+		ref := run(1, w)
+		if !strings.Contains(ref, "=") {
+			t.Fatalf("window=%d: workload produced no events", w)
+		}
+		if got := run(4, w); got != ref {
+			t.Errorf("window=%d: 4 shards on 1 P diverge from one shard:\nreference:\n%s\ngot:\n%s", w, ref, got)
+		}
 	}
 }
 

@@ -27,7 +27,7 @@
 // with peer processes when a WindowSync is installed, and the jump over idle
 // cycles when no shard ticked. New() is one shard, NewParallel(n) is n shards
 // with one persistent worker goroutine per shard beyond the first (released
-// and joined once per window over channels; Close parks them), W defaults to
+// and joined once per window over channels; Close ends them), W defaults to
 // 1 — a boundary after every cycle, the paper's model — and internal/dist is
 // the same loop with a WindowSync. W > 1 is legal when no cross-shard event
 // can arrive inside the window it was sent in; the fabric is then built for
@@ -72,6 +72,7 @@ package sim
 
 import (
 	"math"
+	"runtime"
 	"sync/atomic"
 )
 
@@ -211,7 +212,7 @@ type deferredCall struct {
 type span struct{ from, to Cycle }
 
 // shard is one scheduling unit: a tick list with its scheduler state and its
-// two flushers, plus the channel its worker parks on.
+// two flushers, plus the channel its worker waits on.
 type shard struct {
 	tickers  []Ticker
 	acts     []*Activity    // parallel to tickers; nil entries always run
@@ -270,11 +271,12 @@ type Engine struct {
 	shards []shard
 	lo, hi int // owned shard range [lo,hi); unowned shards never tick
 
-	skip   bool
-	phase  chan struct{} // workers report the end of their window here
-	closed bool
-	hooks  []stepHook
-	stats  Stats
+	skip       bool
+	phase      chan struct{} // workers report the end of their window here
+	joinBudget int           // the stepping goroutine's poll allowance on phase (pollRecv)
+	closed     bool
+	hooks      []stepHook
+	stats      Stats
 
 	// window is the conservative synchronization window W (SetWindow). sync,
 	// when set, is the cross-process synchronizer; crossHook (a
@@ -295,7 +297,7 @@ func New() *Engine {
 // concurrently on persistent workers (one long-lived goroutine per shard
 // beyond the first; shard 0 runs on the stepping goroutine). Components
 // registered in different shards must not share mutable non-latched state.
-// Call Close when done with the engine to park the workers.
+// Call Close when done with the engine: it ends the workers.
 func NewParallel(n int) *Engine {
 	if n < 1 {
 		n = 1
@@ -319,6 +321,7 @@ func NewParallelOwned(total, lo, hi int) *Engine {
 	e := newEngine(total)
 	e.lo, e.hi = lo, hi
 	e.phase = make(chan struct{}, hi-lo-1)
+	e.joinBudget = pollBudget
 	for i := lo + 1; i < hi; i++ {
 		s := &e.shards[i]
 		s.start = make(chan span, 1)
@@ -493,10 +496,54 @@ func (e *Engine) CrossFlusher(sh int) *Flusher {
 // Now returns the current cycle (the cycle about to be, or being, executed).
 func (e *Engine) Now() Cycle { return e.now }
 
+// pollBudget is the most non-blocking polls pollRecv makes before it blocks
+// (about 200 µs); pollYield is how many of them pass between calls to
+// runtime.Gosched, and the fewest a receive site's budget shrinks to.
+const (
+	pollBudget = 1 << 14
+	pollYield  = 64
+)
+
+// pollRecv receives from c, polling before it parks. A window is tens of
+// microseconds of work per shard, so the value is nearly always about to
+// arrive, and a goroutine that parks in a blocking receive pays the
+// scheduler's park/ready path on both sides of every window — more than the
+// window itself. The Gosched keeps the polls from starving the sender when
+// there are more shards than Ps. *budget is the receive site's allowance of
+// polls: a receive that runs out of it and blocks halves it, one that does
+// not adds pollYield, between pollYield and pollBudget. An engine nobody is
+// running therefore costs nothing, and one whose sender cannot run while the
+// receiver polls (the shards of several processes on fewer CPUs, where
+// Gosched yields nothing) stops paying for polls that cannot succeed. ok is
+// false once c is closed.
+func pollRecv[T any](c <-chan T, budget *int) (v T, ok bool) {
+	n := *budget
+	for i := 1; i <= n; i++ {
+		select {
+		case v, ok = <-c:
+			*budget = min(n+pollYield, pollBudget)
+			return v, ok
+		default:
+		}
+		if i%pollYield == 0 {
+			runtime.Gosched()
+		}
+	}
+	*budget = max(n/2, pollYield)
+	v, ok = <-c
+	return v, ok
+}
+
 // worker is the persistent loop of one extra shard: free-run the window it
-// is released into, report, park. The report is the window's only barrier.
+// is released into, report, wait for the next. The report is the window's
+// only barrier. Close ends the loop by closing s.start.
 func (e *Engine) worker(s *shard) {
-	for w := range s.start {
+	budget := pollBudget
+	for {
+		w, ok := pollRecv(s.start, &budget)
+		if !ok {
+			return
+		}
 		e.freeRun(s, w.from, w.to)
 		e.phase <- struct{}{}
 	}
@@ -522,8 +569,9 @@ func (e *Engine) freeRun(s *shard, from, to Cycle) {
 	s.ticked = ticked
 }
 
-// Close parks the engine's persistent workers. The engine must not be run
-// afterwards. Safe to call repeatedly, and a no-op for one-shard engines.
+// Close ends the engine's persistent workers: each returns once it sees its
+// start channel closed. An engine that has workers panics if run afterwards.
+// Safe to call repeatedly, and a no-op for one-shard engines.
 func (e *Engine) Close() {
 	if e.closed {
 		return
@@ -573,6 +621,9 @@ func (e *Engine) RunUntil(done func() bool, max Cycle) bool {
 // ticked nowhere staged no events anywhere, so the jump is as safe as in one
 // process.
 func (e *Engine) runWindowed(end Cycle, done func() bool) bool {
+	if e.closed && e.hi-e.lo > 1 {
+		panic("sim: Run after Close")
+	}
 	W := e.window
 	for e.now < end {
 		T := e.now
@@ -599,7 +650,7 @@ func (e *Engine) runWindowed(end Cycle, done func() bool) bool {
 		}
 		e.freeRun(&e.shards[e.lo], T, E)
 		for range rest {
-			<-e.phase
+			pollRecv(e.phase, &e.joinBudget)
 		}
 		e.runDeferred(E)
 		anyTicked := false

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -145,6 +147,106 @@ func TestNewParallelClampsShards(t *testing.T) {
 	}
 	e.Register(&counter{}) // must not panic
 	e.Step()
+}
+
+// spinUntil yields the P until cond holds; it waits on the event, never on
+// the wall clock, and gives up after a bounded number of yields.
+func spinUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for i := 0; i < 1<<22; i++ {
+		if cond() {
+			return
+		}
+		runtime.Gosched()
+	}
+	t.Fatalf("gave up waiting for %s", what)
+}
+
+// goroutinesIn reports, from a dump of every goroutine, how many have frame on
+// their stack and how many of those are blocked in a channel receive.
+func goroutinesIn(frame string) (n, blocked int) {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if !strings.Contains(g, frame) {
+			continue
+		}
+		n++
+		if header, _, _ := strings.Cut(g, "\n"); strings.Contains(header, "[chan receive") {
+			blocked++
+		}
+	}
+	return n, blocked
+}
+
+// TestPollRecvBudget: a receive satisfied while polling adds one stride to
+// the site's budget, up to pollBudget; one that runs out and blocks halves it,
+// down to pollYield; a closed channel reports !ok.
+func TestPollRecvBudget(t *testing.T) {
+	c := make(chan int, 1)
+	budget := pollBudget - pollYield
+	for i := 0; i < 2; i++ {
+		c <- i
+		if v, ok := pollRecv(c, &budget); v != i || !ok || budget != pollBudget {
+			t.Fatalf("ready receive %d: got %d, %v, budget %d, want budget %d", i, v, ok, budget, pollBudget)
+		}
+	}
+	budget = 2 * pollYield
+	for i := 0; i < 2; i++ {
+		go func() {
+			// Send only once the receiver has given up polling.
+			for {
+				if _, blocked := goroutinesIn("TestPollRecvBudget"); blocked > 0 {
+					break
+				}
+				runtime.Gosched()
+			}
+			c <- 7
+		}()
+		if v, ok := pollRecv(c, &budget); v != 7 || !ok || budget != pollYield {
+			t.Fatalf("blocked receive %d: got %d, %v, budget %d, want budget %d", i, v, ok, budget, pollYield)
+		}
+	}
+	close(c)
+	if _, ok := pollRecv(c, &budget); ok {
+		t.Fatal("closed channel reported ok")
+	}
+}
+
+// TestCloseEndsWorkers: Close makes every worker return, whether it arrives
+// while they still poll for the next window or after they have fallen through
+// to the blocking receive; an idle engine reaches that blocking receive on its
+// own; Close twice is a no-op and Run after Close panics by name.
+func TestCloseEndsWorkers(t *testing.T) {
+	for _, idle := range []bool{false, true} {
+		base := runtime.NumGoroutine()
+		e := NewParallel(4)
+		var n atomic.Int64
+		for i := 0; i < 16; i++ {
+			e.RegisterSharded(i, TickFunc(func(Cycle) { n.Add(1) }))
+		}
+		e.Run(10)
+		if idle {
+			spinUntil(t, "idle workers to block in a receive", func() bool {
+				workers, blocked := goroutinesIn("sim.(*Engine).worker")
+				return workers >= 3 && blocked == workers
+			})
+		}
+		e.Close()
+		spinUntil(t, "workers to end", func() bool { return runtime.NumGoroutine() <= base })
+		e.Close()
+		func() {
+			defer func() {
+				if r := recover(); r != "sim: Run after Close" {
+					t.Errorf("idle=%v: Run after Close: recovered %v", idle, r)
+				}
+			}()
+			e.Run(1)
+		}()
+		if n.Load() != 160 {
+			t.Errorf("idle=%v: ticked %d times, want 160", idle, n.Load())
+		}
+	}
 }
 
 func TestQueueLatching(t *testing.T) {
