@@ -50,11 +50,14 @@ check-deep:
 	./scripts/checkdeep.sh $(MINUTES)
 
 # race exercises the concurrency-heavy packages — the engine's worker
-# pool and quiescence protocol, the flow fabric's per-shard staging
-# hand-off, the harness's concurrent simulations, and the processors'
-# program goroutines — under the race detector.
+# pool and quiescence protocol, the wires' cross-shard staging and the
+# routers' arrival boards (a cross-shard wire's board word is written by the
+# stepping goroutine at the window boundary and read by the consumer's shard
+# in the next window), the flow fabric's per-shard staging hand-off, the
+# harness's concurrent simulations, and the processors' program goroutines —
+# under the race detector.
 race:
-	$(GO) test -race -count=1 -timeout 3600s ./internal/sim/... ./internal/flow/... ./internal/harness/... ./internal/node/... ./internal/core/... ./internal/dist/...
+	$(GO) test -race -count=1 -timeout 3600s ./internal/sim/... ./internal/link/... ./internal/router/... ./internal/flow/... ./internal/harness/... ./internal/node/... ./internal/core/... ./internal/dist/...
 
 # bench-check runs the benchmark module's own tests (bench/ is a module of
 # its own, so `go test ./...` at the root does not see it): the smoke over

@@ -126,12 +126,12 @@ func (x *Exchange) CrossHook(rankOf func(sh int) int) topo.CrossHook {
 			// Flits egress to the consumer's process; credits come back.
 			ch.Flits.CrossShard(x.eng.CrossFlusher(ws))
 			ch.Flits.SetRemote(flitSink{x, cr, edge})
-			x.inCredits[edge] = ch.Credits
+			x.inCredits[edge] = &ch.Credits
 		} else if cr == me {
 			// Flits arrive from the writer's process; credits egress back.
 			ch.Credits.CrossShard(x.eng.CrossFlusher(cs))
 			ch.Credits.SetRemote(creditSink{x, wr, edge})
-			x.inFlits[edge] = &flitIngress{l: ch.Flits, cur: map[int]*packet.Packet{}}
+			x.inFlits[edge] = &flitIngress{l: &ch.Flits, cur: map[int]*packet.Packet{}}
 		}
 		return true
 	}

@@ -289,6 +289,11 @@ func Build(opts BuildOpts) *Sim {
 		}
 		s.Checker = check.New(s.Eng, net, co)
 	}
+	// Chars walks every node pair on a mesh: read it once, not once per node.
+	cpf := 0
+	if opts.Kind == DCQCN {
+		cpf = net.Chars().CPF
+	}
 	for n := 0; n < net.Nodes(); n++ {
 		hooks := s.Pending.HooksFor(shardOf[n])
 		if s.Checker != nil {
@@ -320,7 +325,7 @@ func Build(opts BuildOpts) *Sim {
 			}
 			nc = nic.NewDCQCN(nic.DCQCNConfig{
 				Node: n, OutBuf: 1, ArrBuf: 2,
-				CPF:   net.Chars().CPF,
+				CPF:   cpf,
 				Hooks: hooks, Mutate: mut,
 			}, net.Iface(n))
 		default:

@@ -29,10 +29,17 @@ type Wire[T any] struct {
 	latency sim.Cycle
 	events  []timed[T]
 	head    int
-	// next caches events[head].at (sim.Never when empty) so the hot
-	// Ready/NextAt polls are a single field compare instead of a bounds
-	// check plus a load through the slice.
-	next sim.Cycle
+	// *next caches events[head].at (sim.Never when empty) so the hot
+	// Ready/NextAt polls are one load and a compare instead of a bounds check
+	// plus a load through the slice. It points at own until the consumer
+	// boards the wire (Board), and into the consumer's arrival board after —
+	// a consumer with many input wires then finds the due ones by scanning
+	// one contiguous array, without touching the wires. Whoever may touch
+	// events may write the word: the same-shard writer in SendAt, the
+	// consumer in Recv, and on a cross-shard wire only Flush/InjectAt, at the
+	// window boundary.
+	next *sim.Cycle
+	own  sim.Cycle
 	obs  *sim.Activity
 
 	// Cross-shard staging (nil/unused for same-shard wires). staged is
@@ -69,10 +76,20 @@ type timed[T any] struct {
 // NewWire returns a Wire with the given latency in cycles (values below 1
 // are raised to 1).
 func NewWire[T any](latency int) *Wire[T] {
+	w := new(Wire[T])
+	w.Init(latency)
+	return w
+}
+
+// Init makes w an empty wire with the given latency, in place: a wire that is
+// a field of its owner costs no allocation of its own. The wire points at its
+// own next-arrival word until boarded, so it must not be copied after Init.
+func (w *Wire[T]) Init(latency int) {
 	if latency < 1 {
 		latency = 1
 	}
-	return &Wire[T]{latency: sim.Cycle(latency), next: sim.Never}
+	*w = Wire[T]{latency: sim.Cycle(latency), own: sim.Never}
+	w.next = &w.own
 }
 
 // Latency reports the wire delay in cycles.
@@ -82,6 +99,15 @@ func (w *Wire[T]) Latency() int { return int(w.latency) }
 // at the event's arrival cycle. The consumer must live in the same engine
 // shard as the wire's writer unless the wire is marked CrossShard.
 func (w *Wire[T]) Observe(a *sim.Activity) { w.obs = a }
+
+// Board moves the wire's cached next-arrival cycle into slot, a word of the
+// consumer's arrival board, carrying a pending arrival over. From then on
+// *slot == NextAt() after every operation on the wire, under the wire's own
+// ownership rule (see the next field). Like Observe it is a build-time call.
+func (w *Wire[T]) Board(slot *sim.Cycle) {
+	*slot = *w.next
+	w.next = slot
+}
 
 // CrossShard marks the wire as a cross-shard edge. f must be the writer
 // shard's sim.Engine.CrossFlusher: sends stage locally and the staged batch
@@ -108,8 +134,8 @@ func (w *Wire[T]) InjectAt(at sim.Cycle, v T) {
 		panic("link: out-of-order InjectAt")
 	}
 	w.events = append(w.events, timed[T]{at, v})
-	if at < w.next {
-		w.next = at
+	if at < *w.next {
+		*w.next = at
 	}
 	if w.obs != nil {
 		w.obs.WakeAt(at)
@@ -119,7 +145,7 @@ func (w *Wire[T]) InjectAt(at sim.Cycle, v T) {
 // NextAt reports the arrival cycle of the oldest unconsumed event, or
 // sim.Never when the wire is empty — the time a quiescent consumer may
 // sleep until.
-func (w *Wire[T]) NextAt() sim.Cycle { return w.next }
+func (w *Wire[T]) NextAt() sim.Cycle { return *w.next }
 
 // Send schedules v for arrival at now+latency.
 func (w *Wire[T]) Send(now sim.Cycle, v T) {
@@ -148,8 +174,8 @@ func (w *Wire[T]) SendAt(at sim.Cycle, v T) {
 		panic("link: out-of-order SendAt")
 	}
 	w.events = append(w.events, timed[T]{at, v})
-	if at < w.next {
-		w.next = at
+	if at < *w.next {
+		*w.next = at
 	}
 	if w.obs != nil {
 		w.obs.WakeAt(at)
@@ -186,8 +212,8 @@ func (w *Wire[T]) Flush() {
 		w.staged[i] = timed[T]{}
 	}
 	w.staged = w.staged[:0]
-	if first < w.next {
-		w.next = first
+	if first < *w.next {
+		*w.next = first
 	}
 	if w.obs != nil {
 		w.obs.WakeAt(first)
@@ -197,7 +223,7 @@ func (w *Wire[T]) Flush() {
 // Ready reports whether an event has arrived — the inlineable guard for hot
 // drain loops (`for w.Ready(now) { w.Recv(now) }`), so the common nothing-
 // arrived case costs a compare instead of a function call.
-func (w *Wire[T]) Ready(now sim.Cycle) bool { return w.next <= now }
+func (w *Wire[T]) Ready(now sim.Cycle) bool { return *w.next <= now }
 
 // Recv pops the oldest event whose arrival time has come. ok is false when
 // nothing has arrived yet.
@@ -231,9 +257,9 @@ func (w *Wire[T]) Recv(now sim.Cycle) (v T, ok bool) {
 		// Drained by this pop: rewind (slots behind head are zeroed).
 		w.events = w.events[:0]
 		w.head = 0
-		w.next = sim.Never
+		*w.next = sim.Never
 	} else {
-		w.next = w.events[w.head].at
+		*w.next = w.events[w.head].at
 	}
 	return v, true
 }
@@ -260,7 +286,7 @@ func (w *Wire[T]) ForEach(f func(at sim.Cycle, v T)) {
 // when its last byte has crossed, CyclesPerFlit+latency-1 cycles after the
 // send (minimum 1).
 type Link[T any] struct {
-	wire          *Wire[T]
+	wire          Wire[T]
 	cyclesPerFlit sim.Cycle
 	busyUntil     sim.Cycle
 	sent          int64
@@ -278,10 +304,19 @@ type Link[T any] struct {
 // NewLink returns a Link with the given serialization time per flit and wire
 // latency, both in cycles.
 func NewLink[T any](cyclesPerFlit, latency int) *Link[T] {
+	l := new(Link[T])
+	l.Init(cyclesPerFlit, latency)
+	return l
+}
+
+// Init makes l an idle link in place (see Wire.Init; the same no-copy rule
+// holds).
+func (l *Link[T]) Init(cyclesPerFlit, latency int) {
 	if cyclesPerFlit < 1 {
 		cyclesPerFlit = 1
 	}
-	return &Link[T]{wire: NewWire[T](latency), cyclesPerFlit: sim.Cycle(cyclesPerFlit)}
+	*l = Link[T]{cyclesPerFlit: sim.Cycle(cyclesPerFlit)}
+	l.wire.Init(latency)
 }
 
 // CyclesPerFlit reports the serialization time of one flit.
@@ -300,6 +335,9 @@ func (l *Link[T]) SetFault(f func(now sim.Cycle, v T) bool) { l.fault = f }
 // Observe registers the consumer's activity with the underlying wire (see
 // Wire.Observe).
 func (l *Link[T]) Observe(a *sim.Activity) { l.wire.Observe(a) }
+
+// Board boards the underlying wire (see Wire.Board).
+func (l *Link[T]) Board(slot *sim.Cycle) { l.wire.Board(slot) }
 
 // CrossShard marks the underlying wire as a cross-shard edge (see
 // Wire.CrossShard). f must be the sending side's shard CrossFlusher.

@@ -22,7 +22,7 @@ import (
 // the runtime shard monitors cover) and flags, in any reached function:
 //
 //   - calls to the boundary-only entry points (InjectAt, CrossShard,
-//     SetRemote, SetFault, Observe, ForEach);
+//     SetRemote, SetFault, Observe, Board, ForEach);
 //
 //   - writes to fields of another component (a named struct with a Tick
 //     method) from outside that component's own methods — the
@@ -46,6 +46,7 @@ var shardBoundary = map[string]bool{
 	"SetRemote":  true,
 	"SetFault":   true,
 	"Observe":    true,
+	"Board":      true,
 	"ForEach":    true,
 }
 

@@ -5,8 +5,12 @@ package shardsafe
 
 // wire is the staged cross-shard path stand-in (link.Wire): SendAt stages
 // for the next cycle; InjectAt/SetFault act immediately and are boundary-
-// only.
-type wire struct{ cur, next []int }
+// only, and so is Board, which re-points the wire's next-arrival word at a
+// slot of its consumer's arrival board.
+type wire struct {
+	cur, next []int
+	slot      *int
+}
 
 func (w *wire) Flush() { w.cur, w.next = w.next, w.cur[:0] }
 
@@ -15,6 +19,8 @@ func (w *wire) SendAt(v int) { w.next = append(w.next, v) }
 func (w *wire) InjectAt(v int) { w.cur = append(w.cur, v) }
 
 func (w *wire) SetFault(on bool) {}
+
+func (w *wire) Board(slot *int) { w.slot = slot }
 
 // peer is a component on (potentially) another shard: it has a Tick method.
 type peer struct {
@@ -38,6 +44,7 @@ type node struct {
 	other *peer
 	w     *wire
 	stats *counters
+	board [1]int
 }
 
 func (n *node) Tick(now int64) {
@@ -50,6 +57,7 @@ func (n *node) helper(now int64) {
 	n.other.credits[0] = 0 // want `write to peer\.credits outside peer's methods`
 	n.w.InjectAt(3)        // want `boundary-only method InjectAt`
 	n.w.SetFault(true)     // want `boundary-only method SetFault`
+	n.w.Board(&n.board[0]) // want `boundary-only method Board`
 	n.stats.drained++      // no Tick method on counters: clean
 }
 
@@ -64,6 +72,7 @@ func (n *node) drain() {
 // it is not reachable from any Tick root.
 func Build(n *node) {
 	n.w.InjectAt(0)
+	n.w.Board(&n.board[0])
 	n.other.credits = make([]int, 4)
 	n.other.w = n.w
 }

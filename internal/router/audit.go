@@ -1,6 +1,8 @@
 package router
 
 import (
+	"fmt"
+
 	"nifdy/internal/packet"
 	"nifdy/internal/sim"
 )
@@ -32,8 +34,11 @@ type Auditor struct {
 	PFCRx func(port, vc int, ch *Channel, active bool)
 }
 
-// Audit walks the router's input buffers and output credit counters.
+// Audit walks the router's input buffers and output credit counters, after
+// checking the router's derived state against what it summarizes (every
+// invariant-monitor run thereby polices the arrival board and request mask).
 func (r *Router) Audit(a Auditor) {
+	r.checkCaches()
 	for i := range r.in {
 		ip := &r.in[i]
 		if ip.ch == nil {
@@ -68,6 +73,42 @@ func (r *Router) Audit(a Auditor) {
 			}
 		}
 	}
+}
+
+// checkCaches panics unless reqMask has exactly the bits of the output ports
+// with requesters and every word of the arrival board is the arrival cycle of
+// its wire's oldest in-flight event (sim.Never for an empty or unconnected
+// wire).
+func (r *Router) checkCaches() {
+	for o := range r.out {
+		if set, want := r.reqMask>>uint(o)&1 != 0, len(r.out[o].reqs) > 0; set != want {
+			panic(fmt.Sprintf("router %d: reqMask bit %d is %v with %d requesters", r.cfg.ID, o, set, len(r.out[o].reqs)))
+		}
+	}
+	for i, got := range r.arrive {
+		want := sim.Never // unconnected, or nothing in flight (the common case)
+		if i < len(r.in) {
+			if ch := r.in[i].ch; ch != nil && ch.Flits.Pending() > 0 {
+				want = firstAt(ch.Flits.ForEach)
+			}
+		} else if ch := r.out[i-len(r.in)].ch; ch != nil && ch.Credits.Pending() > 0 {
+			want = firstAt(ch.Credits.ForEach)
+		}
+		if got != want {
+			panic(fmt.Sprintf("router %d: arrival board word %d is %d, its wire's next arrival is %d", r.cfg.ID, i, got, want))
+		}
+	}
+}
+
+// firstAt returns the arrival cycle of the first event forEach visits.
+func firstAt[T any](forEach func(func(sim.Cycle, T))) sim.Cycle {
+	first := sim.Never
+	forEach(func(at sim.Cycle, _ T) {
+		if first == sim.Never {
+			first = at
+		}
+	})
+	return first
 }
 
 // IfaceAuditor is the Iface counterpart of Auditor: a read-only visitor over

@@ -42,10 +42,12 @@ type Credit struct {
 
 // Channel bundles a forward flit link with its reverse credit wire. One
 // Channel connects an output port (or an Iface's injection side) to an input
-// port (or an Iface's ejection side).
+// port (or an Iface's ejection side). It holds both by value — one
+// allocation per channel, no pointer hop between a port and its wire — so a
+// Channel is built in place by NewChannel and never copied.
 type Channel struct {
-	Flits   *link.Link[packet.Flit]
-	Credits *link.Wire[Credit]
+	Flits   link.Link[packet.Flit]
+	Credits link.Wire[Credit]
 }
 
 // NewChannel returns a channel whose flit link serializes one flit per
@@ -74,8 +76,8 @@ func NewChannelSync(cyclesPerFlit, latency, window int) *Channel {
 	if pad := window - (cyclesPerFlit + latency - 1); pad > 0 {
 		flitLat += pad
 	}
-	return &Channel{
-		Flits:   link.NewLink[packet.Flit](cyclesPerFlit, flitLat),
-		Credits: link.NewWire[Credit](window),
-	}
+	ch := new(Channel)
+	ch.Flits.Init(cyclesPerFlit, flitLat)
+	ch.Credits.Init(window)
+	return ch
 }

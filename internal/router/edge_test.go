@@ -171,3 +171,50 @@ func TestRouterUnconnectedPortsIgnored(t *testing.T) {
 		t.Fatal("phantom flits")
 	}
 }
+
+// TestTooManyOutPortsPanics: the request mask is one word.
+func TestTooManyOutPortsPanics(t *testing.T) {
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(r.(string), "request mask") {
+			t.Fatalf("New with 65 output ports: recovered %v, want the request-mask panic", r)
+		}
+	}()
+	New(Config{InPorts: 1, OutPorts: maxOutPorts + 1, VCs: 1, BufFlits: 1})
+}
+
+// TestAuditPolicesCaches: Audit panics when the request mask or a word of
+// the arrival board disagrees with the state it caches.
+func TestAuditPolicesCaches(t *testing.T) {
+	build := func() *Router {
+		rt := New(Config{ID: 0, InPorts: 1, OutPorts: 1, VCs: 1, BufFlits: 4,
+			Route: func(in int, p *packet.Packet, s []Choice) []Choice {
+				return append(s, Choice{Port: 0})
+			}})
+		in, out := NewChannel(1, 1), NewChannel(1, 1)
+		rt.ConnectIn(0, in)
+		rt.ConnectOut(0, out, 4)
+		p := &packet.Packet{ID: 1, Src: 0, Dst: 1, Words: 2, Dialog: packet.NoDialog}
+		in.Flits.Send(0, packet.Flit{Pkt: p, Index: 0})
+		rt.Tick(1) // head buffered, routed and forwarded; the tail is still to come
+		rt.Audit(Auditor{})
+		return rt
+	}
+	mustPanic := func(name, want string, corrupt func(*Router)) {
+		t.Helper()
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(r.(string), want) {
+				t.Errorf("%s: recovered %v, want a panic naming %q", name, r, want)
+			}
+		}()
+		rt := build()
+		corrupt(rt)
+		rt.Audit(Auditor{})
+	}
+	mustPanic("cleared request bit", "reqMask", func(rt *Router) { rt.reqMask = 0 })
+	mustPanic("stray request bit", "reqMask", func(rt *Router) { rt.out[0].reqs = rt.out[0].reqs[:0] })
+	mustPanic("stale board word", "arrival board", func(rt *Router) { rt.arrive[0] = 5 })
+	mustPanic("missed credit arrival", "arrival board", func(rt *Router) {
+		rt.out[0].ch.Credits.Send(1, Credit{})
+		rt.arrive[1] = sim.Never
+	})
+}

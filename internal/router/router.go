@@ -2,6 +2,7 @@ package router
 
 import (
 	"fmt"
+	"math/bits"
 
 	"nifdy/internal/packet"
 	"nifdy/internal/rng"
@@ -123,6 +124,29 @@ type outPort struct {
 	ecnThresh int              // downstream occupancy that triggers ECN marking
 }
 
+// Work counts what a router did, exactly: the counts are determined by the
+// seed and identical at every shard count, so a test can hold them to a
+// ceiling (work per event, not wall time per event).
+type Work struct {
+	Ticks          int64 // Tick calls
+	WiresDrained   int64 // input wires (flit links, credit wires) touched by receive
+	AllocPasses    int64 // allocate calls
+	AllocGrants    int64 // heads given an output port and VC
+	FlitsForwarded int64 // flits sent downstream
+}
+
+// Add accumulates o into w.
+func (w *Work) Add(o Work) {
+	w.Ticks += o.Ticks
+	w.WiresDrained += o.WiresDrained
+	w.AllocPasses += o.AllocPasses
+	w.AllocGrants += o.AllocGrants
+	w.FlitsForwarded += o.FlitsForwarded
+}
+
+// maxOutPorts is the width of Router.reqMask.
+const maxOutPorts = 64
+
 // Router is a generic virtual-channel switch.
 type Router struct {
 	cfg      Config
@@ -133,6 +157,24 @@ type Router struct {
 	inUsed   []bool
 	allocSeq int64       // monotone stamp source for vcState.waitSeq
 	allocQ   []requester // scratch: unrouted heads ordered oldest-first
+
+	// arrive is the arrival board: the next-arrival cycle of every input
+	// wire, one word each — the flit links of the input ports, then the
+	// credit wires of the output ports; sim.Never for an empty or unconnected
+	// one. The wires keep their words current (link.Wire.Board), so receive
+	// and the sleep bounds scan this array and touch a channel only when it
+	// has a due event.
+	arrive []sim.Cycle
+	// reqMask has bit o set while out[o].reqs is non-empty: send and
+	// sleepBlocked visit the requested output ports, not every port.
+	reqMask uint64
+	// allocDirty is raised wherever an allocation outcome can change — a head
+	// becomes unrouted, a tail send frees a downstream VC — and lowered by
+	// allocate. A head fails only when every candidate VC is owned, before
+	// any tie-break draw, so a pass over unchanged state grants nothing,
+	// draws nothing and is skipped.
+	allocDirty bool
+	work       Work
 
 	// PFC/ECN state resolved from cfg.Fabric.
 	pfcOn           bool
@@ -151,6 +193,9 @@ func New(cfg Config) *Router {
 	if cfg.BufFlits < 1 {
 		cfg.BufFlits = 1
 	}
+	if cfg.OutPorts > maxOutPorts {
+		panic(fmt.Sprintf("router %d: %d output ports exceed the %d-bit request mask", cfg.ID, cfg.OutPorts, maxOutPorts))
+	}
 	r := &Router{cfg: cfg}
 	nvc := packet.NumClasses * cfg.VCs
 	r.in = make([]inPort, cfg.InPorts)
@@ -167,6 +212,10 @@ func New(cfg Config) *Router {
 		r.in[i].pfcActive = make([]bool, nvc)
 	}
 	r.out = make([]outPort, cfg.OutPorts)
+	r.arrive = make([]sim.Cycle, cfg.InPorts+cfg.OutPorts)
+	for i := range r.arrive {
+		r.arrive[i] = sim.Never
+	}
 	r.inUsed = make([]bool, cfg.InPorts)
 	r.allocQ = make([]requester, 0, cfg.InPorts*nvc)
 	if cfg.Fabric.PFC.Enable {
@@ -195,6 +244,7 @@ func (r *Router) Activity() *sim.Activity { return &r.act }
 func (r *Router) ConnectIn(p int, ch *Channel) {
 	r.in[p].ch = ch
 	ch.Flits.Observe(&r.act)
+	ch.Flits.Board(&r.arrive[p])
 }
 
 // ConnectOut attaches ch as output port p's channel. downstreamDepth is the
@@ -205,6 +255,7 @@ func (r *Router) ConnectOut(p int, ch *Channel, downstreamDepth int) {
 	op := &r.out[p]
 	op.ch = ch
 	ch.Credits.Observe(&r.act)
+	ch.Credits.Board(&r.arrive[len(r.in)+p])
 	op.initial = downstreamDepth
 	n := packet.NumClasses * r.cfg.VCs
 	op.credits = make([]int, n)
@@ -224,17 +275,21 @@ func (r *Router) ConnectOut(p int, ch *Channel, downstreamDepth int) {
 // (used by volume/occupancy statistics).
 func (r *Router) BufferedFlits() int { return r.buffered }
 
+// Work reports the router's exact work counts so far.
+func (r *Router) Work() Work { return r.work }
+
 // Tick advances the router one cycle: drain arrivals and credits, allocate
 // routes and output VCs for new head flits, then forward one flit per free
 // output port. A tick that does none of those things leaves the router at a
 // fixed point, and the router sleeps until an event that can break it.
 func (r *Router) Tick(now sim.Cycle) {
+	r.work.Ticks++
 	progress := r.receive(now)
 	if r.buffered == 0 {
 		r.sleepEmpty()
 		return
 	}
-	if r.unrouted > 0 && r.allocate() {
+	if r.unrouted > 0 && r.allocDirty && r.allocate() {
 		progress = true
 	}
 	if r.send(now) {
@@ -247,23 +302,26 @@ func (r *Router) Tick(now sim.Cycle) {
 	}
 }
 
-// sleepEmpty parks the router until the next flit arrival on any input port.
-// With empty VC queues there are no output requesters, so allocation and
-// forwarding are no-ops, and credit returns may be drained lazily on wake —
-// the cumulative counts a future allocation observes are identical either
-// way. Wire observers re-arm the router for sends issued after it fell
-// asleep (a pending credit return may wake it early; the tick is then a
-// harmless drain).
+// sleepEmpty parks the router until the next arrival on any input wire. With
+// empty VC queues there are no sendable requesters, so allocation and
+// forwarding are no-ops until a flit arrives; credit returns could be drained
+// lazily, but waking for them too makes the set of cycles a router ticks a
+// function of the simulated events alone, the same at every shard count
+// (whether a send's wake edge or the sleep came first no longer matters).
+// Wire observers re-arm the router for sends issued after it fell asleep.
 func (r *Router) sleepEmpty() {
+	r.act.Sleep(r.nextArrival())
+}
+
+// nextArrival is the earliest cycle on the arrival board.
+func (r *Router) nextArrival() sim.Cycle {
 	next := sim.Never
-	for i := range r.in {
-		if ch := r.in[i].ch; ch != nil {
-			if at := ch.Flits.NextAt(); at < next {
-				next = at
-			}
+	for _, at := range r.arrive {
+		if at < next {
+			next = at
 		}
 	}
-	r.act.Sleep(next)
+	return next
 }
 
 // sleepBlocked parks a router that holds flits but made no progress this
@@ -276,84 +334,80 @@ func (r *Router) sleepEmpty() {
 // the earliest such event, and skipping to it is bit-identical to ticking
 // through.
 func (r *Router) sleepBlocked(now sim.Cycle) {
-	next := sim.Never
-	for i := range r.in {
-		if ch := r.in[i].ch; ch != nil {
-			if at := ch.Flits.NextAt(); at < next {
-				next = at
-			}
-		}
-	}
-	for o := range r.out {
-		op := &r.out[o]
-		if op.ch == nil {
-			continue
-		}
-		if at := op.ch.Credits.NextAt(); at < next {
+	next := r.nextArrival()
+	for m := r.reqMask; m != 0; m &= m - 1 {
+		if at := r.out[bits.TrailingZeros64(m)].ch.Flits.FreeAt(); at > now && at < next {
 			next = at
-		}
-		if len(op.reqs) > 0 {
-			if at := op.ch.Flits.FreeAt(); at > now && at < next {
-				next = at
-			}
 		}
 	}
 	r.act.Sleep(next)
 }
 
-// receive drains flit arrivals and credit returns, reporting whether it
-// drained anything (state changed).
+// receive drains the input wires the arrival board shows due — flit arrivals
+// first, then credit returns, each in port order — reporting whether it
+// drained anything (state changed). The board word is the wire's Ready test:
+// a drain loop runs until its wire's word moves past now.
 func (r *Router) receive(now sim.Cycle) bool {
-	progress := false
-	for i := range r.in {
-		ip := &r.in[i]
-		if ip.ch == nil {
+	drained := 0
+	for i := range r.arrive {
+		if r.arrive[i] > now {
 			continue
 		}
-		for ip.ch.Flits.Ready(now) {
-			f, _ := ip.ch.Flits.Recv(now)
-			progress = true
-			v := &ip.vcs[f.VC]
-			if v.n >= r.cfg.BufFlits {
-				panic(fmt.Sprintf("router %d: input %d vc %d overflow (credit protocol violated)", r.cfg.ID, i, f.VC))
-			}
-			v.push(f)
-			r.buffered++
-			if v.n == 1 && f.Head() && v.outPort < 0 {
-				v.waitSeq = r.allocSeq
-				r.allocSeq++
-				r.unrouted++
-			}
-			if r.pfcOn && !ip.pfcActive[f.VC] && v.n >= r.pfcXOff {
-				ip.pfcActive[f.VC] = true
-				ip.ch.Credits.Send(now, Credit{VC: f.VC, Kind: PFCPause})
+		drained++
+		if i < len(r.in) {
+			r.recvFlits(now, i)
+		} else {
+			r.recvCredits(now, i-len(r.in))
+		}
+	}
+	r.work.WiresDrained += int64(drained)
+	return drained > 0
+}
+
+// recvFlits buffers every flit that has arrived on input port i.
+func (r *Router) recvFlits(now sim.Cycle, i int) {
+	ip, due := &r.in[i], &r.arrive[i]
+	for *due <= now {
+		f, _ := ip.ch.Flits.Recv(now)
+		v := &ip.vcs[f.VC]
+		if v.n >= r.cfg.BufFlits {
+			panic(fmt.Sprintf("router %d: input %d vc %d overflow (credit protocol violated)", r.cfg.ID, i, f.VC))
+		}
+		v.push(f)
+		r.buffered++
+		if v.n == 1 && f.Head() && v.outPort < 0 {
+			v.waitSeq = r.allocSeq
+			r.allocSeq++
+			r.unrouted++
+			r.allocDirty = true
+		}
+		if r.pfcOn && !ip.pfcActive[f.VC] && v.n >= r.pfcXOff {
+			ip.pfcActive[f.VC] = true
+			ip.ch.Credits.Send(now, Credit{VC: f.VC, Kind: PFCPause})
+		}
+	}
+}
+
+// recvCredits applies every credit-wire frame that has arrived on output
+// port o.
+func (r *Router) recvCredits(now sim.Cycle, o int) {
+	op, due := &r.out[o], &r.arrive[len(r.in)+o]
+	for *due <= now {
+		c, _ := op.ch.Credits.Recv(now)
+		switch c.Kind {
+		case PFCPause:
+			op.paused[c.VC] = true
+			op.pausedAt[c.VC] = now
+		case PFCResume:
+			op.paused[c.VC] = false
+		default:
+			op.credits[c.VC]++
+			if op.credits[c.VC] > op.initial {
+				// Credits can never exceed the initial grant.
+				panic(fmt.Sprintf("router %d: credit overflow on out %d vc %d", r.cfg.ID, o, c.VC))
 			}
 		}
 	}
-	for i := range r.out {
-		op := &r.out[i]
-		if op.ch == nil {
-			continue
-		}
-		for op.ch.Credits.Ready(now) {
-			c, _ := op.ch.Credits.Recv(now)
-			progress = true
-			switch c.Kind {
-			case PFCPause:
-				op.paused[c.VC] = true
-				op.pausedAt[c.VC] = now
-			case PFCResume:
-				op.paused[c.VC] = false
-			default:
-				op.credits[c.VC]++
-				if op.credits[c.VC] > op.initial {
-					// Credits can never exceed the initial grant.
-					panic(fmt.Sprintf("router %d: credit overflow on out %d vc %d", r.cfg.ID, i, c.VC))
-				}
-			}
-		}
-	}
-	return progress
 }
 
 // allocate assigns an output port and downstream VC to buffered head flits
@@ -364,6 +418,8 @@ func (r *Router) receive(now sim.Cycle) bool {
 // can resonate with periodic traffic and skip the same head forever.
 //lint:allow(hotalloc) requester-list growth is bounded by the port count; capacity is reached during warm-up
 func (r *Router) allocate() bool {
+	r.allocDirty = false
+	r.work.AllocPasses++
 	assigned := false
 	// Collect every unrouted head, insertion-sorted by age. The candidate
 	// count is bounded by the input VC total and is usually 1-2; the scan
@@ -431,14 +487,16 @@ func (r *Router) allocate() bool {
 			}
 		}
 		if bestPort < 0 {
-			continue // every candidate VC is owned; retry next cycle
+			continue // every candidate VC is owned; retry once a tail send frees one
 		}
 		op := &r.out[bestPort]
 		op.owner[bestVC] = p
 		op.reqs = append(op.reqs, requester{inIdx, vcIdx})
+		r.reqMask |= 1 << uint(bestPort)
 		v.outPort, v.outVC = bestPort, bestVC
 		v.choicesOK = false
 		r.unrouted--
+		r.work.AllocGrants++
 		assigned = true
 	}
 	return assigned
@@ -454,9 +512,12 @@ func (r *Router) send(now sim.Cycle) bool {
 	for i := range r.inUsed {
 		r.inUsed[i] = false
 	}
-	for o := range r.out {
+	// Tail sends clear bits of reqMask as they go; the loop runs over the
+	// mask as it stood on entry (nothing in send sets a bit).
+	for m := r.reqMask; m != 0; m &= m - 1 {
+		o := bits.TrailingZeros64(m)
 		op := &r.out[o]
-		if op.ch == nil || len(op.reqs) == 0 || !op.ch.Flits.CanSend(now) {
+		if !op.ch.Flits.CanSend(now) {
 			continue
 		}
 		n := len(op.reqs)
@@ -509,17 +570,23 @@ func (r *Router) send(now sim.Cycle) bool {
 				}
 			}
 			r.inUsed[req.in] = true
+			r.work.FlitsForwarded++
 			sent = true
 			if f.Tail() {
+				// A downstream VC is free again: heads blocked on it (and the
+				// next packet's head, if one is now at the front) can allocate.
 				op.owner[v.outVC] = nil
+				r.allocDirty = true
 				v.outPort, v.outVC = -1, -1
 				if v.n > 0 {
-					// The next packet's head is now at the front.
 					v.waitSeq = r.allocSeq
 					r.allocSeq++
 					r.unrouted++
 				}
 				op.reqs = append(op.reqs[:ri], op.reqs[ri+1:]...)
+				if len(op.reqs) == 0 {
+					r.reqMask &^= 1 << uint(o)
+				}
 				op.rr = ri % max(1, len(op.reqs))
 			} else {
 				op.rr = (ri + 1) % n

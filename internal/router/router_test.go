@@ -1,6 +1,7 @@
 package router
 
 import (
+	"reflect"
 	"testing"
 
 	"nifdy/internal/packet"
@@ -430,5 +431,84 @@ func TestConservationInvariant(t *testing.T) {
 	}
 	if l.rts[0].BufferedFlits() != 0 || l.rts[1].BufferedFlits() != 0 {
 		t.Fatalf("flits stranded in routers: %d %d", l.rts[0].BufferedFlits(), l.rts[1].BufferedFlits())
+	}
+}
+
+// TestBlockedHeadCostsNoAllocationPasses: inputs 0 and 1 both route to the
+// one VC of output 0. Packet A takes it; B's head arrives behind A, fails one
+// allocation pass, and then waits — the pass can only succeed once A's tail
+// send frees the VC, so the router runs none in between, and grants B on the
+// very next cycle. The delivery cycles pinned below are the ones the
+// every-cycle retry produced, recorded at the commit before the dirty flag.
+func TestBlockedHeadCostsNoAllocationPasses(t *testing.T) {
+	eng := sim.New()
+	rt := New(Config{ID: 0, InPorts: 2, OutPorts: 1, VCs: 1, BufFlits: 8,
+		Route: func(in int, p *packet.Packet, s []Choice) []Choice {
+			return append(s, Choice{Port: 0})
+		}})
+	var ifs [2]*Iface
+	for i := range ifs {
+		ifs[i] = NewIface(IfaceConfig{Node: i, VCs: 1, BufFlits: 16})
+		ch := NewChannel(4, 1)
+		ifs[i].ConnectOut(ch, 8)
+		rt.ConnectIn(i, ch)
+		eng.Register(ifs[i])
+	}
+	sink := NewIface(IfaceConfig{Node: 2, VCs: 1, BufFlits: 16})
+	out := NewChannel(4, 1)
+	rt.ConnectOut(0, out, sink.BufFlits())
+	sink.ConnectIn(out)
+	eng.Register(sink)
+	eng.Register(rt)
+
+	a := &packet.Packet{ID: 1, Src: 0, Dst: 2, Words: 8, Dialog: packet.NoDialog}
+	b := &packet.Packet{ID: 2, Src: 1, Dst: 2, Words: 8, Dialog: packet.NoDialog}
+	ifs[0].StartSend(0, a)
+	eng.Run(8)
+	ifs[1].StartSend(eng.Now(), b)
+
+	// B's head reaches the router at cycle 12 and A's tail leaves at 32: in
+	// between, the blocked head is the only unrouted one.
+	eng.Run(12)
+	if w := rt.Work(); w.AllocPasses != 2 || w.AllocGrants != 1 {
+		t.Fatalf("at cycle %d: %+v; want 2 passes (A granted, B refused) and 1 grant", eng.Now(), w)
+	}
+	eng.Run(12)
+	if w := rt.Work(); w.AllocPasses != 2 || w.AllocGrants != 1 {
+		t.Fatalf("at cycle %d: %+v; the blocked head must cost no allocation pass while A owns the VC", eng.Now(), w)
+	}
+	var got []*packet.Packet
+	eng.RunUntil(func() bool {
+		if p, ok := sink.Deliver(eng.Now(), nil); ok {
+			got = append(got, p)
+		}
+		return len(got) == 2
+	}, 1000)
+	if len(got) != 2 || got[0] != a || got[1] != b {
+		t.Fatalf("delivered %v; want A then B", got)
+	}
+	if w := rt.Work(); w.AllocPasses != 3 || w.AllocGrants != 2 || w.FlitsForwarded != 16 {
+		t.Fatalf("%+v; want 3 passes, 2 grants, 16 flits forwarded", w)
+	}
+	if a.DeliveredAt != 37 || b.DeliveredAt != 69 {
+		t.Fatalf("A delivered at %d, B at %d; the every-cycle retry delivered them at 37 and 69", a.DeliveredAt, b.DeliveredAt)
+	}
+}
+
+// TestWorkAddSumsEveryField: a counter added to Work must be added to Add,
+// or the per-network sum silently drops it.
+func TestWorkAddSumsEveryField(t *testing.T) {
+	var w, one Work
+	v := reflect.ValueOf(&one).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetInt(int64(i + 1))
+	}
+	w.Add(one)
+	w.Add(one)
+	got := reflect.ValueOf(w)
+	for i := 0; i < got.NumField(); i++ {
+		if got.Field(i).Int() != int64(2*(i+1)) {
+			t.Errorf("Work.Add drops %s", got.Type().Field(i).Name)
+		}
 	}
 }

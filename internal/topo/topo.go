@@ -95,6 +95,14 @@ type Network interface {
 	AuditRouters(f func(*router.Router))
 }
 
+// RouterWork sums the exact work counts of n's routers (router.Work). Like
+// AuditRouters it must only run while the fabric is quiescent.
+func RouterWork(n Network) router.Work {
+	var w router.Work
+	n.AuditRouters(func(r *router.Router) { w.Add(r.Work()) })
+	return w
+}
+
 // AlignedPartition maps nodes onto shards in contiguous blocks whose
 // boundaries fall only on multiples of align (align = the leaf group size a
 // topology must keep intact, 1 for meshes). Shard sizes are balanced to
