@@ -36,7 +36,8 @@ type Auditor struct {
 
 // Audit walks the router's input buffers and output credit counters, after
 // checking the router's derived state against what it summarizes (every
-// invariant-monitor run thereby polices the arrival board and request mask).
+// invariant-monitor run thereby polices the arrival board, the request mask
+// and the free board).
 func (r *Router) Audit(a Auditor) {
 	r.checkCaches()
 	for i := range r.in {
@@ -76,13 +77,17 @@ func (r *Router) Audit(a Auditor) {
 }
 
 // checkCaches panics unless reqMask has exactly the bits of the output ports
-// with requesters and every word of the arrival board is the arrival cycle of
+// with requesters, every connected output's free-board word is its flit
+// link's FreeAt, and every word of the arrival board is the arrival cycle of
 // its wire's oldest in-flight event (sim.Never for an empty or unconnected
 // wire).
 func (r *Router) checkCaches() {
 	for o := range r.out {
 		if set, want := r.reqMask>>uint(o)&1 != 0, len(r.out[o].reqs) > 0; set != want {
 			panic(fmt.Sprintf("router %d: reqMask bit %d is %v with %d requesters", r.cfg.ID, o, set, len(r.out[o].reqs)))
+		}
+		if ch := r.out[o].ch; ch != nil && r.free[o] != ch.Flits.FreeAt() {
+			panic(fmt.Sprintf("router %d: free board word %d is %d, its link is free at %d", r.cfg.ID, o, r.free[o], ch.Flits.FreeAt()))
 		}
 	}
 	for i, got := range r.arrive {

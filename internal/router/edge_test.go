@@ -182,8 +182,9 @@ func TestTooManyOutPortsPanics(t *testing.T) {
 	New(Config{InPorts: 1, OutPorts: maxOutPorts + 1, VCs: 1, BufFlits: 1})
 }
 
-// TestAuditPolicesCaches: Audit panics when the request mask or a word of
-// the arrival board disagrees with the state it caches.
+// TestAuditPolicesCaches: Audit panics when the request mask, a word of the
+// arrival board or a word of the free board disagrees with the state it
+// caches.
 func TestAuditPolicesCaches(t *testing.T) {
 	build := func() *Router {
 		rt := New(Config{ID: 0, InPorts: 1, OutPorts: 1, VCs: 1, BufFlits: 4,
@@ -213,6 +214,7 @@ func TestAuditPolicesCaches(t *testing.T) {
 	mustPanic("cleared request bit", "reqMask", func(rt *Router) { rt.reqMask = 0 })
 	mustPanic("stray request bit", "reqMask", func(rt *Router) { rt.out[0].reqs = rt.out[0].reqs[:0] })
 	mustPanic("stale board word", "arrival board", func(rt *Router) { rt.arrive[0] = 5 })
+	mustPanic("stale free word", "free board", func(rt *Router) { rt.free[0] = 0 })
 	mustPanic("missed credit arrival", "arrival board", func(rt *Router) {
 		rt.out[0].ch.Credits.Send(1, Credit{})
 		rt.arrive[1] = sim.Never

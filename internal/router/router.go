@@ -168,6 +168,11 @@ type Router struct {
 	// reqMask has bit o set while out[o].reqs is non-empty: send and
 	// sleepBlocked visit the requested output ports, not every port.
 	reqMask uint64
+	// free is the free board: free[o] is output o's flit link FreeAt(), the
+	// first cycle it can take a flit. Only this router sends on that link, so
+	// send keeps the word current, and send and sleepBlocked read it here
+	// instead of following out[o].ch to the link.
+	free []sim.Cycle
 	// allocDirty is raised wherever an allocation outcome can change — a head
 	// becomes unrouted, a tail send frees a downstream VC — and lowered by
 	// allocate. A head fails only when every candidate VC is owned, before
@@ -212,6 +217,7 @@ func New(cfg Config) *Router {
 		r.in[i].pfcActive = make([]bool, nvc)
 	}
 	r.out = make([]outPort, cfg.OutPorts)
+	r.free = make([]sim.Cycle, cfg.OutPorts)
 	r.arrive = make([]sim.Cycle, cfg.InPorts+cfg.OutPorts)
 	for i := range r.arrive {
 		r.arrive[i] = sim.Never
@@ -254,6 +260,7 @@ func (r *Router) ConnectIn(p int, ch *Channel) {
 func (r *Router) ConnectOut(p int, ch *Channel, downstreamDepth int) {
 	op := &r.out[p]
 	op.ch = ch
+	r.free[p] = ch.Flits.FreeAt()
 	ch.Credits.Observe(&r.act)
 	ch.Credits.Board(&r.arrive[len(r.in)+p])
 	op.initial = downstreamDepth
@@ -336,7 +343,7 @@ func (r *Router) nextArrival() sim.Cycle {
 func (r *Router) sleepBlocked(now sim.Cycle) {
 	next := r.nextArrival()
 	for m := r.reqMask; m != 0; m &= m - 1 {
-		if at := r.out[bits.TrailingZeros64(m)].ch.Flits.FreeAt(); at > now && at < next {
+		if at := r.free[bits.TrailingZeros64(m)]; at > now && at < next {
 			next = at
 		}
 	}
@@ -516,10 +523,10 @@ func (r *Router) send(now sim.Cycle) bool {
 	// mask as it stood on entry (nothing in send sets a bit).
 	for m := r.reqMask; m != 0; m &= m - 1 {
 		o := bits.TrailingZeros64(m)
-		op := &r.out[o]
-		if !op.ch.Flits.CanSend(now) {
-			continue
+		if r.free[o] > now {
+			continue // the link is still serializing an earlier flit
 		}
+		op := &r.out[o]
 		n := len(op.reqs)
 		ri := op.rr
 		if ri >= n {
@@ -561,6 +568,7 @@ func (r *Router) send(now sim.Cycle) bool {
 				f.Pkt.ECN = true
 			}
 			op.ch.Flits.Send(now, f)
+			r.free[o] = op.ch.Flits.FreeAt()
 			op.credits[v.outVC]--
 			if ip.ch != nil {
 				ip.ch.Credits.Send(now, Credit{VC: req.vc})

@@ -55,8 +55,8 @@ func TestActiveSetEdgeCases(t *testing.T) {
 }
 
 // A wake posted during the flush phase (a latch waking a component that
-// parked in the same cycle's tick phase) must land in the mailbox and tick
-// the component on the very next cycle.
+// parked in the same cycle's tick phase) must set its queue bit and tick the
+// component on the very next cycle.
 func testWakeDuringFlushPhase(t *testing.T) {
 	e := New()
 	p := &parker{}
@@ -78,8 +78,8 @@ func testWakeDuringFlushPhase(t *testing.T) {
 }
 
 // Two producers waking the same parked component in one cycle must enqueue
-// it once: the queued flag dedups, the mailbox does not overflow, and the
-// component ticks exactly once at the wake cycle.
+// it once: the second finds the bit already set, and the component ticks
+// exactly once at the wake cycle.
 func testDoubleEnqueueOneCycle(t *testing.T) {
 	e := New()
 	// Registration order: both producers tick before p each cycle, so their
@@ -102,8 +102,8 @@ func testDoubleEnqueueOneCycle(t *testing.T) {
 }
 
 // A staged cross-shard wake must re-activate a shard whose every component
-// has left the active set: the consumer shard spends cycles with an empty
-// worklist (zero instructions), then the cross-flusher's boundary wake
+// has left the active set: the consumer shard spends cycles with no queued
+// component (zero instructions), then the cross-flusher's boundary wake
 // re-enqueues the parked component.
 func testCrossShardWakeSleepingShard(t *testing.T) {
 	e := NewParallel(2)
@@ -185,12 +185,13 @@ func until(pairs ...Cycle) func(Cycle) Cycle {
 	}
 }
 
-// TestTimedSleepers drives components asleep until a finite cycle — off the
-// worklist, on the timer wheel — through everything that can happen to a
-// timer: it comes due, goes stale, is reused, is moved, meets a mailbox wake,
-// and meets wakes posted mid-sweep from either side of the cursor. Every case
-// runs under each engine mode and asserts the exact tick cycles, which must
-// also be those of the reference schedule that ticks everything every cycle.
+// TestTimedSleepers drives components asleep until a finite cycle — out of
+// the queue, on the timer wheel — through everything that can happen to a
+// timer: it comes due, goes stale, is reused, is moved, meets a flush-phase
+// wake, and meets wakes posted mid-sweep from either side of the cursor.
+// Every case runs under each engine mode and asserts the exact tick cycles,
+// which must also be those of the reference schedule that ticks everything
+// every cycle.
 func TestTimedSleepers(t *testing.T) {
 	type wake struct {
 		at     Cycle // the cycle the waker acts in
@@ -273,16 +274,8 @@ func TestTimedSleepers(t *testing.T) {
 			want: [][]Cycle{{0, 50, 51}, {0, 50}},
 		},
 	}
-	modes := []struct {
-		name string
-		mk   func() *Engine
-	}{
-		{"reference", func() *Engine { e := New(); e.SetIdleSkip(false); return e }},
-		{"serial", New},
-		{"window4", func() *Engine { e := New(); e.SetWindow(4); return e }},
-	}
 	for _, tc := range cases {
-		for _, m := range modes {
+		for _, m := range engineModes {
 			t.Run(tc.name+"/"+m.name, func(t *testing.T) {
 				e := m.mk()
 				defer e.Close()
@@ -379,8 +372,9 @@ func testFastForwardLandsOnEarliestTimer(t *testing.T) {
 	e.Register(a)
 	e.Register(b)
 	e.Run(6000)
-	if got, want := e.Stats(), (Stats{Windows: 8, IdleJumps: 4, CyclesJumped: 6000 - 8}); got != want {
-		t.Fatalf("engine stats %+v, want %+v", got, want)
+	st := e.Stats()
+	if got, want := [3]int64{st.Windows, st.IdleJumps, st.CyclesJumped}, [3]int64{8, 4, 6000 - 8}; got != want {
+		t.Fatalf("windows, idle jumps, cycles jumped = %v, want %v", got, want)
 	}
 	if !slices.Equal(a.ticks, []Cycle{0, 300, 5000}) || !slices.Equal(b.ticks, []Cycle{0, 700}) {
 		t.Fatalf("nappers ticked at %v and %v", a.ticks, b.ticks)
@@ -439,7 +433,7 @@ func benchmarkIdleFraction(b *testing.B, total, active int) {
 			e.Register(&parker{})
 		}
 	}
-	e.Step() // parkers park and drop out of the worklist
+	e.Step() // parkers park and drop out of the queue
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -38,19 +38,22 @@
 // # Cost proportional to activity
 //
 //   - Quiescence skipping. A Ticker that also implements IdleTicker exposes
-//     an Activity — a wake-time latch. A component whose Tick ends asleep
-//     leaves its shard's worklist (activeset.go): parked, if it sleeps until
-//     a wake edge (Sleep(Never)), or filed on the shard's timer wheel under
-//     the cycle it sleeps to. Either way it costs zero instructions per
-//     cycle until Activity.WakeAt re-enqueues it or its timer comes due; the
-//     sweep visits components that Tick and nothing else, and when nothing
-//     ticked in a window the loop jumps to the earliest wake (idleScan). The
-//     protocol invariant is that a component may only sleep while its Tick
-//     is a provable no-op, and must be woken no later than the cycle any of
-//     its inputs can change; link.Wire drives those wake edges automatically
-//     for observed wires. Under that invariant skipping is bit-identical to
-//     ticking every cycle, which the golden determinism tests in
-//     internal/harness enforce on full experiment workloads.
+//     an Activity — a wake-time latch. Each shard keeps one bit per
+//     component, set while it is queued (activeset.go). A component whose
+//     Tick ends asleep past the next cycle clears its bit: parked, if it
+//     sleeps until a wake edge (Sleep(Never)), or filed on the shard's timer
+//     wheel under the cycle it sleeps to. Either way it costs zero
+//     instructions per cycle until Activity.WakeAt sets the bit again or its
+//     timer comes due; the sweep walks the set bits in index order through a
+//     summary word per 64 words, visits components that Tick and nothing
+//     else, and when nothing ticked in a window the loop jumps to the
+//     earliest wake (idleScan). The protocol invariant is that a component
+//     may only sleep while its Tick is a provable no-op, and must be woken no
+//     later than the cycle any of its inputs can change; link.Wire drives
+//     those wake edges automatically for observed wires. Under that
+//     invariant skipping is bit-identical to ticking every cycle, which the
+//     golden determinism tests in internal/harness enforce on full
+//     experiment workloads.
 //
 //   - Dirty latch flushing. A latch binds to a Flusher (BindID) and marks
 //     itself by dense int32 ID on the cycles it is written (MarkID); the
@@ -61,13 +64,16 @@
 // live in the same shard, with one exception: a link.Wire marked CrossShard
 // is a legal cross-shard edge — its sends are staged on the writer's side,
 // merged into the consumer-visible event list at the window boundary
-// (CrossFlusher), and the consumer's Activity is woken only at merge time
-// (wake times are atomic CAS-min, so cross-shard wakes commute). Cross-shard
-// effects that are not wire sends (e.g. barrier releases waking processors in
-// other shards) must be deferred to the boundary with AtBarrier. The harness
-// partitions fabrics with topo.Network's partition hook so that each node's
-// router, NIC, and processor share a shard and wires are the only cross-shard
-// edges; under that discipline every shard count is bit-identical to one.
+// (CrossFlusher), and the consumer's Activity is woken only at merge time, on
+// the stepping goroutine: a registered component's queue bit is set with a
+// plain OR, so it may only be woken from its own shard or at a boundary. (A
+// hook clock's wake time is an atomic CAS-min and may be lowered from any
+// shard.) Cross-shard effects that are not wire sends (e.g. barrier releases
+// waking processors in other shards) must be deferred to the boundary with
+// AtBarrier. The harness partitions fabrics with topo.Network's partition
+// hook so that each node's router, NIC, and processor share a shard and
+// wires are the only cross-shard edges; under that discipline every shard
+// count is bit-identical to one.
 package sim
 
 import (
@@ -110,19 +116,19 @@ func (f TickFunc) Tick(now Cycle) { f(now) }
 // component's privilege, legal only when its Tick is a no-op until the given
 // cycle. The zero value is awake.
 type Activity struct {
+	// wakeAt is atomic because a hook clock (RegisterStepHookClocked) may be
+	// woken from every shard mid-window; the CAS-min in WakeAt commutes.
 	wakeAt atomic.Int64
 
-	// Active-set linkage, installed by RegisterSharded: set/idx identify the
-	// owning shard's worklist slot and queued is the membership dedup flag.
-	// The invariant is queued == "idx is in the worklist (active, mailbox,
-	// late, or hold)", and queued=false implies the component is parked at
-	// Never or holds a timer filed no later than wakeAt — it re-enters the
-	// worklist when that timer comes due, or sooner through the first WakeAt
-	// that lowers its wake time. Unregistered activities (hook clocks,
-	// standalone tests) have a nil set and skip the enqueue entirely.
-	set    *activeSet
-	idx    int32
-	queued atomic.Bool
+	// Active-set linkage, installed by RegisterSharded: set/idx name the
+	// owning shard's scheduler and the component's bit in it. A clear bit
+	// implies the component is parked at Never or holds a timer filed no
+	// later than wakeAt — it is queued again when that timer comes due, or
+	// sooner by the first WakeAt that lowers its wake time. Unregistered
+	// activities (hook clocks, standalone tests) have a nil set and skip the
+	// enqueue entirely.
+	set *activeSet
+	idx int32
 }
 
 // WakeAt lowers the wake time to at most at: the component will run at cycle
@@ -137,13 +143,12 @@ func (a *Activity) WakeAt(at Cycle) {
 			break
 		}
 	}
-	// The wake time was lowered; make sure the component is in its shard's
-	// worklist. The plain Load keeps the common already-queued case to one
-	// atomic read; the CAS arbitrates racing producers so exactly one
-	// enqueues. (A producer that finds cur <= at and returns early loses
-	// nothing: the component is queued, or holds a timer no later than cur,
-	// or another producer lowered the time to cur and is on its way here.)
-	if a.set != nil && !a.queued.Load() && a.queued.CompareAndSwap(false, true) {
+	// The wake time was lowered; make sure the component's bit is set. The
+	// OR is plain: every producer into a registered component runs on its
+	// shard's goroutine or at a boundary, never beside another (activeSet).
+	// A producer that finds cur <= at and returns early loses nothing: the
+	// component is queued, or holds a timer no later than cur.
+	if a.set != nil {
 		a.set.enqueue(a.idx)
 	}
 }
@@ -216,7 +221,7 @@ type span struct{ from, to Cycle }
 type shard struct {
 	tickers  []Ticker
 	acts     []*Activity    // parallel to tickers; nil entries always run
-	as       activeSet      // worklist and timer wheel (quiescence-skipping schedules)
+	as       activeSet      // queue bitmap and timer wheel (quiescence-skipping schedules)
 	flusher  Flusher        // run by the shard after each of its cycles
 	crossFl  Flusher        // run by the stepping goroutine at window boundaries, in shard order
 	deferred []deferredCall // staged by this shard's Ticks, drained at window boundaries
@@ -258,11 +263,17 @@ type stepHook struct {
 	clock *Activity
 }
 
-// Stats counts what the run loop did with simulated time.
+// Stats counts what the run loop did with simulated time, and what the owned
+// shards' schedulers did in it. Every count is determined by the seed, and
+// Ticks is the same at every shard count; NotDue and TimersFiled depend on
+// whether a wake lands mid-sweep or at a boundary, so they may not be.
 type Stats struct {
 	Windows      int64 // windows executed: every owned shard free-ran [T,E)
 	IdleJumps    int64 // jumps over cycles in which provably nothing happens
 	CyclesJumped int64 // cycles those jumps skipped
+	Ticks        int64 // Tick calls
+	NotDue       int64 // visits that found the component asleep
+	TimersFiled  int64 // timers entered on a shard's wheel
 }
 
 // Engine drives a set of Tickers and Latches through simulated cycles.
@@ -387,8 +398,18 @@ func (e *Engine) CrossHook() any { return e.crossHook }
 // the golden determinism tests compare against.
 func (e *Engine) SetIdleSkip(on bool) { e.skip = on }
 
-// Stats reports the run loop's counters so far.
-func (e *Engine) Stats() Stats { return e.stats }
+// Stats reports the run loop's counters so far, with the schedulers' summed
+// over the owned shards.
+func (e *Engine) Stats() Stats {
+	st := e.stats
+	for i := e.lo; i < e.hi; i++ {
+		as := &e.shards[i].as
+		st.Ticks += as.ticks
+		st.NotDue += as.notDue
+		st.TimersFiled += as.filed
+	}
+	return st
+}
 
 // Register adds t to shard 0 (always valid).
 func (e *Engine) Register(t Ticker) { e.RegisterSharded(0, t) }
@@ -562,6 +583,7 @@ func (e *Engine) freeRun(s *shard, from, to Cycle) {
 			for _, t := range s.tickers {
 				t.Tick(now)
 			}
+			s.as.ticks += int64(len(s.tickers))
 			ticked = ticked || len(s.tickers) > 0
 		}
 		s.flusher.run()
@@ -693,13 +715,13 @@ func (e *Engine) runWindowed(end Cycle, done func() bool) bool {
 }
 
 // idleScan computes a lower bound on the earliest future wake across every
-// owned component and hook clock. A component is in its shard's worklist or
-// mailbox (boundary merges may have just put it there, for any cycle), on a
-// timer, or parked, so the bound is the minimum over the first two and the
-// earliest timer: nothing that is merely waiting is looked at. Only
-// meaningful when no owned shard ticked this window: every worklist is then
-// empty of due components and every latch flushed, so the cycles before the
-// bound are provably no-ops.
+// owned component and hook clock. A component is queued in its shard's
+// active set (boundary merges may have just queued it, for any cycle), on a
+// timer, or parked, so the bound is the minimum over the queued components
+// and the earliest timer: nothing that is merely waiting is looked at. Only
+// meaningful when no owned shard ticked this window: no queued component is
+// then due and every latch is flushed, so the cycles before the bound are
+// provably no-ops.
 func (e *Engine) idleScan() Cycle {
 	min := Never
 	for i := e.lo; i < e.hi; i++ {
