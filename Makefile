@@ -43,8 +43,8 @@ check: build vet lint test
 
 # check-deep runs the deep correctness sweep: the invariant-monitor
 # acceptance matrix and mutation suite, a scaled-up randomized
-# cross-configuration fuzz sweep, and native fuzzing of the queue
-# primitives. The time budget caps the add-on stages:
+# cross-configuration fuzz sweep, and native fuzzing of ring.Deque. The
+# time budget caps the add-on stages:
 # make check-deep MINUTES=15
 check-deep:
 	./scripts/checkdeep.sh $(MINUTES)

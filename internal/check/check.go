@@ -111,7 +111,7 @@ type Options struct {
 	// tracking machinery (but not the end-of-run loss check).
 	InOrder bool
 	// OnViolation, when set, receives each violation instead of the default
-	// action (panic on first breach). Violations are recorded either way.
+	// action (panic on first breach).
 	OnViolation func(Violation)
 	// Local restricts sweeps to the per-NIC protocol monitors and the
 	// NIC/processor recycle-safety census, skipping the global substrate
@@ -141,8 +141,7 @@ type Checker struct {
 	nextIdx    map[pairKey]int64
 	lastIdx    map[pairKey]int64
 
-	violations []Violation
-	sweeps     int64
+	sweeps int64
 
 	// clock is the step hook's fast-forward clock: it points at the next
 	// interval-grid cycle, so the engine may skip (or window past) the
@@ -258,21 +257,12 @@ func (c *Checker) Finish(now sim.Cycle) {
 	}
 }
 
-// Violations returns a copy of everything observed so far.
-func (c *Checker) Violations() []Violation {
-	out := make([]Violation, len(c.violations))
-	copy(out, c.violations)
-	return out
-}
-
 // Sweeps reports how many census sweeps have run (test introspection).
 func (c *Checker) Sweeps() int64 { return c.sweeps }
 
-// report records a violation and either forwards it to OnViolation or
-// panics (the default: an invariant breach is a simulator bug).
+// report forwards a violation to OnViolation or panics (the default: an invariant breach is a simulator bug).
 func (c *Checker) report(now sim.Cycle, monitor string, nd int, format string, args ...any) {
 	v := Violation{Cycle: now, Monitor: monitor, Node: nd, Detail: fmt.Sprintf(format, args...)}
-	c.violations = append(c.violations, v)
 	if c.opts.OnViolation != nil {
 		c.opts.OnViolation(v)
 		return

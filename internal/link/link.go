@@ -154,6 +154,7 @@ func (w *Wire[T]) Send(now sim.Cycle, v T) {
 
 // SendAt schedules v for arrival at cycle at (which must not precede already
 // scheduled arrivals; callers in this repository always send monotonically).
+//
 //lint:allow(hotalloc) amortized event-list growth; Recv rewinds and compacts so steady-state sends reuse capacity
 func (w *Wire[T]) SendAt(at sim.Cycle, v T) {
 	if w.crossFl != nil {
@@ -187,6 +188,7 @@ func (w *Wire[T]) SendAt(at sim.Cycle, v T) {
 // boundary, on the stepping goroutine, so the consumer (which touches events
 // only while ticking) is guaranteed quiescent; the next window sees the
 // merged list via the channel release of its worker.
+//
 //lint:allow(hotalloc) cross-shard staged merge; both slices reuse capacity after warm-up
 func (w *Wire[T]) Flush() {
 	w.stagedDirty = false

@@ -9,13 +9,12 @@ import (
 // latchphase: two-phase discipline for latched state.
 //
 // The engine's order-independence proof (sim/engine.go) rests on latched
-// containers — sim.Queue, sim.Reg, link.Wire, and anything else
-// implementing sim.Latch — being mutated only through their sanctioned
-// Push/Set/Send APIs during the tick phase and flushed only by the engine
-// between phases. A direct field write from tick code bypasses the
-// double-buffering and makes results depend on tick order; an explicit
-// .Flush() call from component code publishes same-cycle writes early,
-// which is the same bug in API clothing.
+// containers — link.Wire and anything else implementing sim.Latch — being
+// mutated only through their sanctioned Send APIs during the tick phase and
+// flushed only by the engine at window boundaries. A direct field write from
+// tick code bypasses the staging and makes results depend on tick order; an
+// explicit .Flush() call from component code publishes same-cycle writes
+// early, which is the same bug in API clothing.
 //
 // Detection is structural so it holds for future latch types too: a
 // "latched type" is any named struct with a Flush() method. Within its

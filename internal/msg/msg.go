@@ -131,14 +131,3 @@ func (l *Layer) DrainInto(p *node.Proc, sink func(*packet.Packet)) int {
 	}
 	return n
 }
-
-// RecvBlocks blocks until count more packets have been accepted, feeding
-// them to sink (nil drops).
-func (l *Layer) RecvBlocks(p *node.Proc, count int, sink func(*packet.Packet)) {
-	for i := 0; i < count; i++ {
-		pk := p.Recv()
-		if sink != nil {
-			sink(pk)
-		}
-	}
-}

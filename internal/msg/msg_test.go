@@ -123,7 +123,9 @@ func TestEndToEndBlockTransfer(t *testing.T) {
 			pr = func(p *node.Proc) { l.SendBlock(p, 9, 60, nil) }
 		case 9:
 			pr = func(p *node.Proc) {
-				l.RecvBlocks(p, want, func(pk *packet.Packet) { got = append(got, pk) })
+				for len(got) < want {
+					got = append(got, p.Recv())
+				}
 			}
 		default:
 			pr = func(p *node.Proc) {}

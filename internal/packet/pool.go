@@ -32,6 +32,7 @@ type Pool struct {
 var blank = Packet{Dialog: NoDialog}
 
 // Get returns a fully reset packet, recycling a pooled one when available.
+//
 //lint:allow(hotalloc) pool warm-up: new packets are minted only while the free-list is empty; steady state recycles
 func (pl *Pool) Get() *Packet {
 	if pl == nil {
@@ -57,6 +58,7 @@ func (pl *Pool) Get() *Packet {
 // reference: no flit of p may remain in any link, buffer, or queue, and no
 // retained copy may be consulted through this pointer later. Put(nil) is a
 // no-op.
+//
 //lint:allow(hotalloc) amortized free-list growth up to the simulation's live-packet high-water mark
 func (pl *Pool) Put(p *Packet) {
 	if pl == nil || p == nil {

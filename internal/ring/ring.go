@@ -8,8 +8,9 @@
 // high-water mark — the property the zero-allocation saturated data path
 // needs. Popped slots are zeroed so recycled packets are not retained.
 //
-// Unlike sim.Queue this deque is not latched: pushes are visible to pops
-// immediately. Use sim.Queue at tick-order boundaries.
+// The deque is not latched: pushes are visible to pops immediately, so it
+// holds a component's own state. A value bound for another component travels
+// on a link.Wire.
 package ring
 
 // Deque is a growable circular FIFO. The zero value is ready to use.

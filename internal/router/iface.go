@@ -389,6 +389,7 @@ func (f *Iface) drainArrivals(now sim.Cycle) bool {
 
 // extract removes all flits of p from eject vc g, returns their credits, and
 // reports how many flits it removed.
+//
 //lint:allow(hotalloc) filter-in-place append into the same backing array never exceeds capacity
 func (f *Iface) extract(now sim.Cycle, g int, p *packet.Packet) int {
 	vc := &f.eject[g]

@@ -423,6 +423,7 @@ func (r *Router) recvCredits(now sim.Cycle, o int) {
 // goes to the longest-waiting head, so no input can be starved by saturated
 // streams on its neighbors — a rotating scan pointer shared across outputs
 // can resonate with periodic traffic and skip the same head forever.
+//
 //lint:allow(hotalloc) requester-list growth is bounded by the port count; capacity is reached during warm-up
 func (r *Router) allocate() bool {
 	r.allocDirty = false
@@ -513,6 +514,7 @@ func (r *Router) allocate() bool {
 // input VCs routed to it, subject to credits, link availability, one flit
 // per input port per cycle, and (in SAF mode) whole-packet buffering. It
 // reports whether any flit was forwarded.
+//
 //lint:allow(hotalloc) in-place requester removal append never exceeds the backing array
 func (r *Router) send(now sim.Cycle) bool {
 	sent := false

@@ -20,7 +20,7 @@ func (p *parker) Tick(now Cycle) {
 	p.act.Sleep(Never)
 }
 
-// wakeLatch wakes a parked component from the flush phase when marked.
+// wakeLatch wakes a parked component from a boundary flush when marked.
 type wakeLatch struct {
 	act *Activity
 	at  Cycle
@@ -32,7 +32,7 @@ func (l *wakeLatch) Flush() { l.act.WakeAt(l.at) }
 func markOnce(f *Flusher, l Latch) { f.MarkID(f.BindID(l)) }
 
 // TestActiveSetEdgeCases drives the active-set scheduler through the wake
-// paths that do not occur on every cycle: flush-phase wakes, duplicate wakes
+// paths that do not occur on every cycle: boundary-flush wakes, duplicate wakes
 // within one cycle, cross-shard staged wakes landing on a fully sleeping
 // shard, and fast-forward interacting with a pending hook clock. Each case
 // asserts the exact tick cycles, which the visit-time wake semantics fix
@@ -54,22 +54,22 @@ func TestActiveSetEdgeCases(t *testing.T) {
 	}
 }
 
-// A wake posted during the flush phase (a latch waking a component that
-// parked in the same cycle's tick phase) must set its queue bit and tick the
+// A wake posted by the boundary flush (a latch waking a component that parked
+// in the cycle before the boundary) must set its queue bit and tick the
 // component on the very next cycle.
 func testWakeDuringFlushPhase(t *testing.T) {
 	e := New()
 	p := &parker{}
 	e.Register(p)
 	// The latch is marked by a driver ticker on cycle 3, so its Flush — and
-	// the wake — runs in cycle 3's flush phase, after p parked.
+	// the wake — runs at the W = 1 boundary after cycle 3, after p parked.
 	e.Register(TickFunc(func(now Cycle) {
 		if now == 3 {
-			markOnce(e.Flusher(0), &wakeLatch{act: &p.act, at: now + 1})
+			markOnce(e.CrossFlusher(0), &wakeLatch{act: &p.act, at: now + 1})
 		}
 	}))
 	e.Run(8)
-	// p ticks at 0 (initially active, then parks) and again at 4 (flush-phase
+	// p ticks at 0 (initially active, then parks) and again at 4 (boundary
 	// wake at the end of cycle 3).
 	want := []Cycle{0, 4}
 	if len(p.ticks) != len(want) || p.ticks[0] != want[0] || p.ticks[1] != want[1] {
@@ -187,8 +187,9 @@ func until(pairs ...Cycle) func(Cycle) Cycle {
 
 // TestTimedSleepers drives components asleep until a finite cycle — out of
 // the queue, on the timer wheel — through everything that can happen to a
-// timer: it comes due, goes stale, is reused, is moved, meets a flush-phase
-// wake, and meets wakes posted mid-sweep from either side of the cursor.
+// timer: it comes due, goes stale, is reused, is moved, meets a wake from a
+// boundary flush, and meets wakes posted mid-sweep from either side of
+// the cursor.
 // Every case runs under each engine mode and asserts the exact tick cycles,
 // which must also be those of the reference schedule that ticks everything
 // every cycle.
@@ -197,7 +198,7 @@ func TestTimedSleepers(t *testing.T) {
 		at     Cycle // the cycle the waker acts in
 		target int   // index into nappers
 		to     Cycle // WakeAt argument
-		flush  bool  // post from the flush phase of cycle at, not its tick phase
+		flush  bool  // post from the cross flusher after cycle at (a window4 boundary), not its tick phase
 	}
 	cases := []struct {
 		name string
@@ -252,9 +253,9 @@ func TestTimedSleepers(t *testing.T) {
 		},
 		{
 			name:  "timer expiry and mailbox wake in one cycle",
-			plans: []func(Cycle) Cycle{until(0, 50)},
-			wakes: []wake{{at: 49, target: 0, to: 0, flush: true}},
-			want:  [][]Cycle{{0, 50}},
+			plans: []func(Cycle) Cycle{until(0, 52)},
+			wakes: []wake{{at: 51, target: 0, to: 0, flush: true}},
+			want:  [][]Cycle{{0, 52}},
 		},
 		{
 			name:       "woken mid-sweep ahead of and behind the cursor, before expiry",
@@ -286,7 +287,7 @@ func TestTimedSleepers(t *testing.T) {
 							continue
 						}
 						if w.flush {
-							markOnce(e.Flusher(0), &wakeLatch{act: &nappers[w.target].act, at: w.to})
+							markOnce(e.CrossFlusher(0), &wakeLatch{act: &nappers[w.target].act, at: w.to})
 						} else {
 							nappers[w.target].act.WakeAt(w.to)
 						}

@@ -224,11 +224,11 @@ func mix(x uint64) uint64 {
 // runRandomGraph builds n nappers over a random wake graph and runs them for
 // the given cycles under (shards, W), or under the reference schedule when
 // skip is false. Every napper has four neighbours; on a tick it wakes up to
-// two of them — directly during its Tick (for this cycle or a later one),
-// from its shard's flush phase, or across shards at the next W=4 lattice
-// point through its CrossFlusher — and then sleeps one cycle, a few, past a
-// wheel lap, or for good. Direct and flush-phase wakes stay inside the
-// two-shard partition, so every (shards, W) obeys the shard discipline.
+// two of them — directly during its Tick (for this cycle or a later one), or
+// across shards at the next W=4 lattice point through its CrossFlusher — and
+// then sleeps one cycle, a few, past a wheel lap, or for good. Direct wakes
+// stay inside the two-shard partition, so every (shards, W) obeys the shard
+// discipline.
 func runRandomGraph(seed uint64, n int, cycles Cycle, shards int, window Cycle, skip bool) ([][]Cycle, Stats) {
 	e := NewParallel(shards)
 	defer e.Close()
@@ -252,8 +252,6 @@ func runRandomGraph(seed uint64, n int, cycles Cycle, shards int, window Cycle, 
 			switch mode := h >> 4 & 3; {
 			case mode == 3 || part(j) != part(id):
 				markOnce(e.CrossFlusher(sh), &wakeLatch{act: &ns[j].act, at: now - now%4 + 4 + d})
-			case mode == 2:
-				markOnce(e.Flusher(sh), &wakeLatch{act: &ns[j].act, at: now + d})
 			default:
 				ns[j].act.WakeAt(now + []Cycle{0, 0, 1, 2, 5, 40, 0, 3}[d])
 			}

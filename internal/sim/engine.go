@@ -3,16 +3,14 @@
 //
 // The paper's simulator executes every cycle "explicitly and synchronously by
 // all objects; at any time in the simulation, all objects have executed up to
-// the same point" (§3). A cycle here has two phases:
-//
-//  1. Tick: every registered Ticker observes the current (latched) state of
-//     its inputs and writes only to state it owns, plus to the "next" side of
-//     Latches it is the unique writer of.
-//  2. Flush: every Latch written this cycle moves its "next" side to its
-//     "current" side.
-//
-// Because Tickers never observe another component's same-cycle writes, the
-// result is independent of tick order.
+// the same point" (§3). Here the contract is kept by one primitive,
+// link.Wire. In a cycle every due Ticker reads its input wires and writes
+// only state it owns and sends on the wires it is the unique writer of. A
+// send in cycle t is delivered no earlier than cycle t+1 (wire latency is at
+// least one cycle), and a send on a wire whose consumer lives in another shard
+// is staged by the writer and merged by the writer shard's CrossFlusher at the
+// window boundary. Because no Ticker observes another component's same-cycle
+// writes, the result is independent of tick order.
 //
 // # One loop, two parameters
 //
@@ -20,9 +18,9 @@
 // count and its synchronization window W. From a boundary T the loop runs the
 // step hooks that are due, picks the window end E (the next point of the
 // absolute W-aligned lattice, clamped by the run's budget and by hook
-// clocks), lets every owned shard free-run cycles [T,E) — Tick then local
-// Flush, cycle by cycle, with no interaction between shards — and then, with
-// no shard ticking, does the boundary work on the stepping goroutine: AtBarrier
+// clocks), lets every owned shard free-run cycles [T,E) — its Ticks, cycle by
+// cycle, with no interaction between shards — and then, with no shard
+// ticking, does the boundary work on the stepping goroutine: AtBarrier
 // calls that are due, the cross-shard flushers in shard order, the exchange
 // with peer processes when a WindowSync is installed, and the jump over idle
 // cycles when no shard ticked. New() is one shard, NewParallel(n) is n shards
@@ -55,9 +53,10 @@
 //     golden determinism tests in internal/harness enforce on full
 //     experiment workloads.
 //
-//   - Dirty latch flushing. A latch binds to a Flusher (BindID) and marks
-//     itself by dense int32 ID on the cycles it is written (MarkID); the
-//     flush walks the marked IDs and nothing else.
+//   - Dirty latch flushing. A cross-shard wire binds to its writer shard's
+//     CrossFlusher (BindID) and marks itself by dense int32 ID in the windows
+//     it is written (MarkID); the boundary flush walks the marked IDs and
+//     nothing else.
 //
 // Shard discipline: components in different shards must not share mutable
 // non-latched state. A component and every writer into its input wires must
@@ -95,8 +94,8 @@ type Ticker interface {
 	Tick(now Cycle)
 }
 
-// Latch is double-buffered state flushed between cycles. Flush is called
-// after all Tickers have run for the cycle.
+// Latch is staged state bound to a Flusher. Flush is called at the first
+// window boundary after it was marked, when no shard is ticking.
 type Latch interface {
 	Flush()
 }
@@ -177,8 +176,7 @@ type IdleTicker interface {
 // marks itself by dense ID (MarkID) on the cycles it is written; run flushes
 // the marked latches and nothing else. The dirty list is a flat int32 array,
 // so the hot marking path appends an integer, not an interface value. Each
-// shard has two: Flusher, run after every cycle of the shard's own Ticks, and
-// CrossFlusher, run at window boundaries.
+// shard has one, its CrossFlusher, run at window boundaries.
 type Flusher struct {
 	table []Latch // BindID-registered latches, indexed by dense ID
 	ids   []int32 // IDs marked dirty since the last run
@@ -217,12 +215,11 @@ type deferredCall struct {
 type span struct{ from, to Cycle }
 
 // shard is one scheduling unit: a tick list with its scheduler state and its
-// two flushers, plus the channel its worker waits on.
+// cross flusher, plus the channel its worker waits on.
 type shard struct {
 	tickers  []Ticker
 	acts     []*Activity    // parallel to tickers; nil entries always run
 	as       activeSet      // queue bitmap and timer wheel (quiescence-skipping schedules)
-	flusher  Flusher        // run by the shard after each of its cycles
 	crossFl  Flusher        // run by the stepping goroutine at window boundaries, in shard order
 	deferred []deferredCall // staged by this shard's Ticks, drained at window boundaries
 
@@ -498,13 +495,6 @@ func (e *Engine) runDeferred(boundary Cycle) {
 	}
 }
 
-// Flusher returns the given shard's per-cycle flusher, for latches written
-// and read inside the shard (Queue.Bind, Reg.Bind): they are flushed by the
-// shard itself after each cycle they are written in.
-func (e *Engine) Flusher(sh int) *Flusher {
-	return &e.shards[sh%len(e.shards)].flusher
-}
-
 // CrossFlusher returns the flusher cross-shard wires bind to
 // (link.Wire.CrossShard) for the given writer shard. The stepping goroutine
 // runs it at every window boundary, sequentially in shard order: cross-shard
@@ -570,10 +560,10 @@ func (e *Engine) worker(s *shard) {
 	}
 }
 
-// freeRun takes one shard through cycles [from,to), flushing its own latches
-// after each — no cross-shard interaction: cross wires stage until the
-// boundary drain, and channel padding guarantees nothing staged by a peer
-// shard can arrive before to. s.ticked aggregates over the window.
+// freeRun takes one shard through cycles [from,to) with no cross-shard
+// interaction: cross wires stage until the boundary drain, and channel
+// padding guarantees nothing staged by a peer shard can arrive before to.
+// s.ticked aggregates over the window.
 func (e *Engine) freeRun(s *shard, from, to Cycle) {
 	ticked := false
 	for now := from; now < to; now++ {
@@ -586,7 +576,6 @@ func (e *Engine) freeRun(s *shard, from, to Cycle) {
 			s.as.ticks += int64(len(s.tickers))
 			ticked = ticked || len(s.tickers) > 0
 		}
-		s.flusher.run()
 	}
 	s.ticked = ticked
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
 
 type counter struct{ n int }
@@ -53,14 +52,38 @@ func TestTickOrderWithinShard(t *testing.T) {
 	}
 }
 
+// reg is a double-buffered value bound to a Flusher: Set stages it and marks
+// it, Flush publishes it.
+type reg struct {
+	cur, next int
+	fl        *Flusher
+	id        int32
+	marked    bool
+}
+
+func newReg(fl *Flusher) *reg {
+	r := &reg{fl: fl}
+	r.id = fl.BindID(r)
+	return r
+}
+
+func (r *reg) Set(v int) {
+	r.next = v
+	if !r.marked {
+		r.marked = true
+		r.fl.MarkID(r.id)
+	}
+}
+
+func (r *reg) Flush() { r.cur, r.marked = r.next, false }
+
 func TestFlushRunsAfterTicks(t *testing.T) {
 	e := New()
-	var r Reg[int]
-	r.Bind(e.Flusher(0))
+	r := newReg(e.CrossFlusher(0))
 	e.Register(TickFunc(func(now Cycle) {
 		// During the tick of cycle n, the register must still show the value
 		// set in cycle n-1.
-		if got, want := int64(r.Get()), now; got != want {
+		if got, want := Cycle(r.cur), now; got != want {
 			t.Errorf("cycle %d: reg shows %d", now, got)
 		}
 		r.Set(int(now) + 1)
@@ -112,17 +135,15 @@ func TestParallelMatchesSerial(t *testing.T) {
 	// execution interleaving, because all cross-shard traffic is latched: a
 	// register read from another shard is a cross-shard edge, flushed by its
 	// writer's cross flusher at the boundary.
-	build := func(e *Engine) []*Reg[int] {
+	build := func(e *Engine) []*reg {
 		const k = 8
-		regs := make([]*Reg[int], k)
+		regs := make([]*reg, k)
 		for i := range regs {
-			regs[i] = &Reg[int]{}
-			regs[i].Bind(e.CrossFlusher(i))
+			regs[i] = newReg(e.CrossFlusher(i))
 		}
 		for i := 0; i < k; i++ {
-			i := i
 			e.RegisterSharded(i, TickFunc(func(Cycle) {
-				regs[i].Set(regs[(i+k-1)%k].Get() + 1)
+				regs[i].Set(regs[(i+k-1)%k].cur + 1)
 			}))
 		}
 		return regs
@@ -134,8 +155,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 	es.Run(50)
 	ep.Run(50)
 	for i := range rs {
-		if rs[i].Get() != rp[i].Get() {
-			t.Fatalf("reg %d: serial %d parallel %d", i, rs[i].Get(), rp[i].Get())
+		if rs[i].cur != rp[i].cur {
+			t.Fatalf("reg %d: serial %d parallel %d", i, rs[i].cur, rp[i].cur)
 		}
 	}
 }
@@ -246,142 +267,6 @@ func TestCloseEndsWorkers(t *testing.T) {
 		if n.Load() != 160 {
 			t.Errorf("idle=%v: ticked %d times, want 160", idle, n.Load())
 		}
-	}
-}
-
-func TestQueueLatching(t *testing.T) {
-	q := NewQueue[int](0)
-	q.Push(1)
-	if q.Len() != 0 {
-		t.Fatal("pushed item visible before flush")
-	}
-	if _, ok := q.Pop(); ok {
-		t.Fatal("Pop returned item before flush")
-	}
-	q.Flush()
-	if q.Len() != 1 {
-		t.Fatalf("Len = %d after flush", q.Len())
-	}
-	v, ok := q.Pop()
-	if !ok || v != 1 {
-		t.Fatalf("Pop = %d,%v", v, ok)
-	}
-}
-
-func TestQueueFIFOOrder(t *testing.T) {
-	q := NewQueue[int](0)
-	for i := 0; i < 5; i++ {
-		q.Push(i)
-	}
-	q.Flush()
-	for i := 0; i < 5; i++ {
-		v, ok := q.Pop()
-		if !ok || v != i {
-			t.Fatalf("Pop #%d = %d,%v", i, v, ok)
-		}
-	}
-}
-
-func TestQueueCapacity(t *testing.T) {
-	q := NewQueue[int](2)
-	if !q.Push(1) || !q.Push(2) {
-		t.Fatal("pushes under capacity rejected")
-	}
-	if q.Push(3) {
-		t.Fatal("push over capacity accepted")
-	}
-	q.Flush()
-	if q.CanPush() {
-		t.Fatal("CanPush true while full")
-	}
-	q.Pop()
-	if !q.CanPush() {
-		t.Fatal("CanPush false after Pop freed space")
-	}
-}
-
-func TestQueueCapacityCountsPending(t *testing.T) {
-	q := NewQueue[int](2)
-	q.Push(1)
-	q.Flush()
-	q.Push(2)
-	// One visible + one pending = at capacity.
-	if q.Push(3) {
-		t.Fatal("capacity must count pending items")
-	}
-	if q.Occupied() != 2 {
-		t.Fatalf("Occupied = %d", q.Occupied())
-	}
-}
-
-func TestQueuePeek(t *testing.T) {
-	q := NewQueue[string](0)
-	if _, ok := q.Peek(); ok {
-		t.Fatal("Peek on empty queue")
-	}
-	q.Push("a")
-	q.Flush()
-	v, ok := q.Peek()
-	if !ok || v != "a" {
-		t.Fatalf("Peek = %q,%v", v, ok)
-	}
-	if q.Len() != 1 {
-		t.Fatal("Peek consumed the item")
-	}
-}
-
-func TestQueueProperty(t *testing.T) {
-	// Property: with unbounded capacity, items come out in push order across
-	// arbitrary interleavings of push/flush.
-	f := func(ops []uint8) bool {
-		q := NewQueue[int](0)
-		var pushed, popped []int
-		n := 0
-		for _, op := range ops {
-			switch op % 3 {
-			case 0:
-				q.Push(n)
-				pushed = append(pushed, n)
-				n++
-			case 1:
-				q.Flush()
-			case 2:
-				if v, ok := q.Pop(); ok {
-					popped = append(popped, v)
-				}
-			}
-		}
-		q.Flush()
-		for {
-			v, ok := q.Pop()
-			if !ok {
-				break
-			}
-			popped = append(popped, v)
-		}
-		if len(popped) != len(pushed) {
-			return false
-		}
-		for i := range popped {
-			if popped[i] != pushed[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRegDefaultZero(t *testing.T) {
-	var r Reg[int]
-	if r.Get() != 0 {
-		t.Fatal("zero Reg not zero")
-	}
-	r.Flush() // no pending write: must keep value
-	if r.Get() != 0 {
-		t.Fatal("Flush with no Set changed value")
 	}
 }
 

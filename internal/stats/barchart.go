@@ -5,43 +5,6 @@ import (
 	"strings"
 )
 
-// BarRow is one bar of a chart.
-type BarRow struct {
-	Label string
-	Value float64
-}
-
-// BarChart renders labeled horizontal bars scaled to the largest value —
-// the text equivalent of the paper's bar figures. unit annotates the values.
-func BarChart(title, unit string, rows []BarRow) string {
-	var b strings.Builder
-	if title != "" {
-		fmt.Fprintf(&b, "== %s ==\n", title)
-	}
-	maxVal := 0.0
-	labelW := 0
-	for _, r := range rows {
-		if r.Value > maxVal {
-			maxVal = r.Value
-		}
-		if len(r.Label) > labelW {
-			labelW = len(r.Label)
-		}
-	}
-	const width = 50
-	for _, r := range rows {
-		n := 0
-		if maxVal > 0 {
-			n = int(r.Value/maxVal*width + 0.5)
-		}
-		if n < 0 {
-			n = 0
-		}
-		fmt.Fprintf(&b, "%-*s |%s %.4g %s\n", labelW, r.Label, strings.Repeat("█", n), r.Value, unit)
-	}
-	return b.String()
-}
-
 // GroupedBars renders one chart section per group (e.g. per network), each
 // with the same series labels — mirroring the paper's grouped bar figures.
 type GroupedBars struct {

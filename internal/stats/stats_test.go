@@ -94,30 +94,6 @@ func TestTableAlignment(t *testing.T) {
 	}
 }
 
-func TestBarChart(t *testing.T) {
-	out := BarChart("demo", "pkts", []BarRow{{"a", 100}, {"b", 50}, {"zero", 0}})
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("%d lines:\n%s", len(lines), out)
-	}
-	barA := strings.Count(lines[1], "█")
-	barB := strings.Count(lines[2], "█")
-	barZ := strings.Count(lines[3], "█")
-	if barA != 50 || barB != 25 || barZ != 0 {
-		t.Fatalf("bars %d %d %d:\n%s", barA, barB, barZ, out)
-	}
-}
-
-func TestBarChartEmptyAndNegative(t *testing.T) {
-	if out := BarChart("", "x", nil); out != "" {
-		t.Fatalf("empty chart: %q", out)
-	}
-	out := BarChart("", "x", []BarRow{{"neg", -5}})
-	if strings.Count(out, "█") != 0 {
-		t.Fatalf("negative bar drew blocks: %s", out)
-	}
-}
-
 func TestGroupedBars(t *testing.T) {
 	g := NewGroupedBars("fig", "pkts", "none", "NIFDY")
 	g.Group("mesh", 50, 100)

@@ -5,7 +5,7 @@
 #   1. the full monitor acceptance matrix and mutation suite (internal/check)
 #   2. a scaled-up randomized cross-configuration fuzz sweep (via the
 #      NIFDY_FUZZ_* environment overrides read by TestFuzzSweepClean)
-#   3. native Go fuzzing of the latched/ring queue primitives
+#   3. native Go fuzzing of ring.Deque
 #
 # The argument (or CHECK_DEEP_MINUTES) caps the add-on budget: the fuzz sweep
 # trial count and the per-target native fuzz time scale with it. Default 5
@@ -37,8 +37,5 @@ NIFDY_FUZZ_TRIALS=$TRIALS NIFDY_FUZZ_PACKETS=40 \
 
 echo "-- native fuzz: ring.Deque (${FUZZTIME}) --"
 $GO test -run xxx -fuzz FuzzDeque -fuzztime "$FUZZTIME" ./internal/ring/
-
-echo "-- native fuzz: sim.Queue (${FUZZTIME}) --"
-$GO test -run xxx -fuzz FuzzQueue -fuzztime "$FUZZTIME" ./internal/sim/
 
 echo "== check-deep: OK =="
