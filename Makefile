@@ -13,9 +13,8 @@ vet:
 
 # lint runs nifdy-lint, the domain-specific analyzer suite (DESIGN.md §7):
 # determinism (mapiter, wallclock), zero-allocation (hotalloc), two-phase
-# discipline (latchphase), pool ownership (poolsafe), codec completeness
-# (codecsync), enum exhaustiveness (kindswitch), and shard safety
-# (shardsafe) over the whole module,
+# discipline (latchphase), pool ownership (poolsafe), enum exhaustiveness
+# (kindswitch), and shard safety (shardsafe) over the whole module,
 # including the stale-suppression audit.
 lint:
 	$(GO) run ./cmd/nifdy-lint
@@ -57,7 +56,7 @@ check-deep:
 # harness's concurrent simulations, and the processors' program goroutines —
 # under the race detector.
 race:
-	$(GO) test -race -count=1 -timeout 3600s ./internal/sim/... ./internal/link/... ./internal/router/... ./internal/flow/... ./internal/harness/... ./internal/node/... ./internal/core/... ./internal/dist/...
+	$(GO) test -race -count=1 -timeout 3600s ./internal/sim/... ./internal/link/... ./internal/router/... ./internal/flow/... ./internal/harness/... ./internal/node/... ./internal/core/...
 
 # bench-check runs the benchmark module's own tests (bench/ is a module of
 # its own, so `go test ./...` at the root does not see it): the smoke over
@@ -93,7 +92,7 @@ bench-smoke:
 bench:
 	bash bench/run.sh -all -out bench/out/all.json
 
-# bench-locality gates active-set scheduling (DESIGN.md §10):
+# bench-locality gates active-set scheduling (DESIGN.md §9):
 # BenchmarkIdleFraction's step cost must be sub-linear in total component
 # count, and BenchmarkTimedSleepers' cost per Tick must not depend on how
 # many components sleep on a timer, nor be far from what it is when they are

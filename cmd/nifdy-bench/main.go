@@ -13,9 +13,8 @@
 //	nifdy-bench -check                   # invariant-monitor fuzz sweep; exit 1 on violation
 //
 // The experiment ids are the experiments table below; -h prints them.
-// Each run ends with a "[id took ...]" wall-clock line. Speed, memory and
-// multi-process wall clock are measured by bench/ (bash bench/run.sh) and
-// nifdy-dist, not here.
+// Each run ends with a "[id took ...]" wall-clock line. Speed and memory are
+// measured by bench/ (bash bench/run.sh), not here.
 //
 // -mode selects the fabric fidelity for f2/f3: "flit" (default) is the
 // cycle-accurate reference, "flow" swaps each network for its flow-level
@@ -119,7 +118,7 @@ var experiments = []struct {
 	{"hotspot", true, func(c config) { fmt.Println(nifdy.ExtHotspot(ackOpts(c))) }},
 	{"faults", true, func(c config) { fmt.Println(nifdy.ExtFaults(ackOpts(c))) }},
 	{"fabric", false, func(c config) {
-		// Modern-fabric scenario pack (DESIGN.md §11). Reduced scale is
+		// Modern-fabric scenario pack (DESIGN.md §10). Reduced scale is
 		// the 9x9/48-way testbed whose shapes match the 17x17/256-way
 		// default (-full); every metric is bit-identical for any -shards.
 		o := nifdy.FabricOpts{Seed: c.seed, Shards: c.shards}
@@ -142,12 +141,6 @@ func expIDs() string {
 }
 
 func main() {
-	// The fuzz sweep's multi-process column (-check) re-executes this binary
-	// as distributed workers; a worker invocation must join the cluster
-	// protocol before any flag parsing.
-	if nifdy.DistWorkerMain() {
-		return
-	}
 	var (
 		exp     = flag.String("exp", "all", "experiment ids, comma-separated ("+expIDs()+"), or all")
 		full    = flag.Bool("full", false, "paper-scale budgets instead of reduced")

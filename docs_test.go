@@ -10,9 +10,11 @@ import (
 
 // TestDocsNameOnlyWhatExists holds the instructions people and CI follow to
 // the tree: every `make <target>` (in backticks, or a workflow's run: line)
-// must be on the Makefile's .PHONY line, and every shell script named must be
-// a file — under scripts/ when named bare. Deleting a gate without its
-// mentions fails here, not in somebody's terminal.
+// must be on the Makefile's .PHONY line, every shell script named must be a
+// file — under scripts/ when named bare — and every internal/, cmd/ or
+// examples/ path named must exist, less any .Symbol suffix
+// (internal/check.Options names internal/check). Deleting a gate or a package
+// without its mentions fails here, not in somebody's terminal.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	mk, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -29,6 +31,7 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 
 	makeRE := regexp.MustCompile("(?:`|run: )make ([a-z][a-z0-9-]*)")
 	scriptRE := regexp.MustCompile(`[A-Za-z0-9_./-]*\.sh\b`)
+	pathRE := regexp.MustCompile(`\b(?:internal|cmd|examples)/[A-Za-z0-9_./-]*[A-Za-z0-9_]`)
 	for _, doc := range []string{
 		"README.md", "DESIGN.md", "EXPERIMENTS.md",
 		".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md",
@@ -50,6 +53,18 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 			if _, err := os.Stat(path); err != nil {
 				t.Errorf("%s: names %s, which does not exist", doc, m)
 			}
+		}
+		for _, m := range pathRE.FindAll(text, -1) {
+			path := string(m)
+			if _, err := os.Stat(path); err == nil {
+				continue
+			}
+			if i := strings.LastIndexByte(path, '.'); i > strings.LastIndexByte(path, '/') {
+				if _, err := os.Stat(path[:i]); err == nil {
+					continue
+				}
+			}
+			t.Errorf("%s: names %s, which does not exist", doc, m)
 		}
 	}
 }

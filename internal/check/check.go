@@ -115,10 +115,11 @@ type Options struct {
 	OnViolation func(Violation)
 	// Local restricts sweeps to the per-NIC protocol monitors and the
 	// NIC/processor recycle-safety census, skipping the global substrate
-	// census (flit/credit conservation, vc-capacity, wire walks). Set in
-	// distributed worker processes: packets whose flits are buffered in peer
-	// processes make the local conservation books unbalanced by design,
-	// while the protocol invariants of locally owned NICs remain exact.
+	// census (flit/credit conservation, vc-capacity, wire walks). Set it when
+	// packets are held outside the fabric the checker audits — e.g. test
+	// ports that delay or drop traffic between a NIC and its interface: the
+	// conservation books are then unbalanced by design, while the NICs'
+	// protocol invariants remain exact.
 	Local bool
 }
 
@@ -202,8 +203,8 @@ func (c *Checker) step(now sim.Cycle) {
 	c.clock.Sleep(now - now%c.opts.Interval + c.opts.Interval)
 }
 
-// sweepLocal is the distributed-worker sweep: per-NIC protocol monitors and
-// the recycle-safety census over locally owned NIC queues and processor-held
+// sweepLocal is the sweep without the substrate census: per-NIC protocol
+// monitors and the recycle-safety census over NIC queues and processor-held
 // packets only (see Options.Local).
 func (c *Checker) sweepLocal(now sim.Cycle) {
 	whole := map[*packet.Packet]whereRef{}

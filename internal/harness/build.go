@@ -9,7 +9,6 @@ import (
 
 	"nifdy/internal/check"
 	"nifdy/internal/core"
-	"nifdy/internal/dist"
 	"nifdy/internal/nic"
 	"nifdy/internal/node"
 	"nifdy/internal/packet"
@@ -31,7 +30,7 @@ const (
 	NIFDY
 	// PFC is the plain NIC over a fabric running Priority Flow Control:
 	// hop-by-hop pause/resume backpressure at every router input and
-	// ejection buffer (DESIGN.md §11). Selecting it enables
+	// ejection buffer (DESIGN.md §10). Selecting it enables
 	// Fabric.PFC.Enable automatically.
 	PFC
 	// DCQCN is the rate-controlled NIC (nic.DCQCN) over an ECN-marking
@@ -112,26 +111,15 @@ type BuildOpts struct {
 	// edges are link wires, whose sends are staged per shard and merged at
 	// window boundaries. Results are bit-identical to the serial engine for
 	// any shard count (enforced by the sharded determinism tests). Values
-	// above the node count are clamped (except under Dist, where the shard
-	// count is part of the cross-process contract and mismatches panic).
+	// above the node count are clamped.
 	EngineShards int
 	// Window is the conservative synchronization window W in cycles
 	// (default 1: a boundary after every cycle). W is a model parameter: the
 	// fabric's channels are padded so no cross-shard event can arrive
 	// within W cycles of its send, which lets shards free-run W cycles
-	// between barriers. A fixed W is bit-identical across every
-	// {shards x processes} split; different W values are different (equally
-	// valid) models.
+	// between barriers. A fixed W is bit-identical across every {shards}
+	// split; different W values are different (equally valid) models.
 	Window int
-	// Dist, when set, builds this simulation as one worker of a
-	// multi-process run: the full fabric is constructed with EngineShards
-	// total shards (which must be a multiple of Dist.Procs), but only the
-	// worker's contiguous slice is registered to tick; channels crossing
-	// process boundaries are carried by the dist transport, synchronized at
-	// every window boundary. Drop, Retransmit, and DialogTakeover are not
-	// supported (their packet cloning breaks cross-process flit identity)
-	// and panic.
-	Dist *dist.Worker
 	// DisableIdleSkip turns off quiescence skipping (determinism baseline).
 	DisableIdleSkip bool
 }
@@ -187,42 +175,9 @@ func Build(opts BuildOpts) *Sim {
 	if isZeroParams(params) {
 		params = opts.Net.Params
 	}
-	shards := opts.EngineShards
-	if shards < 1 {
-		shards = 1
-	}
-	var eng *sim.Engine
-	var x *dist.Exchange
-	if w := opts.Dist; w != nil {
-		// Multi-process worker: the shard count is shared protocol state, so
-		// mismatches are errors rather than silent clamps.
-		if shards > net.Nodes() || shards%w.Procs != 0 {
-			panic(fmt.Sprintf("harness: %d shards cannot split over %d worker processes (%d nodes)",
-				shards, w.Procs, net.Nodes()))
-		}
-		// Launchers validate specs up front (DistSpec.Validate); the panic is
-		// the backstop for direct Build calls, and carries the typed
-		// dist.ErrUnsupportedFeature so recover-based callers can classify.
-		if err := distFeatureErr(opts, params); err != nil {
-			panic(err)
-		}
-		per := shards / w.Procs
-		eng = sim.NewParallelOwned(shards, w.Rank*per, (w.Rank+1)*per)
-		eng.SetWindow(sim.Cycle(window))
-		x = dist.NewExchange(eng, w)
-		eng.SetWindowSync(x)
-		eng.SetCrossHook(x.CrossHook(func(sh int) int { return sh / per }))
-	} else {
-		if shards > net.Nodes() {
-			shards = net.Nodes()
-		}
-		if shards > 1 {
-			eng = sim.NewParallel(shards)
-		} else {
-			eng = sim.New()
-		}
-		eng.SetWindow(sim.Cycle(window))
-	}
+	shards := min(max(opts.EngineShards, 1), net.Nodes())
+	eng := sim.NewParallel(shards)
+	eng.SetWindow(sim.Cycle(window))
 	if opts.DisableIdleSkip {
 		eng.SetIdleSkip(false)
 	}
@@ -232,15 +187,10 @@ func Build(opts BuildOpts) *Sim {
 	}
 	// Topology-aware partition: node n's router(s), NIC, and processor all
 	// tick in shardOf[n]; the fabric marks channels crossing shard
-	// boundaries for staged cross-shard delivery (or, under Dist, hands
-	// process-crossing ones to the transport via the cross hook).
+	// boundaries for staged cross-shard delivery.
 	shardOf := net.Partition(shards)
 	net.RegisterRoutersSharded(s.Eng, shardOf)
 	s.Pending.SetShards(shards)
-	if x != nil {
-		s.Pending.EnableDeltas()
-		x.BindPending(s.Pending)
-	}
 	if opts.PendingInterval > 0 {
 		// Sampled as a step hook (pre-tick, on the stepping goroutine): the
 		// same between-cycles instant for every shard count.
@@ -248,14 +198,6 @@ func Build(opts BuildOpts) *Sim {
 	}
 	if opts.Check != nil {
 		co := *opts.Check
-		if x != nil {
-			// Worker processes audit their own slice; packet pointers are not
-			// stable across the process boundary, so the pointer-keyed
-			// sequence and ordering monitors cannot run.
-			co.Local = true
-			co.Sequence = false
-			co.InOrder = false
-		}
 		switch {
 		case params.DialogTakeover > 0:
 			// Takeover clones packets under fresh identities; neither pointer
@@ -333,28 +275,15 @@ func Build(opts BuildOpts) *Sim {
 		}
 		s.Eng.RegisterSharded(shardOf[n], nc)
 		s.NICs = append(s.NICs, nc)
-		if s.Checker != nil && (x == nil || s.Eng.Owns(shardOf[n])) {
+		if s.Checker != nil {
 			s.Checker.AddNIC(nc)
 		}
 	}
 	if opts.Program != nil {
-		if x != nil {
-			// Barriers created while programs are instantiated get shared
-			// creation-order IDs and distributed completion; creation order
-			// is identical in every worker because every Program(n) call
-			// below runs in every process.
-			node.SetBarrierObserver(x.ObserveBarrier)
-		}
 		for n := 0; n < net.Nodes(); n++ {
 			prog := opts.Program(n)
 			if prog == nil {
 				continue // node has no program: its NIC still ticks
-			}
-			if x != nil && !s.Eng.Owns(shardOf[n]) {
-				// Another process runs this node. Program(n) was still
-				// called, so shared state it creates (e.g. a generator's
-				// barrier) exists here in the same order.
-				continue
 			}
 			p := node.NewProc(n, s.NICs[n], opts.Costs, prog)
 			// Same shard as the node's NIC, registered after it, so a
@@ -365,9 +294,6 @@ func Build(opts BuildOpts) *Sim {
 				s.Checker.AddProc(p)
 			}
 			p.Start()
-		}
-		if x != nil {
-			node.SetBarrierObserver(nil)
 		}
 	}
 	if s.Checker != nil {

@@ -41,7 +41,7 @@ func FabricMesh(width, height int) NetSpec {
 	}
 }
 
-// FabricOpts parameterizes the modern-fabric scenario pack (DESIGN.md §11):
+// FabricOpts parameterizes the modern-fabric scenario pack (DESIGN.md §10):
 // NIFDY against PFC, DCQCN, and the plain NIC under incast, victim-flow, and
 // congestion-spreading traffic, on lossless and lossy wires.
 type FabricOpts struct {
@@ -291,7 +291,7 @@ func FabricExperiment(o FabricOpts) []FabricPoint {
 
 // FabricTable renders points the way the other figure entry points do.
 func FabricTable(points []FabricPoint) *stats.Table {
-	t := stats.NewTable("Modern-fabric baselines: NIFDY vs PFC/DCQCN under incast (DESIGN.md §11)",
+	t := stats.NewTable("Modern-fabric baselines: NIFDY vs PFC/DCQCN under incast (DESIGN.md §10)",
 		"scenario", "wires", "nic", "delivered", "p99 lat", "fairness")
 	for _, p := range points {
 		wires := "lossless"

@@ -6,7 +6,7 @@ import (
 	"nifdy/internal/traffic"
 )
 
-// Modern-fabric shape regressions (DESIGN.md §11): encode the scenario pack's
+// Modern-fabric shape regressions (DESIGN.md §10): encode the scenario pack's
 // headline claims as assertions at a reduced 9x9 / 48-way scale whose shapes
 // match the 17x17 / 256-way defaults. Shapes — who wins and on which metric —
 // are the claim; absolute counts are not.

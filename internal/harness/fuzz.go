@@ -24,12 +24,6 @@ type FuzzOpts struct {
 	// Shards are the engine shard counts per trial; default {1, 2, 4}. The
 	// first entry is the reference for the stats diff.
 	Shards []int
-	// Procs are the multi-process worker counts per trial; default {2}. Each
-	// runs the trial's configuration over the dist transport (the shard count
-	// is a randomized multiple of the worker count) and must reproduce the
-	// reference stats bit for bit, with monitors armed in every worker. Set
-	// to an empty non-nil slice to skip the multi-process column.
-	Procs []int
 	// MaxCycles bounds each run; default 600,000.
 	MaxCycles sim.Cycle
 	// Packets is the per-node, per-phase quota; default 20 (two phases).
@@ -47,9 +41,6 @@ func (o *FuzzOpts) defaults() {
 	}
 	if o.Shards == nil {
 		o.Shards = []int{1, 2, 4}
-	}
-	if o.Procs == nil {
-		o.Procs = []int{2}
 	}
 	if o.MaxCycles == 0 {
 		o.MaxCycles = 600_000
@@ -89,7 +80,6 @@ type fuzzTrial struct {
 	light  bool
 	seed   uint64
 	window int // conservative-sync window (a model parameter, fixed per trial)
-	dmul   int // multi-process shard count = procs * dmul
 	// fabric selects a modern-fabric column: "" (classic matrix), "lossy"
 	// (NIFDY with retransmission over dropping wires), "pfc", or "dcqcn".
 	fabric string
@@ -124,19 +114,6 @@ func fuzzFabricFor(i int) string {
 	return ""
 }
 
-// distNetNames maps NetSpec display names to the wire-stable fabric names the
-// distributed runner accepts (distNets).
-var distNetNames = map[string]string{
-	"mesh 8x8":             "mesh2d",
-	"torus 8x8":            "torus2d",
-	"mesh 4x4x4":           "mesh3d",
-	"fat tree (full)":      "fattree",
-	"fat tree (store&fwd)": "sffattree",
-	"fat tree (CM-5)":      "cm5",
-	"butterfly":            "butterfly",
-	"multibutterfly":       "multibutterfly",
-}
-
 // FuzzSweep runs the randomized cross-configuration sweep. Every run arms
 // the full monitor suite (internal/check); runs that complete also get the
 // end-to-end loss check. For each trial, the aggregate NIC stats of every
@@ -166,14 +143,14 @@ func FuzzSweep(o FuzzOpts) FuzzResult {
 			light:  r.Bool(0.5),
 			seed:   r.Uint64()%(1<<30) + 1,
 			window: 1 + 3*r.Intn(2), // 1 or 4
-			dmul:   1 + r.Intn(2),
 		}
-		// A draw nothing reads: dropping it would shift every later draw, and
-		// so replace every trial of every seed's sweep with a different one.
+		// Two draws nothing reads: dropping them would shift every later draw,
+		// and so replace every trial of every seed's sweep with a different one.
+		r.Intn(2)
 		r.Bool(0.5)
 		if fab := fuzzFabricFor(i); fab != "" {
 			// The modern-fabric columns run on the wormhole meshes, where
-			// PFC pause frames ride the credit wires and the DESIGN.md §11
+			// PFC pause frames ride the credit wires and the DESIGN.md §10
 			// scenario pack lives. Lossy wires force the NIFDY kind: the
 			// sweep requires completion, and only the §6 retransmission
 			// path recovers a dropped flit.
@@ -197,15 +174,13 @@ func FuzzSweep(o FuzzOpts) FuzzResult {
 		trials[i] = tr
 	}
 
-	// Columns: every in-process shard count, then every multi-process worker
-	// count. Column 0 (the first shard count, usually serial) is the
-	// reference every other column must match bit for bit.
-	cols := len(o.Shards) + len(o.Procs)
+	// Columns: every shard count. Column 0 (the first shard count, usually
+	// serial) is the reference every other column must match bit for bit.
+	cols := len(o.Shards)
 	type trialOut struct {
 		stats []nic.Stats
 		done  []bool
 		fails [][]FuzzFailure
-		skip  []bool
 	}
 	outs := make([]trialOut, len(trials))
 	tasks := make([]func(), 0, len(trials)*cols)
@@ -215,7 +190,6 @@ func FuzzSweep(o FuzzOpts) FuzzResult {
 			stats: make([]nic.Stats, cols),
 			done:  make([]bool, cols),
 			fails: make([][]FuzzFailure, cols),
-			skip:  make([]bool, cols),
 		}
 		for si, shards := range o.Shards {
 			si, shards := si, shards
@@ -224,22 +198,6 @@ func FuzzSweep(o FuzzOpts) FuzzResult {
 				outs[ti].stats[si] = st
 				outs[ti].done[si] = done
 				outs[ti].fails[si] = fails
-			})
-		}
-		for pi, procs := range o.Procs {
-			ci, procs := len(o.Shards)+pi, procs
-			if tr.fabric != "" {
-				// The dist codec carries no PFC frames, ECN bits, or wire
-				// faults across process boundaries, so the modern-fabric
-				// trials run only the in-process shard columns.
-				outs[ti].skip[ci] = true
-				continue
-			}
-			tasks = append(tasks, func() {
-				st, done, fails := fuzzDistRun(tr, procs, o)
-				outs[ti].stats[ci] = st
-				outs[ti].done[ci] = done
-				outs[ti].fails[ci] = fails
 			})
 		}
 	}
@@ -252,78 +210,17 @@ func FuzzSweep(o FuzzOpts) FuzzResult {
 			res.Failures = append(res.Failures, fs...)
 		}
 		for si := 1; si < cols; si++ {
-			if out.skip[si] {
-				continue
-			}
-			column := "shards"
-			n := 0
-			if si < len(o.Shards) {
-				n = o.Shards[si]
-			} else {
-				column = "procs"
-				n = o.Procs[si-len(o.Shards)]
-			}
 			if out.done[si] != out.done[0] || out.stats[si] != out.stats[0] {
+				n := o.Shards[si]
 				res.Failures = append(res.Failures, FuzzFailure{
 					Trial: tr.String(), Shards: n,
-					Detail: fmt.Sprintf("%s=%d diverges from shards=%d: done %v vs %v, stats %+v vs %+v",
-						column, n, o.Shards[0], out.done[si], out.done[0], out.stats[si], out.stats[0]),
+					Detail: fmt.Sprintf("shards=%d diverges from shards=%d: done %v vs %v, stats %+v vs %+v",
+						n, o.Shards[0], out.done[si], out.done[0], out.stats[si], out.stats[0]),
 				})
 			}
 		}
 	}
 	return res
-}
-
-// fuzzDistRun executes one (trial, worker count) simulation over the dist
-// transport: the launcher re-execs this binary procs times (the embedding
-// main must gate on DistWorkerMain), each worker arms its own monitor suite,
-// and the merged stats must match the in-process reference.
-func fuzzDistRun(tr fuzzTrial, procs int, o FuzzOpts) (nic.Stats, bool, []FuzzFailure) {
-	shards := procs * tr.dmul
-	pattern := "heavy"
-	if tr.light {
-		pattern = "light"
-	}
-	spec := DistSpec{
-		Net:    distNetNames[tr.spec.Name],
-		Kind:   int(tr.kind),
-		Shards: shards,
-		Window: tr.window,
-		Seed:   tr.seed,
-		O:      tr.param.O, B: tr.param.B, D: tr.param.D, W: tr.param.W,
-		AckOnArrival:    tr.param.AckOnArrival,
-		Pattern:         pattern,
-		Phases:          2,
-		PacketsPerPhase: o.Packets,
-		ZeroIgnore:      true,
-		DrainTail:       2500,
-		Check:           true,
-		CheckInterval:   int64(o.Interval),
-	}
-	if spec.Net == "" {
-		panic(fmt.Sprintf("harness: fuzz fabric %q has no distributed-runner name", tr.spec.Name))
-	}
-	st, done, workerFails, err := DistRunToDone(spec, procs, o.MaxCycles)
-	var fails []FuzzFailure
-	if err != nil {
-		fails = append(fails, FuzzFailure{
-			Trial: tr.String(), Shards: shards, Detail: fmt.Sprintf("procs=%d: %v", procs, err),
-		})
-		return st, done, fails
-	}
-	for _, f := range workerFails {
-		if len(fails) < 16 {
-			fails = append(fails, FuzzFailure{Trial: tr.String(), Shards: shards, Detail: f})
-		}
-	}
-	if !done {
-		fails = append(fails, FuzzFailure{
-			Trial: tr.String(), Shards: shards,
-			Detail: fmt.Sprintf("procs=%d did not complete within %d cycles", procs, o.MaxCycles),
-		})
-	}
-	return st, done, fails
 }
 
 // drainTail extends a program with a fixed receive-and-retire window so
@@ -408,8 +305,7 @@ func fuzzRun(tr fuzzTrial, shards int, o FuzzOpts) (nic.Stats, bool, []FuzzFailu
 	ok, _ := s.RunUntilDone(o.MaxCycles)
 	if ok {
 		// A short settle window lets trailing acks land, then the checker
-		// reports any packet sent but never accepted. Run (not Step) so the
-		// settle follows the same window schedule as the dist workers.
+		// reports any packet sent but never accepted.
 		s.Eng.Run(500)
 		s.Checker.Finish(s.Eng.Now())
 	} else {

@@ -32,15 +32,8 @@ func TestFuzzSweepClean(t *testing.T) {
 		Packets: envInt("NIFDY_FUZZ_PACKETS", 0),
 		Seed:    uint64(envInt("NIFDY_FUZZ_SEED", 20260806)),
 	}
-	// Three in-process shard counts plus the default multi-process column;
-	// the modern-fabric trials (fixed rotation) skip the dist column.
-	want := 0
-	for i := 0; i < o.Trials; i++ {
-		want += 3
-		if fuzzFabricFor(i) == "" {
-			want++
-		}
-	}
+	// One run per trial at each of the three default shard counts.
+	want := 3 * o.Trials
 	res := FuzzSweep(o)
 	if res.Runs != want {
 		t.Fatalf("ran %d simulations, want %d", res.Runs, want)
@@ -53,7 +46,7 @@ func TestFuzzSweepClean(t *testing.T) {
 // TestFuzzSweepShapes pins the sweep's own plumbing: a tiny sweep runs the
 // requested trial x shard matrix and reports per-run metadata.
 func TestFuzzSweepShapes(t *testing.T) {
-	res := FuzzSweep(FuzzOpts{Trials: 1, Shards: []int{1}, Procs: []int{}, Seed: 7,
+	res := FuzzSweep(FuzzOpts{Trials: 1, Shards: []int{1}, Seed: 7,
 		Packets: 4, MaxCycles: 400_000, Interval: 64})
 	if res.Runs != 1 {
 		t.Fatalf("runs = %d", res.Runs)

@@ -36,8 +36,8 @@ type Wire[T any] struct {
 	// a consumer with many input wires then finds the due ones by scanning
 	// one contiguous array, without touching the wires. Whoever may touch
 	// events may write the word: the same-shard writer in SendAt, the
-	// consumer in Recv, and on a cross-shard wire only Flush/InjectAt, at the
-	// window boundary.
+	// consumer in Recv, and on a cross-shard wire only Flush, at the window
+	// boundary.
 	next *sim.Cycle
 	own  sim.Cycle
 	obs  *sim.Activity
@@ -52,20 +52,6 @@ type Wire[T any] struct {
 	crossFl     *sim.Flusher
 	crossID     int32
 	stagedDirty bool
-
-	// remote, when set, makes this a process-egress wire: the consumer lives
-	// in another worker process, so Flush ships the staged batch to the
-	// transport instead of merging it locally (the local event list stays
-	// empty; the local consumer copy never ticks).
-	remote Sink[T]
-}
-
-// Sink receives the events of a process-egress wire at the window-boundary
-// drain, in staged (arrival-monotonic) order — the transport serializes them
-// into the destination process's frame, where the peer replays them with
-// InjectAt on its copy of the same wire.
-type Sink[T any] interface {
-	Ship(at sim.Cycle, v T)
 }
 
 type timed[T any] struct {
@@ -119,29 +105,6 @@ func (w *Wire[T]) CrossShard(f *sim.Flusher) {
 	w.crossID = f.BindID(w)
 }
 
-// SetRemote marks the wire process-egress: its consumer is owned by another
-// worker process and staged sends are shipped to sink at the boundary drain
-// (see Sink). The wire must already be marked CrossShard.
-func (w *Wire[T]) SetRemote(sink Sink[T]) { w.remote = sink }
-
-// InjectAt appends a remote event to the consumer-visible list and wakes the
-// observer — the receiving side of a process-ingress wire. Only the
-// transport calls it, at the window boundary, when the consumer is
-// quiescent; events must arrive in monotonic order per wire, which shipping
-// each egress wire's staged batch in order guarantees.
-func (w *Wire[T]) InjectAt(at sim.Cycle, v T) {
-	if n := len(w.events); n > 0 && w.events[n-1].at > at {
-		panic("link: out-of-order InjectAt")
-	}
-	w.events = append(w.events, timed[T]{at, v})
-	if at < *w.next {
-		*w.next = at
-	}
-	if w.obs != nil {
-		w.obs.WakeAt(at)
-	}
-}
-
 // NextAt reports the arrival cycle of the oldest unconsumed event, or
 // sim.Never when the wire is empty — the time a quiescent consumer may
 // sleep until.
@@ -193,16 +156,6 @@ func (w *Wire[T]) SendAt(at sim.Cycle, v T) {
 func (w *Wire[T]) Flush() {
 	w.stagedDirty = false
 	if len(w.staged) == 0 {
-		return
-	}
-	if w.remote != nil {
-		// Process-egress: hand the batch to the transport; nothing merges
-		// locally (the consumer lives in a peer process).
-		for i, e := range w.staged {
-			w.remote.Ship(e.at, e.v)
-			w.staged[i] = timed[T]{}
-		}
-		w.staged = w.staged[:0]
 		return
 	}
 	if n := len(w.events); n > 0 && w.events[n-1].at > w.staged[0].at {
@@ -344,12 +297,6 @@ func (l *Link[T]) Board(slot *sim.Cycle) { l.wire.Board(slot) }
 // CrossShard marks the underlying wire as a cross-shard edge (see
 // Wire.CrossShard). f must be the sending side's shard CrossFlusher.
 func (l *Link[T]) CrossShard(f *sim.Flusher) { l.wire.CrossShard(f) }
-
-// SetRemote marks the underlying wire process-egress (see Wire.SetRemote).
-func (l *Link[T]) SetRemote(sink Sink[T]) { l.wire.SetRemote(sink) }
-
-// InjectAt replays a remote event on the underlying wire (see Wire.InjectAt).
-func (l *Link[T]) InjectAt(at sim.Cycle, v T) { l.wire.InjectAt(at, v) }
 
 // NextAt reports the arrival cycle of the oldest in-flight flit, or
 // sim.Never when none is in flight.

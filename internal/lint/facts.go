@@ -1,12 +1,12 @@
 package lint
 
-// The phase-2 rules (codecsync, kindswitch, shardsafe) reason about
-// relationships between packages: a codec in internal/dist must mirror a
-// struct in internal/packet, a switch in internal/harness must cover an enum
-// from internal/router. Re-deriving those summaries in every rule, for every
-// analyzed package, would make a whole-module run quadratic in practice —
-// the loader already memoizes type-checking per package, so the analyses
-// memoize their derived summaries the same way.
+// The phase-2 rules (kindswitch, shardsafe) reason about relationships
+// between packages: a switch in internal/harness must cover an enum from
+// internal/router, and a Tick tree's calls cross package boundaries.
+// Re-deriving those summaries in every rule, for every analyzed package,
+// would make a whole-module run quadratic in practice — the loader already
+// memoizes type-checking per package, so the analyses memoize their derived
+// summaries the same way.
 //
 // A fact is a per-package summary computed once per (family, package) and
 // shared by every rule and every Pass of a run. Facts are plain values

@@ -111,7 +111,6 @@ func TestGoldenHotalloc(t *testing.T)   { runGolden(t, "hotalloc") }
 func TestGoldenLatchphase(t *testing.T) { runGolden(t, "latchphase") }
 func TestGoldenPoolsafe(t *testing.T)   { runGolden(t, "poolsafe") }
 
-func TestGoldenCodecsync(t *testing.T)  { runGolden(t, "codecsync") }
 func TestGoldenKindswitch(t *testing.T) { runGolden(t, "kindswitch") }
 func TestGoldenShardsafe(t *testing.T)  { runGolden(t, "shardsafe") }
 
@@ -243,7 +242,7 @@ func TestAllowCovers(t *testing.T) {
 func TestRegistry(t *testing.T) {
 	rs := Rules()
 	want := []string{
-		"codecsync", "hotalloc", "kindswitch", "latchphase", "mapiter",
+		"hotalloc", "kindswitch", "latchphase", "mapiter",
 		"poolsafe", "shardsafe", "wallclock",
 	}
 	if len(rs) != len(want) {

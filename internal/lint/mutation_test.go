@@ -13,15 +13,16 @@ import (
 // load-bearing line deleted, re-runs the rule, and demands the diagnostic
 // name what disappeared. The golden fixtures prove the rules fire where
 // expected; these prove they would fire on the drift they exist to catch —
-// a rule whose clean exemplar stays clean after losing a field read or a
-// carve line is not guarding anything.
+// a rule whose clean exemplar stays clean after losing a case clause or an
+// allow line is not guarding anything.
 
-// mutateDirAndRun copies srcDir's non-test Go files into a temp package,
+// mutateGolden copies ruleName's golden fixture into a temp package,
 // deleting every line matching pattern (which must match exactly one line
 // across the whole package — single-mutation discipline), then loads the
 // result under a linttest import path and returns ruleName's diagnostics.
-func mutateDirAndRun(t *testing.T, ruleName, srcDir, pattern string) []Diagnostic {
+func mutateGolden(t *testing.T, ruleName, pattern string) []Diagnostic {
 	t.Helper()
+	srcDir := filepath.Join(moduleRoot(t), "internal", "lint", "testdata", "src", ruleName)
 	re := regexp.MustCompile(pattern)
 	dstDir := t.TempDir()
 	entries, err := os.ReadDir(srcDir)
@@ -68,12 +69,6 @@ func mutateDirAndRun(t *testing.T, ruleName, srcDir, pattern string) []Diagnosti
 	return Run(l, []*Package{pkg}, []*Rule{r}, false)
 }
 
-func mutateGolden(t *testing.T, ruleName, pattern string) []Diagnostic {
-	t.Helper()
-	srcDir := filepath.Join(moduleRoot(t), "internal", "lint", "testdata", "src", ruleName)
-	return mutateDirAndRun(t, ruleName, srcDir, pattern)
-}
-
 func assertDiag(t *testing.T, diags []Diagnostic, substr string) {
 	t.Helper()
 	for _, d := range diags {
@@ -84,12 +79,6 @@ func assertDiag(t *testing.T, diags []Diagnostic, substr string) {
 	t.Fatalf("no diagnostic contains %q; got:\n%s", substr, diagDump(diags))
 }
 
-// Deleting one field read from the clean codec pair must name the field.
-func TestMutationCodecsync(t *testing.T) {
-	diags := mutateGolden(t, "codecsync", `e\.u64\(m\.B\)`)
-	assertDiag(t, diags, "field goodMsg.B is never read in encodeGoodMsg")
-}
-
 // Deleting one case clause from the exhaustive switch must name the
 // missing member. (The dangling return folds into the previous case: the
 // mutated file still compiles, the switch just stops covering grant.)
@@ -98,18 +87,9 @@ func TestMutationKindswitch(t *testing.T) {
 	assertDiag(t, diags, "switch over kind is not exhaustive: missing grant")
 }
 
-// Deleting the reasoned allow over drain's InjectAt must surface the
+// Deleting the reasoned allow over heal's SetFault must surface the
 // boundary-call diagnostic it was suppressing.
 func TestMutationShardsafe(t *testing.T) {
 	diags := mutateGolden(t, "shardsafe", `lint:allow\(shardsafe\)`)
-	assertDiag(t, diags, "boundary-only method InjectAt called in (*nifdy/internal/linttest/mutated.node).drain")
-}
-
-// TestMutationRealCodec runs the acceptance criterion against the real
-// tree: deleting a single field read from internal/dist's encodePacket must
-// make the codecsync rule fail naming that field.
-func TestMutationRealCodec(t *testing.T) {
-	srcDir := filepath.Join(moduleRoot(t), "internal", "dist")
-	diags := mutateDirAndRun(t, "codecsync", srcDir, `e\.bool\(p\.ECN\)`)
-	assertDiag(t, diags, "field Packet.ECN is never read in encodePacket")
+	assertDiag(t, diags, "boundary-only method SetFault called in (*nifdy/internal/linttest/mutated.node).heal")
 }

@@ -7,22 +7,20 @@ import (
 
 // shardsafe: Tick trees must not reach cross-shard side doors.
 //
-// The sharded and distributed engines only stay bit-identical to the serial
-// one because every cross-shard effect rides the staged link.Wire path: a
-// Tick may SendAt into a wire's next-cycle buffer, the barrier flushes, and
-// the consumer sees it a cycle later. Everything else that touches another
-// shard's state — event injection, fault toggles, remote binding,
-// registration sweeps — is a boundary or build-time API, sound
-// only while the shards are quiescent. Reached from inside a Tick tree,
-// those calls race shard goroutines (or desynchronize the dist workers,
-// whose boundary APIs act on a different process entirely).
+// The sharded engine only stays bit-identical to the serial one because
+// every cross-shard effect rides the staged link.Wire path: a Tick may SendAt
+// into a wire's next-cycle buffer, the barrier flushes, and the consumer sees
+// it a cycle later. Everything else that touches another shard's state —
+// cross-shard binding, fault toggles, registration sweeps — is a boundary or
+// build-time API, sound only while the shards are quiescent. Reached from
+// inside a Tick tree, those calls race shard goroutines.
 //
 // The rule walks the static call graph from every Tick root (shared with
 // hotalloc; interface dispatch ends the walk, which is the same boundary
 // the runtime shard monitors cover) and flags, in any reached function:
 //
-//   - calls to the boundary-only entry points (InjectAt, CrossShard,
-//     SetRemote, SetFault, Observe, Board, ForEach);
+//   - calls to the boundary-only entry points (CrossShard, SetFault,
+//     Observe, Board, ForEach);
 //
 //   - writes to fields of another component (a named struct with a Tick
 //     method) from outside that component's own methods — the
@@ -38,12 +36,10 @@ func init() {
 }
 
 // shardBoundary names the methods that are only sound between cycles, from
-// the coordinating goroutine: injection, fault control, remote binding,
-// and registration/observation sweeps.
+// the coordinating goroutine: cross-shard binding, fault control, and
+// registration/observation sweeps.
 var shardBoundary = map[string]bool{
-	"InjectAt":   true,
 	"CrossShard": true,
-	"SetRemote":  true,
 	"SetFault":   true,
 	"Observe":    true,
 	"Board":      true,
@@ -138,4 +134,21 @@ func isComponent(named *types.Named) bool {
 	obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(named), true, named.Obj().Pkg(), "Tick")
 	f, ok := obj.(*types.Func)
 	return ok && tickSignature(f)
+}
+
+// stripElem unwraps element/deref syntax so f.Flits[i] and *p resolve to the
+// selector underneath.
+func stripElem(e ast.Expr) ast.Expr {
+	for {
+		switch v := e.(type) {
+		case *ast.IndexExpr:
+			e = v.X
+		case *ast.StarExpr:
+			e = v.X
+		case *ast.ParenExpr:
+			e = v.X
+		default:
+			return e
+		}
+	}
 }

@@ -4,7 +4,7 @@
 package shardsafe
 
 // wire is the staged cross-shard path stand-in (link.Wire): SendAt stages
-// for the next cycle; InjectAt/SetFault act immediately and are boundary-
+// for the next cycle; CrossShard/SetFault act immediately and are boundary-
 // only, and so is Board, which re-points the wire's next-arrival word at a
 // slot of its consumer's arrival board.
 type wire struct {
@@ -16,7 +16,7 @@ func (w *wire) Flush() { w.cur, w.next = w.next, w.cur[:0] }
 
 func (w *wire) SendAt(v int) { w.next = append(w.next, v) }
 
-func (w *wire) InjectAt(v int) { w.cur = append(w.cur, v) }
+func (w *wire) CrossShard() {}
 
 func (w *wire) SetFault(on bool) {}
 
@@ -49,29 +49,29 @@ type node struct {
 
 func (n *node) Tick(now int64) {
 	n.helper(now)
-	n.drain()
+	n.heal()
 	n.w.SendAt(1) // staged path: clean
 }
 
 func (n *node) helper(now int64) {
 	n.other.credits[0] = 0 // want `write to peer\.credits outside peer's methods`
-	n.w.InjectAt(3)        // want `boundary-only method InjectAt`
+	n.w.CrossShard()       // want `boundary-only method CrossShard`
 	n.w.SetFault(true)     // want `boundary-only method SetFault`
 	n.w.Board(&n.board[0]) // want `boundary-only method Board`
 	n.stats.drained++      // no Tick method on counters: clean
 }
 
-// drain carries a reasoned allow: the mutation test deletes the allow line
-// and expects the InjectAt diagnostic to fire.
-func (n *node) drain() {
-	//lint:allow(shardsafe) drain runs only at the window boundary, under the barrier, on the owning shard
-	n.w.InjectAt(9)
+// heal carries a reasoned allow: the mutation test deletes the allow line
+// and expects the SetFault diagnostic to fire.
+func (n *node) heal() {
+	//lint:allow(shardsafe) heal runs only at the window boundary, under the barrier, on the owning shard
+	n.w.SetFault(false)
 }
 
 // Build-time code may call boundary APIs and initialize components freely:
 // it is not reachable from any Tick root.
 func Build(n *node) {
-	n.w.InjectAt(0)
+	n.w.CrossShard()
 	n.w.Board(&n.board[0])
 	n.other.credits = make([]int, 4)
 	n.other.w = n.w

@@ -34,7 +34,7 @@ type Stats struct {
 }
 
 // Add accumulates o's counters into s: the one place a new counter has to
-// be summed, for in-process and multi-process aggregation alike.
+// be summed.
 func (s *Stats) Add(o *Stats) {
 	s.Sent += o.Sent
 	s.Accepted += o.Accepted

@@ -87,69 +87,13 @@ type Barrier struct {
 	// onRelease is release as a func value, bound once: staging it with
 	// Engine.AtBarrier must not allocate per generation.
 	onRelease func(sim.Cycle)
-
-	// Distributed mode (SetDistributed): arrivals are only counted, never
-	// complete the barrier locally — participants are spread across worker
-	// processes, each reporting its arrival delta per window (TakeArrivals)
-	// so all workers observe the global count reach n at the same boundary
-	// and release in lockstep (CompleteAt). reported tracks the arrivals
-	// already included in a delta.
-	dist     bool
-	reported int
 }
-
-// barrierObs, when set, observes every NewBarrier call — the distributed
-// transport's registration hook, giving barriers deterministic creation-
-// order identities shared by all worker processes. Only worker processes
-// (one simulation per process, built single-threaded) set it.
-var barrierObs func(*Barrier)
-
-// SetBarrierObserver installs f to be called with every subsequently created
-// Barrier, or removes the observer when f is nil. Used by the distributed
-// runner; the observer must be installed before the simulation is built and
-// barriers must be created in the same order in every worker process.
-func SetBarrierObserver(f func(*Barrier)) { barrierObs = f }
 
 // NewBarrier returns a barrier for n participants.
 func NewBarrier(n int) *Barrier {
 	b := &Barrier{n: n, waiters: make([]*sim.Activity, 0, n)}
 	b.onRelease = b.release
-	if barrierObs != nil {
-		barrierObs(b)
-	}
 	return b
-}
-
-// SetDistributed switches the barrier to distributed completion: local
-// arrivals accumulate for TakeArrivals and never trigger a local release;
-// the transport calls CompleteAt when the global count reaches n.
-func (b *Barrier) SetDistributed() { b.dist = true }
-
-// Participants reports n, the barrier's total (global) participant count.
-func (b *Barrier) Participants() int { return b.n }
-
-// TakeArrivals reports the number of local arrivals since the previous call
-// — the per-window delta a distributed worker shares with its peers. Called
-// at window boundaries, when no shard is ticking.
-func (b *Barrier) TakeArrivals() int {
-	b.mu.Lock()
-	d := b.arrived - b.reported
-	b.reported = b.arrived
-	b.mu.Unlock()
-	return d
-}
-
-// CompleteAt performs a distributed release: resets the arrival count and
-// wakes every parked waiter at now+1. The transport calls it at the window
-// boundary equal to the release's lattice point with now = boundary-1, so
-// waiters resume exactly when an in-process barrier's deferred release would
-// have woken them.
-func (b *Barrier) CompleteAt(now sim.Cycle) {
-	b.mu.Lock()
-	b.arrived = 0
-	b.reported = 0
-	b.mu.Unlock()
-	b.release(now)
 }
 
 // release is the deferred completion: bump the generation and schedule every
@@ -614,7 +558,7 @@ func (p *Proc) Barrier(b *Barrier, handler func(*packet.Packet)) {
 	b.mu.Lock()
 	b.arrived++
 	gen := b.gen
-	last := !b.dist && b.arrived == b.n
+	last := b.arrived == b.n
 	if last {
 		b.arrived = 0
 		if p.eng == nil {

@@ -62,7 +62,7 @@ func NewChannel(cyclesPerFlit, latency int) *Channel {
 // window cycles after its send, so a window-W engine can free-run W cycles
 // between cross-shard merges without a consumer ever missing an input. The
 // padding is a model parameter, not an approximation — a fabric built with
-// window W behaves identically for every {shards x processes} split,
+// window W behaves identically for every {shards} split,
 // including fully serial execution, and window 1 is exactly NewChannel.
 // Topologies apply it to router-router channels only (the ones a partition
 // can cut); interface-access channels never cross shards and stay unpadded.

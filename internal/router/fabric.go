@@ -3,7 +3,7 @@ package router
 // Modern-fabric baseline knobs: link-level priority flow control (PFC),
 // ECN congestion marking, and the lossy-wire fault model. These are the
 // in-network mechanisms the NIFDY-vs-RoCEv2 scenario pack compares against
-// (DESIGN.md §11): PFC is the hop-by-hop pause/resume backpressure of
+// (DESIGN.md §10): PFC is the hop-by-hop pause/resume backpressure of
 // 802.1Qbb, ECN feeds the DCQCN rate-control NIC, and the lossy wire is the
 // §6 retransmission trigger.
 

@@ -18,20 +18,18 @@
 // count and its synchronization window W. From a boundary T the loop runs the
 // step hooks that are due, picks the window end E (the next point of the
 // absolute W-aligned lattice, clamped by the run's budget and by hook
-// clocks), lets every owned shard free-run cycles [T,E) — its Ticks, cycle by
+// clocks), lets every shard free-run cycles [T,E) — its Ticks, cycle by
 // cycle, with no interaction between shards — and then, with no shard
 // ticking, does the boundary work on the stepping goroutine: AtBarrier
-// calls that are due, the cross-shard flushers in shard order, the exchange
-// with peer processes when a WindowSync is installed, and the jump over idle
-// cycles when no shard ticked. New() is one shard, NewParallel(n) is n shards
-// with one persistent worker goroutine per shard beyond the first (released
-// and joined once per window over channels; Close ends them), W defaults to
-// 1 — a boundary after every cycle, the paper's model — and internal/dist is
-// the same loop with a WindowSync. W > 1 is legal when no cross-shard event
-// can arrive inside the window it was sent in; the fabric is then built for
-// that W (router.NewChannelSync pads the channels), so W is a parameter of
-// the model: a fixed W is bit-identical across every {shards x processes}
-// split.
+// calls that are due, the cross-shard flushers in shard order, and the jump
+// over idle cycles when no shard ticked. New() is one shard, NewParallel(n)
+// is n shards with one persistent worker goroutine per shard beyond the first
+// (released and joined once per window over channels; Close ends them), and W
+// defaults to 1 — a boundary after every cycle, the paper's model. W > 1 is
+// legal when no cross-shard event can arrive inside the window it was sent
+// in; the fabric is then built for that W (router.NewChannelSync pads the
+// channels), so W is a parameter of the model: a fixed W is bit-identical
+// across every {shards} split.
 //
 // # Cost proportional to activity
 //
@@ -237,35 +235,18 @@ type Binder interface {
 	BindEngine(e *Engine, sh int)
 }
 
-// WindowSync is the engine's hook into a cross-process synchronizer
-// (internal/dist): the stepping goroutine calls AtBoundary once per window
-// boundary, after draining the deferred list and the cross-shard flushers,
-// with the boundary cycle `next` (the first cycle of the following window),
-// whether this process's done predicate holds, whether any owned shard ticked
-// during the window, and a lower bound on the earliest local wake time
-// (idleScan's; valid only when nothing ticked, Never if fully quiescent).
-//
-// AtBoundary exchanges frames with every peer and returns whether the done
-// predicate holds in all processes (evaluated at the same boundary
-// everywhere) and the earliest global wake — `next` itself when any process
-// ticked (no jump), Never when the whole simulation is quiescent with no
-// scheduled work.
-type WindowSync interface {
-	AtBoundary(next Cycle, localDone, ticked bool, idle Cycle) (done bool, globalIdle Cycle)
-}
-
 // stepHook is one RegisterStepHookClocked entry.
 type stepHook struct {
 	f     func(now Cycle)
 	clock *Activity
 }
 
-// Stats counts what the run loop did with simulated time, and what the owned
+// Stats counts what the run loop did with simulated time, and what the
 // shards' schedulers did in it. Every count is determined by the seed, and
 // Ticks is the same at every shard count; NotDue and TimersFiled depend on
 // whether a wake lands mid-sweep or at a boundary, so they may not be.
 type Stats struct {
-	Windows      int64 // windows executed: every owned shard free-ran [T,E)
+	Windows      int64 // windows executed: every shard free-ran [T,E)
 	IdleJumps    int64 // jumps over cycles in which provably nothing happens
 	CyclesJumped int64 // cycles those jumps skipped
 	Ticks        int64 // Tick calls
@@ -277,7 +258,6 @@ type Stats struct {
 type Engine struct {
 	now    Cycle
 	shards []shard
-	lo, hi int // owned shard range [lo,hi); unowned shards never tick
 
 	skip       bool
 	phase      chan struct{} // workers report the end of their window here
@@ -286,13 +266,8 @@ type Engine struct {
 	hooks      []stepHook
 	stats      Stats
 
-	// window is the conservative synchronization window W (SetWindow). sync,
-	// when set, is the cross-process synchronizer; crossHook (a
-	// topo.CrossHook, held as any to avoid an import cycle) lets a transport
-	// claim boundary-crossing channels during topology registration.
-	window    Cycle
-	sync      WindowSync
-	crossHook any
+	// window is the conservative synchronization window W (SetWindow).
+	window Cycle
 }
 
 // New returns an Engine with a single shard, with quiescence skipping
@@ -310,27 +285,10 @@ func NewParallel(n int) *Engine {
 	if n < 1 {
 		n = 1
 	}
-	return NewParallelOwned(n, 0, n)
-}
-
-// NewParallelOwned returns an Engine with total shards of which it executes
-// only the contiguous range [lo,hi) — the worker-process form of NewParallel
-// used by the distributed runner: every process builds the same total-shard
-// simulation but ticks only its owned slice, with registrations outside the
-// range dropped and cross-boundary wires carried by a WindowSync transport.
-// NewParallelOwned(n, 0, n) is NewParallel(n).
-func NewParallelOwned(total, lo, hi int) *Engine {
-	if total < 1 {
-		total = 1
-	}
-	if lo < 0 || hi > total || lo >= hi {
-		panic("sim: NewParallelOwned range out of bounds")
-	}
-	e := newEngine(total)
-	e.lo, e.hi = lo, hi
-	e.phase = make(chan struct{}, hi-lo-1)
+	e := newEngine(n)
+	e.phase = make(chan struct{}, n-1)
 	e.joinBudget = pollBudget
-	for i := lo + 1; i < hi; i++ {
+	for i := 1; i < n; i++ {
 		s := &e.shards[i]
 		s.start = make(chan span, 1)
 		go e.worker(s)
@@ -339,7 +297,7 @@ func NewParallelOwned(total, lo, hi int) *Engine {
 }
 
 func newEngine(n int) *Engine {
-	e := &Engine{shards: make([]shard, n), hi: n, skip: true, window: 1}
+	e := &Engine{shards: make([]shard, n), skip: true, window: 1}
 	for i := range e.shards {
 		e.shards[i].as.init()
 	}
@@ -349,15 +307,6 @@ func newEngine(n int) *Engine {
 // Shards reports the number of shards.
 func (e *Engine) Shards() int { return len(e.shards) }
 
-// Owns reports whether the engine executes shard sh (see NewParallelOwned).
-func (e *Engine) Owns(sh int) bool {
-	sh %= len(e.shards)
-	return sh >= e.lo && sh < e.hi
-}
-
-// Owned reports the engine's owned shard range [lo,hi).
-func (e *Engine) Owned() (lo, hi int) { return e.lo, e.hi }
-
 // SetWindow sets the conservative synchronization window W (default 1: a
 // boundary after every cycle). With W > 1 shards free-run from one boundary
 // of the absolute W-aligned lattice to the next with no barrier in between,
@@ -366,8 +315,8 @@ func (e *Engine) Owned() (lo, hi int) { return e.lo, e.hi }
 // legal when every cross-shard wire arrival lands at or after the next
 // boundary — the fabric must be built with the same window
 // (router.NewChannelSync), making W a model parameter: a fixed W is
-// bit-identical across all {shards x processes} splits. Call before the
-// first AtBarrier.
+// bit-identical across all {shards} splits. Call before the first
+// AtBarrier.
 func (e *Engine) SetWindow(w Cycle) {
 	if w < 1 {
 		w = 1
@@ -375,31 +324,16 @@ func (e *Engine) SetWindow(w Cycle) {
 	e.window = w
 }
 
-// Window reports the synchronization window.
-func (e *Engine) Window() Cycle { return e.window }
-
-// SetWindowSync installs the cross-process synchronizer, called at every
-// window boundary.
-func (e *Engine) SetWindowSync(s WindowSync) { e.sync = s }
-
-// SetCrossHook installs a transport hook consulted by topo.MarkCross for
-// every boundary-crossing channel (stored as any: the hook's concrete type,
-// topo.CrossHook, lives above this package). CrossHook returns it.
-func (e *Engine) SetCrossHook(h any) { e.crossHook = h }
-
-// CrossHook returns the hook installed by SetCrossHook, or nil.
-func (e *Engine) CrossHook() any { return e.crossHook }
-
 // SetIdleSkip enables or disables quiescence skipping (enabled by default).
 // Disabling it ticks every component every cycle — the reference schedule
 // the golden determinism tests compare against.
 func (e *Engine) SetIdleSkip(on bool) { e.skip = on }
 
 // Stats reports the run loop's counters so far, with the schedulers' summed
-// over the owned shards.
+// over the shards.
 func (e *Engine) Stats() Stats {
 	st := e.stats
-	for i := e.lo; i < e.hi; i++ {
+	for i := range e.shards {
 		as := &e.shards[i].as
 		st.Ticks += as.ticks
 		st.NotDue += as.notDue
@@ -416,12 +350,6 @@ func (e *Engine) Register(t Ticker) { e.RegisterSharded(0, t) }
 // skipping. Registration is only legal between runs.
 func (e *Engine) RegisterSharded(sh int, t Ticker) {
 	sh %= len(e.shards)
-	if sh < e.lo || sh >= e.hi {
-		// Unowned shard: another process ticks it. Dropping the registration
-		// (and the Binder call) keeps the component inert here — its state is
-		// never read, so the build stays cheap and identical in shape.
-		return
-	}
 	s := &e.shards[sh]
 	idx := int32(len(s.tickers))
 	s.tickers = append(s.tickers, t)
@@ -464,18 +392,17 @@ func (e *Engine) RegisterStepHookClocked(f func(now Cycle), a *Activity) {
 // with now = due-1 where due = now - now%W + W, regardless of incidental
 // boundaries (Run chunk ends, hook-clock clamps); at W = 1 that is the
 // boundary after the staging cycle. The quantization is what keeps barrier
-// releases bit-identical across every {shards x processes} split and any Run
-// chunking.
+// releases bit-identical across every shard count and any Run chunking.
 func (e *Engine) AtBarrier(sh int, now Cycle, f func(now Cycle)) {
 	s := &e.shards[sh%len(e.shards)]
 	s.deferred = append(s.deferred, deferredCall{due: now - now%e.window + e.window, f: f})
 }
 
-// runDeferred drains every owned shard's deferred entries that are due at or
+// runDeferred drains every shard's deferred entries that are due at or
 // before the given boundary; later entries (staged under a clamped, earlier-
 // than-lattice boundary) are retained. Each entry runs with now = due-1.
 func (e *Engine) runDeferred(boundary Cycle) {
-	for i := e.lo; i < e.hi; i++ {
+	for i := range e.shards {
 		s := &e.shards[i]
 		if len(s.deferred) == 0 {
 			continue
@@ -498,8 +425,7 @@ func (e *Engine) runDeferred(boundary Cycle) {
 // CrossFlusher returns the flusher cross-shard wires bind to
 // (link.Wire.CrossShard) for the given writer shard. The stepping goroutine
 // runs it at every window boundary, sequentially in shard order: cross-shard
-// merges then happen with no shard ticking and in a deterministic order,
-// which is also where a WindowSync transport serializes remote-bound events.
+// merges then happen with no shard ticking and in a deterministic order.
 func (e *Engine) CrossFlusher(sh int) *Flusher {
 	return &e.shards[sh%len(e.shards)].crossFl
 }
@@ -524,9 +450,8 @@ const (
 // polls: a receive that runs out of it and blocks halves it, one that does
 // not adds pollYield, between pollYield and pollBudget. An engine nobody is
 // running therefore costs nothing, and one whose sender cannot run while the
-// receiver polls (the shards of several processes on fewer CPUs, where
-// Gosched yields nothing) stops paying for polls that cannot succeed. ok is
-// false once c is closed.
+// receiver polls (more shards than CPUs, where Gosched yields nothing) stops
+// paying for polls that cannot succeed. ok is false once c is closed.
 func pollRecv[T any](c <-chan T, budget *int) (v T, ok bool) {
 	n := *budget
 	for i := 1; i <= n; i++ {
@@ -588,7 +513,7 @@ func (e *Engine) Close() {
 		return
 	}
 	e.closed = true
-	for i := e.lo + 1; i < e.hi; i++ {
+	for i := 1; i < len(e.shards); i++ {
 		close(e.shards[i].start)
 	}
 }
@@ -603,11 +528,9 @@ func (e *Engine) Run(n Cycle) { e.runWindowed(e.now+n, nil) }
 // RunUntil runs until done() reports true or max cycles have elapsed since
 // the call. It returns true if done() became true. done is evaluated at
 // window boundaries — between cycles, so all components agree on the state
-// it observed, and on the same boundary lattice for every {shards x
-// processes} split, so the stopping cycle is split-invariant; jumped cycles
-// are state-preserving no-ops, so skipping their evaluations cannot change
-// the answer. Under a WindowSync it is evaluated in every process and the
-// run stops when all agree.
+// it observed, and on the same boundary lattice for every {shards} split, so
+// the stopping cycle is split-invariant; jumped cycles are state-preserving
+// no-ops, so skipping their evaluations cannot change the answer.
 func (e *Engine) RunUntil(done func() bool, max Cycle) bool {
 	return e.runWindowed(e.now+max, done)
 }
@@ -615,30 +538,25 @@ func (e *Engine) RunUntil(done func() bool, max Cycle) bool {
 // runWindowed is the one loop that advances the engine. From each boundary T
 // it checks done, runs the step hooks that are due, picks the window end E —
 // the next point of the absolute W-aligned lattice, clamped by the budget and
-// by any hook clock waking inside the window — free-runs every owned shard
-// through [T,E), in parallel when the engine has workers, then performs the
-// boundary work with no shard ticking: drain due AtBarrier entries, run the
-// cross-shard flushers (merging staged sends; a WindowSync transport
-// serializes remote-bound ones here), and exchange frames with peer
-// processes. Channel padding makes every cross-shard arrival land at or after
-// the next boundary, so free-running cannot miss an input: the schedule each
-// component observes is the one a boundary after every cycle would give it.
+// by any hook clock waking inside the window — free-runs every shard through
+// [T,E), in parallel when the engine has workers, then performs the boundary
+// work with no shard ticking: drain due AtBarrier entries and run the
+// cross-shard flushers, merging staged sends. Channel padding makes every
+// cross-shard arrival land at or after the next boundary, so free-running
+// cannot miss an input: the schedule each component observes is the one a
+// boundary after every cycle would give it.
 //
-// When no owned shard ticked for a whole window, idleScan bounds the earliest
+// When no shard ticked for a whole window, idleScan bounds the earliest
 // future wake and the engine jumps to that wake's lattice point (floor — the
-// window containing the wake must be ticked). Under a WindowSync the jump
-// uses the global minimum, and the per-frame ticked bit makes "nothing ticked
-// anywhere" detectable by all processes at the same boundary: a shard that
-// ticked nowhere staged no events anywhere, so the jump is as safe as in one
-// process.
+// window containing the wake must be ticked).
 func (e *Engine) runWindowed(end Cycle, done func() bool) bool {
-	if e.closed && e.hi-e.lo > 1 {
+	if e.closed && len(e.shards) > 1 {
 		panic("sim: Run after Close")
 	}
 	W := e.window
 	for e.now < end {
 		T := e.now
-		if done != nil && e.sync == nil && done() {
+		if done != nil && done() {
 			return true
 		}
 		for _, h := range e.hooks {
@@ -655,17 +573,17 @@ func (e *Engine) runWindowed(end Cycle, done func() bool) bool {
 				}
 			}
 		}
-		rest := e.shards[e.lo+1 : e.hi]
+		rest := e.shards[1:]
 		for i := range rest {
 			rest[i].start <- span{T, E}
 		}
-		e.freeRun(&e.shards[e.lo], T, E)
+		e.freeRun(&e.shards[0], T, E)
 		for range rest {
 			pollRecv(e.phase, &e.joinBudget)
 		}
 		e.runDeferred(E)
 		anyTicked := false
-		for i := e.lo; i < e.hi; i++ {
+		for i := range e.shards {
 			s := &e.shards[i]
 			anyTicked = anyTicked || s.ticked
 			s.crossFl.run()
@@ -675,14 +593,6 @@ func (e *Engine) runWindowed(end Cycle, done func() bool) bool {
 		idle := E
 		if !anyTicked {
 			idle = e.idleScan()
-		}
-		if e.sync != nil {
-			ldone := done != nil && done()
-			gdone, gidle := e.sync.AtBoundary(E, ldone, anyTicked, idle)
-			if gdone {
-				return true
-			}
-			idle = gidle
 		}
 		if idle > E {
 			j := idle
@@ -704,16 +614,16 @@ func (e *Engine) runWindowed(end Cycle, done func() bool) bool {
 }
 
 // idleScan computes a lower bound on the earliest future wake across every
-// owned component and hook clock. A component is queued in its shard's
+// component and hook clock. A component is queued in its shard's
 // active set (boundary merges may have just queued it, for any cycle), on a
 // timer, or parked, so the bound is the minimum over the queued components
 // and the earliest timer: nothing that is merely waiting is looked at. Only
-// meaningful when no owned shard ticked this window: no queued component is
+// meaningful when no shard ticked this window: no queued component is
 // then due and every latch is flushed, so the cycles before the bound are
 // provably no-ops.
 func (e *Engine) idleScan() Cycle {
 	min := Never
-	for i := e.lo; i < e.hi; i++ {
+	for i := range e.shards {
 		s := &e.shards[i]
 		w, ok := s.as.pending(s.acts)
 		if !ok {

@@ -30,15 +30,6 @@ type Pending struct {
 	samples  [][]int
 	times    []sim.Cycle
 	act      sim.Activity
-
-	// deltas, when enabled, mirror the hook updates as per-window deltas
-	// ([shard][receiver], same race-free row discipline as counts) for the
-	// distributed runner: each worker's hooks see only its own nodes'
-	// sends/accepts, so workers exchange TakeDeltas batches per window and
-	// fold peer activity in with ApplyRemote — after which every worker's
-	// summed counts equal the global ones, making Sample/Max/Heatmap output
-	// identical in every process.
-	deltas [][]int
 }
 
 // NewPending returns a tracker for nodes receivers sampling every interval
@@ -59,40 +50,7 @@ func (p *Pending) SetShards(shards int) {
 	for i := range p.counts {
 		p.counts[i] = make([]int, p.nodes)
 	}
-	if p.deltas != nil {
-		p.EnableDeltas()
-	}
 }
-
-// EnableDeltas turns on per-window delta tracking for cross-process merging
-// (see the deltas field). Call after SetShards and before handing out hooks.
-func (p *Pending) EnableDeltas() {
-	p.deltas = make([][]int, len(p.counts))
-	for i := range p.deltas {
-		p.deltas[i] = make([]int, p.nodes)
-	}
-}
-
-// TakeDeltas reports each receiver's pending-count change since the last
-// call, visiting only nonzero entries, and resets the accumulators. Called
-// at window boundaries, when no shard is ticking.
-func (p *Pending) TakeDeltas(f func(node, delta int)) {
-	for n := 0; n < p.nodes; n++ {
-		d := 0
-		for si := range p.deltas {
-			d += p.deltas[si][n]
-			p.deltas[si][n] = 0
-		}
-		if d != 0 {
-			f(n, d)
-		}
-	}
-}
-
-// ApplyRemote folds a peer worker's delta for one receiver into the counts
-// (row 0; safe because the call happens at window boundaries, when no shard
-// — and so no hook — is running).
-func (p *Pending) ApplyRemote(node, delta int) { p.counts[0][node] += delta }
 
 // Hooks returns NIC hooks accumulating into shard 0 — the single-shard
 // form of HooksFor.
@@ -102,16 +60,9 @@ func (p *Pending) Hooks() nic.Hooks { return p.HooksFor(0) }
 // accumulator. Pass them to every NIC registered in that shard.
 func (p *Pending) HooksFor(sh int) nic.Hooks {
 	counts := p.counts[sh]
-	if p.deltas == nil {
-		return nic.Hooks{
-			OnSend:   func(pkt *packet.Packet) { counts[pkt.Dst]++ },
-			OnAccept: func(pkt *packet.Packet) { counts[pkt.Dst]-- },
-		}
-	}
-	deltas := p.deltas[sh]
 	return nic.Hooks{
-		OnSend:   func(pkt *packet.Packet) { counts[pkt.Dst]++; deltas[pkt.Dst]++ },
-		OnAccept: func(pkt *packet.Packet) { counts[pkt.Dst]--; deltas[pkt.Dst]-- },
+		OnSend:   func(pkt *packet.Packet) { counts[pkt.Dst]++ },
+		OnAccept: func(pkt *packet.Packet) { counts[pkt.Dst]-- },
 	}
 }
 

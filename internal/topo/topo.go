@@ -140,16 +140,6 @@ type Edge struct {
 	From, To int
 }
 
-// CrossHook is the transport's claim on boundary-crossing channels,
-// installed with sim.Engine.SetCrossHook: MarkCross calls it for every
-// cross-shard edge with the edge's deterministic identity (its index in
-// cross-edge enumeration order — identical in every worker process, since
-// all build the same topology), the channel, and the two shards. Returning
-// true means the hook took ownership of the edge's marking (typically
-// because one endpoint is in another process); false falls through to the
-// default in-process cross-shard marking.
-type CrossHook func(edge int, ch *router.Channel, writerShard, consumerShard int) bool
-
 // WindowSized is the capability a Network must implement to be built with a
 // conservative-sync window above 1: its router-router channels are padded
 // with router.NewChannelSync so no cross-shard event can arrive inside a
@@ -161,20 +151,12 @@ type WindowSized interface {
 // MarkCross walks edges and, for every one whose endpoints resolve to
 // different shards, marks the flit link with the writer's shard cross-
 // flusher and the credit wire with the consumer's (credits travel To→From,
-// so the flit consumer is the credit writer). Cross edges are numbered in
-// enumeration order and offered to the engine's CrossHook first (see
-// CrossHook); the cross-flushers drain once per window boundary.
+// so the flit consumer is the credit writer). The cross-flushers drain once
+// per window boundary.
 func MarkCross(e *sim.Engine, edges []Edge, shardAt func(key int) int) {
-	hook, _ := e.CrossHook().(CrossHook)
-	id := 0
 	for _, ed := range edges {
 		ws, cs := shardAt(ed.From), shardAt(ed.To)
 		if ws == cs {
-			continue
-		}
-		edge := id
-		id++
-		if hook != nil && hook(edge, ed.Ch, ws, cs) {
 			continue
 		}
 		ed.Ch.Flits.CrossShard(e.CrossFlusher(ws))

@@ -8,7 +8,7 @@ import (
 // fixed-size packets at Dst for the whole measurement budget.
 type FabricFlow struct{ Src, Dst int }
 
-// FabricScenario is a modern-fabric stress pattern (DESIGN.md §11): a fixed
+// FabricScenario is a modern-fabric stress pattern (DESIGN.md §10): a fixed
 // set of concurrent flows on a 2-D mesh, blasting as fast as the NIC admits
 // until the cycle budget expires. Unlike the paper's phase-structured
 // synthetic patterns, fabric scenarios are open-ended — the interesting

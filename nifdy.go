@@ -204,7 +204,7 @@ var (
 	ExtFaults = harness.ExtFaults
 	// FaultyFatTree builds a fat tree with dead top-level routers.
 	FaultyFatTree = harness.FaultyFatTree
-	// FabricMesh builds the modern-fabric testbed mesh (DESIGN.md §11).
+	// FabricMesh builds the modern-fabric testbed mesh (DESIGN.md §10).
 	FabricMesh = harness.FabricMesh
 	// FabricExperiment runs the modern-fabric scenario pack: NIFDY vs
 	// PFC/DCQCN/plain under incast, victim, and congestion-spreading
@@ -244,7 +244,7 @@ type (
 	FabricScenario = traffic.FabricScenario
 )
 
-// Modern-fabric traffic scenarios (DESIGN.md §11): a seeded fan-in on the
+// Modern-fabric traffic scenarios (DESIGN.md §10): a seeded fan-in on the
 // center of a width x height mesh, plus the scenario's differentiating
 // side traffic.
 var (
@@ -275,26 +275,3 @@ type (
 // FuzzSweep runs randomized cross-configuration simulations with every
 // invariant monitor armed, diffing sharded runs against the serial engine.
 var FuzzSweep = harness.FuzzSweep
-
-// Distributed execution (internal/dist + harness): multi-process simulation
-// over a staged socket transport with conservative time-window
-// synchronization. A launcher re-executes its own binary as workers; any main
-// embedding these entry points must call DistWorkerMain first (before flag
-// parsing) and exit when it reports true. See DESIGN.md §9.
-type (
-	// DistSpec describes a simulation to the distributed workers.
-	DistSpec = harness.DistSpec
-)
-
-var (
-	// DistWorkerMain runs the worker protocol when this process is a
-	// re-exec'd distributed worker; call first in main, exit on true.
-	DistWorkerMain = harness.DistWorkerMain
-	// DistTrace runs a spec over N worker processes through the golden-trace
-	// schedule and returns the assembled state trace (bit-comparable to a
-	// single-process run of the same spec).
-	DistTrace = harness.DistTrace
-	// DistRunToDone runs a spec over N worker processes to completion with
-	// invariant monitors armed, returning merged stats.
-	DistRunToDone = harness.DistRunToDone
-)

@@ -1,5 +1,5 @@
 #!/bin/sh
-# benchlocality.sh — gate active-set scheduling (DESIGN.md §10).
+# benchlocality.sh — gate active-set scheduling (DESIGN.md §9).
 #
 # Two assertions, each on per-size medians over five rounds. A round runs
 # every size once, so a size's five samples are spread over the whole run:
