@@ -18,8 +18,7 @@
 //
 // -mode selects the fabric fidelity for f2/f3: "flit" (default) is the
 // cycle-accurate reference, "flow" swaps each network for its flow-level
-// twin (same protocol layer, bandwidth-sharing fabric), and "hybrid" embeds
-// the flit fabric as the hot region of a 128-node flow bulk.
+// twin (same protocol layer, bandwidth-sharing fabric).
 //
 // Reduced scale (the default) keeps every experiment under roughly a minute
 // on a laptop; -full uses the paper's budgets (Figure 2/3: 1,000,000 cycles;
@@ -37,6 +36,7 @@ import (
 	"time"
 
 	"nifdy"
+	"nifdy/internal/harness"
 )
 
 // config is what the flags select; each experiment reads what it needs.
@@ -58,7 +58,7 @@ var experiments = []struct {
 	{"t2", true, func(c config) { fmt.Println(nifdy.Table2()) }},
 	{"t3", true, func(c config) { fmt.Println(nifdy.Table3(c.seed)) }},
 	{"t3sweep", false, func(c config) {
-		spec, ok := netByName(c.net)
+		spec, ok := harness.NetworkByName(c.net)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "unknown network %q\n", c.net)
 			os.Exit(2)
@@ -147,7 +147,7 @@ func main() {
 		seed    = flag.Uint64("seed", 1995, "experiment seed")
 		shards  = flag.Int("shards", 0, "engine shards per simulation for f2/f3/f4 and fabric (0 or 1 = serial, N = N shards; bit-identical results)")
 		net     = flag.String("net", "mesh", "network for -exp t3sweep (mesh,torus,fattree,sf,cm5,butterfly,multibutterfly,mesh3d)")
-		mode    = flag.String("mode", "flit", "fabric fidelity for f2/f3 (flit,flow,hybrid)")
+		mode    = flag.String("mode", "flit", "fabric fidelity for f2/f3 (flit,flow)")
 		window  = flag.Int("window", 0, "conservative sync window W in cycles for f2/f3 (0 = default 1; W is a model parameter — delivered counts depend on it)")
 		chk     = flag.Bool("check", false, "run the invariant-monitor fuzz sweep instead of experiments (exit 1 on any violation; -full scales it up)")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
@@ -157,7 +157,7 @@ func main() {
 
 	modeNets, ok := modeNetworks(*mode)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown mode %q (flit, flow, hybrid)\n", *mode)
+		fmt.Fprintf(os.Stderr, "unknown mode %q (flit, flow)\n", *mode)
 		os.Exit(2)
 	}
 
@@ -248,12 +248,6 @@ func modeNetworks(mode string) ([]nifdy.NetSpec, bool) {
 			out[i] = nifdy.FlowTwin(s)
 		}
 		return out, true
-	case "hybrid":
-		out := make([]nifdy.NetSpec, len(base))
-		for i, s := range base {
-			out[i] = nifdy.HybridTwin(s, 128)
-		}
-		return out, true
 	}
 	return nil, false
 }
@@ -306,26 +300,4 @@ func ackOpts(c config) nifdy.AckOpts {
 		o.Cycles = 1_000_000
 	}
 	return o
-}
-
-func netByName(name string) (nifdy.NetSpec, bool) {
-	switch name {
-	case "mesh":
-		return nifdy.Mesh2D(), true
-	case "mesh3d":
-		return nifdy.Mesh3D(), true
-	case "torus":
-		return nifdy.Torus2D(), true
-	case "fattree":
-		return nifdy.FullFatTree(), true
-	case "sf":
-		return nifdy.SFFatTree(), true
-	case "cm5":
-		return nifdy.CM5FatTree(), true
-	case "butterfly":
-		return nifdy.Butterfly(), true
-	case "multibutterfly":
-		return nifdy.Multibutterfly(), true
-	}
-	return nifdy.NetSpec{}, false
 }

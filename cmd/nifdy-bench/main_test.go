@@ -11,8 +11,8 @@ import (
 
 // TestExperimentIDs drives the built binary: an unknown id exits 2 with a
 // message that lists every id of the experiments table, as the -exp help
-// does, and the ids and the flag that left with the second bench schema are
-// refused like any other.
+// does, and the ids and the flag that left with the second bench schema, and
+// the deleted third -mode value, are refused like any other.
 func TestExperimentIDs(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "nifdy-bench")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
@@ -37,6 +37,7 @@ func TestExperimentIDs(t *testing.T) {
 	}
 	refused("-exp", "scale")
 	refused("-exp", "dist")
+	refused("-mode", "hybrid", "-exp", "t2")
 	// A deleted flag prints the usage text, whose -exp line is the same list.
 	if usage := refused("-json", "x"); !strings.Contains(usage, expIDs()) {
 		t.Errorf("-exp help does not list the table's ids %s:\n%s", expIDs(), usage)

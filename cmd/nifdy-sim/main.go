@@ -15,7 +15,6 @@ import (
 	"runtime"
 
 	"nifdy"
-	"nifdy/internal/core"
 	"nifdy/internal/harness"
 	"nifdy/internal/traffic"
 )
@@ -36,7 +35,7 @@ func main() {
 	)
 	flag.Parse()
 
-	spec, ok := netSpec(*netName)
+	spec, ok := harness.NetworkByName(*netName)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown network %q\n", *netName)
 		os.Exit(2)
@@ -129,27 +128,3 @@ func main() {
 		agg.BulkGrants, agg.BulkRejects, agg.Retransmits, agg.Duplicates)
 	fmt.Printf("throughput: %.2f packets/1000 cycles\n", 1000*float64(agg.Accepted)/float64(*cycles))
 }
-
-func netSpec(name string) (harness.NetSpec, bool) {
-	switch name {
-	case "mesh":
-		return harness.Mesh2D(), true
-	case "mesh3d":
-		return harness.Mesh3D(), true
-	case "torus":
-		return harness.Torus2D(), true
-	case "fattree":
-		return harness.FullFatTree(), true
-	case "sf":
-		return harness.SFFatTree(), true
-	case "cm5":
-		return harness.CM5FatTree(), true
-	case "butterfly":
-		return harness.Butterfly(), true
-	case "multibutterfly":
-		return harness.Multibutterfly(), true
-	}
-	return harness.NetSpec{}, false
-}
-
-var _ = core.Config{} // keep explicit dependency for documentation

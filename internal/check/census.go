@@ -23,15 +23,15 @@ func sortedIntKeys(m map[int]int) []int {
 }
 
 // PacketAuditor is implemented by fabrics that hold whole packets rather
-// than flits (the flow-level fabric, and the hybrid seam for its flow
-// side). AuditPackets calls f once per whole-packet reference the fabric
-// holds, in a deterministic order, with a location label; like the other
-// audits it must only run while the fabric is quiescent. PacketCounters
-// returns the fabric's lifetime books: packets admitted as flows, delivered
-// into arrival buffers, and dropped by the loss model. The in-fabric labels
-// ("flow", "parked", "pipe") must census to injected−delivered−dropped;
-// "staged" (accepted but not yet activated) and "port-arr" (delivered but
-// not yet pulled) sit outside the books on either side.
+// than flits (the flow-level fabric). AuditPackets calls f once per
+// whole-packet reference the fabric holds, in a deterministic order, with a
+// location label; like the other audits it must only run while the fabric is
+// quiescent. PacketCounters returns the fabric's lifetime books: packets
+// admitted as flows, delivered into arrival buffers, and dropped by the loss
+// model. The in-fabric labels ("flow", "parked", "pipe") must census to
+// injected−delivered−dropped; "staged" (accepted but not yet activated) and
+// "port-arr" (delivered but not yet pulled) sit outside the books on either
+// side.
 type PacketAuditor interface {
 	AuditPackets(f func(node int, where string, p *packet.Packet))
 	PacketCounters() (injected, delivered, dropped int64)
@@ -146,14 +146,12 @@ func (c *Checker) sweep(now sim.Cycle) {
 	// path is below (PacketAuditor).
 	var injected, delivered, dropped int64
 	ejectFlits := 0
-	flitPorts := 0
 	for n := 0; n < c.net.Nodes(); n++ {
 		nd := n
 		ifc, isFlit := c.net.Iface(nd).(*router.Iface)
 		if !isFlit {
 			continue
 		}
-		flitPorts++
 		inj, del, drp := ifc.FlitCounters()
 		injected += inj
 		delivered += del
@@ -306,15 +304,12 @@ func (c *Checker) sweep(now sim.Cycle) {
 	}
 
 	// Flit conservation: the interfaces' lifetime counters against the
-	// census of what is actually in the fabric right now. Only meaningful
-	// when every port is flit-accurate (a hybrid fabric's flit counters
-	// cover just its hot region, whose books don't close on their own).
-	if flitPorts == c.net.Nodes() {
-		if want, got := injected-delivered-dropped, int64(routerFlits+ejectFlits+wireFlits); want != got {
-			c.report(now, MonFlitConservation, -1,
-				"counters say %d flits in fabric (injected %d - delivered %d - dropped %d), census found %d (%d router + %d eject + %d wire)",
-				want, injected, delivered, dropped, got, routerFlits, ejectFlits, wireFlits)
-		}
+	// census of what is actually in the fabric right now. A flow fabric has
+	// no flit ports, so both sides read 0.
+	if want, got := injected-delivered-dropped, int64(routerFlits+ejectFlits+wireFlits); want != got {
+		c.report(now, MonFlitConservation, -1,
+			"counters say %d flits in fabric (injected %d - delivered %d - dropped %d), census found %d (%d router + %d eject + %d wire)",
+			want, injected, delivered, dropped, got, routerFlits, ejectFlits, wireFlits)
 	}
 
 	// Flow-level fabrics: whole-packet census. Every packet the fabric holds

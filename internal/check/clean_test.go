@@ -15,12 +15,15 @@ import (
 // monitor suite (protocol bounds, sequence accounting, conservation census)
 // stays silent on every standard network, for both the NIFDY and the plain
 // NIC, at engine shard counts 1, 2, and 4, under heavy synthetic traffic
-// run to completion. Short mode trims to two fabrics and two shard counts.
+// run to completion. Two flow twins ride along: the whole-packet census and
+// the flit-conservation check (0 = 0, no flit ports) must hold there too.
+// Short mode trims to three fabrics and two shard counts.
 func TestMonitorsCleanAcrossConfigurations(t *testing.T) {
-	nets := harness.StandardNetworks()
+	nets := append(harness.StandardNetworks(),
+		harness.FlowTwin(harness.Mesh2D()), harness.FlowTwin(harness.FullFatTree()))
 	shardCounts := []int{1, 2, 4}
 	if testing.Short() {
-		nets = []harness.NetSpec{harness.Mesh2D(), harness.FullFatTree()}
+		nets = []harness.NetSpec{harness.Mesh2D(), harness.FullFatTree(), harness.FlowTwin(harness.Mesh2D())}
 		shardCounts = []int{1, 2}
 	}
 	for _, spec := range nets {

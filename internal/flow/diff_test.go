@@ -226,7 +226,7 @@ func runDifferential(t testing.TB, c diffCase) SolverStats {
 			s.f.RegisterRouters(s.e)
 		}
 		for n := 0; n < c.nodes; n++ {
-			d := &scripted{pt: s.f.FlowPort(n), node: n, sc: nodeScript{
+			d := &scripted{pt: s.f.Iface(n).(*Port), node: n, sc: nodeScript{
 				sends: slices.Clone(script[n].sends), toggles: script[n].toggles}}
 			s.ds = append(s.ds, d)
 			s.e.Register(d)

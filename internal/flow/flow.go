@@ -360,9 +360,6 @@ func (f *Fabric) Nodes() int { return f.cfg.Nodes }
 // Iface implements topo.Network.
 func (f *Fabric) Iface(n int) router.Port { return &f.ports[n] }
 
-// FlowPort returns node n's concrete port (for the hybrid mux).
-func (f *Fabric) FlowPort(n int) *Port { return &f.ports[n] }
-
 // RegisterRouters implements topo.Network: the flow fabric has no routers;
 // registration installs the solver as a pre-tick step hook.
 func (f *Fabric) RegisterRouters(e *sim.Engine) {

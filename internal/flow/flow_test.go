@@ -48,7 +48,7 @@ func build(t *testing.T, cfg Config) (*sim.Engine, *Fabric, []*driver) {
 	f.RegisterRouters(e)
 	ds := make([]*driver, cfg.Nodes)
 	for n := range ds {
-		ds[n] = &driver{pt: f.FlowPort(n), deliver: true}
+		ds[n] = &driver{pt: f.Iface(n).(*Port), deliver: true}
 		e.Register(ds[n])
 	}
 	return e, f, ds

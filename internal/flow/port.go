@@ -35,11 +35,8 @@ type Port struct {
 
 	clsRR int // Deliver fairness rotation across classes
 
-	// act is the quiescence latch shared with the owning NIC; it aliases
-	// ownAct except under the hybrid mux, where it aliases the flit
-	// interface's latch so either sub-port can wake the NIC.
-	act    *sim.Activity
-	ownAct sim.Activity
+	// act is the quiescence latch shared with the owning NIC.
+	act sim.Activity
 
 	injected, delivered, dropped int64
 }
@@ -49,7 +46,6 @@ var _ router.Port = (*Port)(nil)
 func (pt *Port) init(f *Fabric, node int32) {
 	pt.f = f
 	pt.node = node
-	pt.act = &pt.ownAct
 	for c := range pt.slotFlow {
 		pt.slotFlow[c] = -1
 	}
@@ -130,7 +126,7 @@ func (pt *Port) Quiet() bool {
 }
 
 // Activity implements router.Port.
-func (pt *Port) Activity() *sim.Activity { return pt.act }
+func (pt *Port) Activity() *sim.Activity { return &pt.act }
 
 // NextArrivalAt implements router.Port. The solver wakes the port's
 // Activity on the exact cycle an arrival lands, so a quiescent NIC may

@@ -40,7 +40,7 @@ func newPumpsSharded(e *sim.Engine, f *Fabric, shardOf []int, seed uint64, sprea
 	pkts := make([]packet.Packet, n*perNode)
 	for i := range pumps {
 		p := &pumps[i]
-		*p = pump{pt: f.FlowPort(i), node: i, nodes: n, r: rng.NewStream(seed, uint64(i))}
+		*p = pump{pt: f.Iface(i).(*Port), node: i, nodes: n, r: rng.NewStream(seed, uint64(i))}
 		for j := 0; j < perNode; j++ {
 			p.pool = append(p.pool, &pkts[i*perNode+j])
 		}
@@ -211,12 +211,12 @@ func staleSleeper(cfg Config, sleepy bool) (freed, bound sim.Cycle) {
 	e := sim.New()
 	f := New(cfg)
 	f.RegisterRouters(e)
-	pt := f.FlowPort(0)
+	pt := f.Iface(0).(*Port)
 	e.Register(idle{pt.Activity(), func(now sim.Cycle) {
 		switch {
 		case now == 0:
 			pt.StartSend(now, mkPacket(0, 3, 16, packet.Request))
-			f.FlowPort(1).StartSend(now, mkPacket(1, 3, 4, packet.Request))
+			f.Iface(1).StartSend(now, mkPacket(1, 3, 4, packet.Request))
 		case pt.CanAccept(packet.Request):
 			if freed == 0 {
 				freed = now

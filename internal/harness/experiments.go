@@ -89,9 +89,6 @@ func (o *SynthOpts) defaults() {
 	}
 }
 
-// topoIfaceDefaults returns the reliable-network interface options.
-func topoIfaceDefaults() topo.IfaceOptions { return topo.IfaceOptions{} }
-
 // synthRow runs one network across the NIC kinds and returns delivered
 // packet counts in kind order.
 func synthRow(spec NetSpec, kinds []NICKind, mkTraffic func() traffic.Config, cycles sim.Cycle, seed uint64, shards, window int) []int64 {
@@ -164,7 +161,7 @@ func fillSynth(t *stats.Table, o SynthOpts, mk func(nodes int) traffic.Config) {
 	for i, spec := range o.Networks {
 		i, spec := i, spec
 		tasks = append(tasks, func() {
-			nodes := spec.Build(o.Seed, topoIfaceDefaults()).Nodes()
+			nodes := spec.Build(o.Seed, topo.IfaceOptions{}).Nodes()
 			vals := synthRow(spec, o.Kinds, func() traffic.Config { return mk(nodes) }, o.Cycles, o.Seed, o.Shards, o.Window)
 			rows[i] = row{spec.Name, vals}
 		})
@@ -476,7 +473,7 @@ func EM3D(o EM3DOpts) *stats.Table {
 	for i, spec := range o.Networks {
 		i, spec := i, spec
 		run := func(kind NICKind, inOrder bool) sim.Cycle {
-			nodes := spec.Build(o.Seed, topoIfaceDefaults()).Nodes()
+			nodes := spec.Build(o.Seed, topo.IfaceOptions{}).Nodes()
 			cfg := em3d.Light(nodes, o.Seed)
 			if o.Heavy {
 				cfg = em3d.Heavy(nodes, o.Seed)

@@ -26,30 +26,6 @@ func FlowTwin(spec NetSpec) NetSpec {
 	return out
 }
 
-// HybridTwin embeds spec's flit fabric as the hot region [0, K) of a
-// flow-level fabric spanning totalNodes: hot-to-hot traffic stays
-// cycle-accurate, everything else rides the flow model. The flow side's
-// bisection scales with the node ratio so the cold bulk is not throttled by
-// the hot region's cut.
-func HybridTwin(spec NetSpec, totalNodes int) NetSpec {
-	out := spec
-	out.Name = spec.Name + " hybrid"
-	base := spec.Build
-	out.Build = func(seed uint64, o topo.IfaceOptions) topo.Network {
-		sub := base(seed, o)
-		ch := sub.Chars()
-		if totalNodes < ch.Nodes {
-			panic(fmt.Sprintf("harness: hybrid total %d below hot region %d", totalNodes, ch.Nodes))
-		}
-		fcfg := flow.FromChars(ch, o)
-		fcfg.Name = ch.Name + " hybrid"
-		fcfg.Nodes = totalNodes
-		fcfg.BisectionFPC = ch.BisectionFPC * float64(totalNodes) / float64(ch.Nodes)
-		return flow.NewHybrid(sub, flow.New(fcfg))
-	}
-	return out
-}
-
 // FlowMeshSized is an x-by-y-node flow-level mesh with analytically derived
 // characteristics — the constructor for the 100k+ node scaling runs, where
 // building (or all-pairs measuring) a flit mesh is not feasible.

@@ -24,8 +24,7 @@ type ratioBand struct{ lo, hi float64 }
 // and topology-dependent (torus ≤ ~1.4×, 8x8 mesh ≤ ~1.5×, CM-5's thin
 // upper levels ≤ ~2.6×); the bands pin it so a regression in either engine
 // moves a ratio out of its band. Head-of-line loss is also exactly the
-// effect NIFDY suppresses, which is why the hybrid seam exists: regions
-// whose congestion matters stay flit-accurate (see DESIGN.md §8).
+// effect NIFDY suppresses (see DESIGN.md §8).
 func TestFlowShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cross-fidelity sweep is slow")

@@ -13,10 +13,7 @@ import (
 // while NICs tick on per-shard goroutines, handing off sends and arrival-
 // buffer credits through per-shard staging lists. Merging those lists in
 // node order must make the whole simulation bit-identical for any shard
-// count — same final stats, every Pending sample, completion state. The
-// hybrid case is the sharpest probe: flit routers, the flow solver, and the
-// hot/cold port mux all share one engine, and the hot region's shard layout
-// comes from the embedded flit fabric while the cold bulk is block-aligned.
+// count — same final stats, every Pending sample, completion state.
 func TestFlowShardedDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-workload determinism suite is slow")
@@ -42,15 +39,6 @@ func TestFlowShardedDeterminism(t *testing.T) {
 			c := traffic.Light(64, seed)
 			c.Phases = 1 << 20
 			return BuildOpts{Net: FlowTwin(FullFatTree()), Kind: NIFDY, Seed: seed,
-				PendingInterval: 500, Program: programFromTraffic(c)}
-		}},
-		// Hybrid: 64 flit-accurate mesh nodes inside a 128-node flow
-		// fabric. Traffic spans the seam, so staged sends originate from
-		// both flit-owned and flow-owned shards.
-		{"hybrid-mesh2d-nifdy-heavy", 10_000, func() BuildOpts {
-			c := traffic.Heavy(128, seed)
-			c.Phases = 1 << 20
-			return BuildOpts{Net: HybridTwin(Mesh2D(), 128), Kind: NIFDY, Seed: seed,
 				PendingInterval: 500, Program: programFromTraffic(c)}
 		}},
 		// Plain NICs never back off, so the solver sees the densest flow

@@ -7,6 +7,7 @@ import (
 	"nifdy/internal/core"
 	"nifdy/internal/node"
 	"nifdy/internal/packet"
+	"nifdy/internal/topo"
 	"nifdy/internal/traffic"
 )
 
@@ -215,7 +216,7 @@ func TestNICKindString(t *testing.T) {
 
 func TestStandardNetworksBuild(t *testing.T) {
 	for _, spec := range StandardNetworks() {
-		net := spec.Build(1, topoIfaceDefaults())
+		net := spec.Build(1, topo.IfaceOptions{})
 		if net.Nodes() != 64 {
 			t.Fatalf("%s: %d nodes", spec.Name, net.Nodes())
 		}

@@ -151,6 +151,30 @@ func StandardNetworks() []NetSpec {
 	}
 }
 
+// NetworkByName maps a CLI network name (mesh, mesh3d, torus, fattree, sf,
+// cm5, butterfly, multibutterfly) to its spec.
+func NetworkByName(name string) (NetSpec, bool) {
+	switch name {
+	case "mesh":
+		return Mesh2D(), true
+	case "mesh3d":
+		return Mesh3D(), true
+	case "torus":
+		return Torus2D(), true
+	case "fattree":
+		return FullFatTree(), true
+	case "sf":
+		return SFFatTree(), true
+	case "cm5":
+		return CM5FatTree(), true
+	case "butterfly":
+		return Butterfly(), true
+	case "multibutterfly":
+		return Multibutterfly(), true
+	}
+	return NetSpec{}, false
+}
+
 // AdaptiveMesh2D is the 8x8 mesh with west-first minimal adaptive routing —
 // the §6.3 future-work configuration. Adaptivity reorders packets, so
 // NIFDY's reorder hardware becomes load-bearing here.

@@ -3,6 +3,7 @@ package harness
 import (
 	"testing"
 
+	"nifdy/internal/topo"
 	"nifdy/internal/traffic"
 )
 
@@ -73,7 +74,7 @@ func TestTable3InOrderFabricSet(t *testing.T) {
 		"butterfly":  true,
 	}
 	for _, spec := range StandardNetworks() {
-		chars := spec.Build(1, topoIfaceDefaults()).Chars()
+		chars := spec.Build(1, topo.IfaceOptions{}).Chars()
 		if chars.InOrder != wantInOrder[spec.Name] {
 			t.Errorf("%s: Chars().InOrder = %v, want %v", spec.Name, chars.InOrder, wantInOrder[spec.Name])
 		}

@@ -4,6 +4,7 @@ import (
 	"nifdy/internal/core"
 	"nifdy/internal/sim"
 	"nifdy/internal/stats"
+	"nifdy/internal/topo"
 	"nifdy/internal/traffic"
 )
 
@@ -25,7 +26,7 @@ func Table3(seed uint64) *stats.Table {
 	t := stats.NewTable("Table 3: 64-node network characteristics and tuned NIFDY parameters",
 		"network", "avg d", "max d", "volume (flits)", "bisection (f/c)", "in-order", "O", "B", "D", "W")
 	for _, spec := range StandardNetworks() {
-		net := spec.Build(seed, topoIfaceDefaults())
+		net := spec.Build(seed, topo.IfaceOptions{})
 		c := net.Chars()
 		p := spec.Params
 		pp := p
@@ -86,7 +87,7 @@ func Table3Sweep(spec NetSpec, o SweepOpts) []SweepResult {
 		}
 	}
 	results := make([]SweepResult, len(points))
-	nodes := spec.Build(o.Seed, topoIfaceDefaults()).Nodes()
+	nodes := spec.Build(o.Seed, topo.IfaceOptions{}).Nodes()
 	tasks := make([]func(), len(points))
 	for i, p := range points {
 		i, p := i, p

@@ -58,19 +58,14 @@ type DCQCNMutations struct {
 	RateOverflow bool
 }
 
-// DCQCN is the rate-controlled NIC kind. Its data path is the Basic NIC's
-// (strict-FIFO out queue, bounded arrivals queue); on top of it sit the rate
-// limiter (injection pacing), the CNP echo path (receiver side), and the
+// DCQCN is the rate-controlled NIC kind. Its data path is the embedded Basic
+// NIC's (strict-FIFO out queue, bounded arrivals queue); on top of it sit the
+// rate limiter (injection pacing), the CNP echo path (receiver side), and the
 // DCQCN rate state machine (sender side).
 type DCQCN struct {
-	cfg   DCQCNConfig
-	iface router.Port
-	out   ring.Deque[*packet.Packet]
-	arr   ring.Deque[*packet.Packet]
-	cnpQ  ring.Deque[*packet.Packet]
-	pool  packet.Pool
-	proc  *sim.Activity // as Basic's
-	stats Stats
+	Basic
+	cfg  DCQCNConfig
+	cnpQ ring.Deque[*packet.Packet]
 
 	// Rate state (sender side), all fixed-point.
 	rate, target int64
@@ -90,12 +85,6 @@ type DCQCN struct {
 
 // NewDCQCN returns a DCQCN NIC attached to iface.
 func NewDCQCN(cfg DCQCNConfig, iface router.Port) *DCQCN {
-	if cfg.OutBuf < 1 {
-		cfg.OutBuf = 1
-	}
-	if cfg.ArrBuf < 1 {
-		cfg.ArrBuf = 1
-	}
 	if cfg.CPF < 1 {
 		cfg.CPF = 1
 	}
@@ -114,8 +103,9 @@ func NewDCQCN(cfg DCQCNConfig, iface router.Port) *DCQCN {
 	if cfg.CNPPeriod <= 0 {
 		cfg.CNPPeriod = 64
 	}
+	b := NewBasic(BasicConfig{Node: cfg.Node, OutBuf: cfg.OutBuf, ArrBuf: cfg.ArrBuf, Hooks: cfg.Hooks}, iface)
 	d := &DCQCN{
-		cfg: cfg, iface: iface,
+		Basic: *b, cfg: cfg,
 		rate: RateScale, target: RateScale,
 		lastCNP: map[int]sim.Cycle{},
 	}
@@ -123,55 +113,11 @@ func NewDCQCN(cfg DCQCNConfig, iface router.Port) *DCQCN {
 	return d
 }
 
-// Node implements NIC.
-func (d *DCQCN) Node() int { return d.cfg.Node }
-
-// Stats implements NIC.
-func (d *DCQCN) Stats() *Stats { return &d.stats }
-
-// Pool implements NIC.
-func (d *DCQCN) Pool() *packet.Pool { return &d.pool }
-
-// Activity implements sim.IdleTicker.
-func (d *DCQCN) Activity() *sim.Activity { return d.iface.Activity() }
-
-// ObserveProc implements NIC.
-func (d *DCQCN) ObserveProc(a *sim.Activity) { d.proc = a }
-
 // RateBounds exposes the limiter state to the dcqcn-rate invariant monitor:
 // the current rate and the clamp it must never leave.
 func (d *DCQCN) RateBounds() (rate, min, max int64) {
 	return d.rate, d.cfg.MinRate, RateScale
 }
-
-// TrySend implements NIC.
-func (d *DCQCN) TrySend(now sim.Cycle, p *packet.Packet) bool {
-	if d.out.Len() >= d.cfg.OutBuf {
-		return false
-	}
-	p.CreatedAt = now
-	d.out.PushBack(p)
-	d.stats.Sent++
-	d.cfg.Hooks.Send(p)
-	d.iface.Activity().Wake()
-	return true
-}
-
-// Recv implements NIC.
-func (d *DCQCN) Recv(now sim.Cycle) (*packet.Packet, bool) {
-	p, ok := d.arr.PopFront()
-	if !ok {
-		return nil, false
-	}
-	p.AcceptedAt = now
-	d.stats.Accepted++
-	d.cfg.Hooks.Accept(p)
-	d.iface.Activity().Wake()
-	return p, true
-}
-
-// Pending implements NIC.
-func (d *DCQCN) Pending() int { return d.arr.Len() }
 
 // Idle implements NIC.
 func (d *DCQCN) Idle() bool {
@@ -283,7 +229,7 @@ func (d *DCQCN) Tick(now sim.Cycle) {
 		if now < d.nextSendAt {
 			pacingBlocked = true
 		} else if d.iface.CanAccept(head.Class) {
-			wakeOnRoom(d.proc, d.out.Len(), d.cfg.OutBuf)
+			wakeOnRoom(d.proc, d.out.Len(), d.Basic.cfg.OutBuf)
 			p, _ := d.out.PopFront()
 			d.iface.StartSend(now, p)
 			d.stats.Injected++
@@ -296,7 +242,7 @@ func (d *DCQCN) Tick(now sim.Cycle) {
 	for {
 		var p *packet.Packet
 		var ok bool
-		if d.arr.Len() < d.cfg.ArrBuf {
+		if d.arr.Len() < d.Basic.cfg.ArrBuf {
 			p, ok = d.iface.Deliver(now, nil)
 		} else {
 			// Arrivals queue full: still drain congestion notifications, so

@@ -151,9 +151,6 @@ var (
 	// FlowTwin is spec's flow-level twin, sized from the flit fabric's
 	// measured characteristics.
 	FlowTwin = harness.FlowTwin
-	// HybridTwin embeds spec's flit fabric as the cycle-accurate hot region
-	// of a flow-level fabric spanning totalNodes.
-	HybridTwin = harness.HybridTwin
 	// FlowMeshSized is an analytically sized x-by-y flow-level mesh.
 	FlowMeshSized = harness.FlowMeshSized
 	// FlowFatTreeSized is an analytically sized 4^levels flow-level fat tree.
