@@ -7,7 +7,7 @@
 //	nifdy-bench -exp t3sweep -net mesh   # parameter sweep for one network
 //	nifdy-bench -exp f2 -cpuprofile cpu.prof   # profile an experiment's hot path
 //	nifdy-bench -exp f2 -memprofile mem.prof   # heap snapshot after it finishes
-//	nifdy-bench -exp f2 -shards 4        # 4 engine shards per simulation (bit-identical)
+//	nifdy-bench -exp f2 -shards 4        # 4 engine shards per flit simulation (bit-identical)
 //	nifdy-bench -exp f2 -mode flow       # Figure 2 on the flow-level twins of each fabric
 //	nifdy-bench -exp fabric              # NIFDY vs PFC/DCQCN/plain under incast, lossless + lossy wires
 //	nifdy-bench -check                   # invariant-monitor fuzz sweep; exit 1 on violation
@@ -19,6 +19,10 @@
 // -mode selects the fabric fidelity for f2/f3: "flit" (default) is the
 // cycle-accurate reference, "flow" swaps each network for its flow-level
 // twin (same protocol layer, bandwidth-sharing fabric).
+//
+// -shards asks for engine shards per simulation on flit fabrics; each
+// fabric's partition decides how many it gets (at most one per node, one per
+// leaf group on fat trees and butterflies). Flow twins always run serial.
 //
 // Reduced scale (the default) keeps every experiment under roughly a minute
 // on a laptop; -full uses the paper's budgets (Figure 2/3: 1,000,000 cycles;
@@ -145,7 +149,7 @@ func main() {
 		exp     = flag.String("exp", "all", "experiment ids, comma-separated ("+expIDs()+"), or all")
 		full    = flag.Bool("full", false, "paper-scale budgets instead of reduced")
 		seed    = flag.Uint64("seed", 1995, "experiment seed")
-		shards  = flag.Int("shards", 0, "engine shards per simulation for f2/f3/f4 and fabric (0 or 1 = serial, N = N shards; bit-identical results)")
+		shards  = flag.Int("shards", 0, "engine shards per flit simulation for f2/f3/f4 and fabric (0 or 1 = serial, N = up to N shards; flow twins run serial; bit-identical results)")
 		net     = flag.String("net", "mesh", "network for -exp t3sweep (mesh,torus,fattree,sf,cm5,butterfly,multibutterfly,mesh3d)")
 		mode    = flag.String("mode", "flit", "fabric fidelity for f2/f3 (flit,flow)")
 		window  = flag.Int("window", 0, "conservative sync window W in cycles for f2/f3 (0 = default 1; W is a model parameter — delivered counts depend on it)")

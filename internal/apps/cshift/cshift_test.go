@@ -38,7 +38,7 @@ func runCShift(t *testing.T, cfg Config, useNIFDY bool, maxCycles sim.Cycle) sim
 	t.Helper()
 	tree := fattree.New(fattree.Config{Levels: 2, Seed: 3}) // 16 nodes
 	eng := sim.New()
-	tree.RegisterRouters(eng)
+	tree.RegisterRoutersSharded(eng, tree.Partition(1))
 	var ids packet.IDSource
 	app := New(cfg, &ids)
 	var procs []*node.Proc

@@ -63,7 +63,7 @@ func TestInOrderNeedsFewerPackets(t *testing.T) {
 func TestIterationCompletes(t *testing.T) {
 	net := mesh.New(mesh.Config{Dims: []int{4, 4}})
 	eng := sim.New()
-	net.RegisterRouters(eng)
+	net.RegisterRoutersSharded(eng, net.Partition(1))
 	var ids packet.IDSource
 	app := New(Config{Nodes: 16, NNodes: 20, DNodes: 4, LocalP: 50, DistSpan: 3,
 		Iters: 2, InOrder: true, Seed: 4}, &ids)

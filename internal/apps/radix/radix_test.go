@@ -35,7 +35,7 @@ func runPhase(t *testing.T, nodes int, program func(a *App, n int) node.Program,
 	t.Helper()
 	tree := fattree.New(fattree.Config{Levels: 2, Seed: 7})
 	eng := sim.New()
-	tree.RegisterRouters(eng)
+	tree.RegisterRoutersSharded(eng, tree.Partition(1))
 	var ids packet.IDSource
 	cfg.Nodes = nodes
 	app := New(cfg, &ids)

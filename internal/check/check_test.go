@@ -328,7 +328,6 @@ func TestMutationsTripMonitors(t *testing.T) {
 		},
 	}
 	for _, tc := range cases {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) { runMutation(t, tc) })
 	}
 }

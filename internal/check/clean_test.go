@@ -29,7 +29,6 @@ func TestMonitorsCleanAcrossConfigurations(t *testing.T) {
 	for _, spec := range nets {
 		for _, kind := range []harness.NICKind{harness.NIFDY, harness.Plain} {
 			for _, shards := range shardCounts {
-				spec, kind, shards := spec, kind, shards
 				name := fmt.Sprintf("%s/%v/shards=%d", spec.Name, kind, shards)
 				t.Run(name, func(t *testing.T) {
 					t.Parallel()

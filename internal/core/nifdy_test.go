@@ -39,7 +39,7 @@ func newWorld(t *testing.T, net topo.Network, mk func(n int, ifc router.Port) ni
 // hand the engine to other machinery (e.g. a checker) before the NICs exist.
 func newWorldOn(t *testing.T, eng *sim.Engine, net topo.Network, mk func(n int, ifc router.Port) nic.NIC) *world {
 	w := &world{t: t, eng: eng, net: net}
-	net.RegisterRouters(w.eng)
+	net.RegisterRoutersSharded(w.eng, net.Partition(1))
 	n := net.Nodes()
 	w.sendQ = make([][]*packet.Packet, n)
 	w.nextSQ = make([]int, n)

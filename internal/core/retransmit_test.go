@@ -194,7 +194,6 @@ func TestRetransmitFaultMatrix(t *testing.T) {
 		},
 	}
 	for _, tc := range cases {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			eng := sim.New()
 			net := smallMesh(t)

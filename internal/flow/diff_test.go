@@ -223,7 +223,7 @@ func runDifferential(t testing.TB, c diffCase) SolverStats {
 			s.ref.register(s.e)
 		} else {
 			s.f = New(cfg)
-			s.f.RegisterRouters(s.e)
+			s.f.RegisterRoutersSharded(s.e, s.f.Partition(1))
 		}
 		for n := 0; n < c.nodes; n++ {
 			d := &scripted{pt: s.f.Iface(n).(*Port), node: n, sc: nodeScript{

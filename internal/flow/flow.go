@@ -67,12 +67,10 @@
 //
 // All per-node and per-flow state lives in flat arrays indexed by node and
 // flow id (structure of arrays, no per-component pointer chasing). The
-// fabric registers no routers; ports are written by their owning NIC's
-// shard during the tick phase and by the solver during the pre-tick step
-// hook, when no shard is ticking — the same single-writer alternation the
-// latch discipline gives flit fabrics. Cross-shard hand-off happens through
-// per-shard staging lists merged in node order, so results are
-// bit-identical for any shard count.
+// fabric registers no routers and runs on a serial engine: ports are
+// written by their owning NIC during the tick phase and by the solver during
+// the pre-tick step hook — the same single-writer alternation the latch
+// discipline gives flit fabrics.
 package flow
 
 import (
@@ -89,7 +87,7 @@ import (
 )
 
 // rateQ is the fixed-point scale for rates (flits per cycle, Q20): integer
-// arithmetic keeps the solver bit-deterministic across shard counts.
+// arithmetic keeps the solver bit-deterministic.
 const rateQ = 1 << 20
 
 // Config sizes a flow-level fabric. The defaults mirror the flit fabrics'
@@ -144,8 +142,8 @@ type Config struct {
 	// every seed-size twin is calibrated at. Scaling configs use a coarse stride:
 	// the timing error is bounded by stride/drain-time, which the analytic
 	// 100k+ constructors keep around a percent, and results remain
-	// bit-deterministic for any shard count since the quantization is purely
-	// a function of configuration.
+	// bit-deterministic since the quantization is purely a function of
+	// configuration.
 	SolveStride int
 	// VolumeFlits is reported in Chars (informational).
 	VolumeFlits int
@@ -177,8 +175,8 @@ func (c *Config) defaults() {
 	}
 }
 
-// stagedSend is one StartSend awaiting activation, recorded by the owning
-// shard during its tick phase.
+// stagedSend is one StartSend awaiting activation, recorded by the port
+// during the tick phase.
 type stagedSend struct {
 	node int32
 	cls  uint8
@@ -271,10 +269,9 @@ type Fabric struct {
 	// cross-class head-of-line blocking.
 	pipes [packet.NumClasses]ring.Deque[pipeEntry]
 
-	// Per-shard hand-off, written by ports during their shard's tick.
-	staged  [][]stagedSend
-	dirty   [][]int32 // destinations whose arrival buffers freed space
-	shardOf []int
+	// Hand-off from the tick phase, written by ports in node order.
+	staged []stagedSend
+	dirty  []int32 // destinations whose arrival buffers freed space
 
 	// clock is the solver's engine clock (RegisterStepHookClocked): asleep
 	// until nextWork, woken to now+1 by ports that stage sends or free
@@ -294,8 +291,7 @@ type Fabric struct {
 	stats SolverStats
 
 	// Solver scratch (reused across runs).
-	drained  []int32
-	mergeIdx []int
+	drained []int32
 
 	bound bool
 }
@@ -330,9 +326,6 @@ func New(cfg Config) *Fabric {
 	f.nDst = make([]int32, n)
 	f.parked = make([]ring.Deque[*packet.Packet], n*packet.NumClasses)
 	f.parkedFlits = make([]int32, n*packet.NumClasses)
-	f.shardOf = make([]int, n)
-	f.staged = make([][]stagedSend, 1)
-	f.dirty = make([][]int32, 1)
 	f.nextWork = sim.Never
 	f.drains.Init()
 	f.srcCensus.init(n)
@@ -360,38 +353,30 @@ func (f *Fabric) Nodes() int { return f.cfg.Nodes }
 // Iface implements topo.Network.
 func (f *Fabric) Iface(n int) router.Port { return &f.ports[n] }
 
-// RegisterRouters implements topo.Network: the flow fabric has no routers;
-// registration installs the solver as a pre-tick step hook.
-func (f *Fabric) RegisterRouters(e *sim.Engine) {
-	f.bind(e, f.shardOf, f.step) // all-zeros shard map
-}
-
-// Partition implements topo.Network: contiguous node blocks (the solver
-// merges per-shard staging in node order, so any partition is
-// deterministic; contiguous blocks keep NIC and port co-located trivially).
+// Partition implements topo.Network: the all-zeros map whatever shards
+// asks for. The flow tier is serial; its solver is cheap per event on one
+// thread, and a sharded run would pay a barrier every cycle.
 func (f *Fabric) Partition(shards int) []int {
-	return topo.AlignedPartition(f.cfg.Nodes, 1, shards)
+	return make([]int, f.cfg.Nodes)
 }
 
-// RegisterRoutersSharded implements topo.Network.
+// RegisterRoutersSharded implements topo.Network: the flow fabric has no
+// routers; registration installs the solver as a pre-tick step hook.
+// shardOf is all zeros (Partition) and goes unused.
 func (f *Fabric) RegisterRoutersSharded(e *sim.Engine, shardOf []int) {
-	f.bind(e, shardOf, f.step)
+	f.bind(e, f.step)
 }
 
-// bind wires the fabric to the engine with step as its solver (f.step; the
-// tests' reference solver binds its own).
-func (f *Fabric) bind(e *sim.Engine, shardOf []int, step func(sim.Cycle)) {
+// bind wires the fabric to a serial engine with step as its solver (f.step;
+// the tests' reference solver binds its own).
+func (f *Fabric) bind(e *sim.Engine, step func(sim.Cycle)) {
 	if f.bound {
 		panic("flow: fabric registered twice")
 	}
-	f.bound = true
-	copy(f.shardOf, shardOf)
-	s := e.Shards()
-	f.staged = make([][]stagedSend, s)
-	f.dirty = make([][]int32, s)
-	for n := range f.ports {
-		f.ports[n].shard = int32(f.shardOf[n] % s)
+	if e.Shards() > 1 {
+		panic(fmt.Sprintf("flow: fabric bound to a %d-shard engine; the flow tier runs serial", e.Shards()))
 	}
+	f.bound = true
 	// Clocked: the solver's clock holds nextWork (its next drain/landing
 	// event, stride-quantized), and ports wake it when they stage work, so
 	// an otherwise-quiet engine fast-forwards straight between flow events.
@@ -441,10 +426,8 @@ func (f *Fabric) AuditPackets(fn func(node int, where string, p *packet.Packet))
 	for c := range f.pipes {
 		f.pipes[c].ForEach(func(e pipeEntry) { fn(e.p.Dst, "pipe", e.p) })
 	}
-	for s := range f.staged {
-		for _, st := range f.staged[s] {
-			fn(int(st.node), "staged", st.p)
-		}
+	for _, st := range f.staged {
+		fn(int(st.node), "staged", st.p)
 	}
 	for n := range f.ports {
 		pt := &f.ports[n]
@@ -462,23 +445,12 @@ func (f *Fabric) PacketCounters() (injected, delivered, dropped int64) {
 	return f.fabInjected, f.fabDelivered, f.fabDropped
 }
 
-// anyStaged reports whether any shard staged sends or freed arrival space
-// since the last solver run.
-func (f *Fabric) anyStaged() bool {
-	for s := range f.staged {
-		if len(f.staged[s]) > 0 || len(f.dirty[s]) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // step is the solver: it runs as a pre-tick engine step hook, on the
-// stepping goroutine, while every shard is quiescent. The fast path — no
+// stepping goroutine, while no component is ticking. The fast path — no
 // event due, nothing staged — is a few compares; a step that does run costs
 // in proportion to the events it handles, not to the flows in flight.
 func (f *Fabric) step(now sim.Cycle) {
-	if now < f.nextWork && !f.anyStaged() {
+	if now < f.nextWork && len(f.staged) == 0 && len(f.dirty) == 0 {
 		return
 	}
 	f.stats.Steps++
@@ -551,19 +523,14 @@ func (f *Fabric) step(now sim.Cycle) {
 	}
 
 	// 4. Promote parked packets at destinations whose arrival buffers freed
-	// space this tick (merged across shards in node order).
-	f.forEachMerged(f.dirty, func(nd int32) {
+	// space this tick, in node order.
+	f.forEachDirty(func(nd int32) {
 		if f.promote(now, nd) {
 			changed = true
 		}
 	})
-	for s := range f.dirty {
-		f.dirty[s] = f.dirty[s][:0]
-	}
 
-	// 5. Activate staged sends (merged across shards in node order — the
-	// same global order the serial engine produces, so results are
-	// bit-identical at any shard count).
+	// 5. Activate staged sends in node order.
 	f.forEachStaged(func(st stagedSend) {
 		f.activate(now, st)
 		changed = true
@@ -984,93 +951,26 @@ func (f *Fabric) recomputeNext(now sim.Cycle) {
 	f.clock.Sleep(next)
 }
 
-// forEachStaged drains the per-shard staging lists merged in ascending node
-// order (each shard's list is already node-ascending because NICs tick in
-// node order within a shard), yielding the exact order a single-shard
-// engine produces.
+// forEachStaged drains the staging list, which is node-ascending because
+// NICs tick in node order.
 func (f *Fabric) forEachStaged(fn func(stagedSend)) {
-	if len(f.staged) == 1 {
-		for _, st := range f.staged[0] {
-			fn(st)
-		}
-		f.resetStaged()
-		return
+	for _, st := range f.staged {
+		fn(st)
 	}
-	idx := f.mergeScratch()
-	for {
-		best, bestNode := -1, int32(0)
-		for s := range f.staged {
-			if idx[s] >= len(f.staged[s]) {
-				continue
-			}
-			nd := f.staged[s][idx[s]].node
-			if best < 0 || nd < bestNode {
-				best, bestNode = s, nd
-			}
-		}
-		if best < 0 {
-			break
-		}
-		fn(f.staged[best][idx[best]])
-		idx[best]++
-	}
-	f.resetStaged()
+	clear(f.staged)
+	f.staged = f.staged[:0]
 }
 
-func (f *Fabric) resetStaged() {
-	for s := range f.staged {
-		for i := range f.staged[s] {
-			f.staged[s][i] = stagedSend{}
-		}
-		f.staged[s] = f.staged[s][:0]
-	}
-}
-
-// forEachMerged walks per-shard lists of node ids, each ascending, merged in
-// ascending order, each node once: a port lists its node once per packet it
-// pops, and a node belongs to one shard, so its repeats are adjacent.
-func (f *Fabric) forEachMerged(lists [][]int32, fn func(int32)) {
+// forEachDirty drains the ascending list of destinations that freed arrival
+// space, each node once: a port lists its node once per packet it pops, so
+// its repeats are adjacent.
+func (f *Fabric) forEachDirty(fn func(int32)) {
 	last := int32(-1)
-	if len(lists) == 1 {
-		for _, v := range lists[0] {
-			if v != last {
-				fn(v)
-				last = v
-			}
+	for _, v := range f.dirty {
+		if v != last {
+			fn(v)
+			last = v
 		}
-		return
 	}
-	idx := f.mergeScratch()
-	for {
-		best := -1
-		var bestV int32
-		for s := range lists {
-			if idx[s] >= len(lists[s]) {
-				continue
-			}
-			if v := lists[s][idx[s]]; best < 0 || v < bestV {
-				best, bestV = s, v
-			}
-		}
-		if best < 0 {
-			return
-		}
-		if bestV != last {
-			fn(bestV)
-			last = bestV
-		}
-		idx[best]++
-	}
-}
-
-// mergeScratch returns a zeroed per-shard cursor slice.
-func (f *Fabric) mergeScratch() []int {
-	if cap(f.mergeIdx) < len(f.staged) {
-		f.mergeIdx = make([]int, len(f.staged))
-	}
-	f.mergeIdx = f.mergeIdx[:len(f.staged)]
-	for i := range f.mergeIdx {
-		f.mergeIdx[i] = 0
-	}
-	return f.mergeIdx
+	f.dirty = f.dirty[:0]
 }

@@ -45,7 +45,7 @@ func build(t *testing.T, cfg Config) (*sim.Engine, *Fabric, []*driver) {
 	t.Helper()
 	e := sim.New()
 	f := New(cfg)
-	f.RegisterRouters(e)
+	f.RegisterRoutersSharded(e, f.Partition(1))
 	ds := make([]*driver, cfg.Nodes)
 	for n := range ds {
 		ds[n] = &driver{pt: f.Iface(n).(*Port), deliver: true}

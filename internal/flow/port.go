@@ -12,14 +12,12 @@ import (
 // Port is the flow fabric's packet-native router.Port implementation: one
 // injection slot per class (busy until the flow's tail leaves the source)
 // and one arrival FIFO per class (filled by the solver pre-tick, drained by
-// the NIC during its tick). The owning NIC's shard writes the port during
-// the tick phase; the solver writes it only from the pre-tick step hook,
-// when no shard is running — the two writers never overlap.
+// the NIC during its tick). The owning NIC writes the port during the tick
+// phase; the solver writes it only from the pre-tick step hook, when no
+// component is ticking — the two writers never overlap.
 type Port struct {
 	f    *Fabric
 	node int32
-	// shard indexes the fabric's staging lists; assigned at registration.
-	shard int32
 
 	// slots holds the packet occupying each class's injection slot; the
 	// solver clears a slot when its flow drains. slotFlow is the live flow
@@ -29,7 +27,7 @@ type Port struct {
 
 	// arrQ/arrFlits are the per-class arrival buffers (the ejection-side
 	// analog); the solver enqueues, Deliver pops and reports the freed
-	// space back through the fabric's dirty lists.
+	// space back through the fabric's dirty list.
 	arrQ     [packet.NumClasses]ring.Deque[*packet.Packet]
 	arrFlits [packet.NumClasses]int32
 
@@ -70,8 +68,7 @@ func (pt *Port) StartSend(now sim.Cycle, p *packet.Packet) {
 	pt.slots[c] = p
 	pt.slotFlow[c] = -1
 	p.InjectedAt = now
-	sh := &pt.f.staged[pt.shard]
-	*sh = append(*sh, stagedSend{node: pt.node, cls: uint8(c), p: p})
+	pt.f.staged = append(pt.f.staged, stagedSend{node: pt.node, cls: uint8(c), p: p})
 	// The solver must run next cycle to activate the staged flow, even if it
 	// was asleep until a later stride boundary.
 	pt.f.clock.WakeAt(now + 1)
@@ -95,8 +92,7 @@ func (pt *Port) Deliver(now sim.Cycle, pred func(*packet.Packet) bool) (*packet.
 		pt.delivered++
 		pt.clsRR = c + 1
 		p.DeliveredAt = now
-		d := &pt.f.dirty[pt.shard]
-		*d = append(*d, pt.node)
+		pt.f.dirty = append(pt.f.dirty, pt.node)
 		// Freed arrival space may promote a parked packet at the next step.
 		pt.f.clock.WakeAt(now + 1)
 		return p, true

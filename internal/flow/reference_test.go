@@ -29,7 +29,7 @@ func newRefSolver(cfg Config) *refSolver {
 
 // register installs the reference solver as the fabric's step hook.
 func (r *refSolver) register(e *sim.Engine) {
-	r.f.bind(e, r.f.shardOf, r.step)
+	r.f.bind(e, r.step)
 }
 
 // active calls fn for every live flow id.
@@ -43,7 +43,7 @@ func (r *refSolver) active(fn func(id int32)) {
 
 func (r *refSolver) step(now sim.Cycle) {
 	f := r.f
-	if now < f.nextWork && !f.anyStaged() {
+	if now < f.nextWork && len(f.staged) == 0 && len(f.dirty) == 0 {
 		return
 	}
 	changed := false
@@ -89,14 +89,11 @@ func (r *refSolver) step(now sim.Cycle) {
 	}
 
 	// 4. Promote parked packets where arrival buffers freed space.
-	f.forEachMerged(f.dirty, func(nd int32) {
+	f.forEachDirty(func(nd int32) {
 		if f.promote(now, nd) {
 			changed = true
 		}
 	})
-	for s := range f.dirty {
-		f.dirty[s] = f.dirty[s][:0]
-	}
 
 	// 5. Activate staged sends.
 	f.forEachStaged(func(st stagedSend) {

@@ -30,10 +30,6 @@ type pump struct {
 // spread: flows admitted in the same cycle into one share class carry tags
 // from a handful of sizes and would drain in as many giant batches.
 func newPumps(e *sim.Engine, f *Fabric, seed uint64, spread int) {
-	newPumpsSharded(e, f, f.shardOf, seed, spread)
-}
-
-func newPumpsSharded(e *sim.Engine, f *Fabric, shardOf []int, seed uint64, spread int) {
 	const perNode = 4
 	n := f.Nodes()
 	pumps := make([]pump, n)
@@ -45,7 +41,7 @@ func newPumpsSharded(e *sim.Engine, f *Fabric, shardOf []int, seed uint64, sprea
 			p.pool = append(p.pool, &pkts[i*perNode+j])
 		}
 		p.pt.Activity().Sleep(sim.Cycle(p.r.Intn(spread)))
-		e.RegisterSharded(shardOf[i], p)
+		e.Register(p)
 	}
 }
 
@@ -86,7 +82,7 @@ func (p *pump) Activity() *sim.Activity { return p.pt.Activity() }
 func workPerEvent(x int, warm, window sim.Cycle) (ratio float64, st SolverStats) {
 	e := sim.New()
 	f := New(MeshConfig(x, x, topo.IfaceOptions{}))
-	f.RegisterRouters(e)
+	f.RegisterRoutersSharded(e, f.Partition(1))
 	newPumps(e, f, 1995, 1024)
 	e.Run(warm)
 	before := f.SolverStats()
@@ -126,48 +122,17 @@ func TestSolverWorkPerEvent(t *testing.T) {
 	}
 }
 
-// TestShardedHandOff runs the package's only concurrency — ports staging
-// sends and freed arrival space into per-shard lists during the tick phase,
-// the solver merging them pre-tick — under 1, 2 and 4 engine shards: the
-// fabric ends in the identical state (and `make race` watches the hand-off).
-func TestShardedHandOff(t *testing.T) {
-	var want []int64
-	for _, shards := range []int{1, 2, 4} {
-		e := sim.NewParallel(shards)
-		f := New(MeshConfig(16, 16, topo.IfaceOptions{}))
-		shardOf := f.Partition(shards)
-		f.RegisterRoutersSharded(e, shardOf)
-		newPumpsSharded(e, f, shardOf, 3, 64)
-		e.Run(3000)
-		e.Close()
-		got := snapshot(f, e.Now(), f.flowState)
-		if st := f.SolverStats(); st.Departures < 1000 {
-			t.Fatalf("%d shards: only %d departures", shards, st.Departures)
-		}
-		if want == nil {
-			want = got
-		} else if !slices.Equal(got, want) {
-			t.Errorf("%d shards: fabric state differs from the 1-shard run", shards)
-		}
-	}
-}
-
 // TestDirtyDedup pins the duplicate-dirty fix: a port lists its node once per
-// packet it pops, the merge hands each node to promote once, and that loses
+// packet it pops, the drain hands each node to promote once, and that loses
 // nothing because a repeated promote is a no-op.
 func TestDirtyDedup(t *testing.T) {
 	f := New(Config{Nodes: 8})
 	var got []int32
 	visit := func(v int32) { got = append(got, v) }
-	f.forEachMerged([][]int32{{1, 1, 1, 4, 6, 6}}, visit)
+	f.dirty = []int32{1, 1, 1, 4, 6, 6}
+	f.forEachDirty(visit)
 	if want := []int32{1, 4, 6}; !slices.Equal(got, want) {
-		t.Errorf("one shard: visited %v, want %v", got, want)
-	}
-	got = nil
-	f.staged = make([][]stagedSend, 3) // sizes the merge cursors
-	f.forEachMerged([][]int32{{0, 0, 5, 5}, {2, 3, 3}, {7}}, visit)
-	if want := []int32{0, 2, 3, 5, 7}; !slices.Equal(got, want) {
-		t.Errorf("three shards: visited %v, want %v", got, want)
+		t.Errorf("visited %v, want %v", got, want)
 	}
 
 	// A destination with three packets parked behind a full arrival buffer;
@@ -186,7 +151,7 @@ func TestDirtyDedup(t *testing.T) {
 			t.Fatal("arrival buffer empty")
 		}
 	}
-	if got := f.dirty[0]; !slices.Equal(got, []int32{3, 3}) {
+	if got := f.dirty; !slices.Equal(got, []int32{3, 3}) {
 		t.Fatalf("dirty list %v, want the node once per pop", got)
 	}
 	if !f.promote(e.Now(), 3) {
@@ -210,7 +175,7 @@ func TestDirtyDedup(t *testing.T) {
 func staleSleeper(cfg Config, sleepy bool) (freed, bound sim.Cycle) {
 	e := sim.New()
 	f := New(cfg)
-	f.RegisterRouters(e)
+	f.RegisterRoutersSharded(e, f.Partition(1))
 	pt := f.Iface(0).(*Port)
 	e.Register(idle{pt.Activity(), func(now sim.Cycle) {
 		switch {
@@ -280,7 +245,7 @@ func BenchmarkSolverStep(b *testing.B) {
 			e := sim.New()
 			f := New(Config{Nodes: nodes, CPF: 4, HopCycles: 6, AvgHops: 8, FabricFPC: 8 * 64})
 			var inStep time.Duration
-			f.bind(e, f.shardOf, func(now sim.Cycle) {
+			f.bind(e, func(now sim.Cycle) {
 				t0 := time.Now()
 				f.step(now)
 				inStep += time.Since(t0)

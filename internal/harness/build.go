@@ -6,6 +6,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 
 	"nifdy/internal/check"
 	"nifdy/internal/core"
@@ -104,14 +105,15 @@ type BuildOpts struct {
 	// Faults injects test-only faults into one node, for invariant-monitor
 	// validation.
 	Faults Faults
-	// EngineShards selects intra-simulation parallelism: 0 or 1 builds the
-	// serial engine; larger values build sim.NewParallel and partition the
-	// fabric with the network's topology-aware Partition hook — each node's
+	// EngineShards is a speed hint for intra-simulation parallelism: the
+	// network's topology-aware Partition(max(EngineShards, 1)) decides, and
+	// the engine gets one shard per shard the partition uses. Each node's
 	// router, NIC, and processor share a shard, and the only cross-shard
 	// edges are link wires, whose sends are staged per shard and merged at
-	// window boundaries. Results are bit-identical to the serial engine for
-	// any shard count (enforced by the sharded determinism tests). Values
-	// above the node count are clamped.
+	// window boundaries. A flit fabric uses at most one shard per node (per
+	// leaf group on fat trees and butterflies); the flow fabric is always
+	// serial. Results are bit-identical to the serial engine for any value
+	// (enforced by the sharded determinism tests).
 	EngineShards int
 	// Window is the conservative synchronization window W in cycles
 	// (default 1: a boundary after every cycle). W is a model parameter: the
@@ -175,7 +177,11 @@ func Build(opts BuildOpts) *Sim {
 	if isZeroParams(params) {
 		params = opts.Net.Params
 	}
-	shards := min(max(opts.EngineShards, 1), net.Nodes())
+	// Topology-aware partition: node n's router(s), NIC, and processor all
+	// tick in shardOf[n]; the fabric marks channels crossing shard
+	// boundaries for staged cross-shard delivery.
+	shardOf := net.Partition(max(opts.EngineShards, 1))
+	shards := 1 + slices.Max(shardOf)
 	eng := sim.NewParallel(shards)
 	eng.SetWindow(sim.Cycle(window))
 	if opts.DisableIdleSkip {
@@ -185,10 +191,6 @@ func Build(opts BuildOpts) *Sim {
 		Eng: eng, Net: net,
 		Pending: stats.NewPending(net.Nodes(), opts.PendingInterval),
 	}
-	// Topology-aware partition: node n's router(s), NIC, and processor all
-	// tick in shardOf[n]; the fabric marks channels crossing shard
-	// boundaries for staged cross-shard delivery.
-	shardOf := net.Partition(shards)
 	net.RegisterRoutersSharded(s.Eng, shardOf)
 	s.Pending.SetShards(shards)
 	if opts.PendingInterval > 0 {

@@ -106,13 +106,11 @@ func TestGoldenDeterminism(t *testing.T) {
 		}},
 	}
 	for _, tc := range cases {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			traces := make([]string, len(engineModes))
 			tasks := make([]func(), len(engineModes))
 			for i, m := range engineModes {
-				i, m := i, m
 				tasks[i] = func() {
 					opts := tc.opts()
 					opts.EngineShards = m.shards

@@ -60,10 +60,11 @@ type SynthOpts struct {
 	Networks []NetSpec
 	// Kinds defaults to {Plain, BuffersOnly, NIFDY}.
 	Kinds []NICKind
-	// Shards is the per-simulation engine shard count: 0 and 1 both build
-	// the serial engine (measured faster than two shards on a 2-CPU host),
-	// larger values shard explicitly. Results are bit-identical for any
-	// value.
+	// Shards is the per-simulation engine shard request (BuildOpts.
+	// EngineShards): 0 and 1 both build the serial engine (measured faster
+	// than two shards on a 2-CPU host), larger values shard flit fabrics
+	// up to what their partition allows; flow twins run serial. Results are
+	// bit-identical for any value.
 	Shards int
 	// Window is the conservative synchronization window W in cycles
 	// (default 1, the paper's model: a boundary after every cycle). W is a
@@ -95,7 +96,6 @@ func synthRow(spec NetSpec, kinds []NICKind, mkTraffic func() traffic.Config, cy
 	out := make([]int64, len(kinds))
 	tasks := make([]func(), len(kinds))
 	for ki, kind := range kinds {
-		ki, kind := ki, kind
 		tasks[ki] = func() {
 			tcfg := mkTraffic()
 			s := Build(BuildOpts{Net: spec, Kind: kind, Seed: seed,
@@ -159,7 +159,6 @@ func fillSynth(t *stats.Table, o SynthOpts, mk func(nodes int) traffic.Config) {
 	rows := make([]row, len(o.Networks))
 	tasks := make([]func(), 0, len(o.Networks))
 	for i, spec := range o.Networks {
-		i, spec := i, spec
 		tasks = append(tasks, func() {
 			nodes := spec.Build(o.Seed, topo.IfaceOptions{}).Nodes()
 			vals := synthRow(spec, o.Kinds, func() traffic.Config { return mk(nodes) }, o.Cycles, o.Seed, o.Shards, o.Window)
@@ -247,7 +246,6 @@ func Figure4(o Figure4Opts) (varyB, varyO *stats.Table) {
 		results := make([]res, len(o.Sweep))
 		tasks := []func(){}
 		for vi, v := range o.Sweep {
-			vi, v := vi, v
 			tasks = append(tasks, func() {
 				tb := mkTraffic(nodes)
 				sb := Build(BuildOpts{Net: spec, Kind: NIFDY, Seed: o.Seed, Costs: fastCosts,
@@ -411,7 +409,6 @@ func Figure6(o CShiftOpts) *stats.Table {
 	results := make([]res, len(cfgs))
 	tasks := []func(){}
 	for i, c := range cfgs {
-		i, c := i, c
 		tasks = append(tasks, func() {
 			cyc, pkts, words, _ := cshiftRun(o, c.kind, c.barriers, c.inOrd)
 			results[i] = res{cyc, pkts, words}
@@ -471,7 +468,6 @@ func EM3D(o EM3DOpts) *stats.Table {
 	results := make([]res, len(o.Networks))
 	var tasks []func()
 	for i, spec := range o.Networks {
-		i, spec := i, spec
 		run := func(kind NICKind, inOrder bool) sim.Cycle {
 			nodes := spec.Build(o.Seed, topo.IfaceOptions{}).Nodes()
 			cfg := em3d.Light(nodes, o.Seed)
@@ -555,7 +551,6 @@ func Figure9(o RadixOpts) *stats.Table {
 	results := make([]res, len(specs))
 	var tasks []func()
 	for i, spec := range specs {
-		i, spec := i, spec
 		run := func(kind NICKind, delay sim.Cycle) sim.Cycle {
 			cfg := radix.Config{Nodes: o.Nodes, Buckets: o.Buckets, Delay: delay, Seed: o.Seed}
 			var app *radix.App

@@ -51,7 +51,6 @@ func ExtLossy(o LossyOpts) *stats.Table {
 	results := make([]res, len(o.Drops))
 	tasks := make([]func(), len(o.Drops))
 	for i, dp := range o.Drops {
-		i, dp := i, dp
 		tasks[i] = func() {
 			spec := Mesh2D()
 			tcfg := traffic.Heavy(64, o.Seed)
@@ -140,7 +139,6 @@ func ExtAckStrategies(o AckOpts) *stats.Table {
 	results := make([]res, len(variants))
 	tasks := make([]func(), len(variants))
 	for i, v := range variants {
-		i, v := i, v
 		tasks[i] = func() {
 			tcfg := traffic.Heavy(64, o.Seed)
 			tcfg.Phases = 1 << 20
@@ -237,7 +235,6 @@ func ExtAdaptiveMesh(o AckOpts) *stats.Table {
 	var tasks []func()
 	for i, spec := range specs {
 		for k, kind := range kinds {
-			i, k, spec, kind := i, k, spec, kind
 			tasks = append(tasks, func() {
 				tcfg := traffic.Heavy(64, o.Seed)
 				tcfg.Phases = 1 << 20
@@ -271,7 +268,6 @@ func ExtHotspot(o AckOpts) *stats.Table {
 	var tasks []func()
 	for i, share := range shares {
 		for k, kind := range kinds {
-			i, k, share, kind := i, k, share, kind
 			tasks = append(tasks, func() {
 				tcfg := traffic.Heavy(64, o.Seed)
 				tcfg.Phases = 1 << 20
@@ -310,7 +306,6 @@ func ExtFaults(o AckOpts) *stats.Table {
 	var tasks []func()
 	for i, kill := range kills {
 		for k, kind := range kinds {
-			i, k, kill, kind := i, k, kill, kind
 			tasks = append(tasks, func() {
 				spec := FaultyFatTree(kill)
 				tcfg := traffic.Heavy(64, o.Seed)

@@ -276,7 +276,6 @@ func FabricExperiment(o FabricOpts) []FabricPoint {
 	for _, sc := range o.Scenarios {
 		for _, lossy := range o.Lossy {
 			for _, kind := range o.Kinds {
-				sc, lossy, kind := sc, lossy, kind
 				points = append(points, FabricPoint{})
 				i := len(points) - 1
 				tasks = append(tasks, func() {

@@ -42,7 +42,6 @@ func TestFlowShape(t *testing.T) {
 	lightBand := ratioBand{0.80, 1.35}
 
 	for _, spec := range StandardNetworks() {
-		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			t.Parallel()
 			mkHeavy := func() traffic.Config {

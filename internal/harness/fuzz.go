@@ -185,14 +185,12 @@ func FuzzSweep(o FuzzOpts) FuzzResult {
 	outs := make([]trialOut, len(trials))
 	tasks := make([]func(), 0, len(trials)*cols)
 	for ti, tr := range trials {
-		ti, tr := ti, tr
 		outs[ti] = trialOut{
 			stats: make([]nic.Stats, cols),
 			done:  make([]bool, cols),
 			fails: make([][]FuzzFailure, cols),
 		}
 		for si, shards := range o.Shards {
-			si, shards := si, shards
 			tasks = append(tasks, func() {
 				st, done, fails := fuzzRun(tr, shards, o)
 				outs[ti].stats[si] = st

@@ -22,7 +22,6 @@ func TestFigure2Ordering(t *testing.T) {
 	}
 	const cycles = 60_000
 	for _, spec := range specs {
-		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			t.Parallel()
 			mk := func() traffic.Config {

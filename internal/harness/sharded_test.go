@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"nifdy/internal/sim"
+	"nifdy/internal/topo"
 	"nifdy/internal/traffic"
 )
 
@@ -118,4 +119,42 @@ func TestWindowSamplerGrid(t *testing.T) {
 			t.Fatalf("W=%d took %d samples, W=1 took %d", w, len(times), len(want))
 		}
 	}
+}
+
+// TestEngineShardsFromPartition pins where the engine's shard count comes
+// from: the network's partition, with EngineShards only the request. The
+// flow fabric's partition is all zeros, so every flow build is serial, and a
+// fat tree gets no more shards than it has leaf groups.
+func TestEngineShardsFromPartition(t *testing.T) {
+	flowMesh := func() NetSpec { return FlowTwin(Mesh2D()) }
+	cases := []struct {
+		net          func() NetSpec
+		engineShards int
+		want         int
+	}{
+		{flowMesh, 1, 1},
+		{flowMesh, 2, 1},
+		{flowMesh, 4, 1},
+		{Mesh2D, 4, 4},
+		{FullFatTree, 32, 16},
+	}
+	for _, tc := range cases {
+		s := Build(BuildOpts{Net: tc.net(), Kind: NIFDY, Seed: 7, EngineShards: tc.engineShards})
+		got := s.Eng.Shards()
+		s.Close()
+		if got != tc.want {
+			t.Errorf("%s at EngineShards %d: %d engine shards, want %d",
+				tc.net().Name, tc.engineShards, got, tc.want)
+		}
+	}
+
+	net := flowMesh().Build(7, topo.IfaceOptions{Seed: 7})
+	e := sim.NewParallel(2)
+	defer e.Close()
+	defer func() {
+		if recover() == nil {
+			t.Error("binding a flow fabric to a 2-shard engine did not panic")
+		}
+	}()
+	net.RegisterRoutersSharded(e, net.Partition(2))
 }

@@ -90,7 +90,6 @@ func Table3Sweep(spec NetSpec, o SweepOpts) []SweepResult {
 	nodes := spec.Build(o.Seed, topo.IfaceOptions{}).Nodes()
 	tasks := make([]func(), len(points))
 	for i, p := range points {
-		i, p := i, p
 		tasks[i] = func() {
 			score := int64(0)
 			for _, mk := range []func() traffic.Config{

@@ -108,7 +108,7 @@ func TestPacketsForProperty(t *testing.T) {
 func TestEndToEndBlockTransfer(t *testing.T) {
 	tree := fattree.New(fattree.Config{Levels: 2, Seed: 4})
 	eng := sim.New()
-	tree.RegisterRouters(eng)
+	tree.RegisterRoutersSharded(eng, tree.Partition(1))
 	var ids packet.IDSource
 	l := New(Config{Words: 6, InOrder: true}, &ids)
 	var got []*packet.Packet

@@ -14,7 +14,7 @@ func build(t *testing.T, outBuf, arrBuf int) (*sim.Engine, []*Basic, *mesh.Mesh)
 	t.Helper()
 	m := mesh.New(mesh.Config{Dims: []int{4, 4}})
 	eng := sim.New()
-	m.RegisterRouters(eng)
+	m.RegisterRoutersSharded(eng, m.Partition(1))
 	nics := make([]*Basic, 16)
 	for i := range nics {
 		nics[i] = NewBasic(BasicConfig{Node: i, OutBuf: outBuf, ArrBuf: arrBuf}, m.Iface(i))
@@ -160,7 +160,7 @@ func TestHooksFire(t *testing.T) {
 	}
 	m := mesh.New(mesh.Config{Dims: []int{4, 4}})
 	eng := sim.New()
-	m.RegisterRouters(eng)
+	m.RegisterRoutersSharded(eng, m.Partition(1))
 	nics := make([]*Basic, 16)
 	for i := range nics {
 		nics[i] = NewBasic(BasicConfig{Node: i, OutBuf: 2, ArrBuf: 2, Hooks: h}, m.Iface(i))
@@ -213,7 +213,7 @@ func TestRoomEdgeWakesProc(t *testing.T) {
 		t.Run(k.name, func(t *testing.T) {
 			m := mesh.New(mesh.Config{Dims: []int{4, 4}})
 			eng := sim.New()
-			m.RegisterRouters(eng)
+			m.RegisterRoutersSharded(eng, m.Partition(1))
 			n, room := k.mk(m.Iface(0))
 			eng.Register(n)
 			var proc sim.Activity

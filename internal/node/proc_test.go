@@ -23,7 +23,7 @@ func buildProcsCfg(t *testing.T, costs Costs, cfg core.Config, programs []Progra
 	t.Helper()
 	net := mesh.New(mesh.Config{Dims: []int{4, 4}})
 	eng := sim.New()
-	net.RegisterRouters(eng)
+	net.RegisterRoutersSharded(eng, net.Partition(1))
 	var ids packet.IDSource
 	procs := make([]*Proc, net.Nodes())
 	for i := 0; i < net.Nodes(); i++ {
@@ -90,7 +90,7 @@ func TestSendRecvRoundTrip(t *testing.T) {
 	}
 	net := mesh.New(mesh.Config{Dims: []int{4, 4}})
 	eng := sim.New()
-	net.RegisterRouters(eng)
+	net.RegisterRoutersSharded(eng, net.Partition(1))
 	procs := make([]*Proc, 16)
 	for i := 0; i < 16; i++ {
 		u := core.New(core.Config{Node: i, IDs: &ids}, net.Iface(i))
@@ -138,7 +138,6 @@ func TestBarrierSynchronizes(t *testing.T) {
 	exits := make([]sim.Cycle, 16)
 	progs := make([]Program, 16)
 	for i := range progs {
-		i := i
 		progs[i] = func(p *Proc) {
 			p.Consume(sim.Cycle(10 * (i + 1))) // staggered arrivals
 			p.Barrier(b, nil)
@@ -147,7 +146,7 @@ func TestBarrierSynchronizes(t *testing.T) {
 	}
 	net := mesh.New(mesh.Config{Dims: []int{4, 4}})
 	eng := sim.New()
-	net.RegisterRouters(eng)
+	net.RegisterRoutersSharded(eng, net.Partition(1))
 	var ids packet.IDSource
 	procs := make([]*Proc, 16)
 	for i := 0; i < 16; i++ {
@@ -207,7 +206,7 @@ func TestBarrierServicesArrivals(t *testing.T) {
 	}
 	net := mesh.New(mesh.Config{Dims: []int{4, 4}})
 	eng := sim.New()
-	net.RegisterRouters(eng)
+	net.RegisterRoutersSharded(eng, net.Partition(1))
 	procs := make([]*Proc, 16)
 	for i := 0; i < 16; i++ {
 		u := core.New(core.Config{Node: i, B: 2, IDs: &ids}, net.Iface(i))
@@ -299,7 +298,7 @@ func TestSendBackpressureStalls(t *testing.T) {
 	}
 	net := mesh.New(mesh.Config{Dims: []int{4, 4}})
 	eng := sim.New()
-	net.RegisterRouters(eng)
+	net.RegisterRoutersSharded(eng, net.Partition(1))
 	procs := make([]*Proc, 16)
 	for i := 0; i < 16; i++ {
 		u := core.New(core.Config{Node: i, B: 2, IDs: &ids}, net.Iface(i))
@@ -343,10 +342,9 @@ func TestReorderPenaltyApplied(t *testing.T) {
 		var dur sim.Cycle
 		net := mesh.New(mesh.Config{Dims: []int{4, 4}})
 		eng := sim.New()
-		net.RegisterRouters(eng)
+		net.RegisterRoutersSharded(eng, net.Partition(1))
 		procs := make([]*Proc, 16)
 		for i := 0; i < 16; i++ {
-			i := i
 			u := core.New(core.Config{Node: i, IDs: &ids}, net.Iface(i))
 			eng.Register(u)
 			var pr Program
@@ -396,11 +394,10 @@ func TestProcsWithBasicNIC(t *testing.T) {
 	var ids packet.IDSource
 	net := mesh.New(mesh.Config{Dims: []int{4, 4}})
 	eng := sim.New()
-	net.RegisterRouters(eng)
+	net.RegisterRoutersSharded(eng, net.Partition(1))
 	var got int
 	procs := make([]*Proc, 16)
 	for i := 0; i < 16; i++ {
-		i := i
 		b := nic.NewBasic(nic.BasicConfig{Node: i, OutBuf: 2, ArrBuf: 2}, net.Iface(i))
 		eng.Register(b)
 		var pr Program

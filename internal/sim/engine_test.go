@@ -41,7 +41,6 @@ func TestTickOrderWithinShard(t *testing.T) {
 	e := New()
 	var order []int
 	for i := 0; i < 5; i++ {
-		i := i
 		e.Register(TickFunc(func(Cycle) { order = append(order, i) }))
 	}
 	e.Step()

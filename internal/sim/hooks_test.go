@@ -38,7 +38,6 @@ func TestStepHookAndAtBarrierOrdering(t *testing.T) {
 		}
 	}))
 	for sh := 0; sh < 2; sh++ {
-		sh := sh
 		e.RegisterSharded(sh, TickFunc(func(now Cycle) {
 			if got := deferredRuns.Load(); got != int32(2*now) {
 				t.Errorf("tick at cycle %d saw %d deferred runs; want %d", now, got, 2*now)

@@ -113,7 +113,6 @@ func (f *Fly) build() {
 	for s := 0; s < n; s++ {
 		f.routers[s] = make([]*router.Router, f.perStage)
 		for r := 0; r < f.perStage; r++ {
-			s, r := s, r
 			id := s*f.perStage + r
 			f.routers[s][r] = router.New(router.Config{
 				ID: id, InPorts: ports, OutPorts: ports,
@@ -197,12 +196,6 @@ func (f *Fly) SyncWindow() int { return f.cfg.Iface.SyncWindow() }
 
 // Iface implements topo.Network.
 func (f *Fly) Iface(n int) router.Port { return f.ifaces[n] }
-
-// RegisterRouters implements topo.Network: the single-shard case of
-// RegisterRoutersSharded (everything in shard 0, no cross edges).
-func (f *Fly) RegisterRouters(e *sim.Engine) {
-	f.RegisterRoutersSharded(e, make([]int, f.nodes))
-}
 
 // Partition implements topo.Network: contiguous node blocks aligned to
 // groups of k, so a node and its injection/ejection routers share a shard.

@@ -176,7 +176,6 @@ func (t *Tree) build() {
 		t.routers[l] = make([]*router.Router, t.perLevel)
 		ports := (k + t.parents(l)) * t.classes
 		for w := 0; w < t.perLevel; w++ {
-			l, w := l, w
 			id := l*t.perLevel + w
 			t.routers[l][w] = router.New(router.Config{
 				ID: id, InPorts: ports, OutPorts: ports,
@@ -317,12 +316,6 @@ func (t *Tree) SyncWindow() int { return t.cfg.Iface.SyncWindow() }
 
 // Iface implements topo.Network.
 func (t *Tree) Iface(n int) router.Port { return t.ifaces[n] }
-
-// RegisterRouters implements topo.Network: the single-shard case of
-// RegisterRoutersSharded (everything in shard 0, no cross edges).
-func (t *Tree) RegisterRouters(e *sim.Engine) {
-	t.RegisterRoutersSharded(e, make([]int, t.nodes))
-}
 
 // Partition implements topo.Network: contiguous node blocks aligned to leaf
 // groups of k, so a leaf router and all k nodes under it share a shard.

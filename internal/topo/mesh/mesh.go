@@ -114,7 +114,6 @@ func (m *Mesh) build() {
 	m.routers = make([]*router.Router, m.nodes)
 	m.ifaces = make([]*router.Iface, m.nodes)
 	for n := 0; n < m.nodes; n++ {
-		n := n
 		rcfg := router.Config{
 			ID: n, InPorts: ports, OutPorts: ports,
 			VCs: m.cfg.VCs, BufFlits: m.cfg.BufFlits,
@@ -246,12 +245,6 @@ func (m *Mesh) Nodes() int { return m.nodes }
 
 // Iface implements topo.Network.
 func (m *Mesh) Iface(n int) router.Port { return m.ifaces[n] }
-
-// RegisterRouters implements topo.Network: the single-shard case of
-// RegisterRoutersSharded (everything in shard 0, no cross edges).
-func (m *Mesh) RegisterRouters(e *sim.Engine) {
-	m.RegisterRoutersSharded(e, make([]int, m.nodes))
-}
 
 // Partition implements topo.Network: contiguous row-major node blocks, one
 // per shard (no alignment constraint — each node has its own router).

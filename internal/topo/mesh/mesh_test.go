@@ -178,7 +178,6 @@ func TestRouteReachesDestinationProperty(t *testing.T) {
 
 func TestBadConfigsPanic(t *testing.T) {
 	for _, dims := range [][]int{{8}, {1, 4}} {
-		dims := dims
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -316,7 +315,6 @@ func TestAdaptiveConfigValidation(t *testing.T) {
 		{Dims: []int{4, 4}, Adaptive: true, Torus: true},
 		{Dims: []int{3, 3, 3}, Adaptive: true},
 	} {
-		cfg := cfg
 		func() {
 			defer func() {
 				if recover() == nil {

@@ -66,10 +66,6 @@ type Network interface {
 	// Iface returns node n's interface port. Flit-accurate fabrics return a
 	// *router.Iface; the flow-level fabric returns its packet-native port.
 	Iface(n int) router.Port
-	// RegisterRouters registers the fabric's routers with the engine
-	// (all in shard 0; equivalent to RegisterRoutersSharded with a
-	// single-shard partition).
-	RegisterRouters(e *sim.Engine)
 	// Partition maps each node to an engine shard in [0, shards),
 	// topology-aware: contiguous blocks for meshes and tori, whole leaf
 	// groups (subtrees) for fat trees and butterflies, so that a node's

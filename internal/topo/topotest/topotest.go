@@ -39,7 +39,7 @@ func NewHarness(t *testing.T, net topo.Network) *Harness {
 	h := &Harness{T: t, Net: net, Eng: sim.New(), ByPair: map[[2]int][]*packet.Packet{}}
 	h.queues = make([][]*packet.Packet, net.Nodes())
 	h.next = make([]int, net.Nodes())
-	net.RegisterRouters(h.Eng)
+	net.RegisterRoutersSharded(h.Eng, net.Partition(1))
 	h.Eng.Register(sim.TickFunc(h.pump))
 	return h
 }

@@ -47,7 +47,7 @@ func run(t *testing.T, cfg Config, cycles sim.Cycle) int64 {
 	t.Helper()
 	net := mesh.New(mesh.Config{Dims: []int{4, 4}})
 	eng := sim.New()
-	net.RegisterRouters(eng)
+	net.RegisterRoutersSharded(eng, net.Partition(1))
 	var ids packet.IDSource
 	gen := NewGen(cfg, &ids)
 	var procs []*node.Proc
@@ -125,7 +125,7 @@ func TestPhasesRespectBarriers(t *testing.T) {
 	// heavy traffic).
 	net := mesh.New(mesh.Config{Dims: []int{4, 4}})
 	eng := sim.New()
-	net.RegisterRouters(eng)
+	net.RegisterRoutersSharded(eng, net.Partition(1))
 	var ids packet.IDSource
 	cfg := Heavy(16, 11)
 	cfg.Phases = 2
@@ -180,7 +180,7 @@ func TestHotspotSkewsDestinations(t *testing.T) {
 	cfg.HotspotNode = 3
 	net := mesh.New(mesh.Config{Dims: []int{4, 4}})
 	eng := sim.New()
-	net.RegisterRouters(eng)
+	net.RegisterRoutersSharded(eng, net.Partition(1))
 	var ids packet.IDSource
 	gen := NewGen(cfg, &ids)
 	hot := 0
