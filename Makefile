@@ -53,7 +53,8 @@ check-deep:
 # routers' arrival boards (a cross-shard wire's board word is written by the
 # stepping goroutine at the window boundary and read by the consumer's shard
 # in the next window), the harness's concurrent simulations, and the
-# processors' program goroutines — under the race detector.
+# processors' step machines, which shard workers call in sharded runs, and
+# the closure adapter's goroutine handoffs — under the race detector.
 race:
 	$(GO) test -race -count=1 -timeout 3600s ./internal/sim/... ./internal/link/... ./internal/router/... ./internal/flow/... ./internal/harness/... ./internal/node/... ./internal/core/...
 
@@ -72,9 +73,9 @@ bench-check:
 # polices statically; the residue is pool cold-misses, some 8 to 24 allocs),
 # then, at 0 allocs/op, ns per Tick among 1k and 64k timed sleepers (the two
 # must agree), ns per Send stalled K cycles (the same for every K) and per
-# completed Send (one goroutine handoff), and solver-ns per flow-solver step
-# among ~300 and ~90k flows in flight at the same event rate (what separates
-# them is cache misses, not flows visited).
+# completed Send (a closure's goroutine handoff, or a machine's Step), and
+# solver-ns per flow-solver step among ~300 and ~90k flows in flight at the
+# same event rate (what separates them is cache misses, not flows visited).
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkEngineStep|BenchmarkStep|BenchmarkSimCycleMesh' -benchtime 1x ./internal/sim/... .
 	$(GO) test -run xxx -bench 'BenchmarkSaturatedCycle' -benchmem -benchtime 100x .

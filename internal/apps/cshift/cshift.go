@@ -75,23 +75,68 @@ func (a *App) PacketsPerBlock() int { return a.npkts }
 // TotalPackets reports the run's total packet count (for throughput math).
 func (a *App) TotalPackets() int { return a.cfg.Nodes * (a.cfg.Nodes - 1) * a.npkts }
 
-// Program returns node n's program.
+// Program returns node n's program: its step machine, run engine-side.
 func (a *App) Program(n int) node.Program {
-	cfg := a.cfg
-	return func(p *node.Proc) {
-		expected := (cfg.Nodes - 1) * a.npkts
-		count := func(*packet.Packet) { a.recvd[n]++ }
-		for ph := 1; ph < cfg.Nodes; ph++ {
-			dst := (n + ph) % cfg.Nodes
-			a.layer.SendBlock(p, dst, cfg.BlockWords, count)
-			if cfg.Barriers {
-				p.Barrier(a.bar, count)
+	m := &machine{a: a, n: n}
+	// The arrival handler, bound once.
+	m.count = func(*packet.Packet) { a.recvd[n]++ }
+	return func(p *node.Proc) { p.Run(m) }
+}
+
+// shiftPC is where a machine resumes.
+type shiftPC uint8
+
+const (
+	phase   shiftPC = iota // the next phase's block begins, or the final drain
+	sending                // the phase's block is being sent
+	absorb                 // the final drain: every node absorbs its inbound volume
+)
+
+// machine is one node's program: one block per phase to the node ph hops
+// on, optionally barrier-separated, then a drain to the full inbound volume.
+type machine struct {
+	a     *App
+	n     int
+	count func(*packet.Packet)
+	pc    shiftPC
+	ph    int
+	send  msg.Sender
+	// recv marks a Recv in flight: it is counted at the next step.
+	recv bool
+}
+
+// Step implements node.Machine.
+func (m *machine) Step(p *node.Proc) bool {
+	a, cfg := m.a, m.a.cfg
+	for {
+		switch m.pc {
+		case phase:
+			m.ph++
+			if m.ph == cfg.Nodes {
+				m.pc = absorb
+				continue
 			}
-		}
-		// Final drain: every node must absorb its full inbound volume.
-		for a.recvd[n] < expected {
-			p.Recv()
-			a.recvd[n]++
+			a.layer.Begin(&m.send, m.n, (m.n+m.ph)%cfg.Nodes, cfg.BlockWords, m.count)
+			m.pc = sending
+		case sending:
+			if m.send.Step(p) {
+				return true
+			}
+			m.pc = phase
+			if cfg.Barriers {
+				p.IssueBarrier(a.bar, m.count)
+				return true
+			}
+		case absorb:
+			if m.recv {
+				p.Received()
+				a.recvd[m.n]++
+			}
+			m.recv = a.recvd[m.n] < (cfg.Nodes-1)*a.npkts
+			if m.recv {
+				p.IssueRecv()
+			}
+			return m.recv
 		}
 	}
 }

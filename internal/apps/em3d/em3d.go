@@ -146,29 +146,87 @@ func (a *App) PacketsPerIteration() int {
 }
 
 // Program returns node n's program: per iteration, push every remote edge
-// value grouped by destination, drain arrivals, and join the barrier.
+// value grouped by destination, drain arrivals, and join the barrier. It runs
+// as a step machine, engine-side.
 func (a *App) Program(n int) node.Program {
-	cfg := a.cfg
 	// Deterministic destination order: ascending offset from self.
 	var order []int
-	for off := 1; off < cfg.Nodes; off++ {
-		dst := (n + off) % cfg.Nodes
+	for off := 1; off < a.cfg.Nodes; off++ {
+		dst := (n + off) % a.cfg.Nodes
 		if a.sendWords[n][dst] > 0 {
 			order = append(order, dst)
 		}
 	}
-	return func(p *node.Proc) {
-		count := func(*packet.Packet) { a.recvd[n]++ }
-		for it := 0; it < cfg.Iters; it++ {
-			for _, dst := range order {
-				a.layer.SendBlock(p, dst, a.sendWords[n][dst], count)
+	m := &machine{a: a, n: n, order: order}
+	// The arrival handler, bound once.
+	m.count = func(*packet.Packet) { a.recvd[n]++ }
+	return func(p *node.Proc) { p.Run(m) }
+}
+
+// em3dPC is where a machine resumes.
+type em3dPC uint8
+
+const (
+	iteration em3dPC = iota // an iteration begins, or the program ends
+	block                   // the next destination's block begins
+	sending                 // a block is being sent
+	absorb                  // the iteration's inbound volume is drained
+)
+
+// machine is one node's program.
+type machine struct {
+	a     *App
+	n     int
+	order []int
+	count func(*packet.Packet)
+	pc    em3dPC
+	// it is the iteration and k the next destination in order.
+	it, k int
+	send  msg.Sender
+	// recv marks a Recv in flight: it is counted at the next step.
+	recv bool
+}
+
+// Step implements node.Machine.
+func (m *machine) Step(p *node.Proc) bool {
+	a := m.a
+	for {
+		switch m.pc {
+		case iteration:
+			if m.it == a.cfg.Iters {
+				return false
 			}
+			m.k = 0
+			m.pc = block
+		case block:
+			if m.k == len(m.order) {
+				m.pc = absorb
+				continue
+			}
+			dst := m.order[m.k]
+			m.k++
+			a.layer.Begin(&m.send, m.n, dst, a.sendWords[m.n][dst], m.count)
+			m.pc = sending
+		case sending:
+			if m.send.Step(p) {
+				return true
+			}
+			m.pc = block
+		case absorb:
 			// Absorb this iteration's inbound volume, then synchronize.
-			for a.recvd[n] < (it+1)*a.expect[n] {
-				p.Recv()
-				a.recvd[n]++
+			if m.recv {
+				p.Received()
+				a.recvd[m.n]++
 			}
-			p.Barrier(a.bar, count)
+			m.recv = a.recvd[m.n] < (m.it+1)*a.expect[m.n]
+			if m.recv {
+				p.IssueRecv()
+				return true
+			}
+			m.it++
+			m.pc = iteration
+			p.IssueBarrier(a.bar, m.count)
+			return true
 		}
 	}
 }

@@ -88,63 +88,155 @@ func New(cfg Config, ids *packet.IDSource) *App {
 // ScanPackets reports the pipeline depth K.
 func (a *App) ScanPackets() int { return a.K }
 
-// ScanProgram returns node n's scan-phase program.
+// ScanProgram returns node n's scan-phase program: its step machine, run
+// engine-side.
 func (a *App) ScanProgram(n int) node.Program {
-	cfg := a.cfg
-	K := a.K
-	return func(p *node.Proc) {
-		send := func(j int) {
-			pk := &packet.Packet{ID: a.ids.Next(), Src: n, Dst: n + 1,
-				Words: cfg.Words, Class: packet.Request, Dialog: packet.NoDialog,
-				Meta: packet.Meta{Index: j, Total: K}}
-			p.Send(pk)
+	m := &scan{a: a, n: n}
+	return func(p *node.Proc) { p.Run(m) }
+}
+
+// scanPC is where a scan machine resumes.
+type scanPC uint8
+
+const (
+	scanNext scanPC = iota // packet j's turn begins, or the program ends
+	scanRecv               // packet j's partial sums arrived from upstream
+	scanSend               // packet j goes downstream
+	scanSent               // packet j was sent; the optional delay follows
+)
+
+// scan is one node's scan program: node 0 sends its K packets, the last node
+// receives K, and every node between receives each packet, adds its local
+// counts and forwards it.
+type scan struct {
+	a  *App
+	n  int
+	pc scanPC
+	j  int
+}
+
+// Step implements node.Machine.
+func (m *scan) Step(p *node.Proc) bool {
+	a, cfg := m.a, m.a.cfg
+	for {
+		switch m.pc {
+		case scanNext:
+			if m.j == a.K {
+				return false
+			}
+			m.pc = scanSend
+			if m.n != 0 {
+				m.pc = scanRecv
+				p.IssueRecv()
+				return true
+			}
+		case scanRecv:
+			p.Received()
+			m.pc = scanSend
+			if m.n == cfg.Nodes-1 {
+				m.j++
+				m.pc = scanNext
+			}
+		case scanSend:
+			m.pc = scanSent
+			p.IssueSend(a.packet(m.n, m.n+1, packet.Meta{Index: m.j, Total: a.K}))
+			return true
+		case scanSent:
+			m.j++
+			m.pc = scanNext
 			if cfg.Delay > 0 {
-				p.Consume(cfg.Delay)
-			}
-		}
-		switch {
-		case n == 0:
-			for j := 0; j < K; j++ {
-				send(j)
-			}
-		case n == cfg.Nodes-1:
-			for j := 0; j < K; j++ {
-				p.Recv()
-			}
-		default:
-			for j := 0; j < K; j++ {
-				p.Recv() // partial sums for packet j from upstream
-				send(j)  // add local counts, forward downstream
+				p.IssueConsume(cfg.Delay)
+				return true
 			}
 		}
 	}
 }
 
+// packet returns a fresh packet from src to dst.
+//
+//lint:allow(hotalloc) the phase's packets are its data, one per send: receivers retire none to a free-list
+func (a *App) packet(src, dst int, meta packet.Meta) *packet.Packet {
+	return &packet.Packet{ID: a.ids.Next(), Src: src, Dst: dst,
+		Words: a.cfg.Words, Class: packet.Request, Dialog: packet.NoDialog,
+		Meta: meta}
+}
+
 // CoalesceProgram returns node n's coalesce-phase program: one single-packet
-// message per key to its destination processor.
+// message per key to its destination processor. It runs as a step machine,
+// engine-side.
 func (a *App) CoalesceProgram(n int) node.Program {
-	cfg := a.cfg
-	return func(p *node.Proc) {
-		r := rng.NewStream(cfg.Seed^0x4AD1, uint64(n))
-		for k := 0; k < cfg.KeysPerNode; k++ {
-			dst := r.Intn(cfg.Nodes)
-			if dst == n {
-				a.recvd[n]++ // local key, no packet
+	m := &coalesce{a: a, n: n, r: rng.NewStream(a.cfg.Seed^0x4AD1, uint64(n))}
+	// The barrier's arrival handler, bound once.
+	m.count = func(*packet.Packet) { a.recvd[n]++ }
+	return func(p *node.Proc) { p.Run(m) }
+}
+
+// coalescePC is where a coalesce machine resumes.
+type coalescePC uint8
+
+const (
+	coalesceKey    coalescePC = iota // the next key is sent, or the keys are done
+	coalesceDrain                    // arrivals are serviced after a send
+	coalesceAbsorb                   // the node's expected keys are received
+	coalesceEnd                      // the closing barrier released
+)
+
+// coalesce is one node's coalesce program.
+type coalesce struct {
+	a     *App
+	n     int
+	r     *rng.Source
+	count func(*packet.Packet)
+	pc    coalescePC
+	k     int
+	// recv marks a Recv in flight: it is counted at the next step.
+	recv bool
+}
+
+// Step implements node.Machine.
+func (m *coalesce) Step(p *node.Proc) bool {
+	a, cfg := m.a, m.a.cfg
+	if m.recv {
+		p.Received()
+		a.recvd[m.n]++
+		m.recv = false
+	}
+	for {
+		switch m.pc {
+		case coalesceKey:
+			if m.k == cfg.KeysPerNode {
+				m.pc = coalesceAbsorb
 				continue
 			}
-			pk := &packet.Packet{ID: a.ids.Next(), Src: n, Dst: dst,
-				Words: cfg.Words, Class: packet.Request, Dialog: packet.NoDialog,
-				Meta: packet.Meta{Value: uint64(k)}}
-			p.Send(pk)
-			for p.HasPending() {
-				p.Recv()
-				a.recvd[n]++
+			k := m.k
+			m.k++
+			dst := m.r.Intn(cfg.Nodes)
+			if dst == m.n {
+				a.recvd[m.n]++ // local key, no packet
+				continue
 			}
+			m.pc = coalesceDrain
+			p.IssueSend(a.packet(m.n, dst, packet.Meta{Value: uint64(k)}))
+			return true
+		case coalesceDrain:
+			if !p.HasPending() {
+				m.pc = coalesceKey
+				continue
+			}
+			m.recv = true
+			p.IssueRecv()
+			return true
+		case coalesceAbsorb:
+			if a.recvd[m.n] < a.expect[m.n] {
+				m.recv = true
+				p.IssueRecv()
+				return true
+			}
+			m.pc = coalesceEnd
+			p.IssueBarrier(a.bar, m.count)
+			return true
+		case coalesceEnd:
+			return false
 		}
-		for a.recvd[n] < a.expect[n] {
-			p.Recv()
-			a.recvd[n]++
-		}
-		p.Barrier(a.bar, func(*packet.Packet) { a.recvd[n]++ })
 	}
 }

@@ -129,9 +129,9 @@ type FabricPoint struct {
 
 // fabricCollector builds the per-node programs of one scenario and gathers
 // the per-flow metrics. Each flow's counters are written only by its
-// destination's processor goroutine, and latency samples are kept per
-// destination node, so the collection is race-free under any sharding and
-// the merged metrics are bit-identical for every shard count.
+// destination's processor, and latency samples are kept per destination
+// node, so the collection is race-free under any sharding and the merged
+// metrics are bit-identical for every shard count.
 type fabricCollector struct {
 	words     int
 	out       [][]traffic.FabricFlow
@@ -163,6 +163,8 @@ func newFabricCollector(sc traffic.FabricScenario) *fabricCollector {
 }
 
 // take retires one arrival at node n, crediting its flow.
+//
+//lint:allow(hotalloc) one latency sample per delivered packet, kept for the p99: geometric growth of one slice per destination node
 func (c *fabricCollector) take(n int, p *node.Proc, pk *packet.Packet) {
 	if fi, ok := c.at[n][pk.Src]; ok {
 		c.delivered[fi]++
@@ -175,36 +177,51 @@ func (c *fabricCollector) take(n int, p *node.Proc, pk *packet.Packet) {
 // blasting until the budget expires and servicing arrivals between sends;
 // pure receivers sit in a poll loop.
 func (c *fabricCollector) Program(n int) node.Program {
-	out := c.out[n]
-	if len(out) == 0 && c.at[n] == nil {
+	if len(c.out[n]) == 0 && c.at[n] == nil {
 		return nil // bystander: its NIC still ticks
 	}
-	ids := packet.NewNodeIDs(n)
-	return func(p *node.Proc) {
-		if len(out) == 0 {
-			for {
-				c.take(n, p, p.Recv())
-			}
-		}
-		for {
-			for _, f := range out {
-				pk := p.Alloc()
-				pk.ID = ids.Next()
-				pk.Src = n
-				pk.Dst = f.Dst
-				pk.Words = c.words
-				// An endless stream is one long message: keep requesting the
-				// bulk dialog (never closed), so NIFDY flows run W-windowed
-				// instead of one scalar packet per round trip. The plain
-				// kinds ignore the bit.
-				pk.BulkReq = true
-				p.Send(pk)
-				for p.HasPending() {
-					c.take(n, p, p.Recv())
-				}
-			}
-		}
+	m := &collector{c: c, n: n, ids: packet.NewNodeIDs(n)}
+	return func(p *node.Proc) { p.Run(m) }
+}
+
+// collector is one node's program; it never ends.
+type collector struct {
+	c   *fabricCollector
+	n   int
+	ids *packet.IDSource
+	// next is the flow the next packet goes to; sent records that a send
+	// has completed, so arrivals are serviced before the next one.
+	next int
+	sent bool
+	// recv marks a Recv in flight: its packet is taken at the next step.
+	recv bool
+}
+
+// Step implements node.Machine.
+func (m *collector) Step(p *node.Proc) bool {
+	c, out := m.c, m.c.out[m.n]
+	if m.recv {
+		c.take(m.n, p, p.Received())
 	}
+	m.recv = len(out) == 0 || m.sent && p.HasPending()
+	if m.recv {
+		p.IssueRecv()
+		return true
+	}
+	f := out[m.next]
+	m.next = (m.next + 1) % len(out)
+	pk := p.Alloc()
+	pk.ID = m.ids.Next()
+	pk.Src = m.n
+	pk.Dst = f.Dst
+	pk.Words = c.words
+	// An endless stream is one long message: keep requesting the bulk
+	// dialog (never closed), so NIFDY flows run W-windowed instead of one
+	// scalar packet per round trip. The plain kinds ignore the bit.
+	pk.BulkReq = true
+	m.sent = true
+	p.IssueSend(pk)
+	return true
 }
 
 // point folds the collected counters into the cell's metrics.

@@ -5,13 +5,14 @@ import (
 	"go/types"
 )
 
-// hotalloc: no allocation constructs in the Tick/Flush call trees.
+// hotalloc: no allocation constructs in the Tick/Flush/Step call trees.
 //
 // PR 2's contract is a zero-allocation saturated data path (~5 B/op per
 // cycle, all of it amortized warm-up growth). -benchmem catches violations
 // hours later and only on benchmarked paths; this rule catches them at
-// their source. Roots are every Tick(now sim.Cycle) method/function and
-// every Flush() method in the analyzed package; the rule walks the static
+// their source. Roots are every Tick(now sim.Cycle) method/function, every
+// Flush() method and every Step(*node.Proc) bool method (a program's step
+// machine) in the analyzed package; the rule walks the static
 // call graph from those roots through module-local callees (interface
 // dispatch and function-valued calls are not resolvable statically and end
 // the walk) and flags, inside any reached function:
@@ -30,7 +31,7 @@ import (
 func init() {
 	Register(&Rule{
 		Name:  "hotalloc",
-		Doc:   "allocation construct reachable from a Tick/Flush call tree (zero-allocation contract)",
+		Doc:   "allocation construct reachable from a Tick/Flush/Step call tree (zero-allocation contract)",
 		Match: tickPathPackage,
 		Run:   runHotAlloc,
 	})
@@ -44,7 +45,7 @@ func runHotAlloc(p *Pass) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			if !isTickRoot(p, fd) && !isFlushRoot(p, fd) {
+			if !isTickRoot(p, fd) && !isFlushRoot(p, fd) && !isStepRoot(p, fd) {
 				continue
 			}
 			if obj, ok := p.Pkg.Info.Defs[fd.Name].(*types.Func); ok {
@@ -87,6 +88,30 @@ func isFlushRoot(p *Pass, fd *ast.FuncDecl) bool {
 	}
 	sig := obj.Type().(*types.Signature)
 	return sig.Params().Len() == 0 && sig.Results().Len() == 0
+}
+
+// isStepRoot: a Step method taking one *Proc and returning bool — a
+// program's step machine (node.Machine), which the processor's Tick calls
+// through an interface the walk cannot follow.
+func isStepRoot(p *Pass, fd *ast.FuncDecl) bool {
+	if fd.Name.Name != "Step" || fd.Recv == nil {
+		return false
+	}
+	obj, ok := p.Pkg.Info.Defs[fd.Name].(*types.Func)
+	if !ok {
+		return false
+	}
+	sig := obj.Type().(*types.Signature)
+	if sig.Params().Len() != 1 || sig.Results().Len() != 1 {
+		return false
+	}
+	ptr, ok := sig.Params().At(0).Type().(*types.Pointer)
+	if !ok {
+		return false
+	}
+	named, isNamed := ptr.Elem().(*types.Named)
+	res, isBasic := sig.Results().At(0).Type().Underlying().(*types.Basic)
+	return isNamed && named.Obj().Name() == "Proc" && isBasic && res.Kind() == types.Bool
 }
 
 // walkHot checks fn's body and recurses into statically resolvable

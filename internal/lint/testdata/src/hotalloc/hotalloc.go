@@ -1,6 +1,6 @@
 // Package hotalloc is the golden-diagnostic fixture for the hotalloc rule:
-// every banned allocation construct appears once in the Tick/Flush call
-// trees, and the sanctioned escapes (panic arguments, audited allows,
+// every banned allocation construct appears once in the Tick/Flush/Step
+// call trees, and the sanctioned escapes (panic arguments, audited allows,
 // functions the roots never reach) stay silent.
 package hotalloc
 
@@ -91,5 +91,26 @@ func (s *Solver) Tick(now Cycle) {
 	_ = now
 }
 
-// cold is never reached from a Tick/Flush root: allocating here is fine.
+// Proc mirrors node.Proc: a Step method taking one *Proc and returning bool
+// is a program's step machine, so it is a root too.
+type Proc struct{ out []Event }
+
+// Machine issues a packet per step; building it with a literal allocates.
+type Machine struct{ sent int }
+
+func (m *Machine) Step(p *Proc) bool {
+	p.out = append(p.out, Event{at: Cycle(m.sent)}) // want `append in hot-path function`
+	m.sent++
+	return true
+}
+
+// Stepper's Step has another shape (no *Proc), so it is not a root.
+type Stepper struct{ buf []int }
+
+func (s *Stepper) Step(n int) bool {
+	s.buf = make([]int, n)
+	return true
+}
+
+// cold is never reached from a Tick/Flush/Step root: allocating here is fine.
 func cold() []int { return make([]int, 8) }

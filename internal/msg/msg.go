@@ -87,6 +87,8 @@ type Block struct {
 }
 
 // Prepare builds the packets for a words-long block from src to dst.
+//
+//lint:allow(hotalloc) a block's packets are the application's data, fresh per transfer: the apps' receivers retire none to a free-list
 func (l *Layer) Prepare(src, dst, words int) Block {
 	l.msgSeq++
 	n := l.cfg.PacketsFor(words)
@@ -130,4 +132,55 @@ func (l *Layer) DrainInto(p *node.Proc, sink func(*packet.Packet)) int {
 		n++
 	}
 	return n
+}
+
+// Drain is DrainInto's step form: a node.Machine that receives every
+// currently pending packet into Sink (nil drops) and ends when none is.
+type Drain struct {
+	Sink func(*packet.Packet)
+	// recv marks a Recv in flight: its packet goes to Sink at the next step.
+	recv bool
+}
+
+// Step implements node.Machine.
+func (d *Drain) Step(p *node.Proc) bool {
+	if d.recv {
+		if pk := p.Received(); d.Sink != nil {
+			d.Sink(pk)
+		}
+	}
+	d.recv = p.HasPending()
+	if d.recv {
+		p.IssueRecv()
+	}
+	return d.recv
+}
+
+// Sender is SendBlock's step form: a node.Machine that sends the block Begin
+// prepared, draining arrivals after every packet, and ends after the last
+// packet's drain.
+type Sender struct {
+	pkts  []*packet.Packet
+	next  int
+	drain Drain
+}
+
+// Begin prepares a words-long block from src to dst for s to send, servicing
+// arrivals through sink (nil drops them).
+func (l *Layer) Begin(s *Sender, src, dst, words int, sink func(*packet.Packet)) {
+	s.pkts, s.next = l.Prepare(src, dst, words).Packets, 0
+	s.drain = Drain{Sink: sink}
+}
+
+// Step implements node.Machine.
+func (s *Sender) Step(p *node.Proc) bool {
+	if s.next > 0 && s.drain.Step(p) {
+		return true
+	}
+	if s.next == len(s.pkts) {
+		return false
+	}
+	p.IssueSend(s.pkts[s.next])
+	s.next++
+	return true
 }

@@ -3,29 +3,39 @@
 // blocking programming interface in which workloads read like the
 // Split-C/CMAM programs that drove the paper's simulator.
 //
-// Programs are goroutines; primitives are engine-side state. Each
-// processor's program runs in its own goroutine, and the goroutine and the
-// engine alternate via a synchronous rendezvous: at most one program runs at
-// any instant, so workload code may freely touch shared workload state
-// without locks. But the loops inside the blocking primitives — Send's
-// arrival service and backpressure retry, Recv's poll misses, Barrier's
-// park-and-service wait, every charged overhead — do not run there. A
-// primitive records what it is waiting for as an operation state on the Proc
-// (opKind plus the packet or barrier it concerns) and hands the baton back;
-// Proc.Tick advances that state in the engine's own goroutine, cycle by
-// cycle, making the NIC calls the CM-5 message layer would make, and resumes
-// the program exactly once, when the primitive returns. Where nothing the
-// processor could do would change anything it sleeps: through a charged
-// overhead until the clock runs it out, and — refused by its NIC with nothing
-// to service, or waiting at a barrier — until the NIC raises one of its two
-// wake edges (nic.NIC.ObserveProc) or the barrier releases. A processor
-// stalled for a thousand cycles behind NIC backpressure therefore costs two
-// TrySend calls, plus one per arrival it services meanwhile, and one
-// goroutine handoff. The callbacks a program passes in
-// (Barrier's handler, RecvOr's predicate) run engine-side too, while their
-// program is blocked: they may touch workload state but must not call a
-// blocking primitive. Reception is by polling only, as in the paper (§3:
-// "only polling message reception is allowed").
+// Programs are step machines; primitives are engine-side state. A program is
+// a Machine: a resumable step function that Proc.Tick calls, in the engine's
+// own goroutine, each time the processor's primitive in progress completes.
+// A step runs the program up to its next primitive, which it issues with one
+// of Proc's Issue methods — the op-setting half of a blocking primitive — and
+// returns. The loops inside the primitives — Send's arrival service and
+// backpressure retry, Recv's poll misses, Barrier's park-and-service wait,
+// every charged overhead — never run in program code: a primitive records
+// what it is waiting for as an operation state on the Proc (opKind plus the
+// packet or barrier it concerns), and Proc.Tick advances that state cycle by
+// cycle, making the NIC calls the CM-5 message layer would make. Where
+// nothing the processor could do would change anything it sleeps: through a
+// charged overhead until the clock runs it out, and — refused by its NIC with
+// nothing to service, or waiting at a barrier — until the NIC raises one of
+// its two wake edges (nic.NIC.ObserveProc) or the barrier releases. A
+// processor stalled for a thousand cycles behind NIC backpressure therefore
+// costs two TrySend calls, plus one per arrival it services meanwhile.
+//
+// A Program — a closure over the blocking forms Send, Recv, RecvOr, Poll,
+// Consume and Barrier — still works: it runs through the closure adapter, a
+// Machine whose step hands the baton to the program's own goroutine and
+// waits for it to issue its next primitive, so a closure costs one goroutine
+// handoff per primitive. At most one program runs at any instant, so
+// workload code may touch shared workload state without locks. Proc.Run
+// hands a Machine to the engine from inside a closure: the goroutine parks
+// once for the whole machine, which is how the shipped workloads run two
+// handoffs per processor's lifetime.
+//
+// The callbacks a program passes in (Barrier's handler, RecvOr's predicate)
+// run engine-side while their primitive is in progress: they may touch
+// workload state but must not call or issue a primitive. Reception is by
+// polling only, as in the paper (§3: "only polling message reception is
+// allowed").
 package node
 
 import (
@@ -122,12 +132,26 @@ func (b *Barrier) enlist(a *sim.Activity) {
 
 type abortSentinel struct{}
 
-// Program is a node's application code.
+// Machine is a node's application code as a resumable step function: the
+// firesim endpoint shape, where the constructor is init(), Step is tick() and
+// its false result is done().
+type Machine interface {
+	// Step runs the program from where its last primitive left it up to its
+	// next one, issues that primitive with one of Proc's Issue methods and
+	// reports true; it reports false, issuing nothing, when the program has
+	// ended. It runs in the engine's goroutine, so it must not call a
+	// blocking primitive.
+	Step(p *Proc) bool
+}
+
+// Program is a node's application code as a closure over Proc's blocking
+// primitives. It runs on a goroutine of its own, resumed once per completed
+// primitive; Run hands a Machine to the engine from inside it.
 type Program func(p *Proc)
 
-// opKind is the blocking primitive a processor is inside of: what Tick
-// advances, in the engine's goroutine, while the program goroutine waits for
-// the primitive to return.
+// opKind is the primitive a processor is inside of: what Tick advances, in
+// the engine's goroutine, until the primitive completes and the program takes
+// its next step.
 type opKind uint8
 
 const (
@@ -149,6 +173,16 @@ const (
 	opBarrier
 )
 
+// Work counts what a processor did, exactly: the counts are determined by the
+// seed, so a test can hold them to a ceiling.
+type Work struct {
+	// Handoffs counts the baton passes to a closure Program's goroutine.
+	Handoffs int64
+	// Primitives counts completed primitives, the program's start included:
+	// after each, Tick steps the program to its next one.
+	Primitives int64
+}
+
 // Proc is one simulated processor.
 type Proc struct {
 	id    int
@@ -160,9 +194,15 @@ type Proc struct {
 	busyUntil sim.Cycle
 	now       sim.Cycle
 	done      bool
-	started   bool
+
+	// m is the machine Tick steps: nil before Start, then the closure
+	// adapter g, or the machine a Run inside it handed over, with caller
+	// holding g until that machine ends.
+	m, caller Machine
+	g         goroutine
 	// running is true while the program goroutine holds the baton.
 	running bool
+	work    Work
 
 	// op is the primitive in progress; the fields below are its operands.
 	op opKind
@@ -192,17 +232,9 @@ type Proc struct {
 	// what ends them raises a wake edge in the cycle polling would see it.
 	act sim.Activity
 
-	resume chan sim.Cycle
-	yield  chan struct{}
-	// resumes counts handoffs to the program goroutine; the tests hold it
-	// to one per primitive.
-	resumes uint64
-
 	// inbox holds packets whose receive handlers already ran (and were
 	// charged) while a send was stalled; Poll serves them first, free.
 	inbox ring.Deque[*packet.Packet]
-
-	program Program
 
 	// eng/shard are set by the engine at registration (sim.Binder); Barrier
 	// uses them to defer its release to the engine's tick/flush boundary.
@@ -210,13 +242,55 @@ type Proc struct {
 	shard int
 }
 
+// goroutine is the closure adapter: the Machine that runs a Program on a
+// goroutine of its own. Each Step hands the goroutine the baton and waits
+// until the program issues its next primitive, calls Run or returns.
+type goroutine struct {
+	prog   Program
+	resume chan sim.Cycle
+	yield  chan struct{}
+	exited bool
+}
+
+// Step implements Machine.
+func (g *goroutine) Step(p *Proc) bool {
+	p.work.Handoffs++
+	p.running = true
+	g.resume <- p.now
+	<-g.yield
+	p.running = false
+	return !g.exited
+}
+
+// run is the program goroutine's body.
+func (g *goroutine) run(p *Proc) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(abortSentinel); !ok {
+				panic(r)
+			}
+		}
+		g.exited = true
+		g.yield <- struct{}{}
+	}()
+	g.await()
+	g.prog(p)
+}
+
+// await parks the program goroutine until the engine resumes it, unwinding
+// the program if the processor was stopped instead.
+func (g *goroutine) await() {
+	if <-g.resume < 0 {
+		panic(abortSentinel{})
+	}
+}
+
 // NewProc returns a processor running program on n's NIC. Call Start before
 // the first engine cycle and Stop when the experiment ends.
 func NewProc(id int, n nic.NIC, costs Costs, program Program) *Proc {
 	p := &Proc{
-		id: id, nic: n, costs: costs, program: program,
-		resume: make(chan sim.Cycle),
-		yield:  make(chan struct{}),
+		id: id, nic: n, costs: costs,
+		g: goroutine{prog: program, resume: make(chan sim.Cycle), yield: make(chan struct{})},
 	}
 	// A freshly pollable packet re-runs a processor parked at a barrier or
 	// behind a refused send; so does room for the packet refused.
@@ -233,35 +307,30 @@ func (p *Proc) NIC() nic.NIC { return p.nic }
 // Done reports whether the program has finished.
 func (p *Proc) Done() bool { return p.done }
 
+// Work reports the processor's work counters.
+func (p *Proc) Work() Work { return p.work }
+
 // Start launches the program goroutine (blocked until the first Tick).
 func (p *Proc) Start() {
-	if p.started {
+	if p.m != nil {
 		panic(fmt.Sprintf("proc %d: double Start", p.id))
 	}
-	p.started = true
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(abortSentinel); !ok {
-					panic(r)
-				}
-			}
-			p.done = true
-			p.yield <- struct{}{}
-		}()
-		p.await()
-		p.program(p)
-	}()
+	p.m = &p.g
+	go p.g.run(p)
 }
 
-// Stop aborts the program goroutine if it is still blocked — before its
-// first cycle or inside any primitive. Safe to call after completion.
+// Stop ends the program: a goroutine still blocked — before its first cycle,
+// inside any primitive or inside Run — unwinds. Safe to call after
+// completion.
 func (p *Proc) Stop() {
-	if !p.started || p.done {
+	if p.m == nil || p.done {
 		return
 	}
-	p.resume <- -1
-	<-p.yield
+	p.done = true
+	if !p.g.exited {
+		p.g.resume <- -1
+		<-p.g.yield
+	}
 }
 
 // Activity implements sim.IdleTicker: the processor sleeps through charged
@@ -276,23 +345,33 @@ func (p *Proc) BindEngine(e *sim.Engine, sh int) {
 	p.shard = sh
 }
 
-// Tick implements sim.Ticker: advance the operation in progress and, each
-// time one completes, run the program up to its next blocking primitive.
+// Tick implements sim.Ticker: advance the primitive in progress and, each
+// time one completes, step the program to its next one.
 func (p *Proc) Tick(now sim.Cycle) {
-	if !p.started {
+	if p.m == nil {
 		return
 	}
 	p.now = now
 	for !p.done && p.advance(now) {
-		p.resumes++
-		p.running = true
-		p.resume <- now
-		<-p.yield
-		p.running = false
+		p.work.Primitives++
+		p.done = !p.step()
 	}
 	if p.done {
 		p.act.Sleep(sim.Never)
 	}
+}
+
+// step runs the current machine's next step, reporting false once the
+// program has ended. A machine handed over by Run returns the baton to Run's
+// caller when it ends, within the same step.
+func (p *Proc) step() bool {
+	for !p.m.Step(p) {
+		if p.caller == nil {
+			return false
+		}
+		p.m, p.caller = p.caller, nil
+	}
+	return true
 }
 
 // advance runs the operation in progress as far as cycle now allows. It
@@ -339,9 +418,9 @@ func (p *Proc) advance(now sim.Cycle) bool {
 			}
 		case opRecv:
 			if p.arrival != nil || (p.stop != nil && p.stop()) {
-				p.op = opRun // received and paid for, or told to stop
+				p.op, p.stop = opRun, nil // received and paid for, or told to stop
 			} else if q, ok := p.inbox.PopFront(); ok {
-				p.arrival, p.op = q, opRun
+				p.arrival, p.op, p.stop = q, opRun, nil
 			} else if q, ok := p.nic.Recv(now); ok {
 				p.charge(now, q)
 			} else {
@@ -391,7 +470,7 @@ func (p *Proc) serviceBarrier(now sim.Cycle) bool {
 		p.parked = true
 	}
 	p.parked = false
-	p.op = opRun
+	p.op, p.bar, p.handler = opRun, nil, nil
 	return true
 }
 
@@ -430,26 +509,42 @@ func (p *Proc) handle(q *packet.Packet) {
 	}
 }
 
-// block hands the baton to the engine until the operation the caller set up
-// (or, with none, the charged overhead) completes.
+// issue starts primitive op (opRun for one that is only a charge). A
+// primitive issued while another is in progress can only come from a
+// callback that primitive runs, and would corrupt it; one issued before the
+// last one's packet was taken would shelve that packet as handled.
+func (p *Proc) issue(op opKind) {
+	if p.op != opRun {
+		panic(fmt.Sprintf("proc %d: primitive issued from a Barrier handler or RecvOr predicate", p.id))
+	}
+	if p.arrival != nil {
+		panic(fmt.Sprintf("proc %d: primitive issued before the last one's packet was taken with Received", p.id))
+	}
+	p.op = op
+}
+
+// block hands the baton to the engine until the primitive the caller issued
+// completes.
 func (p *Proc) block() {
 	if !p.running {
-		panic(fmt.Sprintf("proc %d: blocking primitive called from a Barrier handler or RecvOr predicate", p.id))
+		panic(fmt.Sprintf("proc %d: blocking primitive called outside its Program's goroutine (from a Machine, Barrier handler or RecvOr predicate)", p.id))
 	}
-	p.yield <- struct{}{}
-	p.await()
+	p.g.yield <- struct{}{}
+	p.g.await()
 }
 
-// await parks the program goroutine until the engine resumes it, unwinding
-// the program if the processor was stopped instead.
-func (p *Proc) await() {
-	if <-p.resume < 0 {
-		panic(abortSentinel{})
-	}
+// Run runs m engine-side until it ends, then returns. It is a blocking
+// primitive: the program goroutine parks once for the whole of m, however
+// many primitives m issues, and resumes in the cycle m ends in.
+func (p *Proc) Run(m Machine) {
+	p.caller, p.m = p.m, m
+	p.block()
 }
 
-// take returns the packet a completed receive left for the program.
-func (p *Proc) take() *packet.Packet {
+// Received returns the packet the last completed Recv, RecvOr or Poll
+// received, or nil when it got none; a machine calls it in the step after
+// issuing one of them.
+func (p *Proc) Received() *packet.Packet {
 	q := p.arrival
 	p.arrival = nil
 	return q
@@ -469,10 +564,22 @@ func (p *Proc) Alloc() *packet.Packet { return p.nic.Pool().Get() }
 // has handed to Send or retained in its own data structures.
 func (p *Proc) Free(pkt *packet.Packet) { p.nic.Pool().Put(pkt) }
 
+// IssueConsume is Consume's step form.
+func (p *Proc) IssueConsume(n sim.Cycle) {
+	p.issue(opRun)
+	p.spend(p.now, n)
+}
+
 // Consume models n cycles of local computation.
 func (p *Proc) Consume(n sim.Cycle) {
-	p.spend(p.now, n)
+	p.IssueConsume(n)
 	p.block()
+}
+
+// IssueSend is Send's step form.
+func (p *Proc) IssueSend(pkt *packet.Packet) {
+	p.issue(opSendDrain)
+	p.out = pkt
 }
 
 // Send hands pkt to the NIC, charging the software send overhead and
@@ -483,9 +590,21 @@ func (p *Proc) Consume(n sim.Cycle) {
 // arrivals can keep a processor "continually receiving with no chance to
 // send".
 func (p *Proc) Send(pkt *packet.Packet) {
-	p.out = pkt
-	p.op = opSendDrain
+	p.IssueSend(pkt)
 	p.block()
+}
+
+// IssuePoll is Poll's step form; Received returns its packet, or nil on a
+// miss.
+func (p *Proc) IssuePoll() {
+	p.issue(opRun)
+	if pkt, ok := p.inbox.PopFront(); ok {
+		p.arrival = pkt
+	} else if pkt, ok := p.nic.Recv(p.now); ok {
+		p.charge(p.now, pkt)
+	} else {
+		p.spend(p.now, p.costs.Poll)
+	}
 }
 
 // Poll makes one reception attempt: on a hit it charges the receive
@@ -493,16 +612,10 @@ func (p *Proc) Send(pkt *packet.Packet) {
 // Packets whose handlers already ran during a stalled send return first,
 // free.
 func (p *Proc) Poll() (*packet.Packet, bool) {
-	if pkt, ok := p.inbox.PopFront(); ok {
-		return pkt, true
-	}
-	if pkt, ok := p.nic.Recv(p.now); ok {
-		p.charge(p.now, pkt)
-		p.block()
-		return p.take(), true
-	}
-	p.Consume(p.costs.Poll)
-	return nil, false
+	p.IssuePoll()
+	p.block()
+	pkt := p.Received()
+	return pkt, pkt != nil
 }
 
 // TagNeedsReorder marks packets whose receive handler performs software
@@ -530,31 +643,35 @@ func (p *Proc) HasPending() bool {
 	return p.inbox.Len() > 0 || p.nic.Pending() > 0
 }
 
+// IssueRecv is Recv's step form; Received returns its packet.
+func (p *Proc) IssueRecv() { p.issue(opRecv) }
+
 // Recv polls until a packet arrives.
 func (p *Proc) Recv() *packet.Packet {
-	if pkt, ok := p.inbox.PopFront(); ok {
-		return pkt
-	}
-	p.op = opRecv
+	p.IssueRecv()
 	p.block()
-	return p.take()
+	return p.Received()
+}
+
+// IssueRecvOr is RecvOr's step form; Received returns its packet, or nil when
+// stop ended it.
+func (p *Proc) IssueRecvOr(stop func() bool) {
+	p.issue(opRecv)
+	p.stop = stop
 }
 
 // RecvOr polls until a packet arrives or stop, consulted before each poll,
 // returns true; it returns (nil, false) in the latter case.
 func (p *Proc) RecvOr(stop func() bool) (*packet.Packet, bool) {
-	p.stop = stop
-	p.op = opRecv
+	p.IssueRecvOr(stop)
 	p.block()
-	p.stop = nil
-	pkt := p.take()
+	pkt := p.Received()
 	return pkt, pkt != nil
 }
 
-// Barrier joins b, servicing arrivals with handler (which may be nil to
-// drop them) while waiting — a node parked at a barrier must keep pulling
-// packets or it would wedge every sender targeting it.
-func (p *Proc) Barrier(b *Barrier, handler func(*packet.Packet)) {
+// IssueBarrier is Barrier's step form.
+func (p *Proc) IssueBarrier(b *Barrier, handler func(*packet.Packet)) {
+	p.issue(opBarrier)
 	b.mu.Lock()
 	b.arrived++
 	gen := b.gen
@@ -580,7 +697,12 @@ func (p *Proc) Barrier(b *Barrier, handler func(*packet.Packet)) {
 		p.eng.AtBarrier(p.shard, p.now, b.onRelease)
 	}
 	p.bar, p.barGen, p.handler, p.enlisted = b, gen, handler, false
-	p.op = opBarrier
+}
+
+// Barrier joins b, servicing arrivals with handler (which may be nil to
+// drop them) while waiting — a node parked at a barrier must keep pulling
+// packets or it would wedge every sender targeting it.
+func (p *Proc) Barrier(b *Barrier, handler func(*packet.Packet)) {
+	p.IssueBarrier(b, handler)
 	p.block()
-	p.bar, p.handler = nil, nil
 }

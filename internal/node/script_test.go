@@ -288,6 +288,59 @@ func TestCallLogGolden(t *testing.T) {
 	}
 }
 
+// pollMiss is the poll-miss scenario's program as a step machine: the
+// step forms of Recv, RecvOr and Poll, each result taken with Received.
+type pollMiss struct {
+	l    *callLog
+	step int
+}
+
+func (m *pollMiss) Step(p *Proc) bool {
+	mk := mark(m.l, p)
+	switch m.step {
+	case 0:
+		p.IssueRecv()
+	case 1:
+		mk("Recv", fmt.Sprintf("returned pkt=%d", p.Received().ID))
+		p.IssueRecvOr(func() bool { return p.Now() >= 300 })
+	case 2:
+		mk("RecvOr", fmt.Sprintf("returned %v", p.Received() != nil))
+		p.IssuePoll()
+	case 3:
+		mk("Poll", fmt.Sprintf("returned %v", p.Received() != nil))
+		p.IssueRecvOr(func() bool { return false })
+	default:
+		pk := p.Received()
+		mk("RecvOr", fmt.Sprintf("returned pkt=%d %v", pk.ID, pk != nil))
+		return false
+	}
+	m.step++
+	return true
+}
+
+// TestMachineCallLog runs the poll-miss scenario as a step machine handed
+// over by Run: every NIC call and every return must land on the cycle the
+// closure's did (the closure's log is calllog.golden's), with two goroutine
+// handoffs in all.
+func TestMachineCallLog(t *testing.T) {
+	sc := callLogScenarios()[1]
+	if sc.name != "poll-miss" {
+		t.Fatalf("scenario 1 is %q", sc.name)
+	}
+	want, _ := sc.run(t)
+	sc.nics = []*scriptNIC{{arrivals: sc.nics[0].arrivals, reorder: sc.nics[0].reorder}}
+	sc.progs = func(l *callLog) []Program {
+		return []Program{func(p *Proc) { p.Run(&pollMiss{l: l}) }}
+	}
+	got, procs := sc.run(t)
+	if g, w := strings.Join(got.lines, "\n"), strings.Join(want.lines, "\n"); g != w {
+		t.Fatalf("machine call log differs from the closure's:\n got:\n%s\nwant:\n%s", g, w)
+	}
+	if w := procs[0].Work(); w.Handoffs != 2 {
+		t.Errorf("%d handoffs over %d primitives, want 2 (into Run and back)", w.Handoffs, w.Primitives)
+	}
+}
+
 // TestCallLogOnlyDropsFailedRetries is the rule calllog.golden was regenerated
 // under: it is calllog_percycle.golden with lines removed, every removed line
 // is a refused TrySend or an empty Recv, and every one lies inside a stall —
@@ -394,14 +447,14 @@ func TestOneResumePerPrimitive(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var resumes uint64
+			var resumes int64
 			sc := scenario{name: tc.name, nics: tc.nics, max: 5000,
 				progs: func(*callLog) []Program {
 					b := NewBarrier(len(tc.nics))
 					progs := []Program{func(p *Proc) {
-						before := p.resumes
+						before := p.work.Handoffs
 						tc.prim(p, b)
-						resumes = p.resumes - before
+						resumes = p.work.Handoffs - before
 					}}
 					for range tc.nics[1:] {
 						progs = append(progs, func(p *Proc) { tc.others(p, b) })
@@ -457,15 +510,15 @@ func TestStalledSendSleeps(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var resumes uint64
+			var resumes int64
 			var returned sim.Cycle
 			sc := scenario{name: tc.name, max: 10000,
 				nics: []*scriptNIC{{sendFrom: tSend + tc.stall, arrivals: tc.arrivals}},
 				progs: func(*callLog) []Program {
 					return []Program{func(p *Proc) {
-						before := p.resumes
+						before := p.work.Handoffs
 						p.Send(outPkt(100))
-						resumes, returned = p.resumes-before, p.Now()
+						resumes, returned = p.work.Handoffs-before, p.Now()
 					}}
 				}}
 			log, _ := sc.run(t)
@@ -612,32 +665,76 @@ func stalledSender(tb testing.TB, period sim.Cycle) *sim.Engine {
 	return eng
 }
 
+// sender is a step machine that sends pk forever.
+type sender struct{ pk *packet.Packet }
+
+func (m *sender) Step(p *Proc) bool {
+	p.IssueSend(m.pk)
+	return true
+}
+
 // sendingProc returns a hand-ticked processor sending forever into a NIC
-// that always accepts: a Tick every T_send cycles completes one Send and
-// runs the program into the next.
-func sendingProc(tb testing.TB) (*Proc, sim.Cycle) {
+// that always accepts — a closure, or a step machine handed over by Run: a
+// Tick every T_send cycles completes one Send and runs the program into the
+// next.
+func sendingProc(tb testing.TB, machine bool) (*Proc, sim.Cycle) {
 	pk := outPkt(100)
-	p := NewProc(0, &scriptNIC{}, CM5Costs(), func(p *Proc) {
+	prog := func(p *Proc) {
 		for {
 			p.Send(pk)
 		}
-	})
+	}
+	if machine {
+		prog = func(p *Proc) { p.Run(&sender{pk}) }
+	}
+	p := NewProc(0, &scriptNIC{}, CM5Costs(), prog)
 	p.Start()
 	tb.Cleanup(p.Stop)
 	p.Tick(0)
 	return p, CM5Costs().Send
 }
 
+// meeter is barrierPair's program as a step machine.
+type meeter struct {
+	b    *Barrier
+	busy sim.Cycle
+	free func(*packet.Packet)
+	// draining is true from the Consume to the Barrier; recv while a Recv
+	// is in progress.
+	draining, recv bool
+}
+
+func (m *meeter) Step(p *Proc) bool {
+	if m.free == nil {
+		m.free = p.Free // bound once: a method value allocates
+	}
+	if m.recv {
+		p.Free(p.Received())
+	}
+	if !m.draining {
+		m.draining = true
+		p.IssueConsume(m.busy)
+		return true
+	}
+	if m.recv = p.HasPending(); m.recv {
+		p.IssueRecv()
+		return true
+	}
+	m.draining = false
+	p.IssueBarrier(m.b, m.free)
+	return true
+}
+
 // barrierPair returns an engine running two processors that meet at a
 // barrier over and over, servicing (and retiring) an arrival every 97
-// cycles while they wait.
-func barrierPair(tb testing.TB) *sim.Engine {
+// cycles while they wait: closures, or step machines handed over by Run.
+func barrierPair(tb testing.TB, machine bool) *sim.Engine {
 	eng := sim.New()
 	b := NewBarrier(2)
 	for i, busy := range []sim.Cycle{10, 250} {
 		n := &scriptNIC{node: i, every: 97}
 		eng.Register(n)
-		p := NewProc(i, n, CM5Costs(), func(p *Proc) {
+		prog := func(p *Proc) {
 			free := p.Free // bound once: a method value allocates
 			for {
 				p.Consume(busy)
@@ -646,7 +743,11 @@ func barrierPair(tb testing.TB) *sim.Engine {
 				}
 				p.Barrier(b, free)
 			}
-		})
+		}
+		if machine {
+			prog = func(p *Proc) { p.Run(&meeter{b: b, busy: busy}) }
+		}
+		p := NewProc(i, n, CM5Costs(), prog)
 		eng.Register(p)
 		p.Start()
 		tb.Cleanup(p.Stop)
@@ -657,7 +758,8 @@ func barrierPair(tb testing.TB) *sim.Engine {
 
 // TestEngineSideAllocFree is the zero-allocation contract of the engine-side
 // operations: a stalled Send, a completed Send (handoff included) and a
-// barrier generation with serviced arrivals allocate nothing in steady state.
+// barrier generation with serviced arrivals allocate nothing in steady state,
+// whether the program is a closure or a step machine.
 func TestEngineSideAllocFree(t *testing.T) {
 	t.Run("stalled send", func(t *testing.T) {
 		eng := stalledSender(t, 500)
@@ -665,18 +767,27 @@ func TestEngineSideAllocFree(t *testing.T) {
 			t.Errorf("%v allocs per stalled Send", a)
 		}
 	})
-	t.Run("send", func(t *testing.T) {
-		p, now := sendingProc(t)
-		if a := testing.AllocsPerRun(1000, func() { p.Tick(now); now += CM5Costs().Send }); a != 0 {
-			t.Errorf("%v allocs per Send", a)
+	for _, machine := range []bool{false, true} {
+		prefix := ""
+		if machine {
+			prefix = "machine "
 		}
-	})
-	t.Run("barrier", func(t *testing.T) {
-		eng := barrierPair(t)
-		if a := testing.AllocsPerRun(20, func() { eng.Run(1000) }); a != 0 {
-			t.Errorf("%v allocs per 1000 cycles of barrier generations", a)
-		}
-	})
+		t.Run(prefix+"send", func(t *testing.T) {
+			p, now := sendingProc(t, machine)
+			if a := testing.AllocsPerRun(1000, func() { p.Tick(now); now += CM5Costs().Send }); a != 0 {
+				t.Errorf("%v allocs per Send", a)
+			}
+			if w := p.Work(); machine && w.Handoffs != 1 {
+				t.Errorf("%d handoffs over %d primitives, want 1 (into Run)", w.Handoffs, w.Primitives)
+			}
+		})
+		t.Run(prefix+"barrier", func(t *testing.T) {
+			eng := barrierPair(t, machine)
+			if a := testing.AllocsPerRun(20, func() { eng.Run(1000) }); a != 0 {
+				t.Errorf("%v allocs per 1000 cycles of barrier generations", a)
+			}
+		})
+	}
 }
 
 // BenchmarkProcStalledSend is the cost of one Send stalled behind NIC
@@ -697,13 +808,18 @@ func BenchmarkProcStalledSend(b *testing.B) {
 }
 
 // BenchmarkProcSend is the cost of one completed Send: the engine-side
-// states plus the one goroutine handoff that returns to the program.
+// states plus, for a closure, the one goroutine handoff that returns to the
+// program; a step machine's Step is a method call.
 func BenchmarkProcSend(b *testing.B) {
-	p, now := sendingProc(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Tick(now)
-		now += CM5Costs().Send
+	for _, form := range []string{"closure", "machine"} {
+		b.Run(form, func(b *testing.B) {
+			p, now := sendingProc(b, form == "machine")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.Tick(now)
+				now += CM5Costs().Send
+			}
+		})
 	}
 }

@@ -112,63 +112,137 @@ func NewGen(cfg Config, ids *packet.IDSource) *Gen {
 	return &Gen{cfg: cfg, bar: node.NewBarrier(cfg.Nodes)}
 }
 
-// Program returns node n's program.
+// Program returns node n's program: its step machine, run engine-side.
 func (g *Gen) Program(n int) node.Program {
-	cfg := g.cfg
-	r := rng.NewStream(cfg.Seed, uint64(n))
-	ids := packet.NewNodeIDs(n)
-	var msgSeq uint64
-	weights := make([]int, len(cfg.Lengths))
-	for i, l := range cfg.Lengths {
+	weights := make([]int, len(g.cfg.Lengths))
+	for i, l := range g.cfg.Lengths {
 		weights[i] = l.Weight
 	}
-	return func(p *node.Proc) {
-		for phase := 0; phase < cfg.Phases; phase++ {
-			sending := r.Float64() < cfg.SendProb
-			if sending {
-				sent := 0
-				for sent < cfg.PacketsPerPhase {
-					if cfg.IgnoreProb > 0 && r.Float64() < cfg.IgnoreProb {
-						// Non-responsive period: neither send nor pull.
-						p.Consume(cfg.IgnoreLen)
-					}
-					dst := r.Intn(cfg.Nodes - 1)
-					if dst >= n {
-						dst++
-					}
-					if cfg.HotspotProb > 0 && cfg.HotspotNode != n && r.Float64() < cfg.HotspotProb {
-						dst = cfg.HotspotNode
-					}
-					length := cfg.Lengths[r.Pick(weights)].Packets
-					msgSeq++
-					msg := uint64(n)<<32 | msgSeq
-					bulk := cfg.BulkThreshold > 0 && length >= cfg.BulkThreshold
-					for i := 0; i < length; i++ {
-						// Outgoing packets come from the node's free-list;
-						// they are retired back into the receiving node's
-						// list below, so saturated phases run allocation-free.
-						pk := p.Alloc()
-						pk.ID = ids.Next()
-						pk.Src = n
-						pk.Dst = dst
-						pk.Words = cfg.Words
-						pk.BulkReq = bulk && i < length-1
-						pk.Meta = packet.Meta{MsgID: msg, Index: i, Total: length}
-						p.Send(pk)
-						sent++
-						// Service arrivals between sends so other senders'
-						// packets do not rot in the arrivals queue. The
-						// generator is a sink: a pulled packet is dead, so
-						// retire it.
-						for p.HasPending() {
-							p.Free(p.Recv())
-						}
-					}
-				}
+	m := &genMachine{
+		cfg: &g.cfg, bar: g.bar, n: n, weights: weights,
+		r: rng.NewStream(g.cfg.Seed, uint64(n)), ids: packet.NewNodeIDs(n),
+	}
+	return func(p *node.Proc) { p.Run(m) }
+}
+
+// genPC is where a genMachine resumes.
+type genPC uint8
+
+const (
+	genStart   genPC = iota // the program begins
+	genPhase                // a phase begins, or the program ends
+	genMessage              // the quota check, then a message begins
+	genDraw                 // the message's draws, after any non-responsive period
+	genPacket               // the message's next packet is sent
+	genDrain                // arrivals are serviced between sends
+	genRetire               // a serviced arrival is retired
+)
+
+// genMachine is one node's program: phases of messages blasted as fast as
+// possible, each phase ended by the shared barrier.
+type genMachine struct {
+	cfg     *Config
+	bar     *node.Barrier
+	n       int
+	weights []int
+	r       *rng.Source
+	ids     *packet.IDSource
+	// free is the barrier's handler, bound once.
+	free func(*packet.Packet)
+
+	pc     genPC
+	phase  int
+	sent   int
+	msgSeq uint64
+	// dst, length, msg and bulk describe the message being sent; i is its
+	// next packet.
+	dst, length, i int
+	msg            uint64
+	bulk           bool
+}
+
+// Step implements node.Machine.
+func (m *genMachine) Step(p *node.Proc) bool {
+	cfg := m.cfg
+	for {
+		switch m.pc {
+		case genStart:
+			m.free = p.Free
+			m.pc = genPhase
+		case genPhase:
+			if m.phase == cfg.Phases {
+				return false
 			}
-			// Bulk-synchronous phase end: wait for everyone, servicing
-			// (and retiring) arrivals while parked.
-			p.Barrier(g.bar, p.Free)
+			m.phase++
+			if m.r.Float64() < cfg.SendProb {
+				m.sent = 0
+				m.pc = genMessage
+				continue
+			}
+			p.IssueBarrier(m.bar, m.free)
+			return true
+		case genMessage:
+			if m.sent >= cfg.PacketsPerPhase {
+				// Bulk-synchronous phase end: wait for everyone, servicing
+				// (and retiring) arrivals while parked.
+				m.pc = genPhase
+				p.IssueBarrier(m.bar, m.free)
+				return true
+			}
+			m.pc = genDraw
+			if cfg.IgnoreProb > 0 && m.r.Float64() < cfg.IgnoreProb {
+				// Non-responsive period: neither send nor pull.
+				p.IssueConsume(cfg.IgnoreLen)
+				return true
+			}
+		case genDraw:
+			m.dst = m.r.Intn(cfg.Nodes - 1)
+			if m.dst >= m.n {
+				m.dst++
+			}
+			if cfg.HotspotProb > 0 && cfg.HotspotNode != m.n && m.r.Float64() < cfg.HotspotProb {
+				m.dst = cfg.HotspotNode
+			}
+			m.length = cfg.Lengths[m.r.Pick(m.weights)].Packets
+			m.msgSeq++
+			m.msg = uint64(m.n)<<32 | m.msgSeq
+			m.bulk = cfg.BulkThreshold > 0 && m.length >= cfg.BulkThreshold
+			m.i = 0
+			m.pc = genPacket
+		case genPacket:
+			if m.i == m.length {
+				m.pc = genMessage
+				continue
+			}
+			// Outgoing packets come from the node's free-list; they are
+			// retired back into the receiving node's list below, so
+			// saturated phases run allocation-free.
+			pk := p.Alloc()
+			pk.ID = m.ids.Next()
+			pk.Src = m.n
+			pk.Dst = m.dst
+			pk.Words = cfg.Words
+			pk.BulkReq = m.bulk && m.i < m.length-1
+			pk.Meta = packet.Meta{MsgID: m.msg, Index: m.i, Total: m.length}
+			m.i++
+			m.sent++
+			m.pc = genDrain
+			p.IssueSend(pk)
+			return true
+		case genDrain:
+			// Service arrivals between sends so other senders' packets do
+			// not rot in the arrivals queue.
+			if !p.HasPending() {
+				m.pc = genPacket
+				continue
+			}
+			m.pc = genRetire
+			p.IssueRecv()
+			return true
+		case genRetire:
+			// The generator is a sink: a pulled packet is dead.
+			p.Free(p.Received())
+			m.pc = genDrain
 		}
 	}
 }

@@ -68,7 +68,14 @@ type (
 	NICStats = nic.Stats
 	// Proc is a simulated processor running a Program.
 	Proc = node.Proc
-	// Program is per-node application code using Proc's blocking API.
+	// Program is per-node application code as a closure over Proc's
+	// blocking API. It runs through the closure adapter, a goroutine handed
+	// the baton once per completed primitive. Proc.Run(m) hands the engine a
+	// step machine instead — any value with a Step(*Proc) bool method that
+	// issues the next primitive with one of Proc's Issue methods — which the
+	// engine calls once per completed primitive with no goroutine switch:
+	// two handoffs in all, into Run and back. The shipped workloads are such
+	// machines, their Program a call to Run.
 	Program = node.Program
 	// Costs models software send/receive overheads.
 	Costs = node.Costs
@@ -112,7 +119,7 @@ const (
 )
 
 // New assembles a simulation: fabric, one NIC per node, optional processor
-// programs, and statistics hooks. Close it when done to stop program
+// programs, and statistics hooks. Close it when done to stop the programs'
 // goroutines.
 func New(o Options) *System { return harness.Build(o) }
 
