@@ -7,7 +7,6 @@
 //	nifdy-bench -exp t3sweep -net mesh   # parameter sweep for one network
 //	nifdy-bench -exp f2 -cpuprofile cpu.prof   # profile an experiment's hot path
 //	nifdy-bench -exp f2 -memprofile mem.prof   # heap snapshot after it finishes
-//	nifdy-bench -exp f2 -shards 4        # 4 engine shards per flit simulation (bit-identical)
 //	nifdy-bench -exp f2 -mode flow       # Figure 2 on the flow-level twins of each fabric
 //	nifdy-bench -exp fabric              # NIFDY vs PFC/DCQCN/plain under incast, lossless + lossy wires
 //	nifdy-bench -check                   # invariant-monitor fuzz sweep; exit 1 on violation
@@ -20,9 +19,8 @@
 // cycle-accurate reference, "flow" swaps each network for its flow-level
 // twin (same protocol layer, bandwidth-sharing fabric).
 //
-// -shards asks for engine shards per simulation on flit fabrics; each
-// fabric's partition decides how many it gets (at most one per node, one per
-// leaf group on fat trees and butterflies). Flow twins always run serial.
+// Every experiment is a grid of independent simulations, run side by side
+// on one worker pool of NumCPU workers, each simulation serial.
 //
 // Reduced scale (the default) keeps every experiment under roughly a minute
 // on a laptop; -full uses the paper's budgets (Figure 2/3: 1,000,000 cycles;
@@ -45,11 +43,10 @@ import (
 
 // config is what the flags select; each experiment reads what it needs.
 type config struct {
-	full           bool
-	seed           uint64
-	shards, window int
-	net            string          // -net, for t3sweep
-	nets           []nifdy.NetSpec // the figure networks at -mode's fidelity
+	full bool
+	seed uint64
+	net  string          // -net, for t3sweep
+	nets []nifdy.NetSpec // the figure networks at -mode's fidelity
 }
 
 // experiments is the one list of -exp ids: dispatch, the -exp all set, the
@@ -83,7 +80,7 @@ var experiments = []struct {
 	{"f2", true, func(c config) { synthFigure(nifdy.Figure2, c) }},
 	{"f3", true, func(c config) { synthFigure(nifdy.Figure3, c) }},
 	{"f4", true, func(c config) {
-		o := nifdy.Figure4Opts{Seed: c.seed, Shards: c.shards}
+		o := nifdy.Figure4Opts{Seed: c.seed}
 		if c.full {
 			o.Cycles = 1_000_000
 			o.Levels = []int{2, 3, 4}
@@ -124,8 +121,8 @@ var experiments = []struct {
 	{"fabric", false, func(c config) {
 		// Modern-fabric scenario pack (DESIGN.md §10). Reduced scale is
 		// the 9x9/48-way testbed whose shapes match the 17x17/256-way
-		// default (-full); every metric is bit-identical for any -shards.
-		o := nifdy.FabricOpts{Seed: c.seed, Shards: c.shards}
+		// default (-full).
+		o := nifdy.FabricOpts{Seed: c.seed}
 		if !c.full {
 			o.Width, o.Height = 9, 9
 			o.FanIn = 48
@@ -149,10 +146,8 @@ func main() {
 		exp     = flag.String("exp", "all", "experiment ids, comma-separated ("+expIDs()+"), or all")
 		full    = flag.Bool("full", false, "paper-scale budgets instead of reduced")
 		seed    = flag.Uint64("seed", 1995, "experiment seed")
-		shards  = flag.Int("shards", 0, "engine shards per flit simulation for f2/f3/f4 and fabric (0 or 1 = serial, N = up to N shards; flow twins run serial; bit-identical results)")
 		net     = flag.String("net", "mesh", "network for -exp t3sweep (mesh,torus,fattree,sf,cm5,butterfly,multibutterfly,mesh3d)")
 		mode    = flag.String("mode", "flit", "fabric fidelity for f2/f3 (flit,flow)")
-		window  = flag.Int("window", 0, "conservative sync window W in cycles for f2/f3 (0 = default 1; W is a model parameter — delivered counts depend on it)")
 		chk     = flag.Bool("check", false, "run the invariant-monitor fuzz sweep instead of experiments (exit 1 on any violation; -full scales it up)")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile taken after the selected experiments to this file")
@@ -232,7 +227,7 @@ func main() {
 		return
 	}
 
-	c := config{full: *full, seed: *seed, shards: *shards, window: *window, net: *net, nets: modeNets}
+	c := config{full: *full, seed: *seed, net: *net, nets: modeNets}
 	for _, i := range sel {
 		start := time.Now()
 		experiments[i].run(c)
@@ -259,7 +254,7 @@ func modeNetworks(mode string) ([]nifdy.NetSpec, bool) {
 // synthFigure runs Figure 2 or 3 on -mode's networks and prints the table
 // and its chart.
 func synthFigure(fig func(nifdy.SynthOpts) *nifdy.Table, c config) {
-	o := nifdy.SynthOpts{Seed: c.seed, Shards: c.shards, Window: c.window, Networks: c.nets}
+	o := nifdy.SynthOpts{Seed: c.seed, Networks: c.nets}
 	if !c.full {
 		o.Cycles = 150_000
 	}

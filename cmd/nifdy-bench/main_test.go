@@ -11,8 +11,10 @@ import (
 
 // TestExperimentIDs drives the built binary: an unknown id exits 2 with a
 // message that lists every id of the experiments table, as the -exp help
-// does, and the ids and the flag that left with the second bench schema, and
-// the deleted third -mode value, are refused like any other.
+// does, and the ids and the flag that left with the second bench schema, the
+// deleted third -mode value, and the per-simulation -shards and -window
+// flags that left when every experiment became serial cells on one worker
+// pool, are refused like any other.
 func TestExperimentIDs(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "nifdy-bench")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
@@ -38,6 +40,8 @@ func TestExperimentIDs(t *testing.T) {
 	refused("-exp", "scale")
 	refused("-exp", "dist")
 	refused("-mode", "hybrid", "-exp", "t2")
+	refused("-shards", "2", "-exp", "t2")
+	refused("-window", "4", "-exp", "t2")
 	// A deleted flag prints the usage text, whose -exp line is the same list.
 	if usage := refused("-json", "x"); !strings.Contains(usage, expIDs()) {
 		t.Errorf("-exp help does not list the table's ids %s:\n%s", expIDs(), usage)

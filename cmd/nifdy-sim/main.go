@@ -12,7 +12,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"nifdy"
 	"nifdy/internal/harness"
@@ -89,11 +88,6 @@ func main() {
 		Program: func(n int) nifdy.Program { return gen.Program(n) },
 	})
 	defer sys.Close()
-	// One thread per engine shard (one: this engine is serial). Every
-	// processor handoff readies a goroutine, and readying one while another P
-	// idles wakes that P to look for work it never finds: at GOMAXPROCS 2 the
-	// default run takes 3.5 s against 2.6 s at 1.
-	runtime.GOMAXPROCS(sys.Eng.Shards())
 	sys.Eng.Run(*cycles)
 
 	agg0 := sys.AggregateStats()

@@ -132,7 +132,7 @@ type Config struct {
 	DstCapFlits int
 	// ArrCapFlits is the arrival (ejection) buffer per (node, class) in
 	// flits, the analog of the flit interfaces' per-VC eject depth. Zero
-	// selects the iface default (8).
+	// selects topo.IfaceBufFlits.
 	ArrCapFlits int
 	// SolveStride quantizes solver activity in time: drain and landing
 	// events are processed on the next multiple of the stride, so the solver
@@ -168,7 +168,7 @@ func (c *Config) defaults() {
 		c.DstCapFlits = 16
 	}
 	if c.ArrCapFlits <= 0 {
-		c.ArrCapFlits = c.Iface.EffectiveBufFlits()
+		c.ArrCapFlits = topo.IfaceBufFlits
 	}
 	if c.SolveStride <= 0 {
 		c.SolveStride = 1

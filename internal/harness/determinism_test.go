@@ -65,19 +65,19 @@ func TestGoldenDeterminism(t *testing.T) {
 			c := traffic.Heavy(64, seed)
 			c.Phases = 1 << 20
 			return BuildOpts{Net: Mesh2D(), Kind: Plain, Seed: seed,
-				Program: programFromTraffic(c)}
+				Program: traffic.NewGen(c, nil).Program}
 		}},
 		{"mesh-nifdy-heavy", 10_000, func() BuildOpts {
 			c := traffic.Heavy(64, seed)
 			c.Phases = 1 << 20
 			return BuildOpts{Net: Mesh2D(), Kind: NIFDY, Seed: seed,
-				Program: programFromTraffic(c)}
+				Program: traffic.NewGen(c, nil).Program}
 		}},
 		{"fattree-buffers-light", 12_000, func() BuildOpts {
 			c := traffic.Light(64, seed)
 			c.Phases = 1 << 20
 			return BuildOpts{Net: FullFatTree(), Kind: BuffersOnly, Seed: seed,
-				Program: programFromTraffic(c)}
+				Program: traffic.NewGen(c, nil).Program}
 		}},
 		// Light load is where skipping elides the most ticks, and the
 		// heatmap checks the stats sampler's interval sleeps cycle-exactly.
@@ -85,7 +85,7 @@ func TestGoldenDeterminism(t *testing.T) {
 			c := traffic.Light(64, seed)
 			c.Phases = 1 << 20
 			return BuildOpts{Net: FullFatTree(), Kind: NIFDY, Seed: seed,
-				PendingInterval: 500, Program: programFromTraffic(c)}
+				PendingInterval: 500, Program: traffic.NewGen(c, nil).Program}
 		}},
 		// Piggybacked acks exercise the held-ack (due-time) sleep bound.
 		{"cm5-nifdy-piggyback", 12_000, func() BuildOpts {
@@ -93,7 +93,7 @@ func TestGoldenDeterminism(t *testing.T) {
 			c.Phases = 1 << 20
 			return BuildOpts{Net: CM5FatTree(), Kind: NIFDY, Seed: seed,
 				Params:  core.Config{Piggyback: true},
-				Program: programFromTraffic(c)}
+				Program: traffic.NewGen(c, nil).Program}
 		}},
 		// Losses exercise the retransmission-deadline sleep bound: the
 		// timeout (4096) fires well inside the budget on idle units.
@@ -102,7 +102,7 @@ func TestGoldenDeterminism(t *testing.T) {
 			c.Phases = 1 << 20
 			return BuildOpts{Net: Mesh2D(), Kind: NIFDY, Seed: seed, Drop: 0.02,
 				Params:  core.Config{Retransmit: true},
-				Program: programFromTraffic(c)}
+				Program: traffic.NewGen(c, nil).Program}
 		}},
 	}
 	for _, tc := range cases {

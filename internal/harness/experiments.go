@@ -15,9 +15,10 @@ import (
 	"nifdy/internal/traffic"
 )
 
-// runParallel executes independent simulations on up to NumCPU workers.
-// Each simulation is deterministic regardless of its own shard count, so
-// this composes with intra-simulation sharding (SynthOpts.Shards).
+// runParallel executes independent tasks on up to NumCPU workers. Every
+// experiment hands it its whole grid once, through runCells, one serial
+// simulation per task: the cells fill the CPUs, so no simulation shards as
+// well (two shards per cell measured 2 to 2.6 times slower on 2 CPUs).
 func runParallel(tasks []func()) {
 	if len(tasks) == 0 {
 		return
@@ -50,6 +51,54 @@ func runParallel(tasks []func()) {
 	wg.Wait()
 }
 
+// cell is one point of an experiment's grid: a simulation built from opts,
+// run for budget cycles — or, when untilDone, until every program finishes
+// with budget as the bound — then handed to read and closed.
+type cell struct {
+	opts      BuildOpts
+	budget    sim.Cycle
+	untilDone bool
+	read      func(s *Sim)
+}
+
+// run builds, runs, reads and closes the cell's simulation.
+func (c cell) run() {
+	s := Build(c.opts)
+	defer s.Close()
+	if c.untilDone {
+		s.RunUntilDone(c.budget)
+	} else {
+		s.Eng.Run(c.budget)
+	}
+	c.read(s)
+}
+
+// runCells runs one experiment's cells on one worker pool.
+func runCells(cells []cell) {
+	tasks := make([]func(), len(cells))
+	for i := range cells {
+		tasks[i] = cells[i].run
+	}
+	runParallel(tasks)
+}
+
+// accepted reads a cell's delivered packet count into v.
+func accepted(v *int64) func(*Sim) {
+	return func(s *Sim) { *v = s.Accepted() }
+}
+
+// endless returns the generator's programs with the phase count raised so
+// that no program finishes inside a run: the cycle budget binds.
+func endless(t traffic.Config) func(n int) node.Program {
+	t.Phases = 1 << 20
+	return traffic.NewGen(t, nil).Program
+}
+
+// fastCosts are reduced software overheads (the Figure 4 device): the
+// offered load must exceed the fabric's capacity, or every NIC kind would tie
+// at the processor's software send or receive rate.
+var fastCosts = node.Costs{Send: 10, Recv: 14, Poll: 6, ReorderPenalty: 4}
+
 // SynthOpts parameterizes the Figure 2/3 synthetic-traffic experiments.
 type SynthOpts struct {
 	// Cycles is the measurement budget; the paper uses 1,000,000.
@@ -58,21 +107,6 @@ type SynthOpts struct {
 	Seed uint64
 	// Networks defaults to StandardNetworks.
 	Networks []NetSpec
-	// Kinds defaults to {Plain, BuffersOnly, NIFDY}.
-	Kinds []NICKind
-	// Shards is the per-simulation engine shard request (BuildOpts.
-	// EngineShards): 0 and 1 both build the serial engine (measured faster
-	// than two shards on a 2-CPU host), larger values shard flit fabrics
-	// up to what their partition allows; flow twins run serial. Results are
-	// bit-identical for any value.
-	Shards int
-	// Window is the conservative synchronization window W in cycles
-	// (default 1, the paper's model: a boundary after every cycle). W is a
-	// model parameter: channels gain up to W-1 cycles of latency, so
-	// delivered counts depend on it — but for a fixed W they are
-	// bit-identical at every shard count, and W >= 4 amortizes the sharded
-	// engine's barrier.
-	Window int
 }
 
 func (o *SynthOpts) defaults() {
@@ -85,43 +119,25 @@ func (o *SynthOpts) defaults() {
 	if o.Networks == nil {
 		o.Networks = StandardNetworks()
 	}
-	if o.Kinds == nil {
-		o.Kinds = []NICKind{Plain, BuffersOnly, NIFDY}
-	}
 }
 
-// synthRow runs one network across the NIC kinds and returns delivered
-// packet counts in kind order.
-func synthRow(spec NetSpec, kinds []NICKind, mkTraffic func() traffic.Config, cycles sim.Cycle, seed uint64, shards, window int) []int64 {
-	out := make([]int64, len(kinds))
-	tasks := make([]func(), len(kinds))
+// paperKinds are the paper's three NIC configurations (§4.1), in column
+// order: Figures 2 and 3 and the extension studies compare them.
+var paperKinds = []NICKind{Plain, BuffersOnly, NIFDY}
+
+// synthRow returns the cells of one network across the NIC kinds under
+// endless traffic tcfg, each storing its delivered packet count in out, in
+// kind order.
+func synthRow(spec NetSpec, kinds []NICKind, tcfg traffic.Config, cycles sim.Cycle, seed uint64, out []int64) []cell {
+	cells := make([]cell, len(kinds))
 	for ki, kind := range kinds {
-		tasks[ki] = func() {
-			tcfg := mkTraffic()
-			s := Build(BuildOpts{Net: spec, Kind: kind, Seed: seed,
-				EngineShards: shards, Window: window,
-				Program: programFromTraffic(tcfg)})
-			defer s.Close()
-			s.Eng.Run(cycles)
-			out[ki] = s.Accepted()
+		cells[ki] = cell{
+			opts:   BuildOpts{Net: spec, Kind: kind, Seed: seed, Program: endless(tcfg)},
+			budget: cycles,
+			read:   accepted(&out[ki]),
 		}
 	}
-	runParallel(tasks)
-	return out
-}
-
-// programFromTraffic adapts a traffic config into a program factory bound to
-// a fresh generator per simulation.
-func programFromTraffic(tcfg traffic.Config) func(n int) node.Program {
-	var gen *traffic.Gen
-	return func(n int) node.Program {
-		if gen == nil {
-			// The generator needs the sim's ID source only for uniqueness
-			// within the sim; a private source is fine.
-			gen = traffic.NewGen(tcfg, nil)
-		}
-		return gen.Program(n)
-	}
+	return cells
 }
 
 // Figure2 reproduces "packets delivered in 1,000,000 cycles, heavy
@@ -130,11 +146,7 @@ func Figure2(o SynthOpts) *stats.Table {
 	o.defaults()
 	t := stats.NewTable("Figure 2: heavy synthetic traffic — packets delivered in "+itoa64(int64(o.Cycles))+" cycles",
 		"network", "none", "buffers", "NIFDY", "NIFDY/none", "NIFDY/buffers")
-	fillSynth(t, o, func(n int) traffic.Config {
-		c := traffic.Heavy(n, o.Seed)
-		c.Phases = 1 << 20 // effectively unbounded: the cycle budget binds
-		return c
-	})
+	fillSynth(t, o, traffic.Heavy)
 	return t
 }
 
@@ -143,36 +155,22 @@ func Figure3(o SynthOpts) *stats.Table {
 	o.defaults()
 	t := stats.NewTable("Figure 3: light synthetic traffic — packets delivered in "+itoa64(int64(o.Cycles))+" cycles",
 		"network", "none", "buffers", "NIFDY", "NIFDY/none", "NIFDY/buffers")
-	fillSynth(t, o, func(n int) traffic.Config {
-		c := traffic.Light(n, o.Seed)
-		c.Phases = 1 << 20
-		return c
-	})
+	fillSynth(t, o, traffic.Light)
 	return t
 }
 
-func fillSynth(t *stats.Table, o SynthOpts, mk func(nodes int) traffic.Config) {
-	type row struct {
-		name string
-		vals []int64
-	}
-	rows := make([]row, len(o.Networks))
-	tasks := make([]func(), 0, len(o.Networks))
+func fillSynth(t *stats.Table, o SynthOpts, load func(nodes int, seed uint64) traffic.Config) {
+	rows := make([][]int64, len(o.Networks))
+	var cells []cell
 	for i, spec := range o.Networks {
-		tasks = append(tasks, func() {
-			nodes := spec.Build(o.Seed, topo.IfaceOptions{}).Nodes()
-			vals := synthRow(spec, o.Kinds, func() traffic.Config { return mk(nodes) }, o.Cycles, o.Seed, o.Shards, o.Window)
-			rows[i] = row{spec.Name, vals}
-		})
+		rows[i] = make([]int64, len(paperKinds))
+		nodes := spec.Build(o.Seed, topo.IfaceOptions{}).Nodes()
+		cells = append(cells, synthRow(spec, paperKinds, load(nodes, o.Seed), o.Cycles, o.Seed, rows[i])...)
 	}
-	runParallel(tasks)
-	for _, r := range rows {
-		cells := []any{r.name}
-		for _, v := range r.vals {
-			cells = append(cells, v)
-		}
-		cells = append(cells, ratio(r.vals[2], r.vals[0]), ratio(r.vals[2], r.vals[1]))
-		t.Row(cells...)
+	runCells(cells)
+	for i, spec := range o.Networks {
+		v := rows[i]
+		t.Row(spec.Name, v[0], v[1], v[2], ratio(v[2], v[0]), ratio(v[2], v[1]))
 	}
 }
 
@@ -184,9 +182,6 @@ type Figure4Opts struct {
 	Seed   uint64
 	Levels []int // tree sizes as 4^level; default {2,3}
 	Sweep  []int // parameter values; default {2,4,8,16}
-	// Shards is the per-simulation engine shard count: 0 and 1 are the
-	// serial engine. Bit-identical for any value.
-	Shards int
 }
 
 func (o *Figure4Opts) defaults() {
@@ -213,13 +208,6 @@ func (o *Figure4Opts) defaults() {
 // fabric's capacity at every machine size.
 func Figure4(o Figure4Opts) (varyB, varyO *stats.Table) {
 	o.defaults()
-	fastCosts := node.Costs{Send: 10, Recv: 14, Poll: 6, ReorderPenalty: 4}
-	mkTraffic := func(nodes int) traffic.Config {
-		c := traffic.Heavy(nodes, o.Seed)
-		c.Phases = 1 << 20
-		c.BulkThreshold = 0 // no bulk dialogs
-		return c
-	}
 	headers := []string{"nodes"}
 	for _, v := range o.Sweep {
 		headers = append(headers, "v="+itoa64(int64(v)))
@@ -227,48 +215,42 @@ func Figure4(o Figure4Opts) (varyB, varyO *stats.Table) {
 	varyB = stats.NewTable("Figure 4a: normalized throughput vs pool size B (O=8, full fat tree)", headers...)
 	varyO = stats.NewTable("Figure 4b: normalized throughput vs OPT size O (B=8, full fat tree)", headers...)
 
-	for _, lvl := range o.Levels {
+	// Per tree size: the plain baseline, then each swept value as B and as O.
+	type level struct {
+		nodes int
+		base  int64
+		b, o  []int64
+	}
+	levels := make([]level, len(o.Levels))
+	var cells []cell
+	for li, lvl := range o.Levels {
+		l := &levels[li]
+		l.nodes = 1 << (2 * uint(lvl)) // 4^lvl
+		l.b, l.o = make([]int64, len(o.Sweep)), make([]int64, len(o.Sweep))
 		spec := FatTreeSized(lvl)
-		nodes := 1 << (2 * uint(lvl)) // 4^lvl
-		var base int64
-		{
-			tcfg := mkTraffic(nodes)
-			s := Build(BuildOpts{Net: spec, Kind: Plain, Seed: o.Seed, Costs: fastCosts,
-				EngineShards: o.Shards,
-				Program:      programFromTraffic(tcfg)})
-			s.Eng.Run(o.Cycles)
-			base = s.Accepted()
-			s.Close()
-		}
-		rowB := []any{nodes}
-		rowO := []any{nodes}
-		type res struct{ b, o int64 }
-		results := make([]res, len(o.Sweep))
-		tasks := []func(){}
-		for vi, v := range o.Sweep {
-			tasks = append(tasks, func() {
-				tb := mkTraffic(nodes)
-				sb := Build(BuildOpts{Net: spec, Kind: NIFDY, Seed: o.Seed, Costs: fastCosts,
-					Params:       core.Config{O: 8, B: v, D: -1, W: 2},
-					EngineShards: o.Shards,
-					Program:      programFromTraffic(tb)})
-				sb.Eng.Run(o.Cycles)
-				results[vi].b = sb.Accepted()
-				sb.Close()
-				to := mkTraffic(nodes)
-				so := Build(BuildOpts{Net: spec, Kind: NIFDY, Seed: o.Seed, Costs: fastCosts,
-					Params:       core.Config{O: v, B: 8, D: -1, W: 2},
-					EngineShards: o.Shards,
-					Program:      programFromTraffic(to)})
-				so.Eng.Run(o.Cycles)
-				results[vi].o = so.Accepted()
-				so.Close()
+		add := func(kind NICKind, params core.Config, out *int64) {
+			tcfg := traffic.Heavy(l.nodes, o.Seed)
+			tcfg.BulkThreshold = 0 // no bulk dialogs
+			cells = append(cells, cell{
+				opts: BuildOpts{Net: spec, Kind: kind, Seed: o.Seed, Costs: fastCosts,
+					Params: params, Program: endless(tcfg)},
+				budget: o.Cycles,
+				read:   accepted(out),
 			})
 		}
-		runParallel(tasks)
-		for _, r := range results {
-			rowB = append(rowB, ratio(r.b, base))
-			rowO = append(rowO, ratio(r.o, base))
+		add(Plain, core.Config{}, &l.base)
+		for vi, v := range o.Sweep {
+			add(NIFDY, core.Config{O: 8, B: v, D: -1, W: 2}, &l.b[vi])
+			add(NIFDY, core.Config{O: v, B: 8, D: -1, W: 2}, &l.o[vi])
+		}
+	}
+	runCells(cells)
+	for _, l := range levels {
+		rowB := []any{l.nodes}
+		rowO := []any{l.nodes}
+		for vi := range o.Sweep {
+			rowB = append(rowB, ratio(l.b[vi], l.base))
+			rowO = append(rowO, ratio(l.o[vi], l.base))
 		}
 		varyB.Row(rowB...)
 		varyO.Row(rowO...)
@@ -336,34 +318,32 @@ func (o *CShiftOpts) defaults() {
 	}
 }
 
-// cshiftRun runs one C-shift configuration, returning completion cycles,
-// total packets, total payload words moved, and the pending heatmap.
-func cshiftRun(o CShiftOpts, kind NICKind, barriers, inOrder bool) (sim.Cycle, int, int, string) {
-	spec := CM5Sized(o.Levels)
+// cshiftResult is one C-shift cell's outcome.
+type cshiftResult struct {
+	cycles  sim.Cycle // completion cycle, or the bound
+	packets int       // packets sent
+	words   int       // payload words moved
+	heatmap string    // pending packets per receiver over time
+}
+
+// cshiftCell is one C-shift configuration, run to completion.
+func cshiftCell(o CShiftOpts, kind NICKind, barriers, inOrder bool, r *cshiftResult) cell {
 	nodes := 1 << (2 * uint(o.Levels))
-	var app *cshift.App
-	s := Build(BuildOpts{
-		Net: spec, Kind: kind, Seed: o.Seed, PendingInterval: o.Samples,
-		Program: func(n int) node.Program {
-			if app == nil {
-				app = cshift.New(cshift.Config{
-					Nodes:      nodes,
-					BlockWords: o.BlockWords,
-					Barriers:   barriers,
-					InOrder:    inOrder,
-					Bulk:       kind == NIFDY,
-				}, nil)
-			}
-			return app.Program(n)
+	app := cshift.New(cshift.Config{
+		Nodes:      nodes,
+		BlockWords: o.BlockWords,
+		Barriers:   barriers,
+		InOrder:    inOrder,
+		Bulk:       kind == NIFDY,
+	}, nil)
+	return cell{
+		opts: BuildOpts{Net: CM5Sized(o.Levels), Kind: kind, Seed: o.Seed,
+			PendingInterval: o.Samples, Program: app.Program},
+		budget: o.MaxCycles, untilDone: true,
+		read: func(s *Sim) {
+			*r = cshiftResult{s.Eng.Now(), app.TotalPackets(), nodes * (nodes - 1) * o.BlockWords, s.Pending.Heatmap()}
 		},
-	})
-	defer s.Close()
-	ok, end := s.RunUntilDone(o.MaxCycles)
-	if !ok {
-		end = o.MaxCycles
 	}
-	payload := nodes * (nodes - 1) * o.BlockWords
-	return end, app.TotalPackets(), payload, s.Pending.Heatmap()
 }
 
 // Figure5 reproduces the congestion heatmaps: pending packets per receiver
@@ -373,12 +353,12 @@ func cshiftRun(o CShiftOpts, kind NICKind, barriers, inOrder bool) (sim.Cycle, i
 // blocked send call, matching the paper's network-resident packet counts.
 func Figure5(o CShiftOpts) (without, with string) {
 	o.defaults()
-	var w1, w2 string
-	runParallel([]func(){
-		func() { _, _, _, w1 = cshiftRun(o, BuffersOnly, false, false) },
-		func() { _, _, _, w2 = cshiftRun(o, NIFDY, false, true) },
+	var w1, w2 cshiftResult
+	runCells([]cell{
+		cshiftCell(o, BuffersOnly, false, false, &w1),
+		cshiftCell(o, NIFDY, false, true, &w2),
 	})
-	return w1, w2
+	return w1.heatmap, w2.heatmap
 }
 
 // Figure6 reproduces the C-shift throughput comparison. Throughput is
@@ -401,23 +381,15 @@ func Figure6(o CShiftOpts) *stats.Table {
 		{"NIFDY- (flow control only)", NIFDY, false, false},
 		{"NIFDY (in-order exploited)", NIFDY, false, true},
 	}
-	type res struct {
-		cyc   sim.Cycle
-		pkts  int
-		words int
-	}
-	results := make([]res, len(cfgs))
-	tasks := []func(){}
+	results := make([]cshiftResult, len(cfgs))
+	cells := make([]cell, len(cfgs))
 	for i, c := range cfgs {
-		tasks = append(tasks, func() {
-			cyc, pkts, words, _ := cshiftRun(o, c.kind, c.barriers, c.inOrd)
-			results[i] = res{cyc, pkts, words}
-		})
+		cells[i] = cshiftCell(o, c.kind, c.barriers, c.inOrd, &results[i])
 	}
-	runParallel(tasks)
+	runCells(cells)
 	for i, c := range cfgs {
 		r := results[i]
-		t.Row(c.name, r.cyc, r.pkts, r.words, 1000*float64(r.words)/float64(r.cyc))
+		t.Row(c.name, r.cycles, r.packets, r.words, 1000*float64(r.words)/float64(r.cycles))
 	}
 	return t
 }
@@ -464,12 +436,11 @@ func EM3D(o EM3DOpts) *stats.Table {
 		title = "Figure 8: EM3D cycles/iteration (heavy communication)"
 	}
 	t := stats.NewTable(title, "network", "none", "buffers", "NIFDY-", "NIFDY")
-	type res [4]sim.Cycle
-	results := make([]res, len(o.Networks))
-	var tasks []func()
+	results := make([][4]sim.Cycle, len(o.Networks))
+	var cells []cell
 	for i, spec := range o.Networks {
-		run := func(kind NICKind, inOrder bool) sim.Cycle {
-			nodes := spec.Build(o.Seed, topo.IfaceOptions{}).Nodes()
+		nodes := spec.Build(o.Seed, topo.IfaceOptions{}).Nodes()
+		add := func(kind NICKind, inOrder bool, out *sim.Cycle) {
 			cfg := em3d.Light(nodes, o.Seed)
 			if o.Heavy {
 				cfg = em3d.Heavy(nodes, o.Seed)
@@ -481,29 +452,19 @@ func EM3D(o EM3DOpts) *stats.Table {
 			cfg.Iters = o.Iters
 			cfg.InOrder = inOrder
 			cfg.Bulk = kind == NIFDY
-			var app *em3d.App
-			s := Build(BuildOpts{Net: spec, Kind: kind, Seed: o.Seed,
-				Program: func(n int) node.Program {
-					if app == nil {
-						app = em3d.New(cfg, nil)
-					}
-					return app.Program(n)
-				}})
-			defer s.Close()
-			ok, end := s.RunUntilDone(o.MaxCycles)
-			if !ok {
-				end = o.MaxCycles
-			}
-			return end / sim.Cycle(o.Iters)
+			cells = append(cells, cell{
+				opts:   BuildOpts{Net: spec, Kind: kind, Seed: o.Seed, Program: em3d.New(cfg, nil).Program},
+				budget: o.MaxCycles, untilDone: true,
+				read: func(s *Sim) { *out = s.Eng.Now() / sim.Cycle(o.Iters) },
+			})
 		}
-		tasks = append(tasks,
-			func() { results[i][0] = run(Plain, spec.InOrderFabric) },
-			func() { results[i][1] = run(BuffersOnly, spec.InOrderFabric) },
-			func() { results[i][2] = run(NIFDY, spec.InOrderFabric) }, // NIFDY-: generic library unless fabric is in-order anyway
-			func() { results[i][3] = run(NIFDY, true) },
-		)
+		r := &results[i]
+		add(Plain, spec.InOrderFabric, &r[0])
+		add(BuffersOnly, spec.InOrderFabric, &r[1])
+		add(NIFDY, spec.InOrderFabric, &r[2]) // NIFDY-: generic library unless fabric is in-order anyway
+		add(NIFDY, true, &r[3])
 	}
-	runParallel(tasks)
+	runCells(cells)
 	for i, spec := range o.Networks {
 		r := results[i]
 		t.Row(spec.Name, r[0], r[1], r[2], r[3])
@@ -515,12 +476,14 @@ func EM3D(o EM3DOpts) *stats.Table {
 
 // RadixOpts parameterizes the radix-sort experiments.
 type RadixOpts struct {
-	Nodes     int       // default 64
-	Buckets   int       // default 256 (8-bit radix)
-	Delay     sim.Cycle // inter-send delay for the "with delay" variant; default 60
+	Nodes     int // default 64
+	Buckets   int // default 256 (8-bit radix)
 	Seed      uint64
 	MaxCycles sim.Cycle // default 20,000,000
 }
+
+// radixDelay is the inter-send delay of Figure 9's "with delay" variant.
+const radixDelay sim.Cycle = 60
 
 func (o *RadixOpts) defaults() {
 	if o.Nodes == 0 {
@@ -529,14 +492,27 @@ func (o *RadixOpts) defaults() {
 	if o.Buckets == 0 {
 		o.Buckets = 256
 	}
-	if o.Delay == 0 {
-		o.Delay = 60
-	}
 	if o.Seed == 0 {
 		o.Seed = 1995
 	}
 	if o.MaxCycles == 0 {
 		o.MaxCycles = 20_000_000
+	}
+}
+
+// radixCell runs one radix phase to completion: prog on the first o.Nodes
+// nodes, none on the rest of the fabric.
+func radixCell(o RadixOpts, spec NetSpec, kind NICKind, prog func(int) node.Program, end *sim.Cycle) cell {
+	return cell{
+		opts: BuildOpts{Net: spec, Kind: kind, Seed: o.Seed,
+			Program: func(n int) node.Program {
+				if n >= o.Nodes {
+					return nil // pipeline shorter than the fabric
+				}
+				return prog(n)
+			}},
+		budget: o.MaxCycles, untilDone: true,
+		read: func(s *Sim) { *end = s.Eng.Now() },
 	}
 }
 
@@ -547,38 +523,19 @@ func Figure9(o RadixOpts) *stats.Table {
 	t := stats.NewTable("Figure 9: radix sort scan phase (cycles)",
 		"network", "none/no delay", "none/delay", "NIFDY/no delay", "NIFDY/delay")
 	specs := []NetSpec{FullFatTree(), CM5FatTree(), SFFatTree()}
-	type res [4]sim.Cycle
-	results := make([]res, len(specs))
-	var tasks []func()
+	variants := []struct {
+		kind  NICKind
+		delay sim.Cycle
+	}{{Plain, 0}, {Plain, radixDelay}, {NIFDY, 0}, {NIFDY, radixDelay}}
+	results := make([][4]sim.Cycle, len(specs))
+	var cells []cell
 	for i, spec := range specs {
-		run := func(kind NICKind, delay sim.Cycle) sim.Cycle {
-			cfg := radix.Config{Nodes: o.Nodes, Buckets: o.Buckets, Delay: delay, Seed: o.Seed}
-			var app *radix.App
-			s := Build(BuildOpts{Net: spec, Kind: kind, Seed: o.Seed,
-				Program: func(n int) node.Program {
-					if n >= o.Nodes {
-						return nil // scan pipeline shorter than the fabric
-					}
-					if app == nil {
-						app = radix.New(cfg, nil)
-					}
-					return app.ScanProgram(n)
-				}})
-			defer s.Close()
-			ok, end := s.RunUntilDone(o.MaxCycles)
-			if !ok {
-				end = o.MaxCycles
-			}
-			return end
+		for j, v := range variants {
+			app := radix.New(radix.Config{Nodes: o.Nodes, Buckets: o.Buckets, Delay: v.delay, Seed: o.Seed}, nil)
+			cells = append(cells, radixCell(o, spec, v.kind, app.ScanProgram, &results[i][j]))
 		}
-		tasks = append(tasks,
-			func() { results[i][0] = run(Plain, 0) },
-			func() { results[i][1] = run(Plain, o.Delay) },
-			func() { results[i][2] = run(NIFDY, 0) },
-			func() { results[i][3] = run(NIFDY, o.Delay) },
-		)
 	}
-	runParallel(tasks)
+	runCells(cells)
 	for i, spec := range specs {
 		r := results[i]
 		t.Row(spec.Name, r[0], r[1], r[2], r[3])
@@ -592,28 +549,13 @@ func RadixCoalesce(o RadixOpts) *stats.Table {
 	o.defaults()
 	t := stats.NewTable("Radix sort coalesce phase (cycles)", "network", "none", "NIFDY")
 	spec := FullFatTree()
-	run := func(kind NICKind) sim.Cycle {
-		cfg := radix.Config{Nodes: o.Nodes, Buckets: o.Buckets, Seed: o.Seed}
-		var app *radix.App
-		s := Build(BuildOpts{Net: spec, Kind: kind, Seed: o.Seed,
-			Program: func(n int) node.Program {
-				if n >= o.Nodes {
-					return nil
-				}
-				if app == nil {
-					app = radix.New(cfg, nil)
-				}
-				return app.CoalesceProgram(n)
-			}})
-		defer s.Close()
-		ok, end := s.RunUntilDone(o.MaxCycles)
-		if !ok {
-			end = o.MaxCycles
-		}
-		return end
+	var ends [2]sim.Cycle
+	cells := make([]cell, 2)
+	for i, kind := range []NICKind{Plain, NIFDY} {
+		app := radix.New(radix.Config{Nodes: o.Nodes, Buckets: o.Buckets, Seed: o.Seed}, nil)
+		cells[i] = radixCell(o, spec, kind, app.CoalesceProgram, &ends[i])
 	}
-	var a, b sim.Cycle
-	runParallel([]func(){func() { a = run(Plain) }, func() { b = run(NIFDY) }})
-	t.Row(spec.Name, a, b)
+	runCells(cells)
+	t.Row(spec.Name, ends[0], ends[1])
 	return t
 }

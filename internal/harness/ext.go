@@ -14,9 +14,11 @@ type LossyOpts struct {
 	Drops     []float64 // drop probabilities; default {0, 0.01, 0.05, 0.1}
 	Seed      uint64
 	Messages  int       // messages per node; default 20
-	Timeout   sim.Cycle // retransmission timeout; default 3000
 	MaxCycles sim.Cycle // default 40,000,000
 }
+
+// lossyTimeout is ExtLossy's retransmission timeout.
+const lossyTimeout sim.Cycle = 3000
 
 func (o *LossyOpts) defaults() {
 	if o.Drops == nil {
@@ -27,9 +29,6 @@ func (o *LossyOpts) defaults() {
 	}
 	if o.Messages == 0 {
 		o.Messages = 20
-	}
-	if o.Timeout == 0 {
-		o.Timeout = 3000
 	}
 	if o.MaxCycles == 0 {
 		o.MaxCycles = 40_000_000
@@ -49,44 +48,43 @@ func ExtLossy(o LossyOpts) *stats.Table {
 		done                  bool
 	}
 	results := make([]res, len(o.Drops))
-	tasks := make([]func(), len(o.Drops))
+	cells := make([]cell, len(o.Drops))
 	for i, dp := range o.Drops {
-		tasks[i] = func() {
-			spec := Mesh2D()
-			tcfg := traffic.Heavy(64, o.Seed)
-			tcfg.Phases = 1
-			tcfg.PacketsPerPhase = o.Messages
-			s := Build(BuildOpts{
-				Net: spec, Kind: NIFDY, Seed: o.Seed, Drop: dp,
-				Params:  core.Config{O: 4, B: 4, D: 1, W: 2, Retransmit: true, RetransmitTimeout: o.Timeout},
-				Program: programFromTraffic(tcfg),
-			})
-			defer s.Close()
-			done, _ := s.RunUntilDone(o.MaxCycles)
-			// Programs finish when their last packet enters the NIC; keep
-			// the receivers pulling until every retransmission lands and the
-			// NICs drain, so "delivered" really means exactly-once delivery
-			// of everything sent.
-			drained := s.Eng.RunUntil(func() bool {
-				now := s.Eng.Now()
-				idle := true
-				for _, nc := range s.NICs {
-					for {
-						if _, ok := nc.Recv(now); !ok {
-							break
+		tcfg := traffic.Heavy(64, o.Seed)
+		tcfg.Phases = 1
+		tcfg.PacketsPerPhase = o.Messages
+		cells[i] = cell{
+			opts: BuildOpts{Net: Mesh2D(), Kind: NIFDY, Seed: o.Seed, Drop: dp,
+				Params:  core.Config{O: 4, B: 4, D: 1, W: 2, Retransmit: true, RetransmitTimeout: lossyTimeout},
+				Program: traffic.NewGen(tcfg, nil).Program},
+			budget: o.MaxCycles, untilDone: true,
+			read: func(s *Sim) {
+				done := s.Done()
+				// Programs finish when their last packet enters the NIC; keep
+				// the receivers pulling until every retransmission lands and
+				// the NICs drain, so "delivered" really means exactly-once
+				// delivery of everything sent.
+				drained := s.Eng.RunUntil(func() bool {
+					now := s.Eng.Now()
+					idle := true
+					for _, nc := range s.NICs {
+						for {
+							if _, ok := nc.Recv(now); !ok {
+								break
+							}
+						}
+						if !nc.Idle() {
+							idle = false
 						}
 					}
-					if !nc.Idle() {
-						idle = false
-					}
-				}
-				return idle
-			}, o.MaxCycles)
-			agg := s.AggregateStats()
-			results[i] = res{s.Eng.Now(), agg.Sent, agg.Accepted, agg.Retransmits, agg.Duplicates, done && drained}
+					return idle
+				}, o.MaxCycles)
+				agg := s.AggregateStats()
+				results[i] = res{s.Eng.Now(), agg.Sent, agg.Accepted, agg.Retransmits, agg.Duplicates, done && drained}
+			},
 		}
 	}
-	runParallel(tasks)
+	runCells(cells)
 	for i, dp := range o.Drops {
 		r := results[i]
 		t.Row(dp, r.cyc, r.sent, r.acc, r.retx, r.dups, r.done)
@@ -107,6 +105,16 @@ func (o *AckOpts) defaults() {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1995
+	}
+}
+
+// trafficCell is one cell of the AckOpts studies: endless traffic tcfg on
+// spec for o.Cycles.
+func trafficCell(o AckOpts, spec NetSpec, kind NICKind, params core.Config, tcfg traffic.Config, read func(*Sim)) cell {
+	return cell{
+		opts:   BuildOpts{Net: spec, Kind: kind, Seed: o.Seed, Params: params, Program: endless(tcfg)},
+		budget: o.Cycles,
+		read:   read,
 	}
 }
 
@@ -137,20 +145,14 @@ func ExtAckStrategies(o AckOpts) *stats.Table {
 	}
 	type res struct{ acc, acks int64 }
 	results := make([]res, len(variants))
-	tasks := make([]func(), len(variants))
+	cells := make([]cell, len(variants))
 	for i, v := range variants {
-		tasks[i] = func() {
-			tcfg := traffic.Heavy(64, o.Seed)
-			tcfg.Phases = 1 << 20
-			s := Build(BuildOpts{Net: spec, Kind: NIFDY, Seed: o.Seed,
-				Params: v.cfg, Program: programFromTraffic(tcfg)})
-			defer s.Close()
-			s.Eng.Run(o.Cycles)
+		cells[i] = trafficCell(o, spec, NIFDY, v.cfg, traffic.Heavy(64, o.Seed), func(s *Sim) {
 			agg := s.AggregateStats()
 			results[i] = res{agg.Accepted, agg.AcksSent}
-		}
+		})
 	}
-	runParallel(tasks)
+	runCells(cells)
 	for i, v := range variants {
 		t.Row(v.name, results[i].acc, results[i].acks)
 	}
@@ -163,58 +165,54 @@ func ExtPiggyback(o AckOpts) *stats.Table {
 	o.defaults()
 	t := stats.NewTable("§6.1 extension: piggybacked acks (request-reply load)",
 		"variant", "replies completed", "standalone acks on wire")
-	run := func(piggy bool) (int64, int64) {
+	type res struct{ done, acks int64 }
+	piggyCell := func(piggy bool, r *res) cell {
 		spec := FullFatTree()
 		params := spec.Params
 		params.Piggyback = piggy
 		const pairs = 32 // node i <-> node i+32 request/reply
 		var seqs [64]uint64
-		s := Build(BuildOpts{Net: spec, Kind: NIFDY, Seed: o.Seed, Params: params,
-			Program: func(n int) node.Program {
-				if n < pairs {
+		return cell{
+			opts: BuildOpts{Net: spec, Kind: NIFDY, Seed: o.Seed, Params: params,
+				Program: func(n int) node.Program {
+					if n < pairs {
+						return func(p *node.Proc) {
+							var ids packet.IDSource
+							for {
+								p.Send(&packet.Packet{ID: uint64(n)<<32 | ids.Next(),
+									Src: n, Dst: n + pairs, Words: 6,
+									Class: packet.Request, Dialog: packet.NoDialog})
+								p.Recv() // wait for the reply
+								seqs[n]++
+							}
+						}
+					}
 					return func(p *node.Proc) {
 						var ids packet.IDSource
 						for {
+							req := p.Recv()
 							p.Send(&packet.Packet{ID: uint64(n)<<32 | ids.Next(),
-								Src: n, Dst: n + pairs, Words: 6,
-								Class: packet.Request, Dialog: packet.NoDialog})
-							p.Recv() // wait for the reply
-							seqs[n]++
+								Src: n, Dst: req.Src, Words: 6,
+								Class: packet.Reply, Dialog: packet.NoDialog})
 						}
 					}
+				}},
+			budget: o.Cycles,
+			read: func(s *Sim) {
+				for _, v := range seqs {
+					r.done += int64(v)
 				}
-				return func(p *node.Proc) {
-					var ids packet.IDSource
-					for {
-						req := p.Recv()
-						p.Send(&packet.Packet{ID: uint64(n)<<32 | ids.Next(),
-							Src: n, Dst: req.Src, Words: 6,
-							Class: packet.Reply, Dialog: packet.NoDialog})
-					}
+				// Standalone acks = ack packets that physically traveled.
+				for n := 0; n < 64; n++ {
+					inj, _, _ := s.Net.Iface(n).Stats()
+					r.acks += inj
 				}
-			}})
-		defer s.Close()
-		s.Eng.Run(o.Cycles)
-		var completed int64
-		for _, v := range seqs {
-			completed += int64(v)
+				r.acks -= s.AggregateStats().Injected // subtract data packets
+			},
 		}
-		// Standalone acks = ack packets that physically traveled.
-		var wire int64
-		for n := 0; n < 64; n++ {
-			inj, _, _ := s.Net.Iface(n).Stats()
-			wire += inj
-		}
-		agg := s.AggregateStats()
-		wire -= agg.Injected // subtract data packets
-		return completed, wire
 	}
-	type res struct{ done, acks int64 }
 	var plain, piggy res
-	runParallel([]func(){
-		func() { plain.done, plain.acks = run(false) },
-		func() { piggy.done, piggy.acks = run(true) },
-	})
+	runCells([]cell{piggyCell(false, &plain), piggyCell(true, &piggy)})
 	t.Row("standalone acks", plain.done, plain.acks)
 	t.Row("piggybacked (§6.1)", piggy.done, piggy.acks)
 	return t
@@ -230,23 +228,14 @@ func ExtAdaptiveMesh(o AckOpts) *stats.Table {
 	t := stats.NewTable("§6.3 extension: adaptive routing on the mesh (heavy traffic)",
 		"routing", "none", "buffers", "NIFDY")
 	specs := []NetSpec{Mesh2D(), AdaptiveMesh2D()}
-	kinds := []NICKind{Plain, BuffersOnly, NIFDY}
 	results := make([][3]int64, len(specs))
-	var tasks []func()
+	var cells []cell
 	for i, spec := range specs {
-		for k, kind := range kinds {
-			tasks = append(tasks, func() {
-				tcfg := traffic.Heavy(64, o.Seed)
-				tcfg.Phases = 1 << 20
-				s := Build(BuildOpts{Net: spec, Kind: kind, Seed: o.Seed,
-					Program: programFromTraffic(tcfg)})
-				defer s.Close()
-				s.Eng.Run(o.Cycles)
-				results[i][k] = s.Accepted()
-			})
+		for k, kind := range paperKinds {
+			cells = append(cells, trafficCell(o, spec, kind, core.Config{}, traffic.Heavy(64, o.Seed), accepted(&results[i][k])))
 		}
 	}
-	runParallel(tasks)
+	runCells(cells)
 	for i, spec := range specs {
 		t.Row(spec.Name, results[i][0], results[i][1], results[i][2])
 	}
@@ -261,29 +250,23 @@ func ExtHotspot(o AckOpts) *stats.Table {
 	o.defaults()
 	t := stats.NewTable("§1.1 hot-spot study: heavy traffic with a hot receiver (8x8 mesh)",
 		"hotspot share", "none", "buffers", "NIFDY", "bystander none", "bystander NIFDY", "bystander ratio")
-	kinds := []NICKind{Plain, BuffersOnly, NIFDY}
 	shares := []float64{0, 0.1, 0.25}
 	type res struct{ total, bystander int64 }
 	results := make([][3]res, len(shares))
-	var tasks []func()
+	var cells []cell
 	for i, share := range shares {
-		for k, kind := range kinds {
-			tasks = append(tasks, func() {
-				tcfg := traffic.Heavy(64, o.Seed)
-				tcfg.Phases = 1 << 20
-				tcfg.HotspotProb = share
-				tcfg.HotspotNode = 27 // interior node: worst-case mesh hot spot
-				s := Build(BuildOpts{Net: Mesh2D(), Kind: kind, Seed: o.Seed,
-					Program: programFromTraffic(tcfg)})
-				defer s.Close()
-				s.Eng.Run(o.Cycles)
+		for k, kind := range paperKinds {
+			tcfg := traffic.Heavy(64, o.Seed)
+			tcfg.HotspotProb = share
+			tcfg.HotspotNode = 27 // interior node: worst-case mesh hot spot
+			cells = append(cells, trafficCell(o, Mesh2D(), kind, core.Config{}, tcfg, func(s *Sim) {
 				total := s.Accepted()
 				hot := s.NICs[27].Stats().Accepted
 				results[i][k] = res{total, total - hot}
-			})
+			}))
 		}
 	}
-	runParallel(tasks)
+	runCells(cells)
 	for i, share := range shares {
 		r := results[i]
 		t.Row(share, r[0].total, r[1].total, r[2].total,
@@ -300,25 +283,15 @@ func ExtFaults(o AckOpts) *stats.Table {
 	o.defaults()
 	t := stats.NewTable("§1.1 fault study: full fat tree with dead top-level routers",
 		"dead top routers", "none", "buffers", "NIFDY", "NIFDY/none")
-	kinds := []NICKind{Plain, BuffersOnly, NIFDY}
 	kills := []int{0, 4, 8}
 	results := make([][3]int64, len(kills))
-	var tasks []func()
+	var cells []cell
 	for i, kill := range kills {
-		for k, kind := range kinds {
-			tasks = append(tasks, func() {
-				spec := FaultyFatTree(kill)
-				tcfg := traffic.Heavy(64, o.Seed)
-				tcfg.Phases = 1 << 20
-				s := Build(BuildOpts{Net: spec, Kind: kind, Seed: o.Seed,
-					Program: programFromTraffic(tcfg)})
-				defer s.Close()
-				s.Eng.Run(o.Cycles)
-				results[i][k] = s.Accepted()
-			})
+		for k, kind := range paperKinds {
+			cells = append(cells, trafficCell(o, FaultyFatTree(kill), kind, core.Config{}, traffic.Heavy(64, o.Seed), accepted(&results[i][k])))
 		}
 	}
-	runParallel(tasks)
+	runCells(cells)
 	for i, kill := range kills {
 		r := results[i]
 		t.Row(kill, r[0], r[1], r[2], ratio(r[2], r[0]))

@@ -54,18 +54,13 @@ type FabricOpts struct {
 	Cycles sim.Cycle
 	// Seed drives sender placement and the lossy-wire streams; default 1995.
 	Seed uint64
-	// Shards is the engine shard count: 0 and 1 are the serial engine. Every
-	// metric is bit-identical for any value.
+	// Shards is FabricCell's engine shard request (BuildOpts.EngineShards):
+	// 0 and 1 are the serial engine. Every metric is bit-identical for any
+	// value. FabricExperiment's cells are serial.
 	Shards int
-	// Kinds defaults to {Plain, PFC, DCQCN, NIFDY}.
-	Kinds []NICKind
 	// Scenarios defaults to the incast, victim, and spread patterns sized
 	// for the mesh.
 	Scenarios []traffic.FabricScenario
-	// WireDrop is the per-flit drop probability of the lossy column;
-	// default 1/512. NIFDY runs the lossy column with retransmission on
-	// (the §6 path); the other kinds take the losses.
-	WireDrop float64
 	// Lossy selects which wire conditions run: nil means both lossless and
 	// lossy.
 	Lossy []bool
@@ -74,6 +69,14 @@ type FabricOpts struct {
 	// end mid-flight).
 	Check *check.Options
 }
+
+// fabricKinds are the NIC kinds of the scenario pack, in column order.
+var fabricKinds = []NICKind{Plain, PFC, DCQCN, NIFDY}
+
+// fabricWireDrop is the per-flit drop probability of the lossy column. NIFDY
+// runs it with retransmission on (the §6 path); the other kinds take the
+// losses.
+const fabricWireDrop = 1.0 / 512
 
 func (o *FabricOpts) defaults() {
 	if o.Width == 0 {
@@ -91,18 +94,12 @@ func (o *FabricOpts) defaults() {
 	if o.Seed == 0 {
 		o.Seed = 1995
 	}
-	if o.Kinds == nil {
-		o.Kinds = []NICKind{Plain, PFC, DCQCN, NIFDY}
-	}
 	if o.Scenarios == nil {
 		o.Scenarios = []traffic.FabricScenario{
 			traffic.IncastScenario(o.Width, o.Height, o.FanIn, o.Seed),
 			traffic.VictimScenario(o.Width, o.Height, o.FanIn, o.Seed),
 			traffic.SpreadScenario(o.Width, o.Height, o.FanIn, o.Seed),
 		}
-	}
-	if o.WireDrop == 0 {
-		o.WireDrop = 1.0 / 512
 	}
 	if o.Lossy == nil {
 		o.Lossy = []bool{false, true}
@@ -246,15 +243,14 @@ func (c *fabricCollector) point() (delivered int64, p99 sim.Cycle, fairness floa
 	return delivered, p99, fairness
 }
 
-// FabricCell runs one (scenario, kind, wire condition) cell and returns its
-// metrics.
-func FabricCell(o FabricOpts, sc traffic.FabricScenario, kind NICKind, lossy bool) FabricPoint {
-	o.defaults()
+// fabricCell is one serial (scenario, kind, wire condition) cell, its
+// metrics stored in pt; o carries its defaults.
+func fabricCell(o FabricOpts, sc traffic.FabricScenario, kind NICKind, lossy bool, pt *FabricPoint) cell {
 	spec := FabricMesh(o.Width, o.Height)
 	var fc router.FabricConfig
 	params := spec.Params
 	if lossy {
-		fc.WireDrop = o.WireDrop
+		fc.WireDrop = fabricWireDrop
 		if kind == NIFDY {
 			// Loss recovery is NIFDY's §6 story; the baselines have none.
 			// The default timeout (4096) is sized for the 64-node phase
@@ -265,43 +261,48 @@ func FabricCell(o FabricOpts, sc traffic.FabricScenario, kind NICKind, lossy boo
 		}
 	}
 	col := newFabricCollector(sc)
-	// Reduced software overheads (the Figure 4 device): the offered load must
-	// exceed the fabric's capacity at the sink, or every NIC kind would tie
-	// at the processor's software receive rate.
-	fastCosts := node.Costs{Send: 10, Recv: 14, Poll: 6, ReorderPenalty: 4}
-	s := Build(BuildOpts{
-		Net: spec, Kind: kind, Seed: o.Seed, Params: params, Fabric: fc,
-		Costs: fastCosts, EngineShards: o.Shards, Check: o.Check,
-		Program: col.Program,
-	})
-	defer s.Close()
-	s.Eng.Run(o.Cycles)
-	delivered, p99, fairness := col.point()
-	return FabricPoint{
-		Scenario: sc.Name, Kind: kind.String(), Lossy: lossy,
-		Delivered: delivered, P99: p99, Fairness: fairness,
+	return cell{
+		opts: BuildOpts{
+			Net: spec, Kind: kind, Seed: o.Seed, Params: params, Fabric: fc,
+			Costs: fastCosts, Check: o.Check,
+			Program: col.Program,
+		},
+		budget: o.Cycles,
+		read: func(*Sim) {
+			delivered, p99, fairness := col.point()
+			*pt = FabricPoint{
+				Scenario: sc.Name, Kind: kind.String(), Lossy: lossy,
+				Delivered: delivered, P99: p99, Fairness: fairness,
+			}
+		},
 	}
 }
 
+// FabricCell runs one (scenario, kind, wire condition) cell and returns its
+// metrics.
+func FabricCell(o FabricOpts, sc traffic.FabricScenario, kind NICKind, lossy bool) FabricPoint {
+	o.defaults()
+	var pt FabricPoint
+	c := fabricCell(o, sc, kind, lossy, &pt)
+	c.opts.EngineShards = o.Shards
+	c.run()
+	return pt
+}
+
 // FabricExperiment runs the full scenario pack: every configured scenario x
-// NIC kind x wire condition, cells in parallel, each cell internally sharded
-// and bit-identical for any Shards value.
+// NIC kind x wire condition, one serial simulation per cell.
 func FabricExperiment(o FabricOpts) []FabricPoint {
 	o.defaults()
-	points := make([]FabricPoint, 0, len(o.Scenarios)*len(o.Kinds)*len(o.Lossy))
-	var tasks []func()
+	points := make([]FabricPoint, len(o.Scenarios)*len(o.Lossy)*len(fabricKinds))
+	cells := make([]cell, 0, len(points))
 	for _, sc := range o.Scenarios {
 		for _, lossy := range o.Lossy {
-			for _, kind := range o.Kinds {
-				points = append(points, FabricPoint{})
-				i := len(points) - 1
-				tasks = append(tasks, func() {
-					points[i] = FabricCell(o, sc, kind, lossy)
-				})
+			for _, kind := range fabricKinds {
+				cells = append(cells, fabricCell(o, sc, kind, lossy, &points[len(cells)]))
 			}
 		}
 	}
-	runParallel(tasks)
+	runCells(cells)
 	return points
 }
 

@@ -73,13 +73,20 @@ func TestFabricVictimSpreadShapes(t *testing.T) {
 		t.Skip("multi-cell fabric run")
 	}
 	o := fabricTestOpts()
-	o.Scenarios = []traffic.FabricScenario{
+	o.defaults()
+	scenarios := []traffic.FabricScenario{
 		traffic.VictimScenario(o.Width, o.Height, o.FanIn, 1995),
 		traffic.SpreadScenario(o.Width, o.Height, o.FanIn, 1995),
 	}
-	o.Kinds = []NICKind{Plain, NIFDY}
-	o.Lossy = []bool{false}
-	pts := FabricExperiment(o)
+	kinds := []NICKind{Plain, NIFDY}
+	pts := make([]FabricPoint, len(scenarios)*len(kinds))
+	var cells []cell
+	for _, sc := range scenarios {
+		for _, kind := range kinds {
+			cells = append(cells, fabricCell(o, sc, kind, false, &pts[len(cells)]))
+		}
+	}
+	runCells(cells)
 
 	victim := fabricByKind(t, pts, "victim")
 	vn, vp := victim[NIFDY.String()], victim[Plain.String()]

@@ -44,21 +44,16 @@ func TestFlowShape(t *testing.T) {
 	for _, spec := range StandardNetworks() {
 		t.Run(spec.Name, func(t *testing.T) {
 			t.Parallel()
-			mkHeavy := func() traffic.Config {
-				c := traffic.Heavy(64, seed)
-				c.Phases = 1 << 20
-				return c
-			}
-			mkLight := func() traffic.Config {
-				c := traffic.Light(64, seed)
-				c.Phases = 1 << 20
-				return c
-			}
+			heavy, light := traffic.Heavy(64, seed), traffic.Light(64, seed)
 			twin := FlowTwin(spec)
-			flitHeavy := synthRow(spec, kinds, mkHeavy, cycles, seed, 0, 0)
-			flowHeavy := synthRow(twin, kinds, mkHeavy, cycles, seed, 0, 0)
-			flitLight := synthRow(spec, kinds, mkLight, cycles, seed, 0, 0)
-			flowLight := synthRow(twin, kinds, mkLight, cycles, seed, 0, 0)
+			flitHeavy, flowHeavy := make([]int64, len(kinds)), make([]int64, len(kinds))
+			flitLight, flowLight := make([]int64, len(kinds)), make([]int64, len(kinds))
+			var cells []cell
+			cells = append(cells, synthRow(spec, kinds, heavy, cycles, seed, flitHeavy)...)
+			cells = append(cells, synthRow(twin, kinds, heavy, cycles, seed, flowHeavy)...)
+			cells = append(cells, synthRow(spec, kinds, light, cycles, seed, flitLight)...)
+			cells = append(cells, synthRow(twin, kinds, light, cycles, seed, flowLight)...)
+			runCells(cells)
 			t.Logf("heavy flit=%v flow=%v", flitHeavy, flowHeavy)
 			t.Logf("light flit=%v flow=%v", flitLight, flowLight)
 

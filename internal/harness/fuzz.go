@@ -269,7 +269,7 @@ func fuzzRun(tr fuzzTrial, shards int, o FuzzOpts) (nic.Stats, bool, []FuzzFailu
 	}
 	tcfg.Phases = 2
 	tcfg.PacketsPerPhase = o.Packets
-	progs := programFromTraffic(tcfg)
+	progs := traffic.NewGen(tcfg, nil).Program
 	bo := BuildOpts{
 		Net: tr.spec, Kind: tr.kind, Seed: tr.seed, Params: tr.param,
 		EngineShards: shards, Window: tr.window,

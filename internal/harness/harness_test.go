@@ -7,6 +7,7 @@ import (
 	"nifdy/internal/core"
 	"nifdy/internal/node"
 	"nifdy/internal/packet"
+	"nifdy/internal/sim"
 	"nifdy/internal/topo"
 	"nifdy/internal/traffic"
 )
@@ -59,7 +60,7 @@ func TestSyntheticTrafficRuns(t *testing.T) {
 	tcfg := traffic.Heavy(64, 7)
 	tcfg.Phases = 1 << 20
 	s := Build(BuildOpts{Net: Mesh2D(), Kind: NIFDY, Seed: 7,
-		Program: programFromTraffic(tcfg)})
+		Program: traffic.NewGen(tcfg, nil).Program})
 	defer s.Close()
 	s.Eng.Run(40_000)
 	if s.Accepted() == 0 {
@@ -93,7 +94,7 @@ func TestHeavyTrafficNIFDYBeatsPlainOnMesh(t *testing.T) {
 		tcfg := traffic.Heavy(64, 3)
 		tcfg.Phases = 1 << 20
 		s := Build(BuildOpts{Net: Mesh2D(), Kind: kind, Seed: 3,
-			Program: programFromTraffic(tcfg)})
+			Program: traffic.NewGen(tcfg, nil).Program})
 		defer s.Close()
 		s.Eng.Run(100_000)
 		return s.Accepted()
@@ -246,8 +247,9 @@ func TestModelCheckShape(t *testing.T) {
 	// rises linearly with distance on the mesh at ~4 cycles/hop (the
 	// paper's slope), and the scalar send gap always exceeds the one-way
 	// latency (it contains the full round trip).
-	ow1, _ := measurePair(Mesh2D(), 1, ModelCheckOpts{Seed: 2, MaxCycles: 1_000_000})
-	ow14, gap14 := measurePair(Mesh2D(), 63, ModelCheckOpts{Seed: 2, MaxCycles: 1_000_000})
+	o := ModelCheckOpts{Seed: 2, MaxCycles: 1_000_000}
+	var ow1, gap1, ow14, gap14 sim.Cycle
+	runCells([]cell{pairCell(Mesh2D(), 1, o, &ow1, &gap1), pairCell(Mesh2D(), 63, o, &ow14, &gap14)})
 	slope := float64(ow14-ow1) / 13
 	if slope < 3 || slope > 6 {
 		t.Fatalf("mesh latency slope %.2f cycles/hop, want ~4", slope)

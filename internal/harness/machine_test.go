@@ -136,7 +136,7 @@ func TestMachinesMatchOracles(t *testing.T) {
 	short.Phases, short.PacketsPerPhase = 2, 40
 	gen := func(spec NetSpec, kind NICKind, c traffic.Config) func(oracle bool) BuildOpts {
 		return func(oracle bool) BuildOpts {
-			prog := programFromTraffic(c)
+			prog := traffic.NewGen(c, nil).Program
 			if oracle {
 				prog = genOracle(c)
 			}
@@ -225,7 +225,7 @@ func TestShippedProgramsRunEngineSide(t *testing.T) {
 		// ends marks programs that finish inside the budget.
 		ends bool
 	}{
-		{"traffic", BuildOpts{Net: Mesh2D(), Kind: NIFDY, Seed: seed, Program: programFromTraffic(heavy)}, 2_000_000, true},
+		{"traffic", BuildOpts{Net: Mesh2D(), Kind: NIFDY, Seed: seed, Program: traffic.NewGen(heavy, nil).Program}, 2_000_000, true},
 		{"collector", fabric, 5_000, false},
 		{"cshift", app(cshift.New(cshift.Config{Nodes: 16, BlockWords: 60, Barriers: true, InOrder: true, Bulk: true}, nil).Program), 2_000_000, true},
 		{"em3d", app(em3d.New(em3d.Config{Nodes: 16, NNodes: 20, DNodes: 10, LocalP: 3, DistSpan: 5, Seed: seed, Bulk: true}, nil).Program), 2_000_000, true},

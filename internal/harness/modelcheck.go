@@ -33,83 +33,82 @@ func ModelCheck(o ModelCheckOpts) *stats.Table {
 	o.defaults()
 	t := stats.NewTable("§2.4 model vs simulator: scalar round trip on idle fabrics",
 		"network", "d", "one-way (sim)", "TLat model", "send gap (sim)", "RT model")
-	type probe struct {
+	// One row per distance d: dst is the node d hops from node 0.
+	type row struct {
+		d, dst      int
+		oneWay, gap sim.Cycle
+	}
+	probes := []struct {
 		spec NetSpec
 		lat  func(int) sim.Cycle
-		dsts map[int]int // distance -> destination node from node 0
+		rows []row
+	}{
+		{Mesh2D(), model.MeshLat, []row{{d: 1, dst: 1}, {d: 4, dst: 4}, {d: 7, dst: 7}, {d: 14, dst: 63}}},
+		{FullFatTree(), model.FatTreeLat, []row{{d: 2, dst: 1}, {d: 4, dst: 4}, {d: 6, dst: 16}}},
 	}
-	probes := []probe{
-		{Mesh2D(), model.MeshLat, map[int]int{1: 1, 4: 4, 7: 7, 14: 63}},
-		{FullFatTree(), model.FatTreeLat, map[int]int{2: 1, 4: 4, 6: 16}},
+	var cells []cell
+	for _, pr := range probes {
+		for i := range pr.rows {
+			r := &pr.rows[i]
+			cells = append(cells, pairCell(pr.spec, r.dst, o, &r.oneWay, &r.gap))
+		}
 	}
+	runCells(cells)
 	for _, pr := range probes {
 		params := model.CM5Params(pr.lat, 8)
-		for _, d := range sortedKeys(pr.dsts) {
-			dst := pr.dsts[d]
-			oneWay, gap := measurePair(pr.spec, dst, o)
-			t.Row(pr.spec.Name, d, oneWay, pr.lat(d), gap, params.RoundTrip(d))
+		for _, r := range pr.rows {
+			t.Row(pr.spec.Name, r.d, r.oneWay, pr.lat(r.d), r.gap, params.RoundTrip(r.d))
 		}
 	}
 	return t
 }
 
-//lint:allow(mapiter) key-collection for sorting; the sorted result is independent of iteration order
-func sortedKeys(m map[int]int) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	return keys
-}
-
-// measurePair sends a short scalar stream from node 0 to dst on an idle
+// pairCell sends a short scalar stream from node 0 to dst on an idle
 // fabric and reports the first packet's in-fabric latency and the
 // steady-state injection gap (which the one-outstanding protocol pins to
 // the round trip whenever the round trip exceeds the software overheads).
-func measurePair(spec NetSpec, dst int, o ModelCheckOpts) (oneWay, gap sim.Cycle) {
+func pairCell(spec NetSpec, dst int, o ModelCheckOpts, oneWay, gap *sim.Cycle) cell {
 	const n = 6
 	pkts := make([]*packet.Packet, n)
-	s := Build(BuildOpts{Net: spec, Kind: NIFDY, Seed: o.Seed,
-		Program: func(nd int) node.Program {
-			switch nd {
-			case 0:
-				return func(p *node.Proc) {
-					for i := 0; i < n; i++ {
-						pk := &packet.Packet{ID: uint64(i + 1), Src: 0, Dst: dst,
-							Words: 8, Class: packet.Request, Dialog: packet.NoDialog}
-						pkts[i] = pk
-						p.Send(pk)
+	return cell{
+		opts: BuildOpts{Net: spec, Kind: NIFDY, Seed: o.Seed,
+			Program: func(nd int) node.Program {
+				switch nd {
+				case 0:
+					return func(p *node.Proc) {
+						for i := 0; i < n; i++ {
+							pk := &packet.Packet{ID: uint64(i + 1), Src: 0, Dst: dst,
+								Words: 8, Class: packet.Request, Dialog: packet.NoDialog}
+							pkts[i] = pk
+							p.Send(pk)
+						}
 					}
-				}
-			case dst:
-				return func(p *node.Proc) {
-					for i := 0; i < n; i++ {
-						p.Recv()
+				case dst:
+					return func(p *node.Proc) {
+						for i := 0; i < n; i++ {
+							p.Recv()
+						}
 					}
+				default:
+					return nil
 				}
-			default:
-				return nil
+			}},
+		budget: o.MaxCycles, untilDone: true,
+		read: func(*Sim) {
+			*oneWay = pkts[0].DeliveredAt - pkts[0].InjectedAt
+			// Steady-state gap: average of the last few inter-injection
+			// intervals.
+			var total sim.Cycle
+			cnt := 0
+			for i := 3; i < n; i++ {
+				if pkts[i] != nil && pkts[i-1] != nil && pkts[i].InjectedAt > 0 {
+					total += pkts[i].InjectedAt - pkts[i-1].InjectedAt
+					cnt++
+				}
 			}
-		}})
-	defer s.Close()
-	s.RunUntilDone(o.MaxCycles)
-	oneWay = pkts[0].DeliveredAt - pkts[0].InjectedAt
-	// Steady-state gap: average of the last few inter-injection intervals.
-	var total sim.Cycle
-	cnt := 0
-	for i := 3; i < n; i++ {
-		if pkts[i] != nil && pkts[i-1] != nil && pkts[i].InjectedAt > 0 {
-			total += pkts[i].InjectedAt - pkts[i-1].InjectedAt
-			cnt++
-		}
+			if cnt > 0 {
+				*gap = total / sim.Cycle(cnt)
+			}
+		},
 	}
-	if cnt > 0 {
-		gap = total / sim.Cycle(cnt)
-	}
-	return oneWay, gap
 }

@@ -24,12 +24,8 @@ func TestFigure2Ordering(t *testing.T) {
 	for _, spec := range specs {
 		t.Run(spec.Name, func(t *testing.T) {
 			t.Parallel()
-			mk := func() traffic.Config {
-				c := traffic.Heavy(64, 1995)
-				c.Phases = 1 << 20
-				return c
-			}
-			vals := synthRow(spec, []NICKind{Plain, BuffersOnly, NIFDY}, mk, cycles, 1995, 0, 0)
+			vals := make([]int64, len(paperKinds))
+			runCells(synthRow(spec, paperKinds, traffic.Heavy(64, 1995), cycles, 1995, vals))
 			none, buffers, nifdy := vals[0], vals[1], vals[2]
 			if nifdy <= none {
 				t.Errorf("NIFDY %d <= none %d (heavy traffic, %s)", nifdy, none, spec.Name)
@@ -48,12 +44,8 @@ func TestFigure2Ordering(t *testing.T) {
 // parity or small wins, with the CM-5 tree gaining the most.
 func TestFigure3LightTrafficTolerance(t *testing.T) {
 	spec := CM5FatTree()
-	mk := func() traffic.Config {
-		c := traffic.Light(64, 1995)
-		c.Phases = 1 << 20
-		return c
-	}
-	vals := synthRow(spec, []NICKind{Plain, NIFDY}, mk, 60_000, 1995, 0, 0)
+	vals := make([]int64, 2)
+	runCells(synthRow(spec, []NICKind{Plain, NIFDY}, traffic.Light(64, 1995), 60_000, 1995, vals))
 	none, nifdy := vals[0], vals[1]
 	if nifdy <= none {
 		t.Errorf("light traffic on the CM-5 tree: NIFDY %d <= none %d (F3 records a clear win)", nifdy, none)

@@ -17,7 +17,7 @@ func workCell(shards, window int) (router.Work, sim.Stats) {
 	c := traffic.Heavy(64, seed)
 	c.Phases = 1 << 20
 	s := Build(BuildOpts{Net: Mesh2D(), Kind: NIFDY, Seed: seed,
-		EngineShards: shards, Window: window, Program: programFromTraffic(c)})
+		EngineShards: shards, Window: window, Program: traffic.NewGen(c, nil).Program})
 	defer s.Close()
 	s.Eng.Run(20_000)
 	return topo.RouterWork(s.Net), s.Eng.Stats()

@@ -35,7 +35,7 @@ func TestShardedDeterminism(t *testing.T) {
 			}
 			c.Phases = 1 << 20
 			return BuildOpts{Net: net(), Kind: kind, Seed: seed,
-				PendingInterval: 500, Program: programFromTraffic(c)}
+				PendingInterval: 500, Program: traffic.NewGen(c, nil).Program}
 		}
 	}
 	cases := []struct {
@@ -102,7 +102,7 @@ func TestWindowSamplerGrid(t *testing.T) {
 		c.Phases = 4
 		s := Build(BuildOpts{
 			Net: Mesh2D(), Kind: NIFDY, Seed: 7,
-			PendingInterval: interval, Program: programFromTraffic(c),
+			PendingInterval: interval, Program: traffic.NewGen(c, nil).Program,
 			EngineShards: 2, Window: w,
 		})
 		s.Eng.Run(2_000)

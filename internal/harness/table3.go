@@ -29,8 +29,7 @@ func Table3(seed uint64) *stats.Table {
 		net := spec.Build(seed, topo.IfaceOptions{})
 		c := net.Chars()
 		p := spec.Params
-		pp := p
-		d := pp.D
+		d := p.D
 		if d < 0 {
 			d = 0
 		}
@@ -86,26 +85,24 @@ func Table3Sweep(spec NetSpec, o SweepOpts) []SweepResult {
 			}
 		}
 	}
-	results := make([]SweepResult, len(points))
+	// Two cells per point, heavy and light traffic, summed into its score.
+	scores := make([][2]int64, len(points))
 	nodes := spec.Build(o.Seed, topo.IfaceOptions{}).Nodes()
-	tasks := make([]func(), len(points))
+	var cells []cell
 	for i, p := range points {
-		tasks[i] = func() {
-			score := int64(0)
-			for _, mk := range []func() traffic.Config{
-				func() traffic.Config { c := traffic.Heavy(nodes, o.Seed); c.Phases = 1 << 20; return c },
-				func() traffic.Config { c := traffic.Light(nodes, o.Seed); c.Phases = 1 << 20; return c },
-			} {
-				s := Build(BuildOpts{Net: spec, Kind: NIFDY, Seed: o.Seed,
-					Params: p, Program: programFromTraffic(mk())})
-				s.Eng.Run(o.Cycles)
-				score += s.Accepted()
-				s.Close()
-			}
-			results[i] = SweepResult{Params: p, Delivered: score}
+		for j, load := range []func(int, uint64) traffic.Config{traffic.Heavy, traffic.Light} {
+			cells = append(cells, cell{
+				opts:   BuildOpts{Net: spec, Kind: NIFDY, Seed: o.Seed, Params: p, Program: endless(load(nodes, o.Seed))},
+				budget: o.Cycles,
+				read:   accepted(&scores[i][j]),
+			})
 		}
 	}
-	runParallel(tasks)
+	runCells(cells)
+	results := make([]SweepResult, len(points))
+	for i, p := range points {
+		results[i] = SweepResult{Params: p, Delivered: scores[i][0] + scores[i][1]}
+	}
 	// Insertion sort by score descending (small n).
 	for i := 1; i < len(results); i++ {
 		for j := i; j > 0 && results[j].Delivered > results[j-1].Delivered; j-- {

@@ -125,11 +125,10 @@ func (f *Fly) build() {
 			})
 		}
 	}
-	ifBuf := f.cfg.Iface.EffectiveBufFlits()
 	f.ifaces = make([]*router.Iface, f.nodes)
 	for nd := 0; nd < f.nodes; nd++ {
 		f.ifaces[nd] = router.NewIface(router.IfaceConfig{
-			Node: nd, VCs: f.cfg.VCs, BufFlits: ifBuf,
+			Node: nd, VCs: f.cfg.VCs, BufFlits: topo.IfaceBufFlits,
 			DropProb: f.cfg.Iface.DropProb,
 			RNG:      f.cfg.Iface.LossRNG(uint64(nd)),
 			Fabric:   f.cfg.Iface.FabricFor(),
@@ -144,7 +143,7 @@ func (f *Fly) build() {
 		f.ifaces[nd].ConnectOut(up, f.cfg.BufFlits)
 		first.ConnectIn(port, up)
 		down := router.NewChannel(f.cfg.CPF, 1)
-		last.ConnectOut(port, down, ifBuf)
+		last.ConnectOut(port, down, topo.IfaceBufFlits)
 		f.ifaces[nd].ConnectIn(down)
 		f.edges = append(f.edges,
 			topo.Edge{Ch: up, From: -(nd + 1), To: 0*f.perStage + nd/k},

@@ -187,11 +187,10 @@ func (t *Tree) build() {
 			})
 		}
 	}
-	ifBuf := t.cfg.Iface.EffectiveBufFlits()
 	t.ifaces = make([]*router.Iface, t.nodes)
 	for n := 0; n < t.nodes; n++ {
 		t.ifaces[n] = router.NewIface(router.IfaceConfig{
-			Node: n, VCs: t.cfg.VCs, BufFlits: ifBuf,
+			Node: n, VCs: t.cfg.VCs, BufFlits: topo.IfaceBufFlits,
 			DropProb: t.cfg.Iface.DropProb,
 			RNG:      t.cfg.Iface.LossRNG(uint64(n)),
 			Fabric:   t.cfg.Iface.FabricFor(),
@@ -205,7 +204,7 @@ func (t *Tree) build() {
 			down := router.NewChannel(t.cpf, 1)
 			pp := t.phys(port, packet.Class(cl))
 			leaf.ConnectIn(pp, up)
-			leaf.ConnectOut(pp, down, ifBuf)
+			leaf.ConnectOut(pp, down, topo.IfaceBufFlits)
 			t.edges = append(t.edges,
 				topo.Edge{Ch: up, From: -(n + 1), To: leafKey},
 				topo.Edge{Ch: down, From: leafKey, To: -(n + 1)})

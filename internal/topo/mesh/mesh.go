@@ -127,10 +127,9 @@ func (m *Mesh) build() {
 		}
 		m.routers[n] = router.New(rcfg)
 	}
-	ifBuf := m.cfg.Iface.EffectiveBufFlits()
 	for n := 0; n < m.nodes; n++ {
 		m.ifaces[n] = router.NewIface(router.IfaceConfig{
-			Node: n, VCs: m.cfg.VCs, BufFlits: ifBuf,
+			Node: n, VCs: m.cfg.VCs, BufFlits: topo.IfaceBufFlits,
 			DropProb: m.cfg.Iface.DropProb,
 			RNG:      m.cfg.Iface.LossRNG(uint64(n)),
 			Fabric:   m.cfg.Iface.FabricFor(),
@@ -140,7 +139,7 @@ func (m *Mesh) build() {
 		m.ifaces[n].ConnectOut(up, m.cfg.BufFlits)
 		m.routers[n].ConnectIn(0, up)
 		down := router.NewChannel(m.cfg.CPF, 1)
-		m.routers[n].ConnectOut(0, down, ifBuf)
+		m.routers[n].ConnectOut(0, down, topo.IfaceBufFlits)
 		m.ifaces[n].ConnectIn(down)
 	}
 	// Router-router channels carry the conservative-sync padding (access

@@ -160,12 +160,13 @@ func MarkCross(e *sim.Engine, edges []Edge, shardAt func(key int) int) {
 	}
 }
 
+// IfaceBufFlits is every node interface's ejection buffer depth per VC: at
+// least the largest packet size used (8 flits, the synthetic packet size).
+const IfaceBufFlits = 8
+
 // IfaceOptions are the knobs every topology passes through to its node
 // interfaces.
 type IfaceOptions struct {
-	// BufFlits is the ejection buffer depth per VC; it must be at least the
-	// largest packet size used. Zero selects 8 (the synthetic packet size).
-	BufFlits int
 	// DropProb enables the lossy-network model (§6.2 extension).
 	DropProb float64
 	// Seed seeds per-node loss RNG streams.
@@ -201,14 +202,6 @@ func (o IfaceOptions) MutateFor(n int) router.IfaceMutations {
 		return o.Mutate
 	}
 	return router.IfaceMutations{}
-}
-
-// EffectiveBufFlits applies the default.
-func (o IfaceOptions) EffectiveBufFlits() int {
-	if o.BufFlits <= 0 {
-		return 8
-	}
-	return o.BufFlits
 }
 
 // LossRNG returns a per-node loss stream, or nil when the network is

@@ -60,7 +60,7 @@ type (
 	Network = topo.Network
 	// NetworkChars summarizes a fabric (Table 3 characteristics).
 	NetworkChars = topo.Characteristics
-	// IfaceOptions are the per-node interface knobs (buffering, loss).
+	// IfaceOptions are the per-node interface knobs (loss, faults, window).
 	IfaceOptions = topo.IfaceOptions
 	// NIC is a network interface controller.
 	NIC = nic.NIC
@@ -165,8 +165,9 @@ var (
 )
 
 // Experiment entry points — one per paper table/figure (see DESIGN.md and
-// EXPERIMENTS.md). Each returns formatted tables; options structs allow
-// reduced-scale runs.
+// EXPERIMENTS.md). Each runs its grid of independent simulations as serial
+// cells on one worker pool of one worker per CPU and returns formatted
+// tables; options structs allow reduced-scale runs.
 var (
 	// Table2 prints the processor calibration constants.
 	Table2 = harness.Table2
@@ -214,13 +215,15 @@ var (
 	// PFC/DCQCN/plain under incast, victim, and congestion-spreading
 	// traffic on lossless and lossy wires.
 	FabricExperiment = harness.FabricExperiment
-	// FabricCell runs one (scenario, kind, wire) cell of the pack.
+	// FabricCell runs one (scenario, kind, wire) cell of the pack, at
+	// FabricOpts.Shards engine shards (bit-identical for any value).
 	FabricCell = harness.FabricCell
 	// FabricTable renders FabricExperiment points.
 	FabricTable = harness.FabricTable
 )
 
-// Experiment option types.
+// Experiment option types: each holds what its experiment sweeps and its
+// budgets, and none an engine shard count but FabricOpts, for FabricCell.
 type (
 	// SynthOpts parameterizes Figure2/Figure3.
 	SynthOpts = harness.SynthOpts
