@@ -19,8 +19,8 @@ func (a *App) oracleScanProgram(n int) node.Program {
 	return func(p *node.Proc) {
 		send := func(j int) {
 			pk := &packet.Packet{ID: a.ids.Next(), Src: n, Dst: n + 1,
-				Words: cfg.Words, Class: packet.Request, Dialog: packet.NoDialog,
-				Meta: packet.Meta{Index: j, Total: K}}
+				Words: int32(cfg.Words), Class: packet.Request, Dialog: packet.NoDialog,
+				Meta: packet.Meta{Index: int32(j), Total: int32(K)}}
 			p.Send(pk)
 			if cfg.Delay > 0 {
 				p.Consume(cfg.Delay)
@@ -57,7 +57,7 @@ func (a *App) oracleCoalesceProgram(n int) node.Program {
 				continue
 			}
 			pk := &packet.Packet{ID: a.ids.Next(), Src: n, Dst: dst,
-				Words: cfg.Words, Class: packet.Request, Dialog: packet.NoDialog,
+				Words: int32(cfg.Words), Class: packet.Request, Dialog: packet.NoDialog,
 				Meta: packet.Meta{Value: uint64(k)}}
 			p.Send(pk)
 			for p.HasPending() {

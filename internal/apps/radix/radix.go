@@ -139,7 +139,7 @@ func (m *scan) Step(p *node.Proc) bool {
 			}
 		case scanSend:
 			m.pc = scanSent
-			p.IssueSend(a.packet(m.n, m.n+1, packet.Meta{Index: m.j, Total: a.K}))
+			p.IssueSend(a.packet(m.n, m.n+1, packet.Meta{Index: int32(m.j), Total: int32(a.K)}))
 			return true
 		case scanSent:
 			m.j++
@@ -157,7 +157,7 @@ func (m *scan) Step(p *node.Proc) bool {
 //lint:allow(hotalloc) the phase's packets are its data, one per send: receivers retire none to a free-list
 func (a *App) packet(src, dst int, meta packet.Meta) *packet.Packet {
 	return &packet.Packet{ID: a.ids.Next(), Src: src, Dst: dst,
-		Words: a.cfg.Words, Class: packet.Request, Dialog: packet.NoDialog,
+		Words: int32(a.cfg.Words), Class: packet.Request, Dialog: packet.NoDialog,
 		Meta: meta}
 }
 

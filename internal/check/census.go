@@ -432,16 +432,16 @@ func (c *Checker) auditNIC(now sim.Cycle, nc nic.NIC, addWhole func(nd int, wher
 		}
 	}
 	a.WindowSlot = func(slot int, p *packet.Packet) {
-		exp := expBySlot[slot]
-		if p.Seq < exp || p.Seq >= exp+w {
+		exp, seq := expBySlot[slot], int(p.Seq)
+		if seq < exp || seq >= exp+w {
 			c.report(now, MonWindowBound, nd,
-				"dialog slot %d buffers seq %d outside window [%d, %d)", slot, p.Seq, exp, exp+w)
+				"dialog slot %d buffers seq %d outside window [%d, %d)", slot, seq, exp, exp+w)
 		}
 		if src := srcBySlot[slot]; p.Src != src {
 			c.report(now, MonDialogBound, nd,
 				"dialog slot %d (sender %d) buffers packet from %d", slot, src, p.Src)
 		}
-		if p.Dialog != slot {
+		if int(p.Dialog) != slot {
 			c.report(now, MonDialogBound, nd,
 				"packet %v parked in dialog slot %d", p, slot)
 		}

@@ -700,22 +700,22 @@ func (u *NIFDY) handleAck(now sim.Cycle, a *packet.Packet) {
 // applies).
 func (u *NIFDY) processAckInfo(now sim.Cycle, from int, a *packet.Packet) {
 	if a != nil && a.Terminate {
-		if u.dout.active && u.dout.dst == from && u.dout.num == a.Dialog {
-			if a.CumSeq > u.dout.cumAcked {
-				u.dout.cumAcked = a.CumSeq
-				u.cancelRetx(from, a.CumSeq)
+		if u.dout.active && u.dout.dst == from && u.dout.num == int(a.Dialog) {
+			if cum := int(a.CumSeq); cum > u.dout.cumAcked {
+				u.dout.cumAcked = cum
+				u.cancelRetx(from, cum)
 			}
 			u.reviveUnacked()
 		}
 		return
 	}
 	if a != nil && a.BulkAck {
-		if u.dout.active && u.dout.dst == from && a.Dialog == u.dout.num && a.CumSeq > u.dout.cumAcked {
-			n := a.CumSeq - u.dout.cumAcked
-			u.pruneCopies(u.dout.cumAcked+1, a.CumSeq)
-			u.dout.cumAcked = a.CumSeq
+		if cum := int(a.CumSeq); u.dout.active && u.dout.dst == from && int(a.Dialog) == u.dout.num && cum > u.dout.cumAcked {
+			n := cum - u.dout.cumAcked
+			u.pruneCopies(u.dout.cumAcked+1, cum)
+			u.dout.cumAcked = cum
 			u.decRanks(from, n)
-			u.cancelRetx(from, a.CumSeq)
+			u.cancelRetx(from, cum)
 			if u.dout.exiting && u.dout.cumAcked >= u.dout.exitSeq {
 				u.dout = dialogOut{}
 			}
@@ -727,7 +727,7 @@ func (u *NIFDY) processAckInfo(now sim.Cycle, from int, a *packet.Packet) {
 		u.cancelRetx(from, -1)
 	}
 	if a != nil && a.Grant == packet.Granted && !u.dout.active {
-		u.dout = dialogOut{active: true, dst: from, num: a.Dialog, cumAcked: -1}
+		u.dout = dialogOut{active: true, dst: from, num: int(a.Dialog), cumAcked: -1}
 	}
 	if a != nil && a.Grant == packet.Rejected {
 		// Keep sending scalar; the software layer keeps the request bit set
@@ -855,10 +855,11 @@ func (u *NIFDY) handleData(now sim.Cycle, p *packet.Packet) {
 
 //lint:allow(hotalloc) amortized ackQ/arrival slice growth; steady-state capacity is reached during warm-up
 func (u *NIFDY) handleBulkData(now sim.Cycle, p *packet.Packet) {
-	if p.Dialog >= len(u.din) {
-		panic(fmt.Sprintf("nifdy %d: dialog %d out of range", u.cfg.Node, p.Dialog))
+	dlg, seq := int(p.Dialog), int(p.Seq)
+	if dlg >= len(u.din) {
+		panic(fmt.Sprintf("nifdy %d: dialog %d out of range", u.cfg.Node, dlg))
 	}
-	d := &u.din[p.Dialog]
+	d := &u.din[dlg]
 	if !d.active || d.src != p.Src {
 		// Stale packet for a closed/reassigned dialog. With takeover the
 		// dialog died under the sender; the packet is dropped here and the
@@ -866,7 +867,7 @@ func (u *NIFDY) handleBulkData(now sim.Cycle, p *packet.Packet) {
 		// losses it happens when the final cumulative ack was dropped and
 		// the sender keeps retransmitting. Otherwise: protocol violation.
 		if u.cfg.DialogTakeover > 0 {
-			u.ackQ = append(u.ackQ, ackEntry{dst: p.Src, bulk: true, dialog: p.Dialog,
+			u.ackQ = append(u.ackQ, ackEntry{dst: p.Src, bulk: true, dialog: dlg,
 				terminate: true, cum: -1, grant: packet.GrantNone})
 			u.pkts.Put(p)
 			return
@@ -875,37 +876,37 @@ func (u *NIFDY) handleBulkData(now sim.Cycle, p *packet.Packet) {
 			panic(fmt.Sprintf("nifdy %d: bulk packet %v for inactive dialog", u.cfg.Node, p))
 		}
 		u.stats.Duplicates++
-		if cum, ok := u.lastExit[p.Src]; ok && p.Seq <= cum {
+		if cum, ok := u.lastExit[p.Src]; ok && seq <= cum {
 			// Everything through the closed dialog's exit was delivered;
 			// re-ack so the sender's timers stop.
-			u.ackQ = append(u.ackQ, ackEntry{dst: p.Src, bulk: true, dialog: p.Dialog,
+			u.ackQ = append(u.ackQ, ackEntry{dst: p.Src, bulk: true, dialog: dlg,
 				cum: cum, grant: packet.GrantNone})
 		}
 		u.pkts.Put(p)
 		return
 	}
-	if p.Seq < d.expected {
+	if seq < d.expected {
 		// Duplicate (retransmission raced the ack): discard and re-ack the
 		// current cumulative position.
 		u.stats.Duplicates++
-		u.ackQ = append(u.ackQ, ackEntry{dst: p.Src, bulk: true, dialog: p.Dialog,
+		u.ackQ = append(u.ackQ, ackEntry{dst: p.Src, bulk: true, dialog: dlg,
 			cum: d.expected - 1, grant: packet.GrantNone})
 		u.pkts.Put(p)
 		return
 	}
-	if p.Seq >= d.expected+u.cfg.W {
+	if seq >= d.expected+u.cfg.W {
 		panic(fmt.Sprintf("nifdy %d: bulk seq %d beyond window (expected %d, W %d)",
-			u.cfg.Node, p.Seq, d.expected, u.cfg.W))
+			u.cfg.Node, seq, d.expected, u.cfg.W))
 	}
-	if d.buf[p.Seq%u.cfg.W] != nil {
+	if d.buf[seq%u.cfg.W] != nil {
 		// In-window duplicate: same discard-and-re-ack treatment.
 		u.stats.Duplicates++
-		u.ackQ = append(u.ackQ, ackEntry{dst: p.Src, bulk: true, dialog: p.Dialog,
+		u.ackQ = append(u.ackQ, ackEntry{dst: p.Src, bulk: true, dialog: dlg,
 			cum: d.expected - 1, grant: packet.GrantNone})
 		u.pkts.Put(p)
 		return
 	}
-	d.buf[p.Seq%u.cfg.W] = p
+	d.buf[seq%u.cfg.W] = p
 	d.buffered++
 	d.lastActive = now
 }
@@ -997,10 +998,10 @@ func (u *NIFDY) sendAck(now sim.Cycle) bool {
 	a.Kind = packet.Ack
 	a.Class = packet.Reply
 	a.Words = 1
-	a.Dialog = e.dialog
+	a.Dialog = int32(e.dialog)
 	a.Grant = e.grant
 	a.BulkAck = e.bulk
-	a.CumSeq = e.cum
+	a.CumSeq = int32(e.cum)
 	a.Terminate = e.terminate
 	u.iface.StartSend(now, a)
 	u.stats.AcksSent++
@@ -1101,8 +1102,9 @@ func (u *NIFDY) waitingTo(dst int) int {
 func (u *NIFDY) sendBulk(now sim.Cycle, i int) {
 	p := u.pool[i].p
 	u.removePool(i)
-	p.Dialog = u.dout.num
-	p.Seq = u.dout.nextSeq
+	seq := u.dout.nextSeq
+	p.Dialog = int32(u.dout.num)
+	p.Seq = int32(seq)
 	u.dout.nextSeq++
 	more := p.BulkReq
 	if !more && u.cfg.AutoBulk > 0 && u.waitingTo(p.Dst) > 0 {
@@ -1115,17 +1117,17 @@ func (u *NIFDY) sendBulk(now sim.Cycle, i int) {
 		// transfer (§2.1.2: bulk exit bit in the header of the last packet).
 		p.BulkExit = true
 		u.dout.exiting = true
-		u.dout.exitSeq = p.Seq
+		u.dout.exitSeq = seq
 	}
 	p.BulkReq = false
 	if u.cfg.Retransmit {
-		u.armRetx(now, p, p.Seq)
+		u.armRetx(now, p, seq)
 	}
 	if u.cfg.DialogTakeover > 0 {
 		if u.dout.copies == nil {
 			u.dout.copies = map[int]packet.Packet{}
 		}
-		u.dout.copies[p.Seq] = *p
+		u.dout.copies[seq] = *p
 	}
 	u.attachPiggyback(p)
 	u.iface.StartSend(now, p)

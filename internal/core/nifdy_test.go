@@ -69,10 +69,10 @@ func (w *world) msg(src, dst, npkts, words int, bulk bool) []*packet.Packet {
 	var ps []*packet.Packet
 	for i := 0; i < npkts; i++ {
 		p := &packet.Packet{
-			ID: w.ids.Next(), Src: src, Dst: dst, Words: words,
+			ID: w.ids.Next(), Src: src, Dst: dst, Words: int32(words),
 			Class: packet.Request, Dialog: packet.NoDialog,
 			BulkReq: bulk && i < npkts-1,
-			Meta:    packet.Meta{MsgID: w.msgSeq, Index: i, Total: npkts},
+			Meta:    packet.Meta{MsgID: w.msgSeq, Index: int32(i), Total: int32(npkts)},
 		}
 		ps = append(ps, p)
 		w.sendQ[src] = append(w.sendQ[src], p)

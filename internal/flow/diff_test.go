@@ -124,7 +124,7 @@ func (d *scripted) Tick(now sim.Cycle) {
 		s := d.sc.sends[0]
 		d.sc.sends = d.sc.sends[1:]
 		p := &packet.Packet{ID: uint64(d.node)<<32 | uint64(d.nextID), Src: d.node, Dst: s.dst,
-			Words: s.words, Class: s.cls, Kind: packet.Data}
+			Words: int32(s.words), Class: s.cls, Kind: packet.Data}
 		d.nextID++
 		d.pt.StartSend(now, p)
 		d.log = append(d.log, now, 0, int64(p.ID))

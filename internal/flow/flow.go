@@ -756,17 +756,17 @@ func (f *Fabric) allocFlow() int32 {
 		return id
 	}
 	id := int32(len(f.fPkt))
-	f.fPkt = append(f.fPkt, nil)
-	f.fSrc = append(f.fSrc, 0)
-	f.fDst = append(f.fDst, 0)
-	f.fRem = append(f.fRem, 0)
-	f.fRate = append(f.fRate, 0)
-	f.fAt = append(f.fAt, 0)
-	f.fSeq = append(f.fSeq, 0)
-	f.fHeap = append(f.fHeap, -1)
-	f.fNextD = append(f.fNextD, -1)
-	f.fPrevD = append(f.fPrevD, -1)
-	f.fMark = append(f.fMark, false)
+	f.fPkt = sim.Push(f.fPkt, nil)
+	f.fSrc = sim.Push(f.fSrc, 0)
+	f.fDst = sim.Push(f.fDst, 0)
+	f.fRem = sim.Push(f.fRem, 0)
+	f.fRate = sim.Push(f.fRate, 0)
+	f.fAt = sim.Push(f.fAt, 0)
+	f.fSeq = sim.Push(f.fSeq, 0)
+	f.fHeap = sim.Push(f.fHeap, -1)
+	f.fNextD = sim.Push(f.fNextD, -1)
+	f.fPrevD = sim.Push(f.fPrevD, -1)
+	f.fMark = sim.Push(f.fMark, false)
 	f.drains.Grow(len(f.fPkt))
 	return id
 }

@@ -38,7 +38,7 @@ func (d *driver) Tick(now sim.Cycle) {
 }
 
 func mkPacket(src, dst, words int, c packet.Class) *packet.Packet {
-	return &packet.Packet{Src: src, Dst: dst, Words: words, Class: c, Kind: packet.Data}
+	return &packet.Packet{Src: src, Dst: dst, Words: int32(words), Class: c, Kind: packet.Data}
 }
 
 func build(t *testing.T, cfg Config) (*sim.Engine, *Fabric, []*driver) {
@@ -162,7 +162,7 @@ func TestPerPairOrder(t *testing.T) {
 	var want []*packet.Packet
 	for i := 0; i < 5; i++ {
 		p := mkPacket(0, 7, 8, packet.Request)
-		p.Seq = i
+		p.Seq = int32(i)
 		want = append(want, p)
 		ds[0].sends = append(ds[0].sends, p)
 		// Cross-traffic sharing the destination and the bisection.
@@ -175,7 +175,7 @@ func TestPerPairOrder(t *testing.T) {
 		if p.Src != 0 {
 			continue
 		}
-		if p.Seq != seen {
+		if int(p.Seq) != seen {
 			t.Fatalf("pair stream out of order: got seq %d, want %d", p.Seq, seen)
 		}
 		seen++

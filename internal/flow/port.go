@@ -68,7 +68,7 @@ func (pt *Port) StartSend(now sim.Cycle, p *packet.Packet) {
 	pt.slots[c] = p
 	pt.slotFlow[c] = -1
 	p.InjectedAt = now
-	pt.f.staged = append(pt.f.staged, stagedSend{node: pt.node, cls: uint8(c), p: p})
+	pt.f.staged = sim.Push(pt.f.staged, stagedSend{node: pt.node, cls: uint8(c), p: p})
 	// The solver must run next cycle to activate the staged flow, even if it
 	// was asleep until a later stride boundary.
 	pt.f.clock.WakeAt(now + 1)

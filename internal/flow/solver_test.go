@@ -64,7 +64,7 @@ func (p *pump) Tick(now sim.Cycle) {
 		if dst >= p.node {
 			dst++
 		}
-		*pk = packet.Packet{Src: p.node, Dst: dst, Words: 1 + p.r.Intn(8), Class: packet.Request, Kind: packet.Data}
+		*pk = packet.Packet{Src: p.node, Dst: dst, Words: int32(1 + p.r.Intn(8)), Class: packet.Request, Kind: packet.Data}
 		p.pt.StartSend(now, pk)
 		progress = true
 	}

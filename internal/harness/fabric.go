@@ -211,7 +211,7 @@ func (m *collector) Step(p *node.Proc) bool {
 	pk.ID = m.ids.Next()
 	pk.Src = m.n
 	pk.Dst = f.Dst
-	pk.Words = c.words
+	pk.Words = int32(c.words)
 	// An endless stream is one long message: keep requesting the bulk
 	// dialog (never closed), so NIFDY flows run W-windowed instead of one
 	// scalar packet per round trip. The plain kinds ignore the bit.

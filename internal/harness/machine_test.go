@@ -53,9 +53,9 @@ func genOracle(cfg traffic.Config) func(n int) node.Program {
 							pk.ID = ids.Next()
 							pk.Src = n
 							pk.Dst = dst
-							pk.Words = cfg.Words
+							pk.Words = int32(cfg.Words)
 							pk.BulkReq = bulk && i < length-1
-							pk.Meta = packet.Meta{MsgID: msg, Index: i, Total: length}
+							pk.Meta = packet.Meta{MsgID: msg, Index: int32(i), Total: int32(length)}
 							p.Send(pk)
 							sent++
 							for p.HasPending() {
@@ -90,7 +90,7 @@ func (c *fabricCollector) oracleProgram(n int) node.Program {
 				pk.ID = ids.Next()
 				pk.Src = n
 				pk.Dst = f.Dst
-				pk.Words = c.words
+				pk.Words = int32(c.words)
 				pk.BulkReq = true
 				p.Send(pk)
 				for p.HasPending() {

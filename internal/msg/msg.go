@@ -96,10 +96,10 @@ func (l *Layer) Prepare(src, dst, words int) Block {
 	ps := make([]*packet.Packet, n)
 	for i := 0; i < n; i++ {
 		p := &packet.Packet{
-			ID: l.ids.Next(), Src: src, Dst: dst, Words: l.cfg.Words,
+			ID: l.ids.Next(), Src: src, Dst: dst, Words: int32(l.cfg.Words),
 			Class: l.cfg.Class, Dialog: packet.NoDialog,
 			BulkReq: bulk && i < n-1,
-			Meta:    packet.Meta{MsgID: l.msgSeq, Index: i, Total: n},
+			Meta:    packet.Meta{MsgID: l.msgSeq, Index: int32(i), Total: int32(n)},
 		}
 		if !l.cfg.InOrder && n > 1 {
 			p.Meta.Tag = node.TagNeedsReorder

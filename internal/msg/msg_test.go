@@ -44,7 +44,7 @@ func TestPrepareBulkBits(t *testing.T) {
 		if p.BulkReq != wantReq {
 			t.Fatalf("packet %d BulkReq = %v", i, p.BulkReq)
 		}
-		if p.Meta.Index != i || p.Meta.Total != 5 {
+		if int(p.Meta.Index) != i || p.Meta.Total != 5 {
 			t.Fatalf("packet %d meta %+v", i, p.Meta)
 		}
 	}
@@ -144,7 +144,7 @@ func TestEndToEndBlockTransfer(t *testing.T) {
 		t.Fatalf("transfer incomplete: %d/%d", len(got), want)
 	}
 	for i, p := range got {
-		if p.Meta.Index != i {
+		if int(p.Meta.Index) != i {
 			t.Fatalf("out of order at %d: %v", i, p)
 		}
 	}

@@ -353,7 +353,7 @@ func TestReorderPenaltyApplied(t *testing.T) {
 				pr = func(p *Proc) {
 					pk := &packet.Packet{ID: ids.Next(), Src: 0, Dst: 1, Words: 8,
 						Dialog: packet.NoDialog, Class: packet.Request}
-					pk.Meta.Tag = tag
+					pk.Meta.Tag = int32(tag)
 					p.Send(pk)
 				}
 			case 1:

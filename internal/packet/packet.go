@@ -99,30 +99,57 @@ const WordBytes = 4
 type Meta struct {
 	// MsgID identifies the multi-packet message this packet belongs to.
 	MsgID uint64
-	// Index is the packet's position within its message (0-based).
-	Index int
-	// Total is the number of packets in the message.
-	Total int
-	// Tag is a workload-defined handler identifier.
-	Tag int
 	// Value is a workload-defined scalar (e.g. a radix-sort key).
 	Value uint64
+	// Index is the packet's position within its message (0-based).
+	Index int32
+	// Total is the number of packets in the message.
+	Total int32
+	// Tag is a workload-defined handler identifier.
+	Tag int32
 }
 
 // Packet is a simulated network packet. Fields are set by the sending NIC
 // and workloads; timing fields are stamped as the packet moves.
+//
+// The layout is part of the simulator's memory budget: every NIC pool and
+// the benchmark's pump slab are multiples of this struct. The header
+// counters are int32 and the one-byte fields sit together after them, so
+// the struct fits in 120 bytes (TestPacketSize).
 type Packet struct {
 	// ID is unique within a simulation, for auditing.
 	ID uint64
 	// Src and Dst are node numbers. Every packet carries its source in the
 	// header so the destination can return an ack (§2.1.1).
 	Src, Dst int
+
+	// CreatedAt is when the workload handed the packet to the NIC;
+	// InjectedAt when the first flit entered the fabric; DeliveredAt when
+	// the packet reached the destination NIC; AcceptedAt when the processor
+	// consumed it.
+	CreatedAt, InjectedAt, DeliveredAt, AcceptedAt sim.Cycle
+
+	// Meta is the application payload descriptor.
+	Meta Meta
+
+	// Words is the total packet length in 32-bit words, header included.
+	Words int32
+	// Dialog is the bulk dialog number for bulk data packets, or the granted
+	// dialog number in an ack when Grant == Granted; NoDialog otherwise.
+	Dialog int32
+	// Seq is the sliding-window sequence number of a bulk data packet
+	// (meaningful only when Dialog != NoDialog).
+	Seq int32
+	// CumSeq is, in a bulk ack, the cumulative sequence number: all packets
+	// with Seq <= CumSeq have been received in order.
+	CumSeq int32
+
 	// Kind is Data or Ack.
 	Kind Kind
 	// Class selects the request or reply logical network.
 	Class Class
-	// Words is the total packet length in 32-bit words, header included.
-	Words int
+	// Grant is the bulk-dialog response carried by an ack.
+	Grant GrantKind
 
 	// BulkReq is the bulk-request bit: the sender asks the receiver to grant
 	// a bulk dialog (§2.1.2).
@@ -147,22 +174,9 @@ type Packet struct {
 	Dup bool
 	// Retransmit marks a retransmitted copy (stats only).
 	Retransmit bool
-
-	// Dialog is the bulk dialog number for bulk data packets, or the granted
-	// dialog number in an ack when Grant == Granted; NoDialog otherwise.
-	Dialog int
-	// Seq is the sliding-window sequence number of a bulk data packet
-	// (meaningful only when Dialog != NoDialog).
-	Seq int
-
-	// Grant is the bulk-dialog response carried by an ack.
-	Grant GrantKind
 	// BulkAck marks an ack as a bulk-dialog cumulative (sliding window)
 	// acknowledgment rather than a scalar per-packet acknowledgment.
 	BulkAck bool
-	// CumSeq is, in a bulk ack, the cumulative sequence number: all packets
-	// with Seq <= CumSeq have been received in order.
-	CumSeq int
 	// PiggyAck marks a data packet that doubles as an ack for the reverse
 	// direction (§6.1 extension).
 	PiggyAck bool
@@ -171,22 +185,13 @@ type Packet struct {
 	// dialog in which case the transmission continues in scalar mode").
 	// CumSeq < 0 on a terminate ack carries no acknowledgment information.
 	Terminate bool
-
-	// Meta is the application payload descriptor.
-	Meta Meta
-
-	// CreatedAt is when the workload handed the packet to the NIC;
-	// InjectedAt when the first flit entered the fabric; DeliveredAt when
-	// the packet reached the destination NIC; AcceptedAt when the processor
-	// consumed it.
-	CreatedAt, InjectedAt, DeliveredAt, AcceptedAt sim.Cycle
 }
 
 // Flits returns the number of one-word flits the packet occupies.
-func (p *Packet) Flits() int { return p.Words }
+func (p *Packet) Flits() int { return int(p.Words) }
 
 // Bytes returns the packet length in bytes.
-func (p *Packet) Bytes() int { return p.Words * WordBytes }
+func (p *Packet) Bytes() int { return int(p.Words) * WordBytes }
 
 // InDialog reports whether the packet travels within a bulk dialog.
 func (p *Packet) InDialog() bool { return p.Dialog != NoDialog }

@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -124,7 +125,7 @@ func TestIDSourceUnique(t *testing.T) {
 func TestFlitIndexProperty(t *testing.T) {
 	// Property: exactly one head and one tail among a packet's flits.
 	f := func(words uint8) bool {
-		w := int(words%32) + 1
+		w := int32(words%32) + 1
 		p := &Packet{Words: w}
 		heads, tails := 0, 0
 		for i := 0; i < p.Flits(); i++ {
@@ -140,5 +141,16 @@ func TestFlitIndexProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPacketSize holds the packet to 120 bytes. The benchmark's pump pool
+// and every NIC's packet pool are multiples of this size, so a field that
+// adds padding or widens a header counter shows up in every large
+// simulation's memory; keep the one-byte fields together and the header
+// counters at int32.
+func TestPacketSize(t *testing.T) {
+	if got := reflect.TypeOf(Packet{}).Size(); got > 120 {
+		t.Fatalf("packet.Packet is %d bytes, want at most 120: the bench's pump pool and every NIC pool are multiples of it", got)
 	}
 }

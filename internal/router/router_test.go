@@ -60,7 +60,7 @@ func newLine(t *testing.T, vcs, bufFlits, cpf int, saf bool, drop float64) *line
 }
 
 func (l *line) pkt(src, dst, words int, class packet.Class) *packet.Packet {
-	return &packet.Packet{ID: l.ids.Next(), Src: src, Dst: dst, Words: words, Class: class, Dialog: packet.NoDialog}
+	return &packet.Packet{ID: l.ids.Next(), Src: src, Dst: dst, Words: int32(words), Class: class, Dialog: packet.NoDialog}
 }
 
 func TestSingleHopDelivery(t *testing.T) {
@@ -132,7 +132,7 @@ func TestManyPacketsAllDeliveredInOrder(t *testing.T) {
 		now := l.eng.Now()
 		if sent < n && l.ifaces[0].CanAccept(packet.Request) {
 			p := l.pkt(0, 1, 8, packet.Request)
-			p.Meta.Index = sent
+			p.Meta.Index = int32(sent)
 			l.ifaces[0].StartSend(now, p)
 			sent++
 		}
@@ -149,7 +149,7 @@ func TestManyPacketsAllDeliveredInOrder(t *testing.T) {
 		t.Fatalf("delivered %d/%d", len(got), n)
 	}
 	for i, p := range got {
-		if p.Meta.Index != i {
+		if int(p.Meta.Index) != i {
 			t.Fatalf("single-path network reordered: position %d has index %d", i, p.Meta.Index)
 		}
 	}
@@ -394,7 +394,7 @@ func TestPacketsIntactUnderVCInterleaving(t *testing.T) {
 			if !ok {
 				break
 			}
-			if lens[p.ID] != p.Words {
+			if lens[p.ID] != int(p.Words) {
 				t.Fatalf("packet %d corrupted: words %d, want %d", p.ID, p.Words, lens[p.ID])
 			}
 			got++

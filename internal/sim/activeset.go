@@ -123,7 +123,7 @@ func (as *activeSet) expire(acts []*Activity, now Cycle) {
 		if as.q[idx>>6]&(1<<(idx&63)) != 0 {
 			continue
 		}
-		if w := acts[idx].wakeAt.Load(); w <= now {
+		if w := acts[idx].wakeAt; w <= now {
 			as.enqueue(idx)
 		} else if w != Never {
 			as.file(idx, w)
@@ -153,7 +153,7 @@ func (as *activeSet) pending(acts []*Activity) (min Cycle, ok bool) {
 				if a == nil {
 					return 0, false
 				}
-				if w := a.wakeAt.Load(); w < min {
+				if w := a.wakeAt; w < min {
 					min = w
 				}
 			}
@@ -212,13 +212,13 @@ func (as *activeSet) sweep(tickers []Ticker, acts []*Activity, now Cycle) (ticke
 				a := acts[idx]
 				var w Cycle // a component without an Activity is always awake
 				if a != nil {
-					w = a.wakeAt.Load()
+					w = a.wakeAt
 				}
 				if w <= now {
 					tickers[idx].Tick(now)
 					ticks++
 					if a != nil {
-						w = a.wakeAt.Load()
+						w = a.wakeAt
 					}
 				} else {
 					notDue++

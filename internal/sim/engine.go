@@ -62,21 +62,21 @@
 // is a legal cross-shard edge — its sends are staged on the writer's side,
 // merged into the consumer-visible event list at the window boundary
 // (CrossFlusher), and the consumer's Activity is woken only at merge time, on
-// the stepping goroutine: a registered component's queue bit is set with a
-// plain OR, so it may only be woken from its own shard or at a boundary. (A
-// hook clock's wake time is an atomic CAS-min and may be lowered from any
-// shard.) Cross-shard effects that are not wire sends (e.g. barrier releases
-// waking processors in other shards) must be deferred to the boundary with
-// AtBarrier. The harness partitions fabrics with topo.Network's partition
-// hook so that each node's router, NIC, and processor share a shard and
-// wires are the only cross-shard edges; under that discipline every shard
-// count is bit-identical to one.
+// the stepping goroutine: a registered component's wake time and queue bit
+// are plain words, so it may only be woken from its own shard or at a
+// boundary. A hook clock's wake time is a plain word too, read at boundaries,
+// so it may only be woken from shard 0 (which ticks on the stepping
+// goroutine) or at a boundary. Cross-shard effects that are not wire sends
+// (e.g. barrier releases waking processors in other shards) must be deferred
+// to the boundary with AtBarrier. The harness partitions fabrics with
+// topo.Network's partition hook so that each node's router, NIC, and
+// processor share a shard and wires are the only cross-shard edges; under
+// that discipline every shard count is bit-identical to one.
 package sim
 
 import (
 	"math"
 	"runtime"
-	"sync/atomic"
 )
 
 // Cycle is a simulated time in cycles.
@@ -113,9 +113,10 @@ func (f TickFunc) Tick(now Cycle) { f(now) }
 // component's privilege, legal only when its Tick is a no-op until the given
 // cycle. The zero value is awake.
 type Activity struct {
-	// wakeAt is atomic because a hook clock (RegisterStepHookClocked) may be
-	// woken from every shard mid-window; the CAS-min in WakeAt commutes.
-	wakeAt atomic.Int64
+	// wakeAt is the next cycle the component must run in. It is a plain
+	// word: every producer runs on the owner's shard goroutine or at a window
+	// boundary, never beside another (see the shard discipline above).
+	wakeAt Cycle
 
 	// Active-set linkage, installed by RegisterSharded: set/idx name the
 	// owning shard's scheduler and the component's bit in it. A clear bit
@@ -131,20 +132,14 @@ type Activity struct {
 // WakeAt lowers the wake time to at most at: the component will run at cycle
 // at (or earlier). Never raises the wake time.
 func (a *Activity) WakeAt(at Cycle) {
-	for {
-		cur := a.wakeAt.Load()
-		if cur <= at {
-			return
-		}
-		if a.wakeAt.CompareAndSwap(cur, at) {
-			break
-		}
+	if a.wakeAt <= at {
+		return
 	}
-	// The wake time was lowered; make sure the component's bit is set. The
-	// OR is plain: every producer into a registered component runs on its
-	// shard's goroutine or at a boundary, never beside another (activeSet).
-	// A producer that finds cur <= at and returns early loses nothing: the
-	// component is queued, or holds a timer no later than cur.
+	a.wakeAt = at
+	// The wake time was lowered; make sure the component's bit is set. A
+	// producer that finds the wake time at or before at and returns early
+	// loses nothing: the component is queued, or holds a timer no later than
+	// its wake time.
 	if a.set != nil {
 		a.set.enqueue(a.idx)
 	}
@@ -157,10 +152,10 @@ func (a *Activity) Wake() { a.WakeAt(0) }
 // component may call it, and only when its Tick is a no-op for every cycle
 // before until (all inputs quiet; any already-scheduled input event must be
 // reflected in until).
-func (a *Activity) Sleep(until Cycle) { a.wakeAt.Store(until) }
+func (a *Activity) Sleep(until Cycle) { a.wakeAt = until }
 
 // Asleep reports whether the component would be skipped at cycle now.
-func (a *Activity) Asleep(now Cycle) bool { return a.wakeAt.Load() > now }
+func (a *Activity) Asleep(now Cycle) bool { return a.wakeAt > now }
 
 // IdleTicker is a Ticker that participates in quiescence skipping. The
 // engine consults the returned Activity (which must be stable across calls)
@@ -352,12 +347,12 @@ func (e *Engine) RegisterSharded(sh int, t Ticker) {
 	sh %= len(e.shards)
 	s := &e.shards[sh]
 	idx := int32(len(s.tickers))
-	s.tickers = append(s.tickers, t)
+	s.tickers = Push(s.tickers, t)
 	var a *Activity
 	if it, ok := t.(IdleTicker); ok {
 		a = it.Activity()
 	}
-	s.acts = append(s.acts, a)
+	s.acts = Push(s.acts, a)
 	s.as.register(idx, a)
 	if b, ok := t.(Binder); ok {
 		b.BindEngine(e, sh)
@@ -371,7 +366,8 @@ func (e *Engine) RegisterSharded(sh int, t Ticker) {
 // invariant monitors, the flow solver). a is the hook's clock, holding the
 // next cycle at which the hook needs to run (the hook maintains it like a
 // Ticker's Activity — Sleep forward from inside the hook, WakeAt from
-// producers; an Activity never put to sleep runs the hook every cycle). f
+// producers on shard 0 or at a boundary; an Activity never put to sleep runs
+// the hook every cycle). f
 // runs at exactly the cycles its clock is due in: a window ends early at a
 // clock waking inside it, and idle jumps stop at the earliest clock.
 func (e *Engine) RegisterStepHookClocked(f func(now Cycle), a *Activity) {
@@ -573,7 +569,7 @@ func (e *Engine) runWindowed(end Cycle, done func() bool) bool {
 			return true
 		}
 		for _, h := range e.hooks {
-			if h.clock.wakeAt.Load() <= T {
+			if h.clock.wakeAt <= T {
 				h.f(T)
 			}
 		}
@@ -581,7 +577,7 @@ func (e *Engine) runWindowed(end Cycle, done func() bool) bool {
 		if W > 1 {
 			E = min(T-T%W+W, end)
 			for _, h := range e.hooks {
-				if w := h.clock.wakeAt.Load(); w > T && w < E {
+				if w := h.clock.wakeAt; w > T && w < E {
 					E = w
 				}
 			}
@@ -655,7 +651,7 @@ func (e *Engine) idleScan() Cycle {
 		}
 	}
 	for _, h := range e.hooks {
-		if w := h.clock.wakeAt.Load(); w < min {
+		if w := h.clock.wakeAt; w < min {
 			min = w
 		}
 	}

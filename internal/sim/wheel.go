@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"math/bits"
-	"slices"
-)
+import "math/bits"
 
 // The wheel has wheelSize buckets; an entry for cycle k lives in bucket
 // k&wheelMask, so a deadline up to wheelSize cycles ahead is filed and
@@ -50,10 +47,12 @@ func (w *Wheel) Init() {
 	}
 }
 
-// Grow makes ids [0, n) fileable, keeping the entries already filed.
+// Grow makes ids [0, n) fileable, keeping the entries already filed. The
+// node table at least doubles when it reallocates, so growing it one id at
+// a time leaves little garbage (Push).
 func (w *Wheel) Grow(n int) {
-	if d := n - len(w.nodes); d > 0 {
-		w.nodes = slices.Grow(w.nodes, d)[:n]
+	if n > len(w.nodes) {
+		w.nodes = reserve(w.nodes, n)[:n]
 	}
 }
 

@@ -79,9 +79,9 @@ func (h *Harness) pump(now sim.Cycle) {
 
 // Enqueue schedules a packet from src to dst with the given length.
 func (h *Harness) Enqueue(src, dst, words int, class packet.Class) *packet.Packet {
-	p := &packet.Packet{ID: h.ids.Next(), Src: src, Dst: dst, Words: words,
+	p := &packet.Packet{ID: h.ids.Next(), Src: src, Dst: dst, Words: int32(words),
 		Class: class, Dialog: packet.NoDialog}
-	p.Meta.Index = len(h.queues[src])
+	p.Meta.Index = int32(len(h.queues[src]))
 	h.queues[src] = append(h.queues[src], p)
 	return p
 }
@@ -146,7 +146,7 @@ func (h *Harness) CheckPairOrder() {
 	})
 	for _, pair := range pairs {
 		ps := h.ByPair[pair]
-		last := -1
+		last := int32(-1)
 		for _, p := range ps {
 			if p.Meta.Index < last {
 				h.T.Fatalf("pair %v reordered: index %d after %d", pair, p.Meta.Index, last)

@@ -221,9 +221,9 @@ func (m *genMachine) Step(p *node.Proc) bool {
 			pk.ID = m.ids.Next()
 			pk.Src = m.n
 			pk.Dst = m.dst
-			pk.Words = cfg.Words
+			pk.Words = int32(cfg.Words)
 			pk.BulkReq = m.bulk && m.i < m.length-1
-			pk.Meta = packet.Meta{MsgID: m.msg, Index: m.i, Total: m.length}
+			pk.Meta = packet.Meta{MsgID: m.msg, Index: int32(m.i), Total: int32(m.length)}
 			m.i++
 			m.sent++
 			m.pc = genDrain
