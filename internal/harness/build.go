@@ -31,13 +31,11 @@ const (
 	NIFDY
 	// PFC is the plain NIC over a fabric running Priority Flow Control:
 	// hop-by-hop pause/resume backpressure at every router input and
-	// ejection buffer (DESIGN.md §10). Selecting it enables
-	// Fabric.PFC.Enable automatically.
+	// ejection buffer (DESIGN.md §10). Selecting it sets Fabric.PFC.
 	PFC
 	// DCQCN is the rate-controlled NIC (nic.DCQCN) over an ECN-marking
 	// fabric: routers mark heads crossing congested outputs, receivers echo
-	// CNPs, senders pace injection. Selecting it enables Fabric.ECN.Enable
-	// automatically.
+	// CNPs, senders pace injection. Selecting it sets Fabric.ECN.
 	DCQCN
 )
 
@@ -89,9 +87,9 @@ type BuildOpts struct {
 	Drop float64
 	// Fabric configures the modern-fabric baselines: link-level PFC
 	// pause/resume, ECN marking for DCQCN, and the lossy-wire model
-	// (WireDrop/WireCorrupt) that exercises NIFDY's §6 retransmission path.
-	// Kinds PFC and DCQCN force their respective enables; the loss knobs
-	// compose with every NIC kind.
+	// (WireDrop) that exercises NIFDY's §6 retransmission path. Kinds PFC
+	// and DCQCN set PFC and ECN, and nothing else does; WireDrop composes
+	// with every NIC kind.
 	Fabric router.FabricConfig
 	// Check enables the runtime invariant monitors (internal/check): the
 	// built Sim carries a Checker installed as an engine step hook,
@@ -155,9 +153,9 @@ func Build(opts BuildOpts) *Sim {
 	//lint:allow(kindswitch) only the fabric-baseline kinds imply a fabric feature; the NIFDY-family kinds deliberately leave Fabric zero
 	switch opts.Kind {
 	case PFC:
-		opts.Fabric.PFC.Enable = true
+		opts.Fabric.PFC = true
 	case DCQCN:
-		opts.Fabric.ECN.Enable = true
+		opts.Fabric.ECN = true
 	}
 	ifOpts := topo.IfaceOptions{
 		DropProb: opts.Drop, Seed: opts.Seed,
@@ -212,7 +210,7 @@ func Build(opts BuildOpts) *Sim {
 			// stays exact even over lossy wires: every logical packet is sent
 			// once and accepted exactly once.
 			co.ByID = true
-		case opts.Drop > 0 || opts.Fabric.Lossy():
+		case opts.Drop > 0 || opts.Fabric.WireDrop > 0:
 			// Lossy fabric without retransmission: losses are the point, so
 			// end-to-end accounting would only report them.
 			co.Sequence = false

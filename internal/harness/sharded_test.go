@@ -11,9 +11,10 @@ import (
 )
 
 // TestShardedDeterminism is the cross-shard-wire counterpart of the golden
-// determinism suite: Figure 2/3-style workloads on the three partition
-// shapes (mesh blocks, torus blocks with wraparound cross edges, fat-tree
-// subtrees) must produce bit-identical traces — final stats, every Pending
+// determinism suite: Figure 2/3-style workloads on every partition shape
+// (mesh and 3-D mesh blocks, torus blocks with wraparound cross edges,
+// full, CM-5 and store-and-forward fat-tree subtrees, butterfly and
+// multibutterfly node groups) must produce bit-identical traces — final stats, every Pending
 // sample, and completion state — at shards ∈ {1, 2, 4, 8}. The serial
 // engine (shards=1) is the reference. The NIFDY rows run again at W = 4
 // (the "-w4" subtests): the window is a model parameter, so their serial
@@ -56,6 +57,14 @@ func TestShardedDeterminism(t *testing.T) {
 		{"mesh2d-plain-heavy", 10_000, row(Mesh2D, Plain, false), []int{1}},
 		{"torus2d-plain-heavy", 10_000, row(Torus2D, Plain, false), []int{1}},
 		{"fattree-plain-light", 12_000, row(FullFatTree, Plain, true), []int{1}},
+		// The other placements: butterfly stages spread by node group
+		// (middle-stage routers' channels cross shards), the CM-5 and
+		// store-and-forward trees' subtrees, and 3-D mesh blocks.
+		{"butterfly-nifdy-light", 12_000, row(Butterfly, NIFDY, true), []int{1, 4}},
+		{"multibutterfly-nifdy-light", 12_000, row(Multibutterfly, NIFDY, true), []int{1}},
+		{"cm5-nifdy-light", 12_000, row(CM5FatTree, NIFDY, true), []int{1, 4}},
+		{"sf-nifdy-light", 12_000, row(SFFatTree, NIFDY, true), []int{1}},
+		{"mesh3d-nifdy-heavy", 10_000, row(Mesh3D, NIFDY, false), []int{1}},
 	}
 	for _, tc := range cases {
 		for _, w := range tc.windows {

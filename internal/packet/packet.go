@@ -160,7 +160,7 @@ type Packet struct {
 	// extension): sent immediately, never acknowledged.
 	NoAck bool
 	// ECN is the congestion-experienced mark: set by a router forwarding the
-	// packet's head flit through a congested egress queue (router.ECNConfig),
+	// packet's head flit through a congested egress queue (router.FabricConfig.ECN),
 	// echoed by the destination NIC as a CNP so a DCQCN-style sender can
 	// reduce its rate.
 	ECN bool

@@ -25,9 +25,9 @@ type IfaceConfig struct {
 	// RNG drives loss decisions.
 	RNG *rng.Source
 	// Fabric configures the modern-fabric baselines: PFC pause/resume on the
-	// access channels, and the lossy-wire fault model (drop/corrupt in
-	// flight) that exercises the §6 retransmission path. ECN marking happens
-	// in the routers and is ignored here.
+	// access channels, and the lossy-wire fault model (drop in flight) that
+	// exercises the §6 retransmission path. ECN marking happens in the
+	// routers and is ignored here.
 	Fabric FabricConfig
 	// Mutate injects substrate faults for monitor validation (test-only).
 	Mutate IfaceMutations
@@ -100,7 +100,7 @@ type Iface struct {
 	// PFC state. The injection side mirrors the pause frames the local
 	// router's input port sent (pfcPaused, with the drain cycle in
 	// pfcPausedAt); the ejection side tracks the pauses it has issued
-	// upstream (pfcActive), with thresholds resolved against BufFlits.
+	// upstream (pfcActive), pausing at BufFlits and resuming one below.
 	pfcOn           bool
 	pfcXOff, pfcXOn int
 	pfcPaused       []bool
@@ -143,21 +143,21 @@ func NewIface(cfg IfaceConfig) *Iface {
 	for i := range f.slots {
 		f.slots[i].vc = -1
 	}
-	if cfg.Fabric.PFC.Enable {
+	if cfg.Fabric.PFC {
 		f.pfcOn = true
 		// The ejection side is packet-granular: extract removes whole packets,
 		// so a pause issued while the head packet is still arriving would
 		// block that packet's own tail — deadlock. Worms arrive contiguously
 		// per VC, so occupancy == capacity implies the head packet is
 		// complete and extractable; the ejection buffer therefore pauses only
-		// when full, ignoring the (router-oriented) configured thresholds.
+		// when full, not at the routers' half-buffer level.
 		f.pfcXOff = cfg.BufFlits
 		f.pfcXOn = cfg.BufFlits - 1
 		f.pfcPaused = make([]bool, nvc)
 		f.pfcPausedAt = make([]sim.Cycle, nvc)
 		f.pfcActive = make([]bool, nvc)
 	}
-	if cfg.Fabric.Lossy() {
+	if cfg.Fabric.WireDrop > 0 {
 		// One fault stream per node, salted away from every other consumer of
 		// the seed; decisions are drawn at the access link's single writer, so
 		// they are identical for any shard count.
@@ -348,9 +348,8 @@ func (f *Iface) drainArrivals(now sim.Cycle) bool {
 			if f.poisoned != nil {
 				if rem, ok := f.poisoned[fl.Pkt]; ok {
 					// The packet was condemned in flight (a sibling flit was
-					// dropped, or this one corrupted): discard without
-					// buffering, but return the credit — the slot it charged
-					// is free again.
+					// dropped): discard without buffering, but return the
+					// credit — the slot it charged is free again.
 					ch.Credits.Send(now, Credit{VC: fl.VC})
 					f.droppedFlits++
 					if rem <= 1 {
@@ -432,28 +431,26 @@ func (f *Iface) extract(now sim.Cycle, g int, p *packet.Packet) int {
 
 // wireFault is the lossy-wire hook (link.Link.SetFault) for ejection channel
 // ch. It runs on the writer's (the local router's) tick, at transmission
-// time: returning false drops the flit in flight. A drop or corruption
-// condemns the whole packet — wormhole flits are useless without their
-// siblings — via the poison set, and every condemned flit is compensated
-// (credit returned, loss counted) exactly once, so the conservation monitors
-// hold at every audit instant.
+// time: returning false drops the flit in flight. A drop condemns the whole
+// packet — wormhole flits are useless without their siblings — via the
+// poison set, and every condemned flit is compensated (credit returned, loss
+// counted) exactly once, so the conservation monitors hold at every audit
+// instant.
 func (f *Iface) wireFault(now sim.Cycle, ch *Channel, fl packet.Flit) bool {
-	drop := f.cfg.Fabric.WireDrop > 0 && f.wireRNG.Bool(f.cfg.Fabric.WireDrop)
-	corrupt := !drop && f.cfg.Fabric.WireCorrupt > 0 && f.wireRNG.Bool(f.cfg.Fabric.WireCorrupt)
-	if !drop && !corrupt {
+	if !f.wireRNG.Bool(f.cfg.Fabric.WireDrop) {
 		return true
 	}
-	f.poison(now, ch, fl, drop)
-	return !drop
+	f.poison(now, ch, fl)
+	return false
 }
 
-// poison condemns fl's packet: buffered sibling flits are extracted now
-// (their credits return through the normal path), in-flight and future flits
-// will be discarded-with-credit on arrival, and a wire-dropped flit — which
+// poison condemns wire-dropped flit fl's packet: buffered sibling flits are
+// extracted now (their credits return through the normal path), in-flight
+// and future flits will be discarded-with-credit on arrival, and fl — which
 // never arrives — has its credit returned here. The remaining-flit count
 // tracks how many of the packet's flits are still unaccounted; the entry is
 // deleted when it reaches zero, which wormhole serialization guarantees.
-func (f *Iface) poison(now sim.Cycle, ch *Channel, fl packet.Flit, dropped bool) {
+func (f *Iface) poison(now sim.Cycle, ch *Channel, fl packet.Flit) {
 	p := fl.Pkt
 	rem, already := f.poisoned[p]
 	if !already {
@@ -463,11 +460,9 @@ func (f *Iface) poison(now sim.Cycle, ch *Channel, fl packet.Flit, dropped bool)
 		f.droppedFlits += int64(removed)
 		rem -= removed
 	}
-	if dropped {
-		ch.Credits.Send(now, Credit{VC: fl.VC})
-		f.droppedFlits++
-		rem--
-	}
+	ch.Credits.Send(now, Credit{VC: fl.VC})
+	f.droppedFlits++
+	rem--
 	if rem <= 0 {
 		delete(f.poisoned, p)
 	} else {

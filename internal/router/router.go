@@ -43,10 +43,10 @@ type Config struct {
 	// RNG breaks ties between equally attractive adaptive candidates. If
 	// nil, the first candidate wins (appropriate for deterministic routing).
 	RNG *rng.Source
-	// Fabric configures the modern-fabric baselines: PFC pause/resume with
-	// per-VC thresholds on every channel (hop-by-hop backpressure) and ECN
-	// congestion marking at the egress queues. The lossy-wire knobs are
-	// applied by the interfaces, not here.
+	// Fabric configures the modern-fabric baselines: PFC pause/resume on
+	// every channel (hop-by-hop backpressure) and ECN congestion marking at
+	// the egress queues. The lossy wire is applied by the interfaces, not
+	// here.
 	Fabric FabricConfig
 }
 
@@ -224,11 +224,12 @@ func New(cfg Config) *Router {
 	}
 	r.inUsed = make([]bool, cfg.InPorts)
 	r.allocQ = make([]requester, 0, cfg.InPorts*nvc)
-	if cfg.Fabric.PFC.Enable {
+	if cfg.Fabric.PFC {
 		r.pfcOn = true
-		r.pfcXOff, r.pfcXOn = cfg.Fabric.PFC.thresholds(cfg.BufFlits)
+		r.pfcXOff = max(1, cfg.BufFlits/2)
+		r.pfcXOn = r.pfcXOff - 1
 	}
-	r.ecnOn = cfg.Fabric.ECN.Enable
+	r.ecnOn = cfg.Fabric.ECN
 	return r
 }
 
@@ -275,7 +276,7 @@ func (r *Router) ConnectOut(p int, ch *Channel, downstreamDepth int) {
 	}
 	op.paused = make([]bool, n)
 	op.pausedAt = make([]sim.Cycle, n)
-	op.ecnThresh = r.cfg.Fabric.ECN.threshold(downstreamDepth)
+	op.ecnThresh = max(1, downstreamDepth-1)
 }
 
 // BufferedFlits reports the total flits held in this router's input buffers

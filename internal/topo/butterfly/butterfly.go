@@ -17,7 +17,6 @@ import (
 	"nifdy/internal/packet"
 	"nifdy/internal/rng"
 	"nifdy/internal/router"
-	"nifdy/internal/sim"
 	"nifdy/internal/topo"
 )
 
@@ -63,27 +62,27 @@ func (c *Config) defaults() {
 	}
 }
 
-// Fly is a butterfly network.
+// Fly is a butterfly network. Router (s,r) has flat key s*perStage+r.
 type Fly struct {
+	topo.Base
 	cfg      Config
-	nodes    int
 	perStage int
-	routers  [][]*router.Router // [stage][pos]
-	ifaces   []*router.Iface
-	// edges record every channel for cross-shard marking. Endpoint keys:
-	// router (s,r) -> s*perStage+r; node nd -> -(nd+1).
-	edges []topo.Edge
 }
 
 // New builds the network.
 func New(cfg Config) *Fly {
 	cfg.defaults()
-	f := &Fly{cfg: cfg}
-	f.nodes = pow(cfg.Radix, cfg.Stages)
-	f.perStage = pow(cfg.Radix, cfg.Stages-1)
-	f.build()
+	f := &Fly{cfg: cfg, perStage: pow(cfg.Radix, cfg.Stages-1)}
+	f.Base = topo.Base{Opts: cfg.Iface, Align: cfg.Radix, Home: f.home}
+	f.build(pow(cfg.Radix, cfg.Stages))
 	return f
 }
+
+// home places router key (s,r) with the node group at its position: node
+// group nd/k = r holds the routers a node injects into (stage 0) and ejects
+// from (stage n-1), so those links stay shard-internal; middle stages
+// inherit the same spread.
+func (f *Fly) home(key int) int { return key % f.perStage * f.cfg.Radix }
 
 func pow(b, e int) int {
 	r := 1
@@ -106,48 +105,39 @@ func (f *Fly) setDigit(x, i, v int) int {
 }
 
 // Port layout: dir*Dilation + copy, for both inputs and outputs.
-func (f *Fly) build() {
+func (f *Fly) build(nodes int) {
 	k, D, n := f.cfg.Radix, f.cfg.Dilation, f.cfg.Stages
 	ports := k * D
-	f.routers = make([][]*router.Router, n)
+	f.Routers = make([]*router.Router, 0, n*f.perStage)
 	for s := 0; s < n; s++ {
-		f.routers[s] = make([]*router.Router, f.perStage)
 		for r := 0; r < f.perStage; r++ {
-			id := s*f.perStage + r
-			f.routers[s][r] = router.New(router.Config{
+			id := len(f.Routers)
+			f.Routers = append(f.Routers, router.New(router.Config{
 				ID: id, InPorts: ports, OutPorts: ports,
 				VCs: f.cfg.VCs, BufFlits: f.cfg.BufFlits,
 				Route: func(in int, p *packet.Packet, sc []router.Choice) []router.Choice {
 					return f.route(s, p, sc)
 				},
 				RNG:    rng.NewStream(f.cfg.Seed^0xB07F1E, uint64(id)),
-				Fabric: f.cfg.Iface.FabricFor(),
-			})
+				Fabric: f.Opts.FabricFor(),
+			}))
 		}
 	}
-	f.ifaces = make([]*router.Iface, f.nodes)
-	for nd := 0; nd < f.nodes; nd++ {
-		f.ifaces[nd] = router.NewIface(router.IfaceConfig{
-			Node: nd, VCs: f.cfg.VCs, BufFlits: topo.IfaceBufFlits,
-			DropProb: f.cfg.Iface.DropProb,
-			RNG:      f.cfg.Iface.LossRNG(uint64(nd)),
-			Fabric:   f.cfg.Iface.FabricFor(),
-			Mutate:   f.cfg.Iface.MutateFor(nd),
-		})
+	f.NewIfaces(nodes, f.cfg.VCs)
+	for nd, ifc := range f.Ifaces {
 		// Injection into stage 0, ejection from stage n-1; port dir = the
 		// node's lowest digit, copy 0.
-		first := f.routers[0][nd/k]
-		last := f.routers[n-1][nd/k]
+		first, last := nd/k, (n-1)*f.perStage+nd/k
 		port := (nd % k) * D
 		up := router.NewChannel(f.cfg.CPF, 1)
-		f.ifaces[nd].ConnectOut(up, f.cfg.BufFlits)
-		first.ConnectIn(port, up)
+		ifc.ConnectOut(up, f.cfg.BufFlits)
+		f.Routers[first].ConnectIn(port, up)
 		down := router.NewChannel(f.cfg.CPF, 1)
-		last.ConnectOut(port, down, topo.IfaceBufFlits)
-		f.ifaces[nd].ConnectIn(down)
-		f.edges = append(f.edges,
-			topo.Edge{Ch: up, From: -(nd + 1), To: 0*f.perStage + nd/k},
-			topo.Edge{Ch: down, From: (n-1)*f.perStage + nd/k, To: -(nd + 1)})
+		f.Routers[last].ConnectOut(port, down, topo.IfaceBufFlits)
+		ifc.ConnectIn(down)
+		f.Edges = append(f.Edges,
+			topo.Edge{Ch: up, From: -(nd + 1), To: first},
+			topo.Edge{Ch: down, From: last, To: -(nd + 1)})
 	}
 	// Inter-stage wiring: stage s router r, direction j, copy c connects to
 	// stage s+1 router r' = r with digit (n-2-s) replaced by j, input port
@@ -155,17 +145,17 @@ func (f *Fly) build() {
 	for s := 0; s+1 < n; s++ {
 		for r := 0; r < f.perStage; r++ {
 			for j := 0; j < k; j++ {
-				rNext := f.setDigit(r, n-2-s, j)
+				from := s*f.perStage + r
+				to := (s+1)*f.perStage + f.setDigit(r, n-2-s, j)
 				inDir := f.digit(r, n-2-s)
 				// Inter-stage channels carry the conservative-sync padding
 				// (access channels never cross shards: a node and its stage
 				// 0 / n-1 routers co-locate under the aligned partition).
 				for c := 0; c < D; c++ {
-					ch := router.NewChannelSync(f.cfg.CPF, 1, f.cfg.Iface.SyncWindow())
-					f.routers[s][r].ConnectOut(j*D+c, ch, f.cfg.BufFlits)
-					f.routers[s+1][rNext].ConnectIn(inDir*D+c, ch)
-					f.edges = append(f.edges,
-						topo.Edge{Ch: ch, From: s*f.perStage + r, To: (s+1)*f.perStage + rNext})
+					ch := router.NewChannelSync(f.cfg.CPF, 1, f.SyncWindow())
+					f.Routers[from].ConnectOut(j*D+c, ch, f.cfg.BufFlits)
+					f.Routers[to].ConnectIn(inDir*D+c, ch)
+					f.Edges = append(f.Edges, topo.Edge{Ch: ch, From: from, To: to})
 				}
 			}
 		}
@@ -186,65 +176,6 @@ func (f *Fly) route(stage int, p *packet.Packet, sc []router.Choice) []router.Ch
 	return sc
 }
 
-// Nodes implements topo.Network.
-func (f *Fly) Nodes() int { return f.nodes }
-
-// SyncWindow implements topo.WindowSized: the butterfly pads inter-stage
-// channels for the configured window.
-func (f *Fly) SyncWindow() int { return f.cfg.Iface.SyncWindow() }
-
-// Iface implements topo.Network.
-func (f *Fly) Iface(n int) router.Port { return f.ifaces[n] }
-
-// Partition implements topo.Network: contiguous node blocks aligned to
-// groups of k, so a node and its injection/ejection routers share a shard.
-func (f *Fly) Partition(shards int) []int {
-	return topo.AlignedPartition(f.nodes, f.cfg.Radix, shards)
-}
-
-// routerShard places router (s,r) with the node group at its position: node
-// group nd/k = r holds the routers a node injects into (stage 0) and ejects
-// from (stage n-1), so those links stay shard-internal; middle stages
-// inherit the same spread.
-func (f *Fly) routerShard(r int, shardOf []int) int {
-	return shardOf[r*f.cfg.Radix]
-}
-
-// RegisterRoutersSharded implements topo.Network.
-func (f *Fly) RegisterRoutersSharded(e *sim.Engine, shardOf []int) {
-	for _, st := range f.routers {
-		for r, rt := range st {
-			e.RegisterSharded(f.routerShard(r, shardOf), rt)
-		}
-	}
-	topo.MarkCross(e, f.edges, func(key int) int {
-		if key < 0 {
-			return shardOf[-key-1]
-		}
-		return f.routerShard(key%f.perStage, shardOf)
-	})
-}
-
-// AuditRouters implements topo.Network.
-func (f *Fly) AuditRouters(fn func(*router.Router)) {
-	for _, st := range f.routers {
-		for _, r := range st {
-			fn(r)
-		}
-	}
-}
-
-// BufferedFlits implements topo.Network.
-func (f *Fly) BufferedFlits() int {
-	total := 0
-	for _, st := range f.routers {
-		for _, r := range st {
-			total += r.BufferedFlits()
-		}
-	}
-	return total
-}
-
 // Chars implements topo.Network.
 func (f *Fly) Chars() topo.Characteristics {
 	name := "butterfly"
@@ -253,7 +184,7 @@ func (f *Fly) Chars() topo.Characteristics {
 	}
 	c := topo.Characteristics{
 		Name:    name,
-		Nodes:   f.nodes,
+		Nodes:   f.Nodes(),
 		AvgHops: float64(f.cfg.Stages), // every packet crosses all stages
 		MaxHops: f.cfg.Stages,
 		InOrder: f.cfg.Dilation == 1,
@@ -265,13 +196,7 @@ func (f *Fly) Chars() topo.Characteristics {
 	// ways.
 	cross := f.perStage * f.cfg.Radix * f.cfg.Dilation // = total stage0->1 links; half cross each way, so total crossing = half * 2 = same
 	c.BisectionFPC = float64(cross) / float64(f.cfg.CPF)
-	internal := 0
-	for _, ed := range f.edges {
-		if ed.From >= 0 && ed.To >= 0 {
-			internal++
-		}
-	}
-	c.FabricFPC = float64(internal) / float64(f.cfg.CPF)
+	c.FabricFPC = float64(f.InternalLinks()) / float64(f.cfg.CPF)
 	c.CPF = f.cfg.CPF
 	c.HopLat = float64(f.cfg.CPF + 2) // header serialization + route/arbitrate
 	return c

@@ -19,7 +19,6 @@ import (
 	"nifdy/internal/packet"
 	"nifdy/internal/rng"
 	"nifdy/internal/router"
-	"nifdy/internal/sim"
 	"nifdy/internal/topo"
 )
 
@@ -94,18 +93,13 @@ func (c *Config) defaults() {
 	}
 }
 
-// Tree is a fat-tree network.
+// Tree is a fat-tree network. Router (l,w) has flat key l*perLevel+w.
 type Tree struct {
+	topo.Base
 	cfg      Config
-	nodes    int
 	perLevel int
-	routers  [][]*router.Router // [level][pos]
-	ifaces   []*router.Iface
 	classes  int // physical channel copies per logical port (2 when time-muxed)
 	cpf      int
-	// edges record every channel for cross-shard marking. Endpoint keys:
-	// router (l,w) -> l*perLevel+w; node n -> -(n+1).
-	edges []topo.Edge
 }
 
 // New builds the network.
@@ -113,7 +107,7 @@ func New(cfg Config) *Tree {
 	cfg.defaults()
 	t := &Tree{cfg: cfg}
 	k := cfg.Arity
-	t.nodes = pow(k, cfg.Levels)
+	t.Base = topo.Base{Opts: cfg.Iface, Align: k, Home: t.home}
 	t.perLevel = pow(k, cfg.Levels-1)
 	t.classes = 1
 	t.cpf = 4 // 1-byte links
@@ -125,8 +119,20 @@ func New(cfg Config) *Tree {
 		t.classes = packet.NumClasses
 		t.cpf = 8
 	}
-	t.build()
+	t.build(pow(k, cfg.Levels))
 	return t
+}
+
+// home places router key r = (l,w): internal routers join the shard of their
+// subtree's first leaf group (so a subtree entirely inside one shard keeps
+// all its routers and links there); top-level routers are shared by every
+// subtree, so they spread across shards by position.
+func (t *Tree) home(r int) int {
+	l, w := r/t.perLevel, r%t.perLevel
+	if l < t.cfg.Levels-1 {
+		w -= w % pow(t.cfg.Arity, l)
+	}
+	return w * t.cfg.Arity
 }
 
 func pow(b, e int) int {
@@ -169,51 +175,43 @@ func (t *Tree) phys(logical int, class packet.Class) int {
 	return logical*t.classes + int(class)%t.classes
 }
 
-func (t *Tree) build() {
+func (t *Tree) build(nodes int) {
 	k := t.cfg.Arity
-	t.routers = make([][]*router.Router, t.cfg.Levels)
+	t.Routers = make([]*router.Router, 0, t.cfg.Levels*t.perLevel)
 	for l := 0; l < t.cfg.Levels; l++ {
-		t.routers[l] = make([]*router.Router, t.perLevel)
 		ports := (k + t.parents(l)) * t.classes
 		for w := 0; w < t.perLevel; w++ {
-			id := l*t.perLevel + w
-			t.routers[l][w] = router.New(router.Config{
+			id := len(t.Routers)
+			t.Routers = append(t.Routers, router.New(router.Config{
 				ID: id, InPorts: ports, OutPorts: ports,
 				VCs: t.cfg.VCs, BufFlits: t.cfg.BufFlits,
 				SAF:    t.cfg.Variant == StoreForward,
 				Route:  func(in int, p *packet.Packet, s []router.Choice) []router.Choice { return t.route(l, w, p, s) },
 				RNG:    rng.NewStream(t.cfg.Seed^0xFA77EE, uint64(id)),
-				Fabric: t.cfg.Iface.FabricFor(),
-			})
+				Fabric: t.Opts.FabricFor(),
+			}))
 		}
 	}
-	t.ifaces = make([]*router.Iface, t.nodes)
-	for n := 0; n < t.nodes; n++ {
-		t.ifaces[n] = router.NewIface(router.IfaceConfig{
-			Node: n, VCs: t.cfg.VCs, BufFlits: topo.IfaceBufFlits,
-			DropProb: t.cfg.Iface.DropProb,
-			RNG:      t.cfg.Iface.LossRNG(uint64(n)),
-			Fabric:   t.cfg.Iface.FabricFor(),
-			Mutate:   t.cfg.Iface.MutateFor(n),
-		})
-		leaf := t.routers[0][n/k]
+	t.NewIfaces(nodes, t.cfg.VCs)
+	for n, ifc := range t.Ifaces {
+		leafKey := n / k
+		leaf := t.Routers[leafKey]
 		port := n % k
-		leafKey := 0*t.perLevel + n/k
 		for cl := 0; cl < t.classes; cl++ {
 			up := router.NewChannel(t.cpf, 1)
 			down := router.NewChannel(t.cpf, 1)
 			pp := t.phys(port, packet.Class(cl))
 			leaf.ConnectIn(pp, up)
 			leaf.ConnectOut(pp, down, topo.IfaceBufFlits)
-			t.edges = append(t.edges,
+			t.Edges = append(t.Edges,
 				topo.Edge{Ch: up, From: -(n + 1), To: leafKey},
 				topo.Edge{Ch: down, From: leafKey, To: -(n + 1)})
 			if t.classes == 1 {
-				t.ifaces[n].ConnectOut(up, t.cfg.BufFlits)
-				t.ifaces[n].ConnectIn(down)
+				ifc.ConnectOut(up, t.cfg.BufFlits)
+				ifc.ConnectIn(down)
 			} else {
-				t.ifaces[n].ConnectOutClass(packet.Class(cl), up, t.cfg.BufFlits)
-				t.ifaces[n].ConnectInClass(packet.Class(cl), down)
+				ifc.ConnectOutClass(packet.Class(cl), up, t.cfg.BufFlits)
+				ifc.ConnectInClass(packet.Class(cl), down)
 			}
 		}
 	}
@@ -248,26 +246,27 @@ func (t *Tree) build() {
 	// Inter-level links.
 	for l := 0; l+1 < t.cfg.Levels; l++ {
 		for w := 0; w < t.perLevel; w++ {
-			lo := t.routers[l][w]
+			loKey := l*t.perLevel + w
+			lo := t.Routers[loKey]
 			for m := 0; m < t.parents(l); m++ {
 				wUp := t.setDigit(w, l, m)
 				if l+1 == t.cfg.Levels-1 && dead[wUp] {
 					continue // faulted top router: no links to it
 				}
-				hi := t.routers[l+1][wUp]
+				hiKey := (l+1)*t.perLevel + wUp
+				hi := t.Routers[hiKey]
 				hiPort := t.digit(w, l) // down port on the parent selects digit l
-				loKey, hiKey := l*t.perLevel+w, (l+1)*t.perLevel+wUp
 				// Inter-level channels carry the conservative-sync padding
 				// (access channels never cross shards: a node and its leaf
 				// router co-locate under the aligned partition).
 				for cl := 0; cl < t.classes; cl++ {
-					up := router.NewChannelSync(t.cpf, 1, t.cfg.Iface.SyncWindow())
+					up := router.NewChannelSync(t.cpf, 1, t.SyncWindow())
 					lo.ConnectOut(t.phys(k+m, packet.Class(cl)), up, t.cfg.BufFlits)
 					hi.ConnectIn(t.phys(hiPort, packet.Class(cl)), up)
-					down := router.NewChannelSync(t.cpf, 1, t.cfg.Iface.SyncWindow())
+					down := router.NewChannelSync(t.cpf, 1, t.SyncWindow())
 					hi.ConnectOut(t.phys(hiPort, packet.Class(cl)), down, t.cfg.BufFlits)
 					lo.ConnectIn(t.phys(k+m, packet.Class(cl)), down)
-					t.edges = append(t.edges,
+					t.Edges = append(t.Edges,
 						topo.Edge{Ch: up, From: loKey, To: hiKey},
 						topo.Edge{Ch: down, From: hiKey, To: loKey})
 				}
@@ -306,68 +305,6 @@ func (t *Tree) nodeDigit(n, i int) int {
 	return n % t.cfg.Arity
 }
 
-// Nodes implements topo.Network.
-func (t *Tree) Nodes() int { return t.nodes }
-
-// SyncWindow implements topo.WindowSized: the tree pads inter-level channels
-// for the configured window.
-func (t *Tree) SyncWindow() int { return t.cfg.Iface.SyncWindow() }
-
-// Iface implements topo.Network.
-func (t *Tree) Iface(n int) router.Port { return t.ifaces[n] }
-
-// Partition implements topo.Network: contiguous node blocks aligned to leaf
-// groups of k, so a leaf router and all k nodes under it share a shard.
-func (t *Tree) Partition(shards int) []int {
-	return topo.AlignedPartition(t.nodes, t.cfg.Arity, shards)
-}
-
-// routerShard places router (l,w) given a node→shard map: internal routers
-// join the shard of their subtree's first leaf group (so a subtree entirely
-// inside one shard keeps all its routers and links there); top-level routers
-// are shared by every subtree, so they spread across shards by position.
-func (t *Tree) routerShard(l, w int, shardOf []int) int {
-	if l < t.cfg.Levels-1 {
-		w -= w % pow(t.cfg.Arity, l)
-	}
-	return shardOf[w*t.cfg.Arity]
-}
-
-// RegisterRoutersSharded implements topo.Network.
-func (t *Tree) RegisterRoutersSharded(e *sim.Engine, shardOf []int) {
-	for l, lvl := range t.routers {
-		for w, r := range lvl {
-			e.RegisterSharded(t.routerShard(l, w, shardOf), r)
-		}
-	}
-	topo.MarkCross(e, t.edges, func(key int) int {
-		if key < 0 {
-			return shardOf[-key-1]
-		}
-		return t.routerShard(key/t.perLevel, key%t.perLevel, shardOf)
-	})
-}
-
-// AuditRouters implements topo.Network.
-func (t *Tree) AuditRouters(f func(*router.Router)) {
-	for _, lvl := range t.routers {
-		for _, r := range lvl {
-			f(r)
-		}
-	}
-}
-
-// BufferedFlits implements topo.Network.
-func (t *Tree) BufferedFlits() int {
-	total := 0
-	for _, lvl := range t.routers {
-		for _, r := range lvl {
-			total += r.BufferedFlits()
-		}
-	}
-	return total
-}
-
 // Hops returns the router-to-router distance between nodes a and b: up to
 // the nearest common ancestor level and back down.
 func (t *Tree) Hops(a, b int) int {
@@ -394,22 +331,8 @@ func (t *Tree) Hops(a, b int) int {
 
 // Chars implements topo.Network.
 func (t *Tree) Chars() topo.Characteristics {
-	c := topo.Characteristics{Nodes: t.nodes, Name: t.cfg.Variant.String(), InOrder: false}
-	total, pairs := 0, 0
-	for a := 0; a < t.nodes; a++ {
-		for b := 0; b < t.nodes; b++ {
-			if a == b {
-				continue
-			}
-			h := t.Hops(a, b)
-			total += h
-			pairs++
-			if h > c.MaxHops {
-				c.MaxHops = h
-			}
-		}
-	}
-	c.AvgHops = float64(total) / float64(pairs)
+	c := topo.Characteristics{Nodes: t.Nodes(), Name: t.cfg.Variant.String(), InOrder: false}
+	c.AvgHops, c.MaxHops = topo.HopStats(c.Nodes, t.Hops)
 	vol := 0
 	for l := 0; l < t.cfg.Levels; l++ {
 		ports := (t.cfg.Arity + t.parents(l)) * t.classes
@@ -429,13 +352,7 @@ func (t *Tree) Chars() topo.Characteristics {
 	if t.cfg.Variant == CM5 {
 		c.Name = "fat tree (CM-5)"
 	}
-	internal := 0
-	for _, ed := range t.edges {
-		if ed.From >= 0 && ed.To >= 0 {
-			internal++
-		}
-	}
-	c.FabricFPC = float64(internal) / float64(t.cpf)
+	c.FabricFPC = float64(t.InternalLinks()) / float64(t.cpf)
 	c.CPF = t.cpf
 	c.HopLat = float64(t.cpf + 2) // header serialization + route/arbitrate
 	if t.cfg.Variant == StoreForward {

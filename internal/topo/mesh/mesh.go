@@ -17,7 +17,6 @@ import (
 	"nifdy/internal/packet"
 	"nifdy/internal/rng"
 	"nifdy/internal/router"
-	"nifdy/internal/sim"
 	"nifdy/internal/topo"
 )
 
@@ -68,17 +67,13 @@ func (c *Config) defaults() {
 	}
 }
 
-// Mesh is a mesh or torus network.
+// Mesh is a mesh or torus network. Router n serves node n, so each router
+// is its own home and partitions need no alignment; Edges holds only the
+// router↔router channels (node n's access channels stay inside its shard).
 type Mesh struct {
+	topo.Base
 	cfg     Config
-	nodes   int
-	routers []*router.Router
-	ifaces  []*router.Iface
 	strides []int
-	// edges are the router↔router channels, keyed by router index, for
-	// cross-shard marking (iface↔router channels stay shard-internal by
-	// construction: node n's iface and router share a shard).
-	edges []topo.Edge
 }
 
 // New builds the network.
@@ -90,15 +85,17 @@ func New(cfg Config) *Mesh {
 	if cfg.Adaptive && (cfg.Torus || len(cfg.Dims) != 2) {
 		panic("mesh: adaptive (west-first) routing requires a 2-D non-torus mesh")
 	}
-	m := &Mesh{cfg: cfg, nodes: 1}
+	m := &Mesh{cfg: cfg}
+	nodes := 1
 	for _, d := range cfg.Dims {
 		if d < 2 {
 			panic("mesh: dimension size < 2")
 		}
-		m.strides = append(m.strides, m.nodes)
-		m.nodes *= d
+		m.strides = append(m.strides, nodes)
+		nodes *= d
 	}
-	m.build()
+	m.Base = topo.Base{Opts: cfg.Iface, Align: 1, Home: func(r int) int { return r }}
+	m.build(nodes)
 	return m
 }
 
@@ -109,11 +106,11 @@ func minusPort(d int) int { return 2 + 2*d }
 
 func (m *Mesh) coord(n, d int) int { return (n / m.strides[d]) % m.cfg.Dims[d] }
 
-func (m *Mesh) build() {
+func (m *Mesh) build(nodes int) {
 	ports := 1 + 2*len(m.cfg.Dims)
-	m.routers = make([]*router.Router, m.nodes)
-	m.ifaces = make([]*router.Iface, m.nodes)
-	for n := 0; n < m.nodes; n++ {
+	m.NewIfaces(nodes, m.cfg.VCs)
+	m.Routers = make([]*router.Router, nodes)
+	for n := range m.Routers {
 		rcfg := router.Config{
 			ID: n, InPorts: ports, OutPorts: ports,
 			VCs: m.cfg.VCs, BufFlits: m.cfg.BufFlits,
@@ -125,50 +122,39 @@ func (m *Mesh) build() {
 		if m.cfg.Adaptive {
 			rcfg.RNG = rng.NewStream(m.cfg.Seed^0xADA57, uint64(n))
 		}
-		m.routers[n] = router.New(rcfg)
+		m.Routers[n] = router.New(rcfg)
 	}
-	for n := 0; n < m.nodes; n++ {
-		m.ifaces[n] = router.NewIface(router.IfaceConfig{
-			Node: n, VCs: m.cfg.VCs, BufFlits: topo.IfaceBufFlits,
-			DropProb: m.cfg.Iface.DropProb,
-			RNG:      m.cfg.Iface.LossRNG(uint64(n)),
-			Fabric:   m.cfg.Iface.FabricFor(),
-			Mutate:   m.cfg.Iface.MutateFor(n),
-		})
+	for n, ifc := range m.Ifaces {
 		up := router.NewChannel(m.cfg.CPF, 1)
-		m.ifaces[n].ConnectOut(up, m.cfg.BufFlits)
-		m.routers[n].ConnectIn(0, up)
+		ifc.ConnectOut(up, m.cfg.BufFlits)
+		m.Routers[n].ConnectIn(0, up)
 		down := router.NewChannel(m.cfg.CPF, 1)
-		m.routers[n].ConnectOut(0, down, topo.IfaceBufFlits)
-		m.ifaces[n].ConnectIn(down)
+		m.Routers[n].ConnectOut(0, down, topo.IfaceBufFlits)
+		ifc.ConnectIn(down)
 	}
 	// Router-router channels carry the conservative-sync padding (access
 	// channels above never cross shards: a node and its router co-locate).
-	w := m.cfg.Iface.SyncWindow()
-	for n := 0; n < m.nodes; n++ {
+	w := m.SyncWindow()
+	for n := 0; n < nodes; n++ {
 		for d := range m.cfg.Dims {
 			c := m.coord(n, d)
 			if c+1 < m.cfg.Dims[d] || m.cfg.Torus {
 				nb := n + ((c+1)%m.cfg.Dims[d]-c)*m.strides[d]
 				ch := router.NewChannelSync(m.cfg.CPF, 1, w)
-				m.routers[n].ConnectOut(plusPort(d), ch, m.cfg.BufFlits)
-				m.routers[nb].ConnectIn(minusPort(d), ch)
-				m.edges = append(m.edges, topo.Edge{Ch: ch, From: n, To: nb})
+				m.Routers[n].ConnectOut(plusPort(d), ch, m.cfg.BufFlits)
+				m.Routers[nb].ConnectIn(minusPort(d), ch)
+				m.Edges = append(m.Edges, topo.Edge{Ch: ch, From: n, To: nb})
 			}
 			if c > 0 || m.cfg.Torus {
 				nb := n + ((c-1+m.cfg.Dims[d])%m.cfg.Dims[d]-c)*m.strides[d]
 				ch := router.NewChannelSync(m.cfg.CPF, 1, w)
-				m.routers[n].ConnectOut(minusPort(d), ch, m.cfg.BufFlits)
-				m.routers[nb].ConnectIn(plusPort(d), ch)
-				m.edges = append(m.edges, topo.Edge{Ch: ch, From: n, To: nb})
+				m.Routers[n].ConnectOut(minusPort(d), ch, m.cfg.BufFlits)
+				m.Routers[nb].ConnectIn(plusPort(d), ch)
+				m.Edges = append(m.Edges, topo.Edge{Ch: ch, From: n, To: nb})
 			}
 		}
 	}
 }
-
-// SyncWindow implements topo.WindowSized: the mesh pads router-router
-// channels for the configured window.
-func (m *Mesh) SyncWindow() int { return m.cfg.Iface.SyncWindow() }
 
 // route implements dimension-order routing with the torus dateline VC rule,
 // or west-first minimal adaptive routing when configured.
@@ -239,44 +225,6 @@ func (m *Mesh) routeWestFirst(at int, p *packet.Packet, s []router.Choice) []rou
 	return s
 }
 
-// Nodes implements topo.Network.
-func (m *Mesh) Nodes() int { return m.nodes }
-
-// Iface implements topo.Network.
-func (m *Mesh) Iface(n int) router.Port { return m.ifaces[n] }
-
-// Partition implements topo.Network: contiguous row-major node blocks, one
-// per shard (no alignment constraint — each node has its own router).
-func (m *Mesh) Partition(shards int) []int {
-	return topo.AlignedPartition(m.nodes, 1, shards)
-}
-
-// RegisterRoutersSharded implements topo.Network: router n joins node n's
-// shard, and neighbor channels crossing a block boundary become staged
-// cross-shard edges.
-func (m *Mesh) RegisterRoutersSharded(e *sim.Engine, shardOf []int) {
-	for n, r := range m.routers {
-		e.RegisterSharded(shardOf[n], r)
-	}
-	topo.MarkCross(e, m.edges, func(key int) int { return shardOf[key] })
-}
-
-// AuditRouters implements topo.Network.
-func (m *Mesh) AuditRouters(f func(*router.Router)) {
-	for _, r := range m.routers {
-		f(r)
-	}
-}
-
-// BufferedFlits implements topo.Network.
-func (m *Mesh) BufferedFlits() int {
-	total := 0
-	for _, r := range m.routers {
-		total += r.BufferedFlits()
-	}
-	return total
-}
-
 // Hops returns the router-to-router distance between nodes a and b.
 func (m *Mesh) Hops(a, b int) int {
 	h := 0
@@ -296,7 +244,7 @@ func (m *Mesh) Hops(a, b int) int {
 
 // Chars implements topo.Network.
 func (m *Mesh) Chars() topo.Characteristics {
-	c := topo.Characteristics{Nodes: m.nodes, InOrder: !m.cfg.Adaptive}
+	c := topo.Characteristics{Nodes: m.Nodes(), InOrder: !m.cfg.Adaptive}
 	kind := "mesh"
 	if m.cfg.Torus {
 		kind = "torus"
@@ -305,24 +253,10 @@ func (m *Mesh) Chars() topo.Characteristics {
 	if m.cfg.Adaptive {
 		c.Name += " adaptive"
 	}
-	total, pairs := 0, 0
-	for a := 0; a < m.nodes; a++ {
-		for b := 0; b < m.nodes; b++ {
-			if a == b {
-				continue
-			}
-			h := m.Hops(a, b)
-			total += h
-			pairs++
-			if h > c.MaxHops {
-				c.MaxHops = h
-			}
-		}
-	}
-	c.AvgHops = float64(total) / float64(pairs)
+	c.AvgHops, c.MaxHops = topo.HopStats(c.Nodes, m.Hops)
 	// Volume: per router, non-local input ports x all VCs x depth.
 	perRouter := 2 * len(m.cfg.Dims) * packet.NumClasses * m.cfg.VCs * m.cfg.BufFlits
-	c.VolumeFlits = perRouter * m.nodes
+	c.VolumeFlits = perRouter * c.Nodes
 	// Bisection: cut the largest dimension in half; count unidirectional
 	// links crossing (x2 for torus wrap links).
 	maxSize := 0
@@ -331,12 +265,12 @@ func (m *Mesh) Chars() topo.Characteristics {
 			maxSize = sz
 		}
 	}
-	cross := 2 * m.nodes / maxSize // both directions of one cut plane
+	cross := 2 * c.Nodes / maxSize // both directions of one cut plane
 	if m.cfg.Torus {
 		cross *= 2
 	}
 	c.BisectionFPC = float64(cross) / float64(m.cfg.CPF)
-	c.FabricFPC = float64(len(m.edges)) / float64(m.cfg.CPF)
+	c.FabricFPC = float64(m.InternalLinks()) / float64(m.cfg.CPF)
 	c.CPF = m.cfg.CPF
 	c.HopLat = float64(m.cfg.CPF + 2) // header serialization + route/arbitrate
 	return c

@@ -4,7 +4,8 @@
 //
 // Concrete topologies live in subpackages: mesh (2-D/3-D meshes and tori),
 // fattree (full 4-ary and CM-5 variants), and butterfly (radix-4 butterfly
-// and dilated multibutterfly).
+// and dilated multibutterfly). Each embeds Base for everything but its
+// wiring, routing and Chars.
 package topo
 
 import (
@@ -193,15 +194,6 @@ func (o IfaceOptions) SyncWindow() int {
 		return 1
 	}
 	return o.Window
-}
-
-// MutateFor returns the fault set for node n: Mutate when n is MutateNode,
-// the zero (no-op) set otherwise.
-func (o IfaceOptions) MutateFor(n int) router.IfaceMutations {
-	if n == o.MutateNode {
-		return o.Mutate
-	}
-	return router.IfaceMutations{}
 }
 
 // LossRNG returns a per-node loss stream, or nil when the network is
