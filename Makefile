@@ -54,9 +54,10 @@ check-deep:
 # stepping goroutine at the window boundary and read by the consumer's shard
 # in the next window), the harness's concurrent simulations, and the
 # processors' step machines, which shard workers call in sharded runs, and
-# the closure adapter's goroutine handoffs — under the race detector.
+# the closure adapter's goroutine handoffs, and the NICs that wake them —
+# under the race detector.
 race:
-	$(GO) test -race -count=1 -timeout 3600s ./internal/sim/... ./internal/link/... ./internal/router/... ./internal/flow/... ./internal/harness/... ./internal/node/... ./internal/core/...
+	$(GO) test -race -count=1 -timeout 3600s ./internal/sim/... ./internal/link/... ./internal/router/... ./internal/flow/... ./internal/harness/... ./internal/node/... ./internal/nic/... ./internal/core/...
 
 # bench-check runs the benchmark module's own tests (bench/ is a module of
 # its own, so `go test ./...` at the root does not see it): the smoke over

@@ -93,10 +93,11 @@ type Options struct {
 	// cheap and must observe events in order).
 	Interval sim.Cycle
 	// Sequence enables end-to-end loss/duplication accounting over the NIC
-	// send/accept hooks. It keys in-flight packets by pointer, so it must
-	// stay off when the protocol clones packets (retransmission, dialog
-	// takeover) or the fabric drops them (DropProb) — harness.Build gates
-	// this automatically.
+	// send/accept hooks. It keys in-flight packets by pointer (or by ID, see
+	// ByID), so it must stay off when the protocol clones packets under
+	// fresh identities (dialog takeover) or the fabric loses them for good
+	// (DropProb or lossy wires without retransmission); retransmission
+	// itself needs ByID. harness.Build makes these switches automatically.
 	Sequence bool
 	// ByID keys the sequence accounting by packet ID instead of pointer, so
 	// retransmission clones — which carry the original's ID — account as one

@@ -30,7 +30,6 @@ import (
 
 	"nifdy/internal/nic"
 	"nifdy/internal/packet"
-	"nifdy/internal/ring"
 	"nifdy/internal/router"
 	"nifdy/internal/sim"
 )
@@ -49,10 +48,6 @@ type Config struct {
 	D int
 	// W is the bulk window size in packets; zero selects 4. Must be even.
 	W int
-	// ArrBuf is the arrivals FIFO capacity in packets; zero selects 2
-	// (§3: "with the NIFDY protocol, the capacity of the arrivals queue is
-	// at most two packets").
-	ArrBuf int
 	// AckOnArrival acknowledges scalar packets when they enter the arrivals
 	// FIFO instead of when the processor accepts them (footnote 2 ablation).
 	AckOnArrival bool
@@ -75,15 +70,10 @@ type Config struct {
 	// delivery. Zero disables.
 	DialogTakeover sim.Cycle
 	// Piggyback enables combining pending scalar acks with reverse-direction
-	// data packets (§6.1). A plain scalar ack is held up to PiggybackDelay
+	// data packets (§6.1). A plain scalar ack is held up to piggybackDelay
 	// cycles waiting for a data packet to the same destination to carry it;
 	// it goes out standalone on expiry.
 	Piggyback bool
-	// PiggybackDelay is the maximum hold time for a piggybackable ack;
-	// zero selects 150 cycles — just past the receive+send
-	// software overhead (60+40), so an application reply generated by the
-	// acked packet can still catch it.
-	PiggybackDelay sim.Cycle
 	// Retransmit enables the lossy-network extension (§6.2): per-slot timers
 	// and buffers, and duplicate detection.
 	Retransmit bool
@@ -132,6 +122,16 @@ type Mutations struct {
 	RecycleLiveAck bool
 }
 
+const (
+	// arrBuf is the arrivals FIFO capacity in packets (§3: "with the NIFDY
+	// protocol, the capacity of the arrivals queue is at most two packets").
+	arrBuf = 2
+	// piggybackDelay is the maximum hold time for a piggybackable ack: just
+	// past the receive+send software overhead (60+40), so an application
+	// reply generated by the acked packet can still catch it.
+	piggybackDelay sim.Cycle = 150
+)
+
 func (c *Config) defaults() {
 	if c.O == 0 {
 		c.O = 8
@@ -151,14 +151,8 @@ func (c *Config) defaults() {
 	if c.W%2 != 0 {
 		c.W++
 	}
-	if c.ArrBuf == 0 {
-		c.ArrBuf = 2
-	}
 	if c.RetransmitTimeout == 0 {
 		c.RetransmitTimeout = 4096
-	}
-	if c.PiggybackDelay == 0 {
-		c.PiggybackDelay = 150
 	}
 	if c.IDs == nil {
 		c.IDs = &packet.IDSource{}
@@ -168,9 +162,8 @@ func (c *Config) defaults() {
 // TotalBuffers reports the unit's packet-buffer budget (pool + arrivals +
 // reorder), used to size the fair "buffers only" baseline (§3).
 func (c Config) TotalBuffers() int {
-	cc := c
-	cc.defaults()
-	return cc.B + cc.ArrBuf + cc.D*cc.W
+	c.defaults()
+	return c.B + arrBuf + c.D*c.W
 }
 
 type poolEntry struct {
@@ -273,20 +266,18 @@ type retxEntry struct {
 
 // NIFDY is the NIFDY network interface unit. It implements nic.NIC.
 type NIFDY struct {
-	cfg   Config
-	iface router.Port
+	// Base holds the port, the arrivals FIFO, the counters and the node's
+	// packet free-list: acks the unit consumes and duplicates it drops are
+	// recycled there, and the node's processor allocates from / retires to
+	// the same list (see packet.Pool).
+	nic.Base
+	cfg Config
 
 	pool []poolEntry
 	opt  []int // destinations with an outstanding scalar packet
-	arr  ring.Deque[*packet.Packet]
 	ackQ []ackEntry
 	dout dialogOut
 	din  []dialogIn
-
-	// pkts is the node's packet free-list: acks the unit consumes and
-	// duplicates it drops are recycled here, and the node's processor
-	// allocates from / retires to the same list (see packet.Pool).
-	pkts packet.Pool
 
 	// acceptFn caches the acceptData method value: binding it fresh at every
 	// Deliver call would allocate a closure per tick.
@@ -295,10 +286,6 @@ type NIFDY struct {
 	// rankAhead is recomputeRanks's per-destination scratch, cleared and
 	// reused so pool surgery never allocates a fresh map.
 	rankAhead map[int]int
-
-	// proc is the processor's activity (nic.NIC.ObserveProc), woken when a
-	// packet lands in arr and when the pool stops being full.
-	proc *sim.Activity
 
 	retx      []retxEntry
 	dupBitOut map[int]bool // next duplicate-detection bit per destination
@@ -310,14 +297,12 @@ type NIFDY struct {
 
 	// One-shot latches for the test-only Mutate knobs.
 	mutReorderDone, mutLoseDone, mutDupDone, mutRecycleDone bool
-
-	stats nic.Stats
 }
 
 // New returns a NIFDY unit attached to iface.
 func New(cfg Config, iface router.Port) *NIFDY {
 	cfg.defaults()
-	u := &NIFDY{cfg: cfg, iface: iface}
+	u := &NIFDY{Base: nic.NewBase(cfg.Node, cfg.Hooks, iface), cfg: cfg}
 	slots := cfg.D
 	if cfg.Mutate.ExtraDialog {
 		slots++ // injected fault: one grantable slot beyond the D bound
@@ -336,41 +321,8 @@ func New(cfg Config, iface router.Port) *NIFDY {
 	return u
 }
 
-// Node implements nic.NIC.
-func (u *NIFDY) Node() int { return u.cfg.Node }
-
-// Stats implements nic.NIC.
-func (u *NIFDY) Stats() *nic.Stats { return &u.stats }
-
-// Pool implements nic.NIC.
-func (u *NIFDY) Pool() *packet.Pool { return &u.pkts }
-
-// Pending implements nic.NIC.
-func (u *NIFDY) Pending() int { return u.arr.Len() }
-
 // Params reports the unit's effective (O, B, D, W).
 func (u *NIFDY) Params() (o, b, d, w int) { return u.cfg.O, u.cfg.B, u.cfg.D, u.cfg.W }
-
-// Activity implements sim.IdleTicker: the unit sleeps when ticking it is a
-// no-op — see sleep for the exact conditions.
-func (u *NIFDY) Activity() *sim.Activity { return u.iface.Activity() }
-
-// ObserveProc implements nic.NIC.
-func (u *NIFDY) ObserveProc(a *sim.Activity) { u.proc = a }
-
-// wakeProc raises a wake edge on the observing processor.
-func (u *NIFDY) wakeProc() {
-	if u.proc != nil {
-		u.proc.Wake()
-	}
-}
-
-// pushArr appends a data packet to the arrivals FIFO and wakes the processor
-// (it may be parked on "something to poll").
-func (u *NIFDY) pushArr(p *packet.Packet) {
-	u.arr.PushBack(p)
-	u.wakeProc()
-}
 
 // TrySend implements nic.NIC: insert a packet into the outgoing pool if a
 // buffer is free. The rank/eligibility unit assigns the packet's rank: the
@@ -383,15 +335,11 @@ func (u *NIFDY) TrySend(now sim.Cycle, p *packet.Packet) bool {
 	if u.cfg.Mutate.LosePacket && !u.mutLoseDone {
 		// Injected fault: accept the packet and drop it on the floor.
 		u.mutLoseDone = true
-		u.stats.Sent++
-		u.cfg.Hooks.Send(p)
-		u.pkts.Put(p)
+		u.Stats().Sent++
+		u.Hooks.Send(p)
+		u.Pool().Put(p)
 		return true
 	}
-	// The processor ticks after the NIC: wake so next cycle injects, exactly
-	// as if the unit had never slept.
-	u.iface.Activity().Wake()
-	p.CreatedAt = now
 	rank := 0
 	if !p.NoAck {
 		rank = u.outstandingTo(p.Dst)
@@ -402,8 +350,7 @@ func (u *NIFDY) TrySend(now sim.Cycle, p *packet.Packet) bool {
 		}
 	}
 	u.pool = append(u.pool, poolEntry{p: p, rank: rank})
-	u.stats.Sent++
-	u.cfg.Hooks.Send(p)
+	u.Admitted(now, p)
 	return true
 }
 
@@ -443,26 +390,22 @@ func (u *NIFDY) removeOPT(dst int) bool {
 // generated (§2.1.1: "When it is accepted by the processor an ack is
 // returned").
 func (u *NIFDY) Recv(now sim.Cycle) (*packet.Packet, bool) {
-	p, ok := u.arr.PopFront()
+	p, ok := u.Base.Recv(now)
 	if !ok {
 		return nil, false
 	}
-	p.AcceptedAt = now
-	u.stats.Accepted++
-	u.cfg.Hooks.Accept(p)
 	if u.cfg.Retransmit && !p.NoAck && !p.InDialog() {
 		if st, ok := u.dupBitIn[p.Src]; ok && st.bit == p.Dup {
 			st.acked = true
 			u.dupBitIn[p.Src] = st
 		}
 	}
+	// Base.Recv woke the unit, which must tick as if it had never slept:
+	// accepting may queue an ack, and always frees arrivals space that a
+	// reorder buffer or a waiting eject-side packet can move into.
 	if !p.NoAck && !p.InDialog() && !u.cfg.AckOnArrival {
 		u.enqueueScalarAck(now, p)
 	}
-	// Accepting may have queued an ack, and always frees arrivals space that
-	// a reorder buffer or a waiting eject-side packet can move into: the unit
-	// must tick as if it had never slept.
-	u.iface.Activity().Wake()
 	return p, true
 }
 
@@ -477,7 +420,7 @@ func (u *NIFDY) enqueueScalarAck(now sim.Cycle, p *packet.Packet) {
 		e.grant, e.dialog = u.decideGrant(now, p.Src)
 	}
 	if u.cfg.Piggyback && e.piggybackable() {
-		e.due = now + u.cfg.PiggybackDelay
+		e.due = now + piggybackDelay
 	}
 	u.ackQ = append(u.ackQ, e)
 }
@@ -495,7 +438,7 @@ func (u *NIFDY) decideGrant(now sim.Cycle, src int) (packet.GrantKind, int) {
 	for i := range u.din {
 		if !u.din[i].active {
 			u.din[i].open(src, now)
-			u.stats.BulkGrants++
+			u.Stats().BulkGrants++
 			return packet.Granted, i
 		}
 	}
@@ -509,18 +452,18 @@ func (u *NIFDY) decideGrant(now sim.Cycle, src int) (packet.GrantKind, int) {
 				u.ackQ = append(u.ackQ, ackEntry{dst: d.src, bulk: true, dialog: i,
 					terminate: true, cum: d.expected - 1, grant: packet.GrantNone})
 				d.open(src, now)
-				u.stats.BulkGrants++
+				u.Stats().BulkGrants++
 				return packet.Granted, i
 			}
 		}
 	}
-	u.stats.BulkRejects++
+	u.Stats().BulkRejects++
 	return packet.Rejected, packet.NoDialog
 }
 
 // Idle implements nic.NIC.
 func (u *NIFDY) Idle() bool {
-	if len(u.pool) > 0 || u.arr.Len() > 0 || len(u.ackQ) > 0 || len(u.opt) > 0 || len(u.retx) > 0 {
+	if len(u.pool) > 0 || len(u.ackQ) > 0 || len(u.opt) > 0 || len(u.retx) > 0 {
 		return false
 	}
 	if u.dout.active && u.dout.outstanding() > 0 {
@@ -531,8 +474,7 @@ func (u *NIFDY) Idle() bool {
 			return false
 		}
 	}
-	return u.iface.Sending(packet.Request) == nil && u.iface.Sending(packet.Reply) == nil &&
-		u.iface.PendingFlits() == 0
+	return u.Drained()
 }
 
 // Audit implements nic.Auditable: it reports every whole-packet reference the
@@ -543,7 +485,7 @@ func (u *NIFDY) Audit(a nic.Auditor) {
 		for _, e := range u.pool {
 			a.Queued("pool", e.p)
 		}
-		u.arr.ForEach(func(p *packet.Packet) { a.Queued("arr", p) })
+		u.Arr.ForEach(func(p *packet.Packet) { a.Queued("arr", p) })
 	}
 	if a.OPTEntry != nil {
 		for _, d := range u.opt {
@@ -579,9 +521,9 @@ func (u *NIFDY) Audit(a nic.Auditor) {
 // protocol packets, pull data, drain reorder buffers, fire retransmission
 // timers, then inject (acks take priority on the reply network).
 func (u *NIFDY) Tick(now sim.Cycle) {
-	progress := u.iface.Pump(now)
+	progress := u.Port.Pump(now)
 	for {
-		a, ok := u.iface.Deliver(now, isAck)
+		a, ok := u.Port.Deliver(now, isAck)
 		if !ok {
 			break
 		}
@@ -589,7 +531,7 @@ func (u *NIFDY) Tick(now sim.Cycle) {
 		progress = true
 	}
 	for {
-		p, ok := u.iface.Deliver(now, u.acceptFn)
+		p, ok := u.Port.Deliver(now, u.acceptFn)
 		if !ok {
 			break
 		}
@@ -630,7 +572,7 @@ func (u *NIFDY) Tick(now sim.Cycle) {
 func (u *NIFDY) sleep(now sim.Cycle, progress bool) {
 	if progress {
 		// An active unit stays awake; only a fully drained one may sleep.
-		if len(u.pool) > 0 || !u.iface.Quiet() {
+		if len(u.pool) > 0 || !u.Port.Quiet() {
 			return
 		}
 		for i := range u.din {
@@ -639,7 +581,7 @@ func (u *NIFDY) sleep(now sim.Cycle, progress bool) {
 			}
 		}
 	}
-	next := u.iface.BlockedBound(now)
+	next := u.Port.BlockedBound(now)
 	for _, e := range u.ackQ {
 		if e.due <= now {
 			if progress {
@@ -666,7 +608,7 @@ func (u *NIFDY) sleep(now sim.Cycle, progress bool) {
 			next = u.retx[i].deadline
 		}
 	}
-	u.iface.Activity().Sleep(next)
+	u.Port.Activity().Sleep(next)
 }
 
 // acceptData is the pull predicate: bulk packets always have reserved window
@@ -678,20 +620,20 @@ func (u *NIFDY) acceptData(p *packet.Packet) bool {
 	if p.InDialog() {
 		return true
 	}
-	return u.arr.Len() < u.cfg.ArrBuf
+	return u.Arr.Len() < arrBuf
 }
 
 func (u *NIFDY) handleAck(now sim.Cycle, a *packet.Packet) {
-	u.stats.AcksReceived++
+	u.Stats().AcksReceived++
 	u.processAckInfo(now, a.Src, a)
 	// The ack dies here — processAckInfo keeps only values, never the
 	// packet — so it recycles into this node's free-list.
-	u.pkts.Put(a)
+	u.Pool().Put(a)
 	if u.cfg.Mutate.RecycleLiveAck && !u.mutRecycleDone {
 		// Injected fault: the recycled pointer stays reachable from the
 		// arrivals FIFO, so the recycle-safety census must trip.
 		u.mutRecycleDone = true
-		u.pushArr(a) //lint:allow(poolsafe) injected fault: the recycle-safety census test needs exactly this live-after-Put bug
+		u.Arrive(a) //lint:allow(poolsafe) injected fault: the recycle-safety census test needs exactly this live-after-Put bug
 	}
 }
 
@@ -764,7 +706,7 @@ func (u *NIFDY) reviveUnacked() {
 		q.BulkExit = false
 		q.Retransmit = true
 		revived = append(revived, poolEntry{p: &q})
-		u.stats.Retransmits++
+		u.Stats().Retransmits++
 	}
 	u.dout = dialogOut{}
 	if len(revived) > 0 {
@@ -800,7 +742,7 @@ func (u *NIFDY) decRanks(dst, n int) {
 		if u.pool[i].p.Dst == dst {
 			u.pool[i].rank -= n
 			if u.pool[i].rank < 0 {
-				panic(fmt.Sprintf("nifdy %d: negative rank for %v", u.cfg.Node, u.pool[i].p))
+				panic(fmt.Sprintf("nifdy %d: negative rank for %v", u.Node(), u.pool[i].p))
 			}
 		}
 	}
@@ -808,7 +750,7 @@ func (u *NIFDY) decRanks(dst, n int) {
 
 func (u *NIFDY) handleData(now sim.Cycle, p *packet.Packet) {
 	if p.PiggyAck {
-		u.stats.AcksReceived++
+		u.Stats().AcksReceived++
 		u.processAckInfo(now, p.Src, nil)
 	}
 	if p.InDialog() {
@@ -818,7 +760,7 @@ func (u *NIFDY) handleData(now sim.Cycle, p *packet.Packet) {
 	if u.cfg.Retransmit && !p.NoAck {
 		st := u.dupBitIn[p.Src]
 		if st.seen && st.bit == p.Dup {
-			u.stats.Duplicates++
+			u.Stats().Duplicates++
 			if st.acked {
 				// Duplicate of an accepted packet (its ack was lost):
 				// discard and re-ack so the sender stops retransmitting
@@ -829,16 +771,16 @@ func (u *NIFDY) handleData(now sim.Cycle, p *packet.Packet) {
 			// Otherwise the original is still waiting in the arrivals FIFO:
 			// drop the copy silently; accepting the original produces the
 			// one true ack. Dropped means dead: recycle it.
-			u.pkts.Put(p)
+			u.Pool().Put(p)
 			return
 		}
 		u.dupBitIn[p.Src] = dupState{seen: true, bit: p.Dup}
 	}
-	u.pushArr(p)
+	u.Arrive(p)
 	if u.cfg.Mutate.DupDeliver && !u.mutDupDone {
 		// Injected fault: the same packet reaches the processor twice.
 		u.mutDupDone = true
-		u.pushArr(p)
+		u.Arrive(p)
 	}
 	if !p.NoAck && u.cfg.AckOnArrival {
 		u.enqueueScalarAck(now, p)
@@ -857,7 +799,7 @@ func (u *NIFDY) handleData(now sim.Cycle, p *packet.Packet) {
 func (u *NIFDY) handleBulkData(now sim.Cycle, p *packet.Packet) {
 	dlg, seq := int(p.Dialog), int(p.Seq)
 	if dlg >= len(u.din) {
-		panic(fmt.Sprintf("nifdy %d: dialog %d out of range", u.cfg.Node, dlg))
+		panic(fmt.Sprintf("nifdy %d: dialog %d out of range", u.Node(), dlg))
 	}
 	d := &u.din[dlg]
 	if !d.active || d.src != p.Src {
@@ -869,41 +811,41 @@ func (u *NIFDY) handleBulkData(now sim.Cycle, p *packet.Packet) {
 		if u.cfg.DialogTakeover > 0 {
 			u.ackQ = append(u.ackQ, ackEntry{dst: p.Src, bulk: true, dialog: dlg,
 				terminate: true, cum: -1, grant: packet.GrantNone})
-			u.pkts.Put(p)
+			u.Pool().Put(p)
 			return
 		}
 		if !u.cfg.Retransmit {
-			panic(fmt.Sprintf("nifdy %d: bulk packet %v for inactive dialog", u.cfg.Node, p))
+			panic(fmt.Sprintf("nifdy %d: bulk packet %v for inactive dialog", u.Node(), p))
 		}
-		u.stats.Duplicates++
+		u.Stats().Duplicates++
 		if cum, ok := u.lastExit[p.Src]; ok && seq <= cum {
 			// Everything through the closed dialog's exit was delivered;
 			// re-ack so the sender's timers stop.
 			u.ackQ = append(u.ackQ, ackEntry{dst: p.Src, bulk: true, dialog: dlg,
 				cum: cum, grant: packet.GrantNone})
 		}
-		u.pkts.Put(p)
+		u.Pool().Put(p)
 		return
 	}
 	if seq < d.expected {
 		// Duplicate (retransmission raced the ack): discard and re-ack the
 		// current cumulative position.
-		u.stats.Duplicates++
+		u.Stats().Duplicates++
 		u.ackQ = append(u.ackQ, ackEntry{dst: p.Src, bulk: true, dialog: dlg,
 			cum: d.expected - 1, grant: packet.GrantNone})
-		u.pkts.Put(p)
+		u.Pool().Put(p)
 		return
 	}
 	if seq >= d.expected+u.cfg.W {
 		panic(fmt.Sprintf("nifdy %d: bulk seq %d beyond window (expected %d, W %d)",
-			u.cfg.Node, seq, d.expected, u.cfg.W))
+			u.Node(), seq, d.expected, u.cfg.W))
 	}
 	if d.buf[seq%u.cfg.W] != nil {
 		// In-window duplicate: same discard-and-re-ack treatment.
-		u.stats.Duplicates++
+		u.Stats().Duplicates++
 		u.ackQ = append(u.ackQ, ackEntry{dst: p.Src, bulk: true, dialog: dlg,
 			cum: d.expected - 1, grant: packet.GrantNone})
-		u.pkts.Put(p)
+		u.Pool().Put(p)
 		return
 	}
 	d.buf[seq%u.cfg.W] = p
@@ -924,7 +866,7 @@ func (u *NIFDY) drainDialogs(now sim.Cycle) bool {
 		if !d.active {
 			continue
 		}
-		for u.arr.Len() < u.cfg.ArrBuf {
+		for u.Arr.Len() < arrBuf {
 			slot := d.expected % u.cfg.W
 			p := d.buf[slot]
 			if p == nil {
@@ -934,17 +876,17 @@ func (u *NIFDY) drainDialogs(now sim.Cycle) bool {
 			d.buffered--
 			d.expected++
 			d.movedSinceAck++
-			if q, ok := u.arr.Front(); u.cfg.Mutate.ReorderDrain && !u.mutReorderDone &&
+			if q, ok := u.Arr.Front(); u.cfg.Mutate.ReorderDrain && !u.mutReorderDone &&
 				ok && q.Src == d.src && q.Kind == packet.Data {
 				// Injected fault: the drained packet jumps the arrivals queue
 				// past an earlier packet from the same sender, so the
 				// processor accepts the pair inverted. Window accounting
 				// stays correct — only delivery order is wrong.
 				u.mutReorderDone = true
-				u.arr.PushFront(p)
-				u.wakeProc()
+				u.Arr.PushFront(p)
+				u.WakeProc()
 			} else {
-				u.pushArr(p)
+				u.Arrive(p)
 			}
 			moved = true
 			ackDue := d.movedSinceAck >= u.cfg.W/2 || u.cfg.PerPacketBulkAcks
@@ -974,7 +916,7 @@ func (u *NIFDY) drainDialogs(now sim.Cycle) bool {
 //
 //lint:allow(hotalloc) amortized ackQ compaction append into existing backing array
 func (u *NIFDY) sendAck(now sim.Cycle) bool {
-	if len(u.ackQ) == 0 || !u.iface.CanAccept(packet.Reply) {
+	if len(u.ackQ) == 0 || !u.Port.CanAccept(packet.Reply) {
 		return false
 	}
 	idx := -1
@@ -991,9 +933,9 @@ func (u *NIFDY) sendAck(now sim.Cycle) bool {
 	u.ackQ = append(u.ackQ[:idx], u.ackQ[idx+1:]...)
 	// Acks are born from the free-list; they die (and recycle) at the
 	// receiving unit's handleAck.
-	a := u.pkts.Get()
+	a := u.Pool().Get()
 	a.ID = u.cfg.IDs.Next()
-	a.Src = u.cfg.Node
+	a.Src = u.Node()
 	a.Dst = e.dst
 	a.Kind = packet.Ack
 	a.Class = packet.Reply
@@ -1003,8 +945,8 @@ func (u *NIFDY) sendAck(now sim.Cycle) bool {
 	a.BulkAck = e.bulk
 	a.CumSeq = int32(e.cum)
 	a.Terminate = e.terminate
-	u.iface.StartSend(now, a)
-	u.stats.AcksSent++
+	u.Port.StartSend(now, a)
+	u.Stats().AcksSent++
 	return true
 }
 
@@ -1018,7 +960,7 @@ func (u *NIFDY) inject(now sim.Cycle) bool {
 	for i := range u.pool {
 		e := &u.pool[i]
 		p := e.p
-		if !u.iface.CanAccept(p.Class) {
+		if !u.Port.CanAccept(p.Class) {
 			continue
 		}
 		if p.Class == packet.Reply && u.ackBlocksReplyData(now, p) {
@@ -1055,7 +997,7 @@ func (u *NIFDY) removePool(i int) {
 	if len(u.pool) == u.cfg.B-1 {
 		// The pool was full, the one state TrySend refuses in: the processor
 		// may be asleep behind a refused send (§4.5), and there is room now.
-		u.wakeProc()
+		u.WakeProc()
 	}
 }
 
@@ -1083,8 +1025,8 @@ func (u *NIFDY) sendScalar(now sim.Cycle, i int) {
 		}
 	}
 	u.attachPiggyback(p)
-	u.iface.StartSend(now, p)
-	u.stats.Injected++
+	u.Port.StartSend(now, p)
+	u.Stats().Injected++
 }
 
 // waitingTo counts pool packets bound for dst (excluding no-ack traffic).
@@ -1130,9 +1072,9 @@ func (u *NIFDY) sendBulk(now sim.Cycle, i int) {
 		u.dout.copies[seq] = *p
 	}
 	u.attachPiggyback(p)
-	u.iface.StartSend(now, p)
-	u.stats.Injected++
-	u.stats.BulkPackets++
+	u.Port.StartSend(now, p)
+	u.Stats().Injected++
+	u.Stats().BulkPackets++
 }
 
 // ackBlocksReplyData reports whether a due ack that p cannot carry is
@@ -1162,7 +1104,7 @@ func (u *NIFDY) attachPiggyback(p *packet.Packet) {
 		if e.dst == p.Dst && !e.bulk && e.grant == packet.GrantNone {
 			p.PiggyAck = true
 			u.ackQ = append(u.ackQ[:i], u.ackQ[i+1:]...)
-			u.stats.AcksSent++
+			u.Stats().AcksSent++
 			return
 		}
 	}
@@ -1217,13 +1159,13 @@ func (u *NIFDY) injectRetx(now sim.Cycle) bool {
 			continue
 		}
 		cp := u.retx[i].copy // clone: the previous instance's flits were consumed
-		if !u.iface.CanAccept(cp.Class) {
+		if !u.Port.CanAccept(cp.Class) {
 			return false
 		}
 		u.retx[i].fire = false
 		p := cp
-		u.iface.StartSend(now, &p)
-		u.stats.Retransmits++
+		u.Port.StartSend(now, &p)
+		u.Stats().Retransmits++
 		return true
 	}
 	return false

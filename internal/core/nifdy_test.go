@@ -162,7 +162,7 @@ func reorderingTree(seed uint64) topo.Network {
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}
 	c.defaults()
-	if c.O != 8 || c.B != 8 || c.D != 1 || c.W != 4 || c.ArrBuf != 2 {
+	if c.O != 8 || c.B != 8 || c.D != 1 || c.W != 4 {
 		t.Fatalf("defaults: %+v", c)
 	}
 	odd := Config{W: 5}
@@ -400,7 +400,7 @@ func TestAckOnArrivalAllowsDeeperPipelining(t *testing.T) {
 	// With ack-on-arrival the receiver's arrivals FIFO absorbs packets even
 	// when the processor is paused, so more packets get injected than with
 	// ack-on-accept (which injects at most 1).
-	w := nifdyWorld(t, smallMesh(t), Config{AckOnArrival: true, ArrBuf: 2})
+	w := nifdyWorld(t, smallMesh(t), Config{AckOnArrival: true})
 	w.msg(0, 15, 10, 8, false)
 	w.paused[15] = true
 	sender := w.nics[0].Stats()
@@ -718,7 +718,7 @@ func TestDialogTakeoverRaceReissuesInFlight(t *testing.T) {
 func TestPiggybackExpiresToStandaloneAck(t *testing.T) {
 	// With piggybacking on but no reverse traffic ever, held acks must go
 	// out standalone after the delay, or the sender would stall forever.
-	w := nifdyWorld(t, smallMesh(t), Config{Piggyback: true, PiggybackDelay: 100})
+	w := nifdyWorld(t, smallMesh(t), Config{Piggyback: true})
 	w.msg(0, 15, 5, 8, false)
 	w.run(100000)
 	// The final ack is still inside its piggyback hold when the last packet

@@ -74,9 +74,6 @@ func (pt *Port) StartSend(now sim.Cycle, p *packet.Packet) {
 	pt.f.clock.WakeAt(now + 1)
 }
 
-// Sending implements router.Port.
-func (pt *Port) Sending(c packet.Class) *packet.Packet { return pt.slots[c] }
-
 // Deliver implements router.Port: it pops the first arrival-queue head
 // satisfying pred, scanning classes round-robin, and tells the solver the
 // freed space so parked packets can promote next cycle.
@@ -98,16 +95,6 @@ func (pt *Port) Deliver(now sim.Cycle, pred func(*packet.Packet) bool) (*packet.
 		return p, true
 	}
 	return nil, false
-}
-
-// PendingFlits implements router.Port: flits buffered on the delivered side
-// awaiting the NIC (arrival queues).
-func (pt *Port) PendingFlits() int {
-	n := 0
-	for c := range pt.arrQ {
-		n += int(pt.arrFlits[c])
-	}
-	return n
 }
 
 // Quiet implements router.Port: no sends in flight and nothing delivered

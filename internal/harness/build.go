@@ -85,19 +85,21 @@ type BuildOpts struct {
 	Seed uint64
 	// Drop enables the lossy-fabric model.
 	Drop float64
-	// Fabric configures the modern-fabric baselines: link-level PFC
-	// pause/resume, ECN marking for DCQCN, and the lossy-wire model
-	// (WireDrop) that exercises NIFDY's §6 retransmission path. Kinds PFC
-	// and DCQCN set PFC and ECN, and nothing else does; WireDrop composes
-	// with every NIC kind.
-	Fabric router.FabricConfig
+	// WireDrop is the lossy-wire model's per-flit drop probability
+	// (router.FabricConfig.WireDrop), the in-flight loss that exercises
+	// NIFDY's §6 retransmission path; it composes with every NIC kind. The
+	// fabric's other baselines follow Kind: PFC turns on link-level
+	// pause/resume, DCQCN ECN marking.
+	WireDrop float64
 	// Check enables the runtime invariant monitors (internal/check): the
 	// built Sim carries a Checker installed as an engine step hook,
 	// sweeping the protocol and substrate invariants at the configured
-	// cadence. Sequence accounting is automatically disabled for
-	// configurations that clone or drop packets (Retransmit,
-	// DialogTakeover, Drop), and the in-order monitor for combinations
-	// with no ordering guarantee (plain NICs on adaptive fabrics). Nil
+	// cadence. Sequence accounting is switched off where packets are cloned
+	// under fresh identities (DialogTakeover) or lost for good (Drop or
+	// WireDrop without NIFDY retransmission), and keyed by packet ID for
+	// NIFDY with Retransmit, whose clones keep the original's ID. The
+	// in-order monitor is switched off with it, and for combinations with
+	// no ordering guarantee (plain NICs on reordering fabrics, DCQCN). Nil
 	// builds no checker and costs nothing.
 	Check *check.Options
 	// Faults injects test-only faults into one node, for invariant-monitor
@@ -150,18 +152,11 @@ func Build(opts BuildOpts) *Sim {
 	// The fabric-baseline kinds imply their fabric feature: PFC is the plain
 	// NIC plus pause/resume links, DCQCN is the rate-control NIC plus ECN
 	// marking.
-	//lint:allow(kindswitch) only the fabric-baseline kinds imply a fabric feature; the NIFDY-family kinds deliberately leave Fabric zero
-	switch opts.Kind {
-	case PFC:
-		opts.Fabric.PFC = true
-	case DCQCN:
-		opts.Fabric.ECN = true
-	}
 	ifOpts := topo.IfaceOptions{
 		DropProb: opts.Drop, Seed: opts.Seed,
 		Mutate: opts.Faults.Iface, MutateNode: opts.Faults.Node,
 		Window: window,
-		Fabric: opts.Fabric,
+		Fabric: router.FabricConfig{PFC: opts.Kind == PFC, ECN: opts.Kind == DCQCN, WireDrop: opts.WireDrop},
 	}
 	net := opts.Net.Build(opts.Seed, ifOpts)
 	if window > 1 {
@@ -210,7 +205,7 @@ func Build(opts BuildOpts) *Sim {
 			// stays exact even over lossy wires: every logical packet is sent
 			// once and accepted exactly once.
 			co.ByID = true
-		case opts.Drop > 0 || opts.Fabric.WireDrop > 0:
+		case opts.Drop > 0 || opts.WireDrop > 0:
 			// Lossy fabric without retransmission: losses are the point, so
 			// end-to-end accounting would only report them.
 			co.Sequence = false

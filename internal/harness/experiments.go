@@ -297,7 +297,7 @@ type CShiftOpts struct {
 	BlockWords int // per-phase block; default 60
 	Seed       uint64
 	MaxCycles  sim.Cycle // safety bound; default 60,000,000
-	Samples    sim.Cycle // Figure 5 sampling interval; default MaxCycles/roughly 10k samples... default 10,000
+	Samples    sim.Cycle // Figure 5 sampling interval in cycles; default 10,000
 }
 
 func (o *CShiftOpts) defaults() {

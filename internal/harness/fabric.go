@@ -8,7 +8,6 @@ import (
 	"nifdy/internal/core"
 	"nifdy/internal/node"
 	"nifdy/internal/packet"
-	"nifdy/internal/router"
 	"nifdy/internal/sim"
 	"nifdy/internal/stats"
 	"nifdy/internal/topo"
@@ -106,8 +105,8 @@ func (o *FabricOpts) defaults() {
 	}
 }
 
-// FabricPoint is one measured cell of the modern-fabric comparison. The JSON
-// form is the nifdy-bench baseline schema for -exp fabric.
+// FabricPoint is one measured cell of the modern-fabric comparison: one row
+// of nifdy-bench -exp fabric.
 type FabricPoint struct {
 	// Scenario and Kind name the cell; Lossy marks the wire condition.
 	Scenario string `json:"fabric"`
@@ -247,10 +246,10 @@ func (c *fabricCollector) point() (delivered int64, p99 sim.Cycle, fairness floa
 // metrics stored in pt; o carries its defaults.
 func fabricCell(o FabricOpts, sc traffic.FabricScenario, kind NICKind, lossy bool, pt *FabricPoint) cell {
 	spec := FabricMesh(o.Width, o.Height)
-	var fc router.FabricConfig
+	var wireDrop float64
 	params := spec.Params
 	if lossy {
-		fc.WireDrop = fabricWireDrop
+		wireDrop = fabricWireDrop
 		if kind == NIFDY {
 			// Loss recovery is NIFDY's §6 story; the baselines have none.
 			// The default timeout (4096) is sized for the 64-node phase
@@ -263,7 +262,7 @@ func fabricCell(o FabricOpts, sc traffic.FabricScenario, kind NICKind, lossy boo
 	col := newFabricCollector(sc)
 	return cell{
 		opts: BuildOpts{
-			Net: spec, Kind: kind, Seed: o.Seed, Params: params, Fabric: fc,
+			Net: spec, Kind: kind, Seed: o.Seed, Params: params, WireDrop: wireDrop,
 			Costs: fastCosts, Check: o.Check,
 			Program: col.Program,
 		},

@@ -295,8 +295,7 @@ func fuzzRun(tr fuzzTrial, shards int, o FuzzOpts) (nic.Stats, bool, []FuzzFailu
 		// ID-keyed sequence accounting (Build switches it on for
 		// NIFDY+Retransmit) still must balance — every loss recovered,
 		// every duplicate suppressed.
-		bo.Fabric.WireDrop = 1.0 / 256
-		bo.Fabric.Seed = tr.seed
+		bo.WireDrop = 1.0 / 256
 	}
 	s := Build(bo)
 	defer s.Close()

@@ -16,11 +16,28 @@ const RateScale int64 = 1024
 // alphaScale is the fixed-point unit of the congestion estimate alpha.
 const alphaScale int64 = 1024
 
+// Fixed DCQCN tuning, in RateScale units and cycles.
+const (
+	// minRate is the rate floor: DCQCN never stops a flow entirely.
+	minRate = RateScale / 64
+	// rateAI and rateHAI are the additive and hyper-active increase steps
+	// applied to the target rate per recovery period after fast recovery
+	// ends.
+	rateAI, rateHAI = RateScale / 32, RateScale / 8
+	// recoveryPeriod is the rate-increase timer in cycles.
+	recoveryPeriod sim.Cycle = 128
+	// cnpPeriod is the minimum gap in cycles between CNPs echoed to the same
+	// source — the CNP timer of the DCQCN spec.
+	cnpPeriod sim.Cycle = 64
+	// alphaG is the gain g of the congestion estimate alpha.
+	alphaG = alphaScale / 16
+)
+
 // DCQCNConfig sizes a DCQCN NIC — the RoCEv2-style rate-control baseline:
 // ECN marks applied by the routers are echoed by the destination as CNPs,
 // and the source multiplicatively decreases its sending rate on each CNP,
-// recovering through fast / additive / hyper-active increase stages
-// (Zhu et al., SIGCOMM 2015; see PAPERS.md). Zero values select defaults.
+// recovering through fast / additive / hyper-active increase stages (Zhu et
+// al., "Congestion Control for Large-Scale RDMA Deployments", SIGCOMM 2015).
 type DCQCNConfig struct {
 	// Node is the node number.
 	Node int
@@ -29,20 +46,9 @@ type DCQCNConfig struct {
 	OutBuf, ArrBuf int
 	// CPF is the access-link serialization time in cycles per flit — the
 	// pacing granularity: at line rate a packet of F flits occupies F*CPF
-	// cycles, and the limiter stretches that gap by RateScale/rate.
+	// cycles, and the limiter stretches that gap by RateScale/rate. Zero
+	// selects 1.
 	CPF int
-	// MinRate is the rate floor (default RateScale/64): DCQCN never stops a
-	// flow entirely.
-	MinRate int64
-	// AI and HAI are the additive and hyper-active increase steps applied to
-	// the target rate per recovery period after fast recovery ends (defaults
-	// RateScale/32 and RateScale/8).
-	AI, HAI int64
-	// RecoveryPeriod is the rate-increase timer in cycles (default 128).
-	RecoveryPeriod sim.Cycle
-	// CNPPeriod is the minimum gap in cycles between CNPs echoed to the same
-	// source (default 64) — the CNP timer of the DCQCN spec.
-	CNPPeriod sim.Cycle
 	// Hooks observe packet events.
 	Hooks Hooks
 	// Mutate injects rate-limiter faults for monitor validation (test-only).
@@ -64,8 +70,9 @@ type DCQCNMutations struct {
 // DCQCN rate state machine (sender side).
 type DCQCN struct {
 	Basic
-	cfg  DCQCNConfig
-	cnpQ ring.Deque[*packet.Packet]
+	cpf    int64 // access-link cycles per flit (DCQCNConfig.CPF)
+	mutate DCQCNMutations
+	cnpQ   ring.Deque[*packet.Packet]
 
 	// Rate state (sender side), all fixed-point.
 	rate, target int64
@@ -78,93 +85,67 @@ type DCQCN struct {
 	// and inserts only; never iterated.
 	lastCNP map[int]sim.Cycle
 
-	cnpPred func(*packet.Packet) bool
-
 	mutOverflowDone bool
 }
 
 // NewDCQCN returns a DCQCN NIC attached to iface.
 func NewDCQCN(cfg DCQCNConfig, iface router.Port) *DCQCN {
-	if cfg.CPF < 1 {
-		cfg.CPF = 1
-	}
-	if cfg.MinRate <= 0 {
-		cfg.MinRate = RateScale / 64
-	}
-	if cfg.AI <= 0 {
-		cfg.AI = RateScale / 32
-	}
-	if cfg.HAI <= 0 {
-		cfg.HAI = RateScale / 8
-	}
-	if cfg.RecoveryPeriod <= 0 {
-		cfg.RecoveryPeriod = 128
-	}
-	if cfg.CNPPeriod <= 0 {
-		cfg.CNPPeriod = 64
-	}
 	b := NewBasic(BasicConfig{Node: cfg.Node, OutBuf: cfg.OutBuf, ArrBuf: cfg.ArrBuf, Hooks: cfg.Hooks}, iface)
-	d := &DCQCN{
-		Basic: *b, cfg: cfg,
+	return &DCQCN{
+		Basic: *b, cpf: int64(max(cfg.CPF, 1)), mutate: cfg.Mutate,
 		rate: RateScale, target: RateScale,
 		lastCNP: map[int]sim.Cycle{},
 	}
-	d.cnpPred = func(p *packet.Packet) bool { return p.Kind == packet.Ack && p.CNP }
-	return d
 }
+
+// isCNP is the Deliver predicate a full arrivals queue still drains.
+func isCNP(p *packet.Packet) bool { return p.Kind == packet.Ack && p.CNP }
 
 // RateBounds exposes the limiter state to the dcqcn-rate invariant monitor:
 // the current rate and the clamp it must never leave.
 func (d *DCQCN) RateBounds() (rate, min, max int64) {
-	return d.rate, d.cfg.MinRate, RateScale
+	return d.rate, minRate, RateScale
 }
 
 // Idle implements NIC.
-func (d *DCQCN) Idle() bool {
-	return d.out.Len() == 0 && d.arr.Len() == 0 && d.cnpQ.Len() == 0 &&
-		d.iface.Sending(packet.Request) == nil && d.iface.Sending(packet.Reply) == nil &&
-		d.iface.PendingFlits() == 0
-}
+func (d *DCQCN) Idle() bool { return d.cnpQ.Len() == 0 && d.Basic.Idle() }
 
 // Audit implements Auditable: packets live in the three FIFOs only.
 func (d *DCQCN) Audit(a Auditor) {
-	if a.Queued == nil {
-		return
+	d.Basic.Audit(a)
+	if a.Queued != nil {
+		d.cnpQ.ForEach(func(p *packet.Packet) { a.Queued("cnp", p) })
 	}
-	d.out.ForEach(func(p *packet.Packet) { a.Queued("out", p) })
-	d.arr.ForEach(func(p *packet.Packet) { a.Queued("arr", p) })
-	d.cnpQ.ForEach(func(p *packet.Packet) { a.Queued("cnp", p) })
 }
 
 // applyRecovery advances the rate-increase state machine to now: one fast-
 // recovery stage per elapsed period for the first five (rate halves toward
 // target), then additive increase, then hyper-active increase. Alpha decays
-// by g per period. The loop is bounded: once rate and target both reach line
-// rate the state is saturated and the stage counter jumps forward.
+// by alphaG per period. The loop is bounded: once rate and target both reach
+// line rate the state is saturated and the stage counter jumps forward.
 func (d *DCQCN) applyRecovery(now sim.Cycle) {
-	const g = alphaScale / 16
-	stages := int((now - d.lastDecAt) / d.cfg.RecoveryPeriod)
+	stages := int((now - d.lastDecAt) / recoveryPeriod)
 	for ; d.recovered < stages; d.recovered++ {
 		if d.rate >= RateScale && d.target >= RateScale {
 			d.rate, d.target = RateScale, RateScale
 			d.recovered = stages
 			break
 		}
-		d.alpha -= d.alpha * g / alphaScale
+		d.alpha -= d.alpha * alphaG / alphaScale
 		switch {
 		case d.recovered < 5:
 			// Fast recovery: halve toward the pre-decrease target.
 		case d.recovered < 10:
-			d.target += d.cfg.AI
+			d.target += rateAI
 		default:
-			d.target += d.cfg.HAI
+			d.target += rateHAI
 		}
 		if d.target > RateScale {
 			d.target = RateScale
 		}
 		d.rate = (d.rate + d.target) / 2
 	}
-	if d.cfg.Mutate.RateOverflow && !d.mutOverflowDone && stages > 0 {
+	if d.mutate.RateOverflow && !d.mutOverflowDone && stages > 0 {
 		// Injected fault: skip the clamp once, doubling past line rate.
 		d.mutOverflowDone = true
 		d.rate = 2 * RateScale
@@ -173,8 +154,8 @@ func (d *DCQCN) applyRecovery(now sim.Cycle) {
 	if d.rate > RateScale {
 		d.rate = RateScale
 	}
-	if d.rate < d.cfg.MinRate {
-		d.rate = d.cfg.MinRate
+	if d.rate < minRate {
+		d.rate = minRate
 	}
 }
 
@@ -182,14 +163,13 @@ func (d *DCQCN) applyRecovery(now sim.Cycle) {
 // the recovery target, cut the rate multiplicatively by alpha/2, and raise
 // the congestion estimate.
 func (d *DCQCN) onCNP(now sim.Cycle) {
-	const g = alphaScale / 16
 	d.applyRecovery(now)
 	d.target = d.rate
 	d.rate -= d.rate * d.alpha / (2 * alphaScale)
-	if d.rate < d.cfg.MinRate {
-		d.rate = d.cfg.MinRate
+	if d.rate < minRate {
+		d.rate = minRate
 	}
-	d.alpha += g * (alphaScale - d.alpha) / alphaScale
+	d.alpha += alphaG * (alphaScale - d.alpha) / alphaScale
 	d.lastDecAt = now
 	d.recovered = 0
 }
@@ -197,12 +177,12 @@ func (d *DCQCN) onCNP(now sim.Cycle) {
 // echoCNP queues a congestion notification back to src, subject to the
 // per-source CNP timer.
 func (d *DCQCN) echoCNP(now sim.Cycle, src int) {
-	if last, ok := d.lastCNP[src]; ok && now-last < d.cfg.CNPPeriod {
+	if last, ok := d.lastCNP[src]; ok && now-last < cnpPeriod {
 		return
 	}
 	d.lastCNP[src] = now
 	cnp := d.pool.Get()
-	cnp.Src = d.cfg.Node
+	cnp.Src = d.node
 	cnp.Dst = src
 	cnp.Kind = packet.Ack
 	cnp.Class = packet.Reply
@@ -217,10 +197,10 @@ func (d *DCQCN) echoCNP(now sim.Cycle, src int) {
 // feedback preempts data on the reply class), inject the paced FIFO head,
 // and pull arrivals — consuming CNPs internally and echoing ECN marks.
 func (d *DCQCN) Tick(now sim.Cycle) {
-	progress := d.iface.Pump(now)
-	if head, ok := d.cnpQ.Front(); ok && d.iface.CanAccept(head.Class) {
+	progress := d.Port.Pump(now)
+	if head, ok := d.cnpQ.Front(); ok && d.Port.CanAccept(head.Class) {
 		p, _ := d.cnpQ.PopFront()
-		d.iface.StartSend(now, p)
+		d.Port.StartSend(now, p)
 		d.stats.AcksSent++
 		progress = true
 	}
@@ -228,13 +208,13 @@ func (d *DCQCN) Tick(now sim.Cycle) {
 	if head, ok := d.out.Front(); ok {
 		if now < d.nextSendAt {
 			pacingBlocked = true
-		} else if d.iface.CanAccept(head.Class) {
-			wakeOnRoom(d.proc, d.out.Len(), d.Basic.cfg.OutBuf)
+		} else if d.Port.CanAccept(head.Class) {
+			d.WakeOnRoom(d.out.Len(), d.outBuf)
 			p, _ := d.out.PopFront()
-			d.iface.StartSend(now, p)
+			d.Port.StartSend(now, p)
 			d.stats.Injected++
 			d.applyRecovery(now)
-			gap := int64(p.Flits()) * int64(d.cfg.CPF) * RateScale / d.rate
+			gap := int64(p.Flits()) * d.cpf * RateScale / d.rate
 			d.nextSendAt = now + sim.Cycle(gap)
 			progress = true
 		}
@@ -242,18 +222,18 @@ func (d *DCQCN) Tick(now sim.Cycle) {
 	for {
 		var p *packet.Packet
 		var ok bool
-		if d.arr.Len() < d.Basic.cfg.ArrBuf {
-			p, ok = d.iface.Deliver(now, nil)
+		if d.Arr.Len() < d.arrBuf {
+			p, ok = d.Port.Deliver(now, nil)
 		} else {
 			// Arrivals queue full: still drain congestion notifications, so
 			// a backlogged receiver cannot stall its own rate control.
-			p, ok = d.iface.Deliver(now, d.cnpPred)
+			p, ok = d.Port.Deliver(now, isCNP)
 		}
 		if !ok {
 			break
 		}
 		progress = true
-		if p.Kind == packet.Ack && p.CNP {
+		if isCNP(p) {
 			d.stats.AcksReceived++
 			d.onCNP(now)
 			d.pool.Put(p)
@@ -262,18 +242,17 @@ func (d *DCQCN) Tick(now sim.Cycle) {
 		if p.ECN {
 			d.echoCNP(now, p.Src)
 		}
-		d.arr.PushBack(p)
-		wakeProc(d.proc)
+		d.Arrive(p)
 	}
-	if d.out.Len() == 0 && d.cnpQ.Len() == 0 && d.iface.Quiet() {
-		d.iface.Activity().Sleep(d.iface.NextArrivalAt())
+	if d.out.Len() == 0 && d.cnpQ.Len() == 0 && d.Port.Quiet() {
+		d.Port.Activity().Sleep(d.Port.NextArrivalAt())
 	} else if !progress {
-		bound := d.iface.BlockedBound(now)
+		bound := d.Port.BlockedBound(now)
 		if pacingBlocked && d.nextSendAt < bound {
 			// The pacing timer is a wake edge of our own making; BlockedBound
 			// cannot know it.
 			bound = d.nextSendAt
 		}
-		d.iface.Activity().Sleep(bound)
+		d.Port.Activity().Sleep(bound)
 	}
 }

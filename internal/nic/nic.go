@@ -1,13 +1,13 @@
 // Package nic defines the network interface controllers that sit between a
-// processor and the fabric: the interface all NICs satisfy, and the
-// protocol-less baselines the paper compares NIFDY against — a plain NIC
-// with minimal buffering, and a "buffers only" NIC that has NIFDY's total
-// buffering but none of its admission control (§3: "An option allows the
-// NIFDY units to be included but disabled... This allows us to separate the
-// effects of the NIFDY protocol itself from the benefit of simply having
-// extra buffering").
+// processor and the fabric: the interface all NICs satisfy, the half of a
+// NIC every kind shares (Base), and the protocol-less baselines the paper
+// compares NIFDY against — a plain NIC with minimal buffering, and a
+// "buffers only" NIC that has NIFDY's total buffering but none of its
+// admission control (§3: "An option allows the NIFDY units to be included
+// but disabled... This allows us to separate the effects of the NIFDY
+// protocol itself from the benefit of simply having extra buffering").
 //
-// The NIFDY NIC itself lives in internal/core.
+// The NIFDY NIC itself lives in internal/core, built on Base.
 package nic
 
 import (
@@ -119,7 +119,7 @@ type Auditable interface {
 }
 
 // NIC is the processor's view of its network interface. A NIC owns its
-// router.Iface and ticks it; processors interact only through TrySend/Recv.
+// router.Port and ticks it; processors interact only through TrySend/Recv.
 type NIC interface {
 	sim.Ticker
 	// Node reports the node number.
@@ -171,99 +171,32 @@ type BasicConfig struct {
 // baseline; sized to NIFDY's total buffering (at least half on the arrivals
 // side, per §3) it models the "buffers only" baseline.
 type Basic struct {
-	cfg   BasicConfig
-	iface router.Port
-	out   ring.Deque[*packet.Packet]
-	arr   ring.Deque[*packet.Packet]
-	pool  packet.Pool
-	proc  *sim.Activity // woken when a packet lands in arr or out stops being full
-	stats Stats
-}
-
-// wakeProc raises a wake edge on the observing processor, if there is one.
-func wakeProc(proc *sim.Activity) {
-	if proc != nil {
-		proc.Wake()
-	}
-}
-
-// wakeOnRoom raises the "TrySend may now succeed" edge when a FIFO of
-// capacity limit is about to pop one of its n packets: only a full FIFO can
-// have refused anything.
-func wakeOnRoom(proc *sim.Activity, n, limit int) {
-	if n >= limit {
-		wakeProc(proc)
-	}
+	Base
+	out            ring.Deque[*packet.Packet]
+	outBuf, arrBuf int
 }
 
 // NewBasic returns a Basic NIC attached to iface.
 func NewBasic(cfg BasicConfig, iface router.Port) *Basic {
-	if cfg.OutBuf < 1 {
-		cfg.OutBuf = 1
+	return &Basic{
+		Base:   NewBase(cfg.Node, cfg.Hooks, iface),
+		outBuf: max(cfg.OutBuf, 1),
+		arrBuf: max(cfg.ArrBuf, 1),
 	}
-	if cfg.ArrBuf < 1 {
-		cfg.ArrBuf = 1
-	}
-	return &Basic{cfg: cfg, iface: iface}
 }
-
-// Node implements NIC.
-func (b *Basic) Node() int { return b.cfg.Node }
-
-// Stats implements NIC.
-func (b *Basic) Stats() *Stats { return &b.stats }
-
-// Pool implements NIC. The Basic NIC neither creates nor consumes packets
-// itself; the pool exists for the node's processor and workload.
-func (b *Basic) Pool() *packet.Pool { return &b.pool }
-
-// Activity implements sim.IdleTicker: the NIC sleeps when it has nothing to
-// inject, nothing mid-flight in its iface, and nothing buffered to deliver.
-func (b *Basic) Activity() *sim.Activity { return b.iface.Activity() }
-
-// ObserveProc implements NIC.
-func (b *Basic) ObserveProc(a *sim.Activity) { b.proc = a }
 
 // TrySend implements NIC.
 func (b *Basic) TrySend(now sim.Cycle, p *packet.Packet) bool {
-	if b.out.Len() >= b.cfg.OutBuf {
+	if b.out.Len() >= b.outBuf {
 		return false
 	}
-	p.CreatedAt = now
 	b.out.PushBack(p)
-	b.stats.Sent++
-	b.cfg.Hooks.Send(p)
-	// The processor handed us work mid-cycle (it ticks after the NIC): make
-	// sure the scheduler runs the NIC next cycle, exactly as if it had
-	// never slept.
-	b.iface.Activity().Wake()
+	b.Admitted(now, p)
 	return true
 }
 
-// Recv implements NIC.
-func (b *Basic) Recv(now sim.Cycle) (*packet.Packet, bool) {
-	p, ok := b.arr.PopFront()
-	if !ok {
-		return nil, false
-	}
-	p.AcceptedAt = now
-	b.stats.Accepted++
-	b.cfg.Hooks.Accept(p)
-	// Freed arrivals space may let a NIC blocked on a full queue pull the
-	// next reassembled packet: run it as if it had never slept.
-	b.iface.Activity().Wake()
-	return p, true
-}
-
-// Pending implements NIC.
-func (b *Basic) Pending() int { return b.arr.Len() }
-
 // Idle implements NIC.
-func (b *Basic) Idle() bool {
-	return b.out.Len() == 0 && b.arr.Len() == 0 &&
-		b.iface.Sending(packet.Request) == nil && b.iface.Sending(packet.Reply) == nil &&
-		b.iface.PendingFlits() == 0
-}
+func (b *Basic) Idle() bool { return b.out.Len() == 0 && b.Drained() }
 
 // Audit implements Auditable: the Basic NIC holds packets only in its two
 // FIFOs and has no protocol state.
@@ -272,35 +205,34 @@ func (b *Basic) Audit(a Auditor) {
 		return
 	}
 	b.out.ForEach(func(p *packet.Packet) { a.Queued("out", p) })
-	b.arr.ForEach(func(p *packet.Packet) { a.Queued("arr", p) })
+	b.Arr.ForEach(func(p *packet.Packet) { a.Queued("arr", p) })
 }
 
 // Tick implements sim.Ticker: pump the iface, inject the FIFO head if its
 // class slot is free (head-of-line blocking is intentional — it is what the
 // NIFDY pool removes), and pull arrivals while the queue has room.
 func (b *Basic) Tick(now sim.Cycle) {
-	progress := b.iface.Pump(now)
-	if head, ok := b.out.Front(); ok && b.iface.CanAccept(head.Class) {
-		wakeOnRoom(b.proc, b.out.Len(), b.cfg.OutBuf)
+	progress := b.Port.Pump(now)
+	if head, ok := b.out.Front(); ok && b.Port.CanAccept(head.Class) {
+		b.WakeOnRoom(b.out.Len(), b.outBuf)
 		p, _ := b.out.PopFront()
-		b.iface.StartSend(now, p)
+		b.Port.StartSend(now, p)
 		b.stats.Injected++
 		progress = true
 	}
-	for b.arr.Len() < b.cfg.ArrBuf {
-		p, ok := b.iface.Deliver(now, nil)
+	for b.Arr.Len() < b.arrBuf {
+		p, ok := b.Port.Deliver(now, nil)
 		if !ok {
 			break
 		}
-		b.arr.PushBack(p)
+		b.Arrive(p)
 		progress = true
-		wakeProc(b.proc)
 	}
-	if b.out.Len() == 0 && b.iface.Quiet() {
+	if b.out.Len() == 0 && b.Port.Quiet() {
 		// Quiescent: nothing to inject, serialize, or deliver. Arrivals the
-		// processor has not pulled (b.arr) don't need ticks — Recv bypasses
+		// processor has not pulled (b.Arr) don't need ticks — Recv bypasses
 		// the tick path — and the next fabric arrival re-wakes us.
-		b.iface.Activity().Sleep(b.iface.NextArrivalAt())
+		b.Port.Activity().Sleep(b.Port.NextArrivalAt())
 	} else if !progress {
 		// Holding work but stuck this tick: nothing drained, injected, sent,
 		// or delivered. Each stuck reason resolves only through an external
@@ -308,6 +240,6 @@ func (b *Basic) Tick(now sim.Cycle) {
 		// output link going free (BlockedBound), a processor TrySend or a
 		// queue-freeing Recv (both wake explicitly) — so the state is a fixed
 		// point until then and skipping to it is bit-identical.
-		b.iface.Activity().Sleep(b.iface.BlockedBound(now))
+		b.Port.Activity().Sleep(b.Port.BlockedBound(now))
 	}
 }

@@ -36,7 +36,4 @@ type FabricConfig struct {
 	// The interface performs the compensating credit returns itself, so the
 	// conservation monitors stay satisfied at every audit instant.
 	WireDrop float64
-	// Seed drives the per-node wire-drop streams (required when WireDrop is
-	// positive).
-	Seed uint64
 }

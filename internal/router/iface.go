@@ -24,6 +24,9 @@ type IfaceConfig struct {
 	DropProb float64
 	// RNG drives loss decisions.
 	RNG *rng.Source
+	// WireRNG drives the lossy-wire decisions of Fabric.WireDrop (required
+	// when it is positive).
+	WireRNG *rng.Source
 	// Fabric configures the modern-fabric baselines: PFC pause/resume on the
 	// access channels, and the lossy-wire fault model (drop in flight) that
 	// exercises the §6 retransmission path. ECN marking happens in the
@@ -107,11 +110,10 @@ type Iface struct {
 	pfcPausedAt     []sim.Cycle
 	pfcActive       []bool
 
-	// Lossy-wire state: the per-node fault stream and the set of packets
-	// condemned in flight, mapped to the flits not yet accounted (extracted,
-	// discarded on arrival, or dropped at the wire). Membership lookups only;
+	// Lossy-wire state: the set of packets condemned in flight, mapped to
+	// the flits not yet accounted (extracted, discarded on arrival, or
+	// dropped at the wire); nil on reliable wires. Membership lookups only;
 	// the map is never iterated, and entries die with their last flit.
-	wireRNG  *rng.Source
 	poisoned map[*packet.Packet]int
 
 	mutDropDone, mutLeakDone, mutCreditDone bool
@@ -158,10 +160,6 @@ func NewIface(cfg IfaceConfig) *Iface {
 		f.pfcActive = make([]bool, nvc)
 	}
 	if cfg.Fabric.WireDrop > 0 {
-		// One fault stream per node, salted away from every other consumer of
-		// the seed; decisions are drawn at the access link's single writer, so
-		// they are identical for any shard count.
-		f.wireRNG = rng.NewStream(cfg.Fabric.Seed^0x77697265, uint64(cfg.Node))
 		f.poisoned = make(map[*packet.Packet]int)
 	}
 	return f
@@ -203,7 +201,7 @@ func (f *Iface) ConnectIn(ch *Channel) {
 func (f *Iface) ConnectInClass(c packet.Class, ch *Channel) {
 	f.inCh[c] = ch
 	ch.Flits.Observe(&f.act)
-	if f.wireRNG != nil {
+	if f.poisoned != nil {
 		ch.Flits.SetFault(func(now sim.Cycle, fl packet.Flit) bool {
 			return f.wireFault(now, ch, fl)
 		})
@@ -288,9 +286,6 @@ func (f *Iface) StartSend(now sim.Cycle, p *packet.Packet) {
 	s.vc = -1
 	_ = now
 }
-
-// Sending reports the packet currently being serialized for class c, if any.
-func (f *Iface) Sending(c packet.Class) *packet.Packet { return f.slots[c].p }
 
 // Tick implements sim.Ticker for an iface driven standalone (tests).
 func (f *Iface) Tick(now sim.Cycle) { f.Pump(now) }
@@ -437,7 +432,9 @@ func (f *Iface) extract(now sim.Cycle, g int, p *packet.Packet) int {
 // counted) exactly once, so the conservation monitors hold at every audit
 // instant.
 func (f *Iface) wireFault(now sim.Cycle, ch *Channel, fl packet.Flit) bool {
-	if !f.wireRNG.Bool(f.cfg.Fabric.WireDrop) {
+	// One fault stream per node (topo.IfaceOptions.WireRNG), drawn at the
+	// access link's single writer: identical decisions for any shard count.
+	if !f.cfg.WireRNG.Bool(f.cfg.Fabric.WireDrop) {
 		return true
 	}
 	f.poison(now, ch, fl)
@@ -584,9 +581,6 @@ func (f *Iface) Deliver(now sim.Cycle, pred func(*packet.Packet) bool) (*packet.
 	}
 	return nil, false
 }
-
-// PendingFlits reports flits buffered on the eject side (not yet pulled).
-func (f *Iface) PendingFlits() int { return f.ejected }
 
 // Stats reports injected, delivered, and dropped packet counts.
 func (f *Iface) Stats() (injected, delivered, dropped int64) {

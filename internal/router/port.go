@@ -23,6 +23,8 @@ import (
 //   - Deliver pops the next fully arrived packet satisfying pred (nil
 //     accepts anything); unpulled packets keep exerting backpressure into
 //     the fabric.
+//   - Quiet reports that nothing is mid-serialization and nothing arrived
+//     but unpulled: the port's half of a NIC's Idle and sleep checks.
 //   - Activity is the quiescence latch shared by the port and its NIC; the
 //     fabric wakes it on arrivals, credit/space returns, and hand-offs.
 //   - NextArrivalAt/BlockedBound are the sleep bounds a stuck or quiescent
@@ -32,9 +34,7 @@ type Port interface {
 	Pump(now sim.Cycle) bool
 	CanAccept(c packet.Class) bool
 	StartSend(now sim.Cycle, p *packet.Packet)
-	Sending(c packet.Class) *packet.Packet
 	Deliver(now sim.Cycle, pred func(*packet.Packet) bool) (*packet.Packet, bool)
-	PendingFlits() int
 	Quiet() bool
 	Activity() *sim.Activity
 	NextArrivalAt() sim.Cycle

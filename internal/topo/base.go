@@ -36,7 +36,8 @@ func (b *Base) NewIfaces(nodes, vcs int) {
 			Node: n, VCs: vcs, BufFlits: IfaceBufFlits,
 			DropProb: b.Opts.DropProb,
 			RNG:      b.Opts.LossRNG(uint64(n)),
-			Fabric:   b.Opts.FabricFor(),
+			WireRNG:  b.Opts.WireRNG(uint64(n)),
+			Fabric:   b.Opts.Fabric,
 		}
 		if n == b.Opts.MutateNode {
 			cfg.Mutate = b.Opts.Mutate

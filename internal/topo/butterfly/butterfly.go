@@ -119,7 +119,7 @@ func (f *Fly) build(nodes int) {
 					return f.route(s, p, sc)
 				},
 				RNG:    rng.NewStream(f.cfg.Seed^0xB07F1E, uint64(id)),
-				Fabric: f.Opts.FabricFor(),
+				Fabric: f.Opts.Fabric,
 			}))
 		}
 	}

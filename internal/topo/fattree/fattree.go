@@ -188,7 +188,7 @@ func (t *Tree) build(nodes int) {
 				SAF:    t.cfg.Variant == StoreForward,
 				Route:  func(in int, p *packet.Packet, s []router.Choice) []router.Choice { return t.route(l, w, p, s) },
 				RNG:    rng.NewStream(t.cfg.Seed^0xFA77EE, uint64(id)),
-				Fabric: t.Opts.FabricFor(),
+				Fabric: t.Opts.Fabric,
 			}))
 		}
 	}

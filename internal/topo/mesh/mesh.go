@@ -117,7 +117,7 @@ func (m *Mesh) build(nodes int) {
 			Route: func(in int, p *packet.Packet, s []router.Choice) []router.Choice {
 				return m.route(n, p, s)
 			},
-			Fabric: m.cfg.Iface.FabricFor(),
+			Fabric: m.cfg.Iface.Fabric,
 		}
 		if m.cfg.Adaptive {
 			rcfg.RNG = rng.NewStream(m.cfg.Seed^0xADA57, uint64(n))

@@ -183,8 +183,8 @@ type IfaceOptions struct {
 	// the unpadded model, a boundary after every cycle.
 	Window int
 	// Fabric configures the modern-fabric baselines (PFC, ECN, lossy wires);
-	// topologies pass it to every router and interface. Its Seed field is
-	// filled from Seed when left zero, so one seed drives both loss models.
+	// topologies pass it to every router and interface. Seed drives the
+	// lossy wires too (WireRNG), so one seed drives both loss models.
 	Fabric router.FabricConfig
 }
 
@@ -205,13 +205,11 @@ func (o IfaceOptions) LossRNG(node uint64) *rng.Source {
 	return rng.NewStream(o.Seed^0x10551055, node)
 }
 
-// FabricFor resolves the fabric config a topology hands its routers and
-// interfaces: the configured knobs with the wire-fault seed defaulted to the
-// topology seed.
-func (o IfaceOptions) FabricFor() router.FabricConfig {
-	fc := o.Fabric
-	if fc.Seed == 0 {
-		fc.Seed = o.Seed
+// WireRNG returns a per-node wire-drop stream, salted away from LossRNG's,
+// or nil when the access wires are reliable.
+func (o IfaceOptions) WireRNG(node uint64) *rng.Source {
+	if o.Fabric.WireDrop <= 0 {
+		return nil
 	}
-	return fc
+	return rng.NewStream(o.Seed^0x77697265, node)
 }
