@@ -1,6 +1,9 @@
 package flow
 
-import "nifdy/internal/sim"
+import (
+	"nifdy/internal/packet"
+	"nifdy/internal/sim"
+)
 
 // shareClass is the set of flows one global share binds. Its members all
 // drain at share, so instead of a remainder each the class keeps one clock:
@@ -41,7 +44,7 @@ func (cl *shareClass) drainAt(tag int64) sim.Cycle {
 
 // classOf returns the share class a flow's endpoints put it in.
 func (f *Fabric) classOf(id int32) *shareClass {
-	if f.crosses(f.fSrc[id], f.fDst[id]) {
+	if f.crosses(srcOf(id), f.fDst[id]) {
 		return &f.classes[1]
 	}
 	return &f.classes[0]
@@ -73,8 +76,8 @@ func (f *Fabric) setShare(cl *shareClass, share int64) (lo, hi int32) {
 func (f *Fabric) flip(now sim.Cycle, lo, hi int32) {
 	for k := lo + 1; k <= hi && int(k) < len(f.srcCensus.head); k++ {
 		for src := f.srcCensus.head[k]; src >= 0; src = f.srcCensus.next[src] {
-			for _, id := range f.ports[src].slotFlow {
-				if id >= 0 {
+			for c := range packet.NumClasses {
+				if id := f.ports[src].flowID(c); f.fPkt[id] != nil {
 					f.stats.Flips++
 					f.rerate(now, id)
 				}
@@ -83,7 +86,7 @@ func (f *Fabric) flip(now sim.Cycle, lo, hi int32) {
 	}
 	for k := lo + 1; k <= hi && int(k) < len(f.dstCensus.head); k++ {
 		for dst := f.dstCensus.head[k]; dst >= 0; dst = f.dstCensus.next[dst] {
-			for id := f.dstHead[dst]; id >= 0; id = f.fNextD[id] {
+			for id := f.ports[dst].dstHead; id >= 0; id = f.fNextD[id] {
 				f.stats.Flips++
 				f.rerate(now, id)
 			}

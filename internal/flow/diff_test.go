@@ -183,15 +183,11 @@ func snapshot(f *Fabric, now sim.Cycle, state func(id int32) (rem, rate int64)) 
 		f.pipes[c].ForEach(func(e pipeEntry) { s = append(s, int64(e.p.ID), int64(e.at)) })
 		s = append(s, -2)
 	}
-	for i := range f.parked {
-		f.parked[i].ForEach(func(p *packet.Packet) { s = append(s, int64(p.ID)) })
-		s = append(s, int64(f.parkedFlits[i]))
-	}
 	for n := range f.ports {
 		pt := &f.ports[n]
-		for c := range pt.arrQ {
-			pt.arrQ[c].ForEach(func(p *packet.Packet) { s = append(s, int64(p.ID)) })
-			s = append(s, int64(pt.arrFlits[c]))
+		for c := range pt.q {
+			pt.q[c].ForEach(func(p *packet.Packet) { s = append(s, int64(p.ID)) })
+			s = append(s, int64(pt.arrN[c]), int64(pt.arrFlits[c]), int64(pt.parkedFlits[c]))
 		}
 		inj, del, drop := pt.Stats()
 		s = append(s, int64(pt.BlockedBound(now)), inj, del, drop)

@@ -65,12 +65,15 @@
 //
 // # State layout and engine integration
 //
-// All per-node and per-flow state lives in flat arrays indexed by node and
-// flow id (structure of arrays, no per-component pointer chasing). The
-// fabric registers no routers and runs on a serial engine: ports are
-// written by their owning NIC during the tick phase and by the solver during
-// the pre-tick step hook — the same single-writer alternation the latch
-// discipline gives flit fabrics.
+// A node's state is one Port record: its injection slots, one landed-packet
+// queue per class (the arrival buffer at the front, parked packets behind
+// it) and the solver's census counts. Per-flow state lives in flat arrays
+// indexed by flow id. A flow lives exactly while its packet holds its
+// source's class slot, so its id is that slot's, node·NumClasses + class,
+// and New sizes every table once. The fabric registers no routers and runs
+// on a serial engine: ports are written by their owning NIC during the tick
+// phase and by the solver during the pre-tick step hook — the same
+// single-writer alternation the latch discipline gives flit fabrics.
 package flow
 
 import (
@@ -202,7 +205,8 @@ type Fabric struct {
 	ports []Port
 
 	// Flow state (structure of arrays, indexed by flow id; fPkt is nil for a
-	// free id). A flow is in one of three solver states:
+	// free id; the id is the slot the flow holds, see srcOf). A flow is in
+	// one of three solver states:
 	//
 	//   - local: its rate fRate > 0 is set by its own access links, fRem is
 	//     the work left at cycle fAt, and it is filed in drains under its
@@ -212,7 +216,6 @@ type Fabric struct {
 	//   - stalled (fRate == 0, unfiled): its destination is over the
 	//     fabric-side cap, or it has not been rated yet.
 	fPkt    []*packet.Packet
-	fSrc    []int32
 	fDst    []int32
 	fSeq    []int64
 	fRem    []int64     // work, flits·rateQ: remainder at fAt, or finish tag
@@ -220,11 +223,9 @@ type Fabric struct {
 	fAt     []sim.Cycle // cycle fRem was last brought current
 	fHeap   []int32     // position in the class heap, -1 outside it
 	nActive int
-	freeIDs []int32
 	drains  sim.Wheel // local flows, keyed by drain cycle
-	// Per-destination intrusive list of inbound flows (-1 ends), for
-	// marking on destination-census and stall changes.
-	dstHead        []int32
+	// Per-destination intrusive list of inbound flows (Port.dstHead, -1
+	// ends), for marking on destination-census and stall changes.
 	fNextD, fPrevD []int32
 	// classes are the two global-share classes: [0] non-crossing flows
 	// (fabric share), [1] crossing flows (the smaller of fabric and
@@ -255,12 +256,6 @@ type Fabric struct {
 	// concurrent flows, precomputed so the solver's hot loop divides only
 	// for fan-in beyond the table.
 	shareTab [65]int64
-
-	// Per-node aggregates (solver-owned).
-	nSrc        []int32                      // active flows leaving node
-	nDst        []int32                      // active flows arriving at node
-	parked      []ring.Deque[*packet.Packet] // per (node·2+class)
-	parkedFlits []int32                      // per (node·2+class)
 
 	// One pipe per class: with size-aware pipe latency a short reply could
 	// land before an earlier long request, so a single FIFO would block it.
@@ -322,18 +317,25 @@ func New(cfg Config) *Fabric {
 	for i := range f.ports {
 		f.ports[i].init(f, int32(i))
 	}
-	f.nSrc = make([]int32, n)
-	f.nDst = make([]int32, n)
-	f.parked = make([]ring.Deque[*packet.Packet], n*packet.NumClasses)
-	f.parkedFlits = make([]int32, n*packet.NumClasses)
-	f.nextWork = sim.Never
+	ids := n * packet.NumClasses
+	f.fPkt = make([]*packet.Packet, ids)
+	f.fDst = make([]int32, ids)
+	f.fSeq = make([]int64, ids)
+	f.fRem = make([]int64, ids)
+	f.fRate = make([]int64, ids)
+	f.fAt = make([]sim.Cycle, ids)
+	f.fHeap = make([]int32, ids)
+	f.fNextD = make([]int32, ids)
+	f.fPrevD = make([]int32, ids)
+	for id := range ids {
+		f.fHeap[id], f.fNextD[id], f.fPrevD[id] = -1, -1, -1
+	}
+	f.fMark = make([]bool, ids)
 	f.drains.Init()
+	f.drains.Grow(ids)
+	f.nextWork = sim.Never
 	f.srcCensus.init(n)
 	f.dstCensus.init(n)
-	f.dstHead = make([]int32, n)
-	for i := range f.dstHead {
-		f.dstHead[i] = -1
-	}
 	f.shareTab[0] = f.linkCap
 	for k := 1; k < len(f.shareTab); k++ {
 		f.shareTab[k] = f.linkCap / int64(k)
@@ -416,12 +418,8 @@ func (f *Fabric) AuditRouters(func(*router.Router)) {}
 func (f *Fabric) AuditPackets(fn func(node int, where string, p *packet.Packet)) {
 	for id, p := range f.fPkt {
 		if p != nil {
-			fn(int(f.fSrc[id]), "flow", p)
+			fn(id/packet.NumClasses, "flow", p)
 		}
-	}
-	for i := range f.parked {
-		nd := i / packet.NumClasses
-		f.parked[i].ForEach(func(p *packet.Packet) { fn(nd, "parked", p) })
 	}
 	for c := range f.pipes {
 		f.pipes[c].ForEach(func(e pipeEntry) { fn(e.p.Dst, "pipe", e.p) })
@@ -431,8 +429,14 @@ func (f *Fabric) AuditPackets(fn func(node int, where string, p *packet.Packet))
 	}
 	for n := range f.ports {
 		pt := &f.ports[n]
-		for c := range pt.arrQ {
-			pt.arrQ[c].ForEach(func(p *packet.Packet) { fn(n, "port-arr", p) })
+		for c := range pt.q {
+			for i := range pt.q[c].Len() {
+				where := "port-arr"
+				if i >= int(pt.arrN[c]) {
+					where = "parked"
+				}
+				fn(n, where, pt.q[c].At(i))
+			}
 		}
 	}
 }
@@ -547,16 +551,16 @@ func (f *Fabric) step(now sim.Cycle) {
 // retire removes a drained flow (already out of the wheel or its class
 // heap): source slot frees, packet enters the pipe.
 func (f *Fabric) retire(now sim.Cycle, id int32) {
-	src, dst := f.fSrc[id], f.fDst[id]
+	src, dst := srcOf(id), f.fDst[id]
 	p := f.fPkt[id]
 	pt := &f.ports[src]
 	c := p.Class
-	if pt.slots[c] == p {
-		pt.slots[c] = nil
-		pt.slotFlow[c] = -1
-		pt.injected++
-		pt.act.WakeAt(now) // the slot is free: the NIC may inject this cycle
+	if pt.slots[c] != p {
+		panic(fmt.Sprintf("flow: node %d retires flow %d, whose packet does not hold its class %d slot", src, id, c))
 	}
+	pt.slots[c] = nil
+	pt.injected++
+	pt.act.WakeAt(now) // the slot is free: the NIC may inject this cycle
 	if f.crosses(src, dst) {
 		f.nCross--
 	}
@@ -569,7 +573,6 @@ func (f *Fabric) retire(now sim.Cycle, id int32) {
 	f.nActive--
 	f.unlinkDst(id)
 	f.fPkt[id] = nil
-	f.freeIDs = append(f.freeIDs, id)
 	// The departure frees share on both access links.
 	f.srcCensusStep(src, -1)
 	f.dstCensusStep(dst, -1)
@@ -581,7 +584,7 @@ func (f *Fabric) unlinkDst(id int32) {
 	if dp >= 0 {
 		f.fNextD[dp] = dn
 	} else {
-		f.dstHead[f.fDst[id]] = dn
+		f.ports[f.fDst[id]].dstHead = dn
 	}
 	if dn >= 0 {
 		f.fPrevD[dn] = dp
@@ -599,8 +602,8 @@ func (f *Fabric) markFlow(id int32) {
 
 // markSrc queues the flows leaving node src (at most one per class slot).
 func (f *Fabric) markSrc(src int32) {
-	for c := range f.ports[src].slotFlow {
-		if id := f.ports[src].slotFlow[c]; id >= 0 {
+	for c := range packet.NumClasses {
+		if id := f.ports[src].flowID(c); f.fPkt[id] != nil {
 			f.markFlow(id)
 		}
 	}
@@ -609,8 +612,9 @@ func (f *Fabric) markSrc(src int32) {
 // srcCensusStep moves node src's outbound census by d (±1) and queues the
 // flows leaving it, unless the move cannot matter to them (see kSkip).
 func (f *Fabric) srcCensusStep(src, d int32) {
-	old := f.nSrc[src]
-	f.nSrc[src] += d
+	pt := &f.ports[src]
+	old := pt.nSrc
+	pt.nSrc += d
 	f.srcCensus.move(src, old, old+d)
 	if max(old, old+d) > f.kSkip {
 		f.markSrc(src)
@@ -621,7 +625,7 @@ func (f *Fabric) srcCensusStep(src, d int32) {
 // rate formula reads coarsened: a step inside one coarse value is no change.
 func (f *Fabric) dstCensusStep(dst, d int32) {
 	old := f.dstCensusOf(dst)
-	f.nDst[dst] += d
+	f.ports[dst].nDst += d
 	k := f.dstCensusOf(dst)
 	if k == old {
 		return
@@ -634,21 +638,22 @@ func (f *Fabric) dstCensusStep(dst, d int32) {
 
 // dstCensusOf is node dst's inbound census as the rate formula reads it.
 func (f *Fabric) dstCensusOf(dst int32) int32 {
-	return int32(coarsen(int64(f.nDst[dst]), f.cfg.SolveStride))
+	return int32(coarsen(int64(f.ports[dst].nDst), f.cfg.SolveStride))
 }
 
 // markDst queues every flow inbound to dst (its census or stall state
 // changed, so each one's share is suspect).
 func (f *Fabric) markDst(dst int32) {
-	for id := f.dstHead[dst]; id >= 0; id = f.fNextD[id] {
+	for id := f.ports[dst].dstHead; id >= 0; id = f.fNextD[id] {
 		f.markFlow(id)
 	}
 }
 
-// land delivers a pipe arrival into the destination's arrival buffer, or
-// parks it when the buffer is full, reporting whether it parked (parked
-// flits beyond the destination cap stall inbound flows at rate zero until
-// the NIC drains arrivals, so parking forces a re-solve).
+// land puts a pipe arrival at the back of the destination's landed-packet
+// queue and counts it into the arrival buffer if nothing is parked ahead of
+// it and it fits, or as parked otherwise, reporting whether it parked
+// (parked flits beyond the destination cap stall inbound flows at rate zero
+// until the NIC drains arrivals, so parking forces a re-solve).
 func (f *Fabric) land(now sim.Cycle, p *packet.Packet) bool {
 	dst := int32(p.Dst)
 	if f.loss != nil && f.loss[dst] != nil && f.loss[dst].Bool(f.cfg.Iface.DropProb) {
@@ -662,52 +667,49 @@ func (f *Fabric) land(now sim.Cycle, p *packet.Packet) bool {
 	pt := &f.ports[dst]
 	size := int32(p.Flits())
 	c := p.Class
-	qi := int(dst)*packet.NumClasses + int(c)
-	if f.parked[qi].Len() == 0 && pt.arrFlits[c]+size <= int32(f.cfg.ArrCapFlits) {
-		f.deliverArr(now, pt, p)
+	pt.q[c].PushBack(p)
+	if int(pt.arrN[c]) == pt.q[c].Len()-1 && pt.arrFlits[c]+size <= int32(f.cfg.ArrCapFlits) {
+		f.deliverArr(now, pt, c, size)
 		return false
 	}
-	stalled := f.parkedFlits[qi] >= int32(f.cfg.DstCapFlits)
-	f.parked[qi].PushBack(p)
-	f.parkedFlits[qi] += size
-	if !stalled && f.parkedFlits[qi] >= int32(f.cfg.DstCapFlits) {
+	stalled := pt.parkedFlits[c] >= int32(f.cfg.DstCapFlits)
+	pt.parkedFlits[c] += size
+	if !stalled && pt.parkedFlits[c] >= int32(f.cfg.DstCapFlits) {
 		f.stats.StallEdges++
 		f.markDst(dst) // crossed the stall threshold: inbound flows drop to zero
 	}
 	return true
 }
 
-// deliverArr moves a packet into the destination port's arrival buffer and
-// wakes the NIC for this cycle's tick.
-func (f *Fabric) deliverArr(now sim.Cycle, pt *Port, p *packet.Packet) {
-	c := p.Class
-	pt.arrQ[c].PushBack(p)
-	pt.arrFlits[c] += int32(p.Flits())
+// deliverArr counts the first parked packet of class c (size flits) into
+// the destination port's arrival buffer and wakes the NIC for this cycle's
+// tick.
+func (f *Fabric) deliverArr(now sim.Cycle, pt *Port, c packet.Class, size int32) {
+	pt.arrN[c]++
+	pt.arrFlits[c] += size
 	pt.act.WakeAt(now)
 	f.fabDelivered++
-	f.fabFlits -= int64(p.Flits())
+	f.fabFlits -= int64(size)
 }
 
-// promote drains a destination's parked queues into freed arrival space,
-// reporting whether a stalled destination may have unstalled.
+// promote moves the boundary of a destination's landed-packet queues past
+// the parked packets that fit the freed arrival space, reporting whether a
+// stalled destination may have unstalled.
 func (f *Fabric) promote(now sim.Cycle, nd int32) bool {
 	pt := &f.ports[nd]
 	moved := false
-	for c := 0; c < packet.NumClasses; c++ {
-		qi := int(nd)*packet.NumClasses + c
-		stalled := f.parkedFlits[qi] >= int32(f.cfg.DstCapFlits)
-		for f.parked[qi].Len() > 0 {
-			head, _ := f.parked[qi].Front()
-			size := int32(head.Flits())
+	for c := range packet.Class(packet.NumClasses) {
+		stalled := pt.parkedFlits[c] >= int32(f.cfg.DstCapFlits)
+		for int(pt.arrN[c]) < pt.q[c].Len() {
+			size := int32(pt.q[c].At(int(pt.arrN[c])).Flits())
 			if pt.arrFlits[c]+size > int32(f.cfg.ArrCapFlits) {
 				break
 			}
-			p, _ := f.parked[qi].PopFront()
-			f.parkedFlits[qi] -= size
-			f.deliverArr(now, pt, p)
+			pt.parkedFlits[c] -= size
+			f.deliverArr(now, pt, c, size)
 			moved = true
 		}
-		if stalled && f.parkedFlits[qi] < int32(f.cfg.DstCapFlits) {
+		if stalled && pt.parkedFlits[c] < int32(f.cfg.DstCapFlits) {
 			f.stats.StallEdges++
 			f.markDst(nd) // stall lifted: inbound flows resume
 		}
@@ -718,10 +720,9 @@ func (f *Fabric) promote(now sim.Cycle, nd int32) bool {
 // activate admits one staged send as a live flow.
 func (f *Fabric) activate(now sim.Cycle, st stagedSend) {
 	p := st.p
-	id := f.allocFlow()
 	src, dst := st.node, int32(p.Dst)
+	id := f.ports[src].flowID(int(st.cls))
 	f.fPkt[id] = p
-	f.fSrc[id] = src
 	f.fDst[id] = dst
 	f.fRem[id] = int64(p.Flits()) * rateQ
 	f.fRate[id] = 0 // unrated: the solve below files it or joins it to a class
@@ -730,16 +731,16 @@ func (f *Fabric) activate(now sim.Cycle, st stagedSend) {
 	f.seq++
 	f.nActive++
 	f.stats.Arrivals++
+	dpt := &f.ports[dst]
 	f.fPrevD[id] = -1
-	f.fNextD[id] = f.dstHead[dst]
-	if h := f.dstHead[dst]; h >= 0 {
+	f.fNextD[id] = dpt.dstHead
+	if h := dpt.dstHead; h >= 0 {
 		f.fPrevD[h] = id
 	}
-	f.dstHead[dst] = id
+	dpt.dstHead = id
 	if f.crosses(src, dst) {
 		f.nCross++
 	}
-	f.ports[src].slotFlow[st.cls] = id
 	f.fabInjected++
 	f.fabFlits += int64(p.Flits())
 	// The new flow needs a rate, and the census change touches every flow
@@ -749,27 +750,9 @@ func (f *Fabric) activate(now sim.Cycle, st stagedSend) {
 	f.dstCensusStep(dst, 1)
 }
 
-func (f *Fabric) allocFlow() int32 {
-	if n := len(f.freeIDs); n > 0 {
-		id := f.freeIDs[n-1]
-		f.freeIDs = f.freeIDs[:n-1]
-		return id
-	}
-	id := int32(len(f.fPkt))
-	f.fPkt = sim.Push(f.fPkt, nil)
-	f.fSrc = sim.Push(f.fSrc, 0)
-	f.fDst = sim.Push(f.fDst, 0)
-	f.fRem = sim.Push(f.fRem, 0)
-	f.fRate = sim.Push(f.fRate, 0)
-	f.fAt = sim.Push(f.fAt, 0)
-	f.fSeq = sim.Push(f.fSeq, 0)
-	f.fHeap = sim.Push(f.fHeap, -1)
-	f.fNextD = sim.Push(f.fNextD, -1)
-	f.fPrevD = sim.Push(f.fPrevD, -1)
-	f.fMark = sim.Push(f.fMark, false)
-	f.drains.Grow(len(f.fPkt))
-	return id
-}
+// srcOf is the source node of flow id: a flow's id is the injection slot it
+// holds, node·NumClasses + class (Port.flowID).
+func srcOf(id int32) int32 { return id / packet.NumClasses }
 
 // crosses reports whether a (src, dst) pair spans the bisection halves.
 func (f *Fabric) crosses(src, dst int32) bool {
@@ -822,13 +805,12 @@ func (f *Fabric) solveRates(now sim.Cycle) {
 // (or tag) stands, by the ceil identity in the package doc.
 func (f *Fabric) rerate(now sim.Cycle, id int32) {
 	f.stats.Rerated++
-	src, dst := f.fSrc[id], f.fDst[id]
-	qi := int(dst)*packet.NumClasses + int(f.fPkt[id].Class)
+	src, dst := srcOf(id), f.fDst[id]
 	// k = 0: stalled destination — the flow holds its source slot at rate
 	// zero, the secondary-blocking analog.
 	var k int32
-	if f.parkedFlits[qi] < int32(f.cfg.DstCapFlits) {
-		k = max(f.nSrc[src], f.dstCensusOf(dst))
+	if f.ports[dst].parkedFlits[f.fPkt[id].Class] < int32(f.cfg.DstCapFlits) {
+		k = max(f.ports[src].nSrc, f.dstCensusOf(dst))
 	}
 	cl := f.classOf(id)
 	if k != 0 && k <= cl.kMax {

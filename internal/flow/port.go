@@ -9,34 +9,45 @@ import (
 	"nifdy/internal/sim"
 )
 
-// Port is the flow fabric's packet-native router.Port implementation: one
-// injection slot per class (busy until the flow's tail leaves the source)
-// and one arrival FIFO per class (filled by the solver pre-tick, drained by
-// the NIC during its tick). The owning NIC writes the port during the tick
-// phase; the solver writes it only from the pre-tick step hook, when no
+// Port is the flow fabric's packet-native router.Port implementation and the
+// whole of one node's fabric state: one injection slot per class (busy until
+// the flow's tail leaves the source), one landed-packet queue per class, and
+// the solver's per-node census. The owning NIC writes the port during the
+// tick phase; the solver writes it only from the pre-tick step hook, when no
 // component is ticking — the two writers never overlap.
+//
+// The fields every event touches fill the first cache line; the record is
+// three lines long (TestPortLayout).
 type Port struct {
-	f    *Fabric
-	node int32
-
-	// slots holds the packet occupying each class's injection slot; the
-	// solver clears a slot when its flow drains. slotFlow is the live flow
-	// id (-1 while staged or empty) — BlockedBound asks for its drain bound.
-	slots    [packet.NumClasses]*packet.Packet
-	slotFlow [packet.NumClasses]int32
-
-	// arrQ/arrFlits are the per-class arrival buffers (the ejection-side
-	// analog); the solver enqueues, Deliver pops and reports the freed
-	// space back through the fabric's dirty list.
-	arrQ     [packet.NumClasses]ring.Deque[*packet.Packet]
-	arrFlits [packet.NumClasses]int32
-
-	clsRR int // Deliver fairness rotation across classes
-
 	// act is the quiescence latch shared with the owning NIC.
 	act sim.Activity
+	f   *Fabric
+
+	// slots holds the packet occupying each class's injection slot; the
+	// solver clears a slot when its flow retires. The slot's flow id is
+	// node·NumClasses + class, live while fPkt holds it and staged while
+	// the slot is busy but fPkt is nil.
+	slots [packet.NumClasses]*packet.Packet
+	// arrN counts the packets at the front of q that are in the arrival
+	// buffer (the ejection-side analog): the NIC may pull them.
+	arrN [packet.NumClasses]int32
+	// nSrc and nDst count the live flows leaving and arriving at the node.
+	nSrc, nDst int32
+
+	// q is the landed-packet queue per class: the first arrN packets are in
+	// the arrival buffer, and the rest are parked fabric-side behind it. The
+	// solver lands packets at the back and moves the boundary as space frees;
+	// Deliver pops the front and reports the freed space back through the
+	// fabric's dirty list.
+	q                     [packet.NumClasses]ring.Deque[*packet.Packet]
+	arrFlits, parkedFlits [packet.NumClasses]int32
+
+	node    int32
+	dstHead int32 // first inbound flow (fNextD list), -1 = none
+	clsRR   int32 // Deliver fairness rotation across classes
 
 	injected, delivered, dropped int64
+	_                            [8]byte // pad to three cache lines
 }
 
 var _ router.Port = (*Port)(nil)
@@ -44,10 +55,11 @@ var _ router.Port = (*Port)(nil)
 func (pt *Port) init(f *Fabric, node int32) {
 	pt.f = f
 	pt.node = node
-	for c := range pt.slotFlow {
-		pt.slotFlow[c] = -1
-	}
+	pt.dstHead = -1
 }
+
+// flowID is the id of the flow holding class c's injection slot.
+func (pt *Port) flowID(c int) int32 { return pt.node*packet.NumClasses + int32(c) }
 
 // Pump implements router.Port. The flow port has no per-cycle fabric work —
 // the solver hands arrivals and slot completions over pre-tick — so Pump
@@ -66,7 +78,6 @@ func (pt *Port) StartSend(now sim.Cycle, p *packet.Packet) {
 		panic(fmt.Sprintf("flow: node %d StartSend with class %d slot busy", pt.node, c))
 	}
 	pt.slots[c] = p
-	pt.slotFlow[c] = -1
 	p.InjectedAt = now
 	pt.f.staged = sim.Push(pt.f.staged, stagedSend{node: pt.node, cls: uint8(c), p: p})
 	// The solver must run next cycle to activate the staged flow, even if it
@@ -74,17 +85,18 @@ func (pt *Port) StartSend(now sim.Cycle, p *packet.Packet) {
 	pt.f.clock.WakeAt(now + 1)
 }
 
-// Deliver implements router.Port: it pops the first arrival-queue head
+// Deliver implements router.Port: it pops the first arrival-buffer head
 // satisfying pred, scanning classes round-robin, and tells the solver the
 // freed space so parked packets can promote next cycle.
 func (pt *Port) Deliver(now sim.Cycle, pred func(*packet.Packet) bool) (*packet.Packet, bool) {
-	for i := 0; i < packet.NumClasses; i++ {
+	for i := range int32(packet.NumClasses) {
 		c := (pt.clsRR + i) % packet.NumClasses
-		head, ok := pt.arrQ[c].Front()
-		if !ok || (pred != nil && !pred(head)) {
+		head, _ := pt.q[c].Front()
+		if pt.arrN[c] == 0 || pred != nil && !pred(head) {
 			continue
 		}
-		p, _ := pt.arrQ[c].PopFront()
+		p, _ := pt.q[c].PopFront()
+		pt.arrN[c]--
 		pt.arrFlits[c] -= int32(p.Flits())
 		pt.delivered++
 		pt.clsRR = c + 1
@@ -101,7 +113,7 @@ func (pt *Port) Deliver(now sim.Cycle, pred func(*packet.Packet) bool) (*packet.
 // but unpulled.
 func (pt *Port) Quiet() bool {
 	for c := range pt.slots {
-		if pt.slots[c] != nil || pt.arrQ[c].Len() > 0 {
+		if pt.slots[c] != nil || pt.arrN[c] > 0 {
 			return false
 		}
 	}
@@ -115,8 +127,8 @@ func (pt *Port) Activity() *sim.Activity { return &pt.act }
 // Activity on the exact cycle an arrival lands, so a quiescent NIC may
 // sleep unbounded; anything already queued is deliverable now.
 func (pt *Port) NextArrivalAt() sim.Cycle {
-	for c := range pt.arrQ {
-		if pt.arrQ[c].Len() > 0 {
+	for _, n := range pt.arrN {
+		if n > 0 {
 			return 0
 		}
 	}
@@ -138,8 +150,8 @@ func (pt *Port) BlockedBound(now sim.Cycle) sim.Cycle {
 		if pt.slots[c] == nil {
 			continue
 		}
-		id := pt.slotFlow[c]
-		if id < 0 {
+		id := pt.flowID(c)
+		if pt.f.fPkt[id] == nil {
 			return now + 1 // staged: the solver activates it next cycle
 		}
 		if at := pt.f.drainAt(id); at < bound {

@@ -3,7 +3,6 @@ package flow
 import (
 	"slices"
 
-	"nifdy/internal/packet"
 	"nifdy/internal/sim"
 )
 
@@ -154,14 +153,13 @@ func (r *refSolver) solveRates(now sim.Cycle) {
 // rateOne recomputes one flow's rate and drain bound.
 func (r *refSolver) rateOne(now sim.Cycle, id int32, crossShare, fabShare int64, stride int) {
 	f := r.f
-	src, dst := f.fSrc[id], f.fDst[id]
-	qi := int(dst)*packet.NumClasses + int(f.fPkt[id].Class)
+	src, dst := srcOf(id), f.fDst[id]
 	var rate int64
-	if f.parkedFlits[qi] >= int32(f.cfg.DstCapFlits) {
+	if f.ports[dst].parkedFlits[f.fPkt[id].Class] >= int32(f.cfg.DstCapFlits) {
 		rate = 0 // stalled destination
 	} else {
-		rate = f.shareOf(int64(f.nSrc[src]))
-		if s := f.shareOf(coarsen(int64(f.nDst[dst]), stride)); s < rate {
+		rate = f.shareOf(int64(f.ports[src].nSrc))
+		if s := f.shareOf(coarsen(int64(f.ports[dst].nDst), stride)); s < rate {
 			rate = s
 		}
 		if crossShare > 0 && f.crosses(src, dst) && crossShare < rate {

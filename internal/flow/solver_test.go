@@ -143,7 +143,9 @@ func TestDirtyDedup(t *testing.T) {
 		ds[i%3].sends = append(ds[i%3].sends, mkPacket(i%3, 3, 4, packet.Request))
 	}
 	e.Run(1000)
-	if got := f.parked[3*packet.NumClasses].Len(); got != 3 {
+	pt := &f.ports[3]
+	parked := func() int { return pt.q[packet.Request].Len() - int(pt.arrN[packet.Request]) }
+	if got := parked(); got != 3 {
 		t.Fatalf("%d packets parked, want 3", got)
 	}
 	for i := 0; i < 2; i++ {
@@ -157,12 +159,12 @@ func TestDirtyDedup(t *testing.T) {
 	if !f.promote(e.Now(), 3) {
 		t.Fatal("first promote moved nothing into the freed space")
 	}
-	parked, arr := f.parked[3*packet.NumClasses].Len(), ds[3].pt.arrFlits[packet.Request]
+	left, arr := parked(), pt.arrFlits[packet.Request]
 	marked := len(f.rateDirty)
 	if f.promote(e.Now(), 3) {
 		t.Error("second promote of the same node reported progress")
 	}
-	if f.parked[3*packet.NumClasses].Len() != parked || ds[3].pt.arrFlits[packet.Request] != arr || len(f.rateDirty) != marked {
+	if parked() != left || pt.arrFlits[packet.Request] != arr || len(f.rateDirty) != marked {
 		t.Error("second promote of the same node changed state")
 	}
 }

@@ -13,15 +13,16 @@
 // on a link.Wire.
 package ring
 
-// Deque is a growable circular FIFO. The zero value is ready to use.
+// Deque is a growable circular FIFO. The zero value is ready to use. Its
+// 32-byte header matters: the flow fabric holds two per node.
 type Deque[T any] struct {
 	buf  []T
-	head int
-	n    int
+	head int32
+	n    int32
 }
 
 // Len reports the queued item count.
-func (d *Deque[T]) Len() int { return d.n }
+func (d *Deque[T]) Len() int { return int(d.n) }
 
 // grow re-linearizes into a buffer of at least double the capacity.
 //
@@ -32,8 +33,8 @@ func (d *Deque[T]) grow() {
 		c = 8
 	}
 	nb := make([]T, c)
-	for i := 0; i < d.n; i++ {
-		nb[i] = d.buf[(d.head+i)%len(d.buf)]
+	for i := range int(d.n) {
+		nb[i] = d.buf[(int(d.head)+i)%len(d.buf)]
 	}
 	d.buf = nb
 	d.head = 0
@@ -41,10 +42,10 @@ func (d *Deque[T]) grow() {
 
 // PushBack appends v.
 func (d *Deque[T]) PushBack(v T) {
-	if d.n == len(d.buf) {
+	if int(d.n) == len(d.buf) {
 		d.grow()
 	}
-	i := d.head + d.n
+	i := int(d.head + d.n)
 	if i >= len(d.buf) {
 		i -= len(d.buf)
 	}
@@ -54,12 +55,12 @@ func (d *Deque[T]) PushBack(v T) {
 
 // PushFront prepends v: it becomes the next PopFront result.
 func (d *Deque[T]) PushFront(v T) {
-	if d.n == len(d.buf) {
+	if int(d.n) == len(d.buf) {
 		d.grow()
 	}
 	d.head--
 	if d.head < 0 {
-		d.head = len(d.buf) - 1
+		d.head = int32(len(d.buf) - 1)
 	}
 	d.buf[d.head] = v
 	d.n++
@@ -76,10 +77,10 @@ func (d *Deque[T]) Front() (v T, ok bool) {
 // At returns the i-th queued item (0 is the front). It panics when i is out
 // of range, mirroring slice indexing.
 func (d *Deque[T]) At(i int) T {
-	if i < 0 || i >= d.n {
+	if i < 0 || i >= int(d.n) {
 		panic("ring: index out of range")
 	}
-	j := d.head + i
+	j := int(d.head) + i
 	if j >= len(d.buf) {
 		j -= len(d.buf)
 	}
@@ -89,7 +90,7 @@ func (d *Deque[T]) At(i int) T {
 // ForEach calls f on every queued item, front to back, without removing any.
 // The deque must not be mutated during the walk.
 func (d *Deque[T]) ForEach(f func(T)) {
-	for i := 0; i < d.n; i++ {
+	for i := range int(d.n) {
 		f(d.At(i))
 	}
 }
@@ -103,7 +104,7 @@ func (d *Deque[T]) PopFront() (v T, ok bool) {
 	var zero T
 	d.buf[d.head] = zero // release reference for GC / packet pooling
 	d.head++
-	if d.head == len(d.buf) {
+	if int(d.head) == len(d.buf) {
 		d.head = 0
 	}
 	d.n--

@@ -5,7 +5,8 @@
 #   1. the full monitor acceptance matrix and mutation suite (internal/check)
 #   2. a scaled-up randomized cross-configuration fuzz sweep (via the
 #      NIFDY_FUZZ_* environment overrides read by TestFuzzSweepClean)
-#   3. native Go fuzzing of ring.Deque
+#   3. native Go fuzzing of ring.Deque and of the flow solver against its
+#      advance-everything reference (FuzzSolverDifferential)
 #
 # The argument (or CHECK_DEEP_MINUTES) caps the add-on budget: the fuzz sweep
 # trial count and the per-target native fuzz time scale with it. Default 5
@@ -37,5 +38,8 @@ NIFDY_FUZZ_TRIALS=$TRIALS NIFDY_FUZZ_PACKETS=40 \
 
 echo "-- native fuzz: ring.Deque (${FUZZTIME}) --"
 $GO test -run xxx -fuzz FuzzDeque -fuzztime "$FUZZTIME" ./internal/ring/
+
+echo "-- native fuzz: flow solver vs reference (${FUZZTIME}) --"
+$GO test -run xxx -fuzz FuzzSolverDifferential -fuzztime "$FUZZTIME" ./internal/flow/
 
 echo "== check-deep: OK =="
