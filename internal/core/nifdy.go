@@ -166,9 +166,19 @@ func (c Config) TotalBuffers() int {
 	return c.B + arrBuf + c.D*c.W
 }
 
+// poolEntry is one waiting packet with the header fields the pool scans
+// read copied beside it, so TrySend, decRanks, waitingTo and inject walk one
+// contiguous array and load no packet.
 type poolEntry struct {
-	p    *packet.Packet
-	rank int
+	p     *packet.Packet
+	rank  int
+	dst   int32
+	class packet.Class
+	noAck bool
+}
+
+func newPoolEntry(p *packet.Packet, rank int) poolEntry {
+	return poolEntry{p: p, rank: rank, dst: int32(p.Dst), class: p.Class, noAck: p.NoAck}
 }
 
 // dialogOut is the sender side of the (single) outgoing bulk dialog.
@@ -342,14 +352,9 @@ func (u *NIFDY) TrySend(now sim.Cycle, p *packet.Packet) bool {
 	}
 	rank := 0
 	if !p.NoAck {
-		rank = u.outstandingTo(p.Dst)
-		for _, e := range u.pool {
-			if e.p.Dst == p.Dst && !e.p.NoAck {
-				rank++
-			}
-		}
+		rank = u.outstandingTo(p.Dst) + u.waitingTo(p.Dst)
 	}
-	u.pool = append(u.pool, poolEntry{p: p, rank: rank})
+	u.pool = append(u.pool, newPoolEntry(p, rank))
 	u.Admitted(now, p)
 	return true
 }
@@ -564,9 +569,10 @@ func (u *NIFDY) Tick(now sim.Cycle) {
 // ticks. Blocked: the unit holds work but this tick drained, moved, and sent
 // nothing, so it sits at a fixed point; every way the block resolves is an
 // external event — a flit or credit arrival (wire observers), the busy
-// output link going free (BlockedBound), a processor TrySend or Recv (both
-// wake explicitly), an ack falling due, or a retransmission deadline — and
-// waking exactly then is bit-identical to ticking through. Deferred timers
+// slot going free (the flow solver's wake, or BlockedBound for a flit
+// link), a processor TrySend or Recv (both wake explicitly), an ack falling
+// due, or a retransmission deadline — and waking exactly then is
+// bit-identical to ticking through. Deferred timers
 // (retransmission deadlines, held piggyback acks) bound both cases so they
 // still fire on their exact cycle.
 func (u *NIFDY) sleep(now sim.Cycle, progress bool) {
@@ -589,8 +595,8 @@ func (u *NIFDY) sleep(now sim.Cycle, progress bool) {
 				// stay awake to send it.
 				return
 			}
-			// No progress means the reply slot is busy; BlockedBound already
-			// covers the link going free, and a credit return wakes us.
+			// No progress means the reply slot is busy; its freeing wakes us
+			// or bounds BlockedBound, and a credit return wakes us.
 			continue
 		}
 		if e.due < next {
@@ -602,7 +608,7 @@ func (u *NIFDY) sleep(now sim.Cycle, progress bool) {
 			if progress {
 				return // a fired timer is waiting for an injection slot
 			}
-			continue // blocked on a busy slot: BlockedBound/credits cover it
+			continue // blocked on a busy slot: its wake edge or BlockedBound covers it
 		}
 		if u.retx[i].deadline < next {
 			next = u.retx[i].deadline
@@ -705,7 +711,7 @@ func (u *NIFDY) reviveUnacked() {
 		q.Seq = 0
 		q.BulkExit = false
 		q.Retransmit = true
-		revived = append(revived, poolEntry{p: &q})
+		revived = append(revived, newPoolEntry(&q, 0))
 		u.Stats().Retransmits++
 	}
 	u.dout = dialogOut{}
@@ -725,24 +731,25 @@ func (u *NIFDY) recomputeRanks() {
 	clear(u.rankAhead)
 	ahead := u.rankAhead
 	for i := range u.pool {
-		p := u.pool[i].p
-		if p.NoAck {
-			u.pool[i].rank = 0
+		e := &u.pool[i]
+		if e.noAck {
+			e.rank = 0
 			continue
 		}
-		u.pool[i].rank = u.outstandingTo(p.Dst) + ahead[p.Dst]
-		ahead[p.Dst]++
+		dst := int(e.dst)
+		e.rank = u.outstandingTo(dst) + ahead[dst]
+		ahead[dst]++
 	}
 }
 
 // decRanks lowers the rank of every pool packet for dst by n: n packets to
-// dst are no longer ahead of them.
+// dst are no longer ahead of them. No-ack packets are not ranked.
 func (u *NIFDY) decRanks(dst, n int) {
 	for i := range u.pool {
-		if u.pool[i].p.Dst == dst {
-			u.pool[i].rank -= n
-			if u.pool[i].rank < 0 {
-				panic(fmt.Sprintf("nifdy %d: negative rank for %v", u.Node(), u.pool[i].p))
+		if e := &u.pool[i]; int(e.dst) == dst && !e.noAck {
+			e.rank -= n
+			if e.rank < 0 {
+				panic(fmt.Sprintf("nifdy %d: negative rank for %v", u.Node(), e.p))
 			}
 		}
 	}
@@ -863,7 +870,7 @@ func (u *NIFDY) drainDialogs(now sim.Cycle) bool {
 	moved := false
 	for i := range u.din {
 		d := &u.din[i]
-		if !d.active {
+		if !d.active || d.buffered == 0 {
 			continue
 		}
 		for u.Arr.Len() < arrBuf {
@@ -952,26 +959,36 @@ func (u *NIFDY) sendAck(now sim.Cycle) bool {
 
 // inject sends eligible packets — retransmissions first, then the oldest
 // eligible pool packet per free class slot — reporting whether anything was
-// handed to the iface.
+// handed to the iface. Nothing it does before its one send changes a slot,
+// so it asks the port about each class once.
 func (u *NIFDY) inject(now sim.Cycle) bool {
 	if u.cfg.Retransmit && u.injectRetx(now) {
 		return true
 	}
+	if len(u.pool) == 0 {
+		return false
+	}
+	var free [packet.NumClasses]bool
+	for c := range free {
+		free[c] = u.Port.CanAccept(packet.Class(c))
+	}
+	if free == ([packet.NumClasses]bool{}) {
+		return false
+	}
 	for i := range u.pool {
 		e := &u.pool[i]
-		p := e.p
-		if !u.Port.CanAccept(p.Class) {
+		if !free[e.class] {
 			continue
 		}
-		if p.Class == packet.Reply && u.ackBlocksReplyData(now, p) {
+		if e.class == packet.Reply && u.ackBlocksReplyData(now, int(e.dst)) {
 			continue // a due ack this packet cannot absorb owns the slot
 		}
-		if p.NoAck {
+		if e.noAck {
 			// Protocol-bypass packets (§6.1) send as soon as a slot is free.
 			u.sendScalar(now, i)
 			return true
 		}
-		if u.dout.active && u.dout.dst == p.Dst {
+		if u.dout.active && u.dout.dst == int(e.dst) {
 			if u.dout.exiting {
 				continue // wait for the dialog to close, preserving order
 			}
@@ -1033,7 +1050,7 @@ func (u *NIFDY) sendScalar(now sim.Cycle, i int) {
 func (u *NIFDY) waitingTo(dst int) int {
 	n := 0
 	for _, e := range u.pool {
-		if e.p.Dst == dst && !e.p.NoAck {
+		if int(e.dst) == dst && !e.noAck {
 			n++
 		}
 	}
@@ -1077,16 +1094,17 @@ func (u *NIFDY) sendBulk(now sim.Cycle, i int) {
 	u.Stats().BulkPackets++
 }
 
-// ackBlocksReplyData reports whether a due ack that p cannot carry is
-// waiting for the reply-network slot; acks keep priority over reply-class
-// data so the protocol never starves behind application replies.
-func (u *NIFDY) ackBlocksReplyData(now sim.Cycle, p *packet.Packet) bool {
+// ackBlocksReplyData reports whether a due ack that a reply-class data
+// packet to dst cannot carry is waiting for the reply-network slot; acks
+// keep priority over reply-class data so the protocol never starves behind
+// application replies.
+func (u *NIFDY) ackBlocksReplyData(now sim.Cycle, dst int) bool {
 	for _, e := range u.ackQ {
 		if e.due > now {
 			continue
 		}
-		if u.cfg.Piggyback && e.piggybackable() && e.dst == p.Dst {
-			continue // p will absorb it
+		if u.cfg.Piggyback && e.piggybackable() && e.dst == dst {
+			continue // the data packet will absorb it
 		}
 		return true
 	}

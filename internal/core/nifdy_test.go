@@ -431,6 +431,23 @@ func TestNoAckBypass(t *testing.T) {
 	}
 }
 
+// TestNoAckMixedWithAcked interleaves no-ack packets with acknowledged ones
+// to one destination: an ack arriving while a no-ack packet waits in the
+// pool must leave that packet's rank (always 0) alone.
+func TestNoAckMixedWithAcked(t *testing.T) {
+	net := smallMesh(t)
+	w := nifdyWorld(t, net, Config{})
+	for i := 0; i < 40; i++ {
+		ps := w.msg(0, 15, 1, 8, false)
+		ps[0].NoAck = i%2 == 1
+	}
+	w.run(100000)
+	w.eng.Run(1000) // the last ack is still on its way
+	if got := w.nics[0].Stats().AcksReceived; got != 20 {
+		t.Fatalf("sender got %d acks, want one per acknowledged packet (20)", got)
+	}
+}
+
 func TestPiggybackReducesAckPackets(t *testing.T) {
 	// Request-reply traffic, the case §6.1 targets: node 15's application
 	// generates a reply to node 0 for every request it accepts, so a data

@@ -101,10 +101,11 @@ func makeScript(c diffCase, horizon sim.Cycle) []nodeScript {
 }
 
 // scripted drives one port from a nodeScript under the NIC idle contract: it
-// sleeps to its next scripted moment, to the port's BlockedBound while its
-// head send waits for a slot, and relies on the solver's wakes for arrivals
-// and freed slots — so a wake the solver owes and does not deliver shows up
-// as a divergence from the reference, not as a hang both sides share.
+// sleeps to its next scripted moment, or to the port's BlockedBound (Never)
+// while its head send waits for a slot, and relies on the solver's wakes
+// alone for arrivals and freed slots — so a wake the solver owes and does not
+// deliver shows up as a divergence from the reference, not as a hang both
+// sides share.
 type scripted struct {
 	pt     *Port
 	sc     nodeScript
@@ -164,12 +165,23 @@ func (f *Fabric) flowState(id int32) (rem, rate int64) {
 	return f.fRem[id] - f.fRate[id]*int64(f.lastRun-f.fAt[id]), f.fRate[id]
 }
 
-// snapshot flattens everything observable about a fabric at cycle now into
-// one comparable slice: every flow's admission number, remainder, rate and
-// drain bound; the pipes in order (which is the retire order); parked and
-// arrival queues; the books; the solver's next wake; every port's
-// BlockedBound. state supplies (rem, rate) per flow id.
-func snapshot(f *Fabric, now sim.Cycle, state func(id int32) (rem, rate int64)) []int64 {
+// drainAt reports the cycle flow id's tail leaves its source at its present
+// rate, Never for a stalled flow.
+func (f *Fabric) drainAt(id int32) sim.Cycle {
+	if f.fHeap[id] >= 0 {
+		return f.classOf(id).drainAt(f.fRem[id])
+	}
+	if k := f.drains.Key(id); k != 0 {
+		return k
+	}
+	return sim.Never
+}
+
+// snapshot flattens everything observable about a fabric into one comparable
+// slice: every flow's admission number, remainder, rate and drain bound; the
+// pipes in order (which is the retire order); parked and arrival queues; the
+// books; the solver's next wake. state supplies (rem, rate) per flow id.
+func snapshot(f *Fabric, state func(id int32) (rem, rate int64)) []int64 {
 	var s []int64
 	for id, p := range f.fPkt {
 		if p == nil {
@@ -190,7 +202,7 @@ func snapshot(f *Fabric, now sim.Cycle, state func(id int32) (rem, rate int64)) 
 			s = append(s, int64(pt.arrN[c]), int64(pt.arrFlits[c]), int64(pt.parkedFlits[c]))
 		}
 		inj, del, drop := pt.Stats()
-		s = append(s, int64(pt.BlockedBound(now)), inj, del, drop)
+		s = append(s, inj, del, drop)
 	}
 	inj, del, drop := f.PacketCounters()
 	return append(s, inj, del, drop, int64(f.nextWork), int64(f.lastRun), int64(f.BufferedFlits()))
@@ -237,8 +249,8 @@ func runDifferential(t testing.TB, c diffCase) SolverStats {
 		if want.e.Now() != now {
 			t.Fatalf("%v: engines at cycles %d and %d", c, now, want.e.Now())
 		}
-		a := snapshot(got.f, now, got.f.flowState)
-		b := snapshot(want.f, now, func(id int32) (int64, int64) { return want.f.fRem[id], want.f.fRate[id] })
+		a := snapshot(got.f, got.f.flowState)
+		b := snapshot(want.f, func(id int32) (int64, int64) { return want.f.fRem[id], want.f.fRate[id] })
 		if !slices.Equal(a, b) {
 			t.Fatalf("%v: solver state diverges from the reference at cycle %d\n got  %v\n want %v", c, now, a, b)
 		}

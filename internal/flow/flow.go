@@ -551,10 +551,9 @@ func (f *Fabric) step(now sim.Cycle) {
 // retire removes a drained flow (already out of the wheel or its class
 // heap): source slot frees, packet enters the pipe.
 func (f *Fabric) retire(now sim.Cycle, id int32) {
-	src, dst := srcOf(id), f.fDst[id]
+	src, dst, c := srcOf(id), f.fDst[id], slotClass(id)
 	p := f.fPkt[id]
 	pt := &f.ports[src]
-	c := p.Class
 	if pt.slots[c] != p {
 		panic(fmt.Sprintf("flow: node %d retires flow %d, whose packet does not hold its class %d slot", src, id, c))
 	}
@@ -568,7 +567,7 @@ func (f *Fabric) retire(now sim.Cycle, id int32) {
 	if f.pipeFlitQ > 0 {
 		lat += sim.Cycle((f.pipeFlitQ*int64(p.Flits()) + rateQ/2) / rateQ)
 	}
-	f.pipes[p.Class].PushBack(pipeEntry{p: p, at: now + lat})
+	f.pipes[c].PushBack(pipeEntry{p: p, at: now + lat})
 	f.stats.Departures++
 	f.nActive--
 	f.unlinkDst(id)
@@ -754,6 +753,9 @@ func (f *Fabric) activate(now sim.Cycle, st stagedSend) {
 // holds, node·NumClasses + class (Port.flowID).
 func srcOf(id int32) int32 { return id / packet.NumClasses }
 
+// slotClass is the class of flow id's packet: the class of the slot it holds.
+func slotClass(id int32) packet.Class { return packet.Class(id % packet.NumClasses) }
+
 // crosses reports whether a (src, dst) pair spans the bisection halves.
 func (f *Fabric) crosses(src, dst int32) bool {
 	half := int32(f.cfg.Nodes / 2)
@@ -809,7 +811,7 @@ func (f *Fabric) rerate(now sim.Cycle, id int32) {
 	// k = 0: stalled destination — the flow holds its source slot at rate
 	// zero, the secondary-blocking analog.
 	var k int32
-	if f.ports[dst].parkedFlits[f.fPkt[id].Class] < int32(f.cfg.DstCapFlits) {
+	if f.ports[dst].parkedFlits[slotClass(id)] < int32(f.cfg.DstCapFlits) {
 		k = max(f.ports[src].nSrc, f.dstCensusOf(dst))
 	}
 	cl := f.classOf(id)
@@ -851,18 +853,6 @@ func (f *Fabric) advance(now sim.Cycle, id int32) {
 		f.drains.Unlink(id)
 		f.stats.WheelUnlinks++
 	}
-}
-
-// drainAt reports the cycle flow id's tail leaves its source at its present
-// rate, Never for a stalled flow.
-func (f *Fabric) drainAt(id int32) sim.Cycle {
-	if f.fHeap[id] >= 0 {
-		return f.classOf(id).drainAt(f.fRem[id])
-	}
-	if k := f.drains.Key(id); k != 0 {
-		return k
-	}
-	return sim.Never
 }
 
 // shareOf is the per-flow share of one access link among n concurrent flows.

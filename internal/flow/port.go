@@ -91,8 +91,10 @@ func (pt *Port) StartSend(now sim.Cycle, p *packet.Packet) {
 func (pt *Port) Deliver(now sim.Cycle, pred func(*packet.Packet) bool) (*packet.Packet, bool) {
 	for i := range int32(packet.NumClasses) {
 		c := (pt.clsRR + i) % packet.NumClasses
-		head, _ := pt.q[c].Front()
-		if pt.arrN[c] == 0 || pred != nil && !pred(head) {
+		if pt.arrN[c] == 0 {
+			continue
+		}
+		if head, _ := pt.q[c].Front(); pred != nil && !pred(head) {
 			continue
 		}
 		p, _ := pt.q[c].PopFront()
@@ -135,34 +137,14 @@ func (pt *Port) NextArrivalAt() sim.Cycle {
 	return sim.Never
 }
 
-// BlockedBound implements router.Port: the earliest cycle fabric-side state
-// a stuck NIC waits on could change, as things stand. A busy slot frees at
-// its flow's drain bound, rounded up to the solver's stride boundary (the
-// solver only retires flows when it runs); a staged slot resolves at the
-// next solver step. The bound is a snapshot, not a promise — a later rate
-// change can move the drain either way and wakes nobody — and sleeping on it
-// is sound all the same, because retire wakes the port's Activity on the
-// cycle the slot actually frees: a NIC asleep past that cycle is woken for
-// it, and one woken early finds the slot busy and asks again.
-func (pt *Port) BlockedBound(now sim.Cycle) sim.Cycle {
-	bound := sim.Never
-	for c := range pt.slots {
-		if pt.slots[c] == nil {
-			continue
-		}
-		id := pt.flowID(c)
-		if pt.f.fPkt[id] == nil {
-			return now + 1 // staged: the solver activates it next cycle
-		}
-		if at := pt.f.drainAt(id); at < bound {
-			bound = at
-		}
-	}
-	if s := sim.Cycle(pt.f.cfg.SolveStride); s > 1 && bound != sim.Never {
-		bound = (bound + s - 1) / s * s
-	}
-	return bound
-}
+// BlockedBound implements router.Port: Never. Every fabric-side state a
+// stuck NIC can wait on changes only at an event that wakes its Activity on
+// the cycle it happens: a busy slot frees in retire, an arrival lands in
+// deliverArr (from land or promote), and a staged slot's activation leaves
+// the slot busy, which the NIC cannot tell apart. The solver issues those
+// wakes from its pre-tick hook, so no sleep the NIC takes afterwards can
+// lose one; a NIC's own deadlines are the only bounds left on its sleep.
+func (pt *Port) BlockedBound(now sim.Cycle) sim.Cycle { return sim.Never }
 
 // Stats implements router.Port.
 func (pt *Port) Stats() (injected, delivered, dropped int64) {

@@ -78,18 +78,19 @@ func (p *pump) Tick(now sim.Cycle) {
 func (p *pump) Activity() *sim.Activity { return p.pt.Activity() }
 
 // workPerEvent runs a pumped x-by-x flow mesh to steady state and reports the
-// solver's per-flow operations per event over a measured window.
-func workPerEvent(x int, warm, window sim.Cycle) (ratio float64, st SolverStats) {
+// solver's per-flow operations per event and the engine's timers filed over
+// a measured window.
+func workPerEvent(x int, warm, window sim.Cycle) (ratio float64, st SolverStats, timers int64) {
 	e := sim.New()
 	f := New(MeshConfig(x, x, topo.IfaceOptions{}))
 	f.RegisterRoutersSharded(e, f.Partition(1))
 	newPumps(e, f, 1995, 1024)
 	e.Run(warm)
-	before := f.SolverStats()
+	before, eBefore := f.SolverStats(), e.Stats()
 	e.Run(window)
 	st = f.SolverStats()
 	work, events := st.Work()-before.Work(), st.Events()-before.Events()
-	return float64(work) / float64(events), st
+	return float64(work) / float64(events), st, e.Stats().TimersFiled - eBefore.TimersFiled
 }
 
 // maxWorkPerEvent is the committed ceiling on solver operations (remainders
@@ -102,16 +103,23 @@ func workPerEvent(x int, warm, window sim.Cycle) (ratio float64, st SolverStats)
 const maxWorkPerEvent = 4
 
 // TestSolverWorkPerEvent is the complexity gate, independent of wall clock:
-// on pumped 64×64 and 128×128 meshes at the same per-node load the solver's
-// work per event is under the committed constant and the same at both sizes.
+// on pumped 64×64 and 128×128 meshes (stride 16) at the same per-node load
+// the solver's work per event is under the committed constant and the same at
+// both sizes. The engine's half of the property: a pump blocked on its busy
+// slot parks until retire wakes it and a quiescent one until an arrival
+// does, so past the pumps' staggered starts the engine files no timer at all
+// (sleeping to the flow's drain bound filed 88,733 and 182,168 here).
 func TestSolverWorkPerEvent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a 16k-node mesh")
 	}
-	small, st64 := workPerEvent(64, 6000, 6000)
-	large, st128 := workPerEvent(128, 6000, 6000)
+	small, st64, timers64 := workPerEvent(64, 6000, 6000)
+	large, st128, timers128 := workPerEvent(128, 6000, 6000)
 	t.Logf("64x64: %.2f ops/event %+v", small, st64)
 	t.Logf("128x128: %.2f ops/event %+v", large, st128)
+	if timers64 != 0 || timers128 != 0 {
+		t.Errorf("engine filed %d and %d timers on the pumped meshes, want none", timers64, timers128)
+	}
 	for _, r := range []float64{small, large} {
 		if r > maxWorkPerEvent {
 			t.Errorf("solver spends %.2f operations per event, committed ceiling %d", r, maxWorkPerEvent)
@@ -169,58 +177,89 @@ func TestDirtyDedup(t *testing.T) {
 	}
 }
 
-// staleSleeper sends a 16-flit packet from node 0 and a 4-flit one from node
-// 1 to node 3 at cycle 0 and reports the cycle node 0 first sees its slot
-// free again, along with the first BlockedBound it was given while the flow
-// was live. A sleepy node 0 sleeps on every bound it is given; the other
-// polls every cycle, so what it reports is the retire cycle itself.
-func staleSleeper(cfg Config, sleepy bool) (freed, bound sim.Cycle) {
+// parkMode is when wakeEdge's node 0 parks on BlockedBound: never (it polls
+// every cycle, so what it reports is the retire cycle itself), in the tick
+// that stages its send, or once the solver has made the flow live.
+type parkMode int
+
+const (
+	poll parkMode = iota
+	parkStaged
+	parkLive
+)
+
+// wakeEdge sends a 16-flit packet from node 0 and a 4-flit one from node 1
+// to node 3 at cycle 0, so node 0's flow speeds up when node 1's retires,
+// and reports what node 0 saw.
+func wakeEdge(t *testing.T, cfg Config, mode parkMode) (r wakeRun) {
 	e := sim.New()
 	f := New(cfg)
 	f.RegisterRoutersSharded(e, f.Partition(1))
 	pt := f.Iface(0).(*Port)
+	parked := false
 	e.Register(idle{pt.Activity(), func(now sim.Cycle) {
+		if parked {
+			r.parkedTicks++
+		}
 		switch {
 		case now == 0:
 			pt.StartSend(now, mkPacket(0, 3, 16, packet.Request))
 			f.Iface(1).StartSend(now, mkPacket(1, 3, 4, packet.Request))
 		case pt.CanAccept(packet.Request):
-			if freed == 0 {
-				freed = now
+			if r.freed == 0 {
+				r.freed = now
 			}
+			pt.Activity().Sleep(sim.Never)
 			return
 		}
-		b := pt.BlockedBound(now)
-		if bound == 0 && b > now+1 {
-			bound = b
+		if b := pt.BlockedBound(now); b != sim.Never {
+			t.Fatalf("cycle %d: BlockedBound %d, want Never", now, b)
 		}
-		if sleepy {
-			pt.Activity().Sleep(b)
+		live := f.fPkt[pt.flowID(int(packet.Request))] != nil
+		if mode == parkStaged || mode == parkLive && live {
+			parked = true
+			pt.Activity().Sleep(pt.BlockedBound(now))
 		}
 	}})
 	e.Run(1000)
-	return freed, bound
+	r.timers, r.joins = e.Stats().TimersFiled, f.SolverStats().ClassJoins
+	return r
 }
 
-// TestBlockedBoundStaleSleeper is the test BlockedBound's soundness argument
-// implies. A NIC sleeps on the bound of a flow that shares its destination
-// with a shorter one; when the shorter one retires the flow's rate rises and
-// it drains well before the bound the NIC holds, and nothing wakes the NIC
-// at the rate change. It must still see its slot free on the exact retire
-// cycle, because retire wakes it — whether the flow held its own deadline
-// (local) or rode a share class.
-func TestBlockedBoundStaleSleeper(t *testing.T) {
+// wakeRun is what wakeEdge's node 0 saw: the cycle its slot first showed
+// free, its ticks while parked, the engine's timers filed and the solver's
+// class joins.
+type wakeRun struct {
+	freed         sim.Cycle
+	parkedTicks   int
+	timers, joins int64
+}
+
+// TestWakeEdges is the contract BlockedBound = Never rests on: a NIC parked
+// on a busy slot sees it free on the exact retire cycle, because retire
+// wakes it — whether it parked before the solver activated the send, or on a
+// live flow that held its own drain deadline (local) or rode a share class,
+// and although the flow's rate rose after it parked. It is never visited
+// while it waits, and no timer is filed for it.
+func TestWakeEdges(t *testing.T) {
 	for name, cfg := range map[string]Config{
 		"local": {Nodes: 4, CPF: 4, HopCycles: 6, AvgHops: 2},
-		"class": {Nodes: 4, CPF: 4, HopCycles: 6, AvgHops: 2, FabricFPC: 0.6},
+		"class": {Nodes: 4, CPF: 4, HopCycles: 6, AvgHops: 2, FabricFPC: 0.2},
 	} {
-		want, _ := staleSleeper(cfg, false)
-		got, bound := staleSleeper(cfg, true)
-		if want == 0 || bound <= want {
-			t.Fatalf("%s: flow retires at %d, NIC slept on bound %d: the scenario does not leave the bound stale", name, want, bound)
+		want := wakeEdge(t, cfg, poll)
+		if want.freed < 64 || (want.joins > 0) != (name == "class") {
+			t.Fatalf("%s: flow retires at %d after %d class joins: not the scenario named", name, want.freed, want.joins)
 		}
-		if got != want {
-			t.Errorf("%s: NIC asleep on bound %d saw its slot free at cycle %d, the flow retired at %d", name, bound, got, want)
+		t.Logf("%s: flow retires at %d after %d class joins", name, want.freed, want.joins)
+		for _, mode := range []parkMode{parkStaged, parkLive} {
+			got := wakeEdge(t, cfg, mode)
+			if got.freed != want.freed {
+				t.Errorf("%s/%d: parked NIC saw its slot free at cycle %d, the flow retired at %d", name, mode, got.freed, want.freed)
+			}
+			if got.parkedTicks != 1 || got.timers != 0 {
+				t.Errorf("%s/%d: parked NIC ticked %d times (want 1, on the retire cycle), %d timers filed (want 0)",
+					name, mode, got.parkedTicks, got.timers)
+			}
 		}
 	}
 }

@@ -237,9 +237,10 @@ func (b *Basic) Tick(now sim.Cycle) {
 		// Holding work but stuck this tick: nothing drained, injected, sent,
 		// or delivered. Each stuck reason resolves only through an external
 		// event — a flit arrival or credit return (wire observers), the busy
-		// output link going free (BlockedBound), a processor TrySend or a
-		// queue-freeing Recv (both wake explicitly) — so the state is a fixed
-		// point until then and skipping to it is bit-identical.
+		// slot going free (the flow solver's wake, or BlockedBound for a
+		// flit link), a processor TrySend or a queue-freeing Recv (both wake
+		// explicitly) — so the state is a fixed point until then and
+		// skipping to it is bit-identical.
 		b.Port.Activity().Sleep(b.Port.BlockedBound(now))
 	}
 }

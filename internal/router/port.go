@@ -27,9 +27,13 @@ import (
 //     but unpulled: the port's half of a NIC's Idle and sleep checks.
 //   - Activity is the quiescence latch shared by the port and its NIC; the
 //     fabric wakes it on arrivals, credit/space returns, and hand-offs.
-//   - NextArrivalAt/BlockedBound are the sleep bounds a stuck or quiescent
-//     NIC may park until; the fabric re-arms the Activity for any event
-//     that lands earlier.
+//   - NextArrivalAt/BlockedBound are the sleep bounds a quiescent or stuck
+//     NIC may park until. They bound only the waits that have no wake edge:
+//     an event for which the fabric wakes the Activity on its own cycle
+//     needs no bound. The flow fabric's solver wakes the port on the cycle
+//     a slot frees or a packet lands, so its BlockedBound is Never; Iface
+//     bounds a busy slot by its output link's free cycle, which no wire
+//     observer signals.
 type Port interface {
 	Pump(now sim.Cycle) bool
 	CanAccept(c packet.Class) bool
