@@ -8,7 +8,7 @@ import (
 // shareClass is the set of flows one global share binds. Its members all
 // drain at share, so instead of a remainder each the class keeps one clock:
 // s, the service (flits·rateQ) a member has received since the clock's
-// origin, current as of cycle at. A member's fRem is its finish tag — its
+// origin, current as of cycle at. A member's rem is its finish tag — its
 // remainder on joining plus s at that moment — so its remainder now is
 // tag − s, the member with the smallest tag drains first whatever the share
 // does, and a share change costs the members nothing.
@@ -19,8 +19,22 @@ type shareClass struct {
 	// kMax is the membership boundary: an unstalled flow is a member iff its
 	// access-link census k is at most kMax, i.e. iff share < linkCap/k.
 	kMax int32
-	heap []int32 // member ids, min-heap on tag
+	// heap holds the members, a 4-ary min-heap on tag. Each entry carries its
+	// member's tag, so sifting compares entries without leaving the array,
+	// and a node's four children are 64 contiguous bytes.
+	heap []heapEntry
 }
+
+// heapEntry is one class member: its finish tag (a copy of its record's rem)
+// and its flow id.
+type heapEntry struct {
+	tag int64
+	id  int32
+}
+
+// heapArity is the class heap's fan-out: the children of position i are
+// heapArity·i + 1 … heapArity·i + heapArity.
+const heapArity = 4
 
 // sync brings the service clock current. step does it first thing, so every
 // join, leave and share change of that step sees s as of now. An empty class
@@ -43,8 +57,8 @@ func (cl *shareClass) drainAt(tag int64) sim.Cycle {
 }
 
 // classOf returns the share class a flow's endpoints put it in.
-func (f *Fabric) classOf(id int32) *shareClass {
-	if f.crosses(srcOf(id), f.fDst[id]) {
+func (f *Fabric) classOf(src, dst int32) *shareClass {
+	if f.crosses(src, dst) {
 		return &f.classes[1]
 	}
 	return &f.classes[0]
@@ -77,7 +91,7 @@ func (f *Fabric) flip(now sim.Cycle, lo, hi int32) {
 	for k := lo + 1; k <= hi && int(k) < len(f.srcCensus.head); k++ {
 		for src := f.srcCensus.head[k]; src >= 0; src = f.srcCensus.next[src] {
 			for c := range packet.NumClasses {
-				if id := f.ports[src].flowID(c); f.fPkt[id] != nil {
+				if id := flowID(src, c); f.flows[id].pkt != nil {
 					f.stats.Flips++
 					f.rerate(now, id)
 				}
@@ -86,7 +100,7 @@ func (f *Fabric) flip(now sim.Cycle, lo, hi int32) {
 	}
 	for k := lo + 1; k <= hi && int(k) < len(f.dstCensus.head); k++ {
 		for dst := f.dstCensus.head[k]; dst >= 0; dst = f.dstCensus.next[dst] {
-			for id := f.ports[dst].dstHead; id >= 0; id = f.fNextD[id] {
+			for id := f.ports[dst].dstHead; id >= 0; id = f.flows[id].nextD {
 				f.stats.Flips++
 				f.rerate(now, id)
 			}
@@ -98,19 +112,31 @@ func (f *Fabric) flip(now sim.Cycle, lo, hi int32) {
 // current, becomes a finish tag on the class clock.
 func (f *Fabric) join(now sim.Cycle, cl *shareClass, id int32) {
 	f.advance(now, id)
-	f.fRem[id] += cl.s
-	f.heapPush(cl, id)
+	fl := &f.flows[id]
+	fl.rem += cl.s
+	f.heapPush(cl, heapEntry{fl.rem, id})
 	f.stats.ClassJoins++
 }
 
 // leave takes a member out of its class ahead of a local rate: its tag
-// turns back into a remainder as of now.
-func (f *Fabric) leave(now sim.Cycle, cl *shareClass, id int32) {
-	f.heapRemove(cl, f.fHeap[id])
-	f.fRem[id] -= cl.s
-	f.fAt[id] = now
+// turns back into its remainder now, stopped (a member's rate is 0).
+func (f *Fabric) leave(cl *shareClass, id int32) {
+	fl := &f.flows[id]
+	f.heapRemove(cl, fl.heap)
+	fl.rem -= cl.s
 	f.stats.Advanced++
 	f.stats.ClassLeaves++
+}
+
+// drainDue moves the members whose finish tag the class's service has
+// reached out of the heap and onto the drained batch.
+func (f *Fabric) drainDue(cl *shareClass) {
+	for len(cl.heap) > 0 && cl.heap[0].tag <= cl.s {
+		id := cl.heap[0].id
+		f.heapRemove(cl, 0)
+		f.stats.ClassLeaves++
+		f.drained = sim.Push(f.drained, drainedFlow{f.flows[id].seq, id})
+	}
 }
 
 // censusList files nodes under a census value k ≥ 1 in intrusive per-value
@@ -152,15 +178,15 @@ func (l *censusList) move(node, old, k int32) {
 	l.head[k] = node
 }
 
-// heapPush adds flow id to the class heap under its tag.
-func (f *Fabric) heapPush(cl *shareClass, id int32) {
-	cl.heap = append(cl.heap, id)
-	f.heapUp(cl, int32(len(cl.heap)-1), id)
+// heapPush adds a member to the class heap.
+func (f *Fabric) heapPush(cl *shareClass, e heapEntry) {
+	cl.heap = sim.Push(cl.heap, e)
+	f.heapUp(cl, int32(len(cl.heap)-1), e)
 }
 
 // heapRemove deletes the entry at position i.
 func (f *Fabric) heapRemove(cl *shareClass, i int32) {
-	f.fHeap[cl.heap[i]] = -1
+	f.flows[cl.heap[i].id].heap = -1
 	n := int32(len(cl.heap) - 1)
 	last := cl.heap[n]
 	cl.heap = cl.heap[:n]
@@ -174,46 +200,47 @@ func (f *Fabric) heapRemove(cl *shareClass, i int32) {
 	}
 }
 
-// heapUp seats id at or above position i, shifting larger parents down.
-func (f *Fabric) heapUp(cl *shareClass, i, id int32) {
-	tag := f.fRem[id]
+// heapUp seats e at or above position i, shifting larger parents down.
+func (f *Fabric) heapUp(cl *shareClass, i int32, e heapEntry) {
 	for i > 0 {
-		p := (i - 1) / 2
-		pid := cl.heap[p]
-		if f.fRem[pid] <= tag {
+		p := (i - 1) / heapArity
+		pe := cl.heap[p]
+		if pe.tag <= e.tag {
 			break
 		}
-		cl.heap[i] = pid
-		f.fHeap[pid] = i
+		cl.heap[i] = pe
+		f.flows[pe.id].heap = i
 		i = p
 	}
-	cl.heap[i] = id
-	f.fHeap[id] = i
+	cl.heap[i] = e
+	f.flows[e.id].heap = i
 }
 
-// heapDown seats id at or below position i, shifting smaller children up,
-// and reports where it landed.
-func (f *Fabric) heapDown(cl *shareClass, i, id int32) int32 {
-	tag := f.fRem[id]
-	n := int32(len(cl.heap))
+// heapDown seats e at or below position i, shifting the smallest child up
+// while it is smaller, and reports where e landed.
+func (f *Fabric) heapDown(cl *shareClass, i int32, e heapEntry) int32 {
+	h := cl.heap
+	n := int32(len(h))
 	for {
-		c := 2*i + 1
+		c := heapArity*i + 1
 		if c >= n {
 			break
 		}
-		if r := c + 1; r < n && f.fRem[cl.heap[r]] < f.fRem[cl.heap[c]] {
-			c = r
+		m := c
+		for j := c + 1; j < min(c+heapArity, n); j++ {
+			if h[j].tag < h[m].tag {
+				m = j
+			}
 		}
-		cid := cl.heap[c]
-		if f.fRem[cid] >= tag {
+		if h[m].tag >= e.tag {
 			break
 		}
-		cl.heap[i] = cid
-		f.fHeap[cid] = i
-		i = c
+		h[i] = h[m]
+		f.flows[h[i].id].heap = i
+		i = m
 	}
-	cl.heap[i] = id
-	f.fHeap[id] = i
+	h[i] = e
+	f.flows[e.id].heap = i
 	return i
 }
 

@@ -158,18 +158,19 @@ func (d *scripted) Activity() *sim.Activity { return d.pt.Activity() }
 // flowState reports a live flow's remainder and rate as of the solver's last
 // step, whichever of the three solver states holds it.
 func (f *Fabric) flowState(id int32) (rem, rate int64) {
-	if f.fHeap[id] >= 0 {
-		cl := f.classOf(id)
-		return f.fRem[id] - cl.s - cl.share*int64(f.lastRun-cl.at), cl.share
+	fl := &f.flows[id]
+	if fl.heap >= 0 {
+		cl := f.classOf(srcOf(id), fl.dst)
+		return fl.rem - cl.s - cl.share*int64(f.lastRun-cl.at), cl.share
 	}
-	return f.fRem[id] - f.fRate[id]*int64(f.lastRun-f.fAt[id]), f.fRate[id]
+	return fl.rem - int64(fl.rate)*f.lastRun, int64(fl.rate)
 }
 
 // drainAt reports the cycle flow id's tail leaves its source at its present
 // rate, Never for a stalled flow.
 func (f *Fabric) drainAt(id int32) sim.Cycle {
-	if f.fHeap[id] >= 0 {
-		return f.classOf(id).drainAt(f.fRem[id])
+	if fl := &f.flows[id]; fl.heap >= 0 {
+		return f.classOf(srcOf(id), fl.dst).drainAt(fl.rem)
 	}
 	if k := f.drains.Key(id); k != 0 {
 		return k
@@ -183,12 +184,13 @@ func (f *Fabric) drainAt(id int32) sim.Cycle {
 // books; the solver's next wake. state supplies (rem, rate) per flow id.
 func snapshot(f *Fabric, state func(id int32) (rem, rate int64)) []int64 {
 	var s []int64
-	for id, p := range f.fPkt {
-		if p == nil {
+	for id := range f.flows {
+		fl := &f.flows[id]
+		if fl.pkt == nil {
 			continue
 		}
 		rem, rate := state(int32(id))
-		s = append(s, int64(id), f.fSeq[id], int64(p.ID), rem, rate, int64(f.drainAt(int32(id))))
+		s = append(s, int64(id), fl.seq, int64(fl.pkt.ID), rem, rate, int64(f.drainAt(int32(id))))
 	}
 	s = append(s, -1)
 	for c := range f.pipes {
@@ -250,7 +252,10 @@ func runDifferential(t testing.TB, c diffCase) SolverStats {
 			t.Fatalf("%v: engines at cycles %d and %d", c, now, want.e.Now())
 		}
 		a := snapshot(got.f, got.f.flowState)
-		b := snapshot(want.f, func(id int32) (int64, int64) { return want.f.fRem[id], want.f.fRate[id] })
+		b := snapshot(want.f, func(id int32) (int64, int64) {
+			fl := &want.f.flows[id]
+			return fl.rem, int64(fl.rate)
+		})
 		if !slices.Equal(a, b) {
 			t.Fatalf("%v: solver state diverges from the reference at cycle %d\n got  %v\n want %v", c, now, a, b)
 		}

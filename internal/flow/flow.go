@@ -36,17 +36,19 @@
 // the Narses property (PAPERS.md), which touches a flow only when a flow
 // sharing one of its resources starts or ends. Three mechanisms keep it:
 //
-//   - Lazy drain. A flow's remaining work is stored as of the cycle its rate
-//     last changed (fRem at fAt) and brought current only when the flow is
-//     re-rated or probed. The drain is integer-linear in elapsed cycles, so
-//     rem − rate·(t₂−t₀) is the number a step at every intermediate t₁ would
-//     have left: the lazy remainder is exact, not approximate.
+//   - Lazy drain. A flow's remaining work is stored extrapolated back to
+//     cycle 0 at its present rate, so the work left at cycle t is
+//     rem − rate·t, and brought current only when the flow is re-rated. The
+//     drain is integer-linear in elapsed cycles, so rem − rate·t₂ is the
+//     number a step at every intermediate t₁ would have left: the lazy
+//     remainder is exact, not approximate.
 //   - Keyed drain deadlines. A flow whose rate is set by its own access
-//     links is filed in a sim.Wheel under its drain cycle, now +
-//     ceil(rem/rate). "Which flows drained" is a bucket expiry and "when is
+//     links is filed in a sim.Wheel under its drain cycle, ceil(rem/rate) —
+//     now + ceil(cur/rate) for the work cur left now, since rate·now
+//     divides by rate. "Which flows drained" is a bucket expiry and "when is
 //     the next drain" is the wheel's earliest key; an unchanged rate leaves
-//     the entry alone, because ceil((a − r·d)/r) = ceil(a/r) − d: d cycles
-//     on, the same deadline comes out.
+//     the entry alone, because the deadline does not depend on the cycle it
+//     is read at.
 //   - One service clock per global share. Flows whose binding constraint is
 //     a global share (the fabric's, or the smaller of fabric and bisection
 //     for crossing flows) all drain at that one rate, so they are not rated
@@ -67,16 +69,20 @@
 //
 // A node's state is one Port record: its injection slots, one landed-packet
 // queue per class (the arrival buffer at the front, parked packets behind
-// it) and the solver's census counts. Per-flow state lives in flat arrays
-// indexed by flow id. A flow lives exactly while its packet holds its
-// source's class slot, so its id is that slot's, node·NumClasses + class,
-// and New sizes every table once. The fabric registers no routers and runs
-// on a serial engine: ports are written by their owning NIC during the tick
-// phase and by the solver during the pre-tick step hook — the same
+// it) and the solver's census counts. A flow's state is one flowRec, at
+// most a cache line, in a slice indexed by flow id, so an event touches one
+// line per flow it handles; the share-class heaps carry each member's tag
+// beside its id and the drained batch each flow's admission number, so
+// sifting and sorting load no record. A flow lives exactly while its packet
+// holds its source's class slot, so its id is that slot's, node·NumClasses +
+// class, and New sizes every table once. The fabric registers no routers
+// and runs on a serial engine: ports are written by their owning NIC during
+// the tick phase and by the solver during the pre-tick step hook — the same
 // single-writer alternation the latch discipline gives flit fabrics.
 package flow
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -193,6 +199,39 @@ type pipeEntry struct {
 	at sim.Cycle
 }
 
+// flowRec is one flow's solver state; pkt is nil for a free id. A flow is in
+// one of three solver states:
+//
+//   - local: its rate > 0 is set by its own access links, its work left at
+//     cycle t is rem − rate·t (rem is the remainder extrapolated to cycle 0
+//     at the present rate), and it is filed in drains under its drain cycle;
+//   - member (heap >= 0): it drains at its share class's rate, rem is its
+//     finish tag, and it sits in the class heap (its rate field is 0);
+//   - stalled (rate == 0, unfiled): its destination is over the fabric-side
+//     cap, or it has not been rated yet; rem is its work left.
+//
+// The record is at most one cache line (TestFlowRecLayout).
+type flowRec struct {
+	rem  int64 // work, flits·rateQ: see the solver states above
+	seq  int64 // admission number: drained flows retire in its order
+	pkt  *packet.Packet
+	rate int32 // rateQ units (flits/cycle), at most linkCap = rateQ/CPF
+	dst  int32
+	heap int32 // position in the class heap, -1 outside it
+	// nextD and prevD link the flow into its destination's inbound list
+	// (Port.dstHead, -1 ends), for marking on destination-census and stall
+	// changes.
+	nextD, prevD int32
+	mark         bool // queued on rateDirty
+}
+
+// drainedFlow is one flow due to retire this step, with its admission
+// number beside it so sorting the batch never loads a record.
+type drainedFlow struct {
+	seq int64
+	id  int32
+}
+
 // Fabric is the flow-level network. It implements topo.Network.
 type Fabric struct {
 	cfg       Config
@@ -204,29 +243,12 @@ type Fabric struct {
 
 	ports []Port
 
-	// Flow state (structure of arrays, indexed by flow id; fPkt is nil for a
-	// free id; the id is the slot the flow holds, see srcOf). A flow is in
-	// one of three solver states:
-	//
-	//   - local: its rate fRate > 0 is set by its own access links, fRem is
-	//     the work left at cycle fAt, and it is filed in drains under its
-	//     drain cycle;
-	//   - member (fHeap >= 0): its rate is its share class's, fRem is its
-	//     finish tag, and it sits in the class heap (fRate and fAt are idle);
-	//   - stalled (fRate == 0, unfiled): its destination is over the
-	//     fabric-side cap, or it has not been rated yet.
-	fPkt    []*packet.Packet
-	fDst    []int32
-	fSeq    []int64
-	fRem    []int64     // work, flits·rateQ: remainder at fAt, or finish tag
-	fRate   []int64     // rateQ units (flits/cycle)
-	fAt     []sim.Cycle // cycle fRem was last brought current
-	fHeap   []int32     // position in the class heap, -1 outside it
+	// flows holds every flow's solver state, indexed by flow id (the slot
+	// the flow holds, see srcOf): one record per flow, so an event touches
+	// one line per flow it handles.
+	flows   []flowRec
 	nActive int
 	drains  sim.Wheel // local flows, keyed by drain cycle
-	// Per-destination intrusive list of inbound flows (Port.dstHead, -1
-	// ends), for marking on destination-census and stall changes.
-	fNextD, fPrevD []int32
 	// classes are the two global-share classes: [0] non-crossing flows
 	// (fabric share), [1] crossing flows (the smaller of fabric and
 	// bisection share).
@@ -244,13 +266,12 @@ type Fabric struct {
 	// that node before and after. Such a change marks no flow.
 	kSkip int32
 	// Incremental rate maintenance: rateDirty lists flows whose access-link
-	// census or stall state changed since the last solve (fMark dedups).
-	// The global divisors hold inside a dead band (stride > 1 only) so
-	// census jitter around a grid point does not move the shares every
-	// solve. All marking happens on the stepping goroutine in event order,
-	// so the dirty set is deterministic.
+	// census or stall state changed since the last solve (flowRec.mark
+	// dedups). The global divisors hold inside a dead band (stride > 1
+	// only) so census jitter around a grid point does not move the shares
+	// every solve. All marking happens on the stepping goroutine in event
+	// order, so the dirty set is deterministic.
 	rateDirty        []int32
-	fMark            []bool
 	crossDiv, fabDiv int64
 	// shareTab[k] is linkCap/k — the per-flow access-link share among k
 	// concurrent flows, precomputed so the solver's hot loop divides only
@@ -286,7 +307,7 @@ type Fabric struct {
 	stats SolverStats
 
 	// Solver scratch (reused across runs).
-	drained []int32
+	drained []drainedFlow
 
 	bound bool
 }
@@ -318,19 +339,11 @@ func New(cfg Config) *Fabric {
 		f.ports[i].init(f, int32(i))
 	}
 	ids := n * packet.NumClasses
-	f.fPkt = make([]*packet.Packet, ids)
-	f.fDst = make([]int32, ids)
-	f.fSeq = make([]int64, ids)
-	f.fRem = make([]int64, ids)
-	f.fRate = make([]int64, ids)
-	f.fAt = make([]sim.Cycle, ids)
-	f.fHeap = make([]int32, ids)
-	f.fNextD = make([]int32, ids)
-	f.fPrevD = make([]int32, ids)
-	for id := range ids {
-		f.fHeap[id], f.fNextD[id], f.fPrevD[id] = -1, -1, -1
+	f.flows = make([]flowRec, ids)
+	for id := range f.flows {
+		fl := &f.flows[id]
+		fl.heap, fl.nextD, fl.prevD = -1, -1, -1
 	}
-	f.fMark = make([]bool, ids)
 	f.drains.Init()
 	f.drains.Grow(ids)
 	f.nextWork = sim.Never
@@ -416,8 +429,8 @@ func (f *Fabric) AuditRouters(func(*router.Router)) {}
 // balance the packet counters), "staged" (pre-activation), "port-arr"
 // (arrival buffers, delivered side).
 func (f *Fabric) AuditPackets(fn func(node int, where string, p *packet.Packet)) {
-	for id, p := range f.fPkt {
-		if p != nil {
+	for id := range f.flows {
+		if p := f.flows[id].pkt; p != nil {
 			fn(id/packet.NumClasses, "flow", p)
 		}
 	}
@@ -474,19 +487,14 @@ func (f *Fabric) step(now sim.Cycle) {
 			if f.drains.Key(id) == c {
 				f.drains.Unlink(id)
 				f.stats.WheelExpiries++
-				f.drained = append(f.drained, id)
+				f.drained = sim.Push(f.drained, drainedFlow{f.flows[id].seq, id})
 			}
 		}
 	}
 	for c := range f.classes {
 		cl := &f.classes[c]
 		cl.sync(now)
-		for len(cl.heap) > 0 && f.fRem[cl.heap[0]] <= cl.s {
-			id := cl.heap[0]
-			f.heapRemove(cl, 0)
-			f.stats.ClassLeaves++
-			f.drained = append(f.drained, id)
-		}
+		f.drainDue(cl)
 	}
 	f.lastRun = now
 
@@ -494,18 +502,9 @@ func (f *Fabric) step(now sim.Cycle) {
 	// batch: it comes out of three structures): the packet's tail has left
 	// its source — free the injection slot, credit the books, and put the
 	// packet on the fixed-latency pipe.
-	slices.SortFunc(f.drained, func(a, b int32) int {
-		sa, sb := f.fSeq[a], f.fSeq[b]
-		switch {
-		case sa < sb:
-			return -1
-		case sa > sb:
-			return 1
-		}
-		return 0
-	})
-	for _, id := range f.drained {
-		f.retire(now, id)
+	sortDrained(f.drained)
+	for _, d := range f.drained {
+		f.retire(now, d.id)
 		changed = true
 	}
 
@@ -551,8 +550,9 @@ func (f *Fabric) step(now sim.Cycle) {
 // retire removes a drained flow (already out of the wheel or its class
 // heap): source slot frees, packet enters the pipe.
 func (f *Fabric) retire(now sim.Cycle, id int32) {
-	src, dst, c := srcOf(id), f.fDst[id], slotClass(id)
-	p := f.fPkt[id]
+	fl := &f.flows[id]
+	src, dst, c := srcOf(id), fl.dst, slotClass(id)
+	p := fl.pkt
 	pt := &f.ports[src]
 	if pt.slots[c] != p {
 		panic(fmt.Sprintf("flow: node %d retires flow %d, whose packet does not hold its class %d slot", src, id, c))
@@ -571,7 +571,7 @@ func (f *Fabric) retire(now sim.Cycle, id int32) {
 	f.stats.Departures++
 	f.nActive--
 	f.unlinkDst(id)
-	f.fPkt[id] = nil
+	fl.pkt = nil
 	// The departure frees share on both access links.
 	f.srcCensusStep(src, -1)
 	f.dstCensusStep(dst, -1)
@@ -579,30 +579,31 @@ func (f *Fabric) retire(now sim.Cycle, id int32) {
 
 // unlinkDst takes a flow off its destination's inbound list.
 func (f *Fabric) unlinkDst(id int32) {
-	dp, dn := f.fPrevD[id], f.fNextD[id]
+	fl := &f.flows[id]
+	dp, dn := fl.prevD, fl.nextD
 	if dp >= 0 {
-		f.fNextD[dp] = dn
+		f.flows[dp].nextD = dn
 	} else {
-		f.ports[f.fDst[id]].dstHead = dn
+		f.ports[fl.dst].dstHead = dn
 	}
 	if dn >= 0 {
-		f.fPrevD[dn] = dp
+		f.flows[dn].prevD = dp
 	}
-	f.fPrevD[id], f.fNextD[id] = -1, -1
+	fl.prevD, fl.nextD = -1, -1
 }
 
 // markFlow queues a flow for re-rating at the next solve.
 func (f *Fabric) markFlow(id int32) {
-	if !f.fMark[id] {
-		f.fMark[id] = true
-		f.rateDirty = append(f.rateDirty, id)
+	if fl := &f.flows[id]; !fl.mark {
+		fl.mark = true
+		f.rateDirty = sim.Push(f.rateDirty, id)
 	}
 }
 
 // markSrc queues the flows leaving node src (at most one per class slot).
 func (f *Fabric) markSrc(src int32) {
 	for c := range packet.NumClasses {
-		if id := f.ports[src].flowID(c); f.fPkt[id] != nil {
+		if id := flowID(src, c); f.flows[id].pkt != nil {
 			f.markFlow(id)
 		}
 	}
@@ -643,7 +644,7 @@ func (f *Fabric) dstCensusOf(dst int32) int32 {
 // markDst queues every flow inbound to dst (its census or stall state
 // changed, so each one's share is suspect).
 func (f *Fabric) markDst(dst int32) {
-	for id := f.ports[dst].dstHead; id >= 0; id = f.fNextD[id] {
+	for id := f.ports[dst].dstHead; id >= 0; id = f.flows[id].nextD {
 		f.markFlow(id)
 	}
 }
@@ -720,21 +721,20 @@ func (f *Fabric) promote(now sim.Cycle, nd int32) bool {
 func (f *Fabric) activate(now sim.Cycle, st stagedSend) {
 	p := st.p
 	src, dst := st.node, int32(p.Dst)
-	id := f.ports[src].flowID(int(st.cls))
-	f.fPkt[id] = p
-	f.fDst[id] = dst
-	f.fRem[id] = int64(p.Flits()) * rateQ
-	f.fRate[id] = 0 // unrated: the solve below files it or joins it to a class
-	f.fAt[id] = now
-	f.fSeq[id] = f.seq
+	id := flowID(src, int(st.cls))
+	dpt := &f.ports[dst]
+	fl := &f.flows[id]
+	fl.pkt = p
+	fl.dst = dst
+	fl.rem = int64(p.Flits()) * rateQ
+	fl.rate = 0 // unrated: the solve below files it or joins it to a class
+	fl.seq = f.seq
+	fl.prevD, fl.nextD = -1, dpt.dstHead
 	f.seq++
 	f.nActive++
 	f.stats.Arrivals++
-	dpt := &f.ports[dst]
-	f.fPrevD[id] = -1
-	f.fNextD[id] = dpt.dstHead
 	if h := dpt.dstHead; h >= 0 {
-		f.fPrevD[h] = id
+		f.flows[h].prevD = id
 	}
 	dpt.dstHead = id
 	if f.crosses(src, dst) {
@@ -749,8 +749,11 @@ func (f *Fabric) activate(now sim.Cycle, st stagedSend) {
 	f.dstCensusStep(dst, 1)
 }
 
-// srcOf is the source node of flow id: a flow's id is the injection slot it
-// holds, node·NumClasses + class (Port.flowID).
+// flowID is the id of the flow holding node's class c injection slot: a
+// flow's id is the slot it holds.
+func flowID(node int32, c int) int32 { return node*packet.NumClasses + int32(c) }
+
+// srcOf is the source node of flow id.
 func srcOf(id int32) int32 { return id / packet.NumClasses }
 
 // slotClass is the class of flow id's packet: the class of the slot it holds.
@@ -793,8 +796,9 @@ func (f *Fabric) solveRates(now sim.Cycle) {
 	f.flip(now, lo1, hi1)
 	f.kSkip = min(f.classes[0].kMax, f.classes[1].kMax)
 	for _, id := range f.rateDirty {
-		f.fMark[id] = false
-		if f.fPkt[id] != nil { // skip ids retired after marking
+		fl := &f.flows[id]
+		fl.mark = false
+		if fl.pkt != nil { // skip ids retired after marking
 			f.rerate(now, id)
 		}
 	}
@@ -804,51 +808,58 @@ func (f *Fabric) solveRates(now sim.Cycle) {
 // rerate recomputes one flow's rate from its access-link census and stall
 // state, and moves it between the wheel and its share class accordingly. A
 // rate that comes out unchanged costs nothing further: the flow's deadline
-// (or tag) stands, by the ceil identity in the package doc.
+// (or tag) stands, as the package doc shows.
 func (f *Fabric) rerate(now sim.Cycle, id int32) {
 	f.stats.Rerated++
-	src, dst := srcOf(id), f.fDst[id]
+	fl := &f.flows[id]
+	src, dst := srcOf(id), fl.dst
 	// k = 0: stalled destination — the flow holds its source slot at rate
 	// zero, the secondary-blocking analog.
 	var k int32
 	if f.ports[dst].parkedFlits[slotClass(id)] < int32(f.cfg.DstCapFlits) {
 		k = max(f.ports[src].nSrc, f.dstCensusOf(dst))
 	}
-	cl := f.classOf(id)
+	cl := f.classOf(src, dst)
 	if k != 0 && k <= cl.kMax {
 		// The class share binds. A member's tag stands whatever the share
 		// has done since it joined.
-		if f.fHeap[id] < 0 {
+		if fl.heap < 0 {
 			f.join(now, cl, id)
 		}
 		return
 	}
-	var rate int64
+	var rate int32
 	if k != 0 {
-		rate = max(f.shareOf(int64(k)), 1)
+		rate = int32(max(f.shareOf(int64(k)), 1))
 	}
-	if f.fHeap[id] >= 0 {
-		f.leave(now, cl, id)
-	} else if rate == f.fRate[id] {
+	if fl.heap >= 0 {
+		f.leave(cl, id)
+	} else if rate == fl.rate {
 		return
 	} else {
 		f.advance(now, id)
 	}
-	f.fRate[id] = rate
 	if rate > 0 {
+		// The remainder, current and stopped, runs out at rate from now on:
+		// rem becomes its extrapolation to cycle 0, and the deadline is the
+		// cycle that reaches zero, ceil(rem/rate) = now + ceil(cur/rate).
 		// Every live flow has work left (a flow with none was due, and
 		// retired, before any re-rate), so the deadline is ahead of now.
-		f.drains.File(id, now+sim.Cycle((f.fRem[id]+rate-1)/rate))
+		r := int64(rate)
+		fl.rate = rate
+		fl.rem += r * now
+		f.drains.File(id, (fl.rem+r-1)/r)
 		f.stats.WheelFiles++
 	}
 }
 
-// advance brings a local flow's remainder current and takes it off the
-// wheel, ahead of a rate change.
+// advance brings a local flow's remainder current and stops it (rate 0,
+// off the wheel), ahead of a rate change.
 func (f *Fabric) advance(now sim.Cycle, id int32) {
 	f.stats.Advanced++
-	f.fRem[id] -= f.fRate[id] * int64(now-f.fAt[id])
-	f.fAt[id] = now
+	fl := &f.flows[id]
+	fl.rem -= int64(fl.rate) * now
+	fl.rate = 0
 	if f.drains.Key(id) != 0 {
 		f.drains.Unlink(id)
 		f.stats.WheelUnlinks++
@@ -911,7 +922,7 @@ func (f *Fabric) recomputeNext(now sim.Cycle) {
 	}
 	for c := range f.classes {
 		if cl := &f.classes[c]; len(cl.heap) > 0 {
-			if at := cl.drainAt(f.fRem[cl.heap[0]]); at < next {
+			if at := cl.drainAt(cl.heap[0].tag); at < next {
 				next = at
 			}
 		}
@@ -945,4 +956,9 @@ func (f *Fabric) forEachDirty(fn func(int32)) {
 		}
 	}
 	f.dirty = f.dirty[:0]
+}
+
+// sortDrained puts a drained batch in admission order.
+func sortDrained(d []drainedFlow) {
+	slices.SortFunc(d, func(a, b drainedFlow) int { return cmp.Compare(a.seq, b.seq) })
 }

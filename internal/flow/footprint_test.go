@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"math"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -29,13 +30,29 @@ func TestPortLayout(t *testing.T) {
 	}
 }
 
+// TestFlowRecLayout holds the per-flow record to one cache line, so an event
+// touches one line per flow it handles, and its int32 rate to the largest
+// rate it stores: a local flow's rate is an access-link share, at most
+// linkCap = rateQ/CPF, which shrinks as CPF grows, so CPF 1 bounds every
+// CPF ≥ 1.
+func TestFlowRecLayout(t *testing.T) {
+	if got := unsafe.Sizeof(flowRec{}); got > 64 {
+		t.Errorf("flowRec is %d bytes, want at most 64: one cache line per flow", got)
+	}
+	if f := New(Config{Nodes: 2, CPF: 1}); f.linkCap > math.MaxInt32 {
+		t.Errorf("linkCap is %d at CPF 1: a local rate does not fit flowRec's int32", f.linkCap)
+	}
+}
+
 // maxBytesPerNode is the committed ceiling on what a pumped 16k-node fabric
 // allocates per node, building it and running it 20,000 cycles: the port
-// record, the slot-indexed flow tables and wheel nodes sized once in New,
+// record, the slot-indexed flow records and wheel nodes sized once in New,
 // and the queues that grow to their high-water marks in the run. Measured
-// 462; flow tables grown on demand and a parked deque per (node, class)
-// beside the port cost 566. With no collection during a run, all of it
-// counts towards flow_scale's peak memory.
+// 459; ten parallel per-flow arrays (57 B a flow against the 48 B record)
+// with 4 B class-heap entries measured 462, and flow tables grown on demand
+// and a parked deque per (node, class) beside the port cost 566. With no
+// collection during a run, all of it counts towards flow_scale's peak
+// memory.
 const maxBytesPerNode = 500
 
 // TestFabricBytesPerNode is the flow tier's footprint gate: the bytes New

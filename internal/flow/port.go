@@ -25,8 +25,8 @@ type Port struct {
 
 	// slots holds the packet occupying each class's injection slot; the
 	// solver clears a slot when its flow retires. The slot's flow id is
-	// node·NumClasses + class, live while fPkt holds it and staged while
-	// the slot is busy but fPkt is nil.
+	// flowID(node, class), live while its flow record holds the packet and
+	// staged while the slot is busy but the record's pkt is nil.
 	slots [packet.NumClasses]*packet.Packet
 	// arrN counts the packets at the front of q that are in the arrival
 	// buffer (the ejection-side analog): the NIC may pull them.
@@ -43,7 +43,7 @@ type Port struct {
 	arrFlits, parkedFlits [packet.NumClasses]int32
 
 	node    int32
-	dstHead int32 // first inbound flow (fNextD list), -1 = none
+	dstHead int32 // first inbound flow (flowRec.nextD list), -1 = none
 	clsRR   int32 // Deliver fairness rotation across classes
 
 	injected, delivered, dropped int64
@@ -57,9 +57,6 @@ func (pt *Port) init(f *Fabric, node int32) {
 	pt.node = node
 	pt.dstHead = -1
 }
-
-// flowID is the id of the flow holding class c's injection slot.
-func (pt *Port) flowID(c int) int32 { return pt.node*packet.NumClasses + int32(c) }
 
 // Pump implements router.Port. The flow port has no per-cycle fabric work —
 // the solver hands arrivals and slot completions over pre-tick — so Pump
@@ -87,8 +84,12 @@ func (pt *Port) StartSend(now sim.Cycle, p *packet.Packet) {
 
 // Deliver implements router.Port: it pops the first arrival-buffer head
 // satisfying pred, scanning classes round-robin, and tells the solver the
-// freed space so parked packets can promote next cycle.
+// freed space so parked packets can promote next cycle. Most calls find the
+// arrival buffers empty, which the first cache line tells.
 func (pt *Port) Deliver(now sim.Cycle, pred func(*packet.Packet) bool) (*packet.Packet, bool) {
+	if pt.arrN == [packet.NumClasses]int32{} {
+		return nil, false
+	}
 	for i := range int32(packet.NumClasses) {
 		c := (pt.clsRR + i) % packet.NumClasses
 		if pt.arrN[c] == 0 {

@@ -1,10 +1,6 @@
 package flow
 
-import (
-	"slices"
-
-	"nifdy/internal/sim"
-)
+import "nifdy/internal/sim"
 
 // refSolver is the solver the event-driven one replaced, kept as the oracle
 // the differential test compares it against: every step advances every
@@ -12,8 +8,9 @@ import (
 // by one, and the next event is a scan of all drain bounds. It is the model's
 // definition written the obvious way — O(active flows) per step — and it
 // shares with the production solver only the event plumbing (retire, land,
-// promote, activate, marking) and the storage: fRem/fRate hold each flow's
-// state as of lastRun, and the wheel's key stands in for the fDrainAt array
+// promote, activate, marking) and the storage: each flow record's rem and
+// rate hold its state as of lastRun, and the wheel's key stands in for a
+// drain-cycle array
 // (filed, never expired: the advance loop decides what drained). No flow ever
 // joins a share class or a per-k list under it.
 type refSolver struct {
@@ -33,8 +30,8 @@ func (r *refSolver) register(e *sim.Engine) {
 
 // active calls fn for every live flow id.
 func (r *refSolver) active(fn func(id int32)) {
-	for id, p := range r.f.fPkt {
-		if p != nil {
+	for id := range r.f.flows {
+		if r.f.flows[id].pkt != nil {
 			fn(int32(id))
 		}
 	}
@@ -52,11 +49,12 @@ func (r *refSolver) step(now sim.Cycle) {
 	f.drained = f.drained[:0]
 	if dt := now - f.lastRun; dt > 0 {
 		r.active(func(id int32) {
-			if rate := f.fRate[id]; rate > 0 {
-				f.fRem[id] -= rate * int64(dt)
-				if f.fRem[id] <= 0 {
-					f.fRem[id] = 0
-					f.drained = append(f.drained, id)
+			fl := &f.flows[id]
+			if fl.rate > 0 {
+				fl.rem -= int64(fl.rate) * int64(dt)
+				if fl.rem <= 0 {
+					fl.rem = 0
+					f.drained = append(f.drained, drainedFlow{fl.seq, id})
 				}
 			}
 		})
@@ -64,12 +62,10 @@ func (r *refSolver) step(now sim.Cycle) {
 	f.lastRun = now
 
 	// 2. Retire drained flows in admission order.
-	slices.SortFunc(f.drained, func(a, b int32) int {
-		return int(f.fSeq[a] - f.fSeq[b])
-	})
-	for _, id := range f.drained {
-		f.drains.Unlink(id)
-		f.retire(now, id)
+	sortDrained(f.drained)
+	for _, d := range f.drained {
+		f.drains.Unlink(d.id)
+		f.retire(now, d.id)
 		changed = true
 	}
 
@@ -133,7 +129,7 @@ func (r *refSolver) solveRates(now sim.Cycle) {
 		r.needFull = false
 		r.lastCross, r.lastFab = crossShare, fabShare
 		for _, id := range f.rateDirty {
-			f.fMark[id] = false
+			f.flows[id].mark = false
 		}
 		f.rateDirty = f.rateDirty[:0]
 		r.active(func(id int32) {
@@ -142,8 +138,8 @@ func (r *refSolver) solveRates(now sim.Cycle) {
 		return
 	}
 	for _, id := range f.rateDirty {
-		f.fMark[id] = false
-		if f.fPkt[id] != nil { // skip ids retired after marking
+		f.flows[id].mark = false
+		if f.flows[id].pkt != nil { // skip ids retired after marking
 			r.rateOne(now, id, crossShare, fabShare, stride)
 		}
 	}
@@ -153,9 +149,10 @@ func (r *refSolver) solveRates(now sim.Cycle) {
 // rateOne recomputes one flow's rate and drain bound.
 func (r *refSolver) rateOne(now sim.Cycle, id int32, crossShare, fabShare int64, stride int) {
 	f := r.f
-	src, dst := srcOf(id), f.fDst[id]
+	fl := &f.flows[id]
+	src, dst := srcOf(id), fl.dst
 	var rate int64
-	if f.ports[dst].parkedFlits[f.fPkt[id].Class] >= int32(f.cfg.DstCapFlits) {
+	if f.ports[dst].parkedFlits[fl.pkt.Class] >= int32(f.cfg.DstCapFlits) {
 		rate = 0 // stalled destination
 	} else {
 		rate = f.shareOf(int64(f.ports[src].nSrc))
@@ -172,17 +169,17 @@ func (r *refSolver) rateOne(now sim.Cycle, id int32, crossShare, fabShare int64,
 			rate = 1
 		}
 	}
-	if rate == f.fRate[id] {
+	if rate == int64(fl.rate) {
 		return // unchanged rate ⇒ unchanged drain bound
 	}
-	f.fRate[id] = rate
+	fl.rate = int32(rate)
 	if f.drains.Key(id) != 0 {
 		f.drains.Unlink(id)
 	}
 	if rate == 0 {
 		return // drain bound Never
 	}
-	at := now + sim.Cycle((f.fRem[id]+rate-1)/rate)
+	at := now + sim.Cycle((fl.rem+rate-1)/rate)
 	if at <= now {
 		at = now + 1
 	}

@@ -28,6 +28,9 @@ import "math/bits"
 //
 // Layout and ownership:
 //
+//   - The components themselves are the shard's comp table, which the sweep,
+//     expire and pending take as an argument: component i is comps[i], its
+//     Ticker and its Activity side by side, so a visit reads one entry.
 //   - q has bit i set iff component i is queued, and sum has bit w set iff
 //     q[w] != 0, so a sweep over a shard of mostly sleeping components reads
 //     one summary word per 4096 of them, not one word per 64. Both grow in
@@ -112,7 +115,7 @@ func (as *activeSet) file(idx int32, w Cycle) {
 // settled against the component's present state — it carries no more
 // authority than that: dropped if the component was woken early and is
 // queued or has since parked, re-filed if it sleeps until later.
-func (as *activeSet) expire(acts []*Activity, now Cycle) {
+func (as *activeSet) expire(comps []comp, now Cycle) {
 	for i := as.wheel.First(now); i >= 0; {
 		idx := i
 		i = as.wheel.Next(idx)
@@ -123,7 +126,7 @@ func (as *activeSet) expire(acts []*Activity, now Cycle) {
 		if as.q[idx>>6]&(1<<(idx&63)) != 0 {
 			continue
 		}
-		if w := acts[idx].wakeAt; w <= now {
+		if w := comps[idx].a.wakeAt; w <= now {
 			as.enqueue(idx)
 		} else if w != Never {
 			as.file(idx, w)
@@ -143,13 +146,13 @@ func (as *activeSet) earliest(from Cycle) Cycle { return as.wheel.Earliest(from)
 // pending reports the earliest wake time among the queued components, Never
 // if there are none, and ok=false if one of them has no Activity (it ticks
 // every cycle).
-func (as *activeSet) pending(acts []*Activity) (min Cycle, ok bool) {
+func (as *activeSet) pending(comps []comp) (min Cycle, ok bool) {
 	min = Never
 	for si, s := range as.sum {
 		for ; s != 0; s &= s - 1 {
 			wi := si<<6 | bits.TrailingZeros64(s)
 			for m := as.q[wi]; m != 0; m &= m - 1 {
-				a := acts[wi<<6|bits.TrailingZeros64(m)]
+				a := comps[wi<<6|bits.TrailingZeros64(m)].a
 				if a == nil {
 					return 0, false
 				}
@@ -181,12 +184,12 @@ func (as *activeSet) pending(acts []*Activity) (min Cycle, ok bool) {
 // loaded mesh's sleeps) and a visit that finds the component woken for the
 // next cycle keep the bit, because the next sweep will find them due and a
 // round trip through the wheel costs more than a second look.
-func (as *activeSet) sweep(tickers []Ticker, acts []*Activity, now Cycle) (ticked bool) {
+func (as *activeSet) sweep(comps []comp, now Cycle) (ticked bool) {
 	// Allocates once, at the component count (again only for a component
 	// registered after the first run): the wheel never grows while the
 	// simulation runs.
-	as.wheel.Grow(len(tickers))
-	as.expire(acts, now)
+	as.wheel.Grow(len(comps))
+	as.expire(comps, now)
 	var ticks, notDue int64
 	// sMask and mask keep the bits above the cursor in the summary word and
 	// the bitmap word; the words themselves are re-read every time. (The
@@ -209,13 +212,14 @@ func (as *activeSet) sweep(tickers []Ticker, acts []*Activity, now Cycle) (ticke
 				b := bits.TrailingZeros64(m) & 63
 				mask = ^uint64(0) << b << 1
 				idx := int32(wi<<6 | b)
-				a := acts[idx]
+				c := &comps[idx]
+				a := c.a
 				var w Cycle // a component without an Activity is always awake
 				if a != nil {
 					w = a.wakeAt
 				}
 				if w <= now {
-					tickers[idx].Tick(now)
+					c.t.Tick(now)
 					ticks++
 					if a != nil {
 						w = a.wakeAt

@@ -207,11 +207,18 @@ type deferredCall struct {
 // span is the half-open cycle range [from,to) a worker is released into.
 type span struct{ from, to Cycle }
 
-// shard is one scheduling unit: a tick list with its scheduler state and its
-// cross flusher, plus the channel its worker waits on.
+// comp is one registered component: its Ticker and its Activity (nil for a
+// Ticker that is not an IdleTicker: it always runs). The two sit side by
+// side, so a visit reads one table entry.
+type comp struct {
+	t Ticker
+	a *Activity
+}
+
+// shard is one scheduling unit: a component table with its scheduler state
+// and its cross flusher, plus the channel its worker waits on.
 type shard struct {
-	tickers  []Ticker
-	acts     []*Activity    // parallel to tickers; nil entries always run
+	comps    []comp         // in registration order: the component index is the position
 	as       activeSet      // queue bitmap and timer wheel (quiescence-skipping schedules)
 	crossFl  Flusher        // run by the stepping goroutine at window boundaries, in shard order
 	deferred []deferredCall // staged by this shard's Ticks, drained at window boundaries
@@ -346,13 +353,12 @@ func (e *Engine) Register(t Ticker) { e.RegisterSharded(0, t) }
 func (e *Engine) RegisterSharded(sh int, t Ticker) {
 	sh %= len(e.shards)
 	s := &e.shards[sh]
-	idx := int32(len(s.tickers))
-	s.tickers = Push(s.tickers, t)
+	idx := int32(len(s.comps))
 	var a *Activity
 	if it, ok := t.(IdleTicker); ok {
 		a = it.Activity()
 	}
-	s.acts = Push(s.acts, a)
+	s.comps = Push(s.comps, comp{t, a})
 	s.as.register(idx, a)
 	if b, ok := t.(Binder); ok {
 		b.BindEngine(e, sh)
@@ -502,13 +508,13 @@ func (e *Engine) freeRun(s *shard, from, to Cycle) {
 	ticked := false
 	for now := from; now < to; now++ {
 		if e.skip {
-			ticked = s.as.sweep(s.tickers, s.acts, now) || ticked
+			ticked = s.as.sweep(s.comps, now) || ticked
 		} else {
-			for _, t := range s.tickers {
-				t.Tick(now)
+			for _, c := range s.comps {
+				c.t.Tick(now)
 			}
-			s.as.ticks += int64(len(s.tickers))
-			ticked = ticked || len(s.tickers) > 0
+			s.as.ticks += int64(len(s.comps))
+			ticked = ticked || len(s.comps) > 0
 		}
 	}
 	s.ticked = ticked
@@ -636,7 +642,7 @@ func (e *Engine) idleScan() Cycle {
 	min := Never
 	for i := range e.shards {
 		s := &e.shards[i]
-		w, ok := s.as.pending(s.acts)
+		w, ok := s.as.pending(s.comps)
 		if !ok {
 			return e.now // unclocked ticker: never jump
 		}

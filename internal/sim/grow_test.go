@@ -6,11 +6,12 @@ import (
 )
 
 // TestRegistrationGrowthGarbage registers 50,000 components one at a time
-// and holds the bytes allocated while the shard's registration arrays grow
-// to 2.5× what they hold at the end. Geometric growth allocates about twice
-// the final arrays; append's 1.25× steps for large slices allocate four to
-// five times them, and with no collection during build all of it counts
-// towards a large simulation's peak memory.
+// and holds the bytes allocated while the shard's registration tables (its
+// component table and queue bitmap) grow to 2.5× what they hold at the end.
+// Geometric growth allocates about twice the final tables; append's 1.25×
+// steps for large slices allocate four to five times them, and with no
+// collection during build all of it counts towards a large simulation's
+// peak memory.
 func TestRegistrationGrowthGarbage(t *testing.T) {
 	const n = 50_000
 	comps := make([]sleeper, n)
@@ -24,8 +25,8 @@ func TestRegistrationGrowthGarbage(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(e)
-	if len(e.shards[0].tickers) != n {
-		t.Fatalf("%d tickers registered, want %d", len(e.shards[0].tickers), n)
+	if len(e.shards[0].comps) != n {
+		t.Fatalf("%d components registered, want %d", len(e.shards[0].comps), n)
 	}
 	allocated, live := after.TotalAlloc-before.TotalAlloc, after.HeapAlloc-before.HeapAlloc
 	t.Logf("allocated %d B, live %d B (%.2f×)", allocated, live, float64(allocated)/float64(live))
