@@ -574,15 +574,20 @@ func (u *NIFDY) Tick(now sim.Cycle) {
 // due, or a retransmission deadline — and waking exactly then is
 // bit-identical to ticking through. Deferred timers
 // (retransmission deadlines, held piggyback acks) bound both cases so they
-// still fire on their exact cycle.
+// still fire on their exact cycle. A unit that stays awake asks for the next
+// cycle (WakeAt): a flow port parks its latch when sent into or delivered
+// from.
 func (u *NIFDY) sleep(now sim.Cycle, progress bool) {
+	act := u.Activity()
 	if progress {
 		// An active unit stays awake; only a fully drained one may sleep.
 		if len(u.pool) > 0 || !u.Port.Quiet() {
+			act.WakeAt(now + 1)
 			return
 		}
 		for i := range u.din {
 			if u.din[i].buffered > 0 {
+				act.WakeAt(now + 1)
 				return
 			}
 		}
@@ -593,6 +598,7 @@ func (u *NIFDY) sleep(now sim.Cycle, progress bool) {
 			if progress {
 				// A due ack survived sendAck (one ack injects per cycle):
 				// stay awake to send it.
+				act.WakeAt(now + 1)
 				return
 			}
 			// No progress means the reply slot is busy; its freeing wakes us
@@ -606,7 +612,8 @@ func (u *NIFDY) sleep(now sim.Cycle, progress bool) {
 	for i := range u.retx {
 		if u.retx[i].fire {
 			if progress {
-				return // a fired timer is waiting for an injection slot
+				act.WakeAt(now + 1) // a fired timer is waiting for an injection slot
+				return
 			}
 			continue // blocked on a busy slot: its wake edge or BlockedBound covers it
 		}
@@ -614,7 +621,7 @@ func (u *NIFDY) sleep(now sim.Cycle, progress bool) {
 			next = u.retx[i].deadline
 		}
 	}
-	u.Port.Activity().Sleep(next)
+	act.Sleep(next)
 }
 
 // acceptData is the pull predicate: bulk packets always have reserved window

@@ -429,9 +429,9 @@ func (f *Fabric) AuditRouters(func(*router.Router)) {}
 // balance the packet counters), "staged" (pre-activation), "port-arr"
 // (arrival buffers, delivered side).
 func (f *Fabric) AuditPackets(fn func(node int, where string, p *packet.Packet)) {
-	for id := range f.flows {
+	for id := range int32(len(f.flows)) {
 		if p := f.flows[id].pkt; p != nil {
-			fn(id/packet.NumClasses, "flow", p)
+			fn(int(srcOf(id)), "flow", p)
 		}
 	}
 	for c := range f.pipes {

@@ -48,12 +48,14 @@ func TestFlowRecLayout(t *testing.T) {
 // allocates per node, building it and running it 20,000 cycles: the port
 // record, the slot-indexed flow records and wheel nodes sized once in New,
 // and the queues that grow to their high-water marks in the run. Measured
-// 459; ten parallel per-flow arrays (57 B a flow against the 48 B record)
-// with 4 B class-heap entries measured 462, and flow tables grown on demand
+// 411 (344 building, 67 running), and 459 while a deque's first growth took
+// 8 slots rather than 2 (115 running); at that growth ten parallel per-flow
+// arrays (57 B a flow against the 48 B record) with 4 B class-heap entries
+// measured 462, and flow tables grown on demand
 // and a parked deque per (node, class) beside the port cost 566. With no
 // collection during a run, all of it counts towards flow_scale's peak
 // memory.
-const maxBytesPerNode = 500
+const maxBytesPerNode = 450
 
 // TestFabricBytesPerNode is the flow tier's footprint gate: the bytes New
 // and the run allocate per node, the pumps' own allocations excluded.

@@ -19,7 +19,8 @@ import (
 // The fields every event touches fill the first cache line; the record is
 // three lines long (TestPortLayout).
 type Port struct {
-	// act is the quiescence latch shared with the owning NIC.
+	// act is the quiescence latch the port lends its owning NIC. The port
+	// owns it too: StartSend and Deliver park it, and the solver wakes it.
 	act sim.Activity
 	f   *Fabric
 
@@ -68,7 +69,10 @@ func (pt *Port) Pump(now sim.Cycle) bool { return false }
 func (pt *Port) CanAccept(c packet.Class) bool { return pt.slots[c] == nil }
 
 // StartSend implements router.Port: the packet occupies the class slot and
-// is staged for activation at the next solver step.
+// is staged for activation at the next solver step. It parks the port's
+// latch at Never: the slot frees only in retire, which wakes the owner on
+// that cycle, so an owner with nothing else to do is not visited before it.
+// An owner with work of its own asks for its next cycle (WakeAt).
 func (pt *Port) StartSend(now sim.Cycle, p *packet.Packet) {
 	c := p.Class
 	if pt.slots[c] != nil {
@@ -77,6 +81,7 @@ func (pt *Port) StartSend(now sim.Cycle, p *packet.Packet) {
 	pt.slots[c] = p
 	p.InjectedAt = now
 	pt.f.staged = sim.Push(pt.f.staged, stagedSend{node: pt.node, cls: uint8(c), p: p})
+	pt.act.Sleep(sim.Never)
 	// The solver must run next cycle to activate the staged flow, even if it
 	// was asleep until a later stride boundary.
 	pt.f.clock.WakeAt(now + 1)
@@ -85,7 +90,10 @@ func (pt *Port) StartSend(now sim.Cycle, p *packet.Packet) {
 // Deliver implements router.Port: it pops the first arrival-buffer head
 // satisfying pred, scanning classes round-robin, and tells the solver the
 // freed space so parked packets can promote next cycle. Most calls find the
-// arrival buffers empty, which the first cache line tells.
+// arrival buffers empty, which the first cache line tells. A pop parks the
+// port's latch at Never, as StartSend does: the next arrival is a solver
+// wake (deliverArr), and an owner that leaves packets unpulled or has work
+// of its own asks for its next cycle.
 func (pt *Port) Deliver(now sim.Cycle, pred func(*packet.Packet) bool) (*packet.Packet, bool) {
 	if pt.arrN == [packet.NumClasses]int32{} {
 		return nil, false
@@ -107,6 +115,7 @@ func (pt *Port) Deliver(now sim.Cycle, pred func(*packet.Packet) bool) (*packet.
 		pt.f.dirty = append(pt.f.dirty, pt.node)
 		// Freed arrival space may promote a parked packet at the next step.
 		pt.f.clock.WakeAt(now + 1)
+		pt.act.Sleep(sim.Never)
 		return p, true
 	}
 	return nil, false
@@ -145,6 +154,8 @@ func (pt *Port) NextArrivalAt() sim.Cycle {
 // the slot busy, which the NIC cannot tell apart. The solver issues those
 // wakes from its pre-tick hook, so no sleep the NIC takes afterwards can
 // lose one; a NIC's own deadlines are the only bounds left on its sleep.
+// The same wakes are why StartSend and Deliver may park the latch: a port
+// never needs its owner awake, only the owner's own work does.
 func (pt *Port) BlockedBound(now sim.Cycle) sim.Cycle { return sim.Never }
 
 // Stats implements router.Port.

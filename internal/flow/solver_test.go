@@ -77,20 +77,29 @@ func (p *pump) Tick(now sim.Cycle) {
 
 func (p *pump) Activity() *sim.Activity { return p.pt.Activity() }
 
-// workPerEvent runs a pumped x-by-x flow mesh to steady state and reports the
-// solver's per-flow operations per event and the engine's timers filed over
-// a measured window.
-func workPerEvent(x int, warm, window sim.Cycle) (ratio float64, st SolverStats, timers int64) {
+// workPerEvent runs a pumped x-by-x flow mesh to steady state and reports,
+// over a measured window, the solver's per-flow operations per event, the
+// engine's timers filed and its ticks per packet delivered.
+func workPerEvent(x int, warm, window sim.Cycle) (ratio float64, st SolverStats, timers int64, ticksPerPkt float64) {
 	e := sim.New()
 	f := New(MeshConfig(x, x, topo.IfaceOptions{}))
 	f.RegisterRoutersSharded(e, f.Partition(1))
 	newPumps(e, f, 1995, 1024)
 	e.Run(warm)
-	before, eBefore := f.SolverStats(), e.Stats()
+	before, eBefore, dBefore := f.SolverStats(), e.Stats(), f.delivered()
 	e.Run(window)
-	st = f.SolverStats()
+	st, est := f.SolverStats(), e.Stats()
 	work, events := st.Work()-before.Work(), st.Events()-before.Events()
-	return float64(work) / float64(events), st, e.Stats().TimersFiled - eBefore.TimersFiled
+	ticksPerPkt = float64(est.Ticks-eBefore.Ticks) / float64(f.delivered()-dBefore)
+	return float64(work) / float64(events), st, est.TimersFiled - eBefore.TimersFiled, ticksPerPkt
+}
+
+// delivered counts the packets every port has handed to its owner.
+func (f *Fabric) delivered() (n int64) {
+	for i := range f.ports {
+		n += f.ports[i].delivered
+	}
+	return n
 }
 
 // maxWorkPerEvent is the committed ceiling on solver operations (remainders
@@ -103,23 +112,38 @@ func workPerEvent(x int, warm, window sim.Cycle) (ratio float64, st SolverStats,
 // reads in the hundreds here, and grows with the mesh.
 const maxWorkPerEvent = 3
 
+// maxTicksPerPacket is the committed ceiling on pump ticks per packet
+// delivered. A packet's two ends each wake a pump once — retire its sender,
+// which refills the slot in the same tick, and the landing its receiver — so
+// the floor is about 2 (ends that share a cycle and a node share a tick).
+// Measured 1.996 at 64×64 and 1.999 at 128×128; pumps kept awake for the
+// tick after every send and delivery read 3.59 and 3.71.
+const maxTicksPerPacket = 2.5
+
 // TestSolverWorkPerEvent is the complexity gate, independent of wall clock:
 // on pumped 64×64 and 128×128 meshes (stride 16) at the same per-node load
 // the solver's work per event is under the committed constant and the same at
 // both sizes. The engine's half of the property: a pump blocked on its busy
 // slot parks until retire wakes it and a quiescent one until an arrival
 // does, so past the pumps' staggered starts the engine files no timer at all
-// (sleeping to the flow's drain bound filed 88,733 and 182,168 here).
+// (sleeping to the flow's drain bound filed 88,733 and 182,168 here), and a
+// send or a delivery parks the pump too, so it ticks only on its packets'
+// ends.
 func TestSolverWorkPerEvent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a 16k-node mesh")
 	}
-	small, st64, timers64 := workPerEvent(64, 6000, 6000)
-	large, st128, timers128 := workPerEvent(128, 6000, 6000)
-	t.Logf("64x64: %.2f ops/event %+v", small, st64)
-	t.Logf("128x128: %.2f ops/event %+v", large, st128)
+	small, st64, timers64, ticks64 := workPerEvent(64, 6000, 6000)
+	large, st128, timers128, ticks128 := workPerEvent(128, 6000, 6000)
+	t.Logf("64x64: %.2f ops/event, %.2f ticks/packet %+v", small, ticks64, st64)
+	t.Logf("128x128: %.2f ops/event, %.2f ticks/packet %+v", large, ticks128, st128)
 	if timers64 != 0 || timers128 != 0 {
 		t.Errorf("engine filed %d and %d timers on the pumped meshes, want none", timers64, timers128)
+	}
+	for _, r := range []float64{ticks64, ticks128} {
+		if r > maxTicksPerPacket {
+			t.Errorf("pumps tick %.2f times per packet delivered, committed ceiling %.1f", r, maxTicksPerPacket)
+		}
 	}
 	for _, r := range []float64{small, large} {
 		if r > maxWorkPerEvent {
@@ -178,13 +202,16 @@ func TestDirtyDedup(t *testing.T) {
 	}
 }
 
-// parkMode is when wakeEdge's node 0 parks on BlockedBound: never (it polls
-// every cycle, so what it reports is the retire cycle itself), in the tick
-// that stages its send, or once the solver has made the flow live.
+// parkMode is how wakeEdge's node 0 waits for its slot: it polls (re-waking
+// itself every cycle, so what it reports is the retire cycle itself), it
+// makes no Sleep call at all and leaves the latch where StartSend parked it,
+// or it parks on BlockedBound in the tick that stages its send or once the
+// solver has made the flow live (polling until then).
 type parkMode int
 
 const (
 	poll parkMode = iota
+	parkSend
 	parkStaged
 	parkLive
 )
@@ -217,9 +244,14 @@ func wakeEdge(t *testing.T, cfg Config, mode parkMode) (r wakeRun) {
 			t.Fatalf("cycle %d: BlockedBound %d, want Never", now, b)
 		}
 		live := f.flows[flowID(0, int(packet.Request))].pkt != nil
-		if mode == parkStaged || mode == parkLive && live {
+		switch {
+		case mode == parkSend:
+			parked = true
+		case mode == parkStaged || mode == parkLive && live:
 			parked = true
 			pt.Activity().Sleep(pt.BlockedBound(now))
+		default:
+			pt.Activity().WakeAt(now + 1)
 		}
 	}})
 	e.Run(1000)
@@ -241,7 +273,8 @@ type wakeRun struct {
 // wakes it — whether it parked before the solver activated the send, or on a
 // live flow that held its own drain deadline (local) or rode a share class,
 // and although the flow's rate rose after it parked. It is never visited
-// while it waits, and no timer is filed for it.
+// while it waits, and no timer is filed for it. An owner that only starts a
+// send and asks for nothing is parked by StartSend itself, the same way.
 func TestWakeEdges(t *testing.T) {
 	for name, cfg := range map[string]Config{
 		"local": {Nodes: 4, CPF: 4, HopCycles: 6, AvgHops: 2},
@@ -252,7 +285,7 @@ func TestWakeEdges(t *testing.T) {
 			t.Fatalf("%s: flow retires at %d after %d class joins: not the scenario named", name, want.freed, want.joins)
 		}
 		t.Logf("%s: flow retires at %d after %d class joins", name, want.freed, want.joins)
-		for _, mode := range []parkMode{parkStaged, parkLive} {
+		for _, mode := range []parkMode{parkSend, parkStaged, parkLive} {
 			got := wakeEdge(t, cfg, mode)
 			if got.freed != want.freed {
 				t.Errorf("%s/%d: parked NIC saw its slot free at cycle %d, the flow retired at %d", name, mode, got.freed, want.freed)

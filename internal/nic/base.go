@@ -23,13 +23,14 @@ type Base struct {
 
 	node  int
 	pool  packet.Pool
+	act   *sim.Activity // Port.Activity(), which is stable: no interface call per sleep
 	proc  *sim.Activity // woken when a packet lands in Arr or send space frees
 	stats Stats
 }
 
 // NewBase returns the shared state of node's NIC, attached to port.
 func NewBase(node int, hooks Hooks, port router.Port) Base {
-	return Base{Port: port, Hooks: hooks, node: node}
+	return Base{Port: port, Hooks: hooks, node: node, act: port.Activity()}
 }
 
 // Node implements NIC.
@@ -46,7 +47,7 @@ func (b *Base) Pending() int { return b.Arr.Len() }
 
 // Activity implements sim.IdleTicker: the NIC shares its port's quiescence
 // latch, so fabric arrivals wake it directly.
-func (b *Base) Activity() *sim.Activity { return b.Port.Activity() }
+func (b *Base) Activity() *sim.Activity { return b.act }
 
 // ObserveProc implements NIC.
 func (b *Base) ObserveProc(a *sim.Activity) { b.proc = a }
@@ -82,7 +83,7 @@ func (b *Base) Admitted(now sim.Cycle, p *packet.Packet) {
 	p.CreatedAt = now
 	b.stats.Sent++
 	b.Hooks.Send(p)
-	b.Port.Activity().Wake()
+	b.act.Wake()
 }
 
 // Recv implements NIC: the processor accepts the head of the arrivals FIFO.
@@ -96,7 +97,7 @@ func (b *Base) Recv(now sim.Cycle) (*packet.Packet, bool) {
 	p.AcceptedAt = now
 	b.stats.Accepted++
 	b.Hooks.Accept(p)
-	b.Port.Activity().Wake()
+	b.act.Wake()
 	return p, true
 }
 

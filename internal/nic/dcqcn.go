@@ -245,7 +245,7 @@ func (d *DCQCN) Tick(now sim.Cycle) {
 		d.Arrive(p)
 	}
 	if d.out.Len() == 0 && d.cnpQ.Len() == 0 && d.Port.Quiet() {
-		d.Port.Activity().Sleep(d.Port.NextArrivalAt())
+		d.Activity().Sleep(d.Port.NextArrivalAt())
 	} else if !progress {
 		bound := d.Port.BlockedBound(now)
 		if pacingBlocked && d.nextSendAt < bound {
@@ -253,6 +253,8 @@ func (d *DCQCN) Tick(now sim.Cycle) {
 			// cannot know it.
 			bound = d.nextSendAt
 		}
-		d.Port.Activity().Sleep(bound)
+		d.Activity().Sleep(bound)
+	} else {
+		d.Activity().WakeAt(now + 1) // as Basic: staying awake is asked for
 	}
 }

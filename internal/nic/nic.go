@@ -232,7 +232,7 @@ func (b *Basic) Tick(now sim.Cycle) {
 		// Quiescent: nothing to inject, serialize, or deliver. Arrivals the
 		// processor has not pulled (b.Arr) don't need ticks — Recv bypasses
 		// the tick path — and the next fabric arrival re-wakes us.
-		b.Port.Activity().Sleep(b.Port.NextArrivalAt())
+		b.Activity().Sleep(b.Port.NextArrivalAt())
 	} else if !progress {
 		// Holding work but stuck this tick: nothing drained, injected, sent,
 		// or delivered. Each stuck reason resolves only through an external
@@ -241,6 +241,11 @@ func (b *Basic) Tick(now sim.Cycle) {
 		// flit link), a processor TrySend or a queue-freeing Recv (both wake
 		// explicitly) — so the state is a fixed point until then and
 		// skipping to it is bit-identical.
-		b.Port.Activity().Sleep(b.Port.BlockedBound(now))
+		b.Activity().Sleep(b.Port.BlockedBound(now))
+	} else {
+		// Progress with work left: run next cycle. A flow port parks its
+		// latch when sent into or delivered from, so staying awake is asked
+		// for, not assumed.
+		b.Activity().WakeAt(now + 1)
 	}
 }

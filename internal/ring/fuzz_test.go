@@ -18,8 +18,8 @@ func FuzzDeque(f *testing.F) {
 	f.Add([]byte{1, 1, 1, 2, 2, 2})          // LIFO via PushFront
 	f.Add([]byte{0, 1, 0, 1, 4, 2, 2, 2, 2}) // mixed ends + sweep
 	f.Add([]byte{2, 3, 4})                   // ops on empty deque
-	// Push enough to force grow (initial capacity 8), then drain across the
-	// wrap point.
+	// Push enough to force every early grow (capacity 2, 4, 8, then 16),
+	// then drain across the wrap point.
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 2, 2, 2, 0, 0, 0, 2, 2})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		var d Deque[int]

@@ -26,7 +26,13 @@ import (
 //   - Quiet reports that nothing is mid-serialization and nothing arrived
 //     but unpulled: the port's half of a NIC's Idle and sleep checks.
 //   - Activity is the quiescence latch shared by the port and its NIC; the
-//     fabric wakes it on arrivals, credit/space returns, and hand-offs.
+//     fabric wakes it on arrivals, credit/space returns, and hand-offs. A
+//     port may also park it: the flow port does in StartSend and in a
+//     Deliver that pops, because every later change at a flow port is a
+//     solver wake. A NIC therefore stays awake only by asking — WakeAt(now+1)
+//     at the end of a Tick that leaves it work of its own — never by making
+//     no Sleep call. (Iface never parks: its busy slot must be pumped every
+//     cycle, so its latch stays due while the port is not Quiet.)
 //   - NextArrivalAt/BlockedBound are the sleep bounds a quiescent or stuck
 //     NIC may park until. They bound only the waits that have no wake edge:
 //     an event for which the fabric wakes the Activity on its own cycle

@@ -45,12 +45,21 @@ import "math/bits"
 //     sweep), touched only by the shard's ticking goroutine (file from
 //     leave, expire at the top of the sweep) and read by the stepping
 //     goroutine at boundaries (earliest).
+//   - enqs counts enqueues, so the sweep can tell whether a Tick queued
+//     anything. ahead, mark and peek are the sweep's lookahead (see sweep):
+//     the next cursor, the enqs it was found at, and the scratch word it
+//     loads a wake time into. All four are written on the same goroutines
+//     as q.
 //   - ticks, notDue and filed are the shard's work counts (Engine.Stats).
 type activeSet struct {
 	q   []uint64
 	sum []uint64
 
 	wheel Wheel
+
+	enqs, mark uint32
+	ahead      int32
+	peek       Cycle
 
 	ticks, notDue, filed int64
 }
@@ -78,6 +87,7 @@ func (as *activeSet) register(idx int32, a *Activity) {
 
 // enqueue sets idx's bit and its word's summary bit.
 func (as *activeSet) enqueue(idx int32) {
+	as.enqs++
 	w := idx >> 6
 	as.q[w] |= 1 << (idx & 63)
 	as.sum[w>>6] |= 1 << (w & 63)
@@ -171,12 +181,26 @@ func (as *activeSet) pending(comps []comp) (min Cycle, ok bool) {
 // Tick ran; when none did, every queued component is asleep and pending and
 // earliest bound the next cycle anything can happen.
 //
-// The walk finds the next set bit through the summary and re-reads the
-// current words after every visit, so a wake posted mid-sweep reaches a
-// component ahead of the cursor this cycle and one behind it next cycle:
-// a same-cycle wake from component i reaches component j this cycle iff j
+// After every visit the cursor moves to the first queued component past it,
+// read from the current words, so a wake posted mid-sweep reaches a
+// component ahead of the cursor this cycle and one behind it next cycle: a
+// same-cycle wake from component i reaches component j this cycle iff j
 // ticks after i, exactly as in the full sweep, which reads j's wakeAt when it
 // gets there.
+//
+// Lookahead: a visit to the last queued component of its bitmap word first
+// finds the next queued component through the summary (ahead, found at
+// enqueue count mark) and loads its table entry and wake time into peek, so
+// on a sparse sweep over a large table those cold misses overlap the Tick
+// instead of following it. The lookup is the next cursor unless the Tick
+// enqueued something (enqs moved past mark), in which case the cursor is
+// found again; a dense sweep pays one summary search per word, as it would
+// after the Tick. Whether a visit is the last of its word is known before
+// its Tick because a Tick can set bits but never clear one: rest, the
+// word's bits past the cursor as last read, only grows, so a visit whose
+// rest was not empty always finds a next bit in its word. The lookahead's
+// state lives in the set, not in locals: Go spills every live local around
+// the Tick call, and a visit inside a word needs none of it.
 //
 // A visit ends with the component queued if its wake time is at most now+1,
 // and out of the queue (leave) otherwise. That is the one grace, the same on
@@ -191,49 +215,69 @@ func (as *activeSet) sweep(comps []comp, now Cycle) (ticked bool) {
 	as.wheel.Grow(len(comps))
 	as.expire(comps, now)
 	var ticks, notDue int64
-	// sMask and mask keep the bits above the cursor in the summary word and
-	// the bitmap word; the words themselves are re-read every time. (The
-	// "& 63" on a non-zero word's trailing-zero count changes nothing but
-	// lets the compiler drop its shift-range check.)
-	for si := range as.sum {
-		for sMask := ^uint64(0); ; {
-			s := as.sum[si] & sMask
-			if s == 0 {
-				break
-			}
-			sb := bits.TrailingZeros64(s) & 63
-			sMask = ^uint64(0) << sb << 1
-			wi := si<<6 | sb
-			for mask := ^uint64(0); ; {
-				m := as.q[wi] & mask
-				if m == 0 {
-					break
+	for idx := as.from(0); idx >= 0; {
+		wi := idx >> 6
+		rest := as.q[wi] & (^uint64(0) << (idx & 63) << 1)
+		for {
+			if rest == 0 {
+				// The lookahead: the next cursor, the enqueue count it holds
+				// for, and the next visit's entry and wake time, loaded now.
+				as.mark = as.enqs
+				if as.ahead = as.from(wi + 1); as.ahead >= 0 {
+					if a := comps[as.ahead].a; a != nil {
+						as.peek = a.wakeAt
+					}
 				}
-				b := bits.TrailingZeros64(m) & 63
-				mask = ^uint64(0) << b << 1
-				idx := int32(wi<<6 | b)
-				c := &comps[idx]
-				a := c.a
-				var w Cycle // a component without an Activity is always awake
+			}
+			c := &comps[idx]
+			a := c.a
+			var w Cycle // a component without an Activity is always awake
+			if a != nil {
+				w = a.wakeAt
+			}
+			if w <= now {
+				c.t.Tick(now)
+				ticks++
 				if a != nil {
 					w = a.wakeAt
 				}
-				if w <= now {
-					c.t.Tick(now)
-					ticks++
-					if a != nil {
-						w = a.wakeAt
-					}
-				} else {
-					notDue++
-				}
-				if w > now+1 {
-					as.leave(idx, w)
-				}
+			} else {
+				notDue++
 			}
+			if w > now+1 {
+				as.leave(idx, w)
+			}
+			if m := as.q[wi] & (^uint64(0) << (idx & 63) << 1); m != 0 {
+				idx, rest = wi<<6|int32(bits.TrailingZeros64(m)&63), m&(m-1)
+				continue
+			}
+			if idx = as.ahead; as.enqs != as.mark {
+				idx = as.from(wi + 1)
+			}
+			break
 		}
 	}
 	as.ticks += ticks
 	as.notDue += notDue
 	return ticks > 0
+}
+
+// from returns the first queued component in bitmap words wi and later, -1
+// if there is none. It reads one summary word per 4096 components skipped.
+// (Here and in sweep, the "& 63" on a non-zero word's trailing-zero count
+// changes nothing but lets the compiler drop its shift-range check.)
+func (as *activeSet) from(wi int32) int32 {
+	si := int(wi >> 6)
+	if si >= len(as.sum) {
+		return -1
+	}
+	s := as.sum[si] & (^uint64(0) << (wi & 63))
+	for s == 0 {
+		if si++; si == len(as.sum) {
+			return -1
+		}
+		s = as.sum[si]
+	}
+	w := si<<6 | bits.TrailingZeros64(s)&63
+	return int32(w<<6 | bits.TrailingZeros64(as.q[w])&63)
 }

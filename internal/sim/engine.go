@@ -148,10 +148,13 @@ func (a *Activity) WakeAt(at Cycle) {
 // Wake makes the component runnable immediately.
 func (a *Activity) Wake() { a.WakeAt(0) }
 
-// Sleep sets the wake time to until unconditionally. Only the owning
-// component may call it, and only when its Tick is a no-op for every cycle
-// before until (all inputs quiet; any already-scheduled input event must be
-// reflected in until).
+// Sleep sets the wake time to until unconditionally. Only the latch's owners
+// may call it — the component it schedules, or the object that lends the
+// component its latch (a flow-fabric port parks the NIC it serves, mid-Tick)
+// — and the wake time a Tick ends with may skip only cycles in which the
+// Tick is a no-op (all inputs quiet; any already-scheduled input event must
+// be reflected in until). A component whose latch was parked under it and
+// that has work left asks for its next cycle (WakeAt).
 func (a *Activity) Sleep(until Cycle) { a.wakeAt = until }
 
 // Asleep reports whether the component would be skipped at cycle now.
