@@ -1,7 +1,10 @@
 package flow
 
 import (
+	"math/bits"
+
 	"nifdy/internal/packet"
+	"nifdy/internal/ring"
 	"nifdy/internal/sim"
 )
 
@@ -12,6 +15,12 @@ import (
 // remainder on joining plus s at that moment — so its remainder now is
 // tag − s, the member with the smallest tag drains first whatever the share
 // does, and a share change costs the members nothing.
+//
+// s only grows between two restarts of the clock, so members that join with
+// the same remainder join in tag order: a member whose remainder is k whole
+// flits (0 < k < classFIFOs) is appended to fifo[k], and only the others —
+// partial remainders, left behind by a local rate or a stall — sift through
+// the 4-ary heap.
 type shareClass struct {
 	share int64 // per-member rate; 0 = no global share constrains these flows
 	s     int64
@@ -19,14 +28,30 @@ type shareClass struct {
 	// kMax is the membership boundary: an unstalled flow is a member iff its
 	// access-link census k is at most kMax, i.e. iff share < linkCap/k.
 	kMax int32
-	// heap holds the members, a 4-ary min-heap on tag. Each entry carries its
-	// member's tag, so sifting compares entries without leaving the array,
-	// and a node's four children are 64 contiguous bytes.
+	// code is what a FIFO member's record holds in flowRec.heap.
+	code int32
+	// live counts the FIFO members. A member that leaves leaves its entry
+	// behind, stale: an entry is live only while its record holds code and
+	// its tag (fifoLive). A stale entry is dropped when a drain or minTag
+	// finds it at its FIFO's front, or when the emptied class restarts its
+	// clock.
+	live int32
+	// used has bit k set while fifo[k] holds entries, live or stale.
+	used uint64
+	fifo [classFIFOs]ring.Deque[heapEntry]
+	// heap holds the other members, a 4-ary min-heap on tag. Each entry
+	// carries its member's tag, so sifting compares entries without leaving
+	// the array, and a node's four children are 64 contiguous bytes.
 	heap []heapEntry
 }
 
-// heapEntry is one class member: its finish tag (a copy of its record's rem)
-// and its flow id.
+// classFIFOs is the size of a class's FIFO table: a joiner whose remainder
+// is a whole number of flits below it skips the heap. A packet's remainder
+// on admission is its length in flits.
+const classFIFOs = 64
+
+// heapEntry is one class member's FIFO or heap entry: its finish tag (a copy
+// of its record's rem) and its flow id.
 type heapEntry struct {
 	tag int64
 	id  int32
@@ -39,12 +64,19 @@ const heapArity = 4
 // sync brings the service clock current. step does it first thing, so every
 // join, leave and share change of that step sees s as of now. An empty class
 // restarts the clock from zero, which keeps s and the tags small however
-// long the run.
+// long the run, and drops the stale entries its FIFOs still hold: the FIFO
+// order holds only among tags of one clock.
 func (cl *shareClass) sync(now sim.Cycle) {
 	cl.s += cl.share * int64(now-cl.at)
 	cl.at = now
-	if len(cl.heap) == 0 {
+	if len(cl.heap) == 0 && cl.live == 0 {
 		cl.s = 0
+		for ; cl.used != 0; cl.used &= cl.used - 1 {
+			q := &cl.fifo[bits.TrailingZeros64(cl.used)]
+			for q.Len() > 0 {
+				q.PopFront()
+			}
+		}
 	}
 }
 
@@ -109,33 +141,110 @@ func (f *Fabric) flip(now sim.Cycle, lo, hi int32) {
 }
 
 // join makes a local (or unrated) flow a member: its remainder, brought
-// current, becomes a finish tag on the class clock.
+// current, becomes a finish tag on the class clock, filed in the FIFO of its
+// remainder in whole flits, or in the heap if it has none.
 func (f *Fabric) join(now sim.Cycle, cl *shareClass, id int32) {
 	f.advance(now, id)
 	fl := &f.flows[id]
+	r := fl.rem
 	fl.rem += cl.s
-	f.heapPush(cl, heapEntry{fl.rem, id})
 	f.stats.ClassJoins++
+	if k := r / rateQ; r%rateQ == 0 && k < classFIFOs {
+		cl.fifo[k].PushBack(heapEntry{fl.rem, id})
+		cl.used |= 1 << k
+		cl.live++
+		fl.heap = cl.code
+		f.stats.FIFOJoins++
+		return
+	}
+	f.heapPush(cl, heapEntry{fl.rem, id})
 }
 
 // leave takes a member out of its class ahead of a local rate: its tag
-// turns back into its remainder now, stopped (a member's rate is 0).
+// turns back into its remainder now, stopped (a member's rate is 0). A FIFO
+// member's entry stays where it is, stale.
 func (f *Fabric) leave(cl *shareClass, id int32) {
 	fl := &f.flows[id]
-	f.heapRemove(cl, fl.heap)
+	if fl.heap >= 0 {
+		f.heapRemove(cl, fl.heap)
+	} else {
+		fl.heap = -1
+		cl.live--
+	}
 	fl.rem -= cl.s
 	f.stats.Advanced++
 	f.stats.ClassLeaves++
 }
 
+// fifoLive reports whether a FIFO entry of class cl still stands for a
+// member: its record is a FIFO member of cl with that tag. A flow that left
+// and rejoined the same FIFO with the same tag has two live entries; the
+// first to drain it makes the other stale.
+func (f *Fabric) fifoLive(cl *shareClass, e heapEntry) bool {
+	fl := &f.flows[e.id]
+	return fl.heap == cl.code && fl.rem == e.tag
+}
+
 // drainDue moves the members whose finish tag the class's service has
-// reached out of the heap and onto the drained batch.
+// reached out of the heap and the FIFOs onto the drained batch.
 func (f *Fabric) drainDue(cl *shareClass) {
 	for len(cl.heap) > 0 && cl.heap[0].tag <= cl.s {
 		id := cl.heap[0].id
 		f.heapRemove(cl, 0)
 		f.stats.ClassLeaves++
 		f.drained = sim.Push(f.drained, drainedFlow{f.flows[id].seq, id})
+	}
+	if cl.live == 0 {
+		return
+	}
+	for m := cl.used; m != 0; m &= m - 1 {
+		k := bits.TrailingZeros64(m)
+		for {
+			e, ok := f.liveFront(cl, k)
+			if !ok || e.tag > cl.s {
+				break
+			}
+			cl.fifo[k].PopFront()
+			fl := &f.flows[e.id]
+			fl.heap = -1
+			cl.live--
+			f.stats.ClassLeaves++
+			f.drained = sim.Push(f.drained, drainedFlow{fl.seq, e.id})
+		}
+	}
+}
+
+// minTag reports the class's smallest live tag, the heap root's or a FIFO
+// front's. A class with no FIFO member reads only the heap.
+func (f *Fabric) minTag(cl *shareClass) (tag int64, ok bool) {
+	if len(cl.heap) > 0 {
+		tag, ok = cl.heap[0].tag, true
+	}
+	if cl.live == 0 {
+		return tag, ok
+	}
+	for m := cl.used; m != 0; m &= m - 1 {
+		if e, live := f.liveFront(cl, bits.TrailingZeros64(m)); live && (!ok || e.tag < tag) {
+			tag, ok = e.tag, true
+		}
+	}
+	return tag, ok
+}
+
+// liveFront drops the stale entries at the front of the class's FIFO k and
+// reports the live entry there, if any; a FIFO that runs empty leaves used.
+func (f *Fabric) liveFront(cl *shareClass, k int) (heapEntry, bool) {
+	q := &cl.fifo[k]
+	for {
+		e, ok := q.Front()
+		if !ok {
+			cl.used &^= 1 << k
+			return e, false
+		}
+		if f.fifoLive(cl, e) {
+			return e, true
+		}
+		q.PopFront()
 	}
 }
 
@@ -210,6 +319,7 @@ func (f *Fabric) heapUp(cl *shareClass, i int32, e heapEntry) {
 		}
 		cl.heap[i] = pe
 		f.flows[pe.id].heap = i
+		f.stats.HeapMoves++
 		i = p
 	}
 	cl.heap[i] = e
@@ -237,6 +347,7 @@ func (f *Fabric) heapDown(cl *shareClass, i int32, e heapEntry) int32 {
 		}
 		h[i] = h[m]
 		f.flows[h[i].id].heap = i
+		f.stats.HeapMoves++
 		i = m
 	}
 	h[i] = e
@@ -259,7 +370,13 @@ type SolverStats struct {
 	Flips    int64 // of those, forced by a share crossing a flow's census boundary
 
 	WheelFiles, WheelUnlinks, WheelExpiries int64 // drain-deadline wheel
-	ClassJoins, ClassLeaves                 int64 // share-class heaps (drains included)
+	ClassJoins, ClassLeaves                 int64 // share classes (drains included)
+
+	// FIFOJoins counts the class joins that took a remainder FIFO, and
+	// HeapMoves the entries the class heaps shifted, one per level a sift
+	// passes. Neither is in Work: a FIFO join is a class join already, and a
+	// sift's length is the heap's cost per operation, not an operation.
+	FIFOJoins, HeapMoves int64
 }
 
 // Events is the number of flow-set and stall transitions handled.

@@ -159,7 +159,7 @@ func (d *scripted) Activity() *sim.Activity { return d.pt.Activity() }
 // step, whichever of the three solver states holds it.
 func (f *Fabric) flowState(id int32) (rem, rate int64) {
 	fl := &f.flows[id]
-	if fl.heap >= 0 {
+	if fl.heap != -1 {
 		cl := f.classOf(srcOf(id), fl.dst)
 		return fl.rem - cl.s - cl.share*int64(f.lastRun-cl.at), cl.share
 	}
@@ -169,7 +169,7 @@ func (f *Fabric) flowState(id int32) (rem, rate int64) {
 // drainAt reports the cycle flow id's tail leaves its source at its present
 // rate, Never for a stalled flow.
 func (f *Fabric) drainAt(id int32) sim.Cycle {
-	if fl := &f.flows[id]; fl.heap >= 0 {
+	if fl := &f.flows[id]; fl.heap != -1 {
 		return f.classOf(srcOf(id), fl.dst).drainAt(fl.rem)
 	}
 	if k := f.drains.Key(id); k != 0 {
@@ -307,6 +307,7 @@ func TestSolverDifferential(t *testing.T) {
 					t.Run(c.String(), func(t *testing.T) {
 						st := runDifferential(t, c)
 						sum.ClassJoins += st.ClassJoins
+						sum.FIFOJoins += st.FIFOJoins
 						sum.Flips += st.Flips
 						sum.StallEdges += st.StallEdges
 						sum.WheelExpiries += st.WheelExpiries
@@ -316,8 +317,10 @@ func TestSolverDifferential(t *testing.T) {
 		}
 	}
 	t.Logf("%+v", sum)
-	// The matrix must reach the machinery it is there to check.
-	if sum.ClassJoins == 0 || sum.Flips == 0 || sum.StallEdges == 0 || sum.WheelExpiries == 0 {
+	// The matrix must reach the machinery it is there to check, the class
+	// FIFOs (whole-flit joiners) and the class heap (the others) both.
+	if sum.ClassJoins == 0 || sum.Flips == 0 || sum.StallEdges == 0 || sum.WheelExpiries == 0 ||
+		sum.FIFOJoins == 0 || sum.FIFOJoins == sum.ClassJoins {
 		t.Fatalf("scripts do not exercise the solver: %+v", sum)
 	}
 }

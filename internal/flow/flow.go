@@ -57,6 +57,12 @@
 //     tag rem + S(at join), and it drains at the first step with tag ≤ S.
 //     Its deadline, at + ceil((tag − S(at))/share), is by the same identity
 //     the one a per-flow re-rate at every share change would have computed.
+//     S only grows, so members joining with the same remainder join in tag
+//     order: one with a whole number of flits left, under 64 (an admitted
+//     packet), is appended to that remainder's FIFO, and only the others
+//     sift through a 4-ary heap. Joining, leaving and draining a FIFO member cost
+//     O(1); the class's next drain is the least of the FIFO fronts and the
+//     heap root.
 //     A flow moves between its own deadline and a class only when its
 //     access-link census k = max(nSrc, nDst) or the share crosses the
 //     boundary share < linkCap/k. The flows a moving share pushes across
@@ -71,14 +77,16 @@
 // queue per class (the arrival buffer at the front, parked packets behind
 // it) and the solver's census counts. A flow's state is one flowRec, at
 // most a cache line, in a slice indexed by flow id, so an event touches one
-// line per flow it handles; the share-class heaps carry each member's tag
-// beside its id and the drained batch each flow's admission number, so
-// sifting and sorting load no record. A flow lives exactly while its packet
-// holds its source's class slot, so its id is that slot's, node·NumClasses +
-// class, and New sizes every table once. The fabric registers no routers
-// and runs on a serial engine: ports are written by their owning NIC during
-// the tick phase and by the solver during the pre-tick step hook — the same
-// single-writer alternation the latch discipline gives flit fabrics.
+// line per flow it handles; the share-class FIFOs and heaps carry each
+// member's tag beside its id and the drained batch each flow's admission
+// number, so sifting and sorting load no record (a FIFO entry's record is
+// loaded once, to tell a live entry from one its member left behind). A
+// flow lives exactly while its packet holds its source's class slot, so its
+// id is that slot's, node·NumClasses + class, and New sizes every table
+// once. The fabric registers no routers and runs on a serial engine: ports
+// are written by their owning NIC during the tick phase and by the solver
+// during the pre-tick step hook — the same single-writer alternation the
+// latch discipline gives flit fabrics.
 package flow
 
 import (
@@ -205,8 +213,9 @@ type pipeEntry struct {
 //   - local: its rate > 0 is set by its own access links, its work left at
 //     cycle t is rem − rate·t (rem is the remainder extrapolated to cycle 0
 //     at the present rate), and it is filed in drains under its drain cycle;
-//   - member (heap >= 0): it drains at its share class's rate, rem is its
-//     finish tag, and it sits in the class heap (its rate field is 0);
+//   - member (heap != -1): it drains at its share class's rate, rem is its
+//     finish tag, and it has an entry in one of the class's remainder FIFOs
+//     or in its heap (its rate field is 0);
 //   - stalled (rate == 0, unfiled): its destination is over the fabric-side
 //     cap, or it has not been rated yet; rem is its work left.
 //
@@ -217,7 +226,9 @@ type flowRec struct {
 	pkt  *packet.Packet
 	rate int32 // rateQ units (flits/cycle), at most linkCap = rateQ/CPF
 	dst  int32
-	heap int32 // position in the class heap, -1 outside it
+	// heap is the member's position in its class heap, the class's code
+	// (shareClass.code, below -1) for a FIFO member, -1 outside any class.
+	heap int32
 	// nextD and prevD link the flow into its destination's inbound list
 	// (Port.dstHead, -1 ends), for marking on destination-census and stall
 	// changes.
@@ -343,6 +354,9 @@ func New(cfg Config) *Fabric {
 	for id := range f.flows {
 		fl := &f.flows[id]
 		fl.heap, fl.nextD, fl.prevD = -1, -1, -1
+	}
+	for c := range f.classes {
+		f.classes[c].code = -2 - int32(c)
 	}
 	f.drains.Init()
 	f.drains.Grow(ids)
@@ -823,7 +837,7 @@ func (f *Fabric) rerate(now sim.Cycle, id int32) {
 	if k != 0 && k <= cl.kMax {
 		// The class share binds. A member's tag stands whatever the share
 		// has done since it joined.
-		if fl.heap < 0 {
+		if fl.heap == -1 {
 			f.join(now, cl, id)
 		}
 		return
@@ -832,7 +846,7 @@ func (f *Fabric) rerate(now sim.Cycle, id int32) {
 	if k != 0 {
 		rate = int32(max(f.shareOf(int64(k)), 1))
 	}
-	if fl.heap >= 0 {
+	if fl.heap != -1 {
 		f.leave(cl, id)
 	} else if rate == fl.rate {
 		return
@@ -921,8 +935,9 @@ func (f *Fabric) recomputeNext(now sim.Cycle) {
 		}
 	}
 	for c := range f.classes {
-		if cl := &f.classes[c]; len(cl.heap) > 0 {
-			if at := cl.drainAt(cl.heap[0].tag); at < next {
+		cl := &f.classes[c]
+		if tag, ok := f.minTag(cl); ok {
+			if at := cl.drainAt(tag); at < next {
 				next = at
 			}
 		}

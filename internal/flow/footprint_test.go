@@ -48,7 +48,9 @@ func TestFlowRecLayout(t *testing.T) {
 // allocates per node, building it and running it 20,000 cycles: the port
 // record, the slot-indexed flow records and wheel nodes sized once in New,
 // and the queues that grow to their high-water marks in the run. Measured
-// 411 (344 building, 67 running), and 459 while a deque's first growth took
+// 430 (345 building, 85 running) with a share class's members in
+// per-remainder FIFOs, each a deque of its own, beside the heap, and 411
+// (67 running) with all of them in the heap; 459 while a deque's first growth took
 // 8 slots rather than 2 (115 running); at that growth ten parallel per-flow
 // arrays (57 B a flow against the 48 B record) with 4 B class-heap entries
 // measured 462, and flow tables grown on demand

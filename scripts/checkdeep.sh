@@ -5,9 +5,10 @@
 #   1. the full monitor acceptance matrix and mutation suite (internal/check)
 #   2. a scaled-up randomized cross-configuration fuzz sweep (via the
 #      NIFDY_FUZZ_* environment overrides read by TestFuzzSweepClean)
-#   3. native Go fuzzing of ring.Deque, of the flow solver's share-class heap
-#      against a sorted reference (FuzzClassHeap) and of the flow solver
-#      against its advance-everything reference (FuzzSolverDifferential)
+#   3. native Go fuzzing of ring.Deque, of the flow solver's share-class
+#      store (remainder FIFOs plus a 4-ary heap) against a sorted reference
+#      (FuzzClassHeap) and of the flow solver against its advance-everything
+#      reference (FuzzSolverDifferential)
 #
 # The argument (or CHECK_DEEP_MINUTES) caps the add-on budget: the fuzz sweep
 # trial count and the per-target native fuzz time scale with it. Default 5
@@ -40,7 +41,7 @@ NIFDY_FUZZ_TRIALS=$TRIALS NIFDY_FUZZ_PACKETS=40 \
 echo "-- native fuzz: ring.Deque (${FUZZTIME}) --"
 $GO test -run xxx -fuzz FuzzDeque -fuzztime "$FUZZTIME" ./internal/ring/
 
-echo "-- native fuzz: flow share-class heap vs sorted reference (${FUZZTIME}) --"
+echo "-- native fuzz: flow share-class FIFOs and heap vs sorted reference (${FUZZTIME}) --"
 $GO test -run xxx -fuzz FuzzClassHeap -fuzztime "$FUZZTIME" ./internal/flow/
 
 echo "-- native fuzz: flow solver vs reference (${FUZZTIME}) --"
