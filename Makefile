@@ -1,6 +1,10 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-budget lintdiff loc race check check-deep bench-check bench-smoke bench bench-locality profdiff clean
+.PHONY: fmt build test vet lint lint-budget lintdiff loc race check check-deep bench-check bench-smoke bench bench-locality profdiff clean
+
+# fmt fails if any file is not gofmt-formatted, the check CI runs first.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 build:
 	$(GO) build ./...
@@ -38,7 +42,7 @@ loc:
 
 # check is the tier-1 gate (see ROADMAP.md): everything must pass before
 # a PR lands.
-check: build vet lint test
+check: fmt build vet lint test
 
 # check-deep runs the deep correctness sweep: the invariant-monitor
 # acceptance matrix and mutation suite, a scaled-up randomized

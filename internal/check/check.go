@@ -94,8 +94,7 @@ type Options struct {
 	Interval sim.Cycle
 	// Sequence enables end-to-end loss/duplication accounting over the NIC
 	// send/accept hooks. It keys in-flight packets by pointer (or by ID, see
-	// ByID), so it must stay off when the protocol clones packets under
-	// fresh identities (dialog takeover) or the fabric loses them for good
+	// ByID), so it must stay off when the fabric loses packets for good
 	// (DropProb or lossy wires without retransmission); retransmission
 	// itself needs ByID. harness.Build makes these switches automatically.
 	Sequence bool

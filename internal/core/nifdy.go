@@ -18,7 +18,9 @@
 // footnote 2; both strategies are implemented). Bulk mode is requested by a
 // header bit, granted by the receiver in an ack, and run as a sliding window
 // with cumulative acks every W/2 packets; the receiver reorders out-of-order
-// arrivals in W hardware buffers and streams in-order packets through.
+// arrivals in W hardware buffers and streams in-order packets through. A
+// dialog ends one way only: its last packet carries the bulk-exit bit, and
+// the receiver frees the slot once that packet has drained.
 //
 // The §6 extensions are implemented behind configuration flags: acks
 // piggybacked on reverse-direction data, no-ack packets that bypass the
@@ -54,21 +56,6 @@ type Config struct {
 	// PerPacketBulkAcks acknowledges every bulk packet instead of combining
 	// one ack per W/2 packets (§2.4.2 ablation).
 	PerPacketBulkAcks bool
-	// AutoBulk, when positive, makes the unit request a bulk dialog on its
-	// own whenever at least this many packets for one destination are
-	// waiting in the pool — the footnote 3 extension ("NIFDY could be
-	// extended to set the bulk-mode request bit automatically based on the
-	// locally observed traffic pattern"). The dialog is exited when the
-	// pool holds no further packets for the destination. Zero disables.
-	AutoBulk int
-	// DialogTakeover, when positive, lets a receiver terminate a bulk
-	// dialog that has been idle for this many cycles when another sender
-	// requests one (§2.1.2: receiver-initiated termination; "the
-	// transmission continues in scalar mode"). The sender keeps copies of
-	// in-window packets so any that were in flight when the dialog died are
-	// reissued as scalar packets, preserving exactly-once in-order
-	// delivery. Zero disables.
-	DialogTakeover sim.Cycle
 	// Piggyback enables combining pending scalar acks with reverse-direction
 	// data packets (§6.1). A plain scalar ack is held up to piggybackDelay
 	// cycles waiting for a data packet to the same destination to carry it;
@@ -190,10 +177,6 @@ type dialogOut struct {
 	cumAcked int
 	exiting  bool
 	exitSeq  int
-	// copies retains unacknowledged in-window packets when receiver-side
-	// termination is enabled, so a torn-down dialog can reissue them in
-	// scalar mode without loss.
-	copies map[int]packet.Packet
 }
 
 func (d *dialogOut) outstanding() int { return d.nextSeq - 1 - d.cumAcked }
@@ -210,19 +193,16 @@ type dialogIn struct {
 	buffered      int              // occupied window slots
 	movedSinceAck int
 	exitPending   bool
-	// lastActive is the cycle of the last arrival (takeover idleness).
-	lastActive sim.Cycle
 }
 
 // open (re)activates the slot for a new dialog from src, reusing the window
 // array (empty by invariant whenever the slot is grantable).
-func (d *dialogIn) open(src int, now sim.Cycle) {
+func (d *dialogIn) open(src int) {
 	d.active = true
 	d.src = src
 	d.expected = 0
 	d.movedSinceAck = 0
 	d.exitPending = false
-	d.lastActive = now
 }
 
 // close deactivates the slot. The window must already be drained.
@@ -232,17 +212,15 @@ func (d *dialogIn) close() {
 	d.expected = 0
 	d.movedSinceAck = 0
 	d.exitPending = false
-	d.lastActive = 0
 }
 
 // ackEntry is a queued outgoing acknowledgment.
 type ackEntry struct {
-	dst       int
-	grant     packet.GrantKind
-	dialog    int
-	bulk      bool
-	terminate bool
-	cum       int
+	dst    int
+	grant  packet.GrantKind
+	dialog int
+	bulk   bool
+	cum    int
 	// due delays plain scalar acks when piggybacking is enabled; zero means
 	// send at the first opportunity.
 	due sim.Cycle
@@ -293,10 +271,6 @@ type NIFDY struct {
 	// Deliver call would allocate a closure per tick.
 	acceptFn func(*packet.Packet) bool
 
-	// rankAhead is recomputeRanks's per-destination scratch, cleared and
-	// reused so pool surgery never allocates a fresh map.
-	rankAhead map[int]int
-
 	retx      []retxEntry
 	dupBitOut map[int]bool // next duplicate-detection bit per destination
 	dupBitIn  map[int]dupState
@@ -322,7 +296,6 @@ func New(cfg Config, iface router.Port) *NIFDY {
 		u.din[i].buf = make([]*packet.Packet, cfg.W)
 	}
 	u.acceptFn = u.acceptData
-	u.rankAhead = map[int]int{}
 	if cfg.Retransmit {
 		u.dupBitOut = map[int]bool{}
 		u.dupBitIn = map[int]dupState{}
@@ -422,7 +395,7 @@ func (u *NIFDY) Recv(now sim.Cycle) (*packet.Packet, bool) {
 func (u *NIFDY) enqueueScalarAck(now sim.Cycle, p *packet.Packet) {
 	e := ackEntry{dst: p.Src, grant: packet.GrantNone, dialog: packet.NoDialog}
 	if p.BulkReq {
-		e.grant, e.dialog = u.decideGrant(now, p.Src)
+		e.grant, e.dialog = u.decideGrant(p.Src)
 	}
 	if u.cfg.Piggyback && e.piggybackable() {
 		e.due = now + piggybackDelay
@@ -430,11 +403,9 @@ func (u *NIFDY) enqueueScalarAck(now sim.Cycle, p *packet.Packet) {
 	u.ackQ = append(u.ackQ, e)
 }
 
-// decideGrant allocates (or re-finds) a dialog slot for src, evicting an
-// idle dialog when takeover is enabled.
-//
-//lint:allow(hotalloc) amortized ackQ slice growth; steady-state capacity is reached during warm-up
-func (u *NIFDY) decideGrant(now sim.Cycle, src int) (packet.GrantKind, int) {
+// decideGrant allocates (or re-finds) a dialog slot for src, rejecting the
+// request when all D slots are busy.
+func (u *NIFDY) decideGrant(src int) (packet.GrantKind, int) {
 	for i := range u.din {
 		if u.din[i].active && u.din[i].src == src {
 			return packet.Granted, i // duplicate request: re-grant same slot
@@ -442,24 +413,9 @@ func (u *NIFDY) decideGrant(now sim.Cycle, src int) (packet.GrantKind, int) {
 	}
 	for i := range u.din {
 		if !u.din[i].active {
-			u.din[i].open(src, now)
+			u.din[i].open(src)
 			u.Stats().BulkGrants++
 			return packet.Granted, i
-		}
-	}
-	if u.cfg.DialogTakeover > 0 {
-		for i := range u.din {
-			d := &u.din[i]
-			if d.buffered == 0 && !d.exitPending && now-d.lastActive >= u.cfg.DialogTakeover {
-				// Terminate the idle dialog: the old sender learns via a
-				// terminate ack (carrying the final cumulative position)
-				// and continues in scalar mode.
-				u.ackQ = append(u.ackQ, ackEntry{dst: d.src, bulk: true, dialog: i,
-					terminate: true, cum: d.expected - 1, grant: packet.GrantNone})
-				d.open(src, now)
-				u.Stats().BulkGrants++
-				return packet.Granted, i
-			}
 		}
 	}
 	u.Stats().BulkRejects++
@@ -532,7 +488,7 @@ func (u *NIFDY) Tick(now sim.Cycle) {
 		if !ok {
 			break
 		}
-		u.handleAck(now, a)
+		u.handleAck(a)
 		progress = true
 	}
 	for {
@@ -636,9 +592,9 @@ func (u *NIFDY) acceptData(p *packet.Packet) bool {
 	return u.Arr.Len() < arrBuf
 }
 
-func (u *NIFDY) handleAck(now sim.Cycle, a *packet.Packet) {
+func (u *NIFDY) handleAck(a *packet.Packet) {
 	u.Stats().AcksReceived++
-	u.processAckInfo(now, a.Src, a)
+	u.processAckInfo(a.Src, a)
 	// The ack dies here — processAckInfo keeps only values, never the
 	// packet — so it recycles into this node's free-list.
 	u.Pool().Put(a)
@@ -653,21 +609,10 @@ func (u *NIFDY) handleAck(now sim.Cycle, a *packet.Packet) {
 // processAckInfo applies acknowledgment semantics carried by an ack packet
 // (or by a piggybacked data packet, in which case only the scalar part
 // applies).
-func (u *NIFDY) processAckInfo(now sim.Cycle, from int, a *packet.Packet) {
-	if a != nil && a.Terminate {
-		if u.dout.active && u.dout.dst == from && u.dout.num == int(a.Dialog) {
-			if cum := int(a.CumSeq); cum > u.dout.cumAcked {
-				u.dout.cumAcked = cum
-				u.cancelRetx(from, cum)
-			}
-			u.reviveUnacked()
-		}
-		return
-	}
+func (u *NIFDY) processAckInfo(from int, a *packet.Packet) {
 	if a != nil && a.BulkAck {
 		if cum := int(a.CumSeq); u.dout.active && u.dout.dst == from && int(a.Dialog) == u.dout.num && cum > u.dout.cumAcked {
 			n := cum - u.dout.cumAcked
-			u.pruneCopies(u.dout.cumAcked+1, cum)
 			u.dout.cumAcked = cum
 			u.decRanks(from, n)
 			u.cancelRetx(from, cum)
@@ -681,73 +626,16 @@ func (u *NIFDY) processAckInfo(now sim.Cycle, from int, a *packet.Packet) {
 		u.decRanks(from, 1)
 		u.cancelRetx(from, -1)
 	}
+	// A rejected request needs nothing here: the software layer keeps the
+	// request bit set on subsequent packets, which stay scalar.
 	if a != nil && a.Grant == packet.Granted && !u.dout.active {
 		u.dout = dialogOut{active: true, dst: from, num: int(a.Dialog), cumAcked: -1}
 	}
-	if a != nil && a.Grant == packet.Rejected {
-		// Keep sending scalar; the software layer keeps the request bit set
-		// on subsequent packets, so nothing to do here.
-		_ = now
-	}
-}
-
-// pruneCopies drops retained copies for the newly acknowledged sequence
-// range lo..hi inclusive. Copies are keyed by dense sequence numbers in
-// (cumAcked, nextSeq), so a bounded index walk replaces a map range and
-// keeps the sweep deterministic.
-func (u *NIFDY) pruneCopies(lo, hi int) {
-	for seq := lo; seq <= hi; seq++ {
-		delete(u.dout.copies, seq)
-	}
-}
-
-// reviveUnacked reissues unacknowledged bulk packets of a terminated dialog
-// as scalar packets at the front of the pool (preserving per-destination
-// order), then recomputes every rank against the post-dialog state.
-//
-//lint:allow(hotalloc) dialog-teardown surgery off the saturated path; revived entries reuse pool capacity after warm-up
-func (u *NIFDY) reviveUnacked() {
-	var revived []poolEntry
-	for seq := u.dout.cumAcked + 1; seq < u.dout.nextSeq; seq++ {
-		cp, ok := u.dout.copies[seq]
-		if !ok {
-			continue
-		}
-		q := cp
-		q.Dialog = packet.NoDialog
-		q.Seq = 0
-		q.BulkExit = false
-		q.Retransmit = true
-		revived = append(revived, newPoolEntry(&q, 0))
-		u.Stats().Retransmits++
-	}
-	u.dout = dialogOut{}
-	if len(revived) > 0 {
-		u.pool = append(revived, u.pool...)
-	}
-	u.recomputeRanks()
 }
 
 // isAck is the ack-delivery predicate, hoisted to package level so Tick
 // passes a static func value instead of allocating a closure each cycle.
 func isAck(p *packet.Packet) bool { return p.Kind == packet.Ack }
-
-// recomputeRanks rebuilds every pool rank from first principles (used after
-// pool surgery). The per-destination scratch map is reused across calls.
-func (u *NIFDY) recomputeRanks() {
-	clear(u.rankAhead)
-	ahead := u.rankAhead
-	for i := range u.pool {
-		e := &u.pool[i]
-		if e.noAck {
-			e.rank = 0
-			continue
-		}
-		dst := int(e.dst)
-		e.rank = u.outstandingTo(dst) + ahead[dst]
-		ahead[dst]++
-	}
-}
 
 // decRanks lowers the rank of every pool packet for dst by n: n packets to
 // dst are no longer ahead of them. No-ack packets are not ranked.
@@ -765,10 +653,10 @@ func (u *NIFDY) decRanks(dst, n int) {
 func (u *NIFDY) handleData(now sim.Cycle, p *packet.Packet) {
 	if p.PiggyAck {
 		u.Stats().AcksReceived++
-		u.processAckInfo(now, p.Src, nil)
+		u.processAckInfo(p.Src, nil)
 	}
 	if p.InDialog() {
-		u.handleBulkData(now, p)
+		u.handleBulkData(p)
 		return
 	}
 	if u.cfg.Retransmit && !p.NoAck {
@@ -810,24 +698,16 @@ func (u *NIFDY) handleData(now sim.Cycle, p *packet.Packet) {
 }
 
 //lint:allow(hotalloc) amortized ackQ/arrival slice growth; steady-state capacity is reached during warm-up
-func (u *NIFDY) handleBulkData(now sim.Cycle, p *packet.Packet) {
+func (u *NIFDY) handleBulkData(p *packet.Packet) {
 	dlg, seq := int(p.Dialog), int(p.Seq)
 	if dlg >= len(u.din) {
 		panic(fmt.Sprintf("nifdy %d: dialog %d out of range", u.Node(), dlg))
 	}
 	d := &u.din[dlg]
 	if !d.active || d.src != p.Src {
-		// Stale packet for a closed/reassigned dialog. With takeover the
-		// dialog died under the sender; the packet is dropped here and the
-		// terminate ack makes the sender reissue it in scalar mode. With
-		// losses it happens when the final cumulative ack was dropped and
-		// the sender keeps retransmitting. Otherwise: protocol violation.
-		if u.cfg.DialogTakeover > 0 {
-			u.ackQ = append(u.ackQ, ackEntry{dst: p.Src, bulk: true, dialog: dlg,
-				terminate: true, cum: -1, grant: packet.GrantNone})
-			u.Pool().Put(p)
-			return
-		}
+		// Stale packet for a closed/reassigned dialog. With losses it
+		// happens when the final cumulative ack was dropped and the sender
+		// keeps retransmitting (§6.2). Otherwise: protocol violation.
 		if !u.cfg.Retransmit {
 			panic(fmt.Sprintf("nifdy %d: bulk packet %v for inactive dialog", u.Node(), p))
 		}
@@ -864,7 +744,6 @@ func (u *NIFDY) handleBulkData(now sim.Cycle, p *packet.Packet) {
 	}
 	d.buf[seq%u.cfg.W] = p
 	d.buffered++
-	d.lastActive = now
 }
 
 // drainDialogs streams in-order bulk packets from reorder buffers into the
@@ -958,7 +837,6 @@ func (u *NIFDY) sendAck(now sim.Cycle) bool {
 	a.Grant = e.grant
 	a.BulkAck = e.bulk
 	a.CumSeq = int32(e.cum)
-	a.Terminate = e.terminate
 	u.Port.StartSend(now, a)
 	u.Stats().AcksSent++
 	return true
@@ -1029,12 +907,6 @@ func (u *NIFDY) removePool(i int) {
 func (u *NIFDY) sendScalar(now sim.Cycle, i int) {
 	p := u.pool[i].p
 	u.removePool(i)
-	if u.cfg.AutoBulk > 0 && !p.BulkReq && !p.NoAck && !u.dout.active &&
-		u.waitingTo(p.Dst) >= u.cfg.AutoBulk-1 {
-		// Footnote 3 extension: a backlog for this destination justifies a
-		// dialog even though the software never asked for one.
-		p.BulkReq = true
-	}
 	if p.BulkReq && (u.dout.active || u.cfg.D == 0) {
 		// One outgoing dialog at a time (§2.1): suppress further requests
 		// while one is active (or when dialogs are disabled).
@@ -1064,7 +936,6 @@ func (u *NIFDY) waitingTo(dst int) int {
 	return n
 }
 
-//lint:allow(hotalloc) one takeover-copy map per granted dialog, amortized over the dialog's packets
 func (u *NIFDY) sendBulk(now sim.Cycle, i int) {
 	p := u.pool[i].p
 	u.removePool(i)
@@ -1072,12 +943,7 @@ func (u *NIFDY) sendBulk(now sim.Cycle, i int) {
 	p.Dialog = int32(u.dout.num)
 	p.Seq = int32(seq)
 	u.dout.nextSeq++
-	more := p.BulkReq
-	if !more && u.cfg.AutoBulk > 0 && u.waitingTo(p.Dst) > 0 {
-		// Auto-bulk keeps the dialog open while a backlog remains.
-		more = true
-	}
-	if !more {
+	if !p.BulkReq {
 		// The software layer sets the request bit on every packet of a bulk
 		// message except the last; its absence marks the end of the
 		// transfer (§2.1.2: bulk exit bit in the header of the last packet).
@@ -1088,12 +954,6 @@ func (u *NIFDY) sendBulk(now sim.Cycle, i int) {
 	p.BulkReq = false
 	if u.cfg.Retransmit {
 		u.armRetx(now, p, seq)
-	}
-	if u.cfg.DialogTakeover > 0 {
-		if u.dout.copies == nil {
-			u.dout.copies = map[int]packet.Packet{}
-		}
-		u.dout.copies[seq] = *p
 	}
 	u.attachPiggyback(p)
 	u.Port.StartSend(now, p)

@@ -631,104 +631,17 @@ func TestRandomTrafficProperty(t *testing.T) {
 func TestGrantIdempotentForSameSource(t *testing.T) {
 	net := smallMesh(t)
 	u := New(Config{D: 2}, net.Iface(0))
-	g1, d1 := u.decideGrant(0, 5)
-	g2, d2 := u.decideGrant(0, 5)
+	g1, d1 := u.decideGrant(5)
+	g2, d2 := u.decideGrant(5)
 	if g1 != packet.Granted || g2 != packet.Granted || d1 != d2 {
 		t.Fatalf("grants: %v/%d then %v/%d", g1, d1, g2, d2)
 	}
-	g3, d3 := u.decideGrant(0, 6)
+	g3, d3 := u.decideGrant(6)
 	if g3 != packet.Granted || d3 == d1 {
 		t.Fatalf("second source got %v/%d", g3, d3)
 	}
-	if g4, _ := u.decideGrant(0, 7); g4 != packet.Rejected {
+	if g4, _ := u.decideGrant(7); g4 != packet.Rejected {
 		t.Fatalf("third source got %v with D=2", g4)
-	}
-}
-
-func TestAutoBulkRequestsDialog(t *testing.T) {
-	// Footnote 3 extension: the software never sets the request bit, yet a
-	// backlog to one destination makes the NIC open a dialog on its own.
-	w := nifdyWorld(t, reorderingTree(21), Config{AutoBulk: 3, W: 4})
-	w.msg(0, 63, 24, 8, false) // plain packets, no BulkReq
-	w.run(1000000)
-	w.checkPerPairOrder()
-	if g := w.nics[63].Stats().BulkGrants; g == 0 {
-		t.Fatal("auto-bulk never opened a dialog")
-	}
-	if w.nics[0].Stats().BulkPackets == 0 {
-		t.Fatal("no packets traveled in bulk mode")
-	}
-}
-
-func TestAutoBulkClosesWhenBacklogDrains(t *testing.T) {
-	w := nifdyWorld(t, reorderingTree(22), Config{AutoBulk: 3, W: 4, D: 1})
-	w.msg(0, 63, 12, 8, false)
-	w.run(500000)
-	// After the backlog drained the dialog must close, freeing the slot
-	// for another sender.
-	w.msg(1, 63, 12, 8, false)
-	w.run(500000)
-	if g := w.nics[63].Stats().BulkGrants; g < 2 {
-		t.Fatalf("grants = %d, want 2 (dialog reused)", g)
-	}
-	w.checkPerPairOrder()
-}
-
-func TestAutoBulkOffByDefault(t *testing.T) {
-	w := nifdyWorld(t, reorderingTree(23), Config{W: 4})
-	w.msg(0, 63, 12, 8, false) // no BulkReq, no AutoBulk
-	w.run(500000)
-	if g := w.nics[63].Stats().BulkGrants; g != 0 {
-		t.Fatalf("grants = %d without requests or auto-bulk", g)
-	}
-}
-
-func TestDialogTakeoverEvictsIdleDialog(t *testing.T) {
-	// Sender 0 holds the only dialog open forever (every packet keeps the
-	// request bit set, so the NIC never emits bulk-exit). After the idle
-	// threshold, sender 1's request must take the slot over.
-	w := nifdyWorld(t, reorderingTree(31), Config{D: 1, W: 4, DialogTakeover: 600})
-	ps := w.msg(0, 63, 10, 8, true)
-	ps[len(ps)-1].BulkReq = true // never exit: dialog stays open
-	w.run(500000)
-	w.msg(1, 63, 10, 8, true)
-	w.run(2000000)
-	w.checkPerPairOrder()
-	s := w.nics[63].Stats()
-	if s.BulkGrants < 2 {
-		t.Fatalf("grants = %d: takeover never happened", s.BulkGrants)
-	}
-}
-
-func TestDialogTakeoverSenderRevertsToScalar(t *testing.T) {
-	// After its dialog is torn down, the old sender's further traffic to
-	// the same destination must still arrive exactly once, in order.
-	w := nifdyWorld(t, reorderingTree(32), Config{D: 1, W: 4, DialogTakeover: 3000})
-	ps := w.msg(0, 63, 8, 8, true)
-	ps[len(ps)-1].BulkReq = true // hold the dialog open
-	w.run(500000)
-	w.msg(1, 63, 8, 8, true) // takes the slot over
-	w.run(2000000)
-	w.msg(0, 63, 8, 8, false) // old sender continues in scalar mode
-	w.run(2000000)
-	w.checkPerPairOrder()
-	if got := len(w.recvd[63]); got != 24 {
-		t.Fatalf("recvd %d/24", got)
-	}
-}
-
-func TestDialogTakeoverRaceReissuesInFlight(t *testing.T) {
-	// Adversarial timing: a tiny takeover threshold so the dialog can be
-	// torn down while window packets are still in flight. Exactly-once
-	// in-order delivery must survive the race via scalar reissue.
-	w := nifdyWorld(t, reorderingTree(33), Config{D: 1, W: 8, DialogTakeover: 200})
-	w.msg(0, 63, 40, 8, true)
-	w.msg(1, 63, 40, 8, true)
-	w.msg(2, 63, 40, 8, true)
-	w.run(4000000)
-	w.checkPerPairOrder()
-	if got := len(w.recvd[63]); got != 120 {
-		t.Fatalf("recvd %d/120", got)
 	}
 }
 
@@ -770,15 +683,15 @@ func TestRetransmitTimerRearms(t *testing.T) {
 	}
 }
 
-func TestTakeoverUnderLossProperty(t *testing.T) {
-	// The harshest combination: lossy fabric + retransmission + dialog
-	// takeover + auto-bulk, random messages. Exactly-once in-order delivery
-	// must survive all interactions.
+func TestBulkUnderLossProperty(t *testing.T) {
+	// Lossy fabric + retransmission + bulk dialogs, random messages with
+	// every other one bulk: exactly-once in-order delivery must survive
+	// lost data, lost cumulative acks and stale retransmissions into closed
+	// dialogs (§6.2).
 	net := fattree.New(fattree.Config{Seed: 41,
 		Iface: topo.IfaceOptions{DropProb: 0.05, Seed: 42}})
 	w := nifdyWorld(t, net, Config{
-		W: 4, D: 1, AutoBulk: 3, DialogTakeover: 2000,
-		Retransmit: true, RetransmitTimeout: 2500,
+		W: 4, D: 1, Retransmit: true, RetransmitTimeout: 2500,
 	})
 	r := rng.New(43)
 	for m := 0; m < 12; m++ {
@@ -787,10 +700,18 @@ func TestTakeoverUnderLossProperty(t *testing.T) {
 		if dst >= src {
 			dst++
 		}
-		w.msg(src, dst, r.IntRange(1, 8), 8, false)
+		w.msg(src, dst, r.IntRange(1, 8), 8, m%2 == 1)
 	}
 	w.run(8000000)
 	w.checkPerPairOrder()
+	var bulk, retx int64
+	for _, u := range w.nics {
+		bulk += u.Stats().BulkPackets
+		retx += u.Stats().Retransmits
+	}
+	if bulk == 0 || retx == 0 {
+		t.Fatalf("bulk packets %d, retransmits %d: the lossy bulk path never ran", bulk, retx)
+	}
 }
 
 func TestIdleBranches(t *testing.T) {

@@ -94,6 +94,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"strings"
 
 	"nifdy/internal/packet"
 	"nifdy/internal/ring"
@@ -323,11 +324,31 @@ type Fabric struct {
 	bound bool
 }
 
-// New builds a flow-level fabric.
+// fabricFeatures names the features fc turns on ("" for a plain fabric).
+func fabricFeatures(fc router.FabricConfig) string {
+	var on []string
+	if fc.PFC {
+		on = append(on, "PFC")
+	}
+	if fc.ECN {
+		on = append(on, "ECN")
+	}
+	if fc.WireDrop > 0 {
+		on = append(on, fmt.Sprintf("WireDrop %g", fc.WireDrop))
+	}
+	return strings.Join(on, ", ")
+}
+
+// New builds a flow-level fabric. It refuses (panics on) any
+// router.FabricConfig feature in cfg.Iface rather than run a plain fabric in
+// its place: the flow tier models neither PFC, ECN nor WireDrop.
 func New(cfg Config) *Fabric {
 	cfg.defaults()
 	if cfg.Nodes < 1 {
 		panic(fmt.Sprintf("flow: %d nodes", cfg.Nodes))
+	}
+	if on := fabricFeatures(cfg.Iface.Fabric); on != "" {
+		panic("flow: the flow tier does not model router.FabricConfig " + on + "; build the flit fabric")
 	}
 	f := &Fabric{
 		cfg:       cfg,

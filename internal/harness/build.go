@@ -94,13 +94,12 @@ type BuildOpts struct {
 	// Check enables the runtime invariant monitors (internal/check): the
 	// built Sim carries a Checker installed as an engine step hook,
 	// sweeping the protocol and substrate invariants at the configured
-	// cadence. Sequence accounting is switched off where packets are cloned
-	// under fresh identities (DialogTakeover) or lost for good (Drop or
-	// WireDrop without NIFDY retransmission), and keyed by packet ID for
-	// NIFDY with Retransmit, whose clones keep the original's ID. The
-	// in-order monitor is switched off with it, and for combinations with
-	// no ordering guarantee (plain NICs on reordering fabrics, DCQCN). Nil
-	// builds no checker and costs nothing.
+	// cadence. Sequence accounting is switched off where packets are lost
+	// for good (Drop or WireDrop without NIFDY retransmission), and keyed
+	// by packet ID for NIFDY with Retransmit, whose clones keep the
+	// original's ID. The in-order monitor is switched off with it, and for
+	// combinations with no ordering guarantee (plain NICs on reordering
+	// fabrics, DCQCN). Nil builds no checker and costs nothing.
 	Check *check.Options
 	// Faults injects test-only faults into one node, for invariant-monitor
 	// validation.
@@ -194,11 +193,6 @@ func Build(opts BuildOpts) *Sim {
 	if opts.Check != nil {
 		co := *opts.Check
 		switch {
-		case params.DialogTakeover > 0:
-			// Takeover clones packets under fresh identities; neither pointer
-			// nor ID accounting survives.
-			co.Sequence = false
-			co.InOrder = false
 		case opts.Kind == NIFDY && params.Retransmit:
 			// Retransmission clones carry the original's ID and the §6.2 dup
 			// bit suppresses duplicate deliveries, so ID-keyed accounting

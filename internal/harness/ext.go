@@ -119,8 +119,8 @@ func trafficCell(o AckOpts, spec NetSpec, kind NICKind, params core.Config, tcfg
 }
 
 // ExtAckStrategies compares NIFDY variants: ack on processor accept
-// (default) vs ack on arrival; combined W/2 bulk acks vs per-packet; and
-// piggybacked acks under request-reply traffic.
+// (default) vs ack on arrival, and combined W/2 bulk acks vs per-packet
+// (ExtPiggyback measures piggybacked acks).
 func ExtAckStrategies(o AckOpts) *stats.Table {
 	o.defaults()
 	// The full fat tree's tuned window (W=4) separates combined (one ack

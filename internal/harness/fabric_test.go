@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"strings"
 	"testing"
 
 	"nifdy/internal/traffic"
@@ -136,5 +137,45 @@ func TestFabricShardIdentity(t *testing.T) {
 				t.Errorf("lossy=%v: shards=%d point %+v != shards=1 point %+v", lossy, shards, pt, ref)
 			}
 		}
+	}
+}
+
+// TestFlowTierRefusesFabricFeatures: the flow tier models none of the
+// modern-fabric features (PFC pause, ECN marking, lossy access wires), so
+// Build refuses a flow fabric asked for any of them instead of running a
+// plain one in its place. Interface-level loss (Drop) is modelled and builds.
+func TestFlowTierRefusesFabricFeatures(t *testing.T) {
+	cases := []struct {
+		name string
+		opts BuildOpts
+		// feature is the FabricConfig feature the refusal must name; ""
+		// means the cell builds.
+		feature string
+	}{
+		{"PFC", BuildOpts{Kind: PFC}, "PFC"},
+		{"DCQCN", BuildOpts{Kind: DCQCN}, "ECN"},
+		{"WireDrop", BuildOpts{Kind: NIFDY, WireDrop: 1.0 / 64}, "WireDrop"},
+		{"Plain", BuildOpts{Kind: Plain}, ""},
+		{"BuffersOnly", BuildOpts{Kind: BuffersOnly}, ""},
+		{"NIFDY", BuildOpts{Kind: NIFDY}, ""},
+		{"Drop", BuildOpts{Kind: NIFDY, Drop: 0.05}, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := tc.opts
+			opts.Net, opts.Seed = FlowMeshSized(8, 8), 1
+			var refusal any
+			func() {
+				defer func() { refusal = recover() }()
+				Build(opts).Close()
+			}()
+			msg, _ := refusal.(string)
+			switch {
+			case tc.feature == "" && refusal != nil:
+				t.Fatalf("refused a cell the flow tier models: %v", refusal)
+			case tc.feature != "" && !strings.Contains(msg, tc.feature):
+				t.Fatalf("refusal %v does not name %s", refusal, tc.feature)
+			}
+		})
 	}
 }

@@ -180,11 +180,6 @@ type Packet struct {
 	// PiggyAck marks a data packet that doubles as an ack for the reverse
 	// direction (§6.1 extension).
 	PiggyAck bool
-	// Terminate marks an ack that tears down the sender's bulk dialog from
-	// the receiver side (§2.1.2: "A receiver can also terminate a bulk
-	// dialog in which case the transmission continues in scalar mode").
-	// CumSeq < 0 on a terminate ack carries no acknowledgment information.
-	Terminate bool
 }
 
 // Flits returns the number of one-word flits the packet occupies.

@@ -26,7 +26,6 @@ var dirtyings = []struct {
 	{"grant-rejected", func(p *Packet) { p.Grant = Rejected }},
 	{"bulkack-cum", func(p *Packet) { p.BulkAck = true; p.CumSeq = 31 }},
 	{"piggyback", func(p *Packet) { p.PiggyAck = true }},
-	{"terminate", func(p *Packet) { p.Terminate = true }},
 	{"meta", func(p *Packet) {
 		p.Meta = Meta{MsgID: 7, Index: 2, Total: 5, Tag: 1, Value: 99}
 	}},
@@ -41,7 +40,7 @@ var dirtyings = []struct {
 			BulkReq: true, BulkExit: true, NoAck: true, Dup: true, Retransmit: true,
 			ECN: true, CNP: true,
 			Dialog: 3, Seq: 4, Grant: Granted, BulkAck: true, CumSeq: 5,
-			PiggyAck: true, Terminate: true,
+			PiggyAck:  true,
 			Meta:      Meta{MsgID: 6, Index: 7, Total: 8, Tag: 9, Value: 10},
 			CreatedAt: 11, InjectedAt: 12, DeliveredAt: 13, AcceptedAt: 14}
 	}},
