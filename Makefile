@@ -106,10 +106,11 @@ bench:
 bench-locality:
 	./scripts/benchlocality.sh
 
-# profdiff prints the top-N flat-cost changes between two CPU profiles of
-# the same workload: make profdiff OLD=before.prof NEW=after.prof
+# profdiff prints the top-N (default 15) functions by flat-cost change
+# between two CPU profiles of the same workload, each normalized to its own
+# total, as pprof's diff table: make profdiff OLD=before.prof NEW=after.prof
 profdiff:
-	./scripts/profdiff.sh $(OLD) $(NEW) $(or $(N),15)
+	$(GO) tool pprof -top -nodecount $(or $(N),15) -normalize -diff_base=$(OLD) $(NEW)
 
 clean:
 	rm -f *.test *.prof *.out

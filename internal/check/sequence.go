@@ -60,15 +60,9 @@ func (c *Checker) HooksFor(sh int) nic.Hooks {
 	l := c.logs[sh]
 	return nic.Hooks{
 		OnSend: func(p *packet.Packet) {
-			if p.NoAck {
-				return // protocol-bypass traffic (§6.1) is explicitly unordered
-			}
 			l.evs = append(l.evs, event{cycle: p.CreatedAt, p: p, src: p.Src, dst: p.Dst})
 		},
 		OnAccept: func(p *packet.Packet) {
-			if p.NoAck {
-				return
-			}
 			l.evs = append(l.evs, event{cycle: p.AcceptedAt, accept: true, p: p, src: p.Src, dst: p.Dst})
 		},
 	}

@@ -22,9 +22,10 @@
 // dialog ends one way only: its last packet carries the bulk-exit bit, and
 // the receiver frees the slot once that packet has drained.
 //
-// The §6 extensions are implemented behind configuration flags: acks
-// piggybacked on reverse-direction data, no-ack packets that bypass the
-// protocol, and retransmission with duplicate detection for lossy networks.
+// Two §6 extensions are implemented behind configuration flags: acks
+// piggybacked on reverse-direction data, and retransmission with duplicate
+// detection for lossy networks. The §6.1 no-ack packets that bypass the
+// protocol are not modelled, as no measured figure sends one.
 package core
 
 import (
@@ -161,11 +162,10 @@ type poolEntry struct {
 	rank  int
 	dst   int32
 	class packet.Class
-	noAck bool
 }
 
 func newPoolEntry(p *packet.Packet, rank int) poolEntry {
-	return poolEntry{p: p, rank: rank, dst: int32(p.Dst), class: p.Class, noAck: p.NoAck}
+	return poolEntry{p: p, rank: rank, dst: int32(p.Dst), class: p.Class}
 }
 
 // dialogOut is the sender side of the (single) outgoing bulk dialog.
@@ -310,7 +310,7 @@ func (u *NIFDY) Params() (o, b, d, w int) { return u.cfg.O, u.cfg.B, u.cfg.D, u.
 // TrySend implements nic.NIC: insert a packet into the outgoing pool if a
 // buffer is free. The rank/eligibility unit assigns the packet's rank: the
 // number of waiting and outstanding packets ahead of it for the same
-// destination (§2.1.1). No-ack packets (§6.1) bypass ranking entirely.
+// destination (§2.1.1).
 func (u *NIFDY) TrySend(now sim.Cycle, p *packet.Packet) bool {
 	if len(u.pool) >= u.cfg.B {
 		return false
@@ -323,10 +323,7 @@ func (u *NIFDY) TrySend(now sim.Cycle, p *packet.Packet) bool {
 		u.Pool().Put(p)
 		return true
 	}
-	rank := 0
-	if !p.NoAck {
-		rank = u.outstandingTo(p.Dst) + u.waitingTo(p.Dst)
-	}
+	rank := u.outstandingTo(p.Dst) + u.waitingTo(p.Dst)
 	u.pool = append(u.pool, newPoolEntry(p, rank))
 	u.Admitted(now, p)
 	return true
@@ -372,7 +369,7 @@ func (u *NIFDY) Recv(now sim.Cycle) (*packet.Packet, bool) {
 	if !ok {
 		return nil, false
 	}
-	if u.cfg.Retransmit && !p.NoAck && !p.InDialog() {
+	if u.cfg.Retransmit && !p.InDialog() {
 		if st, ok := u.dupBitIn[p.Src]; ok && st.bit == p.Dup {
 			st.acked = true
 			u.dupBitIn[p.Src] = st
@@ -381,7 +378,7 @@ func (u *NIFDY) Recv(now sim.Cycle) (*packet.Packet, bool) {
 	// Base.Recv woke the unit, which must tick as if it had never slept:
 	// accepting may queue an ack, and always frees arrivals space that a
 	// reorder buffer or a waiting eject-side packet can move into.
-	if !p.NoAck && !p.InDialog() && !u.cfg.AckOnArrival {
+	if !p.InDialog() && !u.cfg.AckOnArrival {
 		u.enqueueScalarAck(now, p)
 	}
 	return p, true
@@ -638,10 +635,10 @@ func (u *NIFDY) processAckInfo(from int, a *packet.Packet) {
 func isAck(p *packet.Packet) bool { return p.Kind == packet.Ack }
 
 // decRanks lowers the rank of every pool packet for dst by n: n packets to
-// dst are no longer ahead of them. No-ack packets are not ranked.
+// dst are no longer ahead of them.
 func (u *NIFDY) decRanks(dst, n int) {
 	for i := range u.pool {
-		if e := &u.pool[i]; int(e.dst) == dst && !e.noAck {
+		if e := &u.pool[i]; int(e.dst) == dst {
 			e.rank -= n
 			if e.rank < 0 {
 				panic(fmt.Sprintf("nifdy %d: negative rank for %v", u.Node(), e.p))
@@ -659,7 +656,7 @@ func (u *NIFDY) handleData(now sim.Cycle, p *packet.Packet) {
 		u.handleBulkData(p)
 		return
 	}
-	if u.cfg.Retransmit && !p.NoAck {
+	if u.cfg.Retransmit {
 		st := u.dupBitIn[p.Src]
 		if st.seen && st.bit == p.Dup {
 			u.Stats().Duplicates++
@@ -684,7 +681,7 @@ func (u *NIFDY) handleData(now sim.Cycle, p *packet.Packet) {
 		u.mutDupDone = true
 		u.Arrive(p)
 	}
-	if !p.NoAck && u.cfg.AckOnArrival {
+	if u.cfg.AckOnArrival {
 		u.enqueueScalarAck(now, p)
 		if u.cfg.Retransmit {
 			// With ack-on-arrival the ack exists now, so duplicates can be
@@ -868,11 +865,6 @@ func (u *NIFDY) inject(now sim.Cycle) bool {
 		if e.class == packet.Reply && u.ackBlocksReplyData(now, int(e.dst)) {
 			continue // a due ack this packet cannot absorb owns the slot
 		}
-		if e.noAck {
-			// Protocol-bypass packets (§6.1) send as soon as a slot is free.
-			u.sendScalar(now, i)
-			return true
-		}
 		if u.dout.active && u.dout.dst == int(e.dst) {
 			if u.dout.exiting {
 				continue // wait for the dialog to close, preserving order
@@ -912,24 +904,22 @@ func (u *NIFDY) sendScalar(now sim.Cycle, i int) {
 		// while one is active (or when dialogs are disabled).
 		p.BulkReq = false
 	}
-	if !p.NoAck {
-		u.opt = append(u.opt, p.Dst)
-		if u.cfg.Retransmit {
-			p.Dup = u.dupBitOut[p.Dst]
-			u.dupBitOut[p.Dst] = !p.Dup
-			u.armRetx(now, p, -1)
-		}
+	u.opt = append(u.opt, p.Dst)
+	if u.cfg.Retransmit {
+		p.Dup = u.dupBitOut[p.Dst]
+		u.dupBitOut[p.Dst] = !p.Dup
+		u.armRetx(now, p, -1)
 	}
 	u.attachPiggyback(p)
 	u.Port.StartSend(now, p)
 	u.Stats().Injected++
 }
 
-// waitingTo counts pool packets bound for dst (excluding no-ack traffic).
+// waitingTo counts pool packets bound for dst.
 func (u *NIFDY) waitingTo(dst int) int {
 	n := 0
 	for _, e := range u.pool {
-		if int(e.dst) == dst && !e.noAck {
+		if int(e.dst) == dst {
 			n++
 		}
 	}

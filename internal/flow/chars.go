@@ -7,33 +7,17 @@ import (
 	"nifdy/internal/topo"
 )
 
-// FromChars derives a flow Config from a flit fabric's measured
-// characteristics: the twin shares link speed (CPF), per-hop latency,
-// distances, bisection capacity, and sizes its fabric-side destination
-// queue from the flit network's per-node buffering volume. Building a flit
-// donor to take Chars from is cheap at seed sizes; the analytic
-// constructors below serve the 100k+ node range where instantiating (or
-// even all-pairs measuring) the flit network is off the table.
+// FromChars sizes a flit fabric's flow twin from its measured
+// characteristics: the twin keeps the whole row — link speed, hop
+// latencies, distances, bisection and fabric capacity, and the per-node
+// buffering its destination queue is sized from — under the flit fabric's
+// name with " flow" appended. Building a flit donor to take Chars from is
+// cheap at seed sizes; MeshConfig serves the 100k+ node range where
+// instantiating (or even all-pairs measuring) the flit network is off the
+// table.
 func FromChars(ch topo.Characteristics, o topo.IfaceOptions) Config {
-	dstCap := ch.VolumeFlits / ch.Nodes
-	if dstCap < 16 {
-		dstCap = 16
-	}
-	return Config{
-		Name:          ch.Name + " flow",
-		Nodes:         ch.Nodes,
-		CPF:           ch.CPF,
-		HopCycles:     int(ch.HopLat + 0.5),
-		HopFlitCycles: int(ch.HopLatPerFlit + 0.5),
-		AvgHops:       ch.AvgHops,
-		MaxHops:       ch.MaxHops,
-		BisectionFPC:  ch.BisectionFPC,
-		FabricFPC:     ch.FabricFPC,
-		VolumeFlits:   ch.VolumeFlits,
-		DstCapFlits:   dstCap,
-		InOrder:       true,
-		Iface:         o,
-	}
+	ch.Name += " flow"
+	return Config{Characteristics: ch, Iface: o}
 }
 
 // MeshConfig analytically sizes a flow fabric modeling an x-by-y wormhole
@@ -85,42 +69,4 @@ func strideFor(nodes int) int {
 // a line of s nodes: (s²−1)/(3s).
 func meanLineDist(s int) float64 {
 	return (float64(s)*float64(s) - 1) / (3 * float64(s))
-}
-
-// FatTreeConfig analytically sizes a flow fabric modeling a full 4-ary fat
-// tree of the given depth (4^levels nodes, CPF 4): full bisection
-// (nodes/CPF flits per cycle) and LCA-height hop distances.
-func FatTreeConfig(levels int, o topo.IfaceOptions) Config {
-	const cpf, vcs, bufFlits = 4, 1, 8
-	nodes := 1
-	for i := 0; i < levels; i++ {
-		nodes *= 4
-	}
-	// P(lowest common ancestor at height l) over distinct pairs is
-	// (4^l − 4^(l−1))/(4^levels − 1); such a pair crosses 2l−1 routers'
-	// worth of links plus the two access links ≈ 2l hops.
-	var avg float64
-	p4 := 1.0
-	for l := 1; l <= levels; l++ {
-		p4 *= 4
-		cnt := p4 - p4/4
-		avg += cnt / float64(nodes-1) * float64(2*l)
-	}
-	// Volume: every level has nodes/4 routers with (4 children + 2 parents)
-	// ports buffering both classes.
-	perRouter := 6 * packet.NumClasses * vcs * bufFlits
-	internalLinks := 2 * nodes * (levels - 1) // nodes adjacencies per level pair, both directions
-	cfg := FromChars(topo.Characteristics{
-		Name:         fmt.Sprintf("fat tree (%d levels)", levels),
-		Nodes:        nodes,
-		AvgHops:      avg,
-		MaxHops:      2 * levels,
-		VolumeFlits:  perRouter * nodes / 4 * levels,
-		BisectionFPC: float64(nodes) / float64(cpf),
-		FabricFPC:    float64(internalLinks) / float64(cpf),
-		CPF:          cpf,
-		HopLat:       cpf + 2,
-	}, o)
-	cfg.SolveStride = strideFor(nodes)
-	return cfg
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nifdy/internal/rng"
+	"nifdy/internal/topo"
 )
 
 // classHeapIDs is the flow-id space the class scripts draw from: enough
@@ -35,7 +36,7 @@ type classReach struct {
 // yield exactly the members whose tag the service has reached, and emptying
 // the class and syncing must restart its clock with empty FIFOs.
 func runClassHeap(t *testing.T, script []byte) (reach classReach) {
-	f := New(Config{Nodes: classHeapIDs / 2})
+	f := New(Config{Characteristics: topo.Characteristics{Nodes: classHeapIDs / 2}})
 	cl := &f.classes[0]
 	want := map[int32]int64{} // member id → finish tag
 	var seq int64

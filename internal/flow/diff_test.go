@@ -30,8 +30,9 @@ func (c diffCase) String() string {
 
 func (c diffCase) config() Config {
 	cfg := Config{
-		Nodes: c.nodes, CPF: 4, HopCycles: 6, AvgHops: 2, HopFlitCycles: c.hopFlitCyc,
-		DstCapFlits: c.dstCap, ArrCapFlits: 8, SolveStride: c.stride,
+		Characteristics: topo.Characteristics{Nodes: c.nodes, CPF: 4, HopLat: 6, AvgHops: 2, HopLatPerFlit: float64(c.hopFlitCyc)},
+		DstCapFlits:     c.dstCap,
+		SolveStride:     c.stride,
 	}
 	// Caps tight enough that the global shares sit among the access-link
 	// shares linkCap/k for small k: flows cross the class boundary both ways

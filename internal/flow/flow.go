@@ -23,9 +23,10 @@
 // blocking: congestion at the destination slows the flow's rate, which
 // keeps the sender's slot busy, which back-pressures the NIC — the
 // secondary-blocking tree the NIFDY protocol exists to prevent. After
-// draining, the packet rides a fixed-latency pipe (AvgHops · HopCycles)
-// and then lands in the destination's arrival buffer if it has room, or
-// parks in the destination's fabric-side queue otherwise. A destination
+// draining, the packet rides a fixed-latency pipe (AvgHops · (HopLat +
+// HopLatPerFlit · flits), hop latencies in whole cycles) and then lands in
+// the destination's arrival buffer if it has room, or parks in the
+// destination's fabric-side queue otherwise. A destination
 // whose parked queue is full stalls: flows towards it drop to rate zero
 // until the NIC drains arrivals, exactly the end-point congestion feedback
 // the paper studies.
@@ -108,50 +109,30 @@ import (
 // arithmetic keeps the solver bit-deterministic.
 const rateQ = 1 << 20
 
-// Config sizes a flow-level fabric. The defaults mirror the flit fabrics'
-// link and buffer parameters; twins derived from a flit topology take them
-// from its Characteristics.
+// Config sizes a flow-level fabric: a fabric's Table 3 row, which the flit
+// fabrics report as their Characteristics, plus what the flow model alone
+// needs. Twins take the row from a flit topology's Chars (FromChars);
+// MeshConfig fills it in closed form.
+//
+// Of the embedded row, New reads Nodes; CPF, the access-link serialization
+// time per flit (zero selects 4); HopLat, the per-hop header latency, and
+// HopLatPerFlit, its per-flit increment (each rounded to whole cycles; a
+// HopLat that rounds to zero selects CPF+2, the flit routers' effective
+// per-hop pipeline); AvgHops, the pipe every drained packet rides being
+// round(AvgHops·(HopLat + HopLatPerFlit·flits)) cycles (zero selects 1);
+// BisectionFPC, shared by flows crossing the halves; and FabricFPC, the
+// aggregate internal capacity, so that the fabric sustains at most
+// FabricFPC/AvgHops flits per cycle in total — the whole-fabric contention
+// bound that makes mesh-like topologies saturate realistically. A
+// non-positive capacity disables its constraint. The rest is reported in
+// Chars, which always reads InOrder: the flow fabric delivers each
+// (src, dst, class) stream in order by construction.
 type Config struct {
-	// Name labels the fabric ("mesh 8x8 flow").
-	Name string
-	// Nodes is the number of end points.
-	Nodes int
-	// CPF is the access-link serialization time per flit in cycles; zero
-	// selects 4 (one 32-bit flit over a 1-byte link).
-	CPF int
-	// HopCycles is the per-hop header latency in cycles; zero selects
-	// CPF+2 (serialization plus route/arbitration, the flit routers'
-	// effective per-hop pipeline).
-	HopCycles int
-	// HopFlitCycles is the extra per-hop latency per flit of packet length,
-	// in cycles — zero for wormhole/cut-through fabrics (the body streams
-	// behind the header), CPF for store-and-forward fabrics (every hop
-	// holds the whole packet). Making the pipe latency size-aware keeps
-	// short acks from paying the long-packet store-and-forward price.
-	HopFlitCycles int
-	// AvgHops is the mean router-to-router distance; the pipe latency every
-	// drained packet rides is round(AvgHops·(HopCycles +
-	// HopFlitCycles·flits)). Zero selects 1.
-	AvgHops float64
-	// MaxHops is reported in Chars.
-	MaxHops int
-	// BisectionFPC is the bisection capacity in flits per cycle shared by
-	// flows crossing the halves; zero or negative disables the constraint.
-	BisectionFPC float64
-	// FabricFPC is the aggregate internal capacity in flits per cycle over
-	// all router-to-router links. Every active flow holds AvgHops links, so
-	// the fabric sustains at most FabricFPC/AvgHops flits per cycle in
-	// total — the whole-fabric contention bound that makes mesh-like
-	// topologies saturate realistically. Zero or negative disables it.
-	FabricFPC float64
+	topo.Characteristics
 	// DstCapFlits is the fabric-side queue per (destination, class): parked
 	// flits beyond it stall the destination (rate-zero inbound flows).
-	// Zero selects 16.
+	// Zero selects the per-node buffering VolumeFlits/Nodes, at least 16.
 	DstCapFlits int
-	// ArrCapFlits is the arrival (ejection) buffer per (node, class) in
-	// flits, the analog of the flit interfaces' per-VC eject depth. Zero
-	// selects topo.IfaceBufFlits.
-	ArrCapFlits int
 	// SolveStride quantizes solver activity in time: drain and landing
 	// events are processed on the next multiple of the stride, so the solver
 	// (and every NIC its retires and landings wake) runs at most once per
@@ -163,30 +144,28 @@ type Config struct {
 	// bit-deterministic since the quantization is purely a function of
 	// configuration.
 	SolveStride int
-	// VolumeFlits is reported in Chars (informational).
-	VolumeFlits int
-	// InOrder is reported in Chars. The flow fabric delivers each
-	// (src, dst, class) stream in order by construction.
-	InOrder bool
 	// Iface carries the shared node-interface options (loss model, seed).
 	Iface topo.IfaceOptions
 }
 
 func (c *Config) defaults() {
+	if c.Name == "" {
+		c.Name = fmt.Sprintf("flow[%d]", c.Nodes)
+	}
 	if c.CPF <= 0 {
 		c.CPF = 4
 	}
-	if c.HopCycles <= 0 {
-		c.HopCycles = c.CPF + 2
+	c.HopLat = float64(int(c.HopLat + 0.5))
+	c.HopLatPerFlit = float64(int(c.HopLatPerFlit + 0.5))
+	if c.HopLat <= 0 {
+		c.HopLat = float64(c.CPF + 2)
 	}
 	if c.AvgHops <= 0 {
 		c.AvgHops = 1
 	}
-	if c.DstCapFlits <= 0 {
-		c.DstCapFlits = 16
-	}
-	if c.ArrCapFlits <= 0 {
-		c.ArrCapFlits = topo.IfaceBufFlits
+	c.InOrder = true
+	if c.DstCapFlits <= 0 && c.Nodes > 0 {
+		c.DstCapFlits = max(c.VolumeFlits/c.Nodes, 16)
 	}
 	if c.SolveStride <= 0 {
 		c.SolveStride = 1
@@ -248,7 +227,7 @@ type drainedFlow struct {
 type Fabric struct {
 	cfg       Config
 	pipeLat   sim.Cycle
-	pipeFlitQ int64 // rateQ·AvgHops·HopFlitCycles, per-flit pipe term
+	pipeFlitQ int64 // rateQ·AvgHops·HopLatPerFlit, per-flit pipe term
 	linkCap   int64 // rateQ/CPF, per access link
 	bisCap    int64 // rateQ·BisectionFPC, 0 = unconstrained
 	fabCap    int64 // rateQ·FabricFPC/AvgHops, 0 = unconstrained
@@ -352,8 +331,8 @@ func New(cfg Config) *Fabric {
 	}
 	f := &Fabric{
 		cfg:       cfg,
-		pipeLat:   sim.Cycle(cfg.AvgHops*float64(cfg.HopCycles) + 0.5),
-		pipeFlitQ: int64(cfg.AvgHops*float64(cfg.HopFlitCycles)*rateQ + 0.5),
+		pipeLat:   sim.Cycle(cfg.AvgHops*cfg.HopLat + 0.5),
+		pipeFlitQ: int64(cfg.AvgHops*cfg.HopLatPerFlit*rateQ + 0.5),
 		linkCap:   rateQ / int64(cfg.CPF),
 	}
 	if f.pipeLat < 1 {
@@ -434,21 +413,7 @@ func (f *Fabric) bind(e *sim.Engine, step func(sim.Cycle)) {
 }
 
 // Chars implements topo.Network.
-func (f *Fabric) Chars() topo.Characteristics {
-	name := f.cfg.Name
-	if name == "" {
-		name = fmt.Sprintf("flow[%d]", f.cfg.Nodes)
-	}
-	return topo.Characteristics{
-		Name: name, Nodes: f.cfg.Nodes,
-		AvgHops: f.cfg.AvgHops, MaxHops: f.cfg.MaxHops,
-		VolumeFlits: f.cfg.VolumeFlits, BisectionFPC: f.cfg.BisectionFPC,
-		FabricFPC: f.cfg.FabricFPC,
-		InOrder:   f.cfg.InOrder,
-		CPF:       f.cfg.CPF, HopLat: float64(f.cfg.HopCycles),
-		HopLatPerFlit: float64(f.cfg.HopFlitCycles),
-	}
-}
+func (f *Fabric) Chars() topo.Characteristics { return f.cfg.Characteristics }
 
 // BufferedFlits implements topo.Network: flits held by the flow model
 // (draining, parked, or in the pipe; arrival buffers excluded, matching the
@@ -703,7 +668,7 @@ func (f *Fabric) land(now sim.Cycle, p *packet.Packet) bool {
 	size := int32(p.Flits())
 	c := p.Class
 	pt.q[c].PushBack(p)
-	if int(pt.arrN[c]) == pt.q[c].Len()-1 && pt.arrFlits[c]+size <= int32(f.cfg.ArrCapFlits) {
+	if int(pt.arrN[c]) == pt.q[c].Len()-1 && pt.arrFlits[c]+size <= topo.IfaceBufFlits {
 		f.deliverArr(now, pt, c, size)
 		return false
 	}
@@ -737,7 +702,7 @@ func (f *Fabric) promote(now sim.Cycle, nd int32) bool {
 		stalled := pt.parkedFlits[c] >= int32(f.cfg.DstCapFlits)
 		for int(pt.arrN[c]) < pt.q[c].Len() {
 			size := int32(pt.q[c].At(int(pt.arrN[c])).Flits())
-			if pt.arrFlits[c]+size > int32(f.cfg.ArrCapFlits) {
+			if pt.arrFlits[c]+size > topo.IfaceBufFlits {
 				break
 			}
 			pt.parkedFlits[c] -= size

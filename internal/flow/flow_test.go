@@ -5,6 +5,7 @@ import (
 
 	"nifdy/internal/packet"
 	"nifdy/internal/sim"
+	"nifdy/internal/topo"
 )
 
 // driver ticks a node's port like a minimal NIC: it injects a scripted list
@@ -57,7 +58,7 @@ func build(t *testing.T, cfg Config) (*sim.Engine, *Fabric, []*driver) {
 // TestPointToPoint checks the uncontended latency arithmetic: serialization
 // at the access link plus the fixed pipe.
 func TestPointToPoint(t *testing.T) {
-	e, _, ds := build(t, Config{Nodes: 4, CPF: 4, HopCycles: 6, AvgHops: 2})
+	e, _, ds := build(t, Config{Characteristics: topo.Characteristics{Nodes: 4, CPF: 4, HopLat: 6, AvgHops: 2}})
 	p := mkPacket(0, 1, 8, packet.Request)
 	ds[0].sends = append(ds[0].sends, p)
 	e.Run(200)
@@ -74,7 +75,7 @@ func TestPointToPoint(t *testing.T) {
 // TestFairShare checks that two flows into one destination each get half
 // the destination link: both take twice the solo drain time.
 func TestFairShare(t *testing.T) {
-	e, _, ds := build(t, Config{Nodes: 4, CPF: 4, HopCycles: 6, AvgHops: 2})
+	e, _, ds := build(t, Config{Characteristics: topo.Characteristics{Nodes: 4, CPF: 4, HopLat: 6, AvgHops: 2}})
 	a := mkPacket(0, 2, 8, packet.Request)
 	b := mkPacket(1, 2, 8, packet.Request)
 	ds[0].sends = append(ds[0].sends, a)
@@ -98,7 +99,7 @@ func TestFairShare(t *testing.T) {
 // never drains its arrivals parks inbound packets, trips the fabric-side
 // cap, and stalls later flows at their sources with busy injection slots.
 func TestDestinationStall(t *testing.T) {
-	e, f, ds := build(t, Config{Nodes: 6, CPF: 4, HopCycles: 6, AvgHops: 2, DstCapFlits: 16})
+	e, f, ds := build(t, Config{Characteristics: topo.Characteristics{Nodes: 6, CPF: 4, HopLat: 6, AvgHops: 2}, DstCapFlits: 16})
 	ds[5].deliver = false // the congested destination never pulls arrivals
 	for n := 0; n < 4; n++ {
 		ds[n].sends = append(ds[n].sends,
@@ -138,7 +139,7 @@ func TestDestinationStall(t *testing.T) {
 // TestClassIsolation checks that a stalled Request destination does not
 // block Reply traffic to the same node.
 func TestClassIsolation(t *testing.T) {
-	e, _, ds := build(t, Config{Nodes: 4, CPF: 4, HopCycles: 6, AvgHops: 2, DstCapFlits: 8, ArrCapFlits: 8})
+	e, _, ds := build(t, Config{Characteristics: topo.Characteristics{Nodes: 4, CPF: 4, HopLat: 6, AvgHops: 2}, DstCapFlits: 8})
 	ds[3].deliver = false
 	for i := 0; i < 6; i++ {
 		ds[0].sends = append(ds[0].sends, mkPacket(0, 3, 8, packet.Request))
@@ -156,7 +157,7 @@ func TestClassIsolation(t *testing.T) {
 // TestPerPairOrder checks in-order delivery within a (src, dst, class)
 // stream under cross-traffic.
 func TestPerPairOrder(t *testing.T) {
-	e, _, ds := build(t, Config{Nodes: 8, CPF: 4, HopCycles: 6, AvgHops: 2, BisectionFPC: 0.5})
+	e, _, ds := build(t, Config{Characteristics: topo.Characteristics{Nodes: 8, CPF: 4, HopLat: 6, AvgHops: 2, BisectionFPC: 0.5}})
 	var want []*packet.Packet
 	for i := 0; i < 5; i++ {
 		p := mkPacket(0, 7, 8, packet.Request)

@@ -7,6 +7,7 @@ import (
 	"unsafe"
 
 	"nifdy/internal/sim"
+	"nifdy/internal/topo"
 )
 
 // TestPortLayout holds the per-node record to whole cache lines, with the
@@ -39,7 +40,7 @@ func TestFlowRecLayout(t *testing.T) {
 	if got := unsafe.Sizeof(flowRec{}); got > 64 {
 		t.Errorf("flowRec is %d bytes, want at most 64: one cache line per flow", got)
 	}
-	if f := New(Config{Nodes: 2, CPF: 1}); f.linkCap > math.MaxInt32 {
+	if f := New(Config{Characteristics: topo.Characteristics{Nodes: 2, CPF: 1}}); f.linkCap > math.MaxInt32 {
 		t.Errorf("linkCap is %d at CPF 1: a local rate does not fit flowRec's int32", f.linkCap)
 	}
 }
@@ -66,7 +67,7 @@ func TestFabricBytesPerNode(t *testing.T) {
 	var m0, m1, m2, m3 runtime.MemStats
 	e := sim.New()
 	runtime.ReadMemStats(&m0)
-	f := New(Config{Nodes: nodes, CPF: 4, HopCycles: 6, AvgHops: 8, FabricFPC: 512, SolveStride: 16})
+	f := New(Config{Characteristics: topo.Characteristics{Nodes: nodes, CPF: 4, HopLat: 6, AvgHops: 8, FabricFPC: 512}, SolveStride: 16})
 	f.RegisterRoutersSharded(e, f.Partition(1))
 	runtime.ReadMemStats(&m1)
 	newPumps(e, f, 1995, 1024)

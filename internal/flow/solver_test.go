@@ -175,7 +175,7 @@ func TestSolverWorkPerEvent(t *testing.T) {
 // packet it pops, the drain hands each node to promote once, and that loses
 // nothing because a repeated promote is a no-op.
 func TestDirtyDedup(t *testing.T) {
-	f := New(Config{Nodes: 8})
+	f := New(Config{Characteristics: topo.Characteristics{Nodes: 8}})
 	var got []int32
 	visit := func(v int32) { got = append(got, v) }
 	f.dirty = []int32{1, 1, 1, 4, 6, 6}
@@ -186,7 +186,7 @@ func TestDirtyDedup(t *testing.T) {
 
 	// A destination with three packets parked behind a full arrival buffer;
 	// its NIC pops two arrivals in one tick.
-	e, f, ds := build(t, Config{Nodes: 4, CPF: 4, HopCycles: 6, AvgHops: 2, ArrCapFlits: 8, DstCapFlits: 64})
+	e, f, ds := build(t, Config{Characteristics: topo.Characteristics{Nodes: 4, CPF: 4, HopLat: 6, AvgHops: 2}, DstCapFlits: 64})
 	ds[3].deliver = false
 	for i := 0; i < 5; i++ {
 		ds[i%3].sends = append(ds[i%3].sends, mkPacket(i%3, 3, 4, packet.Request))
@@ -293,8 +293,8 @@ type wakeRun struct {
 // send and asks for nothing is parked by StartSend itself, the same way.
 func TestWakeEdges(t *testing.T) {
 	for name, cfg := range map[string]Config{
-		"local": {Nodes: 4, CPF: 4, HopCycles: 6, AvgHops: 2},
-		"class": {Nodes: 4, CPF: 4, HopCycles: 6, AvgHops: 2, FabricFPC: 0.2},
+		"local": {Characteristics: topo.Characteristics{Nodes: 4, CPF: 4, HopLat: 6, AvgHops: 2}},
+		"class": {Characteristics: topo.Characteristics{Nodes: 4, CPF: 4, HopLat: 6, AvgHops: 2, FabricFPC: 0.2}},
 	} {
 		want := wakeEdge(t, cfg, poll)
 		if want.freed < 64 || (want.joins > 0) != (name == "class") {
@@ -334,7 +334,7 @@ func BenchmarkSolverStep(b *testing.B) {
 	for _, nodes := range []int{1 << 10, 100 << 10} {
 		b.Run(fmt.Sprintf("nodes=%dk", nodes>>10), func(b *testing.B) {
 			e := sim.New()
-			f := New(Config{Nodes: nodes, CPF: 4, HopCycles: 6, AvgHops: 8, FabricFPC: 8 * 64})
+			f := New(Config{Characteristics: topo.Characteristics{Nodes: nodes, CPF: 4, HopLat: 6, AvgHops: 8, FabricFPC: 8 * 64}})
 			var inStep time.Duration
 			f.bind(e, func(now sim.Cycle) {
 				t0 := time.Now()

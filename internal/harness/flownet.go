@@ -39,16 +39,3 @@ func FlowMeshSized(x, y int) NetSpec {
 		InOrderFabric: true,
 	}
 }
-
-// FlowFatTreeSized is a 4^levels-node flow-level full fat tree with
-// analytically derived characteristics.
-func FlowFatTreeSized(levels int) NetSpec {
-	return NetSpec{
-		Name: fmt.Sprintf("fat tree 4^%d flow", levels),
-		Build: func(seed uint64, o topo.IfaceOptions) topo.Network {
-			return flow.New(flow.FatTreeConfig(levels, o))
-		},
-		Params:        core.Config{O: 8, B: 8, D: 1, W: 4},
-		InOrderFabric: true,
-	}
-}

@@ -7,9 +7,12 @@ import (
 )
 
 // TestNetworkChars pins every Characteristics field of every fabric spec
-// exactly. The flow twin sizes itself from FabricFPC, CPF and the hop
-// latencies, and Table 3 prints the rest, so any change to how a topology
-// counts hops, links or buffers shows here first.
+// exactly, and of each one's flow twin, which must report the row it was
+// sized from under its own name, in order. The flow twin sizes itself from
+// FabricFPC, CPF and the hop latencies, and Table 3 prints the rest, so any
+// change to how a topology counts hops, links or buffers shows here first.
+// The FlowMeshSized row holds MeshConfig's closed forms to the flit mesh's
+// measured row.
 func TestNetworkChars(t *testing.T) {
 	type C = topo.Characteristics
 	cases := []struct {
@@ -29,6 +32,7 @@ func TestNetworkChars(t *testing.T) {
 		{"faulty4", FaultyFatTree(4), C{Name: "fat tree (full)", Nodes: 64, AvgHops: 5.428571428571429, MaxHops: 6, VolumeFlits: 2560, BisectionFPC: 16, FabricFPC: 56, CPF: 4, HopLat: 6}},
 		{"fattree256", FatTreeSized(4), C{Name: "fat tree (full)", Nodes: 256, AvgHops: 7.364705882352941, MaxHops: 8, VolumeFlits: 14336, BisectionFPC: 64, FabricFPC: 384, CPF: 4, HopLat: 6}},
 		{"cm5-16", CM5Sized(2), C{Name: "fat tree (CM-5)", Nodes: 16, AvgHops: 3.6, MaxHops: 4, VolumeFlits: 320, BisectionFPC: 2, FabricFPC: 4, CPF: 8, HopLat: 10}},
+		{"flowmesh", FlowMeshSized(8, 8), C{Name: "mesh[8 8] flow", Nodes: 64, AvgHops: 5.333333333333333, MaxHops: 14, VolumeFlits: 1024, BisectionFPC: 4, FabricFPC: 56, InOrder: true, CPF: 4, HopLat: 6}},
 	}
 	if n := len(StandardNetworks()); n != 8 {
 		t.Fatalf("StandardNetworks has %d specs; the table covers 8", n)
@@ -36,6 +40,12 @@ func TestNetworkChars(t *testing.T) {
 	for _, tc := range cases {
 		if got := tc.spec.Build(1, topo.IfaceOptions{}).Chars(); got != tc.want {
 			t.Errorf("%s:\n got %+v\nwant %+v", tc.label, got, tc.want)
+		}
+		want := tc.want
+		want.Name += " flow"
+		want.InOrder = true
+		if got := FlowTwin(tc.spec).Build(1, topo.IfaceOptions{}).Chars(); got != want {
+			t.Errorf("%s flow twin:\n got %+v\nwant %+v", tc.label, got, want)
 		}
 	}
 }

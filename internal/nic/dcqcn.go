@@ -188,7 +188,6 @@ func (d *DCQCN) echoCNP(now sim.Cycle, src int) {
 	cnp.Class = packet.Reply
 	cnp.Words = 1
 	cnp.CNP = true
-	cnp.NoAck = true
 	cnp.CreatedAt = now
 	d.cnpQ.PushBack(cnp)
 }

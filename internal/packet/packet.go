@@ -156,9 +156,6 @@ type Packet struct {
 	BulkReq bool
 	// BulkExit marks the last packet of a bulk dialog, freeing the dialog.
 	BulkExit bool
-	// NoAck marks a packet that bypasses the NIFDY protocol entirely (§6.1
-	// extension): sent immediately, never acknowledged.
-	NoAck bool
 	// ECN is the congestion-experienced mark: set by a router forwarding the
 	// packet's head flit through a congested egress queue (router.FabricConfig.ECN),
 	// echoed by the destination NIC as a CNP so a DCQCN-style sender can

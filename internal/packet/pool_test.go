@@ -18,7 +18,6 @@ var dirtyings = []struct {
 	{"kind-ack", func(p *Packet) { p.Kind = Ack }},
 	{"class-reply", func(p *Packet) { p.Class = Reply }},
 	{"bulk-bits", func(p *Packet) { p.BulkReq = true; p.BulkExit = true }},
-	{"noack", func(p *Packet) { p.NoAck = true }},
 	{"dup-retransmit", func(p *Packet) { p.Dup = true; p.Retransmit = true }},
 	{"ecn-cnp", func(p *Packet) { p.ECN = true; p.CNP = true }},
 	{"dialog-seq", func(p *Packet) { p.Dialog = 2; p.Seq = 17 }},
@@ -37,7 +36,7 @@ var dirtyings = []struct {
 	}},
 	{"everything", func(p *Packet) {
 		*p = Packet{ID: 1, Src: 1, Dst: 2, Kind: Ack, Class: Reply, Words: 1,
-			BulkReq: true, BulkExit: true, NoAck: true, Dup: true, Retransmit: true,
+			BulkReq: true, BulkExit: true, Dup: true, Retransmit: true,
 			ECN: true, CNP: true,
 			Dialog: 3, Seq: 4, Grant: Granted, BulkAck: true, CumSeq: 5,
 			PiggyAck:  true,

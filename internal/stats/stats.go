@@ -1,7 +1,6 @@
 // Package stats collects and formats experiment measurements: the
 // pending-packets-per-receiver time series behind the paper's Figure 5
-// heatmap, scalar distributions, and aligned text tables for the harness's
-// table/figure output.
+// heatmap, and aligned text tables for the harness's table/figure output.
 package stats
 
 import (
@@ -19,10 +18,9 @@ import (
 //
 // Counts accumulate per engine shard (each NIC's hooks write only its own
 // shard's row, so hook calls from concurrently ticking shards never race)
-// and are summed at read points. Register it as a Ticker — or, for
-// multi-shard engines, install Sample as a step hook — to record periodic
-// snapshots; both observe the engine's quiescent between-cycles state, so
-// snapshots are identical for any shard count.
+// and are summed at read points. Install Sample as a clocked step hook to
+// record periodic snapshots: it observes the engine's quiescent
+// between-cycles state, so snapshots are identical for any shard count.
 type Pending struct {
 	counts   [][]int // [shard][receiver]
 	nodes    int
@@ -51,10 +49,6 @@ func (p *Pending) SetShards(shards int) {
 		p.counts[i] = make([]int, p.nodes)
 	}
 }
-
-// Hooks returns NIC hooks accumulating into shard 0 — the single-shard
-// form of HooksFor.
-func (p *Pending) Hooks() nic.Hooks { return p.HooksFor(0) }
 
 // HooksFor returns NIC hooks that maintain the counts in shard sh's
 // accumulator. Pass them to every NIC registered in that shard.
@@ -88,30 +82,12 @@ func (p *Pending) Max() int {
 	return m
 }
 
-// Activity implements sim.IdleTicker: the sampler sleeps between interval
-// boundaries (the hooks maintain counts without ticks).
-func (p *Pending) Activity() *sim.Activity { return &p.act }
-
-// Tick implements sim.Ticker: snapshot at every interval boundary.
-func (p *Pending) Tick(now sim.Cycle) {
-	if p.interval <= 0 {
-		p.act.Sleep(sim.Never)
-		return
-	}
-	if now%p.interval != 0 {
-		p.act.Sleep(now - now%p.interval + p.interval)
-		return
-	}
-	p.snapshot(now)
-	p.act.Sleep(now + p.interval)
-}
-
 // Sample records a snapshot when now is an interval boundary. Install it
-// with Engine.RegisterStepHookClocked(p.Sample, p.Clock()) on multi-shard
-// engines: it then runs on the stepping goroutine before any shard ticks,
-// summing the per-shard rows at the same pre-tick instant the
-// registered-Ticker form samples at. It keeps the clock pointed at the next
-// boundary so the engine may fast-forward quiescent spans between samples.
+// with Engine.RegisterStepHookClocked(p.Sample, p.Clock()): it then runs on
+// the stepping goroutine before any shard ticks, summing the per-shard rows
+// at a pre-tick instant. It keeps the clock pointed at the next boundary
+// (the hooks maintain counts without it) so the engine may fast-forward
+// quiescent spans between samples.
 func (p *Pending) Sample(now sim.Cycle) {
 	if p.interval <= 0 {
 		p.act.Sleep(sim.Never)
@@ -129,7 +105,6 @@ func (p *Pending) Sample(now sim.Cycle) {
 // Engine.RegisterStepHookClocked.
 func (p *Pending) Clock() *sim.Activity { return &p.act }
 
-//lint:allow(hotalloc) interval sampling off the saturated path: one snapshot per Interval cycles, by design
 func (p *Pending) snapshot(now sim.Cycle) {
 	snap := make([]int, p.nodes)
 	for n := range snap {
@@ -184,46 +159,6 @@ func (p *Pending) Heatmap() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// Dist accumulates a scalar distribution.
-type Dist struct {
-	n        int64
-	sum      float64
-	min, max float64
-}
-
-// Add records v.
-func (d *Dist) Add(v float64) {
-	if d.n == 0 || v < d.min {
-		d.min = v
-	}
-	if d.n == 0 || v > d.max {
-		d.max = v
-	}
-	d.n++
-	d.sum += v
-}
-
-// N reports the sample count.
-func (d *Dist) N() int64 { return d.n }
-
-// Mean reports the sample mean (0 when empty).
-func (d *Dist) Mean() float64 {
-	if d.n == 0 {
-		return 0
-	}
-	return d.sum / float64(d.n)
-}
-
-// Min and Max report the extremes (0 when empty).
-func (d *Dist) Min() float64 { return d.min }
-
-// Max reports the largest sample.
-func (d *Dist) Max() float64 { return d.max }
-
-func (d *Dist) String() string {
-	return fmt.Sprintf("n=%d mean=%.1f min=%.0f max=%.0f", d.n, d.Mean(), d.min, d.max)
 }
 
 // Table is an aligned text table for harness output.

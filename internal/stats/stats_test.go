@@ -9,7 +9,7 @@ import (
 
 func TestPendingCounts(t *testing.T) {
 	p := NewPending(4, 0)
-	h := p.Hooks()
+	h := p.HooksFor(0)
 	pk := &packet.Packet{Src: 0, Dst: 2}
 	h.Send(pk)
 	h.Send(pk)
@@ -24,12 +24,12 @@ func TestPendingCounts(t *testing.T) {
 
 func TestPendingSampling(t *testing.T) {
 	p := NewPending(2, 10)
-	h := p.Hooks()
+	h := p.HooksFor(0)
 	for now := int64(0); now < 35; now++ {
 		if now == 5 {
 			h.Send(&packet.Packet{Dst: 1})
 		}
-		p.Tick(now)
+		p.Sample(now)
 	}
 	samples, times := p.Samples()
 	if len(samples) != 4 || len(times) != 4 {
@@ -42,12 +42,12 @@ func TestPendingSampling(t *testing.T) {
 
 func TestHeatmapShades(t *testing.T) {
 	p := NewPending(1, 1)
-	h := p.Hooks()
-	p.Tick(0)
+	h := p.HooksFor(0)
+	p.Sample(0)
 	for i := 0; i < 25; i++ {
 		h.Send(&packet.Packet{Dst: 0})
 	}
-	p.Tick(1)
+	p.Sample(1)
 	hm := p.Heatmap()
 	if !strings.Contains(hm, " ") || !strings.Contains(hm, "@") {
 		t.Fatalf("heatmap lacks dynamic range:\n%s", hm)
@@ -58,19 +58,6 @@ func TestHeatmapEmpty(t *testing.T) {
 	p := NewPending(1, 0)
 	if !strings.Contains(p.Heatmap(), "no samples") {
 		t.Fatal("empty heatmap")
-	}
-}
-
-func TestDist(t *testing.T) {
-	var d Dist
-	if d.Mean() != 0 {
-		t.Fatal("empty mean")
-	}
-	for _, v := range []float64{1, 2, 3, 4} {
-		d.Add(v)
-	}
-	if d.N() != 4 || d.Mean() != 2.5 || d.Min() != 1 || d.Max() != 4 {
-		t.Fatalf("dist %v", d.String())
 	}
 }
 

@@ -152,7 +152,7 @@ var (
 )
 
 // Flow-level fidelity (internal/flow): bandwidth-sharing twins of the flit
-// fabrics and the analytic constructors for 100k+ node scaling runs. See
+// fabrics and the analytic mesh constructor for 100k+ node scaling runs. See
 // DESIGN.md §8.
 var (
 	// FlowTwin is spec's flow-level twin, sized from the flit fabric's
@@ -160,8 +160,6 @@ var (
 	FlowTwin = harness.FlowTwin
 	// FlowMeshSized is an analytically sized x-by-y flow-level mesh.
 	FlowMeshSized = harness.FlowMeshSized
-	// FlowFatTreeSized is an analytically sized 4^levels flow-level fat tree.
-	FlowFatTreeSized = harness.FlowFatTreeSized
 )
 
 // Experiment entry points — one per paper table/figure (see DESIGN.md and
