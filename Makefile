@@ -47,7 +47,7 @@ check: fmt build vet lint test
 # check-deep runs the deep correctness sweep: the invariant-monitor
 # acceptance matrix and mutation suite, a scaled-up randomized
 # cross-configuration fuzz sweep, and native fuzzing of ring.Deque, of the
-# flow solver's share-class store (remainder FIFOs plus a 4-ary heap) and of
+# wire's event ring, of the flow solver's share-class store (remainder FIFOs plus a 4-ary heap) and of
 # the flow solver against its reference. The time budget caps the add-on stages:
 # make check-deep MINUTES=15
 check-deep:

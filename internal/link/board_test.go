@@ -26,9 +26,10 @@ func checkBoard(t *testing.T, step string, slot *sim.Cycle, w *Wire[int], m boar
 }
 
 // TestBoardTracksRandomTraffic drives a boarded wire with a random
-// Send/Recv sequence — bursts long enough to reach the prefix compaction
-// (head > 64), drains that rewind the event list, empty polls — and holds
-// the boarded word to the reference after every step.
+// Send/Recv sequence — bursts that fill the ring, drains, empty polls — and
+// holds the boarded word to the reference after every step. The sequence
+// must reach the two paths a ring gets wrong: events that wrap past the end
+// of the buffer, and a doubling while they do (head != 0 at the growth).
 func TestBoardTracksRandomTraffic(t *testing.T) {
 	rnd := rand.New(rand.NewSource(1995))
 	board := []sim.Cycle{7, 7, 7} // the wire's word sits between two others
@@ -37,25 +38,24 @@ func TestBoardTracksRandomTraffic(t *testing.T) {
 	var m boardModel
 	checkBoard(t, "boarded empty", &board[1], w, m)
 	now := sim.Cycle(0)
-	rewinds, compactions := 0, 0
+	wraps, wrappedGrowths := 0, 0
 	for step := 0; step < 20_000; step++ {
 		switch rnd.Intn(4) {
 		case 0, 1: // a burst of sends
 			for n := rnd.Intn(40); n > 0; n-- {
+				size, head := len(w.buf), w.head
 				w.Send(now, step)
 				m = append(m, now+2)
+				if len(w.buf) > size && head != 0 {
+					wrappedGrowths++
+				}
+				if int(w.head+w.n) > len(w.buf) {
+					wraps++
+				}
 			}
 		case 2: // receive everything that has arrived, then poll empty
 			for {
-				headBefore := w.head
 				_, ok := w.Recv(now)
-				if headBefore > 0 && w.head == 0 {
-					if len(w.events) == 0 {
-						rewinds++
-					} else {
-						compactions++
-					}
-				}
 				if !ok {
 					break
 				}
@@ -77,8 +77,8 @@ func TestBoardTracksRandomTraffic(t *testing.T) {
 		checkBoard(t, "after step", &board[1], w, m)
 		now += sim.Cycle(rnd.Intn(3))
 	}
-	if rewinds == 0 || compactions == 0 {
-		t.Fatalf("sequence reached %d rewinds and %d compactions; it must reach both", rewinds, compactions)
+	if wraps == 0 || wrappedGrowths == 0 {
+		t.Fatalf("sequence wrapped the ring %d times and grew it wrapped %d times; it must do both", wraps, wrappedGrowths)
 	}
 	if board[0] != 7 || board[2] != 7 {
 		t.Fatalf("the wire wrote outside its word: %v", board)

@@ -18,24 +18,31 @@ import "nifdy/internal/sim"
 // that makes the engine's quiescence skipping safe — a sleeping consumer is
 // always woken no later than the cycle its input changes.
 //
+// The events in flight live in a power-of-two ring that doubles, from 2 slots,
+// only when it is full, so its size is the wire's in-flight high-water mark
+// however long the wire stays busy: a byte-serial link holds two or three
+// flits, and a latency-L wire sent on every cycle holds L or L+1 events.
+//
 // A wire whose single writer and consumer live in different engine shards
 // must be marked with CrossShard: sends then accumulate in a writer-owned
-// staging buffer and are merged into the consumer-visible event list (and
+// staging buffer and are merged into the consumer-visible ring (and
 // the observer woken) at the engine's next window boundary, when no shard is
 // ticking. Every send arrives at or after that boundary (one cycle later at
 // W = 1, by channel padding above it), so the merge is never late and every
 // shard count stays bit-identical to one.
 type Wire[T any] struct {
 	latency sim.Cycle
-	events  []timed[T]
-	head    int
-	// *next caches events[head].at (sim.Never when empty) so the hot
+	// buf is the ring of events in flight: n of them, the oldest at
+	// buf[head], indexed modulo len(buf) by mask.
+	buf     []timed[T]
+	head, n uint32
+	// *next caches buf[head].at (sim.Never when empty) so the hot
 	// Ready/NextAt polls are one load and a compare instead of a bounds check
-	// plus a load through the slice. It points at own until the consumer
+	// plus a load through the ring. It points at own until the consumer
 	// boards the wire (Board), and into the consumer's arrival board after —
 	// a consumer with many input wires then finds the due ones by scanning
 	// one contiguous array, without touching the wires. Whoever may touch
-	// events may write the word: the same-shard writer in SendAt, the
+	// the ring may write the word: the same-shard writer in SendAt, the
 	// consumer in Recv, and on a cross-shard wire only Flush, at the window
 	// boundary.
 	next *sim.Cycle
@@ -45,7 +52,7 @@ type Wire[T any] struct {
 	// Cross-shard staging (nil/unused for same-shard wires). staged is
 	// written only by the wire's single writer while its shard ticks; Flush
 	// (run by crossFl, the writer shard's cross flusher) merges it into
-	// events at the window boundary, when the consumer is quiescent.
+	// the ring at the window boundary, when the consumer is quiescent.
 	// crossID is the wire's dense ID in crossFl's latch table, so the hot
 	// marking path appends an int32 instead of an interface value.
 	staged      []timed[T]
@@ -97,7 +104,7 @@ func (w *Wire[T]) Board(slot *sim.Cycle) {
 
 // CrossShard marks the wire as a cross-shard edge. f must be the writer
 // shard's sim.Engine.CrossFlusher: sends stage locally and the staged batch
-// is merged into the consumer-visible event list at the next window boundary,
+// is merged into the consumer-visible ring at the next window boundary,
 // after every shard has finished the window. The consumer's Activity (if
 // observed) is woken at merge time.
 func (w *Wire[T]) CrossShard(f *sim.Flusher) {
@@ -118,10 +125,10 @@ func (w *Wire[T]) Send(now sim.Cycle, v T) {
 // SendAt schedules v for arrival at cycle at (which must not precede already
 // scheduled arrivals; callers in this repository always send monotonically).
 //
-//lint:allow(hotalloc) amortized event-list growth; Recv rewinds and compacts so steady-state sends reuse capacity
+//lint:allow(hotalloc) cross-shard staging grows to the most sends of one window, then reuses its capacity
 func (w *Wire[T]) SendAt(at sim.Cycle, v T) {
 	if w.crossFl != nil {
-		// Cross-shard: the consumer owns events/head/next during the tick
+		// Cross-shard: the consumer owns the ring and next during the tick
 		// phase, so stage writer-side and merge in Flush. Monotonicity
 		// against already-merged events is checked at merge time.
 		if n := len(w.staged); n > 0 && w.staged[n-1].at > at {
@@ -134,10 +141,10 @@ func (w *Wire[T]) SendAt(at sim.Cycle, v T) {
 		}
 		return
 	}
-	if n := len(w.events); n > 0 && w.events[n-1].at > at {
+	if w.n > 0 && w.tail().at > at {
 		panic("link: out-of-order SendAt")
 	}
-	w.events = append(w.events, timed[T]{at, v})
+	w.push(timed[T]{at, v})
 	if at < *w.next {
 		*w.next = at
 	}
@@ -146,24 +153,41 @@ func (w *Wire[T]) SendAt(at sim.Cycle, v T) {
 	}
 }
 
-// Flush implements sim.Latch for cross-shard wires: it merges the staged
-// sends into the event list and wakes the observer. It runs at the window
-// boundary, on the stepping goroutine, so the consumer (which touches events
-// only while ticking) is guaranteed quiescent; the next window sees the
-// merged list via the channel release of its worker.
+// tail returns the newest event in the ring, which must not be empty.
+func (w *Wire[T]) tail() *timed[T] {
+	return &w.buf[(w.head+w.n-1)&uint32(len(w.buf)-1)]
+}
+
+// push appends e behind the newest event, doubling the ring when it is full.
 //
-//lint:allow(hotalloc) cross-shard staged merge; both slices reuse capacity after warm-up
+//lint:allow(hotalloc) the ring doubles only when full, so it stops at the wire's in-flight high-water mark
+func (w *Wire[T]) push(e timed[T]) {
+	if int(w.n) == len(w.buf) {
+		buf := make([]timed[T], max(2, 2*len(w.buf)))
+		k := copy(buf, w.buf[w.head:])
+		copy(buf[k:], w.buf[:w.head])
+		w.buf, w.head = buf, 0
+	}
+	w.buf[(w.head+w.n)&uint32(len(w.buf)-1)] = e
+	w.n++
+}
+
+// Flush implements sim.Latch for cross-shard wires: it merges the staged
+// sends into the ring and wakes the observer. It runs at the window
+// boundary, on the stepping goroutine, so the consumer (which touches the
+// ring only while ticking) is guaranteed quiescent; the next window sees the
+// merged ring via the channel release of its worker.
 func (w *Wire[T]) Flush() {
 	w.stagedDirty = false
 	if len(w.staged) == 0 {
 		return
 	}
-	if n := len(w.events); n > 0 && w.events[n-1].at > w.staged[0].at {
+	first := w.staged[0].at
+	if w.n > 0 && w.tail().at > first {
 		panic("link: out-of-order cross-shard merge")
 	}
-	first := w.staged[0].at
-	w.events = append(w.events, w.staged...)
-	for i := range w.staged {
+	for i, e := range w.staged {
+		w.push(e)
 		w.staged[i] = timed[T]{}
 	}
 	w.staged = w.staged[:0]
@@ -180,47 +204,30 @@ func (w *Wire[T]) Flush() {
 // arrived case costs a compare instead of a function call.
 func (w *Wire[T]) Ready(now sim.Cycle) bool { return *w.next <= now }
 
-// Recv pops the oldest event whose arrival time has come. ok is false when
-// nothing has arrived yet.
+// Recv pops the oldest event whose arrival time has come, and rewrites the
+// boarded word with the arrival of the event behind it. ok is false when
+// nothing has arrived yet; the boarded word answers that without touching
+// the ring, since it holds the front's arrival (sim.Never when empty).
 func (w *Wire[T]) Recv(now sim.Cycle) (v T, ok bool) {
-	if w.head >= len(w.events) {
-		if w.head > 0 {
-			// Fully drained: rewind to the front of the backing array
-			// (consumed slots are already zeroed) so future sends reuse it
-			// instead of creeping toward a new high-water mark.
-			w.events = w.events[:0]
-			w.head = 0
-		}
+	if *w.next > now {
 		return v, false
 	}
-	if w.events[w.head].at > now {
-		// Compact the consumed prefix once it dominates the slice.
-		if w.head > 64 && w.head*2 >= len(w.events) {
-			n := copy(w.events, w.events[w.head:])
-			for i := n; i < len(w.events); i++ {
-				w.events[i] = timed[T]{}
-			}
-			w.events = w.events[:n]
-			w.head = 0
-		}
-		return v, false
-	}
-	v = w.events[w.head].v
-	w.events[w.head] = timed[T]{}
-	w.head++
-	if w.head == len(w.events) {
-		// Drained by this pop: rewind (slots behind head are zeroed).
-		w.events = w.events[:0]
-		w.head = 0
+	mask := uint32(len(w.buf) - 1)
+	e := &w.buf[w.head]
+	v = e.v
+	*e = timed[T]{} // drop the reference, so a popped packet is not kept alive
+	w.head = (w.head + 1) & mask
+	w.n--
+	if w.n == 0 {
 		*w.next = sim.Never
 	} else {
-		*w.next = w.events[w.head].at
+		*w.next = w.buf[w.head].at
 	}
 	return v, true
 }
 
 // Pending reports events not yet received.
-func (w *Wire[T]) Pending() int { return len(w.events) - w.head }
+func (w *Wire[T]) Pending() int { return int(w.n) }
 
 // ForEach calls f on every unconsumed event in arrival order, with its
 // scheduled arrival cycle. It is an audit hook for the invariant monitors
@@ -231,7 +238,8 @@ func (w *Wire[T]) ForEach(f func(at sim.Cycle, v T)) {
 	if len(w.staged) > 0 {
 		panic("link: ForEach with unmerged cross-shard staging")
 	}
-	for _, e := range w.events[w.head:] {
+	for i := range w.n {
+		e := &w.buf[(w.head+i)&uint32(len(w.buf)-1)]
 		f(e.at, e.v)
 	}
 }

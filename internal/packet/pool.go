@@ -9,8 +9,9 @@ package packet
 // packet returns to is usually not the one it came from; that is fine — a
 // free-list needs no affinity, and under the synthetic workloads every node
 // both sends and receives, so pools stay balanced. Pools are not
-// synchronized: all components of one simulation share an engine shard (the
-// production configuration), which serializes every Get/Put.
+// synchronized: a node's pool is touched only by that node's NIC and
+// processor, which share an engine shard, so its Get/Put calls never run
+// concurrently.
 //
 // Get performs a full field reset, so a recycled packet is indistinguishable
 // from a fresh zero-value one (Dialog at NoDialog, everything else zero).

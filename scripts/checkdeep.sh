@@ -5,7 +5,8 @@
 #   1. the full monitor acceptance matrix and mutation suite (internal/check)
 #   2. a scaled-up randomized cross-configuration fuzz sweep (via the
 #      NIFDY_FUZZ_* environment overrides read by TestFuzzSweepClean)
-#   3. native Go fuzzing of ring.Deque, of the flow solver's share-class
+#   3. native Go fuzzing of ring.Deque, of the wire's event ring against a
+#      plain-slice reference (FuzzWire), of the flow solver's share-class
 #      store (remainder FIFOs plus a 4-ary heap) against a sorted reference
 #      (FuzzClassHeap) and of the flow solver against its advance-everything
 #      reference (FuzzSolverDifferential)
@@ -24,8 +25,8 @@ if [ "$MINUTES" -lt 1 ]; then
 fi
 
 GO=${GO:-go}
-# Scale: ~12 randomized fuzz-sweep trials and ~45s of native fuzzing per
-# budget minute, 15s for each of the three native targets.
+# Scale: ~12 randomized fuzz-sweep trials and ~60s of native fuzzing per
+# budget minute, 15s for each of the four native targets.
 TRIALS=$((MINUTES * 12))
 FUZZTIME=$((MINUTES * 15))s
 
@@ -40,6 +41,9 @@ NIFDY_FUZZ_TRIALS=$TRIALS NIFDY_FUZZ_PACKETS=40 \
 
 echo "-- native fuzz: ring.Deque (${FUZZTIME}) --"
 $GO test -run xxx -fuzz FuzzDeque -fuzztime "$FUZZTIME" ./internal/ring/
+
+echo "-- native fuzz: wire event ring vs plain-slice reference (${FUZZTIME}) --"
+$GO test -run xxx -fuzz FuzzWire -fuzztime "$FUZZTIME" ./internal/link/
 
 echo "-- native fuzz: flow share-class FIFOs and heap vs sorted reference (${FUZZTIME}) --"
 $GO test -run xxx -fuzz FuzzClassHeap -fuzztime "$FUZZTIME" ./internal/flow/
