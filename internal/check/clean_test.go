@@ -49,24 +49,12 @@ func runClean(t *testing.T, spec harness.NetSpec, kind harness.NICKind, shards i
 	s := harness.Build(harness.BuildOpts{
 		Net: spec, Kind: kind, Seed: 1995, EngineShards: shards,
 		Program: func(n int) node.Program {
-			prog := gen.Program(n)
-			return func(p *node.Proc) {
-				prog(p)
-				// Drain tail: accept packets still in flight when the
-				// workload ends, so the loss check sees them land. The
-				// deadline restarts on every arrival — the node leaves only
-				// after a full quiet period, so a straggler chain of scalar
-				// round trips cannot outlive a fixed window.
-				deadline := p.Now() + 2500
-				for {
-					pk, ok := p.RecvOr(func() bool { return p.Now() >= deadline })
-					if !ok {
-						return
-					}
-					deadline = p.Now() + 2500
-					p.Free(pk)
-				}
-			}
+			// Drain tail: accept packets still in flight when the workload
+			// ends, so the loss check sees them land. The window restarts
+			// on every arrival, so a straggler chain of scalar round trips
+			// cannot outlive it.
+			m := traffic.Drain(gen.Machine(n), 2500, true)
+			return func(p *node.Proc) { p.Run(m) }
 		},
 		Check: &check.Options{
 			Interval: 8, Sequence: true, InOrder: true,

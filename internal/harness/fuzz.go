@@ -221,42 +221,6 @@ func FuzzSweep(o FuzzOpts) FuzzResult {
 	return res
 }
 
-// drainTail extends a program with a fixed receive-and-retire window so
-// packets still in flight when the workload proper ends are accepted before
-// the end-to-end loss check.
-func drainTail(prog node.Program, tail sim.Cycle) node.Program {
-	return func(p *node.Proc) {
-		prog(p)
-		deadline := p.Now() + tail
-		for {
-			pk, ok := p.RecvOr(func() bool { return p.Now() >= deadline })
-			if !ok {
-				return
-			}
-			p.Free(pk)
-		}
-	}
-}
-
-// drainQuiet is drainTail with the deadline restarting on every arrival:
-// the node leaves only after a full quiet period. Loss-recovery tails need
-// this — a retransmission chain arrives in bursts spaced by the retransmit
-// timeout, which a fixed window would cut off.
-func drainQuiet(prog node.Program, quiet sim.Cycle) node.Program {
-	return func(p *node.Proc) {
-		prog(p)
-		deadline := p.Now() + quiet
-		for {
-			pk, ok := p.RecvOr(func() bool { return p.Now() >= deadline })
-			if !ok {
-				return
-			}
-			deadline = p.Now() + quiet
-			p.Free(pk)
-		}
-	}
-}
-
 // fuzzRun executes one (trial, shard count) simulation with monitors armed.
 func fuzzRun(tr fuzzTrial, shards int, o FuzzOpts) (nic.Stats, bool, []FuzzFailure) {
 	var fails []FuzzFailure
@@ -269,15 +233,15 @@ func fuzzRun(tr fuzzTrial, shards int, o FuzzOpts) (nic.Stats, bool, []FuzzFailu
 	}
 	tcfg.Phases = 2
 	tcfg.PacketsPerPhase = o.Packets
-	progs := traffic.NewGen(tcfg, nil).Program
+	gen := traffic.NewGen(tcfg, nil)
 	bo := BuildOpts{
 		Net: tr.spec, Kind: tr.kind, Seed: tr.seed, Params: tr.param,
 		EngineShards: shards, Window: tr.window,
 		Program: func(n int) node.Program {
-			if tr.fabric == "lossy" {
-				return drainQuiet(progs(n), 2500)
-			}
-			return drainTail(progs(n), 2500)
+			// A drain tail accepts the packets still in flight when the
+			// workload ends; over lossy wires it waits for a quiet period.
+			m := traffic.Drain(gen.Machine(n), 2500, tr.fabric == "lossy")
+			return func(p *node.Proc) { p.Run(m) }
 		},
 		Check: &check.Options{
 			Interval: o.Interval, Sequence: true, InOrder: true,

@@ -70,6 +70,40 @@ func genOracle(cfg traffic.Config) func(n int) node.Program {
 	}
 }
 
+// drainTailOracle is the closure drain tail that traffic.Drain(m, tail,
+// false) replaced, kept verbatim: a fixed receive-and-retire window after
+// the program ends.
+func drainTailOracle(prog node.Program, tail sim.Cycle) node.Program {
+	return func(p *node.Proc) {
+		prog(p)
+		deadline := p.Now() + tail
+		for {
+			pk, ok := p.RecvOr(func() bool { return p.Now() >= deadline })
+			if !ok {
+				return
+			}
+			p.Free(pk)
+		}
+	}
+}
+
+// drainQuietOracle is the closure drain tail that traffic.Drain(m, quiet,
+// true) replaced, kept verbatim: the deadline restarts on every arrival.
+func drainQuietOracle(prog node.Program, quiet sim.Cycle) node.Program {
+	return func(p *node.Proc) {
+		prog(p)
+		deadline := p.Now() + quiet
+		for {
+			pk, ok := p.RecvOr(func() bool { return p.Now() >= deadline })
+			if !ok {
+				return
+			}
+			deadline = p.Now() + quiet
+			p.Free(pk)
+		}
+	}
+}
+
 // oracleProgram is the fabric collector's closure program, which its step
 // machine replaced, kept verbatim.
 func (c *fabricCollector) oracleProgram(n int) node.Program {
@@ -143,6 +177,34 @@ func TestMachinesMatchOracles(t *testing.T) {
 			return BuildOpts{Net: spec, Kind: kind, Seed: seed, PendingInterval: 500, Program: prog}
 		}
 	}
+	// drain runs the short generator with a drain tail: traffic.Drain, or
+	// the closure tail it replaced after the closure generator. The quiet
+	// period (restart) runs where the fuzz sweep uses it, over lossy wires.
+	drain := func(restart bool) func(oracle bool) BuildOpts {
+		return func(oracle bool) BuildOpts {
+			o := gen(Mesh2D(), NIFDY, short)(oracle)
+			if restart {
+				// Dropped flits are recovered by retransmission, whose
+				// bursts restart the quiet period.
+				o.WireDrop = 1.0 / 256
+				o.Params.Retransmit, o.Params.RetransmitTimeout = true, 1024
+			}
+			if oracle {
+				progs, tail := o.Program, drainTailOracle
+				if restart {
+					tail = drainQuietOracle
+				}
+				o.Program = func(n int) node.Program { return tail(progs(n), 2500) }
+				return o
+			}
+			g := traffic.NewGen(short, nil)
+			o.Program = func(n int) node.Program {
+				m := traffic.Drain(g.Machine(n), 2500, restart)
+				return func(p *node.Proc) { p.Run(m) }
+			}
+			return o
+		}
+	}
 	cases := []struct {
 		name   string
 		cycles sim.Cycle
@@ -153,14 +215,11 @@ func TestMachinesMatchOracles(t *testing.T) {
 		{"light-fattree-nifdy", 12_000, gen(FullFatTree(), NIFDY, endless(traffic.Light(64, seed)))},
 		{"hotspot-mesh2d-plain", 10_000, gen(Mesh2D(), Plain, hotspot)},
 		{"sendprob-half-torus2d-nifdy", 10_000, gen(Torus2D(), NIFDY, idle)},
-		// The generator ends inside the run: the tail drain that follows Run
-		// (drainTail) must resume in the cycle the machine ends in.
-		{"drain-tail-mesh2d-nifdy", 20_000, func(oracle bool) BuildOpts {
-			o := gen(Mesh2D(), NIFDY, short)(oracle)
-			progs := o.Program
-			o.Program = func(n int) node.Program { return drainTail(progs(n), 2500) }
-			return o
-		}},
+		// The generator ends inside the run: the drain tail must begin in
+		// the cycle the generator ends in, with a fixed window or a quiet
+		// period that restarts on every arrival.
+		{"drain-tail-mesh2d-nifdy", 20_000, drain(false)},
+		{"drain-quiet-lossy-mesh2d-nifdy", 20_000, drain(true)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -206,9 +265,9 @@ func TestMachinesMatchOracles(t *testing.T) {
 
 // TestShippedProgramsRunEngineSide builds each shipped program — the
 // synthetic generator, the fabric collector, C-shift, EM3D and both radix
-// phases — on a small cell and holds every processor to at most two
-// goroutine handoffs (into Run and back out of it) however many primitives
-// it completes.
+// phases — on a small cell and holds every processor to exactly one
+// goroutine handoff (the program's start, which hands over to its machine
+// with Run) however many primitives it completes.
 func TestShippedProgramsRunEngineSide(t *testing.T) {
 	const seed = 1995
 	heavy := traffic.Heavy(64, seed)
@@ -242,8 +301,8 @@ func TestShippedProgramsRunEngineSide(t *testing.T) {
 			var prims int64
 			for _, p := range s.Procs {
 				w := p.Work()
-				if w.Handoffs > 2 {
-					t.Errorf("proc %d: %d goroutine handoffs for %d primitives, want at most 2", p.ID(), w.Handoffs, w.Primitives)
+				if w.Handoffs != 1 {
+					t.Errorf("proc %d: %d goroutine handoffs for %d primitives, want 1", p.ID(), w.Handoffs, w.Primitives)
 				}
 				prims += w.Primitives
 			}

@@ -25,11 +25,15 @@
 // Consume and Barrier — still works: it runs through the closure adapter, a
 // Machine whose step hands the baton to the program's own goroutine and
 // waits for it to issue its next primitive, so a closure costs one goroutine
-// handoff per primitive. At most one program runs at any instant, so
-// workload code may touch shared workload state without locks. Proc.Run
-// hands a Machine to the engine from inside a closure: the goroutine parks
-// once for the whole machine, which is how the shipped workloads run two
-// handoffs per processor's lifetime.
+// handoff per primitive. The goroutine starts at the processor's first step.
+// Proc.Run hands the processor over to a Machine for the rest of its life:
+// it never returns, and the program's goroutine exits, so the shipped
+// workloads cost one handoff per processor's lifetime and hold no goroutine
+// while they run. On a serial engine at most one program runs at any
+// instant; in a sharded one, programs in different shards step concurrently,
+// so workload state shared across nodes needs a lock (as Barrier's
+// bookkeeping has) or a serial engine (as the applications, whose nodes
+// share one message layer, use).
 //
 // The callbacks a program passes in (Barrier's handler, RecvOr's predicate)
 // run engine-side while their primitive is in progress: they may touch
@@ -146,7 +150,7 @@ type Machine interface {
 
 // Program is a node's application code as a closure over Proc's blocking
 // primitives. It runs on a goroutine of its own, resumed once per completed
-// primitive; Run hands a Machine to the engine from inside it.
+// primitive, until it returns or hands the processor to a Machine with Run.
 type Program func(p *Proc)
 
 // opKind is the primitive a processor is inside of: what Tick advances, in
@@ -176,7 +180,9 @@ const (
 // Work counts what a processor did, exactly: the counts are determined by the
 // seed, so a test can hold them to a ceiling.
 type Work struct {
-	// Handoffs counts the baton passes to a closure Program's goroutine.
+	// Handoffs counts the baton passes to a closure Program's goroutine: one
+	// per primitive the closure completes, and one in all for a Program that
+	// is a call to Run.
 	Handoffs int64
 	// Primitives counts completed primitives, the program's start included:
 	// after each, Tick steps the program to its next one.
@@ -196,10 +202,10 @@ type Proc struct {
 	done      bool
 
 	// m is the machine Tick steps: nil before Start, then the closure
-	// adapter g, or the machine a Run inside it handed over, with caller
-	// holding g until that machine ends.
-	m, caller Machine
-	g         goroutine
+	// adapter g until the program calls Run, and the machine it handed over
+	// from then on.
+	m Machine
+	g goroutine
 	// running is true while the program goroutine holds the baton.
 	running bool
 	work    Work
@@ -243,20 +249,29 @@ type Proc struct {
 }
 
 // goroutine is the closure adapter: the Machine that runs a Program on a
-// goroutine of its own. Each Step hands the goroutine the baton and waits
-// until the program issues its next primitive, calls Run or returns.
+// goroutine of its own. The first Step starts the goroutine; each later one
+// hands it the baton. Either way Step waits until the program issues its
+// next primitive, calls Run or returns. Processors in one shard step one at
+// a time, so goroutines that exit at their first Run come and go one at a
+// time, and the runtime reuses their stacks.
 type goroutine struct {
 	prog   Program
 	resume chan sim.Cycle
 	yield  chan struct{}
-	exited bool
+	// started is set by the first Step, exited once the goroutine is done.
+	started, exited bool
 }
 
 // Step implements Machine.
 func (g *goroutine) Step(p *Proc) bool {
 	p.work.Handoffs++
 	p.running = true
-	g.resume <- p.now
+	if g.started {
+		g.resume <- p.now
+	} else {
+		g.started = true
+		go g.run(p)
+	}
 	<-g.yield
 	p.running = false
 	return !g.exited
@@ -264,17 +279,20 @@ func (g *goroutine) Step(p *Proc) bool {
 
 // run is the program goroutine's body.
 func (g *goroutine) run(p *Proc) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(abortSentinel); !ok {
-				panic(r)
-			}
-		}
-		g.exited = true
-		g.yield <- struct{}{}
-	}()
-	g.await()
+	defer g.exit()
 	g.prog(p)
+}
+
+// exit ends the program goroutine: it recovers the unwinding of a Stop or a
+// Run and hands the baton back for the last time.
+func (g *goroutine) exit() {
+	if r := recover(); r != nil {
+		if _, ok := r.(abortSentinel); !ok {
+			panic(r)
+		}
+	}
+	g.exited = true
+	g.yield <- struct{}{}
 }
 
 // await parks the program goroutine until the engine resumes it, unwinding
@@ -310,24 +328,24 @@ func (p *Proc) Done() bool { return p.done }
 // Work reports the processor's work counters.
 func (p *Proc) Work() Work { return p.work }
 
-// Start launches the program goroutine (blocked until the first Tick).
+// Start arms the program; its goroutine starts at the processor's first
+// Tick.
 func (p *Proc) Start() {
 	if p.m != nil {
 		panic(fmt.Sprintf("proc %d: double Start", p.id))
 	}
 	p.m = &p.g
-	go p.g.run(p)
 }
 
-// Stop ends the program: a goroutine still blocked — before its first cycle,
-// inside any primitive or inside Run — unwinds. Safe to call after
-// completion.
+// Stop ends the program: a goroutine still blocked inside a primitive
+// unwinds. Safe to call after completion, before the first Tick and after
+// Run.
 func (p *Proc) Stop() {
 	if p.m == nil || p.done {
 		return
 	}
 	p.done = true
-	if !p.g.exited {
+	if p.g.started && !p.g.exited {
 		p.g.resume <- -1
 		<-p.g.yield
 	}
@@ -362,16 +380,18 @@ func (p *Proc) Tick(now sim.Cycle) {
 }
 
 // step runs the current machine's next step, reporting false once the
-// program has ended. A machine handed over by Run returns the baton to Run's
-// caller when it ends, within the same step.
+// program has ended. A closure that ends by calling Run has handed over a
+// machine, whose first step runs within the same step.
 func (p *Proc) step() bool {
-	for !p.m.Step(p) {
-		if p.caller == nil {
+	for {
+		m := p.m
+		if m.Step(p) {
+			return true
+		}
+		if p.m == m {
 			return false
 		}
-		p.m, p.caller = p.caller, nil
 	}
-	return true
 }
 
 // advance runs the operation in progress as far as cycle now allows. It
@@ -533,12 +553,18 @@ func (p *Proc) block() {
 	p.g.await()
 }
 
-// Run runs m engine-side until it ends, then returns. It is a blocking
-// primitive: the program goroutine parks once for the whole of m, however
-// many primitives m issues, and resumes in the cycle m ends in.
+// Run hands the processor over to m for the rest of its life and never
+// returns: m's first step runs in the cycle Run is called in, and the
+// program ends when m does. The program goroutine unwinds (running the
+// program's deferred calls) and exits, so m runs engine-side with no
+// goroutine of its own. Only a Program may call it, not a Machine or a
+// callback.
 func (p *Proc) Run(m Machine) {
-	p.caller, p.m = p.m, m
-	p.block()
+	if !p.running {
+		panic(fmt.Sprintf("proc %d: Run called outside its Program's goroutine (from a Machine, Barrier handler or RecvOr predicate)", p.id))
+	}
+	p.m = m
+	panic(abortSentinel{})
 }
 
 // Received returns the packet the last completed Recv, RecvOr or Poll

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -320,8 +321,8 @@ func (m *pollMiss) Step(p *Proc) bool {
 
 // TestMachineCallLog runs the poll-miss scenario as a step machine handed
 // over by Run: every NIC call and every return must land on the cycle the
-// closure's did (the closure's log is calllog.golden's), with two goroutine
-// handoffs in all.
+// closure's did (the closure's log is calllog.golden's), with one goroutine
+// handoff in all, and Run never returns.
 func TestMachineCallLog(t *testing.T) {
 	sc := callLogScenarios()[1]
 	if sc.name != "poll-miss" {
@@ -330,15 +331,109 @@ func TestMachineCallLog(t *testing.T) {
 	want, _ := sc.run(t)
 	sc.nics = []*scriptNIC{{arrivals: sc.nics[0].arrivals, reorder: sc.nics[0].reorder}}
 	sc.progs = func(l *callLog) []Program {
-		return []Program{func(p *Proc) { p.Run(&pollMiss{l: l}) }}
+		return []Program{func(p *Proc) {
+			p.Run(&pollMiss{l: l})
+			t.Error("Run returned")
+		}}
 	}
 	got, procs := sc.run(t)
 	if g, w := strings.Join(got.lines, "\n"), strings.Join(want.lines, "\n"); g != w {
 		t.Fatalf("machine call log differs from the closure's:\n got:\n%s\nwant:\n%s", g, w)
 	}
-	if w := procs[0].Work(); w.Handoffs != 2 {
-		t.Errorf("%d handoffs over %d primitives, want 2 (into Run and back)", w.Handoffs, w.Primitives)
+	if w := procs[0].Work(); w.Handoffs != 1 {
+		t.Errorf("%d handoffs over %d primitives, want 1 (the start, into Run)", w.Handoffs, w.Primitives)
 	}
+}
+
+// spinUntil yields the P until cond holds; it waits on the event, never on
+// the wall clock, and gives up after a bounded number of yields.
+func spinUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for i := 0; i < 1<<22; i++ {
+		if cond() {
+			return
+		}
+		runtime.Gosched()
+	}
+	t.Fatalf("gave up waiting for %s", what)
+}
+
+// runner is a machine that calls Run, which only a Program may.
+type runner struct{}
+
+func (runner) Step(p *Proc) bool {
+	p.Run(&sender{outPkt(1)})
+	return true
+}
+
+// TestRunHandsOver is the rest of Run's contract (TestMachineCallLog holds
+// the handed-over machine to the closure's NIC calls and Run to never
+// returning): the program goroutine starts at the processor's first step
+// and exits at Run, so processors whose program is a call to Run hold no
+// goroutine before their first cycle or after it, and Run is a Program's
+// call alone.
+func TestRunHandsOver(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("no goroutines/shards=%d", shards), func(t *testing.T) {
+			const n = 64
+			eng := sim.NewParallel(shards)
+			t.Cleanup(eng.Close)
+			base := runtime.NumGoroutine()
+			procs := make([]*Proc, n)
+			for i := range procs {
+				m := &sender{outPkt(uint64(i + 1))}
+				nic := &scriptNIC{node: i}
+				eng.RegisterSharded(i%shards, nic)
+				procs[i] = NewProc(i, nic, CM5Costs(), func(p *Proc) { p.Run(m) })
+				eng.RegisterSharded(i%shards, procs[i])
+				procs[i].Start()
+				t.Cleanup(procs[i].Stop)
+			}
+			if g := runtime.NumGoroutine(); g > base {
+				t.Fatalf("%d goroutines after Start, %d before", g, base)
+			}
+			eng.Step()
+			spinUntil(t, "the program goroutines to exit", func() bool { return runtime.NumGoroutine() <= base })
+			eng.Run(1000)
+			for _, p := range procs {
+				if w := p.Work(); w.Handoffs != 1 || w.Primitives < 20 {
+					t.Fatalf("proc %d: %d handoffs over %d primitives, want 1 over at least 20", p.ID(), w.Handoffs, w.Primitives)
+				}
+			}
+		})
+	}
+	t.Run("Stop before the first tick", func(t *testing.T) {
+		p := NewProc(0, &scriptNIC{}, CM5Costs(), func(p *Proc) { t.Error("the program ran") })
+		p.Start()
+		stopped := make(chan struct{})
+		go func() {
+			p.Stop()
+			close(stopped)
+		}()
+		spinUntil(t, "Stop to return", func() bool {
+			select {
+			case <-stopped:
+				return true
+			default:
+				return false
+			}
+		})
+		if !p.Done() {
+			t.Fatal("Stop did not finish the proc")
+		}
+		p.Tick(0) // a stopped processor never starts its program
+	})
+	t.Run("Run from a Machine panics", func(t *testing.T) {
+		p := NewProc(0, &scriptNIC{}, CM5Costs(), func(p *Proc) { p.Run(runner{}) })
+		p.Start()
+		defer p.Stop()
+		defer func() {
+			if r, _ := recover().(string); !strings.Contains(r, "Run called outside") {
+				t.Fatalf("recovered %q, want Run's misuse panic", r)
+			}
+		}()
+		p.Tick(0)
+	})
 }
 
 // TestCallLogOnlyDropsFailedRetries is the rule calllog.golden was regenerated

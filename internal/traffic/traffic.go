@@ -112,18 +112,73 @@ func NewGen(cfg Config, ids *packet.IDSource) *Gen {
 	return &Gen{cfg: cfg, bar: node.NewBarrier(cfg.Nodes)}
 }
 
-// Program returns node n's program: its step machine, run engine-side.
-func (g *Gen) Program(n int) node.Program {
+// Machine returns node n's program as a step machine.
+func (g *Gen) Machine(n int) node.Machine {
 	weights := make([]int, len(g.cfg.Lengths))
 	for i, l := range g.cfg.Lengths {
 		weights[i] = l.Weight
 	}
-	m := &genMachine{
+	return &genMachine{
 		cfg: &g.cfg, bar: g.bar, n: n, weights: weights,
 		r: rng.NewStream(g.cfg.Seed, uint64(n)), ids: packet.NewNodeIDs(n),
 	}
+}
+
+// Program returns node n's program: a handover to its step machine, which
+// runs engine-side.
+func (g *Gen) Program(n int) node.Program {
+	m := g.Machine(n)
 	return func(p *node.Proc) { p.Run(m) }
 }
+
+// Drain returns a machine that runs m and then receives and retires packets
+// until a window of cycles runs out, so packets still in flight when the
+// workload proper ends are accepted before an end-to-end loss check. The
+// window starts at m's end and, with restart, again at every arrival: the
+// node leaves only after a full quiet period. Loss-recovery tails need the
+// restart — a retransmission chain arrives in bursts spaced by the
+// retransmit timeout, which a fixed window would cut off.
+func Drain(m node.Machine, window sim.Cycle, restart bool) node.Machine {
+	d := &drain{m: m, window: window, restart: restart}
+	d.stop = d.expired
+	return d
+}
+
+// drain is Drain's machine.
+type drain struct {
+	m       node.Machine
+	window  sim.Cycle
+	restart bool
+	// p is nil until m ends; it and deadline are what stop, RecvOr's
+	// predicate bound once, reads.
+	p        *node.Proc
+	deadline sim.Cycle
+	stop     func() bool
+}
+
+// Step implements node.Machine.
+func (d *drain) Step(p *node.Proc) bool {
+	if d.p == nil {
+		if d.m.Step(p) {
+			return true
+		}
+		d.p, d.deadline = p, p.Now()+d.window
+	} else {
+		pk := p.Received()
+		if pk == nil {
+			return false
+		}
+		if d.restart {
+			d.deadline = p.Now() + d.window
+		}
+		p.Free(pk)
+	}
+	p.IssueRecvOr(d.stop)
+	return true
+}
+
+// expired reports whether the drain window has run out.
+func (d *drain) expired() bool { return d.p.Now() >= d.deadline }
 
 // genPC is where a genMachine resumes.
 type genPC uint8

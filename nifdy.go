@@ -70,12 +70,13 @@ type (
 	Proc = node.Proc
 	// Program is per-node application code as a closure over Proc's
 	// blocking API. It runs through the closure adapter, a goroutine handed
-	// the baton once per completed primitive. Proc.Run(m) hands the engine a
-	// step machine instead — any value with a Step(*Proc) bool method that
-	// issues the next primitive with one of Proc's Issue methods — which the
-	// engine calls once per completed primitive with no goroutine switch:
-	// two handoffs in all, into Run and back. The shipped workloads are such
-	// machines, their Program a call to Run.
+	// the baton once per completed primitive. Proc.Run(m) hands the
+	// processor over to a step machine for good — any value with a
+	// Step(*Proc) bool method that issues the next primitive with one of
+	// Proc's Issue methods — which the engine calls once per completed
+	// primitive with no goroutine switch: Run never returns, and the
+	// program's goroutine exits, one handoff in all. The shipped workloads
+	// are such machines, their Program a call to Run.
 	Program = node.Program
 	// Costs models software send/receive overheads.
 	Costs = node.Costs
