@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: fmt build test vet lint lint-budget lintdiff loc race check check-deep bench-check bench-smoke bench bench-locality profdiff clean
+.PHONY: fmt build test vet lint loc race check check-deep bench-check bench-smoke bench bench-locality profdiff clean
 
 # fmt fails if any file is not gofmt-formatted, the check CI runs first.
 fmt:
@@ -19,21 +19,12 @@ vet:
 # determinism (mapiter, wallclock), zero-allocation (hotalloc), two-phase
 # discipline (latchphase), pool ownership (poolsafe), enum exhaustiveness
 # (kindswitch), and shard safety (shardsafe) over the whole module,
-# including the stale-suppression audit.
+# including the suppression audit (every //lint:allow has a reason and
+# silences a real finding). The whole run (load + all analyses) must finish
+# inside BUDGET, so a rule that goes quadratic fails loudly instead of
+# quietly eating the tier-1 gate. Override with: make lint BUDGET=30s
 lint:
-	$(GO) run ./cmd/nifdy-lint
-
-# lint-budget is the lint wall-clock gate: the whole-module run (load +
-# all analyses) must finish inside BUDGET, so a rule that goes quadratic
-# fails CI loudly instead of quietly eating the tier-1 gate.
-# Override with: make lint-budget BUDGET=30s
-lint-budget:
 	$(GO) run ./cmd/nifdy-lint -budget $(or $(BUDGET),120s)
-
-# lintdiff fails if the diff against BASE (default origin/main, falling back
-# to HEAD~1) introduces //lint:allow suppressions without a reason.
-lintdiff:
-	./scripts/lintdiff.sh $(BASE)
 
 # loc prints the non-test Go line count outside bench/ — the number the
 # "net-negative" acceptance criteria are checked against.

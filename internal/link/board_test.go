@@ -28,8 +28,9 @@ func checkBoard(t *testing.T, step string, slot *sim.Cycle, w *Wire[int], m boar
 // TestBoardTracksRandomTraffic drives a boarded wire with a random
 // Send/Recv sequence — bursts that fill the ring, drains, empty polls — and
 // holds the boarded word to the reference after every step. The sequence
-// must reach the two paths a ring gets wrong: events that wrap past the end
-// of the buffer, and a doubling while they do (head != 0 at the growth).
+// must double the ring while events are in flight after some have been
+// received, the growth that has to carry them over in order (ring's own
+// tests hold wrap-around and growth while wrapped at the slot level).
 func TestBoardTracksRandomTraffic(t *testing.T) {
 	rnd := rand.New(rand.NewSource(1995))
 	board := []sim.Cycle{7, 7, 7} // the wire's word sits between two others
@@ -38,19 +39,16 @@ func TestBoardTracksRandomTraffic(t *testing.T) {
 	var m boardModel
 	checkBoard(t, "boarded empty", &board[1], w, m)
 	now := sim.Cycle(0)
-	wraps, wrappedGrowths := 0, 0
+	received, busyGrowths := 0, 0
 	for step := 0; step < 20_000; step++ {
 		switch rnd.Intn(4) {
 		case 0, 1: // a burst of sends
 			for n := rnd.Intn(40); n > 0; n-- {
-				size, head := len(w.buf), w.head
+				size := w.q.Cap()
 				w.Send(now, step)
 				m = append(m, now+2)
-				if len(w.buf) > size && head != 0 {
-					wrappedGrowths++
-				}
-				if int(w.head+w.n) > len(w.buf) {
-					wraps++
+				if w.q.Cap() > size && received > 0 && len(m) > 1 {
+					busyGrowths++
 				}
 			}
 		case 2: // receive everything that has arrived, then poll empty
@@ -63,6 +61,7 @@ func TestBoardTracksRandomTraffic(t *testing.T) {
 					t.Fatalf("step %d: received an event the reference has not due until %d at %d", step, m.next(), now)
 				}
 				m = m[1:]
+				received++
 				checkBoard(t, "after Recv", &board[1], w, m)
 			}
 			if m.next() <= now {
@@ -72,13 +71,14 @@ func TestBoardTracksRandomTraffic(t *testing.T) {
 			for n := rnd.Intn(8); n > 0 && m.next() <= now; n-- {
 				w.Recv(now)
 				m = m[1:]
+				received++
 			}
 		}
 		checkBoard(t, "after step", &board[1], w, m)
 		now += sim.Cycle(rnd.Intn(3))
 	}
-	if wraps == 0 || wrappedGrowths == 0 {
-		t.Fatalf("sequence wrapped the ring %d times and grew it wrapped %d times; it must do both", wraps, wrappedGrowths)
+	if busyGrowths == 0 {
+		t.Fatal("the sequence never grew the ring with events in flight after a receive")
 	}
 	if board[0] != 7 || board[2] != 7 {
 		t.Fatalf("the wire wrote outside its word: %v", board)

@@ -7,7 +7,10 @@
 // networks, giving each logical network one flit per 16 cycles.
 package link
 
-import "nifdy/internal/sim"
+import (
+	"nifdy/internal/ring"
+	"nifdy/internal/sim"
+)
 
 // Wire is a fixed-latency, in-order event pipe. Events sent at cycle t are
 // receivable at cycle t+latency (minimum 1, so that a Tick-phase send is
@@ -18,10 +21,11 @@ import "nifdy/internal/sim"
 // that makes the engine's quiescence skipping safe — a sleeping consumer is
 // always woken no later than the cycle its input changes.
 //
-// The events in flight live in a power-of-two ring that doubles, from 2 slots,
+// The events in flight live in a ring.Deque, which doubles, from 2 slots,
 // only when it is full, so its size is the wire's in-flight high-water mark
-// however long the wire stays busy: a byte-serial link holds two or three
-// flits, and a latency-L wire sent on every cycle holds L or L+1 events.
+// rounded up to a power of two however long the wire stays busy: a
+// byte-serial link holds two or three flits, and a latency-L wire sent on
+// every cycle holds L or L+1 events.
 //
 // A wire whose single writer and consumer live in different engine shards
 // must be marked with CrossShard: sends then accumulate in a writer-owned
@@ -32,13 +36,11 @@ import "nifdy/internal/sim"
 // shard count stays bit-identical to one.
 type Wire[T any] struct {
 	latency sim.Cycle
-	// buf is the ring of events in flight: n of them, the oldest at
-	// buf[head], indexed modulo len(buf) by mask.
-	buf     []timed[T]
-	head, n uint32
-	// *next caches buf[head].at (sim.Never when empty) so the hot
-	// Ready/NextAt polls are one load and a compare instead of a bounds check
-	// plus a load through the ring. It points at own until the consumer
+	// q holds the events in flight, oldest first.
+	q ring.Deque[timed[T]]
+	// *next caches the front event's arrival (sim.Never when empty) so the
+	// hot Ready/NextAt polls are one load and a compare instead of a load
+	// through the ring. It points at own until the consumer
 	// boards the wire (Board), and into the consumer's arrival board after —
 	// a consumer with many input wires then finds the due ones by scanning
 	// one contiguous array, without touching the wires. Whoever may touch
@@ -141,35 +143,16 @@ func (w *Wire[T]) SendAt(at sim.Cycle, v T) {
 		}
 		return
 	}
-	if w.n > 0 && w.tail().at > at {
+	if e, ok := w.q.Back(); ok && e.at > at {
 		panic("link: out-of-order SendAt")
 	}
-	w.push(timed[T]{at, v})
+	w.q.PushBack(timed[T]{at, v})
 	if at < *w.next {
 		*w.next = at
 	}
 	if w.obs != nil {
 		w.obs.WakeAt(at)
 	}
-}
-
-// tail returns the newest event in the ring, which must not be empty.
-func (w *Wire[T]) tail() *timed[T] {
-	return &w.buf[(w.head+w.n-1)&uint32(len(w.buf)-1)]
-}
-
-// push appends e behind the newest event, doubling the ring when it is full.
-//
-//lint:allow(hotalloc) the ring doubles only when full, so it stops at the wire's in-flight high-water mark
-func (w *Wire[T]) push(e timed[T]) {
-	if int(w.n) == len(w.buf) {
-		buf := make([]timed[T], max(2, 2*len(w.buf)))
-		k := copy(buf, w.buf[w.head:])
-		copy(buf[k:], w.buf[:w.head])
-		w.buf, w.head = buf, 0
-	}
-	w.buf[(w.head+w.n)&uint32(len(w.buf)-1)] = e
-	w.n++
 }
 
 // Flush implements sim.Latch for cross-shard wires: it merges the staged
@@ -183,11 +166,11 @@ func (w *Wire[T]) Flush() {
 		return
 	}
 	first := w.staged[0].at
-	if w.n > 0 && w.tail().at > first {
+	if e, ok := w.q.Back(); ok && e.at > first {
 		panic("link: out-of-order cross-shard merge")
 	}
 	for i, e := range w.staged {
-		w.push(e)
+		w.q.PushBack(e)
 		w.staged[i] = timed[T]{}
 	}
 	w.staged = w.staged[:0]
@@ -212,22 +195,17 @@ func (w *Wire[T]) Recv(now sim.Cycle) (v T, ok bool) {
 	if *w.next > now {
 		return v, false
 	}
-	mask := uint32(len(w.buf) - 1)
-	e := &w.buf[w.head]
-	v = e.v
-	*e = timed[T]{} // drop the reference, so a popped packet is not kept alive
-	w.head = (w.head + 1) & mask
-	w.n--
-	if w.n == 0 {
-		*w.next = sim.Never
+	e, _ := w.q.PopFront()
+	if f, ok := w.q.Front(); ok {
+		*w.next = f.at
 	} else {
-		*w.next = w.buf[w.head].at
+		*w.next = sim.Never
 	}
-	return v, true
+	return e.v, true
 }
 
 // Pending reports events not yet received.
-func (w *Wire[T]) Pending() int { return int(w.n) }
+func (w *Wire[T]) Pending() int { return w.q.Len() }
 
 // ForEach calls f on every unconsumed event in arrival order, with its
 // scheduled arrival cycle. It is an audit hook for the invariant monitors
@@ -238,10 +216,7 @@ func (w *Wire[T]) ForEach(f func(at sim.Cycle, v T)) {
 	if len(w.staged) > 0 {
 		panic("link: ForEach with unmerged cross-shard staging")
 	}
-	for i := range w.n {
-		e := &w.buf[(w.head+i)&uint32(len(w.buf)-1)]
-		f(e.at, e.v)
-	}
+	w.q.ForEach(func(e timed[T]) { f(e.at, e.v) })
 }
 
 // Link is a byte-serial channel carrying one-word flits. A flit transmission

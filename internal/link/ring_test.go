@@ -41,10 +41,10 @@ func TestBusyWireStaysBounded(t *testing.T) {
 			t.Fatalf("cycle %d: a wire drained (link %d, wire %d in flight)", now, l.Pending(), w.Pending())
 		}
 	}
-	if got := len(l.wire.buf); got > 4 {
+	if got := l.wire.q.Cap(); got > 4 {
 		t.Errorf("link buffer holds %d events after %d busy cycles; want ≤ 4", got, cycles)
 	}
-	if got := len(w.buf); got > 8 {
+	if got := w.q.Cap(); got > 8 {
 		t.Errorf("wire buffer holds %d events after %d busy cycles; want ≤ 8", got, cycles)
 	}
 	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
@@ -115,8 +115,8 @@ func runWire(t *testing.T, script []byte) {
 				want *= 2
 			}
 		}
-		if len(w.buf) != want {
-			t.Fatalf("op %d: ring of %d slots after at most %d events in flight; want %d", op, len(w.buf), highWater, want)
+		if w.q.Cap() != want {
+			t.Fatalf("op %d: ring of %d slots after at most %d events in flight; want %d", op, w.q.Cap(), highWater, want)
 		}
 		if len(staged) > 0 {
 			return // ForEach refuses unmerged staging; the panic test holds that

@@ -79,8 +79,8 @@ func CLI(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// The budget clock covers load + analysis, the part that scales with the
-	// module: the suite must stay fast enough to run on every push (CI's
-	// lint wall-clock budget step), so an analyzer that goes quadratic fails
+	// module: the suite must stay fast enough to run on every push (make
+	// lint passes a budget), so an analyzer that goes quadratic fails
 	// loudly here instead of quietly eating the gate.
 	start := time.Now()
 	var pkgs []*Package

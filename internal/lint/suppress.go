@@ -23,7 +23,7 @@ var allowRe = regexp.MustCompile(`^//lint:allow\(([a-zA-Z0-9_,-]+)\)\s*(.*)$`)
 // when the text is not an allow at all (wrong verb, spaced-out directive,
 // missing parens, or no valid rule name inside them); empty rule segments
 // (`//lint:allow(a,,b)`) are dropped. FuzzSuppress holds this parser to its
-// grammar, and the lintdiff CI audit greps for the same shape.
+// grammar.
 func parseAllow(text string) (rules []string, reason string, ok bool) {
 	m := allowRe.FindStringSubmatch(text)
 	if m == nil {

@@ -7,9 +7,7 @@ import (
 )
 
 // ruleNameRe is the shape of one rule name inside //lint:allow(...): the
-// grammar FuzzSuppress holds parseAllow to. scripts/lintdiff.sh greps for
-// the same directive shape, so the parser drifting from it would silently
-// split the CI audit from the suppression machinery.
+// grammar FuzzSuppress holds parseAllow to.
 var ruleNameRe = regexp.MustCompile(`^[a-zA-Z0-9_-]+$`)
 
 // FuzzSuppress fuzzes the allow-directive parser over arbitrary comment

@@ -48,11 +48,11 @@ func (r *Router) Audit(a Auditor) {
 		for v := range ip.vcs {
 			vs := &ip.vcs[v]
 			if a.InVC != nil {
-				a.InVC(i, v, ip.ch, vs.n, r.cfg.BufFlits)
+				a.InVC(i, v, ip.ch, vs.q.Len(), r.cfg.BufFlits)
 			}
 			if a.BufFlit != nil {
-				for k := 0; k < vs.n; k++ {
-					a.BufFlit(i, v, *vs.at(k))
+				for k := range vs.q.Len() {
+					a.BufFlit(i, v, vs.q.At(k))
 				}
 			}
 			if r.pfcOn && a.PFCRx != nil {
@@ -156,11 +156,11 @@ func (f *Iface) Audit(a IfaceAuditor) {
 			continue
 		}
 		if a.EjectVC != nil {
-			a.EjectVC(g, ch, len(f.eject[g].q), f.cfg.BufFlits)
+			a.EjectVC(g, ch, f.eject[g].Len(), f.cfg.BufFlits)
 		}
 		if a.EjectFlit != nil {
-			for _, fl := range f.eject[g].q {
-				a.EjectFlit(g, fl)
+			for k := range f.eject[g].Len() {
+				a.EjectFlit(g, f.eject[g].At(k))
 			}
 		}
 		if f.pfcOn && a.PFCRx != nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nifdy/internal/packet"
+	"nifdy/internal/rng"
 	"nifdy/internal/sim"
 )
 
@@ -59,6 +60,36 @@ func TestIfaceEjectOverflowPanics(t *testing.T) {
 			now++
 		}
 		ch.Flits.Send(now, packet.Flit{Pkt: p, Index: i, VC: 0})
+		now++
+	}
+	for c := sim.Cycle(0); c < now+10; c++ {
+		f.Tick(c)
+	}
+}
+
+// TestIfaceDropOfInterleavedPacketPanics: a drop takes the packet's flits
+// from the back of its ejection queue, which holds only while packets arrive
+// whole on a VC (wormhole ownership of the router's output VC). A packet
+// whose flits another packet's head splits is a loud failure, not a silent
+// partial removal.
+func TestIfaceDropOfInterleavedPacketPanics(t *testing.T) {
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("no panic on a drop of an interleaved packet")
+		}
+		if !strings.Contains(r.(string), "interleaves") {
+			t.Fatalf("wrong panic: %v", r)
+		}
+	}()
+	f := NewIface(IfaceConfig{Node: 0, VCs: 1, BufFlits: 8, DropProb: 1, RNG: rng.NewStream(1, 0)})
+	ch := NewChannel(1, 1)
+	f.ConnectIn(ch)
+	p := &packet.Packet{ID: 1, Src: 0, Dst: 0, Words: 4, Dialog: packet.NoDialog}
+	q := &packet.Packet{ID: 2, Src: 0, Dst: 0, Words: 4, Dialog: packet.NoDialog}
+	now := sim.Cycle(0)
+	for _, fl := range []packet.Flit{{Pkt: p, Index: 0}, {Pkt: q, Index: 0}, {Pkt: p, Index: p.Flits() - 1}} {
+		ch.Flits.Send(now, fl)
 		now++
 	}
 	for c := sim.Cycle(0); c < now+10; c++ {

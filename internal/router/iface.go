@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"nifdy/internal/packet"
+	"nifdy/internal/ring"
 	"nifdy/internal/rng"
 	"nifdy/internal/sim"
 )
@@ -66,10 +67,6 @@ type ifSlot struct {
 	vc   int // allocated global vc at the router's local input port, -1 before head
 }
 
-type ejectVC struct {
-	q []packet.Flit
-}
-
 // Iface is the boundary between a NIC and the network fabric: it serializes
 // outgoing packets flit-by-flit into the local router port (one packet per
 // class at a time, classes interleaved at flit granularity like any VC mux)
@@ -91,8 +88,14 @@ type Iface struct {
 	slots    [packet.NumClasses]ifSlot
 	clsRR    int
 
-	inCh    [packet.NumClasses]*Channel
-	eject   []ejectVC
+	inCh [packet.NumClasses]*Channel
+	// eject holds each global VC's ejection queue, sized to BufFlits up
+	// front: the credit loop bounds each at BufFlits (overflow panics), so
+	// none ever grows. A VC's flits arrive whole packet after whole packet —
+	// the router's output VC belongs to one packet until its tail is sent —
+	// so Deliver takes a packet from the front and a drop takes it from the
+	// back.
+	eject   []ring.Deque[packet.Flit]
 	ejected int // flits buffered on the eject side
 	scanRR  int
 
@@ -134,11 +137,9 @@ func NewIface(cfg IfaceConfig) *Iface {
 	}
 	f := &Iface{cfg: cfg}
 	nvc := packet.NumClasses * cfg.VCs
-	f.eject = make([]ejectVC, nvc)
+	f.eject = make([]ring.Deque[packet.Flit], nvc)
 	for i := range f.eject {
-		// Full depth up front: the credit loop bounds each queue at BufFlits,
-		// so this buffer is reused forever (extract keeps the backing array).
-		f.eject[i].q = make([]packet.Flit, 0, cfg.BufFlits)
+		f.eject[i].Reserve(cfg.BufFlits)
 	}
 	f.credits = make([]int, nvc)
 	f.initCred = make([]int, nvc)
@@ -147,7 +148,7 @@ func NewIface(cfg IfaceConfig) *Iface {
 	}
 	if cfg.Fabric.PFC {
 		f.pfcOn = true
-		// The ejection side is packet-granular: extract removes whole packets,
+		// The ejection side is packet-granular: it removes whole packets,
 		// so a pause issued while the head packet is still arriving would
 		// block that packet's own tail — deadlock. Worms arrive contiguously
 		// per VC, so occupancy == capacity implies the head packet is
@@ -329,7 +330,6 @@ func (f *Iface) drainCredits(now sim.Cycle) bool {
 	return progress
 }
 
-//lint:allow(hotalloc) eject-VC growth is bounded by BufFlits (overflow panics), so capacity is reached during warm-up
 func (f *Iface) drainArrivals(now sim.Cycle) bool {
 	progress := false
 	for c := 0; c < packet.NumClasses; c++ {
@@ -362,17 +362,17 @@ func (f *Iface) drainArrivals(now sim.Cycle) bool {
 				continue
 			}
 			vc := &f.eject[fl.VC]
-			if len(vc.q) >= f.cfg.BufFlits {
+			if vc.Len() >= f.cfg.BufFlits {
 				panic(fmt.Sprintf("iface %d: eject vc %d overflow", f.cfg.Node, fl.VC))
 			}
-			vc.q = append(vc.q, fl)
+			vc.PushBack(fl)
 			f.ejected++
-			if f.pfcOn && !f.pfcActive[fl.VC] && len(vc.q) >= f.pfcXOff {
+			if f.pfcOn && !f.pfcActive[fl.VC] && vc.Len() >= f.pfcXOff {
 				f.pfcActive[fl.VC] = true
 				ch.Credits.Send(now, Credit{VC: fl.VC, Kind: PFCPause})
 			}
 			if fl.Tail() && f.cfg.DropProb > 0 && f.cfg.RNG != nil && f.cfg.RNG.Bool(f.cfg.DropProb) {
-				removed := f.extract(now, fl.VC, fl.Pkt)
+				removed := f.dropNewest(now, fl.VC, fl.Pkt)
 				f.droppedPkts++
 				f.droppedFlits += int64(removed)
 			}
@@ -381,37 +381,41 @@ func (f *Iface) drainArrivals(now sim.Cycle) bool {
 	return progress
 }
 
-// extract removes all flits of p from eject vc g, returns their credits, and
-// reports how many flits it removed.
-//
-//lint:allow(hotalloc) filter-in-place append into the same backing array never exceeds capacity
-func (f *Iface) extract(now sim.Cycle, g int, p *packet.Packet) int {
+// dropNewest removes p's buffered flits from eject vc g, returns their
+// credits, and reports how many it removed. They are the newest flits there:
+// p is dropped on its tail's arrival or while its flits are still being sent,
+// and until its tail is sent the router's output VC carries no other packet.
+func (f *Iface) dropNewest(now sim.Cycle, g int, p *packet.Packet) int {
 	vc := &f.eject[g]
-	kept := vc.q[:0]
 	removed := 0
-	for _, fl := range vc.q {
-		if fl.Pkt == p {
-			removed++
-			continue
+	for fl, ok := vc.Back(); ok && fl.Pkt == p; fl, ok = vc.Back() {
+		vc.PopBack()
+		removed++
+	}
+	for i := range vc.Len() {
+		if vc.At(i).Pkt == p {
+			panic(fmt.Sprintf("iface %d: eject vc %d interleaves %v with another packet", f.cfg.Node, g, p))
 		}
-		kept = append(kept, fl)
 	}
-	for i := len(kept); i < len(vc.q); i++ {
-		vc.q[i] = packet.Flit{}
-	}
-	vc.q = kept
-	f.ejected -= removed
+	f.release(now, g, removed)
+	return removed
+}
+
+// release accounts for n flits just removed from eject vc g: it returns
+// their credits and, under PFC, resumes the upstream VC once the queue has
+// room.
+func (f *Iface) release(now sim.Cycle, g, n int) {
+	f.ejected -= n
 	ch := f.inCh[g/f.cfg.VCs]
-	credits := removed
-	if f.cfg.Mutate.LeakCredit && !f.mutLeakDone && credits > 0 {
+	if f.cfg.Mutate.LeakCredit && !f.mutLeakDone && n > 0 {
 		// Injected fault: one buffer slot's credit never returns.
 		f.mutLeakDone = true
-		credits--
+		n--
 	}
-	for i := 0; i < credits; i++ {
+	for range n {
 		ch.Credits.Send(now, Credit{VC: g})
 	}
-	if f.pfcOn && f.pfcActive[g] && len(vc.q) <= f.pfcXOn {
+	if f.pfcOn && f.pfcActive[g] && f.eject[g].Len() <= f.pfcXOn {
 		f.pfcActive[g] = false
 		if f.cfg.Mutate.PFCDropResume && !f.mutPFCResumeDone {
 			// Injected fault: pause state cleared but the resume frame is
@@ -421,7 +425,6 @@ func (f *Iface) extract(now sim.Cycle, g int, p *packet.Packet) int {
 			ch.Credits.Send(now, Credit{VC: g, Kind: PFCResume})
 		}
 	}
-	return removed
 }
 
 // wireFault is the lossy-wire hook (link.Link.SetFault) for ejection channel
@@ -442,7 +445,7 @@ func (f *Iface) wireFault(now sim.Cycle, ch *Channel, fl packet.Flit) bool {
 }
 
 // poison condemns wire-dropped flit fl's packet: buffered sibling flits are
-// extracted now (their credits return through the normal path), in-flight
+// dropped now (their credits return through the normal path), in-flight
 // and future flits will be discarded-with-credit on arrival, and fl — which
 // never arrives — has its credit returned here. The remaining-flit count
 // tracks how many of the packet's flits are still unaccounted; the entry is
@@ -453,7 +456,7 @@ func (f *Iface) poison(now sim.Cycle, ch *Channel, fl packet.Flit) {
 	if !already {
 		f.droppedPkts++
 		rem = p.Flits()
-		removed := f.extract(now, fl.VC, p)
+		removed := f.dropNewest(now, fl.VC, p)
 		f.droppedFlits += int64(removed)
 		rem -= removed
 	}
@@ -559,19 +562,23 @@ func (f *Iface) Deliver(now sim.Cycle, pred func(*packet.Packet) bool) (*packet.
 			}
 		}
 		vc := &f.eject[g]
-		if len(vc.q) == 0 || !vc.q[0].Head() {
+		if vc.Len() == 0 || !vc.At(0).Head() {
 			continue
 		}
-		p := vc.q[0].Pkt
-		if !tailPresent(vc.q, p) {
-			continue
+		p := vc.At(0).Pkt
+		n := p.Flits()
+		if vc.Len() < n || vc.At(n-1).Pkt != p {
+			continue // the packet's flits are contiguous: its tail has not arrived
 		}
 		if pred != nil && !pred(p) {
 			continue
 		}
-		removed := f.extract(now, g, p)
+		for range n {
+			vc.PopFront()
+		}
+		f.release(now, g, n)
 		f.deliveredPkts++
-		f.deliveredFlits += int64(removed)
+		f.deliveredFlits += int64(n)
 		p.DeliveredAt = now
 		f.scanRR = g + 1
 		if f.scanRR == n {
@@ -585,13 +592,4 @@ func (f *Iface) Deliver(now sim.Cycle, pred func(*packet.Packet) bool) (*packet.
 // Stats reports injected, delivered, and dropped packet counts.
 func (f *Iface) Stats() (injected, delivered, dropped int64) {
 	return f.injectedPkts, f.deliveredPkts, f.droppedPkts
-}
-
-func tailPresent(q []packet.Flit, p *packet.Packet) bool {
-	for i := len(q) - 1; i >= 0; i-- {
-		if q[i].Pkt == p && q[i].Tail() {
-			return true
-		}
-	}
-	return false
 }

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"nifdy/internal/packet"
+	"nifdy/internal/ring"
 	"nifdy/internal/rng"
 	"nifdy/internal/sim"
 )
@@ -50,58 +51,19 @@ type Config struct {
 	Fabric FabricConfig
 }
 
-// vcState is one input virtual channel. Its flit queue is a fixed-capacity
-// ring over a BufFlits-slot window of the router's one flit slab (indexed by
-// (port, vc)): the credit protocol bounds occupancy at BufFlits, so the
-// storage never grows and forwarding never slides or reallocates a slice —
-// the append/`q = q[1:]` queue it replaces reallocated once per packet.
+// vcState is one input virtual channel. Its flit queue is sized to BufFlits
+// when the router is built: the credit protocol bounds occupancy at BufFlits
+// (an arrival beyond it panics), so the queue never grows.
 type vcState struct {
-	buf     []packet.Flit // BufFlits ring slots of the router's flit slab
-	head    int           // ring index of the oldest flit
-	n       int           // buffered flit count
-	outPort int           // -1 when the head packet has no route yet
-	outVC   int           // global vc index at the downstream input port
-	waitSeq int64         // allocation age: stamp when the front head became unrouted
+	q       ring.Deque[packet.Flit]
+	outPort int   // -1 when the head packet has no route yet
+	outVC   int   // global vc index at the downstream input port
+	waitSeq int64 // allocation age: stamp when the front head became unrouted
 	// choices caches the route computation for the packet at the front of
 	// the queue, so a head blocked on VC allocation does not recompute its
 	// route every cycle.
 	choices   []Choice
 	choicesOK bool
-}
-
-// front returns the oldest buffered flit. The VC must be non-empty.
-func (v *vcState) front() *packet.Flit { return &v.buf[v.head] }
-
-// at returns the i-th oldest buffered flit (0 = front).
-func (v *vcState) at(i int) *packet.Flit {
-	idx := v.head + i
-	if idx >= len(v.buf) {
-		idx -= len(v.buf)
-	}
-	return &v.buf[idx]
-}
-
-// push appends f. The caller enforces the credit bound.
-func (v *vcState) push(f packet.Flit) {
-	idx := v.head + v.n
-	if idx >= len(v.buf) {
-		idx -= len(v.buf)
-	}
-	v.buf[idx] = f
-	v.n++
-}
-
-// pop removes and returns the front flit, zeroing its slot so the ring never
-// retains a forwarded packet.
-func (v *vcState) pop() packet.Flit {
-	f := v.buf[v.head]
-	v.buf[v.head] = packet.Flit{}
-	v.head++
-	if v.head == len(v.buf) {
-		v.head = 0
-	}
-	v.n--
-	return f
 }
 
 type inPort struct {
@@ -204,14 +166,10 @@ func New(cfg Config) *Router {
 	r := &Router{cfg: cfg}
 	nvc := packet.NumClasses * cfg.VCs
 	r.in = make([]inPort, cfg.InPorts)
-	// One slab holds every input VC's flit buffer, cut into per-(port, vc)
-	// rings of BufFlits slots.
-	slab := make([]packet.Flit, cfg.InPorts*nvc*cfg.BufFlits)
 	for i := range r.in {
 		r.in[i].vcs = make([]vcState, nvc)
 		for v := range r.in[i].vcs {
-			off := (i*nvc + v) * cfg.BufFlits
-			r.in[i].vcs[v].buf = slab[off : off+cfg.BufFlits]
+			r.in[i].vcs[v].q.Reserve(cfg.BufFlits)
 			r.in[i].vcs[v].outPort = -1
 		}
 		r.in[i].pfcActive = make([]bool, nvc)
@@ -378,18 +336,18 @@ func (r *Router) recvFlits(now sim.Cycle, i int) {
 	for *due <= now {
 		f, _ := ip.ch.Flits.Recv(now)
 		v := &ip.vcs[f.VC]
-		if v.n >= r.cfg.BufFlits {
+		if v.q.Len() >= r.cfg.BufFlits {
 			panic(fmt.Sprintf("router %d: input %d vc %d overflow (credit protocol violated)", r.cfg.ID, i, f.VC))
 		}
-		v.push(f)
+		v.q.PushBack(f)
 		r.buffered++
-		if v.n == 1 && f.Head() && v.outPort < 0 {
+		if v.q.Len() == 1 && f.Head() && v.outPort < 0 {
 			v.waitSeq = r.allocSeq
 			r.allocSeq++
 			r.unrouted++
 			r.allocDirty = true
 		}
-		if r.pfcOn && !ip.pfcActive[f.VC] && v.n >= r.pfcXOff {
+		if r.pfcOn && !ip.pfcActive[f.VC] && v.q.Len() >= r.pfcXOff {
 			ip.pfcActive[f.VC] = true
 			ip.ch.Credits.Send(now, Credit{VC: f.VC, Kind: PFCPause})
 		}
@@ -441,7 +399,7 @@ func (r *Router) allocate() bool {
 		}
 		for vc := range ip.vcs {
 			vs := &ip.vcs[vc]
-			if vs.outPort >= 0 || vs.n == 0 || !vs.front().Head() {
+			if vs.outPort >= 0 || vs.q.Len() == 0 || !vs.q.At(0).Head() {
 				continue
 			}
 			j := len(heads)
@@ -457,7 +415,7 @@ func (r *Router) allocate() bool {
 		inIdx, vcIdx := c.in, c.vc
 		ip := &r.in[inIdx]
 		v := &ip.vcs[vcIdx]
-		p := v.front().Pkt
+		p := v.q.At(0).Pkt
 		if !v.choicesOK {
 			v.choices = r.cfg.Route(inIdx, p, v.choices[:0])
 			v.choicesOK = true
@@ -548,19 +506,19 @@ func (r *Router) send(now sim.Cycle) bool {
 			}
 			ip := &r.in[req.in]
 			v := &ip.vcs[req.vc]
-			if v.n == 0 || op.credits[v.outVC] <= 0 {
+			if v.q.Len() == 0 || op.credits[v.outVC] <= 0 {
 				continue
 			}
 			if r.pfcOn && op.paused[v.outVC] {
 				continue
 			}
 			if r.cfg.SAF && !r.tailBuffered(v) {
-				if v.n >= r.cfg.BufFlits {
-					panic(fmt.Sprintf("router %d: SAF buffer (%d flits) smaller than packet %v", r.cfg.ID, r.cfg.BufFlits, v.front().Pkt))
+				if v.q.Len() >= r.cfg.BufFlits {
+					panic(fmt.Sprintf("router %d: SAF buffer (%d flits) smaller than packet %v", r.cfg.ID, r.cfg.BufFlits, v.q.At(0).Pkt))
 				}
 				continue
 			}
-			f := v.pop()
+			f, _ := v.q.PopFront()
 			r.buffered--
 			f.VC = v.outVC
 			if r.ecnOn && f.Head() && op.initial-op.credits[v.outVC] >= op.ecnThresh {
@@ -575,7 +533,7 @@ func (r *Router) send(now sim.Cycle) bool {
 			op.credits[v.outVC]--
 			if ip.ch != nil {
 				ip.ch.Credits.Send(now, Credit{VC: req.vc})
-				if r.pfcOn && ip.pfcActive[req.vc] && v.n <= r.pfcXOn {
+				if r.pfcOn && ip.pfcActive[req.vc] && v.q.Len() <= r.pfcXOn {
 					ip.pfcActive[req.vc] = false
 					ip.ch.Credits.Send(now, Credit{VC: req.vc, Kind: PFCResume})
 				}
@@ -589,7 +547,7 @@ func (r *Router) send(now sim.Cycle) bool {
 				op.owner[v.outVC] = nil
 				r.allocDirty = true
 				v.outPort, v.outVC = -1, -1
-				if v.n > 0 {
+				if v.q.Len() > 0 {
 					v.waitSeq = r.allocSeq
 					r.allocSeq++
 					r.unrouted++
@@ -611,9 +569,9 @@ func (r *Router) send(now sim.Cycle) bool {
 // tailBuffered reports whether the tail flit of the packet at the head of v
 // is already buffered (store-and-forward eligibility).
 func (r *Router) tailBuffered(v *vcState) bool {
-	p := v.front().Pkt
-	for i := v.n - 1; i >= 0; i-- {
-		if fl := v.at(i); fl.Pkt == p && fl.Tail() {
+	p := v.q.At(0).Pkt
+	for i := v.q.Len() - 1; i >= 0; i-- {
+		if fl := v.q.At(i); fl.Pkt == p && fl.Tail() {
 			return true
 		}
 	}

@@ -512,3 +512,71 @@ func TestWorkAddSumsEveryField(t *testing.T) {
 		}
 	}
 }
+
+// TestVCQueuesKeepBuildSize saturates both directions of a line with both
+// classes — the receivers pull nothing for a while, so every queue on the
+// path fills to its credit bound, then drain — and holds every input-VC
+// queue and ejection queue to the capacity it was given at build time: the
+// credit bound keeps them from ever growing.
+func TestVCQueuesKeepBuildSize(t *testing.T) {
+	const bufFlits, n = 4, 40
+	l := newLine(t, 2, bufFlits, 1, false, 0)
+	caps := func() (c []int) {
+		for _, r := range l.rts {
+			for i := range r.in {
+				for v := range r.in[i].vcs {
+					c = append(c, r.in[i].vcs[v].q.Cap())
+				}
+			}
+		}
+		for _, f := range l.ifaces {
+			for g := range f.eject {
+				c = append(c, f.eject[g].Cap())
+			}
+		}
+		return c
+	}
+	built := caps()
+	for _, c := range built[:len(built)-2*len(l.ifaces[0].eject)] {
+		if c != bufFlits {
+			t.Fatalf("input VC built with %d slots; want BufFlits = %d", c, bufFlits)
+		}
+	}
+	var sent, recv [2]int
+	full := 0 // input VCs seen holding BufFlits flits
+	ok := l.eng.RunUntil(func() bool {
+		now := l.eng.Now()
+		for i := range 2 {
+			cls := packet.Class(sent[i] % packet.NumClasses)
+			if sent[i] < n && l.ifaces[i].CanAccept(cls) {
+				l.ifaces[i].StartSend(now, l.pkt(i, 1-i, 8, cls))
+				sent[i]++
+			}
+			for now > 3000 {
+				if _, k := l.ifaces[i].Deliver(now, nil); !k {
+					break
+				}
+				recv[i]++
+			}
+		}
+		for _, r := range l.rts {
+			for i := range r.in {
+				for v := range r.in[i].vcs {
+					if r.in[i].vcs[v].q.Len() == bufFlits {
+						full++
+					}
+				}
+			}
+		}
+		return recv[0] == n && recv[1] == n
+	}, 200000)
+	if !ok {
+		t.Fatalf("delivered %v of %d each way", recv, n)
+	}
+	if full == 0 {
+		t.Fatal("no input VC ever filled: the run did not saturate the routers")
+	}
+	if got := caps(); !reflect.DeepEqual(got, built) {
+		t.Fatalf("queue capacities after a saturated run %v; at build %v", got, built)
+	}
+}
