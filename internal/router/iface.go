@@ -566,19 +566,19 @@ func (f *Iface) Deliver(now sim.Cycle, pred func(*packet.Packet) bool) (*packet.
 			continue
 		}
 		p := vc.At(0).Pkt
-		n := p.Flits()
-		if vc.Len() < n || vc.At(n-1).Pkt != p {
+		flits := p.Flits()
+		if vc.Len() < flits || vc.At(flits-1).Pkt != p {
 			continue // the packet's flits are contiguous: its tail has not arrived
 		}
 		if pred != nil && !pred(p) {
 			continue
 		}
-		for range n {
+		for range flits {
 			vc.PopFront()
 		}
-		f.release(now, g, n)
+		f.release(now, g, flits)
 		f.deliveredPkts++
-		f.deliveredFlits += int64(n)
+		f.deliveredFlits += int64(flits)
 		p.DeliveredAt = now
 		f.scanRR = g + 1
 		if f.scanRR == n {
